@@ -44,7 +44,6 @@ func main() {
 		failures  = flag.Bool("failures", true, "inject ~10% transient activation failures")
 		monitor   = flag.Bool("monitor", false, "print runtime-steering snapshots after each stage")
 		query     = flag.String("query", "", "SQL to run against the provenance database afterwards")
-		precision = flag.String("precision", "exact", "candidate scoring: exact, or tolerance (fast screens with exact confirmation; identical output, fewer cycles)")
 		serve     = flag.String("serve", "", "serve the campaign HTTP API on this address (e.g. 127.0.0.1:8080) instead of running one campaign")
 	)
 	flag.Parse()
@@ -55,7 +54,7 @@ func main() {
 		err = runServe(ctx, *serve)
 		stop()
 	} else {
-		err = run(*mode, *receptors, *ligands, *cores, *effort, *seed, *hgGuard, *failures, *monitor, *query, *precision)
+		err = run(*mode, *receptors, *ligands, *cores, *effort, *seed, *hgGuard, *failures, *monitor, *query)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scidock:", err)
@@ -77,14 +76,11 @@ func validateChoice(flagName, v string, valid ...string) error {
 // validateFlags checks every enumerated or bounded flag up front —
 // before any dataset or engine work — so a typo fails in microseconds
 // with a usage message instead of deep inside the run.
-func validateFlags(mode string, receptors, ligands, cores int, effort, precision string) error {
+func validateFlags(mode string, receptors, ligands, cores int, effort string) error {
 	if err := validateChoice("mode", mode, "ad4", "vina", "adaptive"); err != nil {
 		return err
 	}
 	if err := validateChoice("effort", effort, "smoke", "campaign", "quick"); err != nil {
-		return err
-	}
-	if err := validateChoice("precision", precision, "exact", "tolerance"); err != nil {
 		return err
 	}
 	if cores < 1 {
@@ -99,13 +95,13 @@ func validateFlags(mode string, receptors, ligands, cores int, effort, precision
 	return nil
 }
 
-func run(mode string, receptors, ligands, cores int, effort string, seed int64, hgGuard, failures, monitor bool, query, precision string) error {
-	if err := validateFlags(mode, receptors, ligands, cores, effort, precision); err != nil {
+func run(mode string, receptors, ligands, cores int, effort string, seed int64, hgGuard, failures, monitor bool, query string) error {
+	if err := validateFlags(mode, receptors, ligands, cores, effort); err != nil {
 		return err
 	}
 	spec := campaign.Spec{
 		Mode: mode, Receptors: receptors, Ligands: ligands, Cores: cores,
-		Effort: effort, Seed: seed, Precision: precision,
+		Effort: effort, Seed: seed,
 		DisableHgGuard: !hgGuard, DisableFailures: !failures,
 	}
 	cfg, err := spec.Config()

@@ -13,42 +13,39 @@ import (
 )
 
 func TestRunSmokeCampaign(t *testing.T) {
-	if err := run("ad4", 2, 1, 4, "smoke", 1, true, false, false, "", "exact"); err != nil {
+	if err := run("ad4", 2, 1, 4, "smoke", 1, true, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWithMonitorAndQuery(t *testing.T) {
 	err := run("vina", 2, 1, 4, "smoke", 1, true, true, true,
-		"SELECT count(*) FROM ddocking", "tolerance")
+		"SELECT count(*) FROM ddocking")
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAdaptiveMode(t *testing.T) {
-	if err := run("adaptive", 3, 1, 4, "smoke", 1, true, false, false, "", "exact"); err != nil {
+	if err := run("adaptive", 3, 1, 4, "smoke", 1, true, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("nope", 2, 1, 4, "smoke", 1, true, false, false, "", "exact"); err == nil {
+	if err := run("nope", 2, 1, 4, "smoke", 1, true, false, false, ""); err == nil {
 		t.Error("bad mode accepted")
 	}
-	if err := run("ad4", 2, 1, 4, "nope", 1, true, false, false, "", "exact"); err == nil {
+	if err := run("ad4", 2, 1, 4, "nope", 1, true, false, false, ""); err == nil {
 		t.Error("bad effort accepted")
 	}
-	if err := run("ad4", 0, 1, 4, "smoke", 1, true, false, false, "", "exact"); err == nil {
+	if err := run("ad4", 0, 1, 4, "smoke", 1, true, false, false, ""); err == nil {
 		t.Error("zero receptors accepted")
 	}
-	if err := run("ad4", 2, 1, 4, "smoke", 1, true, false, false, "NOT SQL", "exact"); err == nil {
+	if err := run("ad4", 2, 1, 4, "smoke", 1, true, false, false, "NOT SQL"); err == nil {
 		t.Error("bad SQL accepted")
 	}
-	if err := run("ad4", 2, 1, 4, "smoke", 1, true, false, false, "", "nope"); err == nil {
-		t.Error("bad precision accepted")
-	}
-	if err := run("ad4", 2, 1, 0, "smoke", 1, true, false, false, "", "exact"); err == nil {
+	if err := run("ad4", 2, 1, 0, "smoke", 1, true, false, false, ""); err == nil {
 		t.Error("zero cores accepted")
 	}
 }
@@ -61,12 +58,11 @@ func TestValidateFlagsUpFront(t *testing.T) {
 		err  error
 		want string
 	}{
-		{validateFlags("nope", 2, 1, 4, "smoke", "exact"), "valid values are ad4, vina, adaptive"},
-		{validateFlags("ad4", 2, 1, 4, "nope", "exact"), "valid values are smoke, campaign, quick"},
-		{validateFlags("ad4", 2, 1, 4, "smoke", "nope"), "valid values are exact, tolerance"},
-		{validateFlags("ad4", 2, 1, -3, "smoke", "exact"), "-cores"},
-		{validateFlags("ad4", 0, 1, 4, "smoke", "exact"), "-receptors"},
-		{validateFlags("ad4", 2, 0, 4, "smoke", "exact"), "-ligands"},
+		{validateFlags("nope", 2, 1, 4, "smoke"), "valid values are ad4, vina, adaptive"},
+		{validateFlags("ad4", 2, 1, 4, "nope"), "valid values are smoke, campaign, quick"},
+		{validateFlags("ad4", 2, 1, -3, "smoke"), "-cores"},
+		{validateFlags("ad4", 0, 1, 4, "smoke"), "-receptors"},
+		{validateFlags("ad4", 2, 0, 4, "smoke"), "-ligands"},
 	}
 	for i, c := range cases {
 		if c.err == nil {
@@ -77,7 +73,7 @@ func TestValidateFlagsUpFront(t *testing.T) {
 			t.Errorf("case %d: error %q does not mention %q", i, c.err, c.want)
 		}
 	}
-	if err := validateFlags("vina", 2, 1, 4, "quick", "tolerance"); err != nil {
+	if err := validateFlags("vina", 2, 1, 4, "quick"); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
 }

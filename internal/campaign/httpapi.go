@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -26,9 +27,16 @@ import (
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
+		// A misspelt or retired field must not run a defaulted campaign.
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := dec.Decode(&spec); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+			return
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			writeError(w, http.StatusBadRequest, errors.New("decoding spec: trailing data after the JSON object"))
 			return
 		}
 		id, err := m.Submit(spec)

@@ -114,6 +114,54 @@ func TestHTTPLifecycle(t *testing.T) {
 	assertCampaignsIdentical(t, "served vs one-shot", served, oneShot)
 }
 
+// TestHTTPSubmitStrictSpec pins that POST /campaigns accepts only a
+// single JSON object of known Spec fields: a typo or a retired field
+// is a 400 naming it, never a silently defaulted campaign.
+func TestHTTPSubmitStrictSpec(t *testing.T) {
+	m := NewManager(parallel.NewPool(2), Limits{})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cases := []struct {
+		name, body string
+		code       int
+		want       string // substring of the error message
+	}{
+		{"known spec", `{"receptors": 3, "ligands": 2, "cores": 4, "effort": "smoke", "seed": 23}`, http.StatusAccepted, ""},
+		{"misspelt field", `{"receptor": 50}`, http.StatusBadRequest, `"receptor"`},
+		{"retired field", `{"effort": "smoke", "precision": "tolerance"}`, http.StatusBadRequest, `"precision"`},
+		{"trailing garbage", `{"effort": "smoke"} {"effort": "quick"}`, http.StatusBadRequest, "trailing data"},
+	}
+	for _, c := range cases {
+		resp, err := srv.Client().Post(srv.URL+"/campaigns", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			ID    int64  `json:"id"`
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding response: %v", c.name, err)
+		}
+		if resp.StatusCode != c.code {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, got.Error, c.code)
+		}
+		if !strings.Contains(got.Error, c.want) {
+			t.Errorf("%s: error %q does not mention %s", c.name, got.Error, c.want)
+		}
+		if got.ID != 0 {
+			if _, err := m.Wait(context.Background(), got.ID); err != nil {
+				t.Errorf("%s: accepted campaign failed: %v", c.name, err)
+			}
+		}
+	}
+	if n := len(m.List()); n != 1 {
+		t.Errorf("%d campaigns admitted, want only the known spec", n)
+	}
+}
+
 // TestHTTPCancel cancels a running campaign over the wire.
 func TestHTTPCancel(t *testing.T) {
 	started := make(chan struct{}, 1)

@@ -1,9 +1,6 @@
 package chem
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Placement is the chem-level view of a docking pose: the rigid-body
 // transform plus one angle per rotatable bond. It exists so the batched
@@ -182,98 +179,6 @@ func (t *TorsionTree) ApplyTorsionsBatch(ks *KinScratch, base []Vec3, poses []Pl
 			xs[j], ys[j], zs[j] = w.X, w.Y, w.Z
 		}
 	}
-}
-
-// ArcRadiiInto computes, for every torsion of the tree, the arc radii
-// of its effect-set at the given conformation: arcMax[k] is the
-// largest distance of any moved atom (axis atom excluded, matching the
-// rotation rule) from torsion k's axis line, and arcMean[k] is the sum
-// of those distances divided by the TOTAL atom count of the
-// conformation. A rotation of torsion k by Δθ displaces each moved
-// atom along an arc of length |Δθ|·ρ (ρ its distance to the axis), so
-// chord displacements are ≤ |Δθ|·arcMax[k]; and because unmoved atoms
-// contribute zero, the centroid of the whole conformation shifts by at
-// most |Δθ|·arcMean[k]. Degenerate (zero-length) axes rotate nothing
-// (AxisAngleQuat returns identity) and report zero radii.
-//
-// Both output slices must have length len(t.Torsions). The radii are
-// properties of the conformation passed in: window-screening callers
-// evaluate them at the window's anchor conformation.
-//
-//unit: coords=Å arcMax=Å arcMean=Å
-func (t *TorsionTree) ArcRadiiInto(coords []Vec3, arcMax, arcMean []float64) {
-	if len(arcMax) != len(t.Torsions) || len(arcMean) != len(t.Torsions) {
-		panic(fmt.Sprintf("chem: ArcRadiiInto outputs %d/%d for %d torsions",
-			len(arcMax), len(arcMean), len(t.Torsions)))
-	}
-	n := len(coords)
-	for k, tor := range t.Torsions {
-		a := coords[tor.Axis1]
-		b := coords[tor.Axis2]
-		u := b.Sub(a)
-		u2 := u.Dot(u)
-		arcMax[k], arcMean[k] = 0, 0
-		if u2 <= 0 || n == 0 {
-			continue
-		}
-		var maxR, sumR float64
-		for _, idx := range tor.Moved {
-			if idx == tor.Axis2 {
-				continue
-			}
-			w := coords[idx].Sub(a)
-			// Distance to the axis LINE (the rotation orbit radius):
-			// |w|² − (w·û)².
-			proj := w.Dot(u)
-			d2 := w.Dot(w) - proj*proj/u2
-			if d2 < 0 {
-				d2 = 0 // round-off for atoms on the axis
-			}
-			d := math.Sqrt(d2)
-			if d > maxR {
-				maxR = d
-			}
-			sumR += d
-		}
-		arcMax[k] = maxR
-		arcMean[k] = sumR / float64(n)
-	}
-}
-
-// DisplacementBound bounds how far any atom of a pose can sit from its
-// position in the window's anchor pose, given per-coordinate
-// perturbation bounds. The pose pipeline is
-// x_a = R(q)·(t_a(θ) − c(θ)) + T with c the conformation centroid, so
-// with |ΔT| ≤ dT, a relative orientation rotation angle ≤ rot, and
-// every torsion within dtor radians of the anchor's:
-//
-//	|x_a − x⁰_a| ≤ dT + 2·sin(min(rot, π)/2)·radius + Σ_k dtor·(arcMax[k] + arcMean[k])
-//
-// where radius is the anchor's largest |t⁰_a − c⁰| (its atom radius
-// about the centroid): the torsion sum bounds |Δ(t_a − c)| chord by
-// chord (arc radii taken at the anchor conformation; for the
-// single-coordinate probe windows of the Vina optimizer this is exact,
-// for simultaneous multi-torsion perturbations it is the first-order
-// estimate whose rare escapes the per-pose WindowValid fallback
-// absorbs), and the rotation term is the exact worst case
-// |（R−R⁰)·v| = 2·sin(α/2)·|v| over |v| ≤ radius.
-//
-//unit: dT=Å rot=rad dtor=rad radius=Å result=Å
-func DisplacementBound(dT, rot, dtor, radius float64, arcMax, arcMean []float64) float64 {
-	d := dT
-	if rot > 0 {
-		half := rot / 2
-		if half > math.Pi/2 {
-			half = math.Pi / 2
-		}
-		d += 2 * math.Sin(half) * radius
-	}
-	if dtor > 0 {
-		for k := range arcMax {
-			d += dtor * (arcMax[k] + arcMean[k])
-		}
-	}
-	return d
 }
 
 // RigidUnits partitions the nAtoms atoms of the conformation into

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/data"
-	"repro/internal/dock"
 	"repro/internal/prep"
 	"repro/internal/prov"
 	"repro/internal/sched"
@@ -415,50 +414,5 @@ func TestGridFloat32Campaign(t *testing.T) {
 			t.Errorf("pair %s missing from f32 campaign", k)
 		}
 		_ = v
-	}
-}
-
-// TestScorePrecisionCampaign runs the same small campaigns in exact
-// and tolerance scoring mode and requires BIT-IDENTICAL docking rows:
-// unlike GridFloat32 (where an accept flip may legitimately diverge a
-// trajectory), the tolerance screen is conservative and every
-// persisted energy is exact, so the whole provenance-visible outcome
-// must not move at all.
-func TestScorePrecisionCampaign(t *testing.T) {
-	for _, mode := range []Mode{ModeAD4, ModeVina} {
-		energies := func(p dock.Precision) map[string]float64 {
-			cfg := smokeConfig(t, mode, 2, 2)
-			cfg.ScorePrecision = p
-			camp, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%v ScorePrecision=%v: %v", mode, p, err)
-			}
-			res, err := camp.Engine.DB.Query(
-				"SELECT receptor, ligand, feb FROM ddocking")
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := map[string]float64{}
-			for _, row := range res.Rows {
-				out[row[0].(string)+"|"+row[1].(string)] = row[2].(float64)
-			}
-			return out
-		}
-		exact := energies(dock.PrecisionExact)
-		tol := energies(dock.PrecisionTolerance)
-		if len(exact) == 0 {
-			t.Fatalf("%v: no docking rows", mode)
-		}
-		if len(tol) != len(exact) {
-			t.Fatalf("%v: row count differs: exact=%d tolerance=%d", mode, len(exact), len(tol))
-		}
-		for k, v := range exact {
-			tv, ok := tol[k]
-			if !ok {
-				t.Errorf("%v: pair %s missing from tolerance campaign", mode, k)
-			} else if tv != v {
-				t.Errorf("%v: pair %s feb %.17g (tolerance) != %.17g (exact)", mode, k, tv, v)
-			}
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/dock"
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/prep"
@@ -64,16 +63,6 @@ type Config struct {
 	// internal/grid equivalence tests); the analytic reference path is
 	// unaffected and remains the golden oracle.
 	GridFloat32 bool
-	// ScorePrecision selects candidate evaluation in both docking
-	// engines: dock.PrecisionExact (the default) scores every candidate
-	// through the bit-exact kernels; dock.PrecisionTolerance screens
-	// candidates with the tolerance-bounded fast kernels and confirms
-	// every potential improvement exactly. Unlike GridFloat32, the
-	// screen is conservative — every persisted energy is exact — so
-	// campaign output is byte-identical across the two modes (pinned by
-	// TestScorePrecisionCampaign); tolerance mode just spends fewer
-	// cycles per rejected candidate.
-	ScorePrecision dock.Precision
 	// LigandBlacklist marks problematic ligands discovered via
 	// provenance; blacklisted ligands dock normally in this
 	// reproduction (the paper re-ran them after parameter fixes).

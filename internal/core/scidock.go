@@ -568,7 +568,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		params.PopSize = b.cfg.Effort.AD4PopSize
 		params.Gens = b.cfg.Effort.AD4Gens
 		params.Evals = b.cfg.Effort.AD4Evals
-		eng := &ad4.Engine{Params: params, Box: box, Precision: b.cfg.ScorePrecision}
+		eng := &ad4.Engine{Params: params, Box: box}
 		res, err := eng.Dock(scorer, dlig)
 		if err != nil {
 			return nil, nil, err
@@ -593,8 +593,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		NumModes:       b.cfg.Effort.VinaModes,
 		Seed:           seed,
 	}
-	eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps,
-		Precision: b.cfg.ScorePrecision}
+	eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps}
 	res, err := eng.Dock(scorer, dlig)
 	if err != nil {
 		return nil, nil, err

@@ -27,23 +27,9 @@ type Engine struct {
 	// byte-identical for every value — runs have independent seeds
 	// and land in run order.
 	Workers int
-	// MaxBatch controls offspring evaluation batching: 0 (the
-	// default) accumulates a whole generation's offspring and scores
-	// them in one ScoreBatch call (flushing early when a Lamarckian
-	// local search needs a score), n > 0 caps each batch at n poses,
-	// and n < 0 forces the per-pose reference path. Output is
-	// byte-identical for every value (pinned by
-	// TestDockMaxBatchDeterministic).
+	// MaxBatch is accepted and ignored; it stays only until bench/ stops assigning it.
 	MaxBatch int
-	// Precision selects candidate evaluation: dock.PrecisionExact (the
-	// default) scores everything through the bit-exact kernels;
-	// dock.PrecisionTolerance screens Solis-Wets candidates — the bulk
-	// of an LGA run's evaluations — with the fast kernel and confirms
-	// survivors with the exact scorer. Population and offspring scores
-	// stay exact in both modes (they persist into tournaments and
-	// champion updates), so tolerance-mode trajectories — and hence
-	// Dock output — are byte-identical to exact mode for every
-	// MaxBatch value (pinned by TestDockPrecisionTolerance).
+	// Precision is accepted and ignored; it stays only until bench/ stops assigning it.
 	Precision dock.Precision
 }
 
@@ -130,138 +116,8 @@ type individual struct {
 // runLGA is one Lamarckian GA run: generational GA with tournament
 // selection, uniform pose crossover, Cauchy mutation and Solis-Wets
 // local search whose result is written back into the genome
-// (Lamarckian inheritance). The default path evaluates offspring
-// through the SoA batch kernel; MaxBatch < 0 selects the per-pose
-// reference loop the batched path is golden-tested against.
+// (Lamarckian inheritance).
 func (e *Engine) runLGA(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Workspace) (dock.Pose, float64) {
-	if e.MaxBatch < 0 {
-		return e.runLGASeq(r, s, lig, ws)
-	}
-	return e.runLGABatch(r, s, lig, ws)
-}
-
-// runLGABatch is runLGASeq restructured around the SoA batch kernel.
-// The GA's evaluations consume no randomness, so deferring them
-// cannot perturb the seeded stream: the initial population is drawn
-// pose by pose and scored in one batch, and each generation's
-// offspring are generated (tournament, crossover, mutation draws — all
-// before any evaluation of that offspring in the reference order) and
-// appended to the batch. The one draw the reference path takes after
-// scoring an offspring — the Lamarckian local-search gate — is drawn
-// eagerly at append time, which is stream-identical because the score
-// between them draws nothing. The batch is flushed when full
-// (MaxBatch poses; 0 = a whole generation) and on demand when a
-// gated offspring needs its score for Solis-Wets, which then runs
-// sequentially exactly as the reference path does. Champion updates
-// are replayed in offspring order at generation end — nothing inside
-// a generation reads the champion, so the running minimum is the
-// same one the reference loop maintains online — making the whole
-// trajectory, and hence the returned pose, bit-identical for every
-// MaxBatch value.
-func (e *Engine) runLGABatch(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Workspace) (dock.Pose, float64) {
-	nt := lig.NumTorsions()
-	pop := make([]individual, e.Params.PopSize)
-	next := make([]individual, e.Params.PopSize)
-	for i := range pop {
-		pop[i].pose.Torsions = make([]float64, 0, nt)
-		next[i].pose.Torsions = make([]float64, 0, nt)
-	}
-	maxB := e.MaxBatch
-	if maxB <= 0 || maxB > len(pop) {
-		maxB = len(pop)
-	}
-	b := ws.Batch()
-	febs := ws.Floats(maxB)
-	evals := 0
-
-	for i := range pop {
-		dock.RandomPoseInto(r, &pop[i].pose, e.Box, nt)
-	}
-	for base := 0; base < len(pop); base += maxB {
-		end := base + maxB
-		if end > len(pop) {
-			end = len(pop)
-		}
-		b.Reset()
-		for i := base; i < end; i++ {
-			b.Append(pop[i].pose)
-		}
-		s.ScoreBatch(b, febs[:end-base])
-		evals += end - base
-		for i := base; i < end; i++ {
-			pop[i].feb = febs[i-base]
-		}
-	}
-	best := individual{pose: dock.Pose{Torsions: make([]float64, 0, nt)}, feb: math.Inf(1)}
-	for i := range pop {
-		if pop[i].feb < best.feb {
-			best.pose.Set(pop[i].pose)
-			best.feb = pop[i].feb
-		}
-	}
-
-	pending := make([]int, 0, len(pop))
-	for gen := 0; gen < e.Params.Gens && evals < e.Params.Evals; gen++ {
-		next[0].pose.Set(best.pose)
-		next[0].feb = best.feb
-		b.Reset()
-		pending = pending[:0]
-		flush := func() {
-			if b.Len() == 0 {
-				return
-			}
-			s.ScoreBatch(b, febs[:b.Len()])
-			evals += b.Len()
-			for j, idx := range pending {
-				next[idx].feb = febs[j]
-			}
-			b.Reset()
-			pending = pending[:0]
-		}
-		for i := 1; i < len(pop); i++ {
-			a := tournament(r, pop)
-			bi := tournament(r, pop)
-			child := &next[i].pose
-			if r.Float64() < e.Params.CrossRate {
-				crossoverInto(r, child, pop[a].pose, pop[bi].pose)
-			} else {
-				child.Set(pop[a].pose)
-			}
-			mutateInPlace(r, child, e.Params.MutRate, e.Box)
-			// The reference path's next draw is the Lamarckian gate,
-			// taken right after the (draw-free) evaluation.
-			ls := r.Float64() < e.Params.LocalRate
-			b.Append(*child)
-			pending = append(pending, i)
-			if ls {
-				flush()
-				next[i].feb = e.solisWetsWindowed(r, s, ws, child, next[i].feb, &evals)
-			} else if b.Len() >= maxB {
-				flush()
-			}
-		}
-		flush()
-		for i := 1; i < len(pop); i++ {
-			if next[i].feb < best.feb {
-				best.pose.Set(next[i].pose)
-				best.feb = next[i].feb
-			}
-		}
-		pop, next = next, pop
-	}
-	champ := ws.Get()
-	defer ws.Put(champ)
-	champ.Set(best.pose)
-	feb := e.solisWetsWindowed(r, s, ws, champ, best.feb, new(int))
-	if feb < best.feb {
-		return champ.Clone(), feb
-	}
-	return best.pose, best.feb
-}
-
-// runLGASeq is the per-pose reference run the batched path must match
-// byte-for-byte (Engine.MaxBatch < 0 selects it).
-func (e *Engine) runLGASeq(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Workspace) (dock.Pose, float64) {
 	nt := lig.NumTorsions()
 	pop := make([]individual, e.Params.PopSize)
 	next := make([]individual, e.Params.PopSize)
@@ -385,20 +241,10 @@ func wrap(a float64) float64 {
 // failures try the opposite direction, then shrink. The pose is
 // refined in place through the workspace — zero allocations per
 // candidate — and the improved energy returned.
-//
-// Under dock.PrecisionTolerance each candidate is screened with the
-// fast kernel first: beyond curFeb + FastMargin(curFeb) its exact
-// score provably cannot improve, so the reject (and the step-size
-// bookkeeping, which only sees the accept/reject bit) is identical to
-// the exact path's without paying for an exact evaluation; survivors
-// are exact-rescored and judged on the exact value. The eval counter
-// ticks for screened candidates too, keeping generation gating
-// bit-identical across modes.
 func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.Pose, feb float64, evals *int) float64 {
 	rho := 1.0
 	const rhoMin = 0.01
 	succ, fail := 0, 0
-	tol := e.Precision == dock.PrecisionTolerance
 	cur, cand := ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)
@@ -408,10 +254,7 @@ func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.
 		dock.PerturbInto(r, cand, *cur, rho*0.5, rho*0.15)
 		dock.ClampToBox(cand, e.Box)
 		*evals++
-		candFeb := math.Inf(1)
-		if !tol || s.ScoreFast1(ws.Batch(), *cand) <= curFeb+FastMargin(curFeb) {
-			candFeb = s.Score(ws.Coords(*cand))
-		}
+		candFeb := s.Score(ws.Coords(*cand))
 		if candFeb < curFeb {
 			cur, cand = cand, cur
 			curFeb = candFeb
@@ -428,147 +271,6 @@ func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.
 		if fail >= 4 {
 			rho *= 0.5
 			fail = 0
-		}
-	}
-	p.Set(*cur)
-	return curFeb
-}
-
-// solisWetsWindowed is solisWets restructured around speculative
-// incumbent-anchored windows, byte-identical to it by construction
-// (the batched LGA uses it; the reference path keeps solisWets, and
-// TestDockMaxBatchDeterministic pins the two against each other).
-//
-// The restructuring rests on two facts about the sequential loop.
-// First, every iteration consumes exactly PerturbDrawCount draws
-// before anything else reads the RNG, so the draws for a run of
-// future iterations can be taken up front without moving any draw
-// relative to the stream. Second, rho and the incumbent can only
-// change at an accept (succ bookkeeping, swap) or when fail reaches
-// 4 (halving) — so across a window of w = min(4−fail, remaining
-// iterations) candidates, as long as every one of them is rejected,
-// all w are perturbations of the SAME incumbent at the SAME rho, and
-// the halving (and any rho ≤ rhoMin exit) cannot fire before the
-// window's last element. Rejection is the overwhelmingly common case
-// in Solis-Wets, so the window usually speculates correctly.
-//
-// Each window therefore: draws w·PerturbDrawCount raws, materializes
-// the w candidates from the incumbent, sets the batch window at the
-// incumbent with a displacement bound computed from the ACTUAL draws
-// (translation norm, rotation angle, per-torsion arcs — so the bound
-// is tight for this window, not a worst case), and scores all w in
-// one batched call — fast kernel under tolerance mode, exact
-// otherwise — through the shared window gather/live-pair machinery.
-// The results are then replayed in iteration order with the exact
-// sequential bookkeeping. Until the first accept the speculation is
-// valid: the batched score of candidate j is bit-identical to what
-// the sequential loop would have computed (kernel pose-purity), so
-// screens, accepts and evals tick identically. At the first accept
-// the remaining candidates are stale — built from the wrong
-// incumbent — so the replay falls back to rebuilding each remaining
-// candidate from its pre-drawn raws against the CURRENT incumbent
-// and rho, which is exactly the sequential iteration with its draws
-// taken earlier. Within a window the loop guard cannot exit early
-// (rho halves only at the window's last element and only doubles
-// after accepts), so the draw count per window matches the
-// sequential path exactly.
-func (e *Engine) solisWetsWindowed(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.Pose, feb float64, evals *int) float64 {
-	rho := 1.0
-	const rhoMin = 0.01
-	succ, fail := 0, 0
-	tol := e.Precision == dock.PrecisionTolerance
-	cur, cand := ws.Get(), ws.Get()
-	defer ws.Put(cur)
-	defer ws.Put(cand)
-	cur.Set(*p)
-	curFeb := feb
-	nt := len(p.Torsions)
-	nd := dock.PerturbDrawCount(nt)
-	arcMax, arcMean := s.Lig.ArcRadii()
-	b := ws.Batch()
-	defer b.ClearWindow()
-	var febs [4]float64
-	for it := 0; it < e.Params.LocalIts && rho > rhoMin; {
-		w := 4 - fail
-		if rem := e.Params.LocalIts - it; w > rem {
-			w = rem
-		}
-		raws := ws.Floats(w * nd)
-		for j := 0; j < w; j++ {
-			dock.PerturbDraws(r, raws[j*nd:(j+1)*nd])
-		}
-		dt, da := rho*0.5, rho*0.15
-		radius := b.SetWindow(*cur)
-		bound := 0.0
-		for j := 0; j < w; j++ {
-			raw := raws[j*nd : (j+1)*nd]
-			dT := dt * math.Sqrt(raw[0]*raw[0]+raw[1]*raw[1]+raw[2]*raw[2])
-			d := chem.DisplacementBound(dT, math.Abs(raw[6])*da, 0, radius, nil, nil)
-			for k := 0; k < nt; k++ {
-				d += math.Abs(raw[7+k]) * da * (arcMax[k] + arcMean[k])
-			}
-			if d > bound {
-				bound = d
-			}
-		}
-		b.SetWindowBound(bound)
-		b.Reset()
-		for j := 0; j < w; j++ {
-			dock.PerturbApplyRaw(raws[j*nd:(j+1)*nd], cand, *cur, dt, da)
-			// ClampToBox only pulls coordinates toward the in-box
-			// incumbent, so it cannot push a pose past the bound.
-			dock.ClampToBox(cand, e.Box)
-			b.Append(*cand)
-		}
-		if tol {
-			s.ScoreBatchFast(b, febs[:w])
-		} else {
-			s.ScoreBatch(b, febs[:w])
-		}
-		b.Reset()
-		stale := false
-		for j := 0; j < w; j++ {
-			raw := raws[j*nd : (j+1)*nd]
-			candFeb := math.Inf(1)
-			if !stale {
-				if !tol {
-					candFeb = febs[j]
-					if candFeb < curFeb {
-						dock.PerturbApplyRaw(raw, cand, *cur, dt, da)
-						dock.ClampToBox(cand, e.Box)
-					}
-				} else if febs[j] <= curFeb+FastMargin(curFeb) {
-					dock.PerturbApplyRaw(raw, cand, *cur, dt, da)
-					dock.ClampToBox(cand, e.Box)
-					candFeb = s.Score(ws.Coords(*cand))
-				}
-			} else {
-				dock.PerturbApplyRaw(raw, cand, *cur, rho*0.5, rho*0.15)
-				dock.ClampToBox(cand, e.Box)
-				if !tol || s.ScoreFast1(b, *cand) <= curFeb+FastMargin(curFeb) {
-					candFeb = s.Score(ws.Coords(*cand))
-				}
-			}
-			*evals++
-			if candFeb < curFeb {
-				cur, cand = cand, cur
-				curFeb = candFeb
-				succ++
-				fail = 0
-				stale = true
-			} else {
-				fail++
-				succ = 0
-			}
-			if succ >= 4 {
-				rho *= 2
-				succ = 0
-			}
-			if fail >= 4 {
-				rho *= 0.5
-				fail = 0
-			}
-			it++
 		}
 	}
 	p.Set(*cur)

@@ -1,12 +1,10 @@
 package ad4
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/dock"
-	"repro/internal/prep"
 )
 
 var batchSizes = []int{0, 1, 7, 64}
@@ -91,36 +89,6 @@ func TestScoreBatchConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestDockMaxBatchDeterministic pins the batched-LGA contract: the
-// full Dock output is byte-identical for every MaxBatch value — the
-// per-pose reference path (-1), whole-generation batches (0), and
-// chunked windows down to single-pose batches.
-func TestDockMaxBatchDeterministic(t *testing.T) {
-	maps, lig, box := setupPair(t, "2HHN", "0E6")
-	s, err := NewScorer(maps, lig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := prep.DefaultDPF("l", "f", 77)
-	params.Runs, params.PopSize, params.Gens, params.Evals = 3, 14, 5, 2500
-	var want string
-	for _, maxBatch := range []int{-1, 0, 1, 2, 7, 64} {
-		eng := &Engine{Params: params, Box: box, Workers: 1, MaxBatch: maxBatch}
-		res, err := eng.Dock(s, lig)
-		if err != nil {
-			t.Fatalf("maxBatch=%d: %v", maxBatch, err)
-		}
-		got := fmt.Sprintf("%+v", res)
-		if maxBatch == -1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("maxBatch=%d result differs from sequential reference:\n%s\nvs\n%s", maxBatch, got, want)
-		}
-	}
 }
 
 func BenchmarkScoreBatch16(b *testing.B)  { benchScoreBatch(b, 16) }

@@ -23,8 +23,7 @@ import (
 // magnitude and the coarser interpolation tracks it proportionally
 // (measured ~3e-4 relative on randomized clashes). The
 // dense+randomized sweep in TestAD4FastPathBound measures the worst
-// case at ≤ half of this envelope; see dock.PrecisionTolerance for why
-// an excursion could only cost extra exact evaluations.
+// case at ≤ half of this envelope.
 const (
 	FastAbsTol = 0.01 // kcal/mol
 	FastRelTol = 2e-3
@@ -491,19 +490,4 @@ func fastIntraAt(bank []float32, off int32, r2 float64) float32 {
 	w := x - float32(ib)
 	v := bank[off+ib]
 	return v + w*(bank[off+ib+1]-v)
-}
-
-// ScoreFast1 runs the fast kernel on a single pose through the given
-// batch, which it leaves EMPTY — the batched LGA interleaves
-// Solis-Wets screens with its own generation-window fills on the same
-// batch and relies on the batch coming back reset. The fast
-// accumulation never mixes lanes, so the value is identical to the
-// pose's slot in any ScoreBatchFast window.
-func (s *Scorer) ScoreFast1(b *dock.Batch, p dock.Pose) float64 {
-	b.Reset()
-	b.Append(p)
-	var out [1]float64
-	s.ScoreBatchFast(b, out[:])
-	b.Reset()
-	return out[0]
 }

@@ -1,22 +1,20 @@
 package ad4
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/dock"
-	"repro/internal/prep"
 )
 
 // TestAD4FastPathBound pins the published envelope of the fast path
 // at 2× headroom: over randomized poses (including self-clashing
 // conformations that hit the RMin² clamp) on two receptor/ligand
 // pairs, |ScoreBatchFast − Score| stays within HALF of FastAbsTol +
-// FastRelTol·|Score|. The Solis-Wets screen assumes the full
-// envelope; measuring at half keeps an excursion margin between what
-// we observe and what we rely on.
+// FastRelTol·|Score|. Callers that screen on the fast value assume the
+// full envelope; measuring at half keeps an excursion margin between
+// what we observe and what they rely on.
 func TestAD4FastPathBound(t *testing.T) {
 	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}} {
 		maps, lig, _ := setupPair(t, pair[0], pair[1])
@@ -26,12 +24,12 @@ func TestAD4FastPathBound(t *testing.T) {
 		}
 		ws := dock.NewWorkspace(lig)
 		poses := randomPoses(lig, 200, 29)
-		b := ws.Batch()
+		b := dock.NewBatch(lig, 16)
 		b.Reset()
 		for _, p := range poses {
 			b.Append(p)
 		}
-		fast := ws.Floats(len(poses))
+		fast := make([]float64, len(poses))
 		s.ScoreBatchFast(b, fast)
 		worst := 0.0
 		for k, p := range poses {
@@ -51,25 +49,23 @@ func TestAD4FastPathBound(t *testing.T) {
 }
 
 // TestAD4FastPathBatchInvariant pins that a pose's fast value is a
-// pure function of the pose: batch windows of different sizes and the
-// single-pose ScoreFast1 yield bit-identical values (==, no epsilon).
-// The Solis-Wets screen scores candidates one at a time through
-// ScoreFast1; reproducibility across MaxBatch depends on those values
-// never depending on window geometry.
+// pure function of the pose: one whole batch and batch windows of
+// different sizes, down to single poses, yield bit-identical values
+// (==, no epsilon) — the value never depends on window geometry.
 func TestAD4FastPathBatchInvariant(t *testing.T) {
 	maps, lig, _ := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(maps, lig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 64, 43)
 	ref := make([]float64, len(poses))
-	b := ws.Batch()
-	for k, p := range poses {
-		ref[k] = s.ScoreFast1(b, p)
+	b := dock.NewBatch(lig, 16)
+	for _, p := range poses {
+		b.Append(p)
 	}
-	for _, window := range []int{1, 7, 64} {
+	s.ScoreBatchFast(b, ref)
+	for _, window := range []int{1, 7, 16} {
 		for base := 0; base < len(poses); base += window {
 			end := base + window
 			if end > len(poses) {
@@ -79,11 +75,11 @@ func TestAD4FastPathBatchInvariant(t *testing.T) {
 			for _, p := range poses[base:end] {
 				b.Append(p)
 			}
-			out := ws.Floats(end - base)
+			out := make([]float64, end-base)
 			s.ScoreBatchFast(b, out)
 			for k, v := range out {
 				if v != ref[base+k] {
-					t.Fatalf("window %d slot %d: %.17g != ScoreFast1 %.17g",
+					t.Fatalf("window %d slot %d: %.17g != whole-batch %.17g",
 						window, base+k, v, ref[base+k])
 				}
 			}
@@ -92,26 +88,23 @@ func TestAD4FastPathBatchInvariant(t *testing.T) {
 }
 
 // TestAD4FastPathZeroAllocs pins the steady-state allocation contract
-// of the fast loop, including the single-pose screen used by
-// Solis-Wets: once warm, refill + ScoreBatchFast + ScoreFast1
-// allocate nothing.
+// of the fast loop: once warm, refill + ScoreBatchFast allocate
+// nothing.
 func TestAD4FastPathZeroAllocs(t *testing.T) {
 	maps, lig, _ := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(maps, lig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, 16)
+	out := make([]float64, len(poses))
 	run := func() {
 		b.Reset()
 		for _, p := range poses {
 			b.Append(p)
 		}
 		s.ScoreBatchFast(b, out)
-		s.ScoreFast1(b, poses[0])
 	}
 	run() // warm the buffers (and the lazy fast state) to the high-water mark
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
@@ -121,7 +114,7 @@ func TestAD4FastPathZeroAllocs(t *testing.T) {
 
 // TestAD4FastPathConcurrent exercises the lazy sync.Once build under
 // -race: many goroutines make their FIRST fast calls on a shared
-// scorer concurrently, each with its own workspace, and all must see
+// scorer concurrently, each with its own batch, and all must see
 // the same values.
 func TestAD4FastPathConcurrent(t *testing.T) {
 	maps, lig, _ := setupPair(t, "2HHN", "0E6")
@@ -133,24 +126,22 @@ func TestAD4FastPathConcurrent(t *testing.T) {
 	want := make([]float64, len(poses))
 	{
 		probe, _ := NewScorer(maps, lig)
-		ws := dock.NewWorkspace(lig)
-		b := ws.Batch()
-		for k, p := range poses {
-			want[k] = probe.ScoreFast1(b, p)
+		b := dock.NewBatch(lig, 16)
+		for _, p := range poses {
+			b.Append(p)
 		}
+		probe.ScoreBatchFast(b, want)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := dock.NewWorkspace(lig)
-			b := ws.Batch()
-			b.Reset()
+			b := dock.NewBatch(lig, 16)
 			for _, p := range poses {
 				b.Append(p)
 			}
-			out := ws.Floats(len(poses))
+			out := make([]float64, len(poses))
 			s.ScoreBatchFast(b, out)
 			for k, v := range out {
 				if v != want[k] {
@@ -163,19 +154,18 @@ func TestAD4FastPathConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkScoreBatchFast50 measures the fast path at the LGA flush
-// window scale; compare with BenchmarkScoreBatch50 for the per-pose
-// speedup the tolerance mode buys.
+// BenchmarkScoreBatchFast50 measures the fast path at a 50-pose
+// window; compare with BenchmarkScoreBatch50 for the per-pose
+// speedup of the fast kernel.
 func BenchmarkScoreBatchFast50(bm *testing.B) {
 	maps, lig, _ := setupPair(bm, "2HHN", "0E6")
 	s, err := NewScorer(maps, lig)
 	if err != nil {
 		bm.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, 16)
+	out := make([]float64, len(poses))
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
 		b.Reset()
@@ -183,46 +173,5 @@ func BenchmarkScoreBatchFast50(bm *testing.B) {
 			b.Append(p)
 		}
 		s.ScoreBatchFast(b, out)
-	}
-}
-
-// TestDockPrecisionTolerance is the golden pin of tolerance mode: the
-// full Dock output under dock.PrecisionTolerance is byte-identical to
-// exact mode at EVERY MaxBatch value, including the per-pose reference
-// path. Only the Solis-Wets candidate screen uses the fast kernel —
-// a screened-out candidate provably cannot beat the incumbent, every
-// survivor is scored exactly, and the eval budget counts both the same
-// — so the LGA trajectory and the final result are unchanged.
-func TestDockPrecisionTolerance(t *testing.T) {
-	maps, lig, box := setupPair(t, "2HHN", "0E6")
-	s, err := NewScorer(maps, lig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := prep.DefaultDPF("l", "f", 77)
-	params.Runs, params.PopSize, params.Gens, params.Evals = 3, 14, 5, 2500
-	var want string
-	for _, maxBatch := range []int{-1, 0, 1, 2, 7, 64} {
-		exact := &Engine{Params: params, Box: box, Workers: 1, MaxBatch: maxBatch}
-		res, err := exact.Dock(s, lig)
-		if err != nil {
-			t.Fatalf("exact maxBatch=%d: %v", maxBatch, err)
-		}
-		got := fmt.Sprintf("%+v", res)
-		if maxBatch == -1 {
-			want = got
-		} else if got != want {
-			t.Fatalf("exact maxBatch=%d differs from sequential reference", maxBatch)
-		}
-		tol := &Engine{Params: params, Box: box, Workers: 1, MaxBatch: maxBatch,
-			Precision: dock.PrecisionTolerance}
-		tres, err := tol.Dock(s, lig)
-		if err != nil {
-			t.Fatalf("tolerance maxBatch=%d: %v", maxBatch, err)
-		}
-		if tgot := fmt.Sprintf("%+v", tres); tgot != want {
-			t.Fatalf("tolerance maxBatch=%d result differs from exact:\n%s\nvs\n%s",
-				maxBatch, tgot, want)
-		}
 	}
 }

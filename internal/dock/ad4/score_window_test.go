@@ -60,9 +60,9 @@ func TestWindowScoreBatchMatchesPerPose(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := dock.NewWorkspace(lig)
+		b := dock.NewBatch(lig, 16)
 		for _, bs := range []int{1, 7, 64} {
 			poses, bound := windowPoses(lig, bs, int64(300+bs))
-			b := ws.Batch()
 			b.SetWindow(poses[0])
 			b.SetWindowBound(bound)
 			b.Reset()
@@ -74,7 +74,7 @@ func TestWindowScoreBatchMatchesPerPose(t *testing.T) {
 					t.Fatalf("%s batch %d: pose %d rejected despite actual-displacement bound", pair[1], bs, k)
 				}
 			}
-			out := ws.Floats(bs)
+			out := make([]float64, bs)
 			s.ScoreBatch(b, out)
 			for k, p := range poses {
 				if want := s.Score(ws.Coords(p)); out[k] != want {
@@ -99,9 +99,9 @@ func TestWindowScoreBatchFastInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := dock.NewWorkspace(lig)
+		b := dock.NewBatch(lig, 16)
 		for _, bs := range []int{1, 7, 64} {
 			poses, bound := windowPoses(lig, bs, int64(400+bs))
-			b := ws.Batch()
 			b.Reset()
 			for _, p := range poses {
 				b.Append(p)
@@ -114,7 +114,7 @@ func TestWindowScoreBatchFastInvariant(t *testing.T) {
 			for _, p := range poses {
 				b.Append(p)
 			}
-			win := ws.Floats(bs)
+			win := make([]float64, bs)
 			s.ScoreBatchFast(b, win)
 			for k, p := range poses {
 				if win[k] != plain[k] {
@@ -174,7 +174,7 @@ func TestWindowBoundViolationFallsBack(t *testing.T) {
 	near := poses[0].Clone()
 	near.Translation = near.Translation.Add(chem.V(bound*1.5, 0, 0))
 	poses = append(poses, near)
-	b := ws.Batch()
+	b := dock.NewBatch(lig, 16)
 	b.SetWindow(poses[0])
 	b.SetWindowBound(bound)
 	b.Reset()
@@ -191,7 +191,7 @@ func TestWindowBoundViolationFallsBack(t *testing.T) {
 	if valid[len(poses)-1] || valid[len(poses)-2] || nInvalid != 2 {
 		t.Fatalf("expected exactly the 2 planted escapes invalid, got %v", valid)
 	}
-	out := ws.Floats(len(poses))
+	out := make([]float64, len(poses))
 	s.ScoreBatch(b, out)
 	for k, p := range poses {
 		if want := s.Score(ws.Coords(p)); out[k] != want {
@@ -217,19 +217,17 @@ func TestWindowBoundViolationFallsBack(t *testing.T) {
 }
 
 // benchWindowBatch measures the full windowed loop (window setup,
-// refill, kernel) on the named pair — the shape the Solis-Wets window
-// screens run in steady state.
+// refill, kernel) on the named pair.
 func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
 	maps, lig, _ := setupPair(b, recCode, ligCode)
 	s, err := NewScorer(maps, lig)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	const batch = 50
 	poses, bound := windowPoses(lig, batch, 7)
-	bt := ws.Batch()
-	out := ws.Floats(batch)
+	bt := dock.NewBatch(lig, 16)
+	out := make([]float64, batch)
 	kernel := s.ScoreBatch
 	if fast {
 		kernel = s.ScoreBatchFast
@@ -265,10 +263,9 @@ func TestWindowScoreBatchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses, bound := windowPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, 16)
+	out := make([]float64, len(poses))
 	run := func() {
 		b.SetWindow(poses[0])
 		b.SetWindowBound(bound)

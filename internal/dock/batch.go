@@ -38,8 +38,8 @@ type Batch struct {
 	hits       []Hit     // scorer hit gather scratch
 
 	// Incumbent-anchored window state (window.go). Deliberately NOT
-	// cleared by Reset: the search loops refill the batch chunk by chunk
-	// inside one window, and the shared gather must survive the refills.
+	// cleared by Reset: callers refill the batch chunk by chunk inside
+	// one window, and the shared gather must survive the refills.
 	win struct {
 		set    bool
 		stamp  uint64 // bumped by SetWindow/SetWindowBound; keys the caches

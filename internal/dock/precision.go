@@ -1,38 +1,12 @@
 package dock
 
-// Precision selects how an engine's search loop evaluates candidate
-// poses.
-//
-// PrecisionExact (the default) scores every candidate through the
-// bit-exact kernels: batched scores match the scalar Score to the bit,
-// so trajectories are independent of batching.
-//
-// PrecisionTolerance screens candidates through the engines'
-// tolerance-bounded fast kernels (float32 accumulation over compact
-// subsampled tables) and confirms every potential improvement with the
-// exact scorer before accepting it. The fast kernels carry a pinned
-// error bound |fast − exact| ≤ FastAbsTol + FastRelTol·|exact| with
-// FastRelTol < 1, which makes the screen conservative: a candidate is
-// rejected without exact scoring only when its fast score proves its
-// exact score cannot beat the incumbent (fast ≥ cur + FastAbsTol +
-// FastRelTol·|cur|). Every energy that persists — incumbents,
-// champions, reported FEBs — is an exact score, so tolerance-mode
-// trajectories and outputs are bit-identical to exact mode; the fast
-// path only decides which candidates are worth an exact evaluation.
+// Precision is the type of the engines' inert Precision field. It no
+// longer selects anything — both searches score every candidate through
+// the exact per-pose Score — and stays, with its two values, only until
+// bench/ stops assigning it.
 type Precision int
 
 const (
-	// PrecisionExact scores every candidate bit-exactly.
 	PrecisionExact Precision = iota
-	// PrecisionTolerance screens candidates with the fast kernels and
-	// exact-rescores survivors.
 	PrecisionTolerance
 )
-
-// String returns the config-file spelling of the precision mode.
-func (p Precision) String() string {
-	if p == PrecisionTolerance {
-		return "tolerance"
-	}
-	return "exact"
-}

@@ -22,10 +22,7 @@ import (
 // attractive terms cancel the clash) the absolute term must, which is
 // why FastAbsTol is far wider than the smooth-regime table envelope.
 // The dense+randomized sweep in TestVinaFastPathBound measures the
-// worst case at ≤ half of this envelope; the search screens rely on
-// the envelope holding, and every accepted energy is exact-rescored,
-// so even an excursion could only cost extra exact evaluations on the
-// reject side it provably does not take (see dock.PrecisionTolerance).
+// worst case at ≤ half of this envelope.
 const (
 	FastAbsTol = 0.08 // kcal/mol
 	FastRelTol = 5e-3
@@ -165,8 +162,8 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 	// Active window: share the anchor gather across the window's poses
 	// exactly as ScoreBatch does. The filtered hit sequence is the one
 	// Gather would emit, so the float32 accumulation — and with it the
-	// pose-purity that ScoreFast1 and the batch-invariance pin rely on —
-	// is unchanged; escaped poses take the per-pose gather.
+	// pose-purity that the batch-invariance pin relies on — is
+	// unchanged; escaped poses take the per-pose gather.
 	anchor, bound, win := b.Window()
 	var valid []bool
 	var cands []dock.PackedAtom
@@ -272,20 +269,4 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 		out[p] = float64(inter[p])/s.rotFactor +
 			intraWeight*(float64(intra[p])+f.rigidConst-s.intraRef)
 	}
-}
-
-// ScoreFast1 runs the fast kernel on a single pose through the given
-// batch, which it leaves EMPTY — callers interleaving screens with
-// their own batch fills (the search loops do) rely on the batch
-// coming back reset. Because the fast accumulation never mixes lanes,
-// the value is identical to the pose's slot in any ScoreBatchFast
-// window — the search's per-pose screens and its batched screens
-// agree exactly.
-func (s *Scorer) ScoreFast1(b *dock.Batch, p dock.Pose) float64 {
-	b.Reset()
-	b.Append(p)
-	var out [1]float64
-	s.ScoreBatchFast(b, out[:])
-	b.Reset()
-	return out[0]
 }

@@ -1,7 +1,6 @@
 package vina
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -12,9 +11,9 @@ import (
 // TestVinaFastPathBound pins the published envelope of the fast path
 // at 2× headroom: over randomized poses (including clashed ones) on
 // two receptor/ligand pairs, |ScoreBatchFast − Score| stays within
-// HALF of FastAbsTol + FastRelTol·|Score|. The tolerance screens in
-// the search assume the full envelope; measuring at half keeps an
-// excursion margin between what we observe and what we rely on.
+// HALF of FastAbsTol + FastRelTol·|Score|. Callers that screen on the
+// fast value assume the full envelope; measuring at half keeps an
+// excursion margin between what we observe and what they rely on.
 func TestVinaFastPathBound(t *testing.T) {
 	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}} {
 		rec, lig := setupPair(t, pair[0], pair[1])
@@ -24,12 +23,12 @@ func TestVinaFastPathBound(t *testing.T) {
 		}
 		ws := dock.NewWorkspace(lig)
 		poses := randomPoses(lig, 200, 23)
-		b := ws.Batch()
+		b := dock.NewBatch(lig, 16)
 		b.Reset()
 		for _, p := range poses {
 			b.Append(p)
 		}
-		fast := ws.Floats(len(poses))
+		fast := make([]float64, len(poses))
 		s.ScoreBatchFast(b, fast)
 		worst := 0.0
 		for k, p := range poses {
@@ -49,25 +48,23 @@ func TestVinaFastPathBound(t *testing.T) {
 }
 
 // TestVinaFastPathBatchInvariant pins that a pose's fast value is a
-// pure function of the pose: scoring the same poses through batch
-// windows of different sizes, and through the single-pose ScoreFast1,
-// yields bit-identical values (==, no epsilon). The search depends on
-// this — its batched screens and its per-pose fallback screens must
-// agree exactly for trajectories to be reproducible across MaxBatch.
+// pure function of the pose: scoring the same poses in one batch and
+// through batch windows of different sizes, down to single poses,
+// yields bit-identical values (==, no epsilon).
 func TestVinaFastPathBatchInvariant(t *testing.T) {
 	rec, lig := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(rec, lig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 64, 41)
 	ref := make([]float64, len(poses))
-	b := ws.Batch()
-	for k, p := range poses {
-		ref[k] = s.ScoreFast1(b, p)
+	b := dock.NewBatch(lig, 16)
+	for _, p := range poses {
+		b.Append(p)
 	}
-	for _, window := range []int{1, 7, 64} {
+	s.ScoreBatchFast(b, ref)
+	for _, window := range []int{1, 7, 16} {
 		for base := 0; base < len(poses); base += window {
 			end := base + window
 			if end > len(poses) {
@@ -77,11 +74,11 @@ func TestVinaFastPathBatchInvariant(t *testing.T) {
 			for _, p := range poses[base:end] {
 				b.Append(p)
 			}
-			out := ws.Floats(end - base)
+			out := make([]float64, end-base)
 			s.ScoreBatchFast(b, out)
 			for k, v := range out {
 				if v != ref[base+k] {
-					t.Fatalf("window %d slot %d: %.17g != ScoreFast1 %.17g",
+					t.Fatalf("window %d slot %d: %.17g != whole-batch %.17g",
 						window, base+k, v, ref[base+k])
 				}
 			}
@@ -90,27 +87,23 @@ func TestVinaFastPathBatchInvariant(t *testing.T) {
 }
 
 // TestVinaFastPathZeroAllocs pins the steady-state allocation contract
-// of the fast loop, including the single-pose screen: once warm,
-// refill + ScoreBatchFast + a ScoreFast1 call allocate nothing. This
-// also pins that ScoreFast1's one-element output array stays on the
-// stack.
+// of the fast loop: once warm, refill + ScoreBatchFast allocate
+// nothing.
 func TestVinaFastPathZeroAllocs(t *testing.T) {
 	rec, lig := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(rec, lig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, 16)
+	out := make([]float64, len(poses))
 	run := func() {
 		b.Reset()
 		for _, p := range poses {
 			b.Append(p)
 		}
 		s.ScoreBatchFast(b, out)
-		s.ScoreFast1(b, poses[0])
 	}
 	run() // warm the buffers (and the lazy fast state) to the high-water mark
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
@@ -120,7 +113,7 @@ func TestVinaFastPathZeroAllocs(t *testing.T) {
 
 // TestVinaFastPathConcurrent exercises the lazy sync.Once build under
 // -race: many goroutines make their FIRST fast calls on a shared
-// scorer concurrently, each with its own workspace, and all must see
+// scorer concurrently, each with its own batch, and all must see
 // the same values.
 func TestVinaFastPathConcurrent(t *testing.T) {
 	rec, lig := setupPair(t, "2HHN", "0E6")
@@ -132,24 +125,22 @@ func TestVinaFastPathConcurrent(t *testing.T) {
 	want := make([]float64, len(poses))
 	{
 		probe, _ := NewScorer(rec, lig)
-		ws := dock.NewWorkspace(lig)
-		b := ws.Batch()
-		for k, p := range poses {
-			want[k] = probe.ScoreFast1(b, p)
+		b := dock.NewBatch(lig, 16)
+		for _, p := range poses {
+			b.Append(p)
 		}
+		probe.ScoreBatchFast(b, want)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := dock.NewWorkspace(lig)
-			b := ws.Batch()
-			b.Reset()
+			b := dock.NewBatch(lig, 16)
 			for _, p := range poses {
 				b.Append(p)
 			}
-			out := ws.Floats(len(poses))
+			out := make([]float64, len(poses))
 			s.ScoreBatchFast(b, out)
 			for k, v := range out {
 				if v != want[k] {
@@ -162,19 +153,18 @@ func TestVinaFastPathConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkScoreBatchFast50 measures the fast path at the search's
-// window size; compare with BenchmarkScoreBatch50 for the per-pose
-// speedup the tolerance mode buys.
+// BenchmarkScoreBatchFast50 measures the fast path at a 50-pose
+// window; compare with BenchmarkScoreBatch50 for the per-pose speedup
+// of the fast kernel.
 func BenchmarkScoreBatchFast50(bm *testing.B) {
 	rec, lig := setupPair(bm, "2HHN", "0E6")
 	s, err := NewScorer(rec, lig)
 	if err != nil {
 		bm.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, 16)
+	out := make([]float64, len(poses))
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
 		b.Reset()
@@ -182,47 +172,5 @@ func BenchmarkScoreBatchFast50(bm *testing.B) {
 			b.Append(p)
 		}
 		s.ScoreBatchFast(b, out)
-	}
-}
-
-// TestDockPrecisionTolerance is the golden pin of tolerance mode: the
-// full Dock output under dock.PrecisionTolerance is byte-identical to
-// exact mode at EVERY MaxBatch value, including the per-pose reference
-// path. The fast screen only rejects candidates that provably cannot
-// beat the incumbent, and every survivor is re-scored exactly, so the
-// Metropolis trajectory — and therefore every pose, energy and mode
-// ordering in the result — is the same; tolerance mode differs only
-// in how many cycles the rejected candidates cost.
-func TestDockPrecisionTolerance(t *testing.T) {
-	rec, lig := setupPair(t, "2HHN", "0E6")
-	s, err := NewScorer(rec, lig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(19)
-	cfg.Exhaustiveness = 4
-	var want string
-	for _, maxBatch := range []int{-1, 0, 1, 2, 7, 64} {
-		exact := &Engine{Config: cfg, StepsPerRestart: 6, Workers: 1, MaxBatch: maxBatch}
-		res, err := exact.Dock(s, lig)
-		if err != nil {
-			t.Fatalf("exact maxBatch=%d: %v", maxBatch, err)
-		}
-		got := fmt.Sprintf("%+v", res)
-		if maxBatch == -1 {
-			want = got
-		} else if got != want {
-			t.Fatalf("exact maxBatch=%d differs from sequential reference", maxBatch)
-		}
-		tol := &Engine{Config: cfg, StepsPerRestart: 6, Workers: 1, MaxBatch: maxBatch,
-			Precision: dock.PrecisionTolerance}
-		tres, err := tol.Dock(s, lig)
-		if err != nil {
-			t.Fatalf("tolerance maxBatch=%d: %v", maxBatch, err)
-		}
-		if tgot := fmt.Sprintf("%+v", tres); tgot != want {
-			t.Fatalf("tolerance maxBatch=%d result differs from exact:\n%s\nvs\n%s",
-				maxBatch, tgot, want)
-		}
 	}
 }

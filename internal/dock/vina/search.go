@@ -31,27 +31,9 @@ type Engine struct {
 	// byte-identical for every value — chains have independent seeds
 	// and merge in chain order.
 	Workers int
-	// MaxBatch controls the local optimizer's speculative probe
-	// window: 0 (the default) scores each scale pass's full probe set
-	// in one ScoreBatch call, n > 0 chunks the window into batches of
-	// at most n poses, and n < 0 forces the per-pose reference path.
-	// Output is byte-identical for every value (pinned by
-	// TestDockMaxBatchDeterministic): batched scores match Score to
-	// the bit, and the speculative window is replayed in probe order
-	// with a per-pose fallback from the first accepted improvement on.
+	// MaxBatch is accepted and ignored; it stays only until bench/ stops assigning it.
 	MaxBatch int
-	// Precision selects candidate evaluation: dock.PrecisionExact (the
-	// default) scores every probe through the bit-exact kernels;
-	// dock.PrecisionTolerance screens the batched probe windows with
-	// ScoreBatchFast and confirms every potential improvement with the
-	// exact scorer before accepting it. Because the fast bound makes
-	// the screen conservative and every persistent energy is exact,
-	// tolerance-mode trajectories — and hence Dock output — are
-	// byte-identical to exact mode for every MaxBatch value (pinned by
-	// TestDockPrecisionTolerance); the fast path only spares exact
-	// evaluations on probes that provably cannot improve. The MaxBatch
-	// < 0 reference path stays exact regardless, as the golden
-	// baseline.
+	// Precision is accepted and ignored; it stays only until bench/ stops assigning it.
 	Precision dock.Precision
 }
 
@@ -184,188 +166,8 @@ func (e *Engine) receptorName(s *Scorer) string {
 // localOptimize is Vina's quasi-Newton refinement, reproduced with a
 // derivative-free compass search over the pose degrees of freedom:
 // each DOF is probed ±step, improvements kept, the step halved on
-// stagnation. The default path scores each scale pass's probe window
-// through the SoA batch kernel; MaxBatch < 0 selects the per-pose
-// reference loop the batched path is golden-tested against.
+// stagnation.
 func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
-	if e.MaxBatch < 0 {
-		return e.localOptimizeSeq(s, ws, box, cur, r)
-	}
-	return e.localOptimizeBatch(s, ws, box, cur, r)
-}
-
-// probeInto builds probe number k of one compass-search scale pass
-// from the pose `from`: k < 6 are the ±step translation probes in
-// axis order, k ∈ {6, 7} the ±step·0.4 rotations about `axis`, and
-// k ≥ 8 the ±step·0.5 torsion probes in bond order. The arithmetic
-// per probe is exactly the sequential loop's, so a probe regenerated
-// from the same pose is bit-identical to the one the reference path
-// would have scored.
-func probeInto(probe *dock.Pose, from dock.Pose, k int, step float64, axis chem.Vec3, box dock.Box) {
-	probe.Set(from)
-	sign := 1.0
-	if k&1 == 1 {
-		sign = -1
-	}
-	switch {
-	case k < 6:
-		d := chem.Vec3{}
-		switch k / 2 {
-		case 0:
-			d.X = sign * step
-		case 1:
-			d.Y = sign * step
-		case 2:
-			d.Z = sign * step
-		}
-		probe.Translation = probe.Translation.Add(d)
-		dock.ClampToBox(probe, box)
-	case k < 8:
-		probe.Orientation = chem.AxisAngleQuat(axis, sign*step*0.4).Mul(probe.Orientation).Normalize()
-	default:
-		probe.Torsions[(k-8)/2] += sign * step * 0.5
-	}
-}
-
-// localOptimizeBatch is localOptimizeSeq restructured around the SoA
-// batch kernel. Within one scale pass the reference loop draws from
-// the RNG exactly once — the rotation axis, between the translation
-// and rotation probes, with no draw on either side — so hoisting that
-// draw to pass entry leaves the seeded stream untouched. Every probe
-// of the pass is then a pure function of the pass-entry pose, and the
-// whole window is materialized and scored speculatively in ScoreBatch
-// calls of at most MaxBatch poses (0 = the full window).
-//
-// The replay walks the cached scores in probe order. Until the first
-// accepted improvement the current pose is still the pass-entry pose,
-// so every cached score is bit-identical to what the sequential loop
-// would have computed (Batch.Append matches ws.Coords and ScoreBatch
-// matches Score to the bit). The first improvement mutates cur,
-// invalidating the remaining speculative scores; the rest of the pass
-// falls back to the per-pose path, which is the reference loop
-// verbatim. Trajectories therefore match the sequential path exactly,
-// and the batch pays off where the optimizer spends its time: in
-// converged passes where nothing improves and the full window's
-// cached scores are all consumed.
-//
-// Under dock.PrecisionTolerance the windows are scored with
-// ScoreBatchFast instead and the replay screens each probe against
-// curFeb + FastMargin(curFeb): probes beyond the margin are rejected
-// outright (their exact score provably cannot improve), survivors are
-// exact-rescored and judged on the exact value. Converged passes —
-// where the optimizer spends its time — then cost one fast window and
-// no exact evaluations at all.
-func (e *Engine) localOptimizeBatch(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
-	lig := ws.Ligand()
-	nProbes := 8 + 2*lig.NumTorsions()
-	chunk := e.MaxBatch
-	if chunk <= 0 || chunk > nProbes {
-		chunk = nProbes
-	}
-	entry, probe := ws.Get(), ws.Get()
-	defer ws.Put(entry)
-	defer ws.Put(probe)
-	b := ws.Batch()
-	defer b.ClearWindow()
-	febs := ws.Floats(nProbes)
-	arcMax, arcMean := lig.ArcRadii()
-	tol := e.Precision == dock.PrecisionTolerance
-	curFeb := s.Score(ws.Coords(*cur))
-	step := 1.0
-	for step > 0.12 {
-		axis := chem.V(r.NormFloat64(), r.NormFloat64(), r.NormFloat64())
-		entry.Set(*cur)
-		// One incumbent-anchored window per scale pass: every probe
-		// perturbs exactly one coordinate of the pass-entry pose, so the
-		// window's displacement bound is the MAX of the per-coordinate
-		// bounds — ±step translations (box clamping is non-expansive:
-		// entry sits inside the box, so the projection only shrinks the
-		// move), ±step·0.4 rotations levering the anchor radius, and
-		// ±step·0.5 single-torsion probes levering that torsion's arc
-		// radii. The arc radii are base-conformation estimates; a probe
-		// that outruns them fails WindowValid and is scored through the
-		// per-pose gather, so the trajectory stays bit-identical either
-		// way.
-		radius := b.SetWindow(*entry)
-		bound := chem.DisplacementBound(step, 0, 0, radius, arcMax, arcMean)
-		if d := chem.DisplacementBound(0, step*0.4, 0, radius, arcMax, arcMean); d > bound {
-			bound = d
-		}
-		for k := range arcMax {
-			if d := step * 0.5 * (arcMax[k] + arcMean[k]); d > bound {
-				bound = d
-			}
-		}
-		b.SetWindowBound(bound)
-		improved := false
-		for base := 0; base < nProbes && !improved; base += chunk {
-			end := base + chunk
-			if end > nProbes {
-				end = nProbes
-			}
-			b.Reset()
-			for k := base; k < end; k++ {
-				probeInto(probe, *entry, k, step, axis, box)
-				b.Append(*probe)
-			}
-			if tol {
-				s.ScoreBatchFast(b, febs[base:end])
-			} else {
-				s.ScoreBatch(b, febs[base:end])
-			}
-			for k := base; k < end; k++ {
-				if tol {
-					// Screen: a fast score beyond the margin proves the
-					// exact score cannot beat curFeb. Survivors are
-					// confirmed exactly, so curFeb stays an exact energy
-					// and the accept/reject pattern — hence the whole
-					// trajectory — matches the exact path bit for bit.
-					if febs[k] > curFeb+FastMargin(curFeb) {
-						continue
-					}
-					probeInto(probe, *entry, k, step, axis, box)
-					feb := s.Score(ws.Coords(*probe))
-					if feb >= curFeb {
-						continue
-					}
-					cur.Set(*probe)
-					curFeb = feb
-				} else {
-					if febs[k] >= curFeb {
-						continue
-					}
-					probeInto(probe, *entry, k, step, axis, box)
-					cur.Set(*probe)
-					curFeb = febs[k]
-				}
-				improved = true
-				// cur changed: the remaining speculative scores are
-				// stale. Finish the pass per-pose, exactly as the
-				// reference loop would from this point (screening each
-				// probe first in tolerance mode).
-				for k2 := k + 1; k2 < nProbes; k2++ {
-					probeInto(probe, *cur, k2, step, axis, box)
-					if tol && s.ScoreFast1(b, *probe) > curFeb+FastMargin(curFeb) {
-						continue
-					}
-					if feb := s.Score(ws.Coords(*probe)); feb < curFeb {
-						cur.Set(*probe)
-						curFeb = feb
-					}
-				}
-				break
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return curFeb
-}
-
-// localOptimizeSeq is the per-pose reference refinement the batched
-// path must match byte-for-byte (Engine.MaxBatch < 0 selects it).
-func (e *Engine) localOptimizeSeq(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
 	lig := ws.Ligand()
 	probe := ws.Get()
 	defer ws.Put(probe)

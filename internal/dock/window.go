@@ -27,10 +27,10 @@ import (
 // coordinates are materialized and cached, and the per-pose validity
 // and engine gather caches are invalidated. Returns the anchor's atom
 // radius — the largest distance of any atom from the anchor centroid
-// (its Translation) — which is the rotation lever arm of
-// chem.DisplacementBound.
+// (its Translation) — which is the rotation lever arm a caller needs
+// to size the displacement bound.
 //
-// The window survives Reset/Append refills (searches stream one window
+// The window survives Reset/Append refills (callers stream one window
 // through the batch in chunks); call ClearWindow to end it.
 func (b *Batch) SetWindow(anchor Pose) float64 {
 	b.win.pose.Set(anchor)

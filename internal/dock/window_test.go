@@ -167,42 +167,3 @@ func TestWindowValidAuditsActualCoords(t *testing.T) {
 	}
 	b.ClearWindow()
 }
-
-// TestPerturbApplyRawMatchesPerturbInto pins bitwise equivalence of
-// the split draw/apply perturbation (PerturbDraws + PerturbApplyRaw)
-// with the fused PerturbInto on a shared RNG stream — the identity
-// that lets the windowed Solis-Wets hoist a window's draws before
-// applying any of them.
-func TestPerturbApplyRawMatchesPerturbInto(t *testing.T) {
-	lig := testLigand(t, "0E6")
-	nt := lig.NumTorsions()
-	src := Pose{
-		Translation: chem.V(0.3, -1.2, 2.5),
-		Orientation: chem.RandomQuat(0.1, 0.7, 0.4),
-		Torsions:    make([]float64, nt),
-	}
-	for i := range src.Torsions {
-		src.Torsions[i] = float64(i) * 0.3
-	}
-	r1 := rand.New(rand.NewSource(42))
-	r2 := rand.New(rand.NewSource(42))
-	raw := make([]float64, PerturbDrawCount(nt))
-	fused := Pose{Torsions: make([]float64, nt)}
-	split := Pose{Torsions: make([]float64, nt)}
-	for step := 0; step < 50; step++ {
-		dt := 0.5 * math.Pow(0.9, float64(step%7))
-		da := 0.15 * math.Pow(0.9, float64(step%5))
-		PerturbInto(r1, &fused, src, dt, da)
-		PerturbDraws(r2, raw)
-		PerturbApplyRaw(raw, &split, src, dt, da)
-		if fused.Translation != split.Translation || fused.Orientation != split.Orientation {
-			t.Fatalf("step %d: rigid body diverged:\nfused %+v\nsplit %+v", step, fused, split)
-		}
-		for k := range fused.Torsions {
-			if fused.Torsions[k] != split.Torsions[k] {
-				t.Fatalf("step %d torsion %d: %g != %g", step, k, fused.Torsions[k], split.Torsions[k])
-			}
-		}
-		src = fused.Clone() // walk the pose so the streams stay aligned
-	}
-}

@@ -213,15 +213,15 @@ func kernelPoseSet(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 }
 
 // kernelScreenWindows builds the batch sweep's pose population shaped
-// like the windows the batched kernels actually score: the search
-// loops flush MaxBatch-sized runs of Solis-Wets candidates — small
-// perturbations of one incumbent (lga.go: rho·0.5 Å translation,
-// rho·0.15 rad angles, rho annealed from 1 toward 0.01) — so the
-// population is consecutive `window`-pose clusters, each a fresh
-// random incumbent followed by candidates at a decaying rho schedule.
-// The spatial correlation inside a window is part of the workload the
-// scorers' table and lattice caches see in production; a uniform-wild
-// population is the cold-start case, not the steady state.
+// like a local search's candidates: runs of Solis-Wets perturbations
+// of one incumbent (lga.go: rho·0.5 Å translation, rho·0.15 rad
+// angles, rho annealed from 1 toward 0.01) — so the population is
+// consecutive `window`-pose clusters, each a fresh random incumbent
+// followed by candidates at a decaying rho schedule. The spatial
+// correlation inside a window is part of the workload the scorers'
+// table and lattice caches see when scoring a search's candidates; a
+// uniform-wild population is the cold-start case, not the steady
+// state.
 func kernelScreenWindows(lig *dock.Ligand, n, window int, seed int64) []dock.Pose {
 	r := rand.New(rand.NewSource(seed))
 	wild := kernelPoseSet(lig, (n+window-1)/window, seed+1)
@@ -569,8 +569,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		// Window cells: same poses and flush size as the _winpop plain
 		// batch cells, but each cluster is scored through one
 		// incumbent-anchored gather (anchor = the cluster's first pose,
-		// bound = the cluster's measured max displacement), the shape
-		// the windowed Solis-Wets and batched-probe search loops feed.
+		// bound = the cluster's measured max displacement).
 		windowCell := func(name string, precision string, kernel func(*dock.Batch, []float64)) cell {
 			b := dock.NewBatch(lig, windowSize)
 			out := make([]float64, windowSize)

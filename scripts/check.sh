@@ -25,11 +25,11 @@ go run ./cmd/scilint ./cmd/... ./internal/lint/...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Focused re-run of the precision contracts outside the cached suite:
+# Focused re-run of the kernel contracts outside the cached suite:
 # the 0-ULP batched-kinematics pin, the fast-path tolerance envelopes,
-# and the screen-then-confirm docking golden.
-echo "==> precision contract smoke (FastPath/TorsionsBatch/PrecisionTolerance)"
-go test -run 'FastPath|TorsionsBatch|PrecisionTolerance' -count=1 \
+# and the 0-ULP window gather.
+echo "==> kernel contract smoke (FastPath/TorsionsBatch/WindowScoreBatch)"
+go test -run 'FastPath|TorsionsBatch|WindowScoreBatch' -count=1 \
 	./internal/chem ./internal/dock/vina ./internal/dock/ad4
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
