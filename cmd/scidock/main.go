@@ -225,7 +225,7 @@ func runServe(ctx context.Context, addr string) error {
 		serveListening(ln.Addr().String())
 	}
 
-	srv := &http.Server{Handler: campaign.NewHandler(m)}
+	srv := &http.Server{Handler: campaign.NewHandler(m), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

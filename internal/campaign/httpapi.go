@@ -24,15 +24,18 @@ import (
 // — they spawn no goroutines — so the server's lifetime owns no
 // hidden work; long-running campaign execution lives on the
 // Manager's own run goroutines.
+//
+// Request bodies are read through http.MaxBytesReader at maxBodyBytes;
+// a larger one is a 413.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		// A misspelt or retired field must not run a defaulted campaign.
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		var spec Spec
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+			writeError(w, decodeStatus(err), fmt.Errorf("decoding spec: %w", err))
 			return
 		}
 		if _, err := dec.Token(); err != io.EOF {
@@ -82,8 +85,13 @@ func NewHandler(m *Manager) http.Handler {
 			SQL string `json:"sql"`
 		}
 		if r.Body != nil {
-			//lint:ignore discarderr an empty or non-JSON body falls through to ?sql=
-			_ = json.NewDecoder(r.Body).Decode(&req)
+			// An empty or non-JSON body falls through to ?sql=; an
+			// oversized one must not.
+			err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req)
+			if decodeStatus(err) == http.StatusRequestEntityTooLarge {
+				writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("decoding query: %w", err))
+				return
+			}
 		}
 		if req.SQL == "" {
 			req.SQL = r.URL.Query().Get("sql")
@@ -123,6 +131,20 @@ func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 		return 0, false
 	}
 	return id, true
+}
+
+// maxBodyBytes bounds every request body the API decodes: a Spec or a
+// SQL string, both far below it.
+const maxBodyBytes = 1 << 20
+
+// decodeStatus maps a body-decoding error to its status: 413 when the
+// body ran past maxBodyBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func submitStatus(err error) int {

@@ -116,23 +116,27 @@ func TestHTTPLifecycle(t *testing.T) {
 
 // TestHTTPSubmitStrictSpec pins that POST /campaigns accepts only a
 // single JSON object of known Spec fields: a typo or a retired field
-// is a 400 naming it, never a silently defaulted campaign.
+// is a 400 naming it, never a silently defaulted campaign. A body past
+// the 1 MiB limit is a 413 on both routes that decode one.
 func TestHTTPSubmitStrictSpec(t *testing.T) {
 	m := NewManager(parallel.NewPool(2), Limits{})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
+	big := strings.Repeat("a", 2<<20)
 	cases := []struct {
-		name, body string
-		code       int
-		want       string // substring of the error message
+		name, path, body string
+		code             int
+		want             string // substring of the error message
 	}{
-		{"known spec", `{"receptors": 3, "ligands": 2, "cores": 4, "effort": "smoke", "seed": 23}`, http.StatusAccepted, ""},
-		{"misspelt field", `{"receptor": 50}`, http.StatusBadRequest, `"receptor"`},
-		{"retired field", `{"effort": "smoke", "precision": "tolerance"}`, http.StatusBadRequest, `"precision"`},
-		{"trailing garbage", `{"effort": "smoke"} {"effort": "quick"}`, http.StatusBadRequest, "trailing data"},
+		{"known spec", "/campaigns", `{"receptors": 3, "ligands": 2, "cores": 4, "effort": "smoke", "seed": 23}`, http.StatusAccepted, ""},
+		{"misspelt field", "/campaigns", `{"receptor": 50}`, http.StatusBadRequest, `"receptor"`},
+		{"retired field", "/campaigns", `{"effort": "smoke", "precision": "tolerance"}`, http.StatusBadRequest, `"precision"`},
+		{"trailing garbage", "/campaigns", `{"effort": "smoke"} {"effort": "quick"}`, http.StatusBadRequest, "trailing data"},
+		{"2 MiB spec", "/campaigns", `{"effort": "smoke", "tenant": "` + big + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+		{"2 MiB query", "/campaigns/1/query", `{"sql": "` + big + `"}`, http.StatusRequestEntityTooLarge, "too large"},
 	}
 	for _, c := range cases {
-		resp, err := srv.Client().Post(srv.URL+"/campaigns", "application/json", strings.NewReader(c.body))
+		resp, err := srv.Client().Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}

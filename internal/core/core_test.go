@@ -370,49 +370,3 @@ func TestTypesKeyCanonical(t *testing.T) {
 		t.Errorf("empty list key = %q", typesKey(nil))
 	}
 }
-
-// TestGridFloat32Campaign runs the same small AD4 campaign with
-// float64 and float32 grid maps: the f32 knob must not change the
-// campaign shape (same pairs dock, same extractor rows), and the
-// binding energies must stay physical — per-score deviation is bounded
-// by the lattice rounding (pinned in internal/grid), but search
-// trajectories may diverge on an accept flip, so this is a wiring
-// test, not an equivalence test.
-func TestGridFloat32Campaign(t *testing.T) {
-	energies := func(f32 bool) map[string]float64 {
-		cfg := smokeConfig(t, ModeAD4, 2, 2)
-		cfg.GridFloat32 = f32
-		camp, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("GridFloat32=%v: %v", f32, err)
-		}
-		res, err := camp.Engine.DB.Query(
-			"SELECT receptor, ligand, feb FROM ddocking")
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]float64{}
-		for _, row := range res.Rows {
-			feb := row[2].(float64)
-			if math.IsNaN(feb) || math.IsInf(feb, 0) {
-				t.Errorf("GridFloat32=%v: non-finite feb for %v/%v", f32, row[0], row[1])
-			}
-			out[row[0].(string)+"|"+row[1].(string)] = feb
-		}
-		return out
-	}
-	e64 := energies(false)
-	e32 := energies(true)
-	if len(e64) == 0 {
-		t.Fatal("no docking rows")
-	}
-	if len(e32) != len(e64) {
-		t.Errorf("row count differs: f64=%d f32=%d", len(e64), len(e32))
-	}
-	for k, v := range e64 {
-		if _, ok := e32[k]; !ok {
-			t.Errorf("pair %s missing from f32 campaign", k)
-		}
-		_ = v
-	}
-}

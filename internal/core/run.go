@@ -57,12 +57,6 @@ type Config struct {
 	// system (the bulk of the paper's "600 GB per execution"). Off by
 	// default: campaign-scale sweeps only need the in-memory grids.
 	WriteMaps bool
-	// GridFloat32 stores grid-map lattices single precision, halving
-	// the map memory of a campaign. Docking scores shift by at most
-	// the lattice rounding (≤ |value|·2⁻²⁴ per corner, pinned by the
-	// internal/grid equivalence tests); the analytic reference path is
-	// unaffected and remains the golden oracle.
-	GridFloat32 bool
 	// LigandBlacklist marks problematic ligands discovered via
 	// provenance; blacklisted ligands dock normally in this
 	// reproduction (the paper re-ran them after parameter fixes).

@@ -292,20 +292,12 @@ func (b *builder) runGPF(in workflow.Tuple) (*workflow.ActivationResult, error) 
 
 func (b *builder) gridMaps(rec string, types []chem.AtomType) (*grid.Maps, error) {
 	key := rec + "|" + typesKey(types)
-	rep := grid.Float64
-	if b.cfg.GridFloat32 {
-		// The representation is part of the identity: a float32
-		// campaign must never be handed a cached float64 map set (or
-		// vice versa) just because the receptor and types match.
-		key += "|f32"
-		rep = grid.Float32
-	}
 	v, err := memo(&b.maps, key, func() (interface{}, error) {
 		prec, err := b.preparedReceptor(rec)
 		if err != nil {
 			return nil, err
 		}
-		return grid.GeneratePrec(prec, b.gridSpec(prec), types, 0, rep)
+		return grid.Generate(prec, b.gridSpec(prec), types)
 	})
 	if err != nil {
 		return nil, err

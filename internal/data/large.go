@@ -11,7 +11,7 @@ import (
 // LargeLigandCode and LargeReceptorCode name the synthetic
 // L2-overflow benchmark pair: a production-sized, many-type flexible
 // ligand and a wide-cavity receptor sized to wrap it. The pair is the
-// second workload axis of `dockbench -exp kernels` — the reference
+// benchmark's dock_large workload (`go run ./bench`) — the reference
 // pair's exact tables fit L2, so the fast kernels' table-traffic win
 // only shows once the working set overflows; this pair is built to
 // overflow it (≥14 AD4 types drive the Vina exact inter+intra table

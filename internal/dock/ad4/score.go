@@ -217,26 +217,3 @@ func (s *Scorer) intraAnalytic(coords []chem.Vec3) float64 {
 	}
 	return e
 }
-
-// ExactWorkingSetBytes returns the memory footprint of the distinct
-// exact radial tables the intramolecular term walks per pose,
-// deduplicated as the global table cache shares them. The
-// intermolecular term reads grid lattices (a different, streamed
-// resource) and is deliberately excluded — the table set is what
-// competes for L2 with the batch SoA. Reported per workload cell in
-// BENCH_kernels.json to make the L2-overflow axis auditable.
-func (s *Scorer) ExactWorkingSetBytes() int {
-	seen := make(map[*tables.Radial]bool)
-	for _, pr := range s.intraTbl {
-		seen[pr.tbl] = true
-	}
-	return len(seen) * tables.NNodes * 8
-}
-
-// FastWorkingSetBytes returns the byte size of the fast path's float32
-// intra bank (building it on first call): combined per-(pair,charge)
-// tables on small ligands, deduplicated radial-only tables in split
-// mode on production-sized ones.
-func (s *Scorer) FastWorkingSetBytes() int {
-	return len(s.ensureFast().bank) * 4
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dock"
 )
 
@@ -16,7 +17,7 @@ import (
 // full envelope; measuring at half keeps an excursion margin between
 // what we observe and what they rely on.
 func TestAD4FastPathBound(t *testing.T) {
-	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}} {
+	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}, {data.LargeReceptorCode, data.LargeLigandCode}} {
 		maps, lig, _ := setupPair(t, pair[0], pair[1])
 		s, err := NewScorer(maps, lig)
 		if err != nil {

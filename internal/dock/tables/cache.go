@@ -17,45 +17,31 @@ const (
 	kindDesolv
 )
 
-// variant discriminates the node-storage representation of a cached
-// table. The float64 and float32 map paths tabulate the same analytic
-// form on the same two-segment geometry but store different node
-// types; without the variant in the key a campaign mixing both
-// representations in one process would be served a table of the wrong
-// concrete type for the later representation to arrive.
-type variant uint8
-
-const (
-	variantF64 variant = iota
-	variantF32
-)
-
 // key identifies one table. Pair potentials are symmetric, so pair
 // keys are normalized to a ≤ b before lookup.
 type key struct {
 	k    kind
-	v    variant
 	a, b chem.AtomType
 }
 
 // cache holds every built table for the process lifetime. Tables are
 // pure functions of the force-field parameters, so the first builder
 // to finish wins and every later caller shares the same node slice.
-var cache sync.Map // key -> *Radial | *Radial32
+var cache sync.Map // key -> *Radial
 
-func lookup[T any](k key, build func() T) T {
+func lookup(k key, build func() *Radial) *Radial {
 	if v, ok := cache.Load(k); ok {
-		return v.(T)
+		return v.(*Radial)
 	}
 	v, _ := cache.LoadOrStore(k, build())
-	return v.(T)
+	return v.(*Radial)
 }
 
-func pairKey(k kind, v variant, a, b chem.AtomType) key {
+func pairKey(k kind, a, b chem.AtomType) key {
 	if b < a {
 		a, b = b, a
 	}
-	return key{k: k, v: v, a: a, b: b}
+	return key{k: k, a: a, b: b}
 }
 
 // AD4Smoothed returns the AutoGrid-smoothed AD4 dispersion/H-bond
@@ -64,22 +50,8 @@ func pairKey(k kind, v variant, a, b chem.AtomType) key {
 // point.
 func AD4Smoothed(probe, rec chem.AtomType) *Radial {
 	pa, pb := probe.Params(), rec.Params()
-	return lookup(pairKey(kindAD4Smoothed, variantF64, probe, rec), func() *Radial {
+	return lookup(pairKey(kindAD4Smoothed, probe, rec), func() *Radial {
 		return NewRadial(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return PairEnergySmoothed(pa, pb, r, SmoothRadius)
-		})
-	})
-}
-
-// AD4Smoothed32 is AD4Smoothed tabulated with float32 nodes — the
-// table the float32 grid-map generation path accumulates from.
-func AD4Smoothed32(probe, rec chem.AtomType) *Radial32 {
-	pa, pb := probe.Params(), rec.Params()
-	return lookup(pairKey(kindAD4Smoothed, variantF32, probe, rec), func() *Radial32 {
-		return NewRadial32(func(r float64) float64 {
 			if r < RMin {
 				r = RMin
 			}
@@ -92,7 +64,7 @@ func AD4Smoothed32(probe, rec chem.AtomType) *Radial32 {
 // clamp baked in — the form the AD4 intramolecular energy uses.
 func AD4Pair(a, b chem.AtomType) *Radial {
 	pa, pb := a.Params(), b.Params()
-	return lookup(pairKey(kindAD4Raw, variantF64, a, b), func() *Radial {
+	return lookup(pairKey(kindAD4Raw, a, b), func() *Radial {
 		return NewRadial(func(r float64) float64 {
 			if r < RMin {
 				r = RMin
@@ -107,7 +79,7 @@ func AD4Pair(a, b chem.AtomType) *Radial {
 // only arise in deep clashes the optimizer rejects anyway.
 func Vina(a, b chem.AtomType) *Radial {
 	pa, pb := a.Params(), b.Params()
-	return lookup(pairKey(kindVina, variantF64, a, b), func() *Radial {
+	return lookup(pairKey(kindVina, a, b), func() *Radial {
 		return NewRadial(func(r float64) float64 {
 			return VinaPair(pa, pb, r)
 		})
@@ -117,7 +89,7 @@ func Vina(a, b chem.AtomType) *Radial {
 // Electrostatic returns the unit-charge Mehler–Solmajer Coulomb table
 // (multiply by the receptor atom's charge), r ≥ RMin clamp baked in.
 func Electrostatic() *Radial {
-	return lookup(key{k: kindElec, v: variantF64}, func() *Radial {
+	return lookup(key{k: kindElec}, func() *Radial {
 		return NewRadial(func(r float64) float64 {
 			if r < RMin {
 				r = RMin
@@ -130,34 +102,8 @@ func Electrostatic() *Radial {
 // Desolvation returns the gaussian desolvation weight table (multiply
 // by DesolvCoeff of the receptor atom), r ≥ RMin clamp baked in.
 func Desolvation() *Radial {
-	return lookup(key{k: kindDesolv, v: variantF64}, func() *Radial {
+	return lookup(key{k: kindDesolv}, func() *Radial {
 		return NewRadial(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return DesolvWeight(r)
-		})
-	})
-}
-
-// Electrostatic32 is Electrostatic with float32 nodes, for the
-// float32 map generation path.
-func Electrostatic32() *Radial32 {
-	return lookup(key{k: kindElec, v: variantF32}, func() *Radial32 {
-		return NewRadial32(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return ElecScale(r)
-		})
-	})
-}
-
-// Desolvation32 is Desolvation with float32 nodes, for the float32
-// map generation path.
-func Desolvation32() *Radial32 {
-	return lookup(key{k: kindDesolv, v: variantF32}, func() *Radial32 {
-		return NewRadial32(func(r float64) float64 {
 			if r < RMin {
 				r = RMin
 			}

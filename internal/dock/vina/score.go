@@ -284,31 +284,3 @@ func (s *Scorer) intraEnergyAnalytic(coords []chem.Vec3) float64 {
 func pairTerm(a, b chem.TypeParams, r float64) float64 {
 	return tables.VinaPair(a, b, r)
 }
-
-// ExactWorkingSetBytes returns the memory footprint of the distinct
-// exact radial tables this scorer's hot loops walk — the
-// intermolecular (ligand type × receptor type) tables plus the
-// intramolecular pair tables, deduplicated exactly as the global table
-// cache shares them. This is the number behind the L2-overflow
-// workload axis in BENCH_kernels.json: on the reference pair it sits
-// comfortably inside L2, on the large many-type pair it overflows it,
-// which is where the compact fast bank's separation appears.
-func (s *Scorer) ExactWorkingSetBytes() int {
-	seen := make(map[*tables.Radial]bool)
-	for _, row := range s.interTbl {
-		for _, t := range row {
-			seen[t] = true
-		}
-	}
-	for _, pr := range s.intraTbl {
-		seen[pr.tbl] = true
-	}
-	return len(seen) * tables.NNodes * 8
-}
-
-// FastWorkingSetBytes returns the byte size of the fast path's merged
-// float32 bank (building it on first call), the compact working set
-// ScoreBatchFast streams instead of the exact tables.
-func (s *Scorer) FastWorkingSetBytes() int {
-	return len(s.ensureFast().bank) * 4
-}

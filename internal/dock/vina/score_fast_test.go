@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dock"
 )
 
@@ -15,7 +16,7 @@ import (
 // fast value assume the full envelope; measuring at half keeps an
 // excursion margin between what we observe and what they rely on.
 func TestVinaFastPathBound(t *testing.T) {
-	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}} {
+	for _, pair := range [][2]string{{"2HHN", "0E6"}, {"1S4V", "042"}, {data.LargeReceptorCode, data.LargeLigandCode}} {
 		rec, lig := setupPair(t, pair[0], pair[1])
 		s, err := NewScorer(rec, lig)
 		if err != nil {

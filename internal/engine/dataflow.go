@@ -24,7 +24,8 @@ const (
 	// group-key.
 	RuntimeDataflow Runtime = iota
 	// RuntimeBarrier is the legacy stage-synchronized executor, kept
-	// for ablation (dockbench -exp pipeline compares the two).
+	// for ablation (bench/ reports it as engine.barrier_tet_s beside
+	// the dataflow virtual_tet_s).
 	RuntimeBarrier
 )
 

@@ -493,7 +493,7 @@ func (s *Suite) All() (string, error) {
 }
 
 // ByName dispatches one experiment by id ("t1".."t3", "f5".."f11",
-// "kernels", "search", "all").
+// "all").
 func (s *Suite) ByName(name string) (string, error) {
 	switch strings.ToLower(name) {
 	case "t1":
@@ -516,19 +516,9 @@ func (s *Suite) ByName(name string) (string, error) {
 		return s.Figure10()
 	case "f11":
 		return s.Figure11()
-	case "kernels":
-		return s.KernelsText()
-	case "search":
-		return s.SearchText()
-	case "pipeline":
-		return s.PipelineText()
-	case "campaigns":
-		return s.CampaignsText()
-	case "prov":
-		return s.ProvText()
 	case "all":
 		return s.All()
 	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, kernels, search, pipeline, prov, campaigns, all)", name)
+		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, all)", name)
 	}
 }

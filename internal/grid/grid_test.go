@@ -525,3 +525,49 @@ func TestMehlerSolmajerDielectric(t *testing.T) {
 		prev = e
 	}
 }
+
+// Field resolution must be bit-equal to the per-call accessors, inside
+// the box and on the out-of-box penalty path.
+func TestFieldMatchesAccessors(t *testing.T) {
+	rec := preparedReceptor(t, "2HHN")
+	spec := smallSpec(rec)
+	m, err := GenerateWorkers(rec, spec, []chem.AtomType{chem.TypeC, chem.TypeOA}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fC, err := m.AffinityField(chem.TypeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, fd := m.ElectrostaticField(), m.DesolvationField()
+	r := rand.New(rand.NewSource(31))
+	span := chem.V(
+		float64(spec.NPts[0]-1)*spec.Spacing,
+		float64(spec.NPts[1]-1)*spec.Spacing,
+		float64(spec.NPts[2]-1)*spec.Spacing,
+	)
+	for i := 0; i < 500; i++ {
+		// Mostly inside the box, sometimes outside (penalty path).
+		p := spec.Origin().Add(chem.V(
+			(r.Float64()*1.2-0.1)*span.X,
+			(r.Float64()*1.2-0.1)*span.Y,
+			(r.Float64()*1.2-0.1)*span.Z,
+		))
+		aff, err := m.AffinityAt(chem.TypeC, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fC.At(p); got != aff {
+			t.Fatalf("AffinityField.At %v != AffinityAt %v", got, aff)
+		}
+		if got := fe.At(p); got != m.ElectrostaticAt(p) {
+			t.Fatal("ElectrostaticField.At diverges")
+		}
+		if got := fd.At(p); got != m.DesolvationAt(p) {
+			t.Fatal("DesolvationField.At diverges")
+		}
+	}
+	if _, err := m.AffinityField(chem.TypeZn); err == nil {
+		t.Fatal("AffinityField for missing type must error")
+	}
+}

@@ -17,60 +17,41 @@ func (m *Maps) InBox(p chem.Vec3) bool {
 		d.Z <= float64(m.Spec.NPts[2]-1)*m.Spec.Spacing
 }
 
-// Field is one resolved map lattice: the map-name (and representation)
-// lookup done once, so a hot loop — the batched AD4 scorer interpolates
-// every ligand atom against three fields per pose — pays only the
-// trilinear gather per call instead of a per-call map-key hash. The
-// zero Field is invalid; obtain one from AffinityField /
-// ElectrostaticField / DesolvationField.
+// Field is one resolved map lattice: the map-name lookup done once, so
+// a hot loop — the batched AD4 scorer interpolates every ligand atom
+// against three fields per pose — pays only the trilinear gather per
+// call instead of a per-call map-key hash. The zero Field is invalid;
+// obtain one from AffinityField / ElectrostaticField /
+// DesolvationField.
 type Field struct {
-	m   *Maps
-	f64 []float64
-	f32 []float32
+	m  *Maps
+	sl []float64
 }
 
 // At returns the trilinearly interpolated value at p, or
-// OutOfBoxPenalty outside the grid. The arithmetic is identical for
-// both representations (float32 corners are widened before the lerp),
-// so Field.At and the Maps per-call accessors are bit-equal.
+// OutOfBoxPenalty outside the grid.
 func (f Field) At(p chem.Vec3) float64 {
-	if f.f32 != nil {
-		return f.m.interpolate32(f.f32, p)
-	}
-	return f.m.interpolate(f.f64, p)
+	return f.m.interpolate(f.sl, p)
 }
 
 // AffinityField resolves the probe type's affinity lattice. Requesting
 // a type without a map returns an error (a workflow wiring bug).
 func (m *Maps) AffinityField(t chem.AtomType) (Field, error) {
-	if m.prec == Float32 {
-		sl, ok := m.affin32[t]
-		if !ok {
-			return Field{}, fmt.Errorf("grid: no %s map for receptor %s", t, m.Receptor)
-		}
-		return Field{m: m, f32: sl}, nil
-	}
 	sl, ok := m.affinity[t]
 	if !ok {
 		return Field{}, fmt.Errorf("grid: no %s map for receptor %s", t, m.Receptor)
 	}
-	return Field{m: m, f64: sl}, nil
+	return Field{m: m, sl: sl}, nil
 }
 
 // ElectrostaticField resolves the electrostatic lattice.
 func (m *Maps) ElectrostaticField() Field {
-	if m.prec == Float32 {
-		return Field{m: m, f32: m.elec32}
-	}
-	return Field{m: m, f64: m.elec}
+	return Field{m: m, sl: m.elec}
 }
 
 // DesolvationField resolves the desolvation lattice.
 func (m *Maps) DesolvationField() Field {
-	if m.prec == Float32 {
-		return Field{m: m, f32: m.desolv32}
-	}
-	return Field{m: m, f64: m.desolv}
+	return Field{m: m, sl: m.desolv}
 }
 
 // AffinityAt returns the trilinearly interpolated affinity of the
@@ -106,23 +87,18 @@ func (m *Maps) DesolvationAt(p chem.Vec3) float64 {
 // Field.At's lerp chain per lattice), and the three weighted products
 // are added to acc[p] in the vdW/electrostatic/desolvation order of
 // the scalar scorer, so accumulation is bit-identical to it. Hoisting
-// the grid geometry and the representation dispatch out of the pose
-// loop is the point: the per-pose body is stencil arithmetic and
-// lattice loads only.
+// the grid geometry out of the pose loop is the point: the per-pose
+// body is stencil arithmetic and lattice loads only.
 func (m *Maps) InterAccum(aff Field, xs, ys, zs []float64, stride int, wv, wq, wdq float64, acc []float64) {
-	if m.prec == Float32 {
-		interAccum(m, aff.f32, m.elec32, m.desolv32, xs, ys, zs, stride, wv, wq, wdq, acc)
-		return
-	}
-	interAccum(m, aff.f64, m.elec, m.desolv, xs, ys, zs, stride, wv, wq, wdq, acc)
+	interAccum(m, aff.sl, m.elec, m.desolv, xs, ys, zs, stride, wv, wq, wdq, acc)
 }
 
 // InterAccumFast is the tolerance-path InterAccum: the same stencil,
 // clamping and vdW/electrostatic/desolvation term order, but the grid
 // coordinate is scaled by the reciprocal spacing instead of divided,
 // and the lerp chains plus weighted accumulation run in float32 over
-// the native lattice values, into a float32 accumulator. It differs
-// from InterAccum by float32 rounding of the arithmetic only —
+// the interleaved float32 triples, into a float32 accumulator. It
+// differs from InterAccum by float32 rounding of the arithmetic only —
 // relative ~1e-7 of the term magnitudes, including the out-of-box
 // penalty — which callers carry inside their pinned tolerance
 // envelope (the fast scorers' FastAbsTol/FastRelTol bound).
@@ -196,7 +172,7 @@ func interAccumFast(m *Maps, aed []float32, xs, ys, zs []float64, stride int, wv
 	}
 }
 
-func interAccum[T float32 | float64](m *Maps, affSl, elecSl, desolvSl []T, xs, ys, zs []float64, stride int, wv, wq, wdq float64, acc []float64) {
+func interAccum(m *Maps, affSl, elecSl, desolvSl []float64, xs, ys, zs []float64, stride int, wv, wq, wdq float64, acc []float64) {
 	o := m.Spec.Origin()
 	sp := m.Spec.Spacing
 	nx, ny, nz := m.Spec.NPts[0], m.Spec.NPts[1], m.Spec.NPts[2]
@@ -232,11 +208,10 @@ func interAccum[T float32 | float64](m *Maps, affSl, elecSl, desolvSl []T, xs, y
 		tz := fz - float64(iz)
 		// The lerp chain per lattice is interpolate's exactly: corner
 		// index arithmetic and operation order match the at() closure
-		// form — float32 corners are widened before the chain, as
-		// interpolate32 does — so each term is bit-identical to
-		// Field.At. Written out per lattice (a shared helper at this
-		// size is beyond the inlining budget and a call per lattice
-		// costs more than the duplication).
+		// form, so each term is bit-identical to Field.At. Written out
+		// per lattice (a shared helper at this size is beyond the
+		// inlining budget and a call per lattice costs more than the
+		// duplication).
 		i00 := (iz*ny+iy)*nx + ix
 		i10 := i00 + dy
 		i01 := i00 + dz
@@ -244,24 +219,24 @@ func interAccum[T float32 | float64](m *Maps, affSl, elecSl, desolvSl []T, xs, y
 		ux, uy, uz := 1-tx, 1-ty, 1-tz
 		s := acc[p]
 		{
-			c00 := float64(affSl[i00])*ux + float64(affSl[i00+1])*tx
-			c10 := float64(affSl[i10])*ux + float64(affSl[i10+1])*tx
-			c01 := float64(affSl[i01])*ux + float64(affSl[i01+1])*tx
-			c11 := float64(affSl[i11])*ux + float64(affSl[i11+1])*tx
+			c00 := affSl[i00]*ux + affSl[i00+1]*tx
+			c10 := affSl[i10]*ux + affSl[i10+1]*tx
+			c01 := affSl[i01]*ux + affSl[i01+1]*tx
+			c11 := affSl[i11]*ux + affSl[i11+1]*tx
 			s += wv * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 		{
-			c00 := float64(elecSl[i00])*ux + float64(elecSl[i00+1])*tx
-			c10 := float64(elecSl[i10])*ux + float64(elecSl[i10+1])*tx
-			c01 := float64(elecSl[i01])*ux + float64(elecSl[i01+1])*tx
-			c11 := float64(elecSl[i11])*ux + float64(elecSl[i11+1])*tx
+			c00 := elecSl[i00]*ux + elecSl[i00+1]*tx
+			c10 := elecSl[i10]*ux + elecSl[i10+1]*tx
+			c01 := elecSl[i01]*ux + elecSl[i01+1]*tx
+			c11 := elecSl[i11]*ux + elecSl[i11+1]*tx
 			s += wq * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 		{
-			c00 := float64(desolvSl[i00])*ux + float64(desolvSl[i00+1])*tx
-			c10 := float64(desolvSl[i10])*ux + float64(desolvSl[i10+1])*tx
-			c01 := float64(desolvSl[i01])*ux + float64(desolvSl[i01+1])*tx
-			c11 := float64(desolvSl[i11])*ux + float64(desolvSl[i11+1])*tx
+			c00 := desolvSl[i00]*ux + desolvSl[i00+1]*tx
+			c10 := desolvSl[i10]*ux + desolvSl[i10+1]*tx
+			c01 := desolvSl[i01]*ux + desolvSl[i01+1]*tx
+			c11 := desolvSl[i11]*ux + desolvSl[i11+1]*tx
 			s += wdq * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 		acc[p] = s
@@ -296,47 +271,6 @@ func (m *Maps) interpolate(sl []float64, p chem.Vec3) float64 {
 	tz := fz - float64(iz)
 	at := func(i, j, k int) float64 {
 		return sl[(k*ny+j)*nx+i]
-	}
-	c00 := at(ix, iy, iz)*(1-tx) + at(ix+1, iy, iz)*tx
-	c10 := at(ix, iy+1, iz)*(1-tx) + at(ix+1, iy+1, iz)*tx
-	c01 := at(ix, iy, iz+1)*(1-tx) + at(ix+1, iy, iz+1)*tx
-	c11 := at(ix, iy+1, iz+1)*(1-tx) + at(ix+1, iy+1, iz+1)*tx
-	c0 := c00*(1-ty) + c10*ty
-	c1 := c01*(1-ty) + c11*ty
-	return c0*(1-tz) + c1*tz
-}
-
-// interpolate32 is interpolate over a float32 lattice: the eight
-// corners are widened to float64 and the lerp arithmetic is identical,
-// so the only difference from the float64 path is the stored corner
-// precision.
-func (m *Maps) interpolate32(sl []float32, p chem.Vec3) float64 {
-	o := m.Spec.Origin()
-	fx := (p.X - o.X) / m.Spec.Spacing
-	fy := (p.Y - o.Y) / m.Spec.Spacing
-	fz := (p.Z - o.Z) / m.Spec.Spacing
-	nx, ny, nz := m.Spec.NPts[0], m.Spec.NPts[1], m.Spec.NPts[2]
-	if fx < 0 || fy < 0 || fz < 0 ||
-		fx > float64(nx-1) || fy > float64(ny-1) || fz > float64(nz-1) {
-		return OutOfBoxPenalty
-	}
-	ix := int(math.Floor(fx))
-	iy := int(math.Floor(fy))
-	iz := int(math.Floor(fz))
-	if ix >= nx-1 {
-		ix = nx - 2
-	}
-	if iy >= ny-1 {
-		iy = ny - 2
-	}
-	if iz >= nz-1 {
-		iz = nz - 2
-	}
-	tx := fx - float64(ix)
-	ty := fy - float64(iy)
-	tz := fz - float64(iz)
-	at := func(i, j, k int) float64 {
-		return float64(sl[(k*ny+j)*nx+i])
 	}
 	c00 := at(ix, iy, iz)*(1-tx) + at(ix+1, iy, iz)*tx
 	c10 := at(ix, iy+1, iz)*(1-tx) + at(ix+1, iy+1, iz)*tx

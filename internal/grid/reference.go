@@ -13,7 +13,7 @@ import (
 // tables against, and the baseline the kernel benchmarks report
 // speedups over. Production code should call Generate.
 func GenerateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, error) {
-	m, probeTypes, err := newMaps(receptor, spec, types, Float64)
+	m, probeTypes, err := newMaps(receptor, spec, types)
 	if err != nil {
 		return nil, err
 	}

@@ -38,8 +38,7 @@ go test -run '^$' -bench . -benchtime=1x \
 	./internal/dock/tables ./internal/dock/vina ./internal/dock/ad4
 
 # The large-pair windowed kernels run through dedicated benchmarks so
-# the L2-overflow workload's window path is exercised end to end even
-# when the full two-workload sweep isn't regenerated.
+# the L2-overflow workload's window path is exercised end to end.
 echo "==> large-pair window kernel smoke (-benchtime=1x)"
 go test -run '^$' -bench 'WindowScoreBatch.*Large' -benchtime=1x \
 	./internal/dock/vina ./internal/dock/ad4
@@ -54,23 +53,8 @@ go run ./cmd/gendata -out "$gen_b" -receptors 3 -ligands 2 -large
 diff -r "$gen_a" "$gen_b" || { echo "check: gendata output differs between runs" >&2; exit 1; }
 rm -rf "$gen_a" "$gen_b"
 
-echo "==> search benchmark smoke (dockbench -exp search -quick)"
-go run ./cmd/dockbench -exp search -quick -benchout ''
-
-echo "==> batched-scoring benchmark smoke, exact + tolerance cells (dockbench -exp kernels -quick)"
-go run ./cmd/dockbench -exp kernels -quick -benchout ''
-
-echo "==> pipeline runtime benchmark smoke (-benchtime=1x)"
-go test -run '^$' -bench BenchmarkPipelineRuntime -benchtime=1x .
-
 echo "==> provenance store benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/prov
-
-echo "==> provenance store benchmark smoke (dockbench -exp prov -quick)"
-go run ./cmd/dockbench -exp prov -quick -benchout ''
-
-echo "==> campaign service benchmark smoke (dockbench -exp campaigns -quick)"
-go run ./cmd/dockbench -exp campaigns -quick -benchout ''
 
 # End-to-end serve smoke: start the resident campaign service, submit
 # a tiny campaign over HTTP, poll it to completion, then SIGTERM and
