@@ -29,11 +29,14 @@ const (
 )
 
 // Scorer evaluates the AD4 free energy of binding of a ligand
-// conformation against precomputed AutoGrid maps. The intramolecular
-// term reads the pair potential from the r²-indexed radial tables of
-// internal/dock/tables (with the r ≥ 0.5 Å clamp baked in), so the
-// per-pair hot loop takes no sqrt; ScoreAnalytic keeps the closed-form
-// path as the golden reference.
+// conformation against precomputed AutoGrid maps. The intermolecular
+// term is grid.Maps.InterAccum over per-atom resolved lattices, and
+// the intramolecular term reads the pair potential from the r²-indexed
+// radial tables of internal/dock/tables (with the r ≥ 0.5 Å clamp
+// baked in), so neither hot loop hashes a map key or takes a sqrt;
+// per-pose Score is the one-pose case of the walk ScoreBatch runs.
+// ScoreAnalytic keeps the closed-form intramolecular path as the
+// golden reference.
 type Scorer struct {
 	Maps *grid.Maps
 	Lig  *dock.Ligand
@@ -44,14 +47,11 @@ type Scorer struct {
 	intraTbl   []intraPair
 	torsTerm   float64
 
-	// Batched-path precomputation: per-atom resolved map lattices and
-	// pre-scaled charge weights, so the ScoreBatch inner loop does no
-	// map-key hashing and no per-term weight multiplication chain.
-	affFld    []grid.Field // per ligand atom: its type's affinity lattice
-	elecFld   grid.Field
-	desolvFld grid.Field
-	wq        []float64 // per atom: weightElec · charge
-	wdq       []float64 // per atom: weightDesolv · |charge|
+	// Per-atom resolved affinity lattices and pre-scaled charge
+	// weights, the arguments of grid.Maps.InterAccum.
+	affFld []grid.Field // per ligand atom: its type's affinity lattice
+	wq     []float64    // per atom: weightElec · charge
+	wdq    []float64    // per atom: weightDesolv · |charge|
 
 	// Tolerance-bounded fast path (score_fast.go), built lazily on the
 	// first ScoreBatchFast call so exact-only campaigns pay nothing.
@@ -60,14 +60,13 @@ type Scorer struct {
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
-// index pair, the radial table of its type pair (plus its node array
-// for the batched path), and the constant Coulomb numerator
-// qi·qj·332.06/ε so the electrostatic part is one division by r².
+// index pair, the radial table of its type pair, and the constant
+// Coulomb numerator qi·qj·332.06/ε so the electrostatic part is one
+// division by r².
 type intraPair struct {
-	i, j  int32
-	tbl   *tables.Radial
-	nodes *[tables.NNodes]float64
-	qq    float64
+	i, j int32
+	tbl  *tables.Radial
+	qq   float64
 }
 
 // NewScorer prepares per-atom lookups and the intramolecular pair
@@ -80,9 +79,6 @@ func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 		if t == "" {
 			return nil, fmt.Errorf("ad4: ligand %q atom %d untyped (preparation missing)", lig.Mol.Name, i)
 		}
-		if _, err := maps.AffinityAt(t, maps.Spec.Center); err != nil {
-			return nil, fmt.Errorf("ad4: %w", err)
-		}
 		s.atomTypes = append(s.atomTypes, t)
 		s.charges = append(s.charges, a.Charge)
 		fld, err := maps.AffinityField(t)
@@ -93,16 +89,13 @@ func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 		s.wq = append(s.wq, weightElec*a.Charge)
 		s.wdq = append(s.wdq, weightDesolv*math.Abs(a.Charge))
 	}
-	s.elecFld = maps.ElectrostaticField()
-	s.desolvFld = maps.DesolvationField()
 	s.intraPairs = intraPairs(lig.Mol)
 	for _, pr := range s.intraPairs {
 		i, j := pr[0], pr[1]
-		tbl := tables.AD4Pair(s.atomTypes[i], s.atomTypes[j])
 		s.intraTbl = append(s.intraTbl, intraPair{
 			i: int32(i), j: int32(j),
-			tbl: tbl, nodes: tbl.Nodes(),
-			qq: coulombConst * s.charges[i] * s.charges[j] / intraDielec,
+			tbl: tables.AD4Pair(s.atomTypes[i], s.atomTypes[j]),
+			qq:  coulombConst * s.charges[i] * s.charges[j] / intraDielec,
 		})
 	}
 	s.torsTerm = weightTors * float64(lig.NumTorsions())
@@ -148,7 +141,12 @@ func intraPairs(m *chem.Molecule) [][2]int {
 // internal energy and the torsional entropy penalty. This is the
 // search objective; the FEB printed into DLG files comes from
 // ReportedFEB, which — like the real AutoDock — excludes the ligand's
-// internal energy.
+// internal energy. It is the one-pose case of the exact kernel — the
+// same grid.Maps.InterAccum stencil and the same table read and
+// addition order as ScoreBatch — safe for concurrent use and
+// allocation-free.
+//
+// exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
 	inter := s.interEnergy(coords)
 	return inter + weightIntra*s.intra(coords) + s.torsTerm
@@ -162,21 +160,23 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 	return s.interEnergy(coords) + s.torsTerm
 }
 
+// interEnergy is ScoreBatch's intermolecular walk over a batch of one:
+// InterAccum with stride 1 over one-element component slices, atoms
+// ascending, all three weighted terms of an atom added to the one
+// running sum in vdW/electrostatic/desolvation order.
+//
+// exact: same float64 addition sequence as ScoreBatch
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
-	var inter float64
+	var inter [1]float64
 	for i, p := range coords {
-		aff, err := s.Maps.AffinityAt(s.atomTypes[i], p)
-		if err != nil {
-			// Unreachable after NewScorer validation; treat as wall.
-			aff = grid.OutOfBoxPenalty
-		}
-		inter += weightVdw * aff
-		inter += weightElec * s.charges[i] * s.Maps.ElectrostaticAt(p)
-		inter += weightDesolv * math.Abs(s.charges[i]) * s.Maps.DesolvationAt(p)
+		x, y, z := [1]float64{p.X}, [1]float64{p.Y}, [1]float64{p.Z}
+		s.Maps.InterAccum(s.affFld[i], x[:], y[:], z[:], 1,
+			weightVdw, s.wq[i], s.wdq[i], inter[:])
 	}
-	return inter
+	return inter[0]
 }
 
+// exact: same per-pose addition sequence as ScoreBatch's intraBatch
 func (s *Scorer) intra(coords []chem.Vec3) float64 {
 	const cut2 = intraCutoff * intraCutoff
 	var e float64

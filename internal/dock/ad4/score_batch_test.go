@@ -59,6 +59,12 @@ func TestScoreBatchZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("ScoreBatch cycle allocates %v times per run, want 0", allocs)
 	}
+	// Per-pose Score is the same kernel over a batch of one whose
+	// one-element slices live on its own stack.
+	coords := lig.Coords(poses[0])
+	if allocs := testing.AllocsPerRun(10, func() { s.Score(coords) }); allocs != 0 {
+		t.Errorf("Score allocates %v times per call, want 0", allocs)
+	}
 }
 
 // TestScoreBatchConcurrent drives goroutines with private batches

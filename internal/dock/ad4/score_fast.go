@@ -2,6 +2,7 @@ package ad4
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chem"
@@ -241,7 +242,7 @@ func (s *Scorer) buildFast() {
 // Safe for concurrent use; the lazy precomputation is
 // sync.Once-guarded.
 //
-//unit: out=kcal/mol
+// unit: out=kcal/mol
 func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 	f := s.ensureFast()
 	n := b.Len()
@@ -266,201 +267,19 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 			weightVdw, s.wq[i], s.wdq[i], inter)
 	}
 
-	bank := f.bank
-	const cut2 = intraCutoff * intraCutoff
-	anchor, bound, win := b.Window()
-	switch {
-	case win:
-		// Active window: dead pairs (anchor separation beyond
-		// intraCutoff + 2·bound) are skipped for WindowValid poses — they
-		// contribute no term, so the per-pose accumulation sequence over
-		// the surviving pairs is the full loop's and the value stays a
-		// pure function of the pose. Escaped poses walk the full list.
-		// fastIntraAt is the hot loops' lerp in call form — identical
-		// float32 arithmetic, so windowed and windowless values agree to
-		// the bit.
-		valid := b.WindowValid()
-		live := s.windowIntraLiveFast(b, f, anchor, bound)
-		for _, kk := range live {
-			pr := &f.intraVar[kk]
-			i, j := int(pr.i), int(pr.j)
-			for p := 0; p < n; p++ {
-				if !valid[p] {
-					continue
-				}
-				at := p * stride
-				dx := xs[at+i] - xs[at+j]
-				dy := ys[at+i] - ys[at+j]
-				dz := zs[at+i] - zs[at+j]
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				if f.split {
-					intra64[p] += float64(fastIntraAt(bank, pr.off, r2)) + pr.qq/r2
-				} else {
-					intra[p] += fastIntraAt(bank, pr.off, r2)
-				}
-			}
-		}
-		for p := 0; p < n; p++ {
-			if valid[p] {
-				continue
-			}
-			at := p * stride
-			for t := range f.intraVar {
-				pr := &f.intraVar[t]
-				i, j := int(pr.i), int(pr.j)
-				dx := xs[at+i] - xs[at+j]
-				dy := ys[at+i] - ys[at+j]
-				dz := zs[at+i] - zs[at+j]
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				if f.split {
-					intra64[p] += float64(fastIntraAt(bank, pr.off, r2)) + pr.qq/r2
-				} else {
-					intra[p] += fastIntraAt(bank, pr.off, r2)
-				}
-			}
-		}
-	case f.split:
-		// Split mode, no window: pair-major like the combined loop, with
-		// the radial lerp in float32 (same expressions as fastIntraAt)
-		// and the Coulomb term and accumulation in float64.
-		for t := range f.intraVar {
-			pr := &f.intraVar[t]
-			i, j := int(pr.i), int(pr.j)
-			off := pr.off
-			qq := pr.qq
-			xi, yi, zi := xs[i:], ys[i:], zs[i:]
-			xj, yj, zj := xs[j:], ys[j:], zs[j:]
-			at := 0
-			for p := 0; p < n; p++ {
-				dx := xi[at] - xj[at]
-				dy := yi[at] - yj[at]
-				dz := zi[at] - zj[at]
-				at += stride
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				x := float32(r2 * tables.FastInvCore)
-				if r2 >= intraWallR2 {
-					x = float32(intraWallBins + (r2-intraWallR2)*intraInvMid)
-				}
-				if r2 >= tables.SplitR2 {
-					x = float32(intraWallBins + intraMidBins + (r2-tables.SplitR2)*tables.FastInvTail)
-				}
-				ib := int32(x)
-				w := x - float32(ib)
-				v := bank[off+ib]
-				intra64[p] += float64(v+w*(bank[off+ib+1]-v)) + qq/r2
-			}
-		}
-	default:
-		// Pair-major: the per-pair constants (indices, offset) hoist out of
-		// the pose loop and amortize across the whole window, and the batch
-		// SoA the inner loop streams is L2-resident. Each pair reads its
-		// combined vdW+Coulomb table on the three-regime grid — one lerp
-		// per pair-pose, written out because the call form is beyond the
-		// inliner's budget and this loop is the fast path's hottest. The
-		// truncated-and-clamped r2 keeps the segment index in
-		// [0, intraNNodes-1]; the bank's per-table successor node (next
-		// table's first node, or the final padding node) makes the +1 read
-		// safe when r2 lands exactly on the last node, where its weight is
-		// zero.
-		for _, pr := range f.intraVar {
-			i, j := int(pr.i), int(pr.j)
-			off := pr.off
-			xi, yi, zi := xs[i:], ys[i:], zs[i:]
-			xj, yj, zj := xs[j:], ys[j:], zs[j:]
-			// Unrolled by two with independent chains: each iteration's
-			// r² → coordinate → two table loads → lerp is one long
-			// dependency chain, so pairing poses keeps a second set of
-			// table loads in flight while the first resolves.
-			p := 0
-			at := 0
-			for ; p+1 < n; p += 2 {
-				at2 := at + stride
-				dxa := xi[at] - xj[at]
-				dya := yi[at] - yj[at]
-				dza := zi[at] - zj[at]
-				dxb := xi[at2] - xj[at2]
-				dyb := yi[at2] - yj[at2]
-				dzb := zi[at2] - zj[at2]
-				r2a := dxa*dxa + dya*dya + dza*dza
-				r2b := dxb*dxb + dyb*dyb + dzb*dzb
-				at += 2 * stride
-				if r2a <= cut2 {
-					if r2a < tables.RMin2 {
-						r2a = tables.RMin2
-					}
-					x := float32(r2a * tables.FastInvCore)
-					if r2a >= intraWallR2 {
-						x = float32(intraWallBins + (r2a-intraWallR2)*intraInvMid)
-					}
-					if r2a >= tables.SplitR2 {
-						x = float32(intraWallBins + intraMidBins + (r2a-tables.SplitR2)*tables.FastInvTail)
-					}
-					ib := int32(x)
-					w := x - float32(ib)
-					v := bank[off+ib]
-					intra[p] += v + w*(bank[off+ib+1]-v)
-				}
-				if r2b <= cut2 {
-					if r2b < tables.RMin2 {
-						r2b = tables.RMin2
-					}
-					x := float32(r2b * tables.FastInvCore)
-					if r2b >= intraWallR2 {
-						x = float32(intraWallBins + (r2b-intraWallR2)*intraInvMid)
-					}
-					if r2b >= tables.SplitR2 {
-						x = float32(intraWallBins + intraMidBins + (r2b-tables.SplitR2)*tables.FastInvTail)
-					}
-					ib := int32(x)
-					w := x - float32(ib)
-					v := bank[off+ib]
-					intra[p+1] += v + w*(bank[off+ib+1]-v)
-				}
-			}
-			for ; p < n; p++ {
-				dx := xi[at] - xj[at]
-				dy := yi[at] - yj[at]
-				dz := zi[at] - zj[at]
-				at += stride
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				x := float32(r2 * tables.FastInvCore)
-				if r2 >= intraWallR2 {
-					x = float32(intraWallBins + (r2-intraWallR2)*intraInvMid)
-				}
-				if r2 >= tables.SplitR2 {
-					x = float32(intraWallBins + intraMidBins + (r2-tables.SplitR2)*tables.FastInvTail)
-				}
-				ib := int32(x)
-				w := x - float32(ib)
-				v := bank[off+ib]
-				intra[p] += v + w*(bank[off+ib+1]-v)
-			}
-		}
+	// Active window with every pose WindowValid: dead pairs (anchor
+	// separation beyond intraCutoff + 2·bound) are skipped — they
+	// contribute no term, so the per-pose accumulation sequence over the
+	// surviving pairs is the full loop's and the value stays a pure
+	// function of the pose. A batch with an escaped pose walks the full
+	// list.
+	var pairs []int32
+	if _, _, win := b.Window(); win && !slices.Contains(b.WindowValid(), false) {
+		pairs = b.WindowLivePairs(f, len(f.intraVar), intraCutoff, func(k int) (i, j int32) {
+			return f.intraVar[k].i, f.intraVar[k].j
+		})
 	}
+	f.intraBatch(xs, ys, zs, stride, n, pairs, intra, intra64)
 
 	if f.split {
 		for p := 0; p < n; p++ {
@@ -473,11 +292,79 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 	}
 }
 
-// fastIntraAt is the three-regime lerp of the hot loops in call form,
-// for the windowed paths: the expressions are the written-out loops'
-// character for character, so the float32 result is bit-identical and
-// windowed evaluation cannot perturb a pose's value. r2 must already
-// carry the RMin² clamp and sit within the cutoff.
+// intraBatch adds the cross-unit intramolecular pair terms of the fast
+// path: pair-major, poses inner, so the per-pair constants hoist out of
+// the pose loop and the batch SoA the inner loop streams stays
+// L2-resident. pairs lists the pairs to visit as ascending indices into
+// f.intraVar (nil: all of them), so per pose the terms are added in
+// list order either way and the value stays a pure function of the
+// pose. Combined mode reads the pair's vdW+Coulomb table into the
+// float32 accumulator; split mode reads the radial-only table and adds
+// the exact qq/r² Coulomb term, accumulating in float64.
+func (f *fastState) intraBatch(xs, ys, zs []float64, stride, n int, pairs []int32, intra []float32, intra64 []float64) {
+	const cut2 = intraCutoff * intraCutoff
+	bank, split := f.bank, f.split
+	np := len(f.intraVar)
+	if pairs != nil {
+		np = len(pairs)
+	}
+	for t := 0; t < np; t++ {
+		k := t
+		if pairs != nil {
+			k = int(pairs[t])
+		}
+		pr := &f.intraVar[k]
+		off, qq := pr.off, pr.qq
+		xi, yi, zi := xs[pr.i:], ys[pr.i:], zs[pr.i:]
+		xj, yj, zj := xs[pr.j:], ys[pr.j:], zs[pr.j:]
+		// Two poses per iteration (the second lane idles on an odd
+		// tail): both squared distances are formed before either table
+		// read, so the second pose's loads are in flight while the first
+		// pose's lerp chain resolves — this loop is the fast path's
+		// hottest, and unpaired it runs ~40 % slower.
+		for p, at := 0, 0; p < n; p, at = p+2, at+2*stride {
+			q, at2 := p+1, at+stride
+			if q == n {
+				q, at2 = p, at
+			}
+			dxa := xi[at] - xj[at]
+			dya := yi[at] - yj[at]
+			dza := zi[at] - zj[at]
+			dxb := xi[at2] - xj[at2]
+			dyb := yi[at2] - yj[at2]
+			dzb := zi[at2] - zj[at2]
+			r2a := dxa*dxa + dya*dya + dza*dza
+			r2b := dxb*dxb + dyb*dyb + dzb*dzb
+			if r2a <= cut2 {
+				if r2a < tables.RMin2 {
+					r2a = tables.RMin2
+				}
+				if split {
+					intra64[p] += float64(fastIntraAt(bank, off, r2a)) + qq/r2a
+				} else {
+					intra[p] += fastIntraAt(bank, off, r2a)
+				}
+			}
+			if r2b <= cut2 && q != p {
+				if r2b < tables.RMin2 {
+					r2b = tables.RMin2
+				}
+				if split {
+					intra64[q] += float64(fastIntraAt(bank, off, r2b)) + qq/r2b
+				} else {
+					intra[q] += fastIntraAt(bank, off, r2b)
+				}
+			}
+		}
+	}
+}
+
+// fastIntraAt is the three-regime lerp of one pair table in the bank.
+// r2 must already carry the RMin² clamp and sit within the cutoff: the
+// truncated-and-clamped r2 keeps the segment index in
+// [0, intraNNodes-1], and the bank's per-table successor node (next
+// table's first node, or the final padding node) makes the +1 read safe
+// when r2 lands exactly on the last node, where its weight is zero.
 func fastIntraAt(bank []float32, off int32, r2 float64) float32 {
 	x := float32(r2 * tables.FastInvCore)
 	if r2 >= intraWallR2 {

@@ -195,6 +195,20 @@ func TestNeighborListMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: %d vs brute %d", trial, len(got), len(brute))
 		}
 	}
+	// A query at an atom's own position sees that atom — including the
+	// atoms that define the bounding box, which sit exactly on the outer
+	// faces of the boundary cells.
+	for i, a := range rec.Atoms {
+		found := false
+		nl.ForNeighbors2(a.Pos, func(j int, r2 float64) {
+			if j == i && r2 == 0 {
+				found = true
+			}
+		})
+		if !found {
+			t.Fatalf("atom %d not found by its own query", i)
+		}
+	}
 	// Far query returns nothing.
 	count := 0
 	nl.ForNeighbors(chem.V(1e4, 1e4, 1e4), func(int, float64) { count++ })
@@ -263,6 +277,12 @@ func TestNeighborListBoundaryFaces(t *testing.T) {
 		}
 		if !tc.inside && len(brute) != 0 {
 			t.Fatalf("%s: test is self-inconsistent, brute found %d", tc.name, len(brute))
+		}
+		// Beyond the expanded box the walk must not visit a single
+		// candidate cell, in or out of the cutoff.
+		var spans [27][2]int32
+		if n := nl.Spans(tc.q, &spans); !tc.inside && n != 0 {
+			t.Errorf("%s: %d candidate cells beyond the expanded box", tc.name, n)
 		}
 		got := map[int]bool{}
 		nl.ForNeighbors2(tc.q, func(i int, r2 float64) { got[i] = true })

@@ -6,11 +6,13 @@ import (
 	"repro/internal/chem"
 )
 
-// NeighborList is a cell-list spatial index over a rigid atom set,
-// used by Vina to find receptor atoms within the interaction cutoff
-// of each ligand atom without O(N·M) scans. Atom indices are stored in
-// a flat CSR layout (one []int32 plus per-cell offsets) so a query
-// walks contiguous memory instead of chasing per-bucket slice headers.
+// NeighborList is a cell-list spatial index over a rigid atom set: the
+// one cell list of the tree. Map generation (internal/grid) walks its
+// index CSR per lattice point, and the Vina scorer builds its
+// PackedNeighbors from it, so neither scans O(N·M) atom pairs. Atom
+// indices are stored in a flat CSR layout (one []int32 plus per-cell
+// offsets) so a query walks contiguous memory instead of chasing
+// per-bucket slice headers.
 type NeighborList struct {
 	cutoff   float64
 	invCut   float64   // 1/cutoff when that is exact (cutoff a power of two), else 0
@@ -23,7 +25,7 @@ type NeighborList struct {
 
 // NewNeighborList indexes the molecule's atoms with the given cutoff.
 //
-//unit: cutoff=Å
+// unit: cutoff=Å
 func NewNeighborList(m *chem.Molecule, cutoff float64) *NeighborList {
 	pts := m.Positions()
 	min, max := chem.BoundingBox(pts)
@@ -85,27 +87,22 @@ func (nl *NeighborList) index(c [3]int) int {
 	return (c[2]*nl.dims[1]+c[1])*nl.dims[0] + c[0]
 }
 
+// near reports whether p lies inside the cutoff-expanded atom bounding
+// box; a point outside it has no neighbour within the cutoff.
+func (nl *NeighborList) near(p chem.Vec3) bool {
+	return !(p.X < nl.min.X-nl.cutoff || p.X > nl.max.X+nl.cutoff ||
+		p.Y < nl.min.Y-nl.cutoff || p.Y > nl.max.Y+nl.cutoff ||
+		p.Z < nl.min.Z-nl.cutoff || p.Z > nl.max.Z+nl.cutoff)
+}
+
 // Spans writes the CSR [start, end) ranges of the (≤27) cells around p
 // into out and returns how many are non-empty. Callers iterate
 // Indices()[span[0]:span[1]] and distance-filter against Positions()
 // themselves, keeping their per-atom hot loop free of function calls.
 //
-// The early-out is the cutoff-expanded atom bounding box: any point
-// farther than one cutoff outside the box that contains every atom
-// cannot have a neighbour within the cutoff. (The previous guard
-// compared clamped cell coordinates against unclamped ones and so let
-// far-away points fall through to a full 27-cell walk of edge cells.)
+// The early-out is the cutoff-expanded atom bounding box (near).
 func (nl *NeighborList) Spans(p chem.Vec3, out *[27][2]int32) int {
-	return nl.spansOver(nl.start, p, out)
-}
-
-// spansOver is Spans over an arbitrary per-cell CSR offset array with
-// this list's cell geometry, shared by Spans (the atom-index CSR) and
-// PackedNeighbors.Spans (the packed SoA CSR).
-func (nl *NeighborList) spansOver(start []int32, p chem.Vec3, out *[27][2]int32) int {
-	if p.X < nl.min.X-nl.cutoff || p.X > nl.max.X+nl.cutoff ||
-		p.Y < nl.min.Y-nl.cutoff || p.Y > nl.max.Y+nl.cutoff ||
-		p.Z < nl.min.Z-nl.cutoff || p.Z > nl.max.Z+nl.cutoff {
+	if !nl.near(p) {
 		return 0
 	}
 	c := nl.cellOf(p)
@@ -127,7 +124,7 @@ func (nl *NeighborList) spansOver(start []int32, p chem.Vec3, out *[27][2]int32)
 					continue
 				}
 				b := row + x
-				if s, e := start[b], start[b+1]; s < e {
+				if s, e := nl.start[b], nl.start[b+1]; s < e {
 					out[n] = [2]int32{s, e}
 					n++
 				}

@@ -17,33 +17,33 @@ type PackedAtom struct {
 	_       int32
 }
 
-// CellEntry is one non-empty neighbor cell in a base cell's
-// precomputed neighborhood list: the packed-atom span [S, E) plus a
+// cellEntry is one non-empty neighbor cell in a base cell's
+// precomputed neighborhood list: the packed-atom span [s, e) plus a
 // conservative prune sphere. A query point lying outside the sphere —
-// center (CX, CY, CZ), squared bound (cutoff+R+pruneSlack)² — cannot
+// center (cx, cy, cz), squared bound (cutoff+R+pruneSlack)² — cannot
 // be within the cutoff of any atom of the cell, so the walk drops the
 // whole span with one branch-free distance test. Single precision is
 // ample: the bound's radius carries pruneSlack of margin, orders of
 // magnitude above the float32 rounding of Å-scale coordinates, so the
 // triangle-inequality argument is unaffected.
-type CellEntry struct {
-	CX, CY, CZ float32
-	Bound      float32
-	S, E       int32
+type cellEntry struct {
+	cx, cy, cz float32
+	bound      float32
+	s, e       int32
 }
 
 // PackedNeighbors is a scoring-ready mirror of a NeighborList: per
 // cell, the atoms that can contribute interaction terms (class ≥ 0)
 // are copied into one contiguous array in exactly the CSR order of the
-// source list. The batched scorers walk it instead of the index CSR,
-// replacing the per-candidate index load plus random position gather
-// of the original layout with sequential streaming loads — the term
-// sequence (and so the float64 accumulation order) is unchanged,
+// source list. The scorers — per pose and batched — walk it instead of
+// the index CSR, replacing the per-candidate index load plus random
+// position gather of that layout with sequential streaming loads — the
+// term sequence (and so the float64 accumulation order) is unchanged,
 // because packing only drops atoms that never produce a term.
 //
 // The neighborhood walk itself is precomputed: for every base cell,
 // the (≤27) surrounding cells that exist and are non-empty are stored
-// as a contiguous CellEntry list in ascending raster order — the exact
+// as a contiguous cellEntry list in ascending raster order — the exact
 // cell order NeighborList.Spans walks. A query resolves its base cell
 // once and scans only that list, so the per-query geometry is a handful
 // of prune-sphere tests over prefetch-friendly consecutive entries,
@@ -52,13 +52,13 @@ type PackedNeighbors struct {
 	nl      *NeighborList
 	atoms   []PackedAtom
 	aoff    []int32     // per cell: packed-atom span offsets, len = #cells + 1
-	entries []CellEntry // concatenated per-base-cell neighbor lists
+	entries []cellEntry // concatenated per-base-cell neighbor lists
 	eoff    []int32     // per cell: offset into entries, len = #cells + 1
 
 	// Fine-cell candidate lists (see buildFine): per fine cell, the
 	// packed atoms that can be within the cutoff of any query point the
 	// cell is responsible for, copied in ascending packed order. nil
-	// when the receptor is too large for the duplicated storage; Gather
+	// when the receptor is too large for the duplicated storage; Spans
 	// then falls back to the coarse entry walk.
 	fatoms []PackedAtom
 	foff   []int32 // per fine cell: offset into fatoms, len = #cells + 1
@@ -90,7 +90,7 @@ func NewPackedNeighbors(nl *NeighborList, class func(atom int32) int32) *PackedN
 	// Pack atoms cell by cell and build each non-empty cell's span and
 	// prune sphere.
 	type cellSpan struct {
-		entry CellEntry
+		entry cellEntry
 		full  bool
 	}
 	cells := make([]cellSpan, ncells)
@@ -149,7 +149,7 @@ func NewPackedNeighbors(nl *NeighborList, class func(atom int32) int32) *PackedN
 // atom is duplicated into every fine cell it can interact with (~80×
 // at half-cutoff cells), so the lists are built only when the packed
 // set is small enough that the duplicated storage stays in the tens of
-// megabytes. Above the gate Gather uses the coarse entry walk.
+// megabytes. Above the gate Spans uses the coarse entry walk.
 const fineGatherMaxAtoms = 8192
 
 // buildFine precomputes per-fine-cell candidate lists: the box is
@@ -167,7 +167,7 @@ const fineGatherMaxAtoms = 8192
 // r² ≤ cut² test decides membership.
 //
 // Boundary cells need no special casing for the clamped out-of-box
-// queries Gather admits (up to one cutoff outside the box): a clamped
+// queries Spans admits (up to one cutoff outside the box): a clamped
 // query's preimage extends the boundary cell's box only beyond the
 // atom bounding box, where dilation by the cutoff reaches no atom the
 // cell-box dilation does not already reach.
@@ -246,7 +246,7 @@ func boxDist(v, lo, hi float64) float64 {
 // pruneSphere builds the conservative prune-sphere entry of one cell's
 // packed atoms: centered at their bounding-box center with squared
 // bound (cutoff + max distance from that center + slack)².
-func pruneSphere(sp []PackedAtom, cutoff float64, s, e int32) CellEntry {
+func pruneSphere(sp []PackedAtom, cutoff float64, s, e int32) cellEntry {
 	minX, minY, minZ := sp[0].X, sp[0].Y, sp[0].Z
 	maxX, maxY, maxZ := minX, minY, minZ
 	for i := 1; i < len(sp); i++ {
@@ -277,10 +277,10 @@ func pruneSphere(sp []PackedAtom, cutoff float64, s, e int32) CellEntry {
 		}
 	}
 	r := cutoff + math.Sqrt(maxD2) + pruneSlack
-	return CellEntry{
-		CX: float32(cx), CY: float32(cy), CZ: float32(cz),
-		Bound: float32(r * r),
-		S:     s, E: e,
+	return cellEntry{
+		cx: float32(cx), cy: float32(cy), cz: float32(cz),
+		bound: float32(r * r),
+		s:     s, e: e,
 	}
 }
 
@@ -288,146 +288,142 @@ func pruneSphere(sp []PackedAtom, cutoff float64, s, e int32) CellEntry {
 // Read-only; shared with the structure itself.
 func (pn *PackedNeighbors) Atoms() []PackedAtom { return pn.atoms }
 
-// Gather collects into hits every packed atom within cut2 (squared
-// cutoff) of p, in exactly the order NeighborList.Spans-driven
-// sequential scoring visits them, and returns the count. hits must be
-// a power-of-two-length scratch at least as long as Atoms() (see
-// Batch.Hits); the gather runs branch-free — unconditional stores with
-// a conditionally advanced cursor — so out-of-cutoff candidates cost
-// no branch mispredictions, and whole cells are dropped early by their
-// prune spheres.
+// Spans locates the candidates of query point p: it writes [start, end)
+// ranges into out and returns the atom array they index plus their
+// count. Every packed atom within the cutoff of p lies in one of the
+// ranges, and walking them in order visits candidates in ascending
+// packed order — the order NeighborList.Spans-driven sequential scoring
+// visits them — so a caller that distance-filters them with FilterSpan
+// (Gather into one buffer, the per-pose scorer chunk by chunk) sees the
+// same hit sequence. No range is returned for a point more than one
+// cutoff outside the atom bounding box.
 //
-//unit: cut2=Å2
-func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
+// With fine-cell lists the answer is one pre-pruned range of the
+// clamp-located fine cell. Above fineGatherMaxAtoms it is the base
+// cell's neighborhood entries whose prune sphere contains p, tested
+// branch-free (unconditional store, conditionally advanced count). The
+// base cell is clamped into the grid like NeighborList queries: for
+// points outside the grid but inside the guard box the clamped
+// neighborhood is a superset of the exact one whose extra cells lie
+// entirely beyond the cutoff.
+func (pn *PackedNeighbors) Spans(p chem.Vec3, out *[27][2]int32) ([]PackedAtom, int) {
 	nl := pn.nl
-	if p.X < nl.min.X-nl.cutoff || p.X > nl.max.X+nl.cutoff ||
-		p.Y < nl.min.Y-nl.cutoff || p.Y > nl.max.Y+nl.cutoff ||
-		p.Z < nl.min.Z-nl.cutoff || p.Z > nl.max.Z+nl.cutoff {
-		return 0
+	if !nl.near(p) {
+		return nil, 0
 	}
-	px, py, pz := p.X, p.Y, p.Z
 	if pn.fatoms != nil {
-		// Fine path: one clamp-located cell, one contiguous pre-pruned
-		// candidate span, the same branch-free walk.
-		cx := clampCell(int((px-nl.min.X)*pn.finv), pn.fdims[0])
-		cy := clampCell(int((py-nl.min.Y)*pn.finv), pn.fdims[1])
-		cz := clampCell(int((pz-nl.min.Z)*pn.finv), pn.fdims[2])
-		c := (cz*pn.fdims[1]+cy)*pn.fdims[0] + cx
-		sp := pn.fatoms[pn.foff[c]:pn.foff[c+1]]
-		mask := len(hits) - 1
-		m := 0
-		j := 0
-		for ; j+1 < len(sp); j += 2 {
-			ra := &sp[j]
-			rb := &sp[j+1]
-			dx0 := ra.X - px
-			dy0 := ra.Y - py
-			dz0 := ra.Z - pz
-			r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
-			h := &hits[m&mask]
-			h.R2 = r20
-			h.Cls = ra.Cls
-			hit := 0
-			if r20 <= cut2 {
-				hit = 1
-			}
-			m += hit
-			dx1 := rb.X - px
-			dy1 := rb.Y - py
-			dz1 := rb.Z - pz
-			r21 := dx1*dx1 + dy1*dy1 + dz1*dz1
-			h = &hits[m&mask]
-			h.R2 = r21
-			h.Cls = rb.Cls
-			hit = 0
-			if r21 <= cut2 {
-				hit = 1
-			}
-			m += hit
-		}
-		if j < len(sp) {
-			ra := &sp[j]
-			dx := ra.X - px
-			dy := ra.Y - py
-			dz := ra.Z - pz
-			r2 := dx*dx + dy*dy + dz*dz
-			h := &hits[m&mask]
-			h.R2 = r2
-			h.Cls = ra.Cls
-			hit := 0
-			if r2 <= cut2 {
-				hit = 1
-			}
-			m += hit
-		}
-		return m
+		out[0] = pn.fineRange(p)
+		return pn.fatoms, 1
 	}
 	b := nl.index(nl.cellOf(p))
-	ents := pn.entries[pn.eoff[b]:pn.eoff[b+1]]
-	pxf, pyf, pzf := float32(px), float32(py), float32(pz)
-	var spans [27][2]int32
+	pxf, pyf, pzf := float32(p.X), float32(p.Y), float32(p.Z)
 	ns := 0
-	for t := range ents {
-		en := &ents[t]
-		ex := en.CX - pxf
-		ey := en.CY - pyf
-		ez := en.CZ - pzf
-		spans[ns] = [2]int32{en.S, en.E}
+	for _, en := range pn.entries[pn.eoff[b]:pn.eoff[b+1]] {
+		ex := en.cx - pxf
+		ey := en.cy - pyf
+		ez := en.cz - pzf
+		out[ns] = [2]int32{en.s, en.e}
 		keep := 0
-		if ex*ex+ey*ey+ez*ez <= en.Bound {
+		if ex*ex+ey*ey+ez*ez <= en.bound {
 			keep = 1
 		}
 		ns += keep
 	}
-	atoms := pn.atoms
-	mask := len(hits) - 1
+	return pn.atoms, ns
+}
+
+// fineRange returns the candidate range, in fatoms, of the fine cell
+// that p clamps into.
+func (pn *PackedNeighbors) fineRange(p chem.Vec3) [2]int32 {
+	nl := pn.nl
+	cx := clampCell(int((p.X-nl.min.X)*pn.finv), pn.fdims[0])
+	cy := clampCell(int((p.Y-nl.min.Y)*pn.finv), pn.fdims[1])
+	cz := clampCell(int((p.Z-nl.min.Z)*pn.finv), pn.fdims[2])
+	c := (cz*pn.fdims[1]+cy)*pn.fdims[0] + cx
+	return [2]int32{pn.foff[c], pn.foff[c+1]}
+}
+
+// Gather collects into hits every packed atom within cut2 (squared
+// cutoff) of p, in Spans order, and returns the count. hits must be a
+// power-of-two-length scratch at least as long as Atoms() (see
+// Batch.Hits).
+//
+// unit: cut2=Å2
+func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
+	if pn.fatoms != nil && pn.nl.near(p) {
+		// One span: skip the span array (zeroed per call) and the loop.
+		sp := pn.fineRange(p)
+		return FilterSpan(pn.fatoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, 0)
+	}
+	var spans [27][2]int32
+	atoms, ns := pn.Spans(p, &spans)
 	m := 0
-	for k := 0; k < ns; k++ {
-		sp := atoms[spans[k][0]:spans[k][1]]
-		j := 0
-		for ; j+1 < len(sp); j += 2 {
-			ra := &sp[j]
-			rb := &sp[j+1]
-			dx0 := ra.X - px
-			dy0 := ra.Y - py
-			dz0 := ra.Z - pz
-			r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
-			h := &hits[m&mask]
-			h.R2 = r20
-			h.Cls = ra.Cls
-			hit := 0
-			if r20 <= cut2 {
-				hit = 1
-			}
-			m += hit
-			dx1 := rb.X - px
-			dy1 := rb.Y - py
-			dz1 := rb.Z - pz
-			r21 := dx1*dx1 + dy1*dy1 + dz1*dz1
-			h = &hits[m&mask]
-			h.R2 = r21
-			h.Cls = rb.Cls
-			hit = 0
-			if r21 <= cut2 {
-				hit = 1
-			}
-			m += hit
+	for _, sp := range spans[:ns] {
+		m = FilterSpan(atoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, m)
+	}
+	return m
+}
+
+// FilterSpan appends to hits, from cursor m on, every candidate of sp
+// within cut2 of the query point, preserving span order, and returns
+// the advanced cursor. It is the one radius filter of the exact and
+// fast kernels — PackedNeighbors.Gather runs it over each candidate
+// span, the per-pose scorers over one chunk of a span at a time, the
+// window path over the shared-gather span — so every caller emits the
+// same hit sequence from the same squared-distance expression and the
+// same exact r² ≤ cut² test. The loop is branch-free: every candidate
+// is stored at the cursor and the cursor advances only on a hit, so
+// the ~75% of candidates beyond the cutoff cost no branch
+// mispredictions. hits must have power-of-two length ≥ m + len(sp)
+// (see Batch.Hits): the store indexes with cursor&(len-1), which the
+// compiler proves in bounds.
+//
+// unit: cut2=Å2
+func FilterSpan(sp []PackedAtom, px, py, pz, cut2 float64, hits []Hit, m int) int {
+	mask := len(hits) - 1
+	j := 0
+	for ; j+1 < len(sp); j += 2 {
+		ra := &sp[j]
+		rb := &sp[j+1]
+		dx0 := ra.X - px
+		dy0 := ra.Y - py
+		dz0 := ra.Z - pz
+		r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
+		h := &hits[m&mask]
+		h.R2 = r20
+		h.Cls = ra.Cls
+		hit := 0
+		if r20 <= cut2 {
+			hit = 1
 		}
-		if j < len(sp) {
-			ra := &sp[j]
-			dx := ra.X - px
-			dy := ra.Y - py
-			dz := ra.Z - pz
-			r2 := dx*dx + dy*dy + dz*dz
-			h := &hits[m&mask]
-			h.R2 = r2
-			h.Cls = ra.Cls
-			hit := 0
-			if r2 <= cut2 {
-				hit = 1
-			}
-			m += hit
+		m += hit
+		dx1 := rb.X - px
+		dy1 := rb.Y - py
+		dz1 := rb.Z - pz
+		r21 := dx1*dx1 + dy1*dy1 + dz1*dz1
+		h = &hits[m&mask]
+		h.R2 = r21
+		h.Cls = rb.Cls
+		hit = 0
+		if r21 <= cut2 {
+			hit = 1
 		}
+		m += hit
+	}
+	if j < len(sp) {
+		ra := &sp[j]
+		dx := ra.X - px
+		dy := ra.Y - py
+		dz := ra.Z - pz
+		r2 := dx*dx + dy*dy + dz*dz
+		h := &hits[m&mask]
+		h.R2 = r2
+		h.Cls = ra.Cls
+		hit := 0
+		if r2 <= cut2 {
+			hit = 1
+		}
+		m += hit
 	}
 	return m
 }
@@ -451,7 +447,7 @@ func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
 // trades the per-pose branch-free machinery for simplicity. Returns
 // the number of atoms appended.
 //
-//unit: reach=Å
+// unit: reach=Å
 func (pn *PackedNeighbors) GatherShared(p chem.Vec3, reach float64, out *[]PackedAtom) int {
 	nl := pn.nl
 	r := reach + pruneSlack
@@ -491,27 +487,4 @@ func (pn *PackedNeighbors) GatherShared(p chem.Vec3, reach float64, out *[]Packe
 		}
 	}
 	return len(*out) - n0
-}
-
-// Entries returns the precomputed neighborhood list of p's base cell:
-// every non-empty cell a within-cutoff atom could occupy, in the same
-// ascending raster order NeighborList.Spans walks, or nil when p is
-// more than one cutoff outside the atom bounding box. Callers apply
-// each entry's prune-sphere test themselves and walk Atoms()[S:E] of
-// the survivors; pruning only drops cells none of whose atoms can be
-// within the cutoff, so the surviving candidate-hit sequence is
-// exactly the sequential one. The base cell is clamped into the grid
-// like NeighborList queries: for points outside the grid (but within
-// the guard box) the clamped neighborhood is a superset of the exact
-// one whose extra cells lie entirely beyond the cutoff, so they add no
-// hits and the prune spheres reject them anyway.
-func (pn *PackedNeighbors) Entries(p chem.Vec3) []CellEntry {
-	nl := pn.nl
-	if p.X < nl.min.X-nl.cutoff || p.X > nl.max.X+nl.cutoff ||
-		p.Y < nl.min.Y-nl.cutoff || p.Y > nl.max.Y+nl.cutoff ||
-		p.Z < nl.min.Z-nl.cutoff || p.Z > nl.max.Z+nl.cutoff {
-		return nil
-	}
-	b := nl.index(nl.cellOf(p))
-	return pn.entries[pn.eoff[b]:pn.eoff[b+1]]
 }

@@ -58,7 +58,7 @@ const (
 	// nodes plus BinsTail+1 tail nodes (the boundary node is shared).
 	NNodes = BinsCore + BinsTail + 1
 
-	invCore = BinsCore / SplitR2                  // core bins per Ų
+	invCore = BinsCore / SplitR2                   // core bins per Ų
 	invTail = BinsTail / (Cutoff*Cutoff - SplitR2) // tail bins per Ų
 )
 
@@ -69,21 +69,17 @@ const (
 type Radial struct {
 	// vals holds BinsCore core nodes (vals[i] = f(√(i/invCore)) for
 	// i < BinsCore), then the BinsTail+1 tail nodes starting with the
-	// shared boundary node at r² = SplitR2.
-	vals []float64
+	// shared boundary node at r² = SplitR2. A fixed-size array, so a
+	// *Radial is the node pointer itself: At2 inlined into a scoring
+	// loop loads no slice header and checks the index against a
+	// constant.
+	vals [NNodes]float64
 }
-
-// Nodes returns the table's nodes as a fixed-size array pointer (every
-// Radial has exactly NNodes nodes). Batched scorers index it directly:
-// the constant length drops the slice-header load and one bounds check
-// per hit relative to going through At2/AtCoord. Read-only; aliases
-// the table's storage.
-func (t *Radial) Nodes() *[NNodes]float64 { return (*[NNodes]float64)(t.vals) }
 
 // NewRadial tabulates f — a function of the distance r in Å — on the
 // package's two-segment r² grid.
 func NewRadial(f func(r float64) float64) *Radial {
-	t := &Radial{vals: make([]float64, BinsCore+BinsTail+1)}
+	t := new(Radial)
 	for i := 0; i < BinsCore; i++ {
 		t.vals[i] = f(math.Sqrt(float64(i) / invCore))
 	}
@@ -93,49 +89,26 @@ func NewRadial(f func(r float64) float64) *Radial {
 	return t
 }
 
-// At2 returns the interpolated value at squared distance r2 ≥ 0.
+// At2 returns the interpolated value at squared distance r2 ≥ 0: the
+// one table evaluation every kernel — per-pose and batched scorers,
+// map generation — inlines.
 //
-//unit: r2=Å2
+// The table coordinate is the smaller of the two segment coordinates,
+// which selects the right segment without a data-dependent branch (a
+// batch of mixed core/tail distances costs no mispredictions). The core
+// line r2·invCore is exact and steeper than the tail line, and the two
+// cross at the shared boundary node, so it lies below the tail line
+// exactly when r2 < SplitR2; rounding is monotone, so the computed
+// values keep that order and can only tie on identical bits. The
+// result is therefore bit for bit the branch `if r2 >= SplitR2` would
+// pick.
+//
+// unit: r2=Å2
 func (t *Radial) At2(r2 float64) float64 {
-	x := r2 * invCore
-	if r2 >= SplitR2 {
-		x = BinsCore + (r2-SplitR2)*invTail
-	}
+	x := min(r2*invCore, BinsCore+(r2-SplitR2)*invTail)
 	i := int(x)
-	if i >= len(t.vals)-1 {
-		return t.vals[len(t.vals)-1]
-	}
-	v := t.vals[i]
-	return v + (x-float64(i))*(t.vals[i+1]-v)
-}
-
-// Coord2 returns the fractional two-segment table coordinate of the
-// squared distance r2 — the value At2 interpolates at — selected
-// without a data-dependent branch: both segment coordinates are
-// computed and the bit pattern of the right one is picked with a
-// conditional move, so a batch of mixed core/tail distances evaluates
-// with no branch mispredictions. The selected value is bit-identical
-// to At2's internal coordinate.
-//
-//unit: r2=Å2
-func Coord2(r2 float64) float64 {
-	xc := r2 * invCore
-	xt := BinsCore + (r2-SplitR2)*invTail
-	xb := math.Float64bits(xc)
-	if r2 >= SplitR2 {
-		xb = math.Float64bits(xt)
-	}
-	return math.Float64frombits(xb)
-}
-
-// AtCoord evaluates the table at a Coord2 coordinate:
-// t.AtCoord(Coord2(r2)) == t.At2(r2) bit-for-bit. Splitting the
-// coordinate computation from the node lookup lets batched scorers
-// pipeline the table reads of a whole hit list.
-func (t *Radial) AtCoord(x float64) float64 {
-	i := int(x)
-	if i >= len(t.vals)-1 {
-		return t.vals[len(t.vals)-1]
+	if i >= NNodes-1 {
+		return t.vals[NNodes-1]
 	}
 	v := t.vals[i]
 	return v + (x-float64(i))*(t.vals[i+1]-v)

@@ -24,27 +24,26 @@ const (
 
 // Scorer evaluates the Vina affinity of a ligand conformation against
 // receptor atoms (Vina computes its own internal grids; scoring
-// directly over a neighbour list is numerically equivalent at these
+// directly over a cell list is numerically equivalent at these
 // scales).
 //
-// The production scoring path reads every pair interaction from the
-// r²-indexed radial tables of internal/dock/tables — the neighbour
-// list hands out squared distances and no sqrt or exp is taken per
-// pair. ScoreAnalytic keeps the closed-form path as the golden
-// reference for equivalence tests and benchmarks.
+// Every scoring path reads the pair interactions from the r²-indexed
+// radial tables of internal/dock/tables over the packed heavy-atom
+// cell walk — squared distances only, no sqrt or exp per pair — and
+// per-pose Score is the one-pose case of the walk ScoreBatch runs.
+// ScoreAnalytic keeps the closed-form path over the plain neighbour
+// list as the golden reference for equivalence tests and benchmarks.
 type Scorer struct {
 	Receptor *chem.Molecule
 	Lig      *dock.Ligand
 
-	nl        *dock.NeighborList
-	packed    *dock.PackedNeighbors // heavy receptor atoms in span order, for ScoreBatch
+	nl        *dock.NeighborList    // every receptor atom; ScoreAnalytic's walk
+	packed    *dock.PackedNeighbors // heavy receptor atoms in span order; every table path's walk
 	recTypes  []chem.TypeParams
 	ligTypes  []chem.TypeParams
 	ligIsH    []bool
-	recTblIdx  []int32            // per receptor atom: column into interTbl rows, -1 for hydrogens
-	interTbl   [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
-	interNodes [][]*[tables.NNodes]float64 // interTbl rows as node arrays, for ScoreBatch
-	intraTbl   []intraPair        // heavy-atom 1-4+ pairs with their tables
+	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
+	intraTbl  []intraPair        // heavy-atom 1-4+ pairs with their tables
 	rotFactor float64
 	intraRef  float64 // internal energy of the input conformation
 
@@ -55,12 +54,10 @@ type Scorer struct {
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
-// index pair, the radial table of its type pair, and the table's node
-// array for the batched path.
+// index pair and the radial table of its type pair.
 type intraPair struct {
-	i, j  int32
-	tbl   *tables.Radial
-	nodes *[tables.NNodes]float64
+	i, j int32
+	tbl  *tables.Radial
 }
 
 // NewScorer indexes the receptor and precomputes per-atom parameters
@@ -81,6 +78,7 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 	// function, so they get index -1 and no tables.
 	var recTypeList []chem.AtomType
 	recTypeIdx := make(map[chem.AtomType]int32)
+	recTblIdx := make([]int32, 0, len(receptor.Atoms)) // per receptor atom: column into interTbl rows
 	for i, a := range receptor.Atoms {
 		t := a.Type
 		if t == "" {
@@ -91,7 +89,7 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 		}
 		s.recTypes = append(s.recTypes, t.Params())
 		if t == chem.TypeH || t == chem.TypeHD {
-			s.recTblIdx = append(s.recTblIdx, -1)
+			recTblIdx = append(recTblIdx, -1)
 			continue
 		}
 		ti, ok := recTypeIdx[t]
@@ -100,13 +98,12 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 			recTypeIdx[t] = ti
 			recTypeList = append(recTypeList, t)
 		}
-		s.recTblIdx = append(s.recTblIdx, ti)
+		recTblIdx = append(recTblIdx, ti)
 	}
 	// Pack the heavy receptor atoms (the only ones that ever score) in
-	// span order for the batched path: position plus table column per
-	// 32-byte slot, walked with streaming loads instead of the
-	// index-CSR gather.
-	s.packed = dock.NewPackedNeighbors(s.nl, func(aj int32) int32 { return s.recTblIdx[aj] })
+	// span order: position plus table column per 32-byte slot, walked
+	// with streaming loads instead of an index-CSR gather.
+	s.packed = dock.NewPackedNeighbors(s.nl, func(aj int32) int32 { return recTblIdx[aj] })
 	for i, a := range lig.Mol.Atoms {
 		t := a.Type
 		if t == "" {
@@ -115,27 +112,22 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 		s.ligTypes = append(s.ligTypes, t.Params())
 		s.ligIsH = append(s.ligIsH, !a.Element.IsHeavy())
 		var row []*tables.Radial
-		var nodes []*[tables.NNodes]float64
 		if a.Element.IsHeavy() {
 			row = make([]*tables.Radial, len(recTypeList))
-			nodes = make([]*[tables.NNodes]float64, len(recTypeList))
 			for ti, rt := range recTypeList {
 				row[ti] = tables.Vina(t, rt)
-				nodes[ti] = row[ti].Nodes()
 			}
 		}
 		s.interTbl = append(s.interTbl, row)
-		s.interNodes = append(s.interNodes, nodes)
 	}
 	for _, pr := range intraPairs14(lig.Mol) {
 		i, j := pr[0], pr[1]
 		if s.ligIsH[i] || s.ligIsH[j] {
 			continue
 		}
-		tbl := tables.Vina(lig.Mol.Atoms[i].Type, lig.Mol.Atoms[j].Type)
 		s.intraTbl = append(s.intraTbl, intraPair{
 			i: int32(i), j: int32(j),
-			tbl: tbl, nodes: tbl.Nodes(),
+			tbl: tables.Vina(lig.Mol.Atoms[i].Type, lig.Mol.Atoms[j].Type),
 		})
 	}
 	// Vina reports affinities relative to the internal energy of the
@@ -182,6 +174,13 @@ func intraPairs14(m *chem.Molecule) [][2]int {
 // Score implements dock.Scorer: the Vina affinity in kcal/mol,
 // inter-molecular terms divided by the rotatable-bond factor plus a
 // damped internal term. Hydrogens are invisible to the Vina function.
+// It is the search objective — every evaluation of a docking run goes
+// through it — and the one-pose case of the exact kernel: the same
+// candidate spans, radius filter, table read and addition order as
+// ScoreBatch. Safe for concurrent use and allocation-free: the scorer
+// is read-only and the hit scratch lives on the caller's stack.
+//
+// exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
 	return s.interEnergy(coords)/s.rotFactor + intraWeight*(s.intraEnergy(coords)-s.intraRef)
 }
@@ -193,14 +192,20 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 	return s.interEnergy(coords) / s.rotFactor
 }
 
-// interEnergy sums the pairwise ligand–receptor terms over the
-// neighbour list, shared by Score and ReportedFEB. It iterates the
-// CSR spans directly so the per-receptor-atom loop body is call-free:
-// one squared distance, one table-index check, one interpolated read.
+// interEnergy sums the pairwise ligand–receptor terms, shared by Score
+// and ReportedFEB: per heavy ligand atom, the candidate spans of
+// PackedNeighbors.Spans — the accessor Gather uses, so receptors above
+// and below the fine-cell gate take the same branch as the batched
+// kernels — filtered by dock.FilterSpan and read from the atom's table
+// row in hit order. A span is filtered one chunk at a time into a
+// fixed stack array (chunks keep span order and an even length, so the
+// hit sequence is the whole span's), which is what keeps a shared
+// scorer free of per-call scratch.
+//
+// exact: same hit order and float64 addition sequence as ScoreBatch
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 	const cut2 = cutoff * cutoff
-	idx := s.nl.Indices()
-	pos := s.nl.Positions()
+	var hits [64]dock.Hit
 	var spans [27][2]int32
 	var inter float64
 	for i, p := range coords {
@@ -208,15 +213,13 @@ func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 			continue
 		}
 		row := s.interTbl[i]
-		ns := s.nl.Spans(p, &spans)
-		for k := 0; k < ns; k++ {
-			for _, aj := range idx[spans[k][0]:spans[k][1]] {
-				r2 := pos[aj].Dist2(p)
-				if r2 > cut2 {
-					continue
-				}
-				if t := s.recTblIdx[aj]; t >= 0 {
-					inter += row[t].At2(r2)
+		atoms, ns := s.packed.Spans(p, &spans)
+		for _, sp := range spans[:ns] {
+			for at := sp[0]; at < sp[1]; at += int32(len(hits)) {
+				end := min(at+int32(len(hits)), sp[1])
+				m := dock.FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+				for _, h := range hits[:m] {
+					inter += row[h.Cls].At2(h.R2)
 				}
 			}
 		}
@@ -224,6 +227,7 @@ func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 	return inter
 }
 
+// exact: same per-pose addition sequence as ScoreBatch's intraBatch
 func (s *Scorer) intraEnergy(coords []chem.Vec3) float64 {
 	const cut2 = cutoff * cutoff
 	var intra float64
@@ -280,7 +284,7 @@ func (s *Scorer) intraEnergyAnalytic(coords []chem.Vec3) float64 {
 // d = r − R_i − R_j; the analytic form lives in internal/dock/tables
 // (the single source both this package and the table builder share).
 //
-//unit: r=Å result=kcal/mol
+// unit: r=Å result=kcal/mol
 func pairTerm(a, b chem.TypeParams, r float64) float64 {
 	return tables.VinaPair(a, b, r)
 }

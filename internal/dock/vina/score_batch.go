@@ -1,17 +1,20 @@
 package vina
 
 import (
+	"slices"
+
 	"repro/internal/chem"
 	"repro/internal/dock"
-	"repro/internal/dock/tables"
 )
 
 // ScoreBatch scores every pose of the batch, writing the affinity of
 // slot p into out[p]. Results are bit-identical to calling Score on
-// each pose's coordinates: per pose, every pair term is accumulated in
-// exactly the sequential order (ligand atoms ascending, CSR spans in
-// span order; intramolecular pairs in table order), so the float64
-// rounding sequence is unchanged — only the loop nest is inverted.
+// each pose's coordinates — Score is this walk for one pose: the same
+// candidate spans, the same dock.FilterSpan, the same table read — and
+// per pose every pair term is accumulated in exactly the sequential
+// order (ligand atoms ascending, candidates in ascending packed order;
+// intramolecular pairs in table order), so the float64 rounding
+// sequence is unchanged — only the loop nest is inverted.
 //
 // The speed comes from layout, not from skipping work. The outer loop
 // walks ligand atoms, so one atom's radial-table row and its touched
@@ -40,8 +43,8 @@ import (
 // Safe for concurrent use: the scorer is read-only here, all mutable
 // state lives in the caller-owned batch and out.
 //
-//unit: out=kcal/mol
-//exact: bit-identical to per-pose Score; float32 belongs in ScoreBatchFast
+// unit: out=kcal/mol
+// exact: bit-identical to per-pose Score; float32 belongs in ScoreBatchFast
 func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	n := b.Len()
 	if n == 0 {
@@ -67,7 +70,7 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 		if s.ligIsH[i] {
 			continue
 		}
-		row := s.interNodes[i]
+		row := s.interTbl[i]
 		var span []dock.PackedAtom
 		if win {
 			span = cands[coffs[i]:coffs[i+1]]
@@ -76,107 +79,68 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 			a := p*stride + i
 			var m int
 			if win && valid[p] {
-				m = dock.FilterSpan(span, xs[a], ys[a], zs[a], cut2, hits)
+				m = dock.FilterSpan(span, xs[a], ys[a], zs[a], cut2, hits, 0)
 			} else {
 				m = s.packed.Gather(chem.V(xs[a], ys[a], zs[a]), cut2, hits)
 			}
 			acc := inter[p]
-			for k := 0; k < m; k++ {
-				h := &hits[k]
-				va := row[h.Cls]
-				x := tables.Coord2(h.R2)
-				ix := int(x)
-				if ix >= tables.NNodes-1 {
-					acc += va[tables.NNodes-1]
-					continue
-				}
-				v := va[ix]
-				acc += v + (x-float64(ix))*(va[ix+1]-v)
+			for _, h := range hits[:m] {
+				acc += row[h.Cls].At2(h.R2)
 			}
 			inter[p] = acc
 		}
 	}
 
-	// Intramolecular terms: pair-major, poses inner, accumulated into
-	// out in table order (identical per-pose addition sequence).
+	// Intramolecular terms, accumulated into out in table order
+	// (identical per-pose addition sequence). A window whose poses are
+	// all valid visits only its live pairs; an escaped pose needs the
+	// whole table, and then the batch walks it for every pose — dead
+	// pairs add no term, so the values are unchanged, and escapes are
+	// the rare fallback.
 	for p := range out {
 		out[p] = 0
 	}
-	if win {
-		live := s.windowIntraLive(b, anchor, bound)
-		for _, kk := range live {
-			pr := &s.intraTbl[kk]
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			for p := 0; p < n; p++ {
-				if !valid[p] {
-					continue
-				}
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
-			}
-		}
-		// Escaped poses rescore every pair in table order — the same
-		// per-pose sequence as the windowless path (per-pose
-		// accumulators are independent, so pose-major order here cannot
-		// mix lanes).
-		for p := 0; p < n; p++ {
-			if valid[p] {
-				continue
-			}
-			base := p * stride
-			for t := range s.intraTbl {
-				pr := &s.intraTbl[t]
-				i, j := int(pr.i), int(pr.j)
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					va := pr.nodes
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
-			}
-		}
-	} else {
-		for _, pr := range s.intraTbl {
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			for p := 0; p < n; p++ {
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
-			}
-		}
+	var pairs []int32
+	if win && !slices.Contains(valid, false) {
+		pairs = b.WindowLivePairs(s, len(s.intraTbl), cutoff, func(k int) (i, j int32) {
+			return s.intraTbl[k].i, s.intraTbl[k].j
+		})
 	}
+	s.intraBatch(xs, ys, zs, stride, pairs, out)
 
 	for p := 0; p < n; p++ {
 		out[p] = inter[p]/s.rotFactor + intraWeight*(out[p]-s.intraRef)
+	}
+}
+
+// intraBatch adds the intramolecular pair terms to out[p]: pair-major,
+// poses inner, so one pair's table segment serves every pose. pairs
+// lists the pairs to visit as ascending indices into s.intraTbl (nil:
+// the whole table), so per pose the terms are added in table order
+// either way.
+//
+// exact: same per-pose addition sequence as intraEnergy
+func (s *Scorer) intraBatch(xs, ys, zs []float64, stride int, pairs []int32, out []float64) {
+	const cut2 = cutoff * cutoff
+	np := len(s.intraTbl)
+	if pairs != nil {
+		np = len(pairs)
+	}
+	for t := 0; t < np; t++ {
+		k := t
+		if pairs != nil {
+			k = int(pairs[t])
+		}
+		pr := &s.intraTbl[k]
+		i, j := int(pr.i), int(pr.j)
+		tbl := pr.tbl
+		for p := range out {
+			base := p * stride
+			pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
+			pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
+			if r2 := pi.Dist2(pj); r2 <= cut2 {
+				out[p] += tbl.At2(r2)
+			}
+		}
 	}
 }

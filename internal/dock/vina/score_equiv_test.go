@@ -57,6 +57,68 @@ func TestScoreMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestScoreLargeReceptor runs the scorer on a receptor above the
+// fine-cell gate of dock.PackedNeighbors (no dataset receptor is), so
+// per-pose Score and ScoreBatch both take the prune-sphere entry walk:
+// Score stays within the table tolerance of the analytic reference,
+// equals ScoreBatch bit for bit, and allocates nothing. The receptor is
+// a seeded jittered 2 Å carbon lattice, 23³ = 12167 atoms.
+func TestScoreLargeReceptor(t *testing.T) {
+	_, lig := setupPair(t, "2HHN", "0E6")
+	r := rand.New(rand.NewSource(2014))
+	rec := &chem.Molecule{Name: "lattice23"}
+	for z := -11; z <= 11; z++ {
+		for y := -11; y <= 11; y++ {
+			for x := -11; x <= 11; x++ {
+				rec.Atoms = append(rec.Atoms, chem.Atom{
+					Element: chem.Carbon, Type: chem.TypeC,
+					Pos: chem.V(2*float64(x)+r.Float64()-0.5, 2*float64(y)+r.Float64()-0.5, 2*float64(z)+r.Float64()-0.5),
+				})
+			}
+		}
+	}
+	s, err := NewScorer(rec, lig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Translations reach past the lattice faces, so some atoms query
+	// clamped boundary cells and some poses leave the guard box.
+	poses := randomPoses(lig, 40, 23)
+	for i := range poses {
+		poses[i].Translation = poses[i].Translation.Scale(3.5)
+	}
+	b := dock.NewBatch(lig, len(poses))
+	for _, p := range poses {
+		b.Append(p)
+	}
+	batch := make([]float64, len(poses))
+	s.ScoreBatch(b, batch)
+	ws := dock.NewWorkspace(lig)
+	scored := 0
+	for k, pose := range poses {
+		coords := ws.Coords(pose)
+		got := s.Score(coords)
+		want := s.ScoreAnalytic(coords)
+		if tol := 0.05 + 1e-3*math.Abs(want); math.Abs(got-want) > tol {
+			t.Errorf("pose %d at %v: table %v analytic %v |Δ|=%g > %g",
+				k, pose.Translation, got, want, math.Abs(got-want), tol)
+		}
+		if batch[k] != got {
+			t.Errorf("pose %d: ScoreBatch %.17g != Score %.17g", k, batch[k], got)
+		}
+		if s.ReportedFEB(coords) != 0 {
+			scored++
+		}
+	}
+	if scored < len(poses)/2 {
+		t.Fatalf("only %d of %d poses touch the lattice", scored, len(poses))
+	}
+	coords := ws.Coords(poses[0])
+	if allocs := testing.AllocsPerRun(20, func() { s.Score(coords) }); allocs != 0 {
+		t.Fatalf("Score allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestReportedFEBSharesInterEnergy checks the Score/ReportedFEB dedupe:
 // for any pose the two must agree on the intermolecular part exactly
 // (same code path), differing only by the internal-energy delta.

@@ -2,6 +2,7 @@ package vina
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chem"
@@ -143,7 +144,7 @@ func (s *Scorer) buildFast() {
 // returned; the lazy precomputation itself is sync.Once-guarded, so
 // concurrent first calls are also safe.
 //
-//unit: out=kcal/mol
+// unit: out=kcal/mol
 func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 	f := s.ensureFast()
 	n := b.Len()
@@ -186,7 +187,7 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 			a := p*stride + i
 			var m int
 			if win && valid[p] {
-				m = dock.FilterSpan(span, xs[a], ys[a], zs[a], cut2, hits)
+				m = dock.FilterSpan(span, xs[a], ys[a], zs[a], cut2, hits, 0)
 			} else {
 				m = s.packed.Gather(chem.V(xs[a], ys[a], zs[a]), cut2, hits)
 			}
@@ -210,63 +211,51 @@ func (s *Scorer) ScoreBatchFast(b *dock.Batch, out []float64) {
 		}
 	}
 
-	if win {
-		// Dead pairs (anchor separation beyond cutoff + 2·bound) are
-		// skipped for valid poses; they contribute no term, so the
-		// per-pose float32 sequence over the surviving pairs is the full
-		// loop's. Escaped poses walk the full list in order.
-		live := s.windowIntraLiveFast(b, f, anchor, bound)
-		for _, kk := range live {
-			pr := &f.intraVar[kk]
-			i, j := int(pr.i), int(pr.j)
-			off := pr.off
-			for p := 0; p < n; p++ {
-				if !valid[p] {
-					continue
-				}
-				at := p * stride
-				dx := xs[at+i] - xs[at+j]
-				dy := ys[at+i] - ys[at+j]
-				dz := zs[at+i] - zs[at+j]
-				if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
-					intra[p] += tables.FastAt(bank, off, r2)
-				}
-			}
-		}
-		for p := 0; p < n; p++ {
-			if valid[p] {
-				continue
-			}
-			at := p * stride
-			for t := range f.intraVar {
-				pr := &f.intraVar[t]
-				i, j := int(pr.i), int(pr.j)
-				dx := xs[at+i] - xs[at+j]
-				dy := ys[at+i] - ys[at+j]
-				dz := zs[at+i] - zs[at+j]
-				if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
-					intra[p] += tables.FastAt(bank, pr.off, r2)
-				}
-			}
-		}
-	} else {
-		for _, pr := range f.intraVar {
-			i, j := int(pr.i), int(pr.j)
-			off := pr.off
-			for p := 0; p < n; p++ {
-				at := p * stride
-				dx := xs[at+i] - xs[at+j]
-				dy := ys[at+i] - ys[at+j]
-				dz := zs[at+i] - zs[at+j]
-				if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
-					intra[p] += tables.FastAt(bank, off, r2)
-				}
-			}
-		}
+	// Dead pairs (anchor separation beyond cutoff + 2·bound) are skipped
+	// when every pose of the window is valid; they contribute no term,
+	// so the per-pose float32 sequence over the surviving pairs is the
+	// full loop's. A batch with an escaped pose walks the full list.
+	var pairs []int32
+	if win && !slices.Contains(valid, false) {
+		pairs = b.WindowLivePairs(f, len(f.intraVar), cutoff, func(k int) (i, j int32) {
+			return f.intraVar[k].i, f.intraVar[k].j
+		})
 	}
+	f.intraBatch(xs, ys, zs, stride, pairs, intra)
 
 	for p := 0; p < n; p++ {
 		out[p] = float64(inter[p])/s.rotFactor +
 			intraWeight*(float64(intra[p])+f.rigidConst-s.intraRef)
+	}
+}
+
+// intraBatch is Scorer.intraBatch over the fast path's cross-unit pair
+// list and merged bank, accumulating in float32: pairs are ascending
+// indices into f.intraVar (nil: all of them), so per pose the terms are
+// added in list order either way.
+func (f *fastState) intraBatch(xs, ys, zs []float64, stride int, pairs []int32, intra []float32) {
+	const cut2 = cutoff * cutoff
+	bank := f.bank
+	np := len(f.intraVar)
+	if pairs != nil {
+		np = len(pairs)
+	}
+	for t := 0; t < np; t++ {
+		k := t
+		if pairs != nil {
+			k = int(pairs[t])
+		}
+		pr := &f.intraVar[k]
+		i, j := int(pr.i), int(pr.j)
+		off := pr.off
+		for p := range intra {
+			at := p * stride
+			dx := xs[at+i] - xs[at+j]
+			dy := ys[at+i] - ys[at+j]
+			dz := zs[at+i] - zs[at+j]
+			if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
+				intra[p] += tables.FastAt(bank, off, r2)
+			}
+		}
 	}
 }

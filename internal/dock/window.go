@@ -56,7 +56,7 @@ func (b *Batch) SetWindow(anchor Pose) float64 {
 // anchor is ≤ D. A non-positive bound deactivates the window path
 // (Window reports ok=false) without discarding the anchor.
 //
-//unit: d=Å
+// unit: d=Å
 func (b *Batch) SetWindowBound(d float64) {
 	b.win.bound = d
 	b.win.bound2 = d * d
@@ -146,84 +146,42 @@ func (b *Batch) WindowGatherScratch(owner any, nOffs int) (cands *[]PackedAtom, 
 	return &b.win.cands, b.win.offs
 }
 
-// WindowPairs returns the live intramolecular pair index list an engine
-// classified for the current window, or ok=false when absent. Same
-// ownership discipline as WindowGather; the indices point into the
-// owner's own pair table.
-func (b *Batch) WindowPairs(owner any) ([]int32, bool) {
-	if !b.win.set || b.win.pairOwner != owner || b.win.pairStamp != b.win.stamp {
-		return nil, false
-	}
-	return b.win.pairs, true
-}
+// winSlack widens the live-pair threshold so floating-point rounding of
+// the anchor-distance test can never contradict the real-arithmetic
+// triangle-inequality argument; 1e-2 Å dwarfs every rounding term at
+// Å-scale coordinates.
+const winSlack = 1e-2
 
-// WindowPairScratch claims the live-pair cache for owner and the
-// current window, returning the index buffer reset to length zero.
-func (b *Batch) WindowPairScratch(owner any) *[]int32 {
+// WindowLivePairs returns the current window's live intramolecular
+// pairs as ascending indices k ∈ [0, n) into the owner's pair table,
+// whose entry k joins the two atoms that atoms(k) returns. A pair is
+// dead when its anchor separation exceeds cutoff + 2·bound: each atom
+// of a WindowValid pose moves at most bound from its anchor position,
+// so the pair distance shrinks by at most 2·bound and a dead pair stays
+// beyond the cutoff for every valid pose, contributing nothing. Live
+// pairs keep table order, so skipping the dead ones cannot change a
+// valid pose's accumulation sequence. The list is classified once per
+// (owner, window) and cached on the batch; owner identity keeps the
+// exact and fast kernels, which index different pair tables, from
+// consuming each other's list. Only meaningful while Window reports
+// ok.
+//
+// unit: cutoff=Å
+func (b *Batch) WindowLivePairs(owner any, n int, cutoff float64, atoms func(k int) (i, j int32)) []int32 {
+	if b.win.pairOwner == owner && b.win.pairStamp == b.win.stamp {
+		return b.win.pairs
+	}
 	b.win.pairOwner = owner
 	b.win.pairStamp = b.win.stamp
-	b.win.pairs = b.win.pairs[:0]
-	return &b.win.pairs
-}
-
-// FilterSpan collects into hits every candidate of the shared-gather
-// span within cut2 of the query point, preserving span order, and
-// returns the count. It is the windowed counterpart of
-// PackedNeighbors.Gather's candidate walk — the same squared-distance
-// expression, the same exact r² ≤ cut² test, the same branch-free
-// unconditional-store/conditional-advance idiom — so for a pose whose
-// true neighbors are all present in the span (which WindowValid plus
-// the inflated-reach gather guarantee), the emitted hit sequence is bit
-// for bit the one Gather emits. hits follows the Batch.Hits contract
-// (power-of-two length ≥ len(sp)).
-//
-//unit: cut2=Å2
-func FilterSpan(sp []PackedAtom, px, py, pz, cut2 float64, hits []Hit) int {
-	mask := len(hits) - 1
-	m := 0
-	j := 0
-	for ; j+1 < len(sp); j += 2 {
-		ra := &sp[j]
-		rb := &sp[j+1]
-		dx0 := ra.X - px
-		dy0 := ra.Y - py
-		dz0 := ra.Z - pz
-		r20 := dx0*dx0 + dy0*dy0 + dz0*dz0
-		h := &hits[m&mask]
-		h.R2 = r20
-		h.Cls = ra.Cls
-		hit := 0
-		if r20 <= cut2 {
-			hit = 1
+	live := b.win.pairs[:0]
+	thr := cutoff + 2*b.win.bound + winSlack
+	thr2 := thr * thr
+	for k := 0; k < n; k++ {
+		i, j := atoms(k)
+		if b.win.anchor[i].Dist2(b.win.anchor[j]) <= thr2 {
+			live = append(live, int32(k))
 		}
-		m += hit
-		dx1 := rb.X - px
-		dy1 := rb.Y - py
-		dz1 := rb.Z - pz
-		r21 := dx1*dx1 + dy1*dy1 + dz1*dz1
-		h = &hits[m&mask]
-		h.R2 = r21
-		h.Cls = rb.Cls
-		hit = 0
-		if r21 <= cut2 {
-			hit = 1
-		}
-		m += hit
 	}
-	if j < len(sp) {
-		ra := &sp[j]
-		dx := ra.X - px
-		dy := ra.Y - py
-		dz := ra.Z - pz
-		r2 := dx*dx + dy*dy + dz*dz
-		h := &hits[m&mask]
-		h.R2 = r2
-		h.Cls = ra.Cls
-		hit := 0
-		if r2 <= cut2 {
-			hit = 1
-		}
-		m += hit
-	}
-	return m
+	b.win.pairs = live
+	return live
 }

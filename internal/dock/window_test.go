@@ -42,7 +42,7 @@ func TestGatherSharedSupersetRandomWindows(t *testing.T) {
 
 		span = span[:0]
 		pn.GatherShared(anchor, cutoff+bound, &span)
-		nf := FilterSpan(span, q.X, q.Y, q.Z, cutoff*cutoff, fHits)
+		nf := FilterSpan(span, q.X, q.Y, q.Z, cutoff*cutoff, fHits, 0)
 		ng := pn.Gather(q, cutoff*cutoff, gHits)
 		if nf != ng {
 			t.Fatalf("trial %d (anchor %v bound %.3f): FilterSpan found %d hits, Gather %d",
@@ -89,7 +89,7 @@ func TestGatherSharedBeyondBoundStillExact(t *testing.T) {
 		q := anchor.Add(dir.Scale(bound * (2 + 2*r.Float64())))
 		span = span[:0]
 		pn.GatherShared(anchor, cutoff+bound, &span)
-		nf := FilterSpan(span, q.X, q.Y, q.Z, cutoff*cutoff, fHits)
+		nf := FilterSpan(span, q.X, q.Y, q.Z, cutoff*cutoff, fHits, 0)
 		ng := pn.Gather(q, cutoff*cutoff, gHits)
 		if nf < ng {
 			missed = true

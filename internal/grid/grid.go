@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/chem"
+	"repro/internal/dock"
 	"repro/internal/dock/tables"
 	"repro/internal/parallel"
 )
@@ -181,7 +182,7 @@ func receptorAtomType(a *chem.Atom) chem.AtomType {
 type generator struct {
 	spec        Spec
 	origin      chem.Vec3
-	cells       *cellList
+	cells       *dock.NeighborList
 	charge      []float64          // per receptor atom
 	dcoef       []float64          // per receptor atom, desolvation prefactor
 	typeIdx     []int32            // per receptor atom, index into pairTbl rows
@@ -202,6 +203,7 @@ func (g *generator) slab(k int, affin []float64) {
 	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
 	idx := k * nx * ny
 	z := g.origin.Z + float64(k)*g.spec.Spacing
+	cellIdx, atoms := g.cells.Indices(), g.cells.Positions()
 	var spans [27][2]int32
 	for j := 0; j < ny; j++ {
 		y := g.origin.Y + float64(j)*g.spec.Spacing
@@ -211,10 +213,10 @@ func (g *generator) slab(k int, affin []float64) {
 			for pi := range affin {
 				affin[pi] = 0
 			}
-			ns := g.cells.spans(p, &spans)
+			ns := g.cells.Spans(p, &spans)
 			for s := 0; s < ns; s++ {
-				for _, ai := range g.cells.idx[spans[s][0]:spans[s][1]] {
-					r2 := g.cells.atoms[ai].Dist2(p)
+				for _, ai := range cellIdx[spans[s][0]:spans[s][1]] {
+					r2 := atoms[ai].Dist2(p)
 					if r2 > cut2 {
 						continue
 					}
@@ -259,7 +261,7 @@ func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, 
 	g := &generator{
 		spec:   spec,
 		origin: spec.Origin(),
-		cells:  buildCellList(receptor, interactionCutoff),
+		cells:  dock.NewNeighborList(receptor, interactionCutoff),
 	}
 
 	// Per-atom coefficients and a dense receptor-type index so the

@@ -50,6 +50,17 @@ func TestSpecOrigin(t *testing.T) {
 
 func vecClose(a, b chem.Vec3, tol float64) bool { return a.Dist(b) <= tol }
 
+// carbonField resolves the TypeC affinity lattice every lookup test
+// reads.
+func carbonField(t *testing.T, m *Maps) Field {
+	t.Helper()
+	f, err := m.AffinityField(chem.TypeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestGenerateAndInterpolate(t *testing.T) {
 	rec := preparedReceptor(t, "2HHN")
 	spec := smallSpec(rec)
@@ -63,10 +74,8 @@ func TestGenerateAndInterpolate(t *testing.T) {
 	// Lattice-point lookups equal stored values (interpolation exact
 	// at nodes): probe the centre.
 	c := spec.Center
-	v, err := maps.AffinityAt(chem.TypeC, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	carbon := carbonField(t, maps)
+	v := carbon.At(c)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("affinity at centre = %v", v)
 	}
@@ -78,15 +87,14 @@ func TestGenerateAndInterpolate(t *testing.T) {
 	if maps.InBox(far) {
 		t.Error("far point in box")
 	}
-	got, err := maps.AffinityAt(chem.TypeC, far)
-	if err != nil || got != OutOfBoxPenalty {
-		t.Errorf("out-of-box affinity = %v, %v", got, err)
+	if got := carbon.At(far); got != OutOfBoxPenalty {
+		t.Errorf("out-of-box affinity = %v", got)
 	}
-	if maps.ElectrostaticAt(far) != OutOfBoxPenalty {
+	if maps.ElectrostaticField().At(far) != OutOfBoxPenalty {
 		t.Error("out-of-box electrostatics not penalized")
 	}
 	// Missing map type errors.
-	if _, err := maps.AffinityAt(chem.TypeZn, c); err == nil {
+	if _, err := maps.AffinityField(chem.TypeZn); err == nil {
 		t.Error("missing map accepted")
 	}
 }
@@ -118,13 +126,14 @@ func TestInterpolationContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	carbon := carbonField(t, maps)
 	r := rand.New(rand.NewSource(5))
 	o := spec.Origin()
 	extent := float64(spec.NPts[0]-2) * spec.Spacing
 	for i := 0; i < 200; i++ {
 		p := o.Add(chem.V(r.Float64()*extent, r.Float64()*extent, r.Float64()*extent))
-		v1, _ := maps.AffinityAt(chem.TypeC, p)
-		v2, _ := maps.AffinityAt(chem.TypeC, p.Add(chem.V(1e-7, 0, 0)))
+		v1 := carbon.At(p)
+		v2 := carbon.At(p.Add(chem.V(1e-7, 0, 0)))
 		if math.Abs(v1-v2) > 1 {
 			t.Fatalf("discontinuity at %v: %v vs %v", p, v1, v2)
 		}
@@ -145,11 +154,7 @@ func TestPocketIsAttractive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := maps.AffinityAt(chem.TypeC, chem.Vec3{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v >= 0 {
+	if v := carbonField(t, maps).At(chem.Vec3{}); v >= 0 {
 		t.Errorf("pocket centre affinity = %v (pocket radius %.1f), want attractive", v, info.PocketR)
 	}
 }
@@ -204,8 +209,8 @@ func TestMapFileRoundTrip(t *testing.T) {
 	}
 	// Values survive within write precision at a lattice node.
 	p := spec.Origin()
-	v1, _ := maps.AffinityAt(chem.TypeC, p)
-	v2, _ := got.AffinityAt(chem.TypeC, p)
+	v1 := carbonField(t, maps).At(p)
+	v2 := carbonField(t, got).At(p)
 	// Out-of-precision clamped values still match within 0.01.
 	if math.Abs(v1-v2) > 0.01 && math.Abs(v1-v2)/math.Abs(v1+1e-12) > 1e-3 {
 		t.Errorf("value drift: %v vs %v", v1, v2)
@@ -285,40 +290,6 @@ func TestTypesDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestCellListCoversAllAtoms(t *testing.T) {
-	rec := preparedReceptor(t, "9PAP")
-	cl := buildCellList(rec, 8)
-	// Querying at every atom position must at least see that atom.
-	for i, a := range rec.Atoms {
-		found := false
-		cl.forNeighbors(a.Pos, func(j int) {
-			if j == i {
-				found = true
-			}
-		})
-		if !found {
-			t.Fatalf("atom %d not found by its own query", i)
-		}
-	}
-	// Cell list must agree with brute force within the cutoff.
-	q := rec.Centroid()
-	brute := map[int]bool{}
-	for i, a := range rec.Atoms {
-		if a.Pos.Dist(q) <= 8 {
-			brute[i] = true
-		}
-	}
-	got := map[int]bool{}
-	cl.forNeighbors(q, func(j int) {
-		if rec.Atoms[j].Pos.Dist(q) <= 8 {
-			got[j] = true
-		}
-	})
-	if len(got) != len(brute) {
-		t.Fatalf("cell list found %d atoms in cutoff, brute force %d", len(got), len(brute))
-	}
-}
-
 // The table-backed Generate must agree with the serial analytic
 // reference at every lattice node within the table error bound.
 func TestGenerateMatchesReference(t *testing.T) {
@@ -379,58 +350,6 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if !bytes.Equal(mapBytes(m), want) {
 			t.Fatalf("map files differ between 1 and %d workers", workers)
-		}
-	}
-}
-
-// The cutoff-expanded bounding-box guard must not lose neighbours for
-// points just outside each box face, and must early-out just beyond
-// the expanded box.
-func TestCellListBoundaryFaces(t *testing.T) {
-	rec := preparedReceptor(t, "1CSB")
-	cl := buildCellList(rec, 8)
-	min, max := chem.BoundingBox(rec.Positions())
-	mid := min.Lerp(max, 0.5)
-	const eps = 1e-6
-	probes := []struct {
-		name    string
-		p       chem.Vec3
-		outside bool // beyond the cutoff-expanded box: zero visits
-	}{
-		{"x-lo-in", chem.V(min.X-8+eps, mid.Y, mid.Z), false},
-		{"x-hi-in", chem.V(max.X+8-eps, mid.Y, mid.Z), false},
-		{"y-lo-in", chem.V(mid.X, min.Y-8+eps, mid.Z), false},
-		{"y-hi-in", chem.V(mid.X, max.Y+8-eps, mid.Z), false},
-		{"z-lo-in", chem.V(mid.X, mid.Y, min.Z-8+eps), false},
-		{"z-hi-in", chem.V(mid.X, mid.Y, max.Z+8-eps), false},
-		{"x-lo-out", chem.V(min.X-8-eps, mid.Y, mid.Z), true},
-		{"x-hi-out", chem.V(max.X+8+eps, mid.Y, mid.Z), true},
-		{"y-lo-out", chem.V(mid.X, min.Y-8-eps, mid.Z), true},
-		{"y-hi-out", chem.V(mid.X, max.Y+8+eps, mid.Z), true},
-		{"z-lo-out", chem.V(mid.X, mid.Y, min.Z-8-eps), true},
-		{"z-hi-out", chem.V(mid.X, mid.Y, max.Z+8+eps), true},
-	}
-	for _, tc := range probes {
-		visited := 0
-		cl.forNeighbors(tc.p, func(int) { visited++ })
-		if tc.outside && visited != 0 {
-			t.Errorf("%s: visited %d atoms beyond the expanded box", tc.name, visited)
-		}
-		// Cross-check against brute force within the cutoff.
-		brute := 0
-		for _, a := range rec.Atoms {
-			if a.Pos.Dist(tc.p) <= 8 {
-				brute++
-			}
-		}
-		inCutoff := 0
-		cl.forNeighbors(tc.p, func(j int) {
-			if rec.Atoms[j].Pos.Dist(tc.p) <= 8 {
-				inCutoff++
-			}
-		})
-		if inCutoff != brute {
-			t.Errorf("%s: cell list found %d atoms within cutoff, brute force %d", tc.name, inCutoff, brute)
 		}
 	}
 }
@@ -526,19 +445,18 @@ func TestMehlerSolmajerDielectric(t *testing.T) {
 	}
 }
 
-// Field resolution must be bit-equal to the per-call accessors, inside
-// the box and on the out-of-box penalty path.
-func TestFieldMatchesAccessors(t *testing.T) {
+// InterAccum — the AD4 scorers' intermolecular kernel, per pose and
+// batched — must be bit-equal to the weighted Field.At reads it
+// replaces, added in vdW/electrostatic/desolvation order, inside the
+// box and on the out-of-box penalty path, whatever the stride.
+func TestInterAccumMatchesFieldAt(t *testing.T) {
 	rec := preparedReceptor(t, "2HHN")
 	spec := smallSpec(rec)
 	m, err := GenerateWorkers(rec, spec, []chem.AtomType{chem.TypeC, chem.TypeOA}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fC, err := m.AffinityField(chem.TypeC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fC := carbonField(t, m)
 	fe, fd := m.ElectrostaticField(), m.DesolvationField()
 	r := rand.New(rand.NewSource(31))
 	span := chem.V(
@@ -546,28 +464,37 @@ func TestFieldMatchesAccessors(t *testing.T) {
 		float64(spec.NPts[1]-1)*spec.Spacing,
 		float64(spec.NPts[2]-1)*spec.Spacing,
 	)
-	for i := 0; i < 500; i++ {
+	const n, stride = 500, 3
+	const wv, wq, wdq = 0.1662, -0.05, 0.02
+	xs, ys, zs := make([]float64, n*stride), make([]float64, n*stride), make([]float64, n*stride)
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
 		// Mostly inside the box, sometimes outside (penalty path).
 		p := spec.Origin().Add(chem.V(
 			(r.Float64()*1.2-0.1)*span.X,
 			(r.Float64()*1.2-0.1)*span.Y,
 			(r.Float64()*1.2-0.1)*span.Z,
 		))
-		aff, err := m.AffinityAt(chem.TypeC, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fC.At(p); got != aff {
-			t.Fatalf("AffinityField.At %v != AffinityAt %v", got, aff)
-		}
-		if got := fe.At(p); got != m.ElectrostaticAt(p) {
-			t.Fatal("ElectrostaticField.At diverges")
-		}
-		if got := fd.At(p); got != m.DesolvationAt(p) {
-			t.Fatal("DesolvationField.At diverges")
+		xs[i*stride], ys[i*stride], zs[i*stride] = p.X, p.Y, p.Z
+		want[i] = 1 // a running sum the terms are added to in turn
+		want[i] += wv * fC.At(p)
+		want[i] += wq * fe.At(p)
+		want[i] += wdq * fd.At(p)
+
+		one := []float64{1}
+		m.InterAccum(fC, []float64{p.X}, []float64{p.Y}, []float64{p.Z}, 1, wv, wq, wdq, one)
+		if one[0] != want[i] {
+			t.Fatalf("point %d: one-pose InterAccum %v != Field.At sum %v", i, one[0], want[i])
 		}
 	}
-	if _, err := m.AffinityField(chem.TypeZn); err == nil {
-		t.Fatal("AffinityField for missing type must error")
+	got := make([]float64, n)
+	for i := range got {
+		got[i] = 1
+	}
+	m.InterAccum(fC, xs, ys, zs, stride, wv, wq, wdq, got)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("point %d: batched InterAccum %v != Field.At sum %v", i, got[i], want[i])
+		}
 	}
 }

@@ -18,9 +18,9 @@ func (m *Maps) InBox(p chem.Vec3) bool {
 }
 
 // Field is one resolved map lattice: the map-name lookup done once, so
-// a hot loop — the batched AD4 scorer interpolates every ligand atom
-// against three fields per pose — pays only the trilinear gather per
-// call instead of a per-call map-key hash. The zero Field is invalid;
+// the AD4 scorer hands InterAccum its atoms' affinity lattices without
+// a per-call map-key hash, and At reads one lattice at one point — the
+// reference InterAccum is pinned against. The zero Field is invalid;
 // obtain one from AffinityField / ElectrostaticField /
 // DesolvationField.
 type Field struct {
@@ -54,41 +54,21 @@ func (m *Maps) DesolvationField() Field {
 	return Field{m: m, sl: m.desolv}
 }
 
-// AffinityAt returns the trilinearly interpolated affinity of the
-// probe type at p, or OutOfBoxPenalty outside the grid. Requesting a
-// type without a map returns an error (a workflow wiring bug).
-func (m *Maps) AffinityAt(t chem.AtomType, p chem.Vec3) (float64, error) {
-	f, err := m.AffinityField(t)
-	if err != nil {
-		return 0, err
-	}
-	return f.At(p), nil
-}
-
-// ElectrostaticAt returns the interpolated electrostatic potential
-// (per unit charge) at p.
-func (m *Maps) ElectrostaticAt(p chem.Vec3) float64 {
-	return m.ElectrostaticField().At(p)
-}
-
-// DesolvationAt returns the interpolated desolvation energy at p.
-func (m *Maps) DesolvationAt(p chem.Vec3) float64 {
-	return m.DesolvationField().At(p)
-}
-
 // InterAccum accumulates one ligand atom's three weighted
 // intermolecular terms across a batch of poses:
 //
 //	acc[p] += wv·affinity(pt) + wq·electrostatic(pt) + wdq·desolvation(pt)
 //
 // where pt is (xs[p·stride], ys[p·stride], zs[p·stride]) — the caller
-// passes component slices pre-offset to the atom. Each term triple is
-// evaluated exactly as InterTerms (one shared trilinear stencil,
-// Field.At's lerp chain per lattice), and the three weighted products
-// are added to acc[p] in the vdW/electrostatic/desolvation order of
-// the scalar scorer, so accumulation is bit-identical to it. Hoisting
-// the grid geometry out of the pose loop is the point: the per-pose
-// body is stencil arithmetic and lattice loads only.
+// passes component slices pre-offset to the atom; the per-pose AD4
+// scorer is the one-pose case, stride 1 over one-element slices. The
+// three lattices share one trilinear stencil, each is read with
+// Field.At's lerp chain, and the weighted products are added to acc[p]
+// in vdW/electrostatic/desolvation order, so every term is
+// bit-identical to wv·aff.At(pt), wq·ElectrostaticField().At(pt),
+// wdq·DesolvationField().At(pt) added in turn. Hoisting the grid
+// geometry out of the pose loop is the point: the per-pose body is
+// stencil arithmetic and lattice loads only.
 func (m *Maps) InterAccum(aff Field, xs, ys, zs []float64, stride int, wv, wq, wdq float64, acc []float64) {
 	interAccum(m, aff.sl, m.elec, m.desolv, xs, ys, zs, stride, wv, wq, wdq, acc)
 }

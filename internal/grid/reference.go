@@ -1,9 +1,8 @@
 package grid
 
 import (
-	"math"
-
 	"repro/internal/chem"
+	"repro/internal/dock"
 )
 
 // GenerateReference is the serial analytic AutoGrid path: identical
@@ -17,7 +16,7 @@ func GenerateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType
 	if err != nil {
 		return nil, err
 	}
-	cells := buildCellList(receptor, interactionCutoff)
+	cells := dock.NewNeighborList(receptor, interactionCutoff)
 	probes := make([]chem.TypeParams, 0, len(probeTypes))
 	probeSlices := make([][]float64, 0, len(probeTypes))
 	for _, t := range probeTypes {
@@ -37,13 +36,8 @@ func GenerateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType
 				))
 				var elec, desolv float64
 				affin := make([]float64, len(probes))
-				cells.forNeighbors(p, func(ai int) {
+				cells.ForNeighbors(p, func(ai int, r float64) {
 					a := &receptor.Atoms[ai]
-					r2 := a.Pos.Dist2(p)
-					if r2 > interactionCutoff*interactionCutoff {
-						return
-					}
-					r := math.Sqrt(r2)
 					if r < 0.5 {
 						r = 0.5 // AutoGrid's rmin clamp
 					}

@@ -113,8 +113,8 @@ func builtinDimSeeds() *dimSeeds {
 	const chem = "repro/internal/chem"
 	return &dimSeeds{
 		funcs: map[string]*dimSig{
-			tables + ".Radial.At2":       {params: map[string]unit{"r2": uAngstrom2}},
-			tables + ".PairEnergy":       {params: map[string]unit{"r": uAngstrom}, result: uEnergy},
+			tables + ".Radial.At2": {params: map[string]unit{"r2": uAngstrom2}},
+			tables + ".PairEnergy": {params: map[string]unit{"r": uAngstrom}, result: uEnergy},
 			tables + ".PairEnergySmoothed": {
 				params: map[string]unit{"r": uAngstrom, "smooth": uAngstrom}, result: uEnergy},
 			tables + ".Dielectric": {params: map[string]unit{"r": uAngstrom}, result: uScalar},
@@ -145,16 +145,8 @@ func (p *Pass) DimSeedsFor() *dimSeeds {
 // unitDirective extracts the payload of a //unit: line in a comment
 // group, or "".
 func unitDirective(cg *ast.CommentGroup) string {
-	if cg == nil {
-		return ""
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, ok := strings.CutPrefix(text, "unit:"); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
+	payload, _ := docDirective(cg, "unit")
+	return payload
 }
 
 // parseDimSig parses "r=Å r2=Å2 result=kcal/mol".

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ExactFlow guards the bit-exactness contracts. A function whose doc
@@ -38,17 +37,10 @@ var ExactFlow = &Analyzer{
 }
 
 // exactDirective reports whether the function's doc comment carries
-// an //exact: directive (directive form: no space after //).
+// an //exact: directive.
 func exactDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, "//exact:") {
-			return true
-		}
-	}
-	return false
+	_, ok := docDirective(fd.Doc, "exact")
+	return ok
 }
 
 func runExactFlow(pass *Pass) {

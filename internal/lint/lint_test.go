@@ -171,6 +171,13 @@ func scoreExact(xs []float64, acc []float32) float64 {
 	return float64(v)
 }
 `},
+		{"gofmt_spelling_still_checked", `package p
+
+// exact: bit-identical to the reference path
+func scoreExact(xs []float64) float64 {
+	return float64(float32(xs[0])) // want "float32 conversion inside //exact: function"
+}
+`},
 		{"widening_and_plain_float64_exempt", `package p
 
 //exact: bit-identical to the reference path
@@ -851,6 +858,11 @@ func TestFixturePackages(t *testing.T) {
 		if perPkg["sick"][an] == 0 {
 			t.Errorf("sick fixture produced no %s finding; got %v", an, perPkg["sick"])
 		}
+	}
+	// Two from ScoreWindowExact (//exact:), one from ScorePoseExact
+	// (// exact:, the spelling gofmt rewrites the directive to).
+	if got := perPkg["sick"]["exactflow"]; got != 3 {
+		t.Errorf("sick fixture produced %d exactflow findings, want 3", got)
 	}
 	for _, an := range []string{"wildrand", "detflow"} {
 		if perPkg["dock"][an] == 0 {

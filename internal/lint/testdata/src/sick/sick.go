@@ -207,6 +207,19 @@ func ScoreWindowExact(out []float64, terms []float64) {
 	out[0] = float64(acc)
 }
 
+// ScorePoseExact carries the directive in the spelling gofmt leaves
+// behind (a space after the slashes); its float32 narrowing must be
+// flagged all the same (exactflow, error).
+//
+// exact: bit-identical to the batched path
+func ScorePoseExact(terms []float64) float64 {
+	var sum float64
+	for _, t := range terms {
+		sum += float64(float32(t))
+	}
+	return sum
+}
+
 // WindowGatherCount mirrors the incumbent-anchored gather admission
 // test: it compares each atom's squared displacement from the window
 // anchor against the plain Å displacement bound — Å² against Å, the

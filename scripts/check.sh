@@ -26,11 +26,13 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # Focused re-run of the kernel contracts outside the cached suite:
+# the per-pose score and search-trajectory digests, the candidate walk
+# on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
 # the 0-ULP batched-kinematics pin, the fast-path tolerance envelopes,
 # and the 0-ULP window gather.
-echo "==> kernel contract smoke (FastPath/TorsionsBatch/WindowScoreBatch)"
-go test -run 'FastPath|TorsionsBatch|WindowScoreBatch' -count=1 \
-	./internal/chem ./internal/dock/vina ./internal/dock/ad4
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/FastPath/TorsionsBatch/WindowScoreBatch)"
+go test -run 'ScoreGolden|TrajectoryGolden|PackedSpans|FastPath|TorsionsBatch|WindowScoreBatch' -count=1 \
+	./internal/chem ./internal/dock ./internal/dock/vina ./internal/dock/ad4
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
