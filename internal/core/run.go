@@ -73,9 +73,9 @@ type Config struct {
 	Adaptive        *sched.AdaptivePolicy
 	Parallelism     int
 	DisableFailures bool
-	// Runtime selects the execution engine: the pipelined dataflow
-	// runtime (default) or the legacy stage-barrier executor, kept for
-	// ablation.
+	// Runtime selects the engine's stage policy: pipelined dataflow
+	// (default) or a barrier between stages, kept for ablation. One
+	// executor runs both.
 	Runtime engine.Runtime
 	// OnStageComplete receives runtime-steering snapshots after each
 	// activity stage (§IV.B's runtime provenance monitoring).

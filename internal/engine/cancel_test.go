@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/internal/parallel"
+	"repro/internal/sched"
 	"repro/internal/workflow"
 )
 
@@ -67,53 +69,65 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
+// cancelAtPlace cancels the run from inside the dispatcher's n-th
+// placement, so how far the run got is the same on every schedule.
+type cancelAtPlace struct {
+	sched.Scheduler
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtPlace) Place(now float64, a sched.Activation, fleet []*cloud.VM) (sched.Placement, error) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Scheduler.Place(now, a, fleet)
+}
+
 // TestRunContextCancelMidFlight cancels while bodies are blocked
 // in-flight: the run must return ErrCancelled with a partial report,
-// close the pending tail as ABORTED in provenance, and release every
-// CPU token back to the campaign's account.
+// close the pending tail as ABORTED in provenance — under the barrier
+// that includes the children parked for the next stage — and release
+// every CPU token back to the campaign's account.
 func TestRunContextCancelMidFlight(t *testing.T) {
-	started := make(chan struct{}, 32)
-	release := make(chan struct{})
-	w := toyWorkflow()
-	inner := w.Activities[0].Run
-	w.Activities[0].Run = func(in workflow.Tuple) (*workflow.ActivationResult, error) {
-		started <- struct{}{}
-		<-release
-		return inner(in)
-	}
+	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := toyWorkflow()
+		inner := w.Activities[1].Run
+		w.Activities[1].Run = func(in workflow.Tuple) (*workflow.ActivationResult, error) {
+			<-ctx.Done() // in flight when the cancel lands
+			return inner(in)
+		}
 
-	pool := parallel.NewPool(4)
-	acct := pool.NewAccount()
-	defer acct.Close()
-	e, err := New(Options{Cores: 4, Parallelism: 2, Tokens: acct})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-started // at least one body is in flight
-		cancel()
-		close(release)
-	}()
-	rep, err := e.RunContext(ctx, w, inputRelation(8))
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if rep == nil {
-		t.Fatal("cancelled run returned nil report")
-	}
-	if rep.Aborted < 1 {
-		t.Errorf("mid-flight cancel aborted %d activations, want ≥ 1", rep.Aborted)
-	}
-	if got := abortedRows(t, e); got < 1 {
-		t.Errorf("%d cancel-aborted prov rows, want ≥ 1", got)
-	}
-	if held := acct.Held(); held != 0 {
-		t.Errorf("campaign account still holds %d tokens after cancel", held)
-	}
-	if inUse := pool.InUse(); inUse != 0 {
-		t.Errorf("pool still has %d tokens out after cancel", inUse)
+		pool := parallel.NewPool(4)
+		acct := pool.NewAccount()
+		e, err := New(Options{Cores: 4, Runtime: rt, Parallelism: 2, Tokens: acct,
+			Scheduler: &cancelAtPlace{Scheduler: sched.NewGreedy(), n: 3, cancel: cancel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.RunContext(ctx, w, inputRelation(8))
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("runtime %v: err = %v, want ErrCancelled", rt, err)
+		}
+		if rep == nil {
+			t.Fatalf("runtime %v: cancelled run returned nil report", rt)
+		}
+		// Three babel activations were placed; the other five and the
+		// three configprep children they spawned drain as ABORTED.
+		if rep.Activations != 11 || rep.Aborted != 8 {
+			t.Errorf("runtime %v: activations/aborted = %d/%d, want 11/8", rt, rep.Activations, rep.Aborted)
+		}
+		if got := abortedRows(t, e); got != 8 {
+			t.Errorf("runtime %v: %d cancel-aborted prov rows, want 8", rt, got)
+		}
+		if held := acct.Held(); held != 0 {
+			t.Errorf("runtime %v: campaign account still holds %d tokens after cancel", rt, held)
+		}
+		if inUse := pool.InUse(); inUse != 0 {
+			t.Errorf("runtime %v: pool still has %d tokens out after cancel", rt, inUse)
+		}
+		acct.Close()
 	}
 }
 

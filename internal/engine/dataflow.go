@@ -13,21 +13,27 @@ import (
 	"repro/internal/workflow"
 )
 
-// Runtime selects Engine.Run's execution strategy.
+// Runtime selects the stage policy of Engine.Run's one executor.
 type Runtime int
 
 const (
-	// RuntimeDataflow is the pipelined per-tuple runtime (default):
+	// RuntimeDataflow is the pipelined per-tuple policy (default):
 	// every (activity, tuple) activation flows downstream the moment
 	// its own predecessors finish, as SciCumulus dispatches
 	// activations. Reduce is the only barrier, and only per
 	// group-key.
 	RuntimeDataflow Runtime = iota
-	// RuntimeBarrier is the legacy stage-synchronized executor, kept
-	// for ablation (bench/ reports it as engine.barrier_tet_s beside
-	// the dataflow virtual_tet_s).
+	// RuntimeBarrier gates the same dispatcher into stages, kept for
+	// ablation (bench/ reports it as engine.barrier_tet_s beside the
+	// dataflow virtual_tet_s): an activity's activations stay parked
+	// until the activity before it in topological order has closed,
+	// then start together on an idle fleet at the frontier.
 	RuntimeBarrier
 )
+
+// errNoResult classifies a body that returned neither a result nor an
+// error: a FAILED activation, not a nil dereference in the dispatcher.
+var errNoResult = errors.New("activation returned no result")
 
 // dfNode is one activation of the dataflow DAG: an (activity, tuple)
 // pair whose real body runs on the wall-clock worker pool while its
@@ -103,7 +109,7 @@ func (h *dfHeap) Pop() any {
 	return n
 }
 
-// dataflow is the per-run state of the pipelined runtime.
+// dataflow is the per-run state of the executor.
 //
 // Two planes share it. The wall-clock plane — a bounded worker pool —
 // runs activity bodies (the real chemistry) and spawns children the
@@ -116,14 +122,21 @@ func (h *dfHeap) Pop() any {
 // parent's own ready time: the queue minimum is always safe to place,
 // so the virtual timeline is a pure function of the DAG and the cost
 // model, independent of goroutine interleaving.
+//
+// RuntimeBarrier changes the virtual plane only: nodes reach the ready
+// queue a whole activity at a time (see open), everything else — pool,
+// steering, failure classification, provenance, cancellation — is the
+// same code.
 type dataflow struct {
-	e     *Engine
-	ctx   context.Context
-	wkfid int64
-	order []*workflow.Activity
-	ids   []int64 // hactivity ids, by topo index
-	deps  [][]int // downstream activity indexes, by topo index
-	fleet []*cloud.VM
+	e       *Engine
+	ctx     context.Context
+	wkfid   int64
+	barrier bool // RuntimeBarrier: stages open one at a time
+	order   []*workflow.Activity
+	idx     map[string]int // activity tag → topo index
+	ids     []int64        // hactivity ids, by topo index
+	deps    [][]int        // downstream activity indexes, by topo index
+	fleet   []*cloud.VM
 
 	mu        sync.Mutex
 	workCond  *sync.Cond // wakes pool workers: queue grew, cancel or shutdown
@@ -134,8 +147,10 @@ type dataflow struct {
 
 	// Dispatcher-only state (no lock: single goroutine).
 	ready      dfHeap
-	openSrc    []int // upstream activities not yet closed
-	registered []int // nodes ever added to the ready queue
+	succ       [][]int     // activities that lose an open source when this one closes
+	openSrc    []int       // activities that must close before this one opens
+	held       [][]*dfNode // nodes parked until their activity opens
+	registered []int       // nodes ever added to the ready queue
 	placed     []int
 	closed     []bool
 	stats      []ActivityStats
@@ -147,25 +162,24 @@ type dataflow struct {
 	placeSeq   int
 }
 
-// runDataflow executes the workflow on the pipelined runtime. clock
-// holds the workflow's virtual start (post-boot) on entry and the
-// virtual completion frontier on return.
+// runDataflow executes the workflow. clock holds the workflow's
+// virtual start (post-boot) on entry and the virtual completion
+// frontier on return.
 func (e *Engine) runDataflow(ctx context.Context, order []*workflow.Activity, actIDs map[string]int64, wkfid int64,
 	input *workflow.Relation, fleet []*cloud.VM, report *Report, clock *float64) error {
 
-	idx := make(map[string]int, len(order))
-	for i, a := range order {
-		idx[a.Tag] = i
-	}
 	d := &dataflow{
 		e:          e,
 		ctx:        ctx,
 		wkfid:      wkfid,
+		barrier:    e.opts.Runtime == RuntimeBarrier,
 		order:      order,
+		idx:        make(map[string]int, len(order)),
 		ids:        make([]int64, len(order)),
 		deps:       make([][]int, len(order)),
 		fleet:      fleet,
 		openSrc:    make([]int, len(order)),
+		held:       make([][]*dfNode, len(order)),
 		registered: make([]int, len(order)),
 		placed:     make([]int, len(order)),
 		closed:     make([]bool, len(order)),
@@ -179,12 +193,26 @@ func (e *Engine) runDataflow(ctx context.Context, order []*workflow.Activity, ac
 	d.workCond = sync.NewCond(&d.mu)
 	d.doneCond = sync.NewCond(&d.mu)
 	for i, a := range order {
+		d.idx[a.Tag] = i
+	}
+	for i, a := range order {
 		d.ids[i] = actIDs[a.Tag]
 		d.stats[i].Tag = a.Tag
 		d.openSrc[i] = len(a.Depends)
 		for _, dep := range a.Depends {
-			di := idx[dep]
+			di := d.idx[dep]
 			d.deps[di] = append(d.deps[di], i)
+		}
+	}
+	d.succ = d.deps
+	if d.barrier {
+		// A stage waits for the one before it in topological order —
+		// its real upstreams are earlier still — so stages never share
+		// the fleet, whatever the DAG's shape.
+		d.succ = make([][]int, len(order))
+		for i := 1; i < len(order); i++ {
+			d.succ[i-1] = []int{i}
+			d.openSrc[i] = 1
 		}
 	}
 	// A fresh run starts with an idle fleet regardless of what a
@@ -198,15 +226,13 @@ func (e *Engine) runDataflow(ctx context.Context, order []*workflow.Activity, ac
 		if len(a.Depends) > 0 {
 			continue
 		}
-		if err := d.activityReady(i, len(input.Tuples)); err != nil {
-			return err
-		}
 		for j, t := range input.Tuples {
-			n := &dfNode{act: a, actIdx: i, tuple: t, parentSeq: -1, outIdx: j, readyAt: *clock}
-			d.mu.Lock()
-			d.queue = append(d.queue, n)
-			d.mu.Unlock()
-			d.register(n)
+			d.park(&dfNode{act: a, actIdx: i, tuple: t, parentSeq: -1, outIdx: j, readyAt: *clock})
+		}
+		if d.openSrc[i] == 0 {
+			if err := d.open(i); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -220,7 +246,6 @@ func (e *Engine) runDataflow(ctx context.Context, order []*workflow.Activity, ac
 			d.worker()
 		}()
 	}
-	d.workCond.Broadcast()
 
 	// Cancellation watch: flips the cancelled flag and wakes both the
 	// dispatcher (to drain the ready queue as ABORTED) and the workers
@@ -299,28 +324,17 @@ func (d *dataflow) dispatch() error {
 }
 
 // drainCancelled empties the ready queue after cancellation: every
-// remaining node — whether its wall-clock body ran or not — closes in
-// provenance as a zero-cost ABORTED activation at its virtual ready
-// time. Only fields immutable since registration are read, so the
-// drain never races a pool worker still finishing a body.
+// remaining node, parked ones included — whether its wall-clock body
+// ran or not — closes in provenance as a zero-cost ABORTED activation
+// at its virtual ready time. Only fields immutable since the node was
+// spawned are read, so the drain never races a pool worker still
+// finishing a body.
 func (d *dataflow) drainCancelled(n *dfNode) error {
-	e := d.e
+	for ai := range d.held {
+		d.release(ai)
+	}
 	for {
-		st := &d.stats[n.actIdx]
-		st.Activations++
-		st.Aborted++
-		d.placed[n.actIdx]++
-		e.mu.Lock()
-		e.nextTask++
-		taskid := e.nextTask
-		e.mu.Unlock()
-		cmd, cmdErr := workflow.Instantiate(n.act.Template, n.tuple)
-		if cmdErr != nil {
-			cmd = n.act.Template
-		}
-		start := e.vt(n.readyAt)
-		if err := e.app.InsertActivation(taskid, d.ids[n.actIdx], d.wkfid, prov.StatusAborted,
-			start, start, "-", 0, cmd+" # aborted: "+cancelReason); err != nil {
+		if err := d.closeUnrun(n, prov.StatusAborted, " # aborted: "+cancelReason); err != nil {
 			return err
 		}
 		if d.ready.Len() == 0 {
@@ -328,6 +342,29 @@ func (d *dataflow) drainCancelled(n *dfNode) error {
 		}
 		n = heap.Pop(&d.ready).(*dfNode)
 	}
+}
+
+// park queues a node's body on the pool and holds the node back from
+// the ready queue until its activity opens.
+func (d *dataflow) park(n *dfNode) {
+	d.mu.Lock()
+	d.queue = append(d.queue, n)
+	d.workCond.Broadcast()
+	d.mu.Unlock()
+	d.held[n.actIdx] = append(d.held[n.actIdx], n)
+}
+
+// release moves an activity's parked nodes into the ready queue. Under
+// the barrier they become ready together at the frontier: the stage
+// starts at the previous stage's makespan.
+func (d *dataflow) release(ai int) {
+	for _, n := range d.held[ai] {
+		if d.barrier {
+			n.readyAt = d.frontier
+		}
+		d.register(n)
+	}
+	d.held[ai] = nil
 }
 
 // register adds a node to the ready queue, fixing its priority weight
@@ -370,8 +407,15 @@ func (d *dataflow) worker() {
 }
 
 // runNode evaluates steering rules and executes the body (outside the
-// lock; this is the real chemistry).
+// lock; this is the real chemistry). Rules and bodies are caller code
+// on a pool goroutine no caller can guard, so a panic in either is
+// contained here and becomes the activation's error.
 func (d *dataflow) runNode(n *dfNode) {
+	defer func() {
+		if r := recover(); r != nil {
+			n.err = fmt.Errorf("engine: activation panicked: %v", r)
+		}
+	}()
 	for _, rule := range d.e.opts.AbortRules {
 		if reason, abort := rule(n.act.Tag, n.tuple); abort {
 			n.aborted = reason
@@ -379,12 +423,13 @@ func (d *dataflow) runNode(n *dfNode) {
 		}
 	}
 	if n.act.Op == workflow.Reduce {
-		n.result, n.err = runReduceBody(n.act, n.group)
-		return
+		n.result, n.err = n.act.RunReduce(n.group)
+	} else {
+		n.result, n.err = n.act.Run(n.tuple)
 	}
-	oc := activationOutcome{tuple: n.tuple}
-	runBody(n.act, &oc)
-	n.result, n.err = oc.result, oc.err
+	if n.result == nil && n.err == nil {
+		n.err = errNoResult
+	}
 }
 
 // finish publishes a body outcome (caller holds d.mu): children are
@@ -392,7 +437,7 @@ func (d *dataflow) runNode(n *dfNode) {
 // placement time, preserving the per-group barrier — and the
 // dispatcher is woken.
 func (d *dataflow) finish(n *dfNode) {
-	if !d.cancelled && n.aborted == "" && n.err == nil && n.result != nil {
+	if !d.cancelled && n.aborted == "" && n.err == nil {
 		n.fanErr = n.act.CheckFanOut(n.result)
 		if n.fanErr == nil {
 			for _, di := range d.deps[n.actIdx] {
@@ -415,103 +460,97 @@ func (d *dataflow) finish(n *dfNode) {
 	d.doneCond.Broadcast()
 }
 
-// runReduceBody executes a Reduce body, containing panics.
-func runReduceBody(act *workflow.Activity, group []workflow.Tuple) (res *workflow.ActivationResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: reduce activation panicked: %v", r)
-		}
-	}()
-	return act.RunReduce(group)
+// admit counts a node as placed and draws its task id and provenance
+// command line.
+func (d *dataflow) admit(n *dfNode) (taskid int64, cmd string) {
+	d.placed[n.actIdx]++
+	d.stats[n.actIdx].Activations++
+	d.e.mu.Lock()
+	d.e.nextTask++
+	taskid = d.e.nextTask
+	d.e.mu.Unlock()
+	cmd, err := workflow.Instantiate(n.act.Template, n.tuple)
+	if err != nil {
+		cmd = n.act.Template // provenance keeps the raw template
+	}
+	return taskid, cmd
+}
+
+// closeUnrun records an activation that never occupied a core — a
+// steering abort, a genuine failure, a cancelled run's tail — as a
+// zero-cost terminal row at the node's ready time.
+func (d *dataflow) closeUnrun(n *dfNode, status, note string) error {
+	taskid, cmd := d.admit(n)
+	d.stats[n.actIdx].Aborted++
+	at := d.e.vt(n.readyAt)
+	return d.e.app.InsertActivation(taskid, d.ids[n.actIdx], d.wkfid, status, at, at, "-", 0, cmd+note)
 }
 
 // place streams one activation into the virtual timeline and the
-// provenance store. Classification mirrors the barrier engine:
-// steering aborts and genuine errors record terminal rows at the
-// node's ready time; looping activations are charged the loop timeout
-// on a core then aborted; successes get cost-model attempts, file
-// staging and extractor output.
+// provenance store. Steering aborts and genuine errors (the tuple is
+// dropped; provenance keeps the error for the scientist's queries)
+// record terminal rows at the node's ready time; looping activations
+// are charged the loop timeout on a core then aborted; successes get
+// cost-model attempts, file staging and extractor output.
 func (d *dataflow) place(n *dfNode) error {
+	loop := errors.Is(n.err, ErrLoop)
+	switch {
+	case n.aborted != "":
+		return d.closeUnrun(n, prov.StatusAborted, " # aborted: "+n.aborted)
+	case n.err != nil && !loop:
+		return d.closeUnrun(n, prov.StatusFailed, " # error: "+n.err.Error())
+	}
+
 	e := d.e
 	st := &d.stats[n.actIdx]
 	actid := d.ids[n.actIdx]
-	d.placed[n.actIdx]++
-	st.Activations++
-	e.mu.Lock()
-	e.nextTask++
-	taskid := e.nextTask
-	e.mu.Unlock()
-
+	taskid, cmd := d.admit(n)
 	key := activationKey(n.act.Tag, n.tuple)
-	cmd, cmdErr := workflow.Instantiate(n.act.Template, n.tuple)
-	if cmdErr != nil {
-		cmd = n.act.Template // provenance keeps the raw template
-	}
-
-	switch {
-	case n.aborted != "":
-		// Steering abort: recorded, zero cost.
-		st.Aborted++
-		start := e.vt(n.readyAt)
-		return e.app.InsertActivation(taskid, actid, d.wkfid, prov.StatusAborted,
-			start, start, "-", 0, cmd+" # aborted: "+n.aborted)
-	case n.err != nil && errors.Is(n.err, ErrLoop):
+	a := sched.Activation{ID: taskid, Tag: n.act.Tag, Key: key}
+	status := prov.StatusFinished
+	if loop {
 		// Looping state: charge the loop timeout, then abort.
 		st.Aborted++
-		a := sched.Activation{ID: taskid, Tag: n.act.Tag, Key: key,
-			Attempts: []float64{sched.LoopTimeout}}
-		p, err := e.opts.Scheduler.Place(n.readyAt, a, d.fleet)
-		if err != nil {
-			return err
+		status = prov.StatusAborted
+		a.Attempts = []float64{sched.LoopTimeout}
+	} else {
+		cost := e.opts.CostModel.Sample(n.act.Tag, key)
+		a.Attempts = []float64{cost}
+		if !e.opts.DisableFailures {
+			a.Attempts = e.opts.CostModel.Attempts(n.act.Tag, key, cost)
 		}
-		d.observePlacement(n.actIdx, p)
-		if err := e.app.BeginActivation(taskid, actid, d.wkfid, e.vt(p.Start), p.VMID, cmd); err != nil {
-			return err
+		if e.opts.ProvenanceEstimates {
+			a.Estimate = e.estimateFor(n.act.Tag)
 		}
-		return e.app.CloseActivation(taskid, prov.StatusAborted, e.vt(p.End), int64(p.Failures))
-	case n.err != nil:
-		// Genuine failure: the tuple is dropped; provenance keeps the
-		// error for the scientist's queries.
-		st.Aborted++
-		start := e.vt(n.readyAt)
-		return e.app.InsertActivation(taskid, actid, d.wkfid, prov.StatusFailed,
-			start, start, "-", 0, cmd+" # error: "+n.err.Error())
-	}
-
-	cost := e.opts.CostModel.Sample(n.act.Tag, key)
-	attempts := []float64{cost}
-	if !e.opts.DisableFailures {
-		attempts = e.opts.CostModel.Attempts(n.act.Tag, key, cost)
-	}
-	a := sched.Activation{ID: taskid, Tag: n.act.Tag, Key: key, Attempts: attempts}
-	if e.opts.ProvenanceEstimates {
-		a.Estimate = e.estimateFor(n.act.Tag)
-	}
-	// Stage the output files now so I/O time lands in the virtual
-	// duration.
-	for _, f := range n.result.Files {
-		lat, err := e.FS.Write(f.Dir+f.Name, f.Content)
-		if err != nil {
-			return fmt.Errorf("engine: staging %s: %w", f.Name, err)
+		// Stage the output files now so I/O time lands in the virtual
+		// duration.
+		for _, f := range n.result.Files {
+			lat, err := e.FS.Write(f.Dir+f.Name, f.Content)
+			if err != nil {
+				return fmt.Errorf("engine: staging %s: %w", f.Name, err)
+			}
+			a.IOTime += lat
 		}
-		a.IOTime += lat
 	}
 	p, err := e.opts.Scheduler.Place(n.readyAt, a, d.fleet)
 	if err != nil {
 		return err
 	}
 	d.observePlacement(n.actIdx, p)
-	st.Failures += p.Failures
-	if e.opts.ProvenanceEstimates {
-		e.observeDuration(n.act.Tag, p.End-p.Start)
-	}
 	// PROV-Wf lifecycle: the row is born RUNNING and closed with the
 	// terminal status (provpair enforces the pair).
 	if err := e.app.BeginActivation(taskid, actid, d.wkfid, e.vt(p.Start), p.VMID, cmd); err != nil {
 		return err
 	}
-	if err := e.app.CloseActivation(taskid, prov.StatusFinished, e.vt(p.End), int64(p.Failures)); err != nil {
+	if err := e.app.CloseActivation(taskid, status, e.vt(p.End), int64(p.Failures)); err != nil {
 		return err
+	}
+	if loop {
+		return nil
+	}
+	st.Failures += p.Failures
+	if e.opts.ProvenanceEstimates {
+		e.observeDuration(n.act.Tag, p.End-p.Start)
 	}
 	for _, f := range n.result.Files {
 		e.mu.Lock()
@@ -536,12 +575,17 @@ func (d *dataflow) place(n *dfNode) error {
 	for range n.result.Outputs {
 		d.outEnds[n.actIdx] = append(d.outEnds[n.actIdx], p.End)
 	}
-	// Children become ready the instant this placement ends.
+	// Children become ready the instant this placement ends — unless
+	// the barrier parks them until their stage opens.
 	seq := d.placeSeq
 	for _, c := range n.children {
 		c.parentSeq = seq
 		c.readyAt = p.End
-		d.register(c)
+		if d.barrier {
+			d.held[c.actIdx] = append(d.held[c.actIdx], c)
+		} else {
+			d.register(c)
+		}
 	}
 	return nil
 }
@@ -566,8 +610,7 @@ func (d *dataflow) observePlacement(ai int, p sched.Placement) {
 // maybeClose closes the activity if it is finished — every upstream
 // closed (so no new activations can appear) and every known
 // activation placed — then cascades: dependents lose an open source,
-// Reduce dependents materialize their groups, and empty dependents
-// close in turn.
+// the ones left with none open, and empty dependents close in turn.
 func (d *dataflow) maybeClose(ai int) error {
 	work := []int{ai}
 	for len(work) > 0 {
@@ -579,8 +622,8 @@ func (d *dataflow) maybeClose(ai int) error {
 		d.closed[i] = true
 		st := &d.stats[i]
 		if st.Activations > 0 {
-			// Under the dataflow runtime an activity has no exclusive
-			// stage; StageSecs reports its busy span instead.
+			// StageSecs is the activity's busy span: under the dataflow
+			// policy it has no exclusive stage to report a makespan of.
 			st.StageSecs = d.actEnd[i] - d.actStart[i]
 			if d.e.opts.OnStageComplete != nil {
 				// The steering hook may query Engine.DB; make every
@@ -597,19 +640,12 @@ func (d *dataflow) maybeClose(ai int) error {
 				})
 			}
 		}
-		for _, di := range d.deps[i] {
+		for _, di := range d.succ[i] {
 			d.openSrc[di]--
 			if d.openSrc[di] > 0 {
 				continue
 			}
-			if d.order[di].Op == workflow.Reduce {
-				if err := d.spawnReduce(di); err != nil {
-					return err
-				}
-			} else if err := d.activityReady(di, d.registered[di]); err != nil {
-				// The dependent's full load is now known (upstreams
-				// closed): let the adaptive policy size the fleet for
-				// it, as the barrier runtime did per stage.
+			if err := d.open(di); err != nil {
 				return err
 			}
 			work = append(work, di)
@@ -618,24 +654,51 @@ func (d *dataflow) maybeClose(ai int) error {
 	return nil
 }
 
+// open fires when an activity's full load is known — sources at
+// submit, the rest when their last open source closes: a Reduce
+// materializes its groups, the adaptive-elasticity policy sizes the
+// fleet for the incoming load, and parked nodes enter the ready queue.
+// Under the dataflow policy a mid-stream Map-like activity has nothing
+// parked: its activations trickled in behind their parents on the
+// fleet of the moment. Under the barrier this is the stage boundary:
+// every node of the activity was parked, and the fleet starts idle.
+func (d *dataflow) open(ai int) error {
+	e := d.e
+	if d.barrier {
+		e.opts.Scheduler.Reset()
+	}
+	if d.order[ai].Op == workflow.Reduce {
+		d.spawnReduce(ai)
+	}
+	if count := d.registered[ai] + len(d.held[ai]); e.opts.Adaptive != nil && count > 0 {
+		e.advanceSim(d.frontier)
+		mean := e.opts.CostModel.Mean(d.order[ai].Tag)
+		if mean == 0 {
+			mean = 1
+		}
+		fleet, err := e.opts.Adaptive.Resize(e.Cluster, e.opts.Adaptive.DesiredCores(mean*float64(count)))
+		if err != nil {
+			return err
+		}
+		d.fleet = fleet
+	}
+	d.release(ai)
+	return nil
+}
+
 // spawnReduce materializes a Reduce activity once all its upstreams
 // have closed: inputs are grouped by GroupKey in first-appearance
 // order (upstream outputs concatenated in Depends order, each in
-// placement order), and each group becomes one activation ready at
-// its own barrier — the latest placement end among the group's
+// placement order), and each group becomes one parked activation ready
+// at its own barrier — the latest placement end among the group's
 // inputs.
-func (d *dataflow) spawnReduce(ai int) error {
+func (d *dataflow) spawnReduce(ai int) {
 	act := d.order[ai]
-	idx := make(map[string]int, len(d.order))
-	for i, a := range d.order {
-		idx[a.Tag] = i
-	}
 	groups := map[string][]workflow.Tuple{}
 	barrier := map[string]float64{}
 	var order []string
-	total := 0
 	for _, dep := range act.Depends {
-		di := idx[dep]
+		di := d.idx[dep]
 		for j, t := range d.outTuples[di] {
 			k := t[act.GroupKey]
 			if _, seen := groups[k]; !seen {
@@ -645,52 +708,15 @@ func (d *dataflow) spawnReduce(ai int) error {
 			if d.outEnds[di][j] > barrier[k] {
 				barrier[k] = d.outEnds[di][j]
 			}
-			total++
 		}
 	}
-	if total == 0 {
-		return nil
-	}
-	if err := d.activityReady(ai, len(order)); err != nil {
-		return err
-	}
 	for gi, k := range order {
-		n := &dfNode{
+		d.park(&dfNode{
 			act: act, actIdx: ai,
 			tuple:     workflow.Tuple{act.GroupKey: k},
 			group:     groups[k],
 			parentSeq: -1, outIdx: gi,
 			readyAt: barrier[k],
-		}
-		d.mu.Lock()
-		d.queue = append(d.queue, n)
-		d.workCond.Broadcast()
-		d.mu.Unlock()
-		d.register(n)
+		})
 	}
-	return nil
-}
-
-// activityReady fires when an activity's full activation count is
-// known (sources at submit, Reduce at its upstream close): the
-// adaptive-elasticity hook sizes the fleet for the incoming load, as
-// the barrier runtime did per stage. Map-like activities in
-// mid-stream inherit the fleet as-is — their activations trickle in
-// and are absorbed by the current allocation.
-func (d *dataflow) activityReady(ai, count int) error {
-	e := d.e
-	if e.opts.Adaptive == nil || count == 0 {
-		return nil
-	}
-	e.advanceSim(d.frontier)
-	mean := e.opts.CostModel.Mean(d.order[ai].Tag)
-	if mean == 0 {
-		mean = 1
-	}
-	fleet, err := e.opts.Adaptive.Resize(e.Cluster, e.opts.Adaptive.DesiredCores(mean*float64(count)))
-	if err != nil {
-		return err
-	}
-	d.fleet = fleet
-	return nil
 }

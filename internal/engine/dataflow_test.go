@@ -240,38 +240,69 @@ func TestDataflowReduceMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestDataflowDeterministic runs the pipelined runtime twice with
-// failure injection on (~10% per attempt) and a wide worker pool:
-// virtual time, stats and provenance must be bit-identical even
-// though wall-clock body completion order is not. Under check.sh this
-// runs with -race, covering dispatcher/pool synchronization.
+// TestDataflowDeterministic runs both stage policies with failure
+// injection on (~10% per attempt), twice on a wide worker pool and
+// once on a single worker: virtual time, stats and provenance must be
+// bit-identical even though wall-clock body completion order is not.
+// Under check.sh this runs with -race, covering dispatcher/pool
+// synchronization.
 func TestDataflowDeterministic(t *testing.T) {
-	run := func() (*Engine, *Report) {
-		return runRuntime(t, RuntimeDataflow,
-			Options{Cores: 16, Parallelism: 8}, faultyWorkflow(), 40)
-	}
-	e1, r1 := run()
-	e2, r2 := run()
-	if r1.TET != r2.TET {
-		t.Errorf("TET not deterministic: %v vs %v", r1.TET, r2.TET)
-	}
-	if !reflect.DeepEqual(r1.PerActivity, r2.PerActivity) {
-		t.Errorf("per-activity stats not deterministic:\n%+v\n%+v", r1.PerActivity, r2.PerActivity)
-	}
-	if r1.Failures == 0 {
-		t.Error("expected injected failures at the default ~10% rate")
-	}
 	q := "SELECT t.taskid, t.status, t.starttime, t.endtime, t.vmid, t.failures, t.command FROM hactivation t ORDER BY t.taskid"
-	res1, err := e1.DB.Query(q)
+	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
+		var first *Report
+		var firstRows string
+		for _, par := range []int{8, 8, 1} {
+			e, r := runRuntime(t, rt, Options{Cores: 16, Parallelism: par}, faultyWorkflow(), 40)
+			res, err := e.DB.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := fmt.Sprint(res.Rows)
+			if first == nil {
+				first, firstRows = r, rows
+				if r.Failures == 0 {
+					t.Error("expected injected failures at the default ~10% rate")
+				}
+				continue
+			}
+			if r.TET != first.TET {
+				t.Errorf("runtime %v, parallelism %d: TET not deterministic: %v vs %v", rt, par, r.TET, first.TET)
+			}
+			if !reflect.DeepEqual(r.PerActivity, first.PerActivity) {
+				t.Errorf("runtime %v, parallelism %d: per-activity stats not deterministic:\n%+v\n%+v",
+					rt, par, r.PerActivity, first.PerActivity)
+			}
+			if rows != firstRows {
+				t.Errorf("runtime %v, parallelism %d: hactivation timeline not deterministic across runs", rt, par)
+			}
+		}
+	}
+}
+
+// TestDataflowBarrierGate pins the gate: under RuntimeBarrier no
+// activation of a stage starts before the last activation of the stage
+// before it has ended (the straggler test's overlap query, for every
+// edge of the chain).
+func TestDataflowBarrierGate(t *testing.T) {
+	e, _ := runRuntime(t, RuntimeBarrier, Options{Cores: 4, Parallelism: 4}, toyWorkflow(), 20)
+	res, err := e.DB.Query(`SELECT a.tag, min(extract ('epoch' from t.starttime)), max(extract ('epoch' from t.endtime))
+FROM hactivity a, hactivation t WHERE a.actid = t.actid GROUP BY a.tag`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e2.DB.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	span := map[string][2]float64{}
+	for _, r := range res.Rows {
+		span[r[0].(string)] = [2]float64{r[1].(float64), r[2].(float64)}
 	}
-	if got, want := fmt.Sprint(res1.Rows), fmt.Sprint(res2.Rows); got != want {
-		t.Error("hactivation timeline not deterministic across runs")
+	acts := toyWorkflow().Activities
+	for k := 1; k < len(acts); k++ {
+		up, down := span[acts[k-1].Tag], span[acts[k].Tag]
+		if down[1] <= down[0] {
+			t.Fatalf("stage %s has no span: %v", acts[k].Tag, down)
+		}
+		if down[0] < up[1] {
+			t.Errorf("stage %s starts at %v, before stage %s ends at %v", acts[k].Tag, down[0], acts[k-1].Tag, up[1])
+		}
 	}
 }
 

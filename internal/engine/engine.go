@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/mpj"
 	"repro/internal/parallel"
 	"repro/internal/prov"
 	"repro/internal/sched"
@@ -57,9 +56,9 @@ type Options struct {
 	// 7-9). VMs are leased to cover it; extra cores on the last VM
 	// stay idle, as with the paper's 2-core baseline.
 	Cores int
-	// Runtime selects the execution strategy: the pipelined dataflow
-	// runtime (default) or the legacy stage-barrier executor, kept
-	// for ablation. See dataflow.go.
+	// Runtime selects the dispatcher's stage policy: pipelined
+	// dataflow (default), or a barrier between stages, kept for
+	// ablation. One executor runs both; see dataflow.go.
 	Runtime Runtime
 	// Scheduler plans activations onto VM cores; defaults to the
 	// calibrated greedy scheduler.
@@ -71,10 +70,10 @@ type Options struct {
 	// AbortRules are evaluated before each activation.
 	AbortRules []AbortRule
 	// Parallelism caps the wall-clock goroutines running activity
-	// bodies; 0 = GOMAXPROCS. The actual fan-out of each stage is
-	// additionally bounded by the process-wide CPU token budget
-	// (internal/parallel), so engine stages, grid generation and the
-	// docking search pools cannot jointly oversubscribe the machine.
+	// bodies; 0 = GOMAXPROCS. The run's worker pool is additionally
+	// bounded by the process-wide CPU token budget (internal/parallel),
+	// so engine workers, grid generation and the docking search pools
+	// cannot jointly oversubscribe the machine.
 	Parallelism int
 	// Tokens, when set, routes the engine's worker fan-outs through a
 	// per-campaign account on the shared CPU budget instead of the raw
@@ -95,11 +94,11 @@ type Options struct {
 	// advance. Off = oracle ordering (the ablation baseline).
 	ProvenanceEstimates bool
 	// OnStageComplete, when set, receives a progress event whenever
-	// an activity closes — under the barrier runtime that is the end
-	// of its stage, under the dataflow runtime the moment its last
-	// activation's placement closes. The hook behind the paper's
-	// runtime provenance monitoring and user steering (§IV.B): the
-	// callback may query Engine.DB while the workflow is mid-flight.
+	// an activity closes: the moment its last activation's placement
+	// closes (under RuntimeBarrier, the end of its stage). The hook
+	// behind the paper's runtime provenance monitoring and user
+	// steering (§IV.B): the callback may query Engine.DB while the
+	// workflow is mid-flight.
 	OnStageComplete func(StageEvent)
 }
 
@@ -146,7 +145,7 @@ type ActivityStats struct {
 	Failures    int // transient failures recovered by re-execution
 	Aborted     int
 	TotalSecs   float64 // virtual seconds across activations
-	StageSecs   float64 // virtual stage makespan
+	StageSecs   float64 // virtual busy span: first placement start to last end
 }
 
 // Report summarizes one workflow execution.
@@ -234,14 +233,6 @@ func (e *Engine) advanceSim(to float64) {
 	}
 }
 
-type activationOutcome struct {
-	index   int
-	tuple   workflow.Tuple
-	result  *workflow.ActivationResult
-	err     error
-	aborted string // non-empty: abort reason
-}
-
 // grab sizes a worker fan-out against the campaign's token account
 // when one is configured, the process-global pool otherwise.
 func (e *Engine) grab(want int) (workers int, release func()) {
@@ -324,11 +315,7 @@ func (e *Engine) RunContext(ctx context.Context, w *workflow.Workflow, input *wo
 		}
 	}
 
-	if e.opts.Runtime == RuntimeBarrier {
-		err = e.runBarrier(ctx, order, actIDs, wkfid, input, fleet, report, &clock)
-	} else {
-		err = e.runDataflow(ctx, order, actIDs, wkfid, input, fleet, report, &clock)
-	}
+	err = e.runDataflow(ctx, order, actIDs, wkfid, input, fleet, report, &clock)
 	// Publish any still-buffered provenance; even a failed run keeps
 	// whatever rows it accumulated, as direct writes would have.
 	if ferr := e.app.Flush(); ferr != nil && err == nil {
@@ -343,487 +330,6 @@ func (e *Engine) RunContext(ctx context.Context, w *workflow.Workflow, input *wo
 	e.advanceSim(clock)
 	report.CostUSD = e.Cluster.Cost()
 	return report, err
-}
-
-// runBarrier is the legacy stage-synchronized executor (kept for
-// ablation against the dataflow runtime): activities run in
-// topological order, and every tuple of a stage must finish before
-// any tuple of the next may start.
-func (e *Engine) runBarrier(ctx context.Context, order []*workflow.Activity, actIDs map[string]int64, wkfid int64,
-	input *workflow.Relation, fleet []*cloud.VM, report *Report, clock *float64) error {
-
-	outputs := map[string][]workflow.Tuple{}
-	for _, act := range order {
-		var inputs []workflow.Tuple
-		if len(act.Depends) == 0 {
-			inputs = input.Tuples
-		} else {
-			for _, d := range act.Depends {
-				inputs = append(inputs, outputs[d]...)
-			}
-		}
-		if len(inputs) == 0 {
-			outputs[act.Tag] = nil
-			report.PerActivity = append(report.PerActivity, ActivityStats{Tag: act.Tag})
-			continue
-		}
-
-		// Cancellation is a stage boundary under the barrier runtime:
-		// the stage whose turn it was closes all of its pending
-		// activations as ABORTED and the run stops (mirroring the
-		// dataflow runtime's drain of its ready queue).
-		if ctx.Err() != nil {
-			stats, err := e.abortStage(act, actIDs[act.Tag], wkfid, inputs, *clock)
-			if err != nil {
-				return err
-			}
-			report.PerActivity = append(report.PerActivity, *stats)
-			report.Activations += stats.Activations
-			report.Aborted += stats.Aborted
-			return ErrCancelled
-		}
-
-		// Adaptive elasticity: size the fleet for this stage's load.
-		// The simulator clock advances to the current virtual time
-		// first, so newly acquired VMs are billed from now and pay
-		// their boot latency before the stage can use them.
-		if e.opts.Adaptive != nil {
-			e.advanceSim(*clock)
-			work := e.estimateStageWork(act.Tag, inputs)
-			desired := e.opts.Adaptive.DesiredCores(work)
-			var err error
-			fleet, err = e.opts.Adaptive.Resize(e.Cluster, desired)
-			if err != nil {
-				return err
-			}
-		}
-
-		stats, outs, err := e.runStage(ctx, act, actIDs[act.Tag], wkfid, inputs, fleet, clock)
-		if err != nil {
-			return err
-		}
-		outputs[act.Tag] = outs
-		report.PerActivity = append(report.PerActivity, *stats)
-		report.Activations += stats.Activations
-		report.Failures += stats.Failures
-		report.Aborted += stats.Aborted
-		if e.opts.OnStageComplete != nil {
-			// The steering hook may query Engine.DB; make this stage's
-			// provenance visible first.
-			if err := e.app.Flush(); err != nil {
-				return err
-			}
-			e.opts.OnStageComplete(StageEvent{
-				WorkflowID: wkfid,
-				Activity:   act.Tag,
-				Stats:      *stats,
-				Clock:      *clock,
-				Engine:     e,
-			})
-		}
-	}
-
-	if len(order) > 0 {
-		report.Outputs = outputs[order[len(order)-1].Tag]
-	}
-	return nil
-}
-
-// estimateStageWork predicts a stage's total reference-core seconds
-// from the cost model (the provenance-driven estimate SciCumulus
-// builds from execution history).
-func (e *Engine) estimateStageWork(tag string, tuples []workflow.Tuple) float64 {
-	mean := e.opts.CostModel.Mean(tag)
-	if mean == 0 {
-		mean = 1
-	}
-	return mean * float64(len(tuples))
-}
-
-// abortStage closes every pending activation of a stage as ABORTED at
-// the current virtual clock — the barrier runtime's cancellation path.
-func (e *Engine) abortStage(act *workflow.Activity, actid, wkfid int64,
-	inputs []workflow.Tuple, clock float64) (*ActivityStats, error) {
-
-	stats := &ActivityStats{Tag: act.Tag}
-	start := e.vt(clock)
-	pending := inputs
-	if act.Op == workflow.Reduce {
-		// One activation per group, as the algebra defines.
-		pending = nil
-		seen := map[string]bool{}
-		for _, in := range inputs {
-			if k := in[act.GroupKey]; !seen[k] {
-				seen[k] = true
-				pending = append(pending, workflow.Tuple{act.GroupKey: k})
-			}
-		}
-	}
-	for _, tuple := range pending {
-		e.mu.Lock()
-		e.nextTask++
-		taskid := e.nextTask
-		e.mu.Unlock()
-		stats.Activations++
-		stats.Aborted++
-		cmd, cmdErr := workflow.Instantiate(act.Template, tuple)
-		if cmdErr != nil {
-			cmd = act.Template
-		}
-		if err := e.app.InsertActivation(taskid, actid, wkfid, prov.StatusAborted,
-			start, start, "-", 0, cmd+" # aborted: "+cancelReason); err != nil {
-			return nil, err
-		}
-	}
-	return stats, nil
-}
-
-// runStage executes one activity over its input tuples: real bodies on
-// goroutines, virtual placement via the scheduler, provenance capture.
-func (e *Engine) runStage(ctx context.Context, act *workflow.Activity, actid, wkfid int64,
-	inputs []workflow.Tuple, fleet []*cloud.VM, clock *float64) (*ActivityStats, []workflow.Tuple, error) {
-
-	var outcomes []activationOutcome
-	if act.Op == workflow.Reduce {
-		outcomes = e.executeReduceBodies(ctx, act, inputs)
-	} else {
-		outcomes = e.executeBodies(ctx, act, inputs)
-	}
-
-	stats := &ActivityStats{Tag: act.Tag}
-	var activations []sched.Activation
-	actIndex := map[int64]*activationOutcome{}
-	var outs []workflow.Tuple
-
-	for i := range outcomes {
-		oc := &outcomes[i]
-		e.mu.Lock()
-		e.nextTask++
-		taskid := e.nextTask
-		e.mu.Unlock()
-		stats.Activations++
-
-		key := activationKey(act.Tag, oc.tuple)
-		cmd, cmdErr := workflow.Instantiate(act.Template, oc.tuple)
-		if cmdErr != nil {
-			cmd = act.Template // provenance keeps the raw template
-		}
-
-		switch {
-		case oc.aborted != "":
-			// Steering abort: recorded, zero cost.
-			stats.Aborted++
-			start := e.vt(*clock)
-			if err := e.app.InsertActivation(taskid, actid, wkfid, prov.StatusAborted,
-				start, start, "-", 0, cmd+" # aborted: "+oc.aborted); err != nil {
-				return nil, nil, err
-			}
-		case oc.err != nil && errors.Is(oc.err, ErrLoop):
-			// Looping state: charge the loop timeout, then abort.
-			stats.Aborted++
-			a := sched.Activation{
-				ID: taskid, Tag: act.Tag, Key: key,
-				Attempts: []float64{sched.LoopTimeout},
-			}
-			activations = append(activations, a)
-			actIndex[taskid] = oc
-		case oc.err != nil:
-			// Genuine failure: the tuple is dropped; provenance keeps
-			// the error for the scientist's queries.
-			stats.Aborted++
-			start := e.vt(*clock)
-			if err := e.app.InsertActivation(taskid, actid, wkfid, prov.StatusFailed,
-				start, start, "-", 0, cmd+" # error: "+oc.err.Error()); err != nil {
-				return nil, nil, err
-			}
-		default:
-			cost := e.opts.CostModel.Sample(act.Tag, key)
-			attempts := []float64{cost}
-			if !e.opts.DisableFailures {
-				attempts = e.opts.CostModel.Attempts(act.Tag, key, cost)
-			}
-			a := sched.Activation{ID: taskid, Tag: act.Tag, Key: key, Attempts: attempts}
-			if e.opts.ProvenanceEstimates {
-				a.Estimate = e.estimateFor(act.Tag)
-			}
-			// Stage the output files now so I/O time lands in the
-			// virtual duration.
-			for _, f := range oc.result.Files {
-				lat, err := e.FS.Write(f.Dir+f.Name, f.Content)
-				if err != nil {
-					return nil, nil, fmt.Errorf("engine: staging %s: %w", f.Name, err)
-				}
-				a.IOTime += lat
-			}
-			activations = append(activations, a)
-			actIndex[taskid] = oc
-		}
-	}
-
-	if len(activations) > 0 {
-		placements, makespan, err := sched.Batch{S: e.opts.Scheduler}.Schedule(*clock, activations, fleet)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.StageSecs = makespan
-		for _, p := range placements {
-			oc := actIndex[p.Activation.ID]
-			status := prov.StatusFinished
-			loop := oc.err != nil && errors.Is(oc.err, ErrLoop)
-			if loop {
-				status = prov.StatusAborted
-			}
-			cmd, cmdErr := workflow.Instantiate(act.Template, oc.tuple)
-			if cmdErr != nil {
-				cmd = act.Template
-			}
-			// PROV-Wf lifecycle: the row is born RUNNING and closed
-			// with the terminal status (provpair enforces the pair).
-			if err := e.app.BeginActivation(p.Activation.ID, actid, wkfid,
-				e.vt(p.Start), p.VMID, cmd); err != nil {
-				return nil, nil, err
-			}
-			if err := e.app.CloseActivation(p.Activation.ID, status,
-				e.vt(p.End), int64(p.Failures)); err != nil {
-				return nil, nil, err
-			}
-			stats.Failures += p.Failures
-			stats.TotalSecs += p.End - p.Start
-			if e.opts.ProvenanceEstimates {
-				e.observeDuration(act.Tag, p.End-p.Start)
-			}
-			if loop {
-				continue
-			}
-			// hfile rows + extractor output.
-			for _, f := range oc.result.Files {
-				e.mu.Lock()
-				e.nextFile++
-				fileid := e.nextFile
-				e.mu.Unlock()
-				if err := e.app.InsertFile(fileid, p.Activation.ID, actid, wkfid,
-					f.Name, int64(len(f.Content)), f.Dir); err != nil {
-					return nil, nil, err
-				}
-			}
-			if err := e.recordExtract(p.Activation.ID, wkfid, oc.result.Extract); err != nil {
-				return nil, nil, err
-			}
-			if err := act.CheckFanOut(oc.result); err != nil {
-				// Contract violation: drop the tuple, keep going.
-				stats.Aborted++
-				continue
-			}
-			outs = append(outs, oc.result.Outputs...)
-		}
-		*clock += makespan
-	}
-	return stats, outs, nil
-}
-
-// Message tags of the engine's MPJ dispatch protocol (mirroring
-// SciCumulus' MPJ-based distribution layer).
-const (
-	tagJob    = 10 // master → worker: activation index to execute
-	tagResult = 11 // worker → master: completed outcome index
-	tagStop   = 12 // master → worker: stage complete
-)
-
-// executeBodies runs the activity body for every tuple using an
-// MPJ-style master/worker dispatch: rank 0 (the master) hands
-// activation indices to worker ranks and collects outcomes, exactly
-// the communication pattern the original SciCumulus built on MPI for
-// Java. Input order of outcomes is preserved.
-func (e *Engine) executeBodies(ctx context.Context, act *workflow.Activity, inputs []workflow.Tuple) []activationOutcome {
-	outcomes := make([]activationOutcome, len(inputs))
-	var pending []int
-	for i, in := range inputs {
-		outcomes[i] = activationOutcome{index: i, tuple: in}
-		// Steering rules run at the master before dispatch (they are
-		// cheap provenance lookups).
-		abortReason := ""
-		for _, rule := range e.opts.AbortRules {
-			if reason, abort := rule(act.Tag, in); abort {
-				abortReason = reason
-				break
-			}
-		}
-		if abortReason != "" {
-			outcomes[i].aborted = abortReason
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if ctx.Err() != nil {
-		for _, i := range pending {
-			outcomes[i].aborted = cancelReason
-		}
-		return outcomes
-	}
-	if len(pending) == 0 {
-		return outcomes
-	}
-
-	workers := e.opts.Parallelism
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	workers, releaseTokens := e.grab(workers)
-	defer releaseTokens()
-	comm, err := mpj.NewComm(workers + 1)
-	if err != nil {
-		// Unreachable (workers ≥ 1); degrade to serial execution.
-		for _, i := range pending {
-			runBody(act, &outcomes[i])
-		}
-		return outcomes
-	}
-	defer comm.Close()
-
-	var wg sync.WaitGroup
-	for w := 1; w <= workers; w++ {
-		wg.Add(1)
-		go func(rankID int) {
-			defer wg.Done()
-			rank, err := comm.Rank(rankID)
-			if err != nil {
-				return
-			}
-			for {
-				m, err := rank.Recv(0, mpj.AnyTag)
-				if err != nil || m.Tag == tagStop {
-					return
-				}
-				idx := m.Payload.(int)
-				runBody(act, &outcomes[idx])
-				if rank.Send(0, tagResult, idx) != nil {
-					return
-				}
-			}
-		}(w)
-	}
-
-	master, err := comm.Rank(0)
-	if err != nil {
-		wg.Wait()
-		return outcomes
-	}
-	next := 0
-	inFlight := 0
-	for w := 1; w <= workers && next < len(pending); w++ {
-		// A failed send means the communicator is gone: stop handing
-		// out work so inFlight only counts jobs a worker will answer.
-		if master.Send(w, tagJob, pending[next]) != nil {
-			break
-		}
-		next++
-		inFlight++
-	}
-	for inFlight > 0 {
-		m, err := master.Recv(mpj.AnySource, tagResult)
-		if err != nil {
-			break
-		}
-		inFlight--
-		if next < len(pending) {
-			if ctx.Err() != nil {
-				// Cancelled mid-stage: stop handing out work; the jobs
-				// already in flight drain, the rest abort.
-				for _, i := range pending[next:] {
-					outcomes[i].aborted = cancelReason
-				}
-				next = len(pending)
-				continue
-			}
-			if master.Send(m.Source, tagJob, pending[next]) != nil {
-				continue // keep draining the jobs already in flight
-			}
-			next++
-			inFlight++
-		}
-	}
-	for w := 1; w <= workers; w++ {
-		if master.Send(w, tagStop, nil) != nil {
-			// Communicator closed: workers unblock via Recv errors.
-			break
-		}
-	}
-	wg.Wait()
-	return outcomes
-}
-
-// executeReduceBodies runs a Reduce activity: inputs are grouped by
-// the activity's GroupKey (group order follows first appearance) and
-// RunReduce executes once per group — one activation per group, as
-// the SciCumulus algebra defines. Groups run concurrently on a
-// bounded pool.
-func (e *Engine) executeReduceBodies(ctx context.Context, act *workflow.Activity, inputs []workflow.Tuple) []activationOutcome {
-	groups := map[string][]workflow.Tuple{}
-	var order []string
-	for _, in := range inputs {
-		k := in[act.GroupKey]
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], in)
-	}
-	outcomes := make([]activationOutcome, len(order))
-	workers := e.opts.Parallelism
-	if workers > len(order) {
-		workers = len(order)
-	}
-	workers, releaseTokens := e.grab(workers)
-	defer releaseTokens()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, key := range order {
-		group := groups[key]
-		// The activation's tuple identity is the group key (used for
-		// provenance commands, steering and cost sampling).
-		outcomes[i] = activationOutcome{index: i, tuple: workflow.Tuple{act.GroupKey: key}}
-		abortReason := ""
-		for _, rule := range e.opts.AbortRules {
-			if reason, abort := rule(act.Tag, outcomes[i].tuple); abort {
-				abortReason = reason
-				break
-			}
-		}
-		if abortReason == "" && ctx.Err() != nil {
-			abortReason = cancelReason
-		}
-		if abortReason != "" {
-			outcomes[i].aborted = abortReason
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, group []workflow.Tuple) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					outcomes[i].err = fmt.Errorf("engine: reduce activation panicked: %v", r)
-				}
-			}()
-			res, err := act.RunReduce(group)
-			outcomes[i].result = res
-			outcomes[i].err = err
-		}(i, group)
-	}
-	wg.Wait()
-	return outcomes
-}
-
-// runBody executes one activation body, containing panics.
-func runBody(act *workflow.Activity, oc *activationOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			oc.err = fmt.Errorf("engine: activation panicked: %v", r)
-		}
-	}()
-	res, err := act.Run(oc.tuple)
-	oc.result = res
-	oc.err = err
 }
 
 // recordExtract stores domain extractor output into the ddocking

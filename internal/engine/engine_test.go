@@ -234,21 +234,50 @@ func TestGenuineErrorDropsTuple(t *testing.T) {
 	}
 }
 
+// TestPanicInBodyIsContained pins what caller code on a pool goroutine
+// may do without taking the process down: a panicking body, a body
+// that returns neither result nor error, and a panicking steering rule
+// each cost one FAILED activation; the other tuples flow.
 func TestPanicInBodyIsContained(t *testing.T) {
 	w := toyWorkflow()
 	w.Activities[0].Run = func(in workflow.Tuple) (*workflow.ActivationResult, error) {
-		if in["ID"] == "m2" {
+		switch in["ID"] {
+		case "m2":
 			panic("boom")
+		case "m4":
+			return nil, nil
 		}
 		return &workflow.ActivationResult{Outputs: []workflow.Tuple{in}}, nil
 	}
-	e, _ := New(Options{Cores: 4})
-	rep, err := e.Run(w, inputRelation(4))
-	if err != nil {
-		t.Fatal(err)
+	panickyRule := func(tag string, in workflow.Tuple) (string, bool) {
+		if tag == "babel" && in["ID"] == "m6" {
+			panic("rule boom")
+		}
+		return "", false
 	}
-	if rep.Aborted != 1 {
-		t.Errorf("panicked activation not recorded: %+v", rep)
+	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
+		e, _ := New(Options{Cores: 4, Runtime: rt, AbortRules: []AbortRule{panickyRule}})
+		rep, err := e.Run(w, inputRelation(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Aborted != 3 {
+			t.Errorf("runtime %v: aborted = %d, want 3: %+v", rt, rep.Aborted, rep)
+		}
+		// Of the even IDs only m0 survives babel.
+		if len(rep.Outputs) != 1 || rep.Outputs[0]["ID"] != "m0" {
+			t.Errorf("runtime %v: outputs = %v, want m0 only", rt, rep.Outputs)
+		}
+		res, err := e.DB.Query("SELECT command FROM hactivation WHERE status = 'FAILED' ORDER BY command")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "[[./babel m2 # error: engine: activation panicked: boom]" +
+			" [./babel m4 # error: activation returned no result]" +
+			" [./babel m6 # error: engine: activation panicked: rule boom]]"
+		if got := fmt.Sprint(res.Rows); got != want {
+			t.Errorf("runtime %v: FAILED rows =\n %s, want\n %s", rt, got, want)
+		}
 	}
 }
 
@@ -336,30 +365,33 @@ func TestMultipleWorkflowsShareProvenance(t *testing.T) {
 }
 
 func TestOnStageCompleteSteeringHook(t *testing.T) {
-	var events []StageEvent
-	e, _ := New(Options{
-		Cores: 4,
-		OnStageComplete: func(ev StageEvent) {
-			events = append(events, ev)
-			// Runtime provenance query mid-workflow, as §IV.B allows.
-			res, err := ev.Engine.DB.Query("SELECT count(*) FROM hactivation")
-			if err != nil || res.Rows[0][0].(int64) == 0 {
-				t.Errorf("runtime query failed at stage %s: %v", ev.Activity, err)
+	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
+		var events []StageEvent
+		e, _ := New(Options{
+			Cores:   4,
+			Runtime: rt,
+			OnStageComplete: func(ev StageEvent) {
+				events = append(events, ev)
+				// Runtime provenance query mid-workflow, as §IV.B allows.
+				res, err := ev.Engine.DB.Query("SELECT count(*) FROM hactivation")
+				if err != nil || res.Rows[0][0].(int64) == 0 {
+					t.Errorf("runtime query failed at stage %s: %v", ev.Activity, err)
+				}
+			},
+		})
+		if _, err := e.Run(toyWorkflow(), inputRelation(5)); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != 3 {
+			t.Fatalf("runtime %v: stage events = %d, want 3", rt, len(events))
+		}
+		if events[0].Activity != "babel" || events[1].Activity != "configprep" || events[2].Activity != "dockfilter" {
+			t.Errorf("runtime %v: event order: %v, %v, %v", rt, events[0].Activity, events[1].Activity, events[2].Activity)
+		}
+		for i := 1; i < len(events); i++ {
+			if events[i].Clock < events[i-1].Clock {
+				t.Errorf("runtime %v: stage clock went backwards", rt)
 			}
-		},
-	})
-	if _, err := e.Run(toyWorkflow(), inputRelation(5)); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("stage events = %d, want 3", len(events))
-	}
-	if events[0].Activity != "babel" || events[2].Activity != "dockfilter" {
-		t.Errorf("event order: %v, %v", events[0].Activity, events[2].Activity)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Clock < events[i-1].Clock {
-			t.Error("stage clock went backwards")
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// MutexHeld guards the engine's critical sections. The engine, mpj
-// and prov layers all serialize on small mutexes while thousands of
+// MutexHeld guards the engine's critical sections. The engine and
+// prov layers serialize on small mutexes while thousands of
 // goroutine activations run; a blocking operation inside a held
 // region turns a nanosecond critical section into a convoy (or a
 // deadlock when the blocked operation needs the same lock), and a

@@ -85,12 +85,13 @@ func eligibleCores(vms []*cloud.VM, cap int) ([]coreState, error) {
 	return cores, nil
 }
 
-// Scheduler is the online placement interface: the dataflow runtime
-// hands activations over one at a time, the moment they become ready,
-// and the scheduler assigns each to a core immediately (SciCumulus'
-// dynamic activation dispatch). Implementations keep per-run core
-// availability state between calls; Reset clears it for a fresh run.
-// The legacy stage-batch contract survives as the Batch adapter.
+// Scheduler is the placement interface, and the engine's only
+// scheduler contract: the dispatcher hands activations over one at a
+// time, the moment they become ready, and the scheduler assigns each
+// to a core immediately (SciCumulus' dynamic activation dispatch).
+// Implementations keep per-run core availability state between calls;
+// Reset clears it — for a fresh run, and at every stage boundary of
+// engine.RuntimeBarrier.
 type Scheduler interface {
 	Place(now float64, act Activation, fleet []*cloud.VM) (Placement, error)
 	Reset()
@@ -102,9 +103,9 @@ type Scheduler interface {
 // the master node, whose per-decision planning time grows with the
 // fleet size — the overhead the paper holds responsible for the
 // efficiency drop between 32 and 128 cores (Figure 9). Cost weighting
-// enters through the order activations are offered: the dataflow
-// dispatcher drains ready work heaviest-first, and the Batch adapter
-// replays whole stages in the same LPT order.
+// enters through the order activations are offered: the engine's
+// dispatcher drains ready work heaviest-first, and Batch replays whole
+// stages in the same LPT order.
 type Greedy struct {
 	// MasterDelayPerVM is the planning time (seconds) one dispatch
 	// decision costs per VM in the fleet. The calibrated default
@@ -195,12 +196,6 @@ func (g *Greedy) batchOrder(acts []Activation) []int {
 	return order
 }
 
-// Schedule is the legacy batch entry point, kept for the barrier
-// engine and the scheduler-ablation benchmarks.
-func (g *Greedy) Schedule(startAt float64, acts []Activation, vms []*cloud.VM) ([]Placement, float64, error) {
-	return Batch{S: g}.Schedule(startAt, acts, vms)
-}
-
 // RoundRobin is the naive baseline scheduler used by the ablation
 // benchmarks: activations are dealt to cores in arrival order with no
 // cost weighting and no master serialization.
@@ -247,24 +242,19 @@ func (rr *RoundRobin) Place(now float64, a Activation, fleet []*cloud.VM) (Place
 	return p, nil
 }
 
-// Schedule is the legacy batch entry point.
-func (rr *RoundRobin) Schedule(startAt float64, acts []Activation, vms []*cloud.VM) ([]Placement, float64, error) {
-	return Batch{S: rr}.Schedule(startAt, acts, vms)
-}
-
 // batchOrderer lets a scheduler pick the order Batch replays a stage
 // in; schedulers without the method place in arrival order.
 type batchOrderer interface {
 	batchOrder(acts []Activation) []int
 }
 
-// Batch adapts an online Scheduler back to the legacy stage-barrier
-// contract: placement state is reset (every stage starts with an idle
-// fleet — that is what a barrier means), the stage's activations are
-// placed in the scheduler's batch order, and the stage makespan
-// (virtual end of the last activation, measured from startAt) is
-// returned. The barrier engine and the scheduler ablations run
-// through this adapter.
+// Batch is the perf sweep's stage-replay model (core.PerfSweep,
+// Figures 7-9), not an engine contract: it replays one stage of
+// already-sampled activations through a Scheduler. Placement state is
+// reset (every stage starts with an idle fleet — that is what a
+// barrier means), the activations are placed in the scheduler's batch
+// order, and the stage makespan (virtual end of the last activation,
+// measured from startAt) is returned.
 type Batch struct {
 	S Scheduler
 }

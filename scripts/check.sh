@@ -25,6 +25,12 @@ go run ./cmd/scilint ./cmd/... ./internal/lint/...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The engine's virtual timeline must not depend on how the dispatcher,
+# the worker pool and a cancel interleave, under either Runtime value:
+# give each gate run five schedules of those tests, not one.
+echo "==> engine interleaving stress (-race -count=5 Dataflow/RunContext/StageComplete)"
+go test -race -count=5 -run 'Dataflow|RunContext|StageComplete' ./internal/engine
+
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the candidate walk
 # on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
