@@ -78,9 +78,10 @@ var ErrDraining = errors.New("campaign: manager is draining")
 var ErrNotFound = errors.New("campaign: not found")
 
 // record is the Manager's view of one campaign. Mutable fields are
-// guarded by Manager.mu; camp is set once at start and immutable
-// after, and camp.Engine's provenance DB supports concurrent queries
-// while the run goroutine executes.
+// guarded by Manager.mu; camp is set once at start, and while the run
+// goroutine executes the Manager touches only camp.Engine's provenance
+// DB, which supports concurrent queries. camp.Reports belongs to that
+// goroutine (Execute appends to it) until the record is terminal.
 type record struct {
 	id        int64
 	tenant    string
@@ -97,10 +98,17 @@ type record struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed on terminal state
 
-	// Live progress fed by the engine's OnStageComplete steering hook.
-	stagesDone int
-	lastStage  string
-	clock      float64 // virtual seconds
+	// Live progress fed by the engine's OnStageComplete steering hook:
+	// what a running campaign's Status reports. Counts cover the stages
+	// closed so far; workflows is how many have closed one.
+	stagesDone  int
+	lastStage   string
+	clock       float64 // virtual seconds
+	lastWkf     int64
+	workflows   int
+	activations int
+	failures    int
+	aborted     int
 }
 
 // Manager owns campaign lifecycle for one process: admission,
@@ -234,6 +242,13 @@ func (m *Manager) start(r *record) {
 		r.stagesDone++
 		r.lastStage = ev.Activity
 		r.clock = ev.Clock
+		if ev.WorkflowID != r.lastWkf {
+			r.lastWkf = ev.WorkflowID
+			r.workflows++
+		}
+		r.activations += ev.Stats.Activations
+		r.failures += ev.Stats.Failures
+		r.aborted += ev.Stats.Aborted
 		m.mu.Unlock()
 		if userHook != nil {
 			userHook(ev)
@@ -433,18 +448,20 @@ func (m *Manager) snapshotLocked(r *record) Status {
 	}
 	cap, inUse, accounts := m.pool.Occupancy()
 	st.Pool = PoolStatus{Capacity: cap, InUse: inUse, Accounts: accounts}
-	if r.camp != nil {
-		st.Workflows = len(r.camp.Reports)
-		for _, rep := range r.camp.Reports {
-			st.Activations += rep.Activations
-			st.Failures += rep.Failures
-			st.Aborted += rep.Aborted
-		}
-		if r.state.Terminal() {
-			st.TETSecs = r.camp.TET()
-			st.CostUSD = r.camp.Engine.Cluster.Cost()
-		}
+	if r.camp == nil || !r.state.Terminal() {
+		st.Workflows, st.Activations, st.Failures, st.Aborted = r.workflows, r.activations, r.failures, r.aborted
+		return st
 	}
+	// Execute has returned, so the reports are final and nobody appends
+	// to them any more: their exact totals replace the running counts.
+	st.Workflows = len(r.camp.Reports)
+	for _, rep := range r.camp.Reports {
+		st.Activations += rep.Activations
+		st.Failures += rep.Failures
+		st.Aborted += rep.Aborted
+	}
+	st.TETSecs = r.camp.TET()
+	st.CostUSD = r.camp.Engine.Cluster.Cost()
 	return st
 }
 

@@ -415,3 +415,111 @@ func TestSpecValidation(t *testing.T) {
 		t.Errorf("zero spec must be valid (CLI defaults): %v", err)
 	}
 }
+
+// TestStatusWhileRunning polls Status from two goroutines in a tight
+// loop while an adaptive campaign — two workflows, so Execute appends
+// to Campaign.Reports mid-run — executes. Under -race this is the
+// regression test for the Manager reading that slice while the run
+// goroutine grows it; it also pins what a running snapshot reports:
+// counts that only grow, and at the terminal state exactly the
+// reports' totals.
+func TestStatusWhileRunning(t *testing.T) {
+	spec := tinySpec(5)
+	spec.Mode = "adaptive"
+	spec.Receptors = 6
+	m := NewManager(parallel.NewPool(2), Limits{})
+	id, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last Status
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st, err := m.Status(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !st.State.Terminal() && (st.Activations < last.Activations || st.Workflows < last.Workflows) {
+					t.Errorf("running counts went backwards: %+v after %+v", st, last)
+					return
+				}
+				last = st
+			}
+		}()
+	}
+	camp, err := m.Wait(context.Background(), id)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acts, fails, aborted int
+	for _, rep := range camp.Reports {
+		acts += rep.Activations
+		fails += rep.Failures
+		aborted += rep.Aborted
+	}
+	if st.Workflows != 2 || st.Activations != acts || st.Failures != fails || st.Aborted != aborted {
+		t.Errorf("terminal status %+v, reports say %d workflows / %d activations / %d failures / %d aborted",
+			st, len(camp.Reports), acts, fails, aborted)
+	}
+}
+
+// TestFinishedCampaignFootprint bounds what the Manager keeps per
+// finished campaign. A record pins the campaign's provenance database,
+// its staged files and its reports — never the product store, which
+// dies when Execute returns (core.TestStoreFootprintDiesWithExecute
+// watches the lattices go), and never more than one copy of a
+// rendering staged into many pair directories. With per-pair copies and
+// a retained builder the same campaign held 6.5 MB; it holds 3.3 MB.
+func TestFinishedCampaignFootprint(t *testing.T) {
+	const campaigns, budget = 4, 4.5 * (1 << 20)
+	spec := Spec{Receptors: 40, Ligands: 4, Cores: 16, Effort: "smoke", DisableFailures: true}
+	m := NewManager(parallel.NewPool(2), Limits{})
+	run := func(seed int64) *core.Campaign {
+		spec.Seed = seed
+		id, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camp, err := m.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return camp
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	kept := []*core.Campaign{run(1)} // warm-up: radial tables, pools, lazily built globals
+	before := heap()
+	for i := 0; i < campaigns; i++ {
+		kept = append(kept, run(int64(2+i)))
+	}
+	after := heap()
+	per := (float64(after) - float64(before)) / campaigns
+	t.Logf("heap retained per finished campaign: %.2f MB", per/(1<<20))
+	if per > budget {
+		t.Errorf("a finished campaign retains %.2f MB, budget %.2f MB", per/(1<<20), budget/(1<<20))
+	}
+	runtime.KeepAlive(kept)
+}

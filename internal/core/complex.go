@@ -8,8 +8,6 @@ import (
 	"repro/internal/chem/formats"
 	"repro/internal/dock"
 	"repro/internal/dock/ad4"
-	"repro/internal/dock/vina"
-	"repro/internal/grid"
 	"repro/internal/prep"
 )
 
@@ -32,7 +30,7 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 	if err := cfg.Effort.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: cfg, program: program}
+	b := newBuilder(cfg, program)
 	res, dlig, err := b.dockPair(recCode, ligCode)
 	if err != nil {
 		return nil, err
@@ -47,7 +45,7 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 	}
 
 	complexMol := &chem.Molecule{Name: fmt.Sprintf("%s-%s complex (%s)", recCode, ligCode, program)}
-	complexMol.Atoms = append(complexMol.Atoms, prec.Atoms...)
+	complexMol.Atoms = append(complexMol.Atoms, prec.mol.Atoms...)
 	coords := dlig.Coords(best.Pose)
 	for i, a := range dlig.Mol.Atoms {
 		a.Serial = len(complexMol.Atoms) + 1
@@ -76,7 +74,7 @@ func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, itera
 	if err := cfg.Effort.Validate(); err != nil {
 		return 0, 0, err
 	}
-	b := &builder{cfg: cfg, program: program}
+	b := newBuilder(cfg, program)
 	res, dlig, err := b.dockPair(recCode, ligCode)
 	if err != nil {
 		return 0, 0, err
@@ -93,14 +91,14 @@ func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, itera
 	if err != nil {
 		return 0, 0, err
 	}
-	spec := b.gridSpec(prec)
+	spec := prec.spec
 	box := dock.Box{
 		Center: spec.Center,
 		Size: chem.V(float64(spec.NPts[0]-1)*spec.Spacing,
 			float64(spec.NPts[1]-1)*spec.Spacing,
 			float64(spec.NPts[2]-1)*spec.Spacing),
 	}
-	scorer, err := b.scorerFor(prec, pl, dlig)
+	scorer, err := b.scorerFor(recCode, pl, dlig)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -131,23 +129,17 @@ type scorerFunc func([]chem.Vec3) float64
 func (f scorerFunc) Score(coords []chem.Vec3) float64 { return f(coords) }
 
 // scorerFor builds the docking scorer matching the builder's program.
-func (b *builder) scorerFor(prec *chem.Molecule, pl *prep.PreparedLigand, dlig *dock.Ligand) (dock.Scorer, error) {
+func (b *builder) scorerFor(rec string, pl *preparedLigand, dlig *dock.Ligand) (dock.Scorer, error) {
 	if b.program == prep.ProgramAD4 {
-		maps, err := b.gridMaps(prec.Name, pl.Mol.AtomTypes())
+		view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
 		if err != nil {
 			return nil, err
 		}
-		return newAD4Scorer(maps, dlig)
+		return ad4.NewScorer(view.maps, dlig)
 	}
-	return newVinaScorer(prec, dlig)
-}
-
-// newAD4Scorer and newVinaScorer adapt the engine constructors to the
-// dock.Scorer interface for refinement.
-func newAD4Scorer(maps *grid.Maps, lig *dock.Ligand) (dock.Scorer, error) {
-	return ad4.NewScorer(maps, lig)
-}
-
-func newVinaScorer(rec *chem.Molecule, lig *dock.Ligand) (dock.Scorer, error) {
-	return vina.NewScorer(rec, lig)
+	index, err := b.vinaIndex(rec)
+	if err != nil {
+		return nil, err
+	}
+	return index.NewScorer(dlig)
 }

@@ -83,6 +83,11 @@ type Config struct {
 	// ProvenanceEstimates orders scheduling by provenance history
 	// instead of true durations (SciCumulus' weighted cost model).
 	ProvenanceEstimates bool
+
+	// store is the campaign's product store, set by NewCampaign so every
+	// workflow built from the campaign's Config shares it, and cleared
+	// when Execute returns. Nil means BuildWorkflow makes a private one.
+	store *store
 }
 
 func (c *Config) fillDefaults() error {
@@ -177,6 +182,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.store = newStore(cfg)
 	return &Campaign{
 		Engine:   eng,
 		Config:   cfg,
@@ -189,8 +195,11 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 // When ctx is cancelled mid-flight the engine closes pending
 // activations as ABORTED, the partial report is still appended, and
 // Execute returns an error wrapping engine.ErrCancelled; workflows not
-// yet started are simply never run.
+// yet started are simply never run. However it ends, the product
+// store ends with it: a finished Campaign holds provenance, staged
+// files and reports, no molecule, lattice or receptor index.
 func (c *Campaign) Execute(ctx context.Context) error {
+	defer func() { c.Config.store = nil }()
 	for _, p := range c.programs {
 		w, err := BuildWorkflow(c.Config, p)
 		if err != nil {

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/chem/formats"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/dock/ad4"
 	"repro/internal/dock/vina"
 	"repro/internal/engine"
-	"repro/internal/grid"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workflow"
@@ -36,31 +33,24 @@ const (
 	FieldDLG      = "DLG"
 )
 
-// builder holds the per-campaign caches shared by activity bodies:
-// structures are deterministic per code, so ligand/receptor
-// preparation and grid generation memoize across the sweep (the real
-// deployment re-ran them per pair; the cost model still charges per
-// pair, so the performance figures are unaffected).
+// builder binds one docking program's activity bodies to the
+// campaign's product store. It caches nothing itself: every product a
+// body derives from a receptor or ligand code comes from the store,
+// which all workflows of the campaign share.
 type builder struct {
 	cfg     Config
 	program prep.Program
-
-	ligands   sync.Map // ligand code -> *prep.PreparedLigand | error
-	receptors sync.Map // receptor code -> *chem.Molecule | error
-	maps      sync.Map // receptor|types -> *grid.Maps | error
+	*store
 }
 
-type cacheEntry struct {
-	once sync.Once
-	val  interface{}
-	err  error
-}
-
-func memo(m *sync.Map, key string, f func() (interface{}, error)) (interface{}, error) {
-	e, _ := m.LoadOrStore(key, &cacheEntry{})
-	ce := e.(*cacheEntry)
-	ce.once.Do(func() { ce.val, ce.err = f() })
-	return ce.val, ce.err
+// newBuilder uses the campaign's store when cfg carries one (it came
+// through NewCampaign) and a private one otherwise.
+func newBuilder(cfg Config, program prep.Program) *builder {
+	st := cfg.store
+	if st == nil {
+		st = newStore(cfg)
+	}
+	return &builder{cfg: cfg, program: program, store: st}
 }
 
 // pairDir returns the shared-FS directory of one pair's artifacts.
@@ -75,7 +65,7 @@ func BuildWorkflow(cfg Config, program prep.Program) (*workflow.Workflow, error)
 	if err := cfg.Effort.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: cfg, program: program}
+	b := newBuilder(cfg, program)
 	dockTag := sched.TagDockAD4
 	if program == prep.ProgramVina {
 		dockTag = sched.TagDockVina
@@ -141,42 +131,12 @@ func (b *builder) runBabel(in workflow.Tuple) (*workflow.ActivationResult, error
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := formats.WriteMol2(&buf, mol2); err != nil {
-		return nil, err
-	}
 	dir := pairDir(in[FieldExpDir], string(b.program), lig+"_"+in[FieldReceptor])
 	name := lig + ".mol2"
 	return &workflow.ActivationResult{
 		Outputs: []workflow.Tuple{in.Merge(workflow.Tuple{FieldMol2: dir + name})},
-		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: buf.Bytes()}},
+		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: mol2.bytes}},
 	}, nil
-}
-
-func (b *builder) ligandMol2(code string) (*chem.Molecule, error) {
-	v, err := memo(&b.ligands, "mol2|"+code, func() (interface{}, error) {
-		raw, _ := data.GenerateLigand(code)
-		raw.Translate(ligandFrameOffset(code))
-		return prep.ConvertSDFToMol2(raw)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*chem.Molecule), nil
-}
-
-func (b *builder) preparedLigand(code string) (*prep.PreparedLigand, error) {
-	v, err := memo(&b.ligands, "prep|"+code, func() (interface{}, error) {
-		mol2, err := b.ligandMol2(code)
-		if err != nil {
-			return nil, err
-		}
-		return prep.PrepareLigand(mol2)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*prep.PreparedLigand), nil
 }
 
 // runLigPrep is activity 2: Mol2→PDBQT with AutoDock typing.
@@ -189,27 +149,12 @@ func (b *builder) runLigPrep(in workflow.Tuple) (*workflow.ActivationResult, err
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := formats.WritePDBQTLigand(&buf, pl.Mol, pl.Tree); err != nil {
-		return nil, err
-	}
 	dir := pairDir(in[FieldExpDir], string(b.program), lig+"_"+in[FieldReceptor])
 	name := lig + ".pdbqt"
 	return &workflow.ActivationResult{
 		Outputs: []workflow.Tuple{in.Merge(workflow.Tuple{FieldLigPDBQT: dir + name})},
-		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: buf.Bytes()}},
+		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: pl.pdbqt}},
 	}, nil
-}
-
-func (b *builder) preparedReceptor(code string) (*chem.Molecule, error) {
-	v, err := memo(&b.receptors, code, func() (interface{}, error) {
-		raw, _ := data.GenerateReceptor(code)
-		return prep.PrepareReceptor(raw)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*chem.Molecule), nil
 }
 
 // runRecPrep is activity 3: PDB→PDBQT receptor preparation. Receptors
@@ -228,27 +173,12 @@ func (b *builder) runRecPrep(in workflow.Tuple) (*workflow.ActivationResult, err
 		}
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := formats.WritePDBQTReceptor(&buf, prec); err != nil {
-		return nil, err
-	}
 	dir := pairDir(in[FieldExpDir], string(b.program), in[FieldLigand]+"_"+rec)
 	name := rec + ".pdbqt"
 	return &workflow.ActivationResult{
 		Outputs: []workflow.Tuple{in.Merge(workflow.Tuple{FieldRecPDBQT: dir + name})},
-		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: buf.Bytes()}},
+		Files:   []workflow.OutputFile{{Name: name, Dir: dir, Content: prec.pdbqt}},
 	}, nil
-}
-
-// gridSpec derives the lattice from the effort preset, centred on the
-// receptor pocket.
-func (b *builder) gridSpec(rec *chem.Molecule) grid.Spec {
-	min, max := chem.BoundingBox(rec.Positions())
-	return grid.Spec{
-		Center:  min.Lerp(max, 0.5),
-		NPts:    [3]int{b.cfg.Effort.GridNPts, b.cfg.Effort.GridNPts, b.cfg.Effort.GridNPts},
-		Spacing: b.cfg.Effort.GridSpacing,
-	}
 }
 
 // runGPF is activity 4: grid parameter file generation.
@@ -269,7 +199,7 @@ func (b *builder) runGPF(in workflow.Tuple) (*workflow.ActivationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	spec := b.gridSpec(prec)
+	spec := prec.spec
 	g := prep.GPF{
 		Receptor: rec + ".pdbqt",
 		Ligand:   lig + ".pdbqt",
@@ -290,40 +220,6 @@ func (b *builder) runGPF(in workflow.Tuple) (*workflow.ActivationResult, error) 
 	}, nil
 }
 
-func (b *builder) gridMaps(rec string, types []chem.AtomType) (*grid.Maps, error) {
-	key := rec + "|" + typesKey(types)
-	v, err := memo(&b.maps, key, func() (interface{}, error) {
-		prec, err := b.preparedReceptor(rec)
-		if err != nil {
-			return nil, err
-		}
-		return grid.Generate(prec, b.gridSpec(prec), types)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*grid.Maps), nil
-}
-
-// typesKey canonicalizes an atom-type list into a memo key: sorted and
-// deduplicated, so permuted or repeated ligand type lists share one
-// cached map set (the maps themselves are keyed per type, so order and
-// multiplicity never affect the generated grids).
-func typesKey(ts []chem.AtomType) string {
-	ss := make([]string, len(ts))
-	for i, t := range ts {
-		ss[i] = string(t)
-	}
-	sort.Strings(ss)
-	uniq := ss[:0]
-	for _, s := range ss {
-		if n := len(uniq); n == 0 || s != uniq[n-1] {
-			uniq = append(uniq, s)
-		}
-	}
-	return strings.Join(uniq, ",")
-}
-
 // runAutoGrid is activity 5: coordinate-map generation.
 func (b *builder) runAutoGrid(in workflow.Tuple) (*workflow.ActivationResult, error) {
 	rec, err := in.Get(FieldReceptor)
@@ -338,28 +234,24 @@ func (b *builder) runAutoGrid(in workflow.Tuple) (*workflow.ActivationResult, er
 	if err != nil {
 		return nil, err
 	}
-	maps, err := b.gridMaps(rec, pl.Mol.AtomTypes())
+	view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
 	if err != nil {
-		return nil, err
-	}
-	var fld bytes.Buffer
-	if err := maps.WriteFLD(&fld); err != nil {
 		return nil, err
 	}
 	dir := pairDir(in[FieldExpDir], string(b.program), lig+"_"+rec)
 	name := rec + ".maps.fld"
-	files := []workflow.OutputFile{{Name: name, Dir: dir, Content: fld.Bytes()}}
+	files := []workflow.OutputFile{{Name: name, Dir: dir, Content: view.fld}}
 	if b.cfg.WriteMaps {
 		// Materialize every coordinate map, as the real AutoGrid does
 		// (this is where the paper's "600 GB per execution" comes
 		// from).
 		which := []string{"e", "d"}
-		for _, t := range maps.Types() {
+		for _, t := range view.maps.Types() {
 			which = append(which, string(t))
 		}
 		for _, wmap := range which {
 			var buf bytes.Buffer
-			if err := maps.WriteMap(&buf, wmap); err != nil {
+			if err := view.maps.WriteMap(&buf, wmap); err != nil {
 				return nil, err
 			}
 			files = append(files, workflow.OutputFile{
@@ -421,7 +313,7 @@ func (b *builder) runDockPrep(in workflow.Tuple) (*workflow.ActivationResult, er
 		if err != nil {
 			return nil, err
 		}
-		spec := b.gridSpec(prec)
+		spec := prec.spec
 		g := prep.GPF{Receptor: rec + ".pdbqt", NPts: spec.NPts, Spacing: spec.Spacing, Center: spec.Center}
 		c := prep.DefaultVinaConfig(&g, lig+".pdbqt", seed)
 		c.Exhaustiveness = b.cfg.Effort.VinaExhaustiveness
@@ -537,7 +429,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		return nil, nil, err
 	}
 	seed := b.pairSeed(rec, lig)
-	spec := b.gridSpec(prec)
+	spec := prec.spec
 	box := dock.Box{
 		Center: spec.Center,
 		Size: chem.V(
@@ -547,11 +439,11 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 	}
 
 	if b.program == prep.ProgramAD4 {
-		maps, err := b.gridMaps(rec, pl.Mol.AtomTypes())
+		view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
 		if err != nil {
 			return nil, nil, err
 		}
-		scorer, err := ad4.NewScorer(maps, dlig)
+		scorer, err := ad4.NewScorer(view.maps, dlig)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -574,7 +466,11 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		return res, dlig, nil
 	}
 
-	scorer, err := vina.NewScorer(prec, dlig)
+	index, err := b.vinaIndex(rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	scorer, err := index.NewScorer(dlig)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,12 +34,9 @@ const (
 // ScoreAnalytic keeps the closed-form path over the plain neighbour
 // list as the golden reference for equivalence tests and benchmarks.
 type Scorer struct {
-	Receptor *chem.Molecule
-	Lig      *dock.Ligand
+	*ReceptorIndex
+	Lig *dock.Ligand
 
-	nl        *dock.NeighborList    // every receptor atom; ScoreAnalytic's walk
-	packed    *dock.PackedNeighbors // heavy receptor atoms in span order; every table path's walk
-	recTypes  []chem.TypeParams
 	ligTypes  []chem.TypeParams
 	ligIsH    []bool
 	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
@@ -53,6 +50,19 @@ type Scorer struct {
 	fast     *fastState
 }
 
+// ReceptorIndex is the receptor half of a Scorer: the cell lists and
+// per-atom parameters that depend on the receptor alone. It is
+// read-only once built, so one index serves every ligand docked
+// against the receptor, from any number of goroutines at once.
+type ReceptorIndex struct {
+	Receptor *chem.Molecule
+
+	nl          *dock.NeighborList    // every receptor atom; ScoreAnalytic's walk
+	packed      *dock.PackedNeighbors // heavy receptor atoms in span order; every table path's walk
+	recTypes    []chem.TypeParams
+	recTypeList []chem.AtomType // heavy receptor types in interTbl column order
+}
+
 // intraPair is one precomputed intramolecular interaction: the atom
 // index pair and the radial table of its type pair.
 type intraPair struct {
@@ -60,23 +70,19 @@ type intraPair struct {
 	tbl  *tables.Radial
 }
 
-// NewScorer indexes the receptor and precomputes per-atom parameters
-// and the radial tables for every (ligand type, receptor type) pair in
-// play.
-func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
+// NewReceptorIndex builds the cell lists over the receptor and
+// resolves its per-atom types.
+func NewReceptorIndex(receptor *chem.Molecule) (*ReceptorIndex, error) {
 	if receptor.NumAtoms() == 0 {
 		return nil, fmt.Errorf("vina: receptor %q has no atoms", receptor.Name)
 	}
-	s := &Scorer{
-		Receptor:  receptor,
-		Lig:       lig,
-		nl:        dock.NewNeighborList(receptor, cutoff),
-		rotFactor: 1 + wRot*float64(lig.NumTorsions()),
+	ix := &ReceptorIndex{
+		Receptor: receptor,
+		nl:       dock.NewNeighborList(receptor, cutoff),
 	}
 	// Dense index of receptor atom types so the inner loop can pick a
 	// table with one slice lookup. Hydrogens are invisible to the Vina
 	// function, so they get index -1 and no tables.
-	var recTypeList []chem.AtomType
 	recTypeIdx := make(map[chem.AtomType]int32)
 	recTblIdx := make([]int32, 0, len(receptor.Atoms)) // per receptor atom: column into interTbl rows
 	for i, a := range receptor.Atoms {
@@ -87,23 +93,46 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 		if !t.Params().Supported {
 			return nil, fmt.Errorf("vina: receptor %q atom %d type %s unsupported", receptor.Name, i, t)
 		}
-		s.recTypes = append(s.recTypes, t.Params())
+		ix.recTypes = append(ix.recTypes, t.Params())
 		if t == chem.TypeH || t == chem.TypeHD {
 			recTblIdx = append(recTblIdx, -1)
 			continue
 		}
 		ti, ok := recTypeIdx[t]
 		if !ok {
-			ti = int32(len(recTypeList))
+			ti = int32(len(ix.recTypeList))
 			recTypeIdx[t] = ti
-			recTypeList = append(recTypeList, t)
+			ix.recTypeList = append(ix.recTypeList, t)
 		}
 		recTblIdx = append(recTblIdx, ti)
 	}
 	// Pack the heavy receptor atoms (the only ones that ever score) in
 	// span order: position plus table column per 32-byte slot, walked
 	// with streaming loads instead of an index-CSR gather.
-	s.packed = dock.NewPackedNeighbors(s.nl, func(aj int32) int32 { return recTblIdx[aj] })
+	ix.packed = dock.NewPackedNeighbors(ix.nl, func(aj int32) int32 { return recTblIdx[aj] })
+	return ix, nil
+}
+
+// NewScorer indexes the receptor and precomputes per-atom parameters
+// and the radial tables for every (ligand type, receptor type) pair in
+// play.
+func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
+	ix, err := NewReceptorIndex(receptor)
+	if err != nil {
+		return nil, err
+	}
+	return ix.NewScorer(lig)
+}
+
+// NewScorer adds the ligand half to the index: per-atom parameters,
+// the radial tables of every (ligand type, receptor type) pair in play
+// and the intramolecular pair list.
+func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
+	s := &Scorer{
+		ReceptorIndex: ix,
+		Lig:           lig,
+		rotFactor:     1 + wRot*float64(lig.NumTorsions()),
+	}
 	for i, a := range lig.Mol.Atoms {
 		t := a.Type
 		if t == "" {
@@ -113,8 +142,8 @@ func NewScorer(receptor *chem.Molecule, lig *dock.Ligand) (*Scorer, error) {
 		s.ligIsH = append(s.ligIsH, !a.Element.IsHeavy())
 		var row []*tables.Radial
 		if a.Element.IsHeavy() {
-			row = make([]*tables.Radial, len(recTypeList))
-			for ti, rt := range recTypeList {
+			row = make([]*tables.Radial, len(ix.recTypeList))
+			for ti, rt := range ix.recTypeList {
 				row[ti] = tables.Vina(t, rt)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/chem"
@@ -70,6 +71,58 @@ func TestScoreGolden(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%016x", h.Sum64()); got != p.want {
 			t.Errorf("%s/%s: digest %s, want %s", p.rec, p.lig, got, p.want)
+		}
+	}
+}
+
+// TestSharedReceptorIndex pins the split NewScorer is composed of: two
+// ligands scored concurrently through one ReceptorIndex (the campaign
+// store's shape; run under -race) produce the same bits as two
+// scorers that each indexed the receptor privately.
+func TestSharedReceptorIndex(t *testing.T) {
+	digest := func(s *Scorer) uint64 {
+		ws := dock.NewWorkspace(s.Lig)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, pose := range goldenPoses(s.Lig, 24, 2014) {
+			coords := ws.Coords(pose)
+			for _, x := range []float64{s.Score(coords), s.ReportedFEB(coords)} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+		return h.Sum64()
+	}
+	rec, ligA := setupPair(t, "2HHN", "0E6")
+	_, ligB := setupPair(t, "2HHN", "042")
+	ix, err := NewReceptorIndex(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]uint64
+	var wg sync.WaitGroup
+	for i, lig := range []*dock.Ligand{ligA, ligB} {
+		s, err := ix.NewScorer(lig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = digest(s)
+		}(i)
+	}
+	wg.Wait()
+	for i, lig := range []*dock.Ligand{ligA, ligB} {
+		private, err := NewScorer(rec, lig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if private.ReceptorIndex == ix {
+			t.Fatal("NewScorer reused the shared index")
+		}
+		if want := digest(private); got[i] != want {
+			t.Errorf("%s: shared-index digest %016x, private %016x", lig.Mol.Name, got[i], want)
 		}
 	}
 }

@@ -129,6 +129,31 @@ func (m *Maps) Types() []chem.AtomType {
 	return out
 }
 
+// Subset returns a view of m restricted to the given probe types: a
+// Maps whose Types, WriteFLD, WriteMap and AffinityField see exactly
+// those types (duplicates collapse) while every lattice, elec and
+// desolv included, is m's own backing array — nothing is copied. A
+// lattice does not depend on which other probes rode its Generate pass
+// (slab accumulates each probe over the same atom sequence), so a view
+// is bit-equal to a set generated for exactly these types. Asking for
+// a type m lacks is an error.
+func (m *Maps) Subset(types []chem.AtomType) (*Maps, error) {
+	v := &Maps{
+		Spec: m.Spec, Receptor: m.Receptor,
+		affinity: make(map[chem.AtomType][]float64, len(types)),
+		elec:     m.elec,
+		desolv:   m.desolv,
+	}
+	for _, t := range types {
+		sl, ok := m.affinity[t]
+		if !ok {
+			return nil, fmt.Errorf("grid: no %s map for receptor %s", t, m.Receptor)
+		}
+		v.affinity[t] = sl
+	}
+	return v, nil
+}
+
 // newMaps validates the inputs and allocates the map storage, returning
 // the deduplicated probe list in first-seen order (deterministic, so
 // slab workers and the reference path agree on slice identity).

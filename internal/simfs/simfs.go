@@ -3,6 +3,12 @@
 // in-memory hierarchical store with S3-like per-operation latency
 // accounting, letting the cost model charge realistic I/O time for
 // the ~600 GB of files a full SciDock execution produces.
+//
+// The accounting is logical and the storage is by reference: Write
+// keeps the slice it is given, so a campaign that stages one rendering
+// under many paths (the receptor PDBQT in every pair directory) holds
+// its bytes once, while ops, bytes written, TotalBytes and the I/O
+// latency count every path in full, as the object store would.
 package simfs
 
 import (
@@ -59,14 +65,17 @@ func clean(path string) (string, error) {
 }
 
 // Write stores data at path (creating parents implicitly, as object
-// stores do) and returns the simulated I/O time in seconds.
+// stores do) and returns the simulated I/O time in seconds. Ownership
+// of data passes to the file system: it keeps the slice, so the caller
+// must not modify it afterwards, and may hand the same slice to any
+// number of paths. Read returns a copy, so no reader can alias it.
 func (fs *FS) Write(path string, data []byte) (float64, error) {
 	p, err := clean(path)
 	if err != nil {
 		return 0, err
 	}
 	fs.mu.Lock()
-	fs.files[p] = append([]byte(nil), data...)
+	fs.files[p] = data
 	fs.ops++
 	fs.bytesWrite += int64(len(data))
 	fs.mu.Unlock()

@@ -1,6 +1,9 @@
 package simfs
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -135,4 +138,47 @@ func TestConcurrentAccess(t *testing.T) {
 	if got, _ := fs.List("/w"); len(got) != 8 {
 		t.Errorf("files after concurrent writes = %d", len(got))
 	}
+}
+
+// TestWriteSharesOneSlice pins Write's ownership contract: one slice
+// staged under many paths is stored once, every path is accounted in
+// full, and every Read is an independent copy.
+func TestWriteSharesOneSlice(t *testing.T) {
+	const paths, size = 100, 1 << 20
+	blob := bytes.Repeat([]byte("receptor"), size/8)
+	fs := New()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < paths; i++ {
+		if _, err := fs.Write(fmt.Sprintf("/exp/pair%03d/rec.pdbqt", i), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 2*size {
+		t.Errorf("heap grew %d bytes staging one %d-byte slice under %d paths", grown, size, paths)
+	}
+	if got := fs.TotalBytes(); got != paths*size {
+		t.Errorf("TotalBytes = %d, want %d (logical, every path in full)", got, paths*size)
+	}
+	if _, _, written := fs.Stats(); written != paths*size {
+		t.Errorf("bytes written = %d, want %d", written, paths*size)
+	}
+	a, _, err := fs.Read("/exp/pair000/rec.pdbqt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a[0] ^= 0xff
+	for _, p := range []string{"/exp/pair000/rec.pdbqt", "/exp/pair099/rec.pdbqt"} {
+		b, _, err := fs.Read(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, blob) {
+			t.Errorf("%s changed after a reader modified its copy", p)
+		}
+	}
+	runtime.KeepAlive(fs)
 }

@@ -55,7 +55,9 @@ func ParseOperator(s string) (Operator, error) {
 // OutputFile is a file produced by an activation: the engine stores
 // Content on the shared file system at Dir/Name and registers the
 // result into provenance (hfile rows; the paper's Query 2 mines
-// these).
+// these). The file system keeps Content itself (simfs.Write), so a
+// body must not modify it after returning, and may return one slice
+// under many names.
 type OutputFile struct {
 	Name    string
 	Dir     string

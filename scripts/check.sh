@@ -31,6 +31,14 @@ go test -race ./...
 echo "==> engine interleaving stress (-race -count=5 Dataflow/RunContext/StageComplete)"
 go test -race -count=5 -run 'Dataflow|RunContext|StageComplete' ./internal/engine
 
+# What the campaign product store rests on, three schedules each: the
+# every-staged-byte golden, the finished-campaign footprint (the store
+# dies with Execute; a record pins one copy of a shared rendering), the
+# Status poll beside a running adaptive campaign, and the lattice /
+# Subset independence contracts.
+echo "==> product store contracts (-race -count=3 Artifacts/Footprint/Status/Subset)"
+go test -race -count=3 -run 'Artifacts|Footprint|Status|Subset' ./internal/core ./internal/campaign ./internal/grid
+
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the candidate walk
 # on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
