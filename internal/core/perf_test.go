@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -158,6 +160,121 @@ func TestTimingWorkflow(t *testing.T) {
 	res, err := w.Activities[0].Run(map[string]string{"X": "1"})
 	if err != nil || len(res.Outputs) != 1 || len(res.Files) != 0 {
 		t.Errorf("timing body: %+v, %v", res, err)
+	}
+}
+
+// TestPerfSweepEqualsSinglePoints: the sweep's points run concurrently
+// and land by index, so a sweep is bit for bit its points run alone.
+func TestPerfSweepEqualsSinglePoints(t *testing.T) {
+	cfg := PerfConfig{
+		Program: prep.ProgramAD4, Dataset: mustSmall(t, 20, 6),
+		CoresList: []int{2, 8, 32}, HgGuard: true, Steered: true,
+	}
+	for round := 0; round < 2; round++ {
+		sweep, err := PerfSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cores := range cfg.CoresList {
+			single := cfg
+			single.CoresList = []int{cores}
+			one, err := PerfSweep(single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sweep.Points[i] != one.Points[0] {
+				t.Errorf("round %d: sweep point %+v, alone %+v", round, sweep.Points[i], one.Points[0])
+			}
+		}
+	}
+}
+
+// TestTimingWorkflowKeepsVerdicts: a timing campaign closes the same
+// activations with the same statuses as the real one, over a dataset
+// holding an Hg receptor, a problematic ligand and both size classes,
+// whatever the steering.
+func TestTimingWorkflowKeepsVerdicts(t *testing.T) {
+	var hg, clean, bad, good string
+	for _, code := range data.ReceptorCodes {
+		if hg == "" && data.ReceptorMeta(code).ContainsHg {
+			hg = code
+		}
+	}
+	for _, code := range data.ReceptorCodes {
+		meta := data.ReceptorMeta(code)
+		if clean == "" && !meta.ContainsHg && meta.Class != data.ReceptorMeta(hg).Class {
+			clean = code
+		}
+	}
+	for _, code := range data.LigandCodes {
+		if data.LigandMeta(code).Problematic {
+			if bad == "" {
+				bad = code
+			}
+		} else if good == "" {
+			good = code
+		}
+	}
+	if hg == "" || clean == "" || bad == "" || good == "" {
+		t.Fatalf("dataset lacks a case: hg=%q clean=%q bad=%q good=%q", hg, clean, bad, good)
+	}
+	ds := data.Dataset{Receptors: []string{hg, clean}, Ligands: []string{bad, good}}
+
+	// verdicts flattens a campaign to its per-activity counts and the
+	// (workflow, tag, status) multiset of its provenance.
+	verdicts := func(camp *Campaign) (counts []string, statuses map[string]int) {
+		for _, rep := range camp.Reports {
+			for _, st := range rep.PerActivity {
+				counts = append(counts, fmt.Sprintf("%d/%s: %d activations, %d aborted",
+					rep.WorkflowID, st.Tag, st.Activations, st.Aborted))
+			}
+		}
+		res, err := camp.Engine.DB.Query(`SELECT a.wkfid, a.tag, t.status
+FROM hactivity a, hactivation t WHERE a.actid = t.actid`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statuses = map[string]int{}
+		for _, row := range res.Rows {
+			statuses[fmt.Sprint(row)]++
+		}
+		return counts, statuses
+	}
+
+	type tc struct {
+		mode             Mode
+		guard, blacklist bool
+	}
+	cases := []tc{{ModeAdaptive, true, false}}
+	for _, guard := range []bool{false, true} {
+		for _, blacklist := range []bool{false, true} {
+			cases = append(cases, tc{ModeAD4, guard, blacklist})
+		}
+	}
+	for _, c := range cases {
+		cfg := Config{Mode: c.mode, Dataset: ds, Cores: 4, Effort: SmokeEffort(), HgGuard: c.guard}
+		if c.blacklist {
+			cfg.LigandBlacklist = map[string]bool{bad: true}
+		}
+		real, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timing, err := RunTiming(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCounts, wantStatuses := verdicts(real)
+		gotCounts, gotStatuses := verdicts(timing)
+		if !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Errorf("%+v: per-activity counts\n timing %v\n real   %v", c, gotCounts, wantCounts)
+		}
+		if !reflect.DeepEqual(gotStatuses, wantStatuses) {
+			t.Errorf("%+v: (workflow, tag, status) rows\n timing %v\n real   %v", c, gotStatuses, wantStatuses)
+		}
+		if len(wantStatuses) == 0 {
+			t.Errorf("%+v: no activation rows", c)
+		}
 	}
 }
 

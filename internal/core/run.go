@@ -69,7 +69,6 @@ type Config struct {
 
 	// Engine knobs (optional).
 	Scheduler       sched.Scheduler
-	CostModel       *sched.CostModel
 	Adaptive        *sched.AdaptivePolicy
 	Parallelism     int
 	DisableFailures bool
@@ -155,7 +154,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	opts := engine.Options{
 		Cores:               cfg.Cores,
 		Scheduler:           cfg.Scheduler,
-		CostModel:           cfg.CostModel,
 		Adaptive:            cfg.Adaptive,
 		Parallelism:         cfg.Parallelism,
 		Tokens:              cfg.Tokens,
@@ -199,9 +197,15 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 // store ends with it: a finished Campaign holds provenance, staged
 // files and reports, no molecule, lattice or receptor index.
 func (c *Campaign) Execute(ctx context.Context) error {
+	return c.execute(ctx, BuildWorkflow)
+}
+
+// execute is Execute over either set of activity bodies: the real ones
+// (BuildWorkflow) or the timing ones (TimingWorkflow).
+func (c *Campaign) execute(ctx context.Context, build func(Config, prep.Program) (*workflow.Workflow, error)) error {
 	defer func() { c.Config.store = nil }()
 	for _, p := range c.programs {
-		w, err := BuildWorkflow(c.Config, p)
+		w, err := build(c.Config, p)
 		if err != nil {
 			return err
 		}

@@ -333,6 +333,12 @@ func (b *builder) pairSeed(rec, lig string) int64 {
 	return data.Seed(lig+"_"+rec) ^ b.cfg.Seed
 }
 
+// ligandLoops reports whether docking the ligand enters §V.C's looping
+// state: it is problematic and steering has not blacklisted it.
+func (c Config) ligandLoops(lig string) bool {
+	return data.LigandMeta(lig).Problematic && !c.LigandBlacklist[lig]
+}
+
 // runDocking is activity 8: the docking execution itself.
 // "Problematic" ligands reproduce §V.C's abnormal execution times:
 // the docking program enters a loop the engine must abort.
@@ -345,7 +351,7 @@ func (b *builder) runDocking(in workflow.Tuple) (*workflow.ActivationResult, err
 	if err != nil {
 		return nil, err
 	}
-	if data.LigandMeta(lig).Problematic && !b.cfg.LigandBlacklist[lig] {
+	if b.cfg.ligandLoops(lig) {
 		return nil, fmt.Errorf("%w: ligand %s keeps %s busy indefinitely", engine.ErrLoop, lig, b.program)
 	}
 	res, dlig, err := b.dockPair(rec, lig)

@@ -51,6 +51,7 @@ type dfNode struct {
 	outIdx    int
 
 	readyAt  float64 // virtual time the inputs exist (parent placement end)
+	cost     float64 // cost-model draw, set at registration
 	planCost float64 // ready-queue priority weight, set at registration
 
 	group []workflow.Tuple // Reduce only: the group's input tuples
@@ -367,15 +368,16 @@ func (d *dataflow) release(ai int) {
 	d.held[ai] = nil
 }
 
-// register adds a node to the ready queue, fixing its priority weight
-// from what the scheduler is allowed to know: the provenance-history
-// estimate when enabled, the cost-model oracle otherwise.
+// register adds a node to the ready queue. It draws the activation's
+// cost — once; place charges the same draw — and fixes the priority
+// weight from what the scheduler is allowed to know: the
+// provenance-history estimate when enabled, the cost-model oracle (the
+// draw itself) otherwise.
 func (d *dataflow) register(n *dfNode) {
+	n.cost = d.e.cost.Sample(n.act.Tag, activationKey(n.act.Tag, n.tuple))
+	n.planCost = n.cost
 	if d.e.opts.ProvenanceEstimates {
 		n.planCost = d.e.estimateFor(n.act.Tag)
-	} else {
-		key := activationKey(n.act.Tag, n.tuple)
-		n.planCost = d.e.opts.CostModel.Sample(n.act.Tag, key)
 	}
 	d.registered[n.actIdx]++
 	heap.Push(&d.ready, n)
@@ -514,13 +516,9 @@ func (d *dataflow) place(n *dfNode) error {
 		status = prov.StatusAborted
 		a.Attempts = []float64{sched.LoopTimeout}
 	} else {
-		cost := e.opts.CostModel.Sample(n.act.Tag, key)
-		a.Attempts = []float64{cost}
+		a.Attempts = []float64{n.cost}
 		if !e.opts.DisableFailures {
-			a.Attempts = e.opts.CostModel.Attempts(n.act.Tag, key, cost)
-		}
-		if e.opts.ProvenanceEstimates {
-			a.Estimate = e.estimateFor(n.act.Tag)
+			a.Attempts = e.cost.Attempts(n.act.Tag, key, n.cost)
 		}
 		// Stage the output files now so I/O time lands in the virtual
 		// duration.
@@ -672,7 +670,7 @@ func (d *dataflow) open(ai int) error {
 	}
 	if count := d.registered[ai] + len(d.held[ai]); e.opts.Adaptive != nil && count > 0 {
 		e.advanceSim(d.frontier)
-		mean := e.opts.CostModel.Mean(d.order[ai].Tag)
+		mean := e.cost.Mean(d.order[ai].Tag)
 		if mean == 0 {
 			mean = 1
 		}

@@ -63,8 +63,6 @@ type Options struct {
 	// Scheduler plans activations onto VM cores; defaults to the
 	// calibrated greedy scheduler.
 	Scheduler sched.Scheduler
-	// CostModel samples virtual activation costs.
-	CostModel *sched.CostModel
 	// Adaptive, when set, resizes the fleet between stages.
 	Adaptive *sched.AdaptivePolicy
 	// AbortRules are evaluated before each activation.
@@ -115,6 +113,7 @@ type StageEvent struct {
 // Engine executes workflows.
 type Engine struct {
 	opts    Options
+	cost    *sched.CostModel // samples virtual activation costs
 	DB      *prov.DB
 	FS      *simfs.FS
 	Sim     *cloud.Sim
@@ -173,9 +172,6 @@ func New(opts Options) (*Engine, error) {
 		g.WorkerCap = opts.Cores
 		opts.Scheduler = g
 	}
-	if opts.CostModel == nil {
-		opts.CostModel = sched.NewCostModel()
-	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -189,6 +185,7 @@ func New(opts Options) (*Engine, error) {
 	sim := cloud.NewSim()
 	return &Engine{
 		opts:    opts,
+		cost:    sched.NewCostModel(),
 		DB:      db,
 		FS:      simfs.New(),
 		Sim:     sim,

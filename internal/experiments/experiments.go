@@ -17,7 +17,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/engine"
 	"repro/internal/prep"
 	"repro/internal/stats"
 )
@@ -34,7 +33,7 @@ type Suite struct {
 	sweepErr  error
 
 	timingOnce sync.Once
-	timingEng  *engine.Engine
+	timingCamp *core.Campaign
 	timingErr  error
 
 	t3Once sync.Once
@@ -228,33 +227,13 @@ func (s *Suite) Table3() (string, error) {
 
 // --- Figures 5/6/10: the 16-core timing run --------------------------
 
-func (s *Suite) timingRun() (*engine.Engine, error) {
+func (s *Suite) timingRun() (*core.Campaign, error) {
 	s.timingOnce.Do(func() {
-		ds := s.timingDataset()
-		cfg := core.Config{
-			Mode: core.ModeAD4, Dataset: ds, Cores: 16,
-			Effort: core.SmokeEffort(), HgGuard: true, Seed: 5,
-		}
-		eng, err := engine.New(engine.Options{
-			Cores:      16,
-			AbortRules: []engine.AbortRule{core.HgGuardRule},
+		s.timingCamp, s.timingErr = core.RunTiming(core.Config{
+			Mode: core.ModeAD4, Dataset: s.timingDataset(), Cores: 16, HgGuard: true,
 		})
-		if err != nil {
-			s.timingErr = err
-			return
-		}
-		w, err := core.TimingWorkflow(cfg, prep.ProgramAD4)
-		if err != nil {
-			s.timingErr = err
-			return
-		}
-		if _, err := eng.Run(w, core.InputRelation(ds, cfg.ExpDir)); err != nil {
-			s.timingErr = err
-			return
-		}
-		s.timingEng = eng
 	})
-	return s.timingEng, s.timingErr
+	return s.timingCamp, s.timingErr
 }
 
 // histogramQuery is the SQL of §V.C, verbatim (workflow id 1).
@@ -267,11 +246,11 @@ ORDER BY t.endtime`
 
 // Figure5 regenerates the activation execution-time histogram.
 func (s *Suite) Figure5() (string, error) {
-	eng, err := s.timingRun()
+	camp, err := s.timingRun()
 	if err != nil {
 		return "", err
 	}
-	res, err := eng.DB.Query(histogramQuery)
+	res, err := camp.Engine.DB.Query(histogramQuery)
 	if err != nil {
 		return "", err
 	}
@@ -294,11 +273,11 @@ func (s *Suite) Figure5() (string, error) {
 // Figure6 regenerates the per-activity execution-time distribution at
 // 16 cores.
 func (s *Suite) Figure6() (string, error) {
-	eng, err := s.timingRun()
+	camp, err := s.timingRun()
 	if err != nil {
 		return "", err
 	}
-	res, err := eng.DB.Query(`SELECT a.tag,
+	res, err := camp.Engine.DB.Query(`SELECT a.tag,
 count(*),
 avg(extract ('epoch' from (t.endtime-t.starttime))),
 sum(extract ('epoch' from (t.endtime-t.starttime)))
@@ -429,11 +408,11 @@ GROUP BY a.tag`
 
 // Figure10 runs Query 1 against the timing run's provenance.
 func (s *Suite) Figure10() (string, error) {
-	eng, err := s.timingRun()
+	camp, err := s.timingRun()
 	if err != nil {
 		return "", err
 	}
-	res, err := eng.DB.Query(Query1SQL)
+	res, err := camp.Engine.DB.Query(Query1SQL)
 	if err != nil {
 		return "", err
 	}

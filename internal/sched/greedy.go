@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cloud"
 )
@@ -16,11 +15,6 @@ type Activation struct {
 	Key      string    // stable identity, e.g. "autodock4|0E6_2HHN"
 	Attempts []float64 // seconds on a reference core, per attempt
 	IOTime   float64   // shared-FS staging time added once
-	// Estimate is the scheduler's cost belief for ordering decisions.
-	// SciCumulus estimates from provenance history (it cannot know
-	// true durations in advance); zero means "use the true cost"
-	// (oracle ordering, the ablation baseline).
-	Estimate float64
 }
 
 // TotalCost returns the reference-core seconds across all attempts.
@@ -30,15 +24,6 @@ func (a Activation) TotalCost() float64 {
 		s += d
 	}
 	return s + a.IOTime
-}
-
-// PlanningCost is the weight the greedy scheduler orders by: the
-// provenance estimate when present, the true cost otherwise.
-func (a Activation) PlanningCost() float64 {
-	if a.Estimate > 0 {
-		return a.Estimate
-	}
-	return a.TotalCost()
 }
 
 // Placement is the scheduler's decision for one activation.
@@ -85,8 +70,9 @@ func eligibleCores(vms []*cloud.VM, cap int) ([]coreState, error) {
 	return cores, nil
 }
 
-// Scheduler is the placement interface, and the engine's only
-// scheduler contract: the dispatcher hands activations over one at a
+// Scheduler is the placement interface, and the only scheduler
+// contract in the tree — campaigns and the Figure 7-9 sweep alike run
+// on the engine's dispatcher, which hands activations over one at a
 // time, the moment they become ready, and the scheduler assigns each
 // to a core immediately (SciCumulus' dynamic activation dispatch).
 // Implementations keep per-run core availability state between calls;
@@ -103,9 +89,9 @@ type Scheduler interface {
 // the master node, whose per-decision planning time grows with the
 // fleet size — the overhead the paper holds responsible for the
 // efficiency drop between 32 and 128 cores (Figure 9). Cost weighting
-// enters through the order activations are offered: the engine's
-// dispatcher drains ready work heaviest-first, and Batch replays whole
-// stages in the same LPT order.
+// enters through the order activations are offered, not through
+// Place: the engine's dispatcher drains equal-ready work
+// heaviest-first.
 type Greedy struct {
 	// MasterDelayPerVM is the planning time (seconds) one dispatch
 	// decision costs per VM in the fleet. The calibrated default
@@ -120,9 +106,9 @@ type Greedy struct {
 }
 
 // NewGreedy returns the calibrated scheduler. The per-VM master delay
-// is fitted so the 10,000-pair sweep lands on the paper's Figure 7-9
-// anchors (≈95% improvement at 32 cores, visible efficiency loss at
-// 128).
+// is fitted so the 10,000-pair sweep (core.PerfSweep, on the engine)
+// lands on the paper's Figure 7-9 anchors (≈95% improvement at 32
+// cores, visible efficiency loss at 128).
 func NewGreedy() *Greedy {
 	return &Greedy{MasterDelayPerVM: 0.02}
 }
@@ -183,19 +169,6 @@ func (g *Greedy) coreFree(c coreState) float64 {
 	return c.vm.ReadyAt
 }
 
-// batchOrder replays a stage heaviest-first (longest believed
-// processing time first), the SciCumulus weighted greedy.
-func (g *Greedy) batchOrder(acts []Activation) []int {
-	order := make([]int, len(acts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return acts[order[i]].PlanningCost() > acts[order[j]].PlanningCost()
-	})
-	return order
-}
-
 // RoundRobin is the naive baseline scheduler used by the ablation
 // benchmarks: activations are dealt to cores in arrival order with no
 // cost weighting and no master serialization.
@@ -240,50 +213,4 @@ func (rr *RoundRobin) Place(now float64, a Activation, fleet []*cloud.VM) (Place
 	}
 	rr.freeAt[key] = p.End
 	return p, nil
-}
-
-// batchOrderer lets a scheduler pick the order Batch replays a stage
-// in; schedulers without the method place in arrival order.
-type batchOrderer interface {
-	batchOrder(acts []Activation) []int
-}
-
-// Batch is the perf sweep's stage-replay model (core.PerfSweep,
-// Figures 7-9), not an engine contract: it replays one stage of
-// already-sampled activations through a Scheduler. Placement state is
-// reset (every stage starts with an idle fleet — that is what a
-// barrier means), the activations are placed in the scheduler's batch
-// order, and the stage makespan (virtual end of the last activation,
-// measured from startAt) is returned.
-type Batch struct {
-	S Scheduler
-}
-
-// Schedule plans one stage: all activations are independent and may
-// run concurrently.
-func (b Batch) Schedule(startAt float64, acts []Activation, vms []*cloud.VM) ([]Placement, float64, error) {
-	if len(vms) == 0 {
-		return nil, 0, fmt.Errorf("sched: no VMs available")
-	}
-	b.S.Reset()
-	order := make([]int, len(acts))
-	for i := range order {
-		order[i] = i
-	}
-	if o, ok := b.S.(batchOrderer); ok {
-		order = o.batchOrder(acts)
-	}
-	placements := make([]Placement, 0, len(acts))
-	end := startAt
-	for _, idx := range order {
-		p, err := b.S.Place(startAt, acts[idx], vms)
-		if err != nil {
-			return nil, 0, err
-		}
-		if p.End > end {
-			end = p.End
-		}
-		placements = append(placements, p)
-	}
-	return placements, end - startAt, nil
 }

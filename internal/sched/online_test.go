@@ -97,49 +97,6 @@ func TestOnlineFleetGrowth(t *testing.T) {
 	}
 }
 
-// TestBatchAdapterMatchesLegacyContract: the Batch adapter over the
-// online greedy reproduces the legacy stage semantics — LPT order,
-// fresh cores per stage, makespan measured from startAt.
-func TestBatchAdapterMatchesLegacyContract(t *testing.T) {
-	vms := fleetVMs(t, 2)
-	g := NewGreedy()
-	acts := []Activation{act(1, 1), act(2, 30), act(3, 2), act(4, 29)}
-	ps, makespan, err := Batch{S: g}.Schedule(100, acts, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != len(acts) {
-		t.Fatalf("placed %d of %d", len(ps), len(acts))
-	}
-	// LPT: the two heavy activations are placed first, on distinct
-	// cores.
-	if ps[0].Activation.ID != 2 || ps[1].Activation.ID != 4 {
-		t.Errorf("batch order not LPT: got %d,%d first", ps[0].Activation.ID, ps[1].Activation.ID)
-	}
-	if ps[0].VMID == ps[1].VMID && ps[0].Core == ps[1].Core {
-		t.Error("heavy activations share a core")
-	}
-	for _, p := range ps {
-		if p.Start < 100 {
-			t.Errorf("placement starts at %.2f, before the stage start", p.Start)
-		}
-	}
-	if makespan < 30 {
-		t.Errorf("makespan %.2f below the heaviest activation", makespan)
-	}
-	// A second Schedule call must not inherit the first stage's core
-	// occupancy (the barrier resets the fleet).
-	ps2, _, err := Batch{S: g}.Schedule(100, acts, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if fmt.Sprint(ps[i]) != fmt.Sprint(ps2[i]) {
-			t.Fatalf("stage replay differs at %d: %+v vs %+v", i, ps[i], ps2[i])
-		}
-	}
-}
-
 // TestRoundRobinOnline checks arrival-order dealing without cost
 // weighting survives the online conversion.
 func TestRoundRobinOnline(t *testing.T) {

@@ -69,6 +69,16 @@ go run ./cmd/gendata -out "$gen_b" -receptors 3 -ligands 2 -large
 diff -r "$gen_a" "$gen_b" || { echo "check: gendata output differs between runs" >&2; exit 1; }
 rm -rf "$gen_a" "$gen_b"
 
+# The archived reference run is what this tree prints: every table and
+# figure regenerates deterministically (~1 min, the Table 3 docking
+# really runs), so a change that moves chemistry or virtual time and
+# forgets results_reference.txt and EXPERIMENTS.md fails here.
+echo "==> results_reference.txt is current (dockbench -exp all)"
+ref=$(mktemp)
+go run ./cmd/dockbench -exp all >"$ref"
+diff "$ref" results_reference.txt || { echo "check: dockbench -exp all differs from results_reference.txt; regenerate it and EXPERIMENTS.md's quoted numbers" >&2; exit 1; }
+rm -f "$ref"
+
 echo "==> provenance store benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/prov
 
