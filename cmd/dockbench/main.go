@@ -6,6 +6,7 @@
 //	dockbench -exp all          # every table and figure (minutes)
 //	dockbench -exp f7           # the TET scalability curve
 //	dockbench -exp t3 -quick    # reduced workload (seconds)
+//	dockbench -exp fit          # re-fit internal/core/calibrate.go (not part of all)
 //
 // Performance is measured by `go run ./bench`, not here.
 package main
@@ -29,7 +30,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dockbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id: t1, t2, t3, f5..f11 or all")
+	exp := fs.String("exp", "all", "experiment id: t1, t2, t3, f5..f11 or all; fit re-derives the FEB calibration")
 	quick := fs.Bool("quick", false, "reduced workloads (for smoke runs)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -14,6 +14,7 @@ func TestRun(t *testing.T) {
 		wantErr string // substring of the error; empty means success
 	}{
 		{"table 1", []string{"-exp", "t1", "-quick"}, "TABLE 1", ""},
+		{"calibration fit", []string{"-exp", "fit", "-quick"}, "vinaFEBOffset", ""},
 		{"retired experiment", []string{"-exp", "kernels"}, "", `unknown experiment "kernels" (want t1-t3, f5-f11, all)`},
 		{"retired flag", []string{"-benchout", "x"}, "", "flag provided but not defined: -benchout"},
 	} {

@@ -71,11 +71,11 @@ func (ks *KinScratch) prepare(t *TorsionTree, base []Vec3) {
 
 // ApplyTorsionsBatch materializes a window of poses straight into SoA
 // component lanes: for each pose it applies the torsion rotations to
-// the base conformation, re-centres, and applies the rigid-body
-// transform, storing atom i of pose p at xs[p*len(base)+i] (ys, zs
-// alike). The floating-point operation sequence per pose replicates
+// the base conformation and then the rigid-body transform, storing
+// atom i of pose p at xs[p*len(base)+i] (ys, zs alike). The
+// floating-point operation sequence per pose replicates
 // dock.Ligand.CoordsInto exactly — same torsion skip rule, same
-// rotation op order, same sequential centroid — so the lane values are
+// rotation op order, no re-centring — so the lane values are
 // bit-identical (0-ULP) to the per-pose AoS path.
 //
 // Compared to staging each pose through an AoS buffer and copying, the
@@ -83,8 +83,8 @@ func (ks *KinScratch) prepare(t *TorsionTree, base []Vec3) {
 // three memmoves of the base lanes, then the flattened torsion
 // schedule is replayed torsion-outer/pose-inner — the per-torsion
 // index list and axis frame load once and stream across the whole
-// window instead of being re-walked per pose — and the re-centre +
-// rotate + translate pass runs in-lane.
+// window instead of being re-walked per pose — and the rotate +
+// translate pass runs in-lane.
 //
 // Each lane must have length len(poses)*len(base). len(base) must
 // match the conformation the tree was built for, and the base contents
@@ -93,30 +93,12 @@ func (ks *KinScratch) prepare(t *TorsionTree, base []Vec3) {
 // valid); dock ligands' base conformations are immutable, so this
 // holds by construction there.
 //
-//exact: bit-identical to the per-pose CoordsInto path
+// exact: bit-identical to the per-pose CoordsInto path
 func (t *TorsionTree) ApplyTorsionsBatch(ks *KinScratch, base []Vec3, poses []Placement, xs, ys, zs []float64) {
 	stride := len(base)
 	if want := len(poses) * stride; len(xs) != want || len(ys) != want || len(zs) != want {
 		panic(fmt.Sprintf("chem: ApplyTorsionsBatch lanes %d/%d/%d for %d poses of %d atoms",
 			len(xs), len(ys), len(zs), len(poses), stride))
-	}
-	if len(t.Torsions) == 0 {
-		// CoordsInto skips the re-centre when the ligand is rigid:
-		// the transform applies to the base conformation directly.
-		for p := range poses {
-			pl := &poses[p]
-			if len(pl.Angles) != 0 {
-				panic(fmt.Sprintf("chem: %d torsion angles for %d torsions", len(pl.Angles), len(t.Torsions)))
-			}
-			q := pl.Orientation.Normalize()
-			tr := pl.Translation
-			at := p * stride
-			for i, v := range base {
-				w := q.Rotate(v).Add(tr)
-				xs[at+i], ys[at+i], zs[at+i] = w.X, w.Y, w.Z
-			}
-		}
-		return
 	}
 	ks.prepare(t, base)
 	n := len(poses)
@@ -161,21 +143,17 @@ func (t *TorsionTree) ApplyTorsionsBatch(ks *KinScratch, base []Vec3, poses []Pl
 			}
 		}
 	}
-	// Stage 3: per pose, sequential centroid (replicating
-	// chem.Centroid's op order) then the rigid-body transform in-lane.
+	// Stage 3: per pose, the rigid-body transform in-lane. The frame is
+	// the base conformation's (the about point at its origin); nothing
+	// re-centres after the torsions.
 	for p := range poses {
 		pl := &poses[p]
 		at := p * stride
-		var c Vec3
-		for i := 0; i < stride; i++ {
-			c = c.Add(V(xs[at+i], ys[at+i], zs[at+i]))
-		}
-		c = c.Scale(1 / float64(stride))
 		q := pl.Orientation.Normalize()
 		tr := pl.Translation
 		for i := 0; i < stride; i++ {
 			j := at + i
-			w := q.Rotate(V(xs[j], ys[j], zs[j]).Sub(c)).Add(tr)
+			w := q.Rotate(V(xs[j], ys[j], zs[j])).Add(tr)
 			xs[j], ys[j], zs[j] = w.X, w.Y, w.Z
 		}
 	}

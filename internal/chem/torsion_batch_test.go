@@ -50,16 +50,7 @@ func randomPlacement(r *rand.Rand, nTors int) Placement {
 // sequence on a Placement: the AoS path the batched kernel must match
 // to 0 ULP.
 func coordsReference(tree *TorsionTree, base []Vec3, pl Placement) []Vec3 {
-	var coords []Vec3
-	if tree.NumTorsions() == 0 {
-		coords = append(coords, base...)
-	} else {
-		coords = tree.ApplyTorsionsInto(nil, base, pl.Angles)
-		c := Centroid(coords)
-		for i := range coords {
-			coords[i] = coords[i].Sub(c)
-		}
-	}
+	coords := tree.ApplyTorsionsInto(nil, base, pl.Angles)
 	q := pl.Orientation.Normalize()
 	for i := range coords {
 		coords[i] = q.Rotate(coords[i]).Add(pl.Translation)
@@ -86,7 +77,7 @@ func TestApplyTorsionsBatchMatchesAoS(t *testing.T) {
 		trees = append(trees, tree)
 		bases = append(bases, m.Positions())
 	}
-	// Rigid tree: the centroid re-centre is skipped in the reference.
+	// Rigid tree: the kernel's no-torsion branch.
 	trees = append(trees, &TorsionTree{Root: 0})
 	bases = append(bases, mols[0].Positions())
 

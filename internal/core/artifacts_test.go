@@ -49,12 +49,13 @@ func artifactsDigest(t *testing.T, camp *Campaign) string {
 }
 
 // TestCampaignArtifactsGolden pins every byte a campaign produces: the
-// staged files and the provenance database. The digests were recorded
-// on the per-workflow builder caches (one grid.Generate per receptor ×
-// ligand type set, one PDBQT rendering per pair, simfs copying every
-// write) before the product store replaced them, and must never be
-// edited by a change that claims to preserve behaviour. The bench
-// digest covers ddocking rows and TET bits only; this covers the rest.
+// staged files and the provenance database. The digests were
+// re-recorded once at trajectory epoch 2 — the root-frame pose model,
+// Vina's reusable summation order and the re-fitted FEB calibration,
+// from the full-walk search before the incremental evaluator existed —
+// and must never be edited by a change that claims to preserve
+// behaviour. The bench digest covers ddocking rows and TET bits only;
+// this covers the rest.
 func TestCampaignArtifactsGolden(t *testing.T) {
 	switch runtime.GOARCH {
 	case "arm64", "ppc64", "ppc64le", "s390x", "riscv64", "loong64":
@@ -75,7 +76,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Mode: ModeAdaptive, Dataset: small, Cores: 8,
 				Effort: SmokeEffort(), Seed: 2014, HgGuard: true,
 			},
-			want: "8bb0d59927429f50efd0ccde9aab23be7f8e03ab749793d964f9c8249f96ee9f",
+			want: "d905d591cf421cd589b06753f97d097b9d80305db2ae10c0e0a9d989d85e841e",
 		},
 		{
 			name: "ad4-writemaps",
@@ -85,7 +86,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Cores:   2, Effort: SmokeEffort(), HgGuard: true, DisableFailures: true,
 				WriteMaps: true,
 			},
-			want: "5fdb8dd751ec43458e0617cf5b56851579be07c5266d09a87123b60fdcef2fe8",
+			want: "74b21b64ba5373839a7ff347b55788247261fdf3bde161e39904ffef8a820175",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

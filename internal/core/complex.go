@@ -114,12 +114,8 @@ func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, itera
 		return 0, 0, err
 	}
 	heavy := pl.Mol.HeavyAtomCount()
-	calibrate := calibrateAD4
-	if program == prep.ProgramVina {
-		calibrate = calibrateVina
-	}
-	before = calibrate(normalizeBySize(reported(dlig.Coords(best.Pose)), heavy))
-	after = calibrate(normalizeBySize(reported(dlig.Coords(ref.Pose)), heavy))
+	before = b.reportedFEB(reported(dlig.Coords(best.Pose)), heavy)
+	after = b.reportedFEB(reported(dlig.Coords(ref.Pose)), heavy)
 	return before, after, nil
 }
 

@@ -83,6 +83,11 @@ type Config struct {
 	// instead of true durations (SciCumulus' weighted cost model).
 	ProvenanceEstimates bool
 
+	// rawFEB switches the FEB calibration off: docking results and
+	// ddocking rows carry the size-normalised raw score, unrounded.
+	// Only FitFEB sets it, to measure what the calibration is fitted to.
+	rawFEB bool
+
 	// store is the campaign's product store, set by NewCampaign so every
 	// workflow built from the campaign's Config shares it, and cleared
 	// when Execute returns. Nil means BuildWorkflow makes a private one.

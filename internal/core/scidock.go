@@ -463,12 +463,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		heavy := pl.Mol.HeavyAtomCount()
-		for i := range res.Runs {
-			raw := scorer.ReportedFEB(dlig.Coords(res.Runs[i].Pose))
-			res.Runs[i].FEB = calibrateAD4(normalizeBySize(raw, heavy))
-			res.Runs[i].RMSD = round2(res.Runs[i].RMSD)
-		}
+		b.report(res, dlig, scorer.ReportedFEB)
 		return res, dlig, nil
 	}
 
@@ -492,11 +487,31 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	heavy := pl.Mol.HeavyAtomCount()
+	b.report(res, dlig, scorer.ReportedFEB)
+	return res, dlig, nil
+}
+
+// report replaces each run's search objective with what the program
+// prints: the reported FEB of the run's pose and the RMSD to 0.01 Å.
+func (b *builder) report(res *dock.Result, dlig *dock.Ligand, reported func([]chem.Vec3) float64) {
+	heavy := dlig.Mol.HeavyAtomCount()
 	for i := range res.Runs {
-		raw := scorer.ReportedFEB(dlig.Coords(res.Runs[i].Pose))
-		res.Runs[i].FEB = calibrateVina(normalizeBySize(raw, heavy))
+		res.Runs[i].FEB = b.reportedFEB(reported(dlig.Coords(res.Runs[i].Pose)), heavy)
 		res.Runs[i].RMSD = round2(res.Runs[i].RMSD)
 	}
-	return res, dlig, nil
+}
+
+// reportedFEB maps a pose's raw reported energy to the FEB the
+// campaign records: size-normalised, then calibrated for the builder's
+// program (left normalised under Config.rawFEB).
+func (b *builder) reportedFEB(raw float64, heavyAtoms int) float64 {
+	norm := normalizeBySize(raw, heavyAtoms)
+	switch {
+	case b.cfg.rawFEB:
+		return norm
+	case b.program == prep.ProgramVina:
+		return calibrateVina(norm)
+	default:
+		return calibrateAD4(norm)
+	}
 }

@@ -48,10 +48,9 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 	}
 }
 
-// TestDockTrajectoryGolden pins the whole search trajectory: the
-// digests were recorded from the batched LGA with windowed Solis-Wets
-// this package used to default to, so the one per-pose loop that
-// remains is proven to walk the same trajectory to the bit.
+// TestDockTrajectoryGolden pins the whole search trajectory. The
+// digests were re-recorded once at trajectory epoch 2 (the root-frame
+// pose model); the LGA and Solis-Wets themselves did not change.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{77, 2014}
@@ -59,8 +58,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		rec, lig string
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", [2]string{"04b0601332e09d19", "dfad52489bb5ef29"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"0daf806e679bd080", "614ef6efa9a63508"}},
+		{"2HHN", "0E6", [2]string{"54fa092bafb9b9e4", "8a70ff091bc5a4fb"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"0eb5ae099b16ccd7", "ddf66ee7d0f6b451"}},
 	}
 	for _, p := range pairs {
 		maps, lig, box := setupPair(t, p.rec, p.lig)

@@ -28,20 +28,19 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 }
 
 // TestScoreGolden pins per-pose Score and ReportedFEB to the bit. The
-// digests were recorded from the first-generation scalar walk (three
-// Maps.*At interpolations per atom), before per-pose Score and
-// ScoreBatch shared grid.InterAccum — so the
-// ScoreBatch == Score tests (which now only pin batch invariance) are
-// not the sole witness that the shared kernel kept the float64
-// addition sequence.
+// digests were re-recorded once at trajectory epoch 2: AD4's scoring
+// did not change, the coordinates it is handed did (the root-frame
+// pose model — no re-centring after the torsions). Score and
+// ScoreBatch share grid.InterAccum, so the ScoreBatch == Score tests
+// only pin batch invariance; this pins the float64 addition sequence.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "d1ce3dbf47e97d7c"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "d747195e117f8674"},
+		{"2HHN", "0E6", "f98583c9e2f1f26f"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "68a56d3995d18abf"},
 	}
 	for _, p := range pairs {
 		maps, lig, _ := setupPair(t, p.rec, p.lig)

@@ -13,6 +13,11 @@ import (
 func testLigand(t testing.TB, code string) *Ligand {
 	t.Helper()
 	raw, _ := data.GenerateLigand(code)
+	return prepared(t, raw)
+}
+
+func prepared(t testing.TB, raw *chem.Molecule) *Ligand {
+	t.Helper()
 	mol2, err := prep.ConvertSDFToMol2(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +33,12 @@ func testLigand(t testing.TB, code string) *Ligand {
 	return lig
 }
 
+func largeLigand(t testing.TB) *Ligand {
+	t.Helper()
+	raw, _ := data.GenerateLargeLigand()
+	return prepared(t, raw)
+}
+
 func TestNewLigandErrors(t *testing.T) {
 	if _, err := NewLigand(&chem.Molecule{Name: "E"}, &chem.TorsionTree{}); err == nil {
 		t.Error("empty molecule accepted")
@@ -38,20 +49,58 @@ func TestNewLigandErrors(t *testing.T) {
 	}
 }
 
+// rootFragment lists the atoms no torsion moves: the rigid fragment
+// the pose frame — and with it the about point — is fixed in.
+func rootFragment(lig *Ligand) []int {
+	var root []int
+	for i, u := range lig.Tree.RigidUnits(lig.Mol.NumAtoms()) {
+		if u == 0 {
+			root = append(root, i)
+		}
+	}
+	return root
+}
+
+func randomTorsions(r *rand.Rand, n int) []float64 {
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = (r.Float64()*2 - 1) * math.Pi
+	}
+	return ts
+}
+
 func TestCoordsIdentityPose(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	p := Pose{Orientation: chem.QuatIdentity, Torsions: make([]float64, lig.NumTorsions())}
 	coords := lig.Coords(p)
-	// Identity pose at origin: centroid at origin.
+	// Identity pose at origin: the about point — the input
+	// conformation's centroid — sits at the origin.
 	c := chem.Centroid(coords)
 	if c.Norm() > 1e-9 {
-		t.Errorf("identity-pose centroid = %v", c)
+		t.Errorf("identity-pose about point = %v", c)
+	}
+	// Torsions turn branches about a frame fixed in the root fragment:
+	// they move the centroid, never the root fragment, so the about
+	// point stays where the translation put it.
+	p.Torsions = randomTorsions(rand.New(rand.NewSource(1)), lig.NumTorsions())
+	turned := lig.Coords(p)
+	root := rootFragment(lig)
+	if len(root) == 0 || len(root) == len(coords) {
+		t.Fatalf("root fragment has %d of %d atoms; fixture too weak", len(root), len(coords))
+	}
+	for _, i := range root {
+		if turned[i] != coords[i] {
+			t.Fatalf("root-fragment atom %d moved under torsions: %v -> %v", i, coords[i], turned[i])
+		}
+	}
+	if chem.Centroid(turned).Norm() < 1e-6 {
+		t.Error("centroid still at the origin after turning every torsion: coordinates are being re-centred")
 	}
 	// Bond lengths preserved vs reference.
 	ref := lig.Reference()
 	for _, b := range lig.Mol.Bonds {
 		d0 := ref[b.A].Dist(ref[b.B])
-		d1 := coords[b.A].Dist(coords[b.B])
+		d1 := turned[b.A].Dist(turned[b.B])
 		if math.Abs(d0-d1) > 1e-9 {
 			t.Fatalf("bond %d-%d length changed", b.A, b.B)
 		}
@@ -66,9 +115,70 @@ func TestCoordsTranslation(t *testing.T) {
 		Torsions:    make([]float64, lig.NumTorsions()),
 	}
 	coords := lig.Coords(p)
+	// At zero torsions the about point is the centroid.
 	c := chem.Centroid(coords)
 	if c.Dist(p.Translation) > 1e-9 {
-		t.Errorf("centroid %v, want %v", c, p.Translation)
+		t.Errorf("about point %v, want %v", c, p.Translation)
+	}
+	// Whatever the torsions, the translation carries the root fragment
+	// — and the about point fixed in it — rigidly.
+	p.Torsions = randomTorsions(rand.New(rand.NewSource(2)), lig.NumTorsions())
+	turned := lig.Coords(p)
+	for _, i := range rootFragment(lig) {
+		if turned[i] != coords[i] {
+			t.Fatalf("root-fragment atom %d moved under torsions: %v -> %v", i, coords[i], turned[i])
+		}
+	}
+}
+
+// TestTorsionProbeLeavesRestBitIdentical pins the property Vina's
+// incremental evaluator lives on: a pose that differs from another in
+// angle k alone has bit-identical coordinates on every atom outside
+// Moved_k, for every generated ligand and every k — and the root atom
+// is outside every Moved set, so the frame never moves.
+func TestTorsionProbeLeavesRestBitIdentical(t *testing.T) {
+	ligands := []*Ligand{largeLigand(t)}
+	for _, code := range data.LigandCodes {
+		ligands = append(ligands, testLigand(t, code))
+	}
+	box := Box{Center: chem.V(1, -2, 3), Size: chem.V(20, 20, 20)}
+	r := rand.New(rand.NewSource(22))
+	for _, lig := range ligands {
+		n := lig.Mol.NumAtoms()
+		base := RandomPose(r, box, lig.NumTorsions())
+		want := lig.Coords(base)
+		probe := base.Clone()
+		var got []chem.Vec3
+		for k, tor := range lig.Tree.Torsions {
+			inMoved := make([]bool, n)
+			for _, i := range tor.Moved {
+				inMoved[i] = true
+			}
+			if inMoved[lig.Tree.Root] {
+				t.Fatalf("%s: torsion %d moves the root atom %d", lig.Mol.Name, k, lig.Tree.Root)
+			}
+			for _, delta := range []float64{0.5, -0.5, 0.0625} {
+				probe.Torsions[k] = base.Torsions[k] + delta
+				got = lig.CoordsInto(probe, got)
+				changed := 0
+				for i := range got {
+					same := math.Float64bits(got[i].X) == math.Float64bits(want[i].X) &&
+						math.Float64bits(got[i].Y) == math.Float64bits(want[i].Y) &&
+						math.Float64bits(got[i].Z) == math.Float64bits(want[i].Z)
+					if !same {
+						changed++
+						if !inMoved[i] {
+							t.Fatalf("%s: torsion %d %+v moved atom %d outside Moved: %v -> %v",
+								lig.Mol.Name, k, delta, i, want[i], got[i])
+						}
+					}
+				}
+				if changed == 0 {
+					t.Fatalf("%s: torsion %d %+v moved nothing", lig.Mol.Name, k, delta)
+				}
+			}
+			probe.Torsions[k] = base.Torsions[k]
+		}
 	}
 }
 

@@ -15,7 +15,11 @@ import (
 // translation and orientation plus one angle per rotatable bond —
 // exactly AutoDock's genotype.
 type Pose struct {
-	Translation chem.Vec3 // position of the ligand centroid
+	// Translation is where the ligand's about point sits: the centroid
+	// of the input conformation, carried rigidly by the root fragment
+	// (AutoDock's `about`). It is the ligand centroid only while every
+	// torsion is zero — a torsion moves its branch, not the frame.
+	Translation chem.Vec3
 	Orientation chem.Quat
 	Torsions    []float64 // radians, one per rotatable bond
 }
@@ -51,12 +55,16 @@ func (b Box) Contains(p chem.Vec3) bool {
 }
 
 // Ligand is the conformational model both engines share: the prepared
-// molecule, its torsion tree and base coordinates centred at the
-// origin (so Pose.Translation is the centroid position directly).
+// molecule, its torsion tree and base coordinates with the input
+// conformation's centroid — the about point — at the origin. The pose
+// frame is fixed in the root fragment: torsions rotate their branches
+// of the base conformation about it and nothing re-centres afterwards,
+// so Pose.Translation is the about point's position and changing
+// angle k moves only the atoms of Tree.Torsions[k].Moved.
 type Ligand struct {
 	Mol      *chem.Molecule
 	Tree     *chem.TorsionTree
-	base     []chem.Vec3 // origin-centred input conformation
+	base     []chem.Vec3 // input conformation, about point at the origin
 	refCoord []chem.Vec3 // reference (input frame) coordinates for RMSD
 }
 
@@ -87,8 +95,8 @@ func (l *Ligand) NumTorsions() int { return l.Tree.NumTorsions() }
 func (l *Ligand) Reference() []chem.Vec3 { return l.refCoord }
 
 // Coords materializes the atom coordinates of a pose: torsions are
-// applied to the base conformation, the result re-centred, rotated by
-// the orientation and translated.
+// applied to the base conformation, the result rotated by the
+// orientation about the about point and translated.
 func (l *Ligand) Coords(p Pose) []chem.Vec3 {
 	return l.CoordsInto(p, nil)
 }
@@ -97,20 +105,17 @@ func (l *Ligand) Coords(p Pose) []chem.Vec3 {
 // so a search loop that keeps one buffer per worker evaluates
 // candidates without allocating. The returned slice aliases buf and
 // is overwritten by the next call that reuses it.
+//
+// Each atom's coordinates are a function of the rigid-body transform
+// and of the torsions whose Moved set holds the atom, and of nothing
+// else: two poses that differ in angle k alone agree bit for bit on
+// every atom outside Moved_k. Vina's incremental evaluator finds its
+// reusable partial sums by that bit equality.
 func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 	if len(p.Torsions) != l.NumTorsions() {
 		panic(fmt.Sprintf("dock: pose has %d torsions, ligand %d", len(p.Torsions), l.NumTorsions()))
 	}
-	var coords []chem.Vec3
-	if l.NumTorsions() == 0 {
-		coords = append(buf[:0], l.base...)
-	} else {
-		coords = l.Tree.ApplyTorsionsInto(buf, l.base, p.Torsions)
-		c := chem.Centroid(coords)
-		for i := range coords {
-			coords[i] = coords[i].Sub(c)
-		}
-	}
+	coords := l.Tree.ApplyTorsionsInto(buf, l.base, p.Torsions)
 	q := p.Orientation.Normalize()
 	for i := range coords {
 		coords[i] = q.Rotate(coords[i]).Add(p.Translation)

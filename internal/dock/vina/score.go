@@ -5,6 +5,7 @@ package vina
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/chem"
@@ -40,7 +41,9 @@ type Scorer struct {
 	ligTypes  []chem.TypeParams
 	ligIsH    []bool
 	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
-	intraTbl  []intraPair        // heavy-atom 1-4+ pairs with their tables
+	frag      []int32            // per ligand atom: its rigid fragment (chem.TorsionTree.RigidUnits)
+	intraTbl  []intraPair        // heavy-atom 1-4+ pairs with their tables, grouped by fragment pair
+	groups    []intraGroup       // the runs of intraTbl, ascending (a, b)
 	rotFactor float64
 	intraRef  float64 // internal energy of the input conformation
 
@@ -68,6 +71,24 @@ type ReceptorIndex struct {
 type intraPair struct {
 	i, j int32
 	tbl  *tables.Radial
+}
+
+// intraGroup is one run of intraTbl: the pairs joining rigid fragments
+// a ≤ b (a == b: pairs inside one fragment, whose distance no pose
+// changes). A group's sum depends on the coordinates of those two
+// fragments alone, which is what makes it a reusable partial of the
+// internal energy.
+type intraGroup struct {
+	a, b   int32
+	lo, hi int32 // intraTbl[lo:hi]
+}
+
+// interScratch is the stack scratch of one atomInter call chain: the
+// span list and one chunk of filtered hits. Callers declare it once
+// and lend it to every atom of a walk.
+type interScratch struct {
+	hits  [64]dock.Hit
+	spans [27][2]int32
 }
 
 // NewReceptorIndex builds the cell lists over the receptor and
@@ -159,10 +180,37 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 			tbl: tables.Vina(lig.Mol.Atoms[i].Type, lig.Mol.Atoms[j].Type),
 		})
 	}
+	// Group the pairs by the rigid fragments they join; the stable sort
+	// keeps intraPairs14's order inside a group, so the addition order
+	// is a function of the ligand alone.
+	s.frag = lig.Tree.RigidUnits(lig.Mol.NumAtoms())
+	sort.SliceStable(s.intraTbl, func(x, y int) bool {
+		ax, bx := s.fragPair(s.intraTbl[x])
+		ay, by := s.fragPair(s.intraTbl[y])
+		return ax < ay || (ax == ay && bx < by)
+	})
+	for k, pr := range s.intraTbl {
+		a, b := s.fragPair(pr)
+		if n := len(s.groups); n > 0 && s.groups[n-1].a == a && s.groups[n-1].b == b {
+			s.groups[n-1].hi = int32(k + 1)
+			continue
+		}
+		s.groups = append(s.groups, intraGroup{a: a, b: b, lo: int32(k), hi: int32(k + 1)})
+	}
 	// Vina reports affinities relative to the internal energy of the
 	// unbound conformation, so a ligand floating free scores ~0.
 	s.intraRef = s.intraEnergy(lig.Reference())
 	return s, nil
+}
+
+// fragPair returns the rigid fragments an intramolecular pair joins,
+// lower id first — the key intraTbl is grouped by.
+func (s *Scorer) fragPair(pr intraPair) (a, b int32) {
+	a, b = s.frag[pr.i], s.frag[pr.j]
+	if a > b {
+		a, b = b, a
+	}
+	return a, b
 }
 
 // intraPairs14 lists ligand atom pairs four or more bonds apart
@@ -203,15 +251,32 @@ func intraPairs14(m *chem.Molecule) [][2]int {
 // Score implements dock.Scorer: the Vina affinity in kcal/mol,
 // inter-molecular terms divided by the rotatable-bond factor plus a
 // damped internal term. Hydrogens are invisible to the Vina function.
-// It is the search objective — every evaluation of a docking run goes
-// through it — and the one-pose case of the exact kernel: the same
-// candidate spans, radius filter, table read and addition order as
-// ScoreBatch. Safe for concurrent use and allocation-free: the scorer
-// is read-only and the hit scratch lives on the caller's stack.
+// It is the public reference and the test oracle — the search scores
+// through the incremental evaluator (evaluator.go), which adds these
+// same partial sums in this same order — and the one-pose case of the
+// exact kernel: the same candidate spans, radius filter, table read
+// and addition order as ScoreBatch. Safe for concurrent use and
+// allocation-free: the scorer is read-only and the hit scratch lives
+// on the caller's stack.
+//
+// The summation order is chosen so that partial sums are reusable
+// between poses: the inter-molecular energy is Σᵢ sᵢ over heavy ligand
+// atoms ascending, each sᵢ (atomInter) a function of atom i's
+// coordinates alone; the internal energy is Σ over fragment pairs
+// ascending of a per-pair-group sum (groupIntra), each a function of
+// its two fragments' coordinates alone.
 //
 // exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
-	return s.interEnergy(coords)/s.rotFactor + intraWeight*(s.intraEnergy(coords)-s.intraRef)
+	return s.combine(s.interEnergy(coords), s.intraEnergy(coords))
+}
+
+// combine folds the two sums into the affinity; the evaluator calls it
+// on its reassembled sums so the last operations match Score's too.
+//
+// exact: Score's closing expression
+func (s *Scorer) combine(inter, intra float64) float64 {
+	return inter/s.rotFactor + intraWeight*(intra-s.intraRef)
 }
 
 // ReportedFEB is the affinity Vina prints for a pose: the
@@ -222,50 +287,75 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 }
 
 // interEnergy sums the pairwise ligand–receptor terms, shared by Score
-// and ReportedFEB: per heavy ligand atom, the candidate spans of
-// PackedNeighbors.Spans — the accessor Gather uses, so receptors above
-// and below the fine-cell gate take the same branch as the batched
-// kernels — filtered by dock.FilterSpan and read from the atom's table
-// row in hit order. A span is filtered one chunk at a time into a
-// fixed stack array (chunks keep span order and an even length, so the
-// hit sequence is the whole span's), which is what keeps a shared
-// scorer free of per-call scratch.
+// and ReportedFEB: Σᵢ sᵢ over heavy ligand atoms in ascending order.
 //
-// exact: same hit order and float64 addition sequence as ScoreBatch
+// exact: per-atom sums added in atom order, as ScoreBatch adds them
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
-	const cut2 = cutoff * cutoff
-	var hits [64]dock.Hit
-	var spans [27][2]int32
+	var scr interScratch
 	var inter float64
 	for i, p := range coords {
 		if s.ligIsH[i] {
 			continue
 		}
-		row := s.interTbl[i]
-		atoms, ns := s.packed.Spans(p, &spans)
-		for _, sp := range spans[:ns] {
-			for at := sp[0]; at < sp[1]; at += int32(len(hits)) {
-				end := min(at+int32(len(hits)), sp[1])
-				m := dock.FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
-				for _, h := range hits[:m] {
-					inter += row[h.Cls].At2(h.R2)
-				}
-			}
-		}
+		inter += s.atomInter(i, p, &scr)
 	}
 	return inter
 }
 
-// exact: same per-pose addition sequence as ScoreBatch's intraBatch
-func (s *Scorer) intraEnergy(coords []chem.Vec3) float64 {
+// atomInter is sᵢ, heavy ligand atom i's own sum of receptor terms at
+// position p: the candidate spans of PackedNeighbors.Spans — the
+// accessor Gather uses, so receptors above and below the fine-cell
+// gate take the same branch as the batched kernels — filtered by
+// dock.FilterSpan and read from the atom's table row in hit order. A
+// span is filtered one chunk at a time into the fixed scratch array
+// (chunks keep span order and an even length, so the hit sequence is
+// the whole span's), which is what keeps a shared scorer free of
+// per-call scratch.
+//
+// exact: same hit order and float64 addition sequence as ScoreBatch's per-(atom, pose) sum
+func (s *Scorer) atomInter(i int, p chem.Vec3, scr *interScratch) float64 {
 	const cut2 = cutoff * cutoff
-	var intra float64
-	for _, pr := range s.intraTbl {
-		if r2 := coords[pr.i].Dist2(coords[pr.j]); r2 <= cut2 {
-			intra += pr.tbl.At2(r2)
+	hits := &scr.hits
+	row := s.interTbl[i]
+	var sum float64
+	atoms, ns := s.packed.Spans(p, &scr.spans)
+	for _, sp := range scr.spans[:ns] {
+		for at := sp[0]; at < sp[1]; at += int32(len(hits)) {
+			end := min(at+int32(len(hits)), sp[1])
+			m := dock.FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+			for _, h := range hits[:m] {
+				sum += row[h.Cls].At2(h.R2)
+			}
 		}
 	}
+	return sum
+}
+
+// intraEnergy sums the heavy-atom 1-4+ pair terms group by group.
+//
+// exact: per-group sums added in group order, as ScoreBatch's intraBatch adds them
+func (s *Scorer) intraEnergy(coords []chem.Vec3) float64 {
+	var intra float64
+	for g := range s.groups {
+		intra += s.groupIntra(g, coords)
+	}
 	return intra
+}
+
+// groupIntra is the sum of group g's in-cutoff pair terms, in table
+// order.
+//
+// exact: same per-pose addition sequence as intraBatch's per-group sum
+func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
+	const cut2 = cutoff * cutoff
+	gr := s.groups[g]
+	var sum float64
+	for _, pr := range s.intraTbl[gr.lo:gr.hi] {
+		if r2 := coords[pr.i].Dist2(coords[pr.j]); r2 <= cut2 {
+			sum += pr.tbl.At2(r2)
+		}
+	}
+	return sum
 }
 
 // ScoreAnalytic is Score evaluated from the closed-form pair potential

@@ -11,10 +11,12 @@ import (
 // slot p into out[p]. Results are bit-identical to calling Score on
 // each pose's coordinates — Score is this walk for one pose: the same
 // candidate spans, the same dock.FilterSpan, the same table read — and
-// per pose every pair term is accumulated in exactly the sequential
-// order (ligand atoms ascending, candidates in ascending packed order;
-// intramolecular pairs in table order), so the float64 rounding
-// sequence is unchanged — only the loop nest is inverted.
+// per pose every pair term is accumulated in exactly Score's order
+// (per ligand atom its own sum over candidates in ascending packed
+// order, the atom sums added in atom order; per fragment-pair group
+// its own sum in table order, the group sums added in group order), so
+// the float64 rounding sequence is unchanged — only the loop nest is
+// inverted.
 //
 // The speed comes from layout, not from skipping work. The outer loop
 // walks ligand atoms, so one atom's radial-table row and its touched
@@ -53,7 +55,8 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	out = out[:n]
 	xs, ys, zs := b.SoA()
 	stride := b.Stride()
-	inter := b.Scratch(n)
+	acc := b.Scratch(2 * n)
+	inter, gsum := acc[:n], acc[n:]
 	hits := b.Hits(len(s.packed.Atoms()))
 	const cut2 = cutoff * cutoff
 
@@ -83,15 +86,15 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 			} else {
 				m = s.packed.Gather(chem.V(xs[a], ys[a], zs[a]), cut2, hits)
 			}
-			acc := inter[p]
+			var sum float64
 			for _, h := range hits[:m] {
-				acc += row[h.Cls].At2(h.R2)
+				sum += row[h.Cls].At2(h.R2)
 			}
-			inter[p] = acc
+			inter[p] += sum
 		}
 	}
 
-	// Intramolecular terms, accumulated into out in table order
+	// Intramolecular terms, accumulated into out group by group
 	// (identical per-pose addition sequence). A window whose poses are
 	// all valid visits only its live pairs; an escaped pose needs the
 	// whole table, and then the batch walks it for every pose — dead
@@ -106,41 +109,54 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 			return s.intraTbl[k].i, s.intraTbl[k].j
 		})
 	}
-	s.intraBatch(xs, ys, zs, stride, pairs, out)
+	s.intraBatch(xs, ys, zs, stride, pairs, gsum, out)
 
 	for p := 0; p < n; p++ {
-		out[p] = inter[p]/s.rotFactor + intraWeight*(out[p]-s.intraRef)
+		out[p] = s.combine(inter[p], out[p])
 	}
 }
 
-// intraBatch adds the intramolecular pair terms to out[p]: pair-major,
-// poses inner, so one pair's table segment serves every pose. pairs
-// lists the pairs to visit as ascending indices into s.intraTbl (nil:
-// the whole table), so per pose the terms are added in table order
-// either way.
+// intraBatch adds the intramolecular pair terms to out[p]: group-major
+// then pair-major, poses inner, so one pair's table segment serves
+// every pose. Each group's terms are summed into gsum (zero on entry
+// and on return, one slot per pose) and the group sum added to out, as
+// intraEnergy adds groupIntra. pairs lists the pairs to visit as
+// ascending indices into s.intraTbl (nil: the whole table), so per
+// pose a group's terms are added in table order either way; a group
+// whose pairs are all skipped adds the zero its dead pairs sum to.
 //
 // exact: same per-pose addition sequence as intraEnergy
-func (s *Scorer) intraBatch(xs, ys, zs []float64, stride int, pairs []int32, out []float64) {
+func (s *Scorer) intraBatch(xs, ys, zs []float64, stride int, pairs []int32, gsum, out []float64) {
 	const cut2 = cutoff * cutoff
 	np := len(s.intraTbl)
 	if pairs != nil {
 		np = len(pairs)
 	}
-	for t := 0; t < np; t++ {
-		k := t
-		if pairs != nil {
-			k = int(pairs[t])
-		}
-		pr := &s.intraTbl[k]
-		i, j := int(pr.i), int(pr.j)
-		tbl := pr.tbl
-		for p := range out {
-			base := p * stride
-			pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-			pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-			if r2 := pi.Dist2(pj); r2 <= cut2 {
-				out[p] += tbl.At2(r2)
+	t := 0
+	for _, gr := range s.groups {
+		for ; t < np; t++ {
+			k := t
+			if pairs != nil {
+				k = int(pairs[t])
 			}
+			if k >= int(gr.hi) {
+				break
+			}
+			pr := &s.intraTbl[k]
+			i, j := int(pr.i), int(pr.j)
+			tbl := pr.tbl
+			for p := range out {
+				base := p * stride
+				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
+				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
+				if r2 := pi.Dist2(pj); r2 <= cut2 {
+					gsum[p] += tbl.At2(r2)
+				}
+			}
+		}
+		for p := range out {
+			out[p] += gsum[p]
+			gsum[p] = 0
 		}
 	}
 }

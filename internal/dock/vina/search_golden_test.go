@@ -47,10 +47,12 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 	}
 }
 
-// TestDockTrajectoryGolden pins the whole search trajectory: the
-// digests were recorded from the speculative batch/window optimizer
-// this package used to default to, so the one per-pose loop that
-// remains is proven to walk the same trajectory to the bit.
+// TestDockTrajectoryGolden pins the whole search trajectory. The
+// digests were re-recorded once at trajectory epoch 2, from the search
+// that called Score(ws.Coords(probe)) on every probe, before the
+// incremental evaluator existed — so the evaluator that replaced that
+// full walk is proven to follow the same trajectory to the bit
+// (TestIncrementalMatchesFullWalk keeps comparing the two).
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{19, 2014}
@@ -59,8 +61,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		steps    int
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", 6, [2]string{"6044379f46595e1c", "8c6434bb38d0725b"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"003505ec4a4cea4a", "9cd40b11afc3c496"}},
+		{"2HHN", "0E6", 6, [2]string{"7be6c92066591b2a", "d2c24ea830c0e993"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"9af3c2ce48dfb8a1", "0476f2ebc68ba004"}},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

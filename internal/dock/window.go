@@ -26,9 +26,10 @@ import (
 // SetWindow starts a window anchored at the given pose: the anchor
 // coordinates are materialized and cached, and the per-pose validity
 // and engine gather caches are invalidated. Returns the anchor's atom
-// radius — the largest distance of any atom from the anchor centroid
-// (its Translation) — which is the rotation lever arm a caller needs
-// to size the displacement bound.
+// radius — the largest distance of any atom from the anchor's about
+// point (its Translation, the point the orientation rotates about) —
+// which is the rotation lever arm a caller needs to size the
+// displacement bound.
 //
 // The window survives Reset/Append refills (callers stream one window
 // through the batch in chunks); call ClearWindow to end it.

@@ -142,35 +142,38 @@ func (s *Suite) Table2() (string, error) {
 
 // --- Table 3 ---------------------------------------------------------
 
+// t3Config is the Table 3 sweep: every pair of the dataset docked by
+// one program, no injected failures. The calibration fit runs the same
+// sweep, so the constants are fitted to exactly what Table 3 reports.
+func (s *Suite) t3Config(mode core.Mode) core.Config {
+	effort := core.CampaignEffort()
+	if s.Quick {
+		effort = core.SmokeEffort()
+	}
+	return core.Config{
+		Mode: mode, Dataset: s.t3Dataset(), Cores: 32,
+		Effort: effort, HgGuard: true, DisableFailures: true, Seed: 3,
+	}
+}
+
 func (s *Suite) table3Campaign() (*core.Campaign, error) {
 	s.t3Once.Do(func() {
-		effort := core.CampaignEffort()
-		if s.Quick {
-			effort = core.SmokeEffort()
-		}
-		ds := s.t3Dataset()
 		// One engine accumulating both programs' provenance, as the
 		// deployed system did.
-		cfg := core.Config{
-			Mode: core.ModeAD4, Dataset: ds, Cores: 32,
-			Effort: effort, HgGuard: true, DisableFailures: true, Seed: 3,
-		}
-		camp, err := core.Run(cfg)
+		camp, err := core.Run(s.t3Config(core.ModeAD4))
 		if err != nil {
 			s.t3Err = err
 			return
 		}
 		// Run the Vina workflow on the same engine.
-		w, err := core.BuildWorkflow(core.Config{
-			Mode: core.ModeVina, Dataset: ds, Cores: 32,
-			Effort: effort, HgGuard: true, DisableFailures: true, Seed: 3,
-			ExpDir: camp.Config.ExpDir,
-		}, prep.ProgramVina)
+		cfg := s.t3Config(core.ModeVina)
+		cfg.ExpDir = camp.Config.ExpDir
+		w, err := core.BuildWorkflow(cfg, prep.ProgramVina)
 		if err != nil {
 			s.t3Err = err
 			return
 		}
-		rep, err := camp.Engine.Run(w, core.InputRelation(ds, camp.Config.ExpDir))
+		rep, err := camp.Engine.Run(w, core.InputRelation(cfg.Dataset, cfg.ExpDir))
 		if err != nil {
 			s.t3Err = err
 			return
@@ -223,6 +226,21 @@ func (s *Suite) Table3() (string, error) {
 	sb.WriteString("\nAD4/Vina consensus (Chang et al. association):\n")
 	sb.WriteString(analysis.FormatConsensus(cons))
 	return sb.String(), nil
+}
+
+// Fit re-derives the FEB calibration constants of
+// internal/core/calibrate.go from the Table 3 sweep (core.FitFEB). It
+// is a maintenance command, not a paper artifact: `all` does not run
+// it, and its output is pasted into calibrate.go by hand whenever a
+// change moves what the sweep docks.
+func (s *Suite) Fit() (string, error) {
+	cfg := s.t3Config(core.ModeAD4)
+	fits, err := core.FitFEB(cfg)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("FEB CALIBRATION FIT (%d pairs, seed %d)\n", cfg.Dataset.NumPairs(), cfg.Seed) +
+		core.FormatFEBFits(fits), nil
 }
 
 // --- Figures 5/6/10: the 16-core timing run --------------------------
@@ -472,7 +490,7 @@ func (s *Suite) All() (string, error) {
 }
 
 // ByName dispatches one experiment by id ("t1".."t3", "f5".."f11",
-// "all").
+// "all"), or the calibration fit ("fit").
 func (s *Suite) ByName(name string) (string, error) {
 	switch strings.ToLower(name) {
 	case "t1":
@@ -497,7 +515,9 @@ func (s *Suite) ByName(name string) (string, error) {
 		return s.Figure11()
 	case "all":
 		return s.All()
+	case "fit":
+		return s.Fit()
 	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, all)", name)
+		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, all) or fit", name)
 	}
 }
