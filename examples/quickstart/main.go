@@ -66,19 +66,44 @@ func main() {
 	}
 
 	// Figure 12: export the receptor with the best docked pose as one
-	// PDB for molecular viewers.
-	out, err := os.Create("2HHN_0E6_complex.pdb")
-	if err != nil {
-		log.Fatal(err)
+	// PDB for molecular viewers. The export docks the pair once more,
+	// outside the engine, which is also where the search's own work
+	// counters can be read: no DLG or provenance row carries them.
+	for _, exp := range []struct {
+		program prep.Program
+		file    string
+	}{
+		{prep.ProgramAD4, "2HHN_0E6_complex.pdb"},
+		{prep.ProgramVina, "2HHN_0E6_complex_vina.pdb"},
+	} {
+		res, err := exportComplex(exp.program, exp.file)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s: %d atoms, best FEB %.2f kcal/mol (Figure 12)\n", exp.file, res.Atoms, res.FEB)
+		st := res.Stats
+		fmt.Printf("  %s scored %d poses", exp.program, st.Evaluations)
+		if probes := st.TranslationProbes + st.RotationProbes + st.TorsionProbes; probes > 0 {
+			fmt.Printf(": %d local-search probes (%d translation, %d rotation, %d torsion),\n"+
+				"  per-atom sums %d computed / %d reused from the incumbent, intra groups %d / %d",
+				probes, st.TranslationProbes, st.RotationProbes, st.TorsionProbes,
+				st.AtomSumsScored, st.AtomSumsReused, st.IntraGroupsScored, st.IntraGroupsReused)
+		}
+		fmt.Println()
 	}
-	defer out.Close()
-	res, err := core.ExportComplex(out, core.Config{Effort: core.QuickEffort(), Seed: 2014},
-		prep.ProgramAD4, "2HHN", "0E6")
+}
+
+func exportComplex(program prep.Program, file string) (*core.ComplexResult, error) {
+	out, err := os.Create(file)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	fmt.Printf("wrote 2HHN_0E6_complex.pdb: %d atoms, best FEB %.2f kcal/mol (Figure 12)\n",
-		res.Atoms, res.FEB)
+	res, err := core.ExportComplex(out, core.Config{Effort: core.QuickEffort(), Seed: 2014}, program, "2HHN", "0E6")
+	if err != nil {
+		out.Close()
+		return nil, err
+	}
+	return res, out.Close()
 }
 
 func min(a, b int) int {

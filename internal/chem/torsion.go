@@ -9,8 +9,15 @@ import (
 // atom in Moved about the Axis1-Axis2 axis. This mirrors the BRANCH
 // records that prepare_ligand4.py writes into PDBQT files.
 type Torsion struct {
-	Axis1, Axis2 int   // atom indices defining the rotation axis
-	Moved        []int // atom indices displaced by this torsion (the smaller side)
+	// Axis1 is the axis atom on the root's side of the bond, Axis2 the
+	// one on the far side.
+	Axis1, Axis2 int
+	// Moved is the side of the bond away from the root — everything
+	// reachable from Axis2 without crossing back over Axis1, Axis2
+	// included (it lies on the axis, so the rotation leaves it where it
+	// is) — whether or not that is the smaller side. The root atom is in
+	// no Moved set.
+	Moved []int
 }
 
 // TorsionTree is the flexibility model of a ligand: a root rigid

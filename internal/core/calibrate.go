@@ -158,7 +158,10 @@ func FormatFEBFits(fits []FEBFit) string {
 	}
 	sb.WriteString("constants for internal/core/calibrate.go:\n")
 	for _, f := range fits {
-		name := map[prep.Program]string{prep.ProgramAD4: "ad4", prep.ProgramVina: "vina"}[f.Program]
+		name := "ad4"
+		if f.Program == prep.ProgramVina {
+			name = "vina"
+		}
 		fmt.Fprintf(&sb, "\t%-13s = %.4f\n\t%-13s = %+.4f\n",
 			name+"FEBScale", f.Scale, name+"FEBOffset", f.Offset)
 	}

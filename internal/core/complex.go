@@ -19,6 +19,9 @@ type ComplexResult struct {
 	FEB      float64
 	RMSD     float64
 	Atoms    int
+	// Stats is the work the docking search did (dock.Result.Stats),
+	// which no campaign artifact records.
+	Stats dock.Stats
 }
 
 // ExportComplex docks one pair and writes the receptor together with
@@ -64,6 +67,7 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 		FEB:      best.FEB,
 		RMSD:     best.RMSD,
 		Atoms:    complexMol.NumAtoms(),
+		Stats:    res.Stats,
 	}, nil
 }
 

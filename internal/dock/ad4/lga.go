@@ -38,7 +38,10 @@ type Engine struct {
 // frame, AutoDock's DLG convention). Runs are fanned over a bounded
 // worker pool; each run draws from its own seeded RNG
 // (RandomSeed + run·7919) and fills its own slot, so the merged
-// result is identical for any worker count.
+// result is identical for any worker count. A panic inside a run — a
+// scorer built for another ligand indexing out of range, say — is that
+// run's error, on whichever goroutine it ran: Dock returns the first
+// one in run order instead of taking the process down.
 func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	if e.Params.Runs <= 0 || e.Params.PopSize <= 1 {
 		return nil, fmt.Errorf("ad4: invalid GA parameters (runs=%d pop=%d)",
@@ -52,17 +55,25 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	}
 	nRuns := e.Params.Runs
 	runs := make([]dock.RunResult, nRuns)
+	evals := make([]int, nRuns)
 	errs := make([]error, nRuns)
 
 	oneRun := func(run int, ws *dock.Workspace) {
+		// Runs execute on goroutines nobody else can guard.
+		defer func() {
+			if r := recover(); r != nil {
+				errs[run-1] = fmt.Errorf("ad4: run %d panicked: %v", run, r)
+			}
+		}()
 		r := rand.New(rand.NewSource(e.Params.RandomSeed + int64(run)*7919))
-		pose, feb := e.runLGA(r, s, lig, ws)
+		pose, feb, n := e.runLGA(r, s, lig, ws)
 		rmsd, err := chem.RMSD(lig.Coords(pose), lig.Reference())
 		if err != nil {
 			errs[run-1] = fmt.Errorf("ad4: rmsd: %w", err)
 			return
 		}
 		runs[run-1] = dock.RunResult{Run: run, Pose: pose, FEB: feb, RMSD: rmsd}
+		evals[run-1] = n
 	}
 
 	workers := e.Workers
@@ -70,34 +81,36 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	if workers <= 0 {
 		workers, release = parallel.Tokens().Grab(nRuns)
 	}
+	defer release()
 	if workers > nRuns {
 		workers = nRuns
 	}
-	if workers <= 1 {
+	// Each worker owns a workspace and pulls runs off one counter until
+	// none are left; with one worker that is this goroutine.
+	var next atomic.Int64
+	worker := func() {
 		ws := dock.NewWorkspace(lig)
-		for run := 1; run <= nRuns; run++ {
+		for {
+			run := int(next.Add(1))
+			if run > nRuns {
+				return
+			}
 			oneRun(run, ws)
 		}
+	}
+	if workers <= 1 {
+		worker()
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := dock.NewWorkspace(lig)
-				for {
-					run := int(next.Add(1))
-					if run > nRuns {
-						return
-					}
-					oneRun(run, ws)
-				}
+				worker()
 			}()
 		}
 		wg.Wait()
 	}
-	release()
 
 	for _, err := range errs {
 		if err != nil {
@@ -105,6 +118,9 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 		}
 	}
 	res.Runs = runs
+	for _, n := range evals { // in run order
+		res.Stats.Evaluations += int64(n)
+	}
 	return res, nil
 }
 
@@ -116,8 +132,9 @@ type individual struct {
 // runLGA is one Lamarckian GA run: generational GA with tournament
 // selection, uniform pose crossover, Cauchy mutation and Solis-Wets
 // local search whose result is written back into the genome
-// (Lamarckian inheritance).
-func (e *Engine) runLGA(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Workspace) (dock.Pose, float64) {
+// (Lamarckian inheritance). It returns the champion, its energy and
+// the number of poses the run scored.
+func (e *Engine) runLGA(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Workspace) (dock.Pose, float64, int) {
 	nt := lig.NumTorsions()
 	pop := make([]individual, e.Params.PopSize)
 	next := make([]individual, e.Params.PopSize)
@@ -173,11 +190,13 @@ func (e *Engine) runLGA(r *rand.Rand, s *Scorer, lig *dock.Ligand, ws *dock.Work
 	champ := ws.Get()
 	defer ws.Put(champ)
 	champ.Set(best.pose)
-	feb := e.solisWets(r, s, ws, champ, best.feb, new(int))
+	// The refinement runs after the Evals budget stopped the
+	// generations; its evaluations still count as work done.
+	feb := e.solisWets(r, s, ws, champ, best.feb, &evals)
 	if feb < best.feb {
-		return champ.Clone(), feb
+		return champ.Clone(), feb, evals
 	}
-	return best.pose, best.feb
+	return best.pose, best.feb, evals
 }
 
 func tournament(r *rand.Rand, pop []individual) int {

@@ -3,10 +3,13 @@ package ad4
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chem"
 	"repro/internal/dock"
+	"repro/internal/parallel"
 	"repro/internal/prep"
 )
 
@@ -146,5 +149,75 @@ func benchDock(b *testing.B, workers int) {
 		if _, err := eng.Dock(s, lig); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDockWorkerPanicIsAnError pins the containment of the run
+// goroutines: a scorer built for a smaller ligand than the one docked
+// indexes out of range inside a run, and that must come back as Dock's
+// error — on the pool path (Workers 0), on explicit goroutines
+// (Workers 2) and on the caller's own (Workers 1) — with every CPU
+// token returned, not as a dead process.
+func TestDockWorkerPanicIsAnError(t *testing.T) {
+	maps, small, box := setupPair(t, "2HHN", "0E6")
+	// The docked ligand is the scorer's with one more atom of a type the
+	// maps already cover.
+	grown := small.Mol.Clone()
+	last := len(grown.Atoms) - 1
+	extra := grown.Atoms[last]
+	extra.Pos = extra.Pos.Add(chem.V(1.5, 0, 0))
+	grown.Atoms = append(grown.Atoms, extra)
+	grown.Bonds = append(grown.Bonds, chem.Bond{A: last, B: last + 1, Order: chem.Single})
+	tree, err := chem.BuildTorsionTree(grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := dock.NewLigand(grown, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScorer(maps, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before, _ := parallel.Tokens().Occupancy()
+	for _, workers := range []int{0, 1, 2} {
+		params := prep.DefaultDPF("l", "f", 9)
+		params.Runs, params.PopSize, params.Gens, params.Evals = 4, 10, 3, 800
+		res, err := (&Engine{Params: params, Box: box, Workers: workers}).Dock(s, big)
+		if err == nil || !strings.Contains(err.Error(), "run 1 panicked") {
+			t.Errorf("workers=%d: result %v, error %v; want run 1's panic as the error", workers, res, err)
+		}
+		if _, inUse, _ := parallel.Tokens().Occupancy(); inUse != before {
+			t.Errorf("workers=%d: %d tokens in use after Dock, %d before", workers, inUse, before)
+		}
+	}
+}
+
+// TestDockStatsEvaluationsOnly pins what AD4 reports of its work: the
+// poses it scored — at least the initial populations, at most the
+// Evals budget plus the local searches it may overrun by and the final
+// refinements — and nothing in the counters of an incremental
+// evaluator it does not have.
+func TestDockStatsEvaluationsOnly(t *testing.T) {
+	maps, lig, box := setupPair(t, "2HHN", "0E6")
+	s, err := NewScorer(maps, lig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := prep.DefaultDPF("l", "f", 5)
+	params.Runs, params.PopSize, params.Gens, params.Evals = 3, 12, 4, 1500
+	res, err := (&Engine{Params: params, Box: box, Workers: 2}).Dock(s, lig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := res.Stats.Evaluations
+	lo := int64(params.Runs * params.PopSize)
+	hi := int64(params.Runs * (params.Evals + 2*params.LocalIts))
+	if evals < lo || evals > hi {
+		t.Errorf("%d evaluations, want within [%d, %d]", evals, lo, hi)
+	}
+	if want := (dock.Stats{Evaluations: evals}); res.Stats != want {
+		t.Errorf("AD4 filled more than Evaluations: %+v", res.Stats)
 	}
 }

@@ -70,8 +70,11 @@ type intraPair struct {
 }
 
 // NewScorer prepares per-atom lookups and the intramolecular pair
-// list (atoms three or more bonds apart, whose separation changes
-// with torsions).
+// list: every pair of atoms three or more bonds apart, including the
+// pairs inside one rigid fragment, whose separation no pose changes
+// and whose terms therefore sum to a per-ligand constant. AutoDock
+// weeds those out of its non-bonded list; intraPairs does not (see
+// ROADMAP, trajectory epoch 3 candidates).
 func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 	s := &Scorer{Maps: maps, Lig: lig}
 	for i, a := range lig.Mol.Atoms {

@@ -32,6 +32,40 @@ type Result struct {
 	Ligand   string
 	Seed     int64
 	Runs     []RunResult
+	// Stats counts the work the search did. It is read-only reporting
+	// for tests, examples and benchmarks: no DLG, staged file or
+	// provenance row carries it.
+	Stats Stats
+}
+
+// Stats counts the work of one docking. The engines sum it per chain
+// (Vina) or run (AD4) in index order, so it is the same for any worker
+// count. AD4 fills Evaluations only: its searches move every degree of
+// freedom at once and score every pose in full.
+type Stats struct {
+	// Evaluations is the number of poses scored.
+	Evaluations int64
+	// Local-search probes, by the one kind of degree of freedom each
+	// changes.
+	TranslationProbes, RotationProbes, TorsionProbes int64
+	// Per-atom intermolecular sums computed, and taken over from the
+	// incumbent because the atom's coordinates were bit-unchanged.
+	AtomSumsScored, AtomSumsReused int64
+	// Per-fragment-pair intramolecular sums computed, and taken over
+	// from the incumbent because both fragments were bit-unchanged.
+	IntraGroupsScored, IntraGroupsReused int64
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Evaluations += o.Evaluations
+	s.TranslationProbes += o.TranslationProbes
+	s.RotationProbes += o.RotationProbes
+	s.TorsionProbes += o.TorsionProbes
+	s.AtomSumsScored += o.AtomSumsScored
+	s.AtomSumsReused += o.AtomSumsReused
+	s.IntraGroupsScored += o.IntraGroupsScored
+	s.IntraGroupsReused += o.IntraGroupsReused
 }
 
 // Best returns the run with the lowest FEB.

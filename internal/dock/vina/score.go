@@ -42,6 +42,7 @@ type Scorer struct {
 	ligIsH    []bool
 	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
 	frag      []int32            // per ligand atom: its rigid fragment (chem.TorsionTree.RigidUnits)
+	nFrag     int                // number of rigid fragments
 	intraTbl  []intraPair        // heavy-atom 1-4+ pairs with their tables, grouped by fragment pair
 	groups    []intraGroup       // the runs of intraTbl, ascending (a, b)
 	rotFactor float64
@@ -184,6 +185,9 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 	// keeps intraPairs14's order inside a group, so the addition order
 	// is a function of the ligand alone.
 	s.frag = lig.Tree.RigidUnits(lig.Mol.NumAtoms())
+	for _, f := range s.frag {
+		s.nFrag = max(s.nFrag, int(f)+1)
+	}
 	sort.SliceStable(s.intraTbl, func(x, y int) bool {
 		ax, bx := s.fragPair(s.intraTbl[x])
 		ay, by := s.fragPair(s.intraTbl[y])

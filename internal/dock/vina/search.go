@@ -37,10 +37,12 @@ type Engine struct {
 	Precision dock.Precision
 }
 
-// mode is one distinct binding mode found during search.
+// mode is one distinct binding mode found during search, with the work
+// counters of the chain that found it.
 type mode struct {
-	pose dock.Pose
-	feb  float64
+	pose  dock.Pose
+	feb   float64
+	stats dock.Stats
 }
 
 // Dock runs iterated-local-search Monte Carlo: `exhaustiveness`
@@ -50,7 +52,10 @@ type mode struct {
 // its own modes slot, so the merged result is identical for any
 // worker count. The distinct low-energy modes become the result's
 // runs, with RMSD reported relative to the best mode — Vina's output
-// convention (mode 1 has RMSD 0).
+// convention (mode 1 has RMSD 0). A panic inside a chain — a scorer
+// built for another ligand indexing out of range, say — is that
+// chain's error, on whichever goroutine it ran: Dock returns the first
+// one in chain order instead of taking the process down.
 func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	if e.Config.Exhaustiveness <= 0 {
 		return nil, fmt.Errorf("vina: exhaustiveness %d must be positive", e.Config.Exhaustiveness)
@@ -62,48 +67,73 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	box := dock.Box{Center: e.Config.Center, Size: e.Config.Size}
 	nChains := e.Config.Exhaustiveness
 	modes := make([]mode, nChains)
+	errs := make([]error, nChains)
 
 	workers := e.Workers
 	release := func() {}
 	if workers <= 0 {
 		workers, release = parallel.Tokens().Grab(nChains)
 	}
+	defer release()
 	if workers > nChains {
 		workers = nChains
 	}
-	if workers <= 1 {
+	// Each worker owns a workspace and pulls chains off one counter until
+	// none are left; with one worker that is this goroutine.
+	oneChain := func(chain int, ws *dock.Workspace) {
+		// Chains execute on goroutines nobody else can guard.
+		defer func() {
+			if r := recover(); r != nil {
+				errs[chain] = fmt.Errorf("vina: chain %d panicked: %v", chain, r)
+			}
+		}()
+		modes[chain] = e.runChain(s, lig, box, chain, steps, ws)
+	}
+	var next atomic.Int64
+	worker := func() {
 		ws := dock.NewWorkspace(lig)
-		for chain := 0; chain < nChains; chain++ {
-			modes[chain] = e.runChain(s, lig, box, chain, steps, ws)
+		for {
+			chain := int(next.Add(1)) - 1
+			if chain >= nChains {
+				return
+			}
+			oneChain(chain, ws)
 		}
+	}
+	if workers <= 1 {
+		worker()
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := dock.NewWorkspace(lig)
-				for {
-					chain := int(next.Add(1)) - 1
-					if chain >= nChains {
-						return
-					}
-					modes[chain] = e.runChain(s, lig, box, chain, steps, ws)
-				}
+				worker()
 			}()
 		}
 		wg.Wait()
 	}
-	release()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e.result(s, lig, modes)
+}
 
-	kept := dedupeModes(lig, modes, 2.0, e.Config.NumModes)
+// result turns the chains' modes into the docking result: the work
+// counters summed, the distinct low-energy modes as runs.
+func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result, error) {
 	res := &dock.Result{
 		Program:  ProgramName,
 		Receptor: e.receptorName(s),
 		Ligand:   lig.Mol.Name,
 		Seed:     e.Config.Seed,
 	}
+	for _, m := range modes { // in chain order, before dedupeModes sorts them
+		res.Stats.Add(m.stats)
+	}
+	kept := dedupeModes(lig, modes, 2.0, e.Config.NumModes)
 	if len(kept) == 0 {
 		return res, nil
 	}
@@ -131,6 +161,7 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 // workspace: zero heap allocations per evaluation.
 func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, steps int, ws *dock.Workspace) mode {
 	r := rand.New(rand.NewSource(e.Config.Seed + int64(chain)*104729))
+	ws.Eval.Stats = dock.Stats{} // the chain's own counters: workers run many chains
 	cur, cand, best := ws.Get(), ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)
@@ -153,7 +184,7 @@ func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, step
 			}
 		}
 	}
-	return mode{pose: best.Clone(), feb: bestFeb}
+	return mode{pose: best.Clone(), feb: bestFeb, stats: ws.Eval.Stats}
 }
 
 func (e *Engine) receptorName(s *Scorer) string {
@@ -166,12 +197,17 @@ func (e *Engine) receptorName(s *Scorer) string {
 // localOptimize is Vina's quasi-Newton refinement, reproduced with a
 // derivative-free compass search over the pose degrees of freedom:
 // each DOF is probed ±step, improvements kept, the step halved on
-// stagnation.
+// stagnation. Every probe differs from the incumbent in one degree of
+// freedom, which is what the evaluator it scores through exploits;
+// the values, and so the trajectory, are those of scoring each probe
+// with Score.
 func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
 	lig := ws.Ligand()
+	ev := newEvaluator(s, ws)
+	stats := &ws.Eval.Stats
 	probe := ws.Get()
 	defer ws.Put(probe)
-	curFeb := s.Score(ws.Coords(*cur))
+	curFeb := ev.reset(cur)
 	step := 1.0
 	for step > 0.12 {
 		improved := false
@@ -190,9 +226,11 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur 
 				}
 				probe.Translation = probe.Translation.Add(d)
 				dock.ClampToBox(probe, box)
-				if feb := s.Score(ws.Coords(*probe)); feb < curFeb {
+				stats.TranslationProbes++
+				if feb := ev.probe(probe); feb < curFeb {
 					cur.Set(*probe)
 					curFeb = feb
+					ev.accept()
 					improved = true
 				}
 			}
@@ -204,9 +242,11 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur 
 		for _, sign := range []float64{1, -1} {
 			probe.Set(*cur)
 			probe.Orientation = chem.AxisAngleQuat(axis, sign*step*0.4).Mul(probe.Orientation).Normalize()
-			if feb := s.Score(ws.Coords(*probe)); feb < curFeb {
+			stats.RotationProbes++
+			if feb := ev.probe(probe); feb < curFeb {
 				cur.Set(*probe)
 				curFeb = feb
+				ev.accept()
 				improved = true
 			}
 		}
@@ -215,9 +255,11 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur 
 			for _, sign := range []float64{1, -1} {
 				probe.Set(*cur)
 				probe.Torsions[i] += sign * step * 0.5
-				if feb := s.Score(ws.Coords(*probe)); feb < curFeb {
+				stats.TorsionProbes++
+				if feb := ev.probe(probe); feb < curFeb {
 					cur.Set(*probe)
 					curFeb = feb
+					ev.accept()
 					improved = true
 				}
 			}

@@ -3,10 +3,13 @@ package vina
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dock"
+	"repro/internal/parallel"
 )
 
 // TestDockWorkersDeterministic pins the tentpole contract: chains have
@@ -138,6 +141,36 @@ func benchDock(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Dock(s, lig); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDockWorkerPanicIsAnError pins the containment of the chain
+// goroutines: a scorer built for a smaller ligand than the one docked
+// indexes out of range inside a chain, and that must come back as
+// Dock's error — on the pool path (Workers 0), on explicit goroutines
+// (Workers 2) and on the caller's own (Workers 1) — with every CPU
+// token returned, not as a dead process.
+func TestDockWorkerPanicIsAnError(t *testing.T) {
+	rec, small := setupPair(t, "2HHN", "0E6")
+	_, big := setupPair(t, "2HHN", data.LargeLigandCode)
+	if small.Mol.NumAtoms() >= big.Mol.NumAtoms() {
+		t.Fatalf("fixture: %d atoms vs %d", small.Mol.NumAtoms(), big.Mol.NumAtoms())
+	}
+	s, err := NewScorer(rec, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before, _ := parallel.Tokens().Occupancy()
+	for _, workers := range []int{0, 1, 2} {
+		cfg := testConfig(9)
+		cfg.Exhaustiveness = 4
+		res, err := (&Engine{Config: cfg, StepsPerRestart: 2, Workers: workers}).Dock(s, big)
+		if err == nil || !strings.Contains(err.Error(), "chain 0 panicked") {
+			t.Errorf("workers=%d: result %v, error %v; want chain 0's panic as the error", workers, res, err)
+		}
+		if _, inUse, _ := parallel.Tokens().Occupancy(); inUse != before {
+			t.Errorf("workers=%d: %d tokens in use after Dock, %d before", workers, inUse, before)
 		}
 	}
 }

@@ -43,9 +43,11 @@ go test -race -count=3 -run 'Artifacts|Footprint|Status|Subset' ./internal/core 
 # the per-pose score and search-trajectory digests, the candidate walk
 # on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
 # the 0-ULP batched-kinematics pin, the fast-path tolerance envelopes,
-# and the 0-ULP window gather.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/FastPath/TorsionsBatch/WindowScoreBatch)"
-go test -run 'ScoreGolden|TrajectoryGolden|PackedSpans|FastPath|TorsionsBatch|WindowScoreBatch' -count=1 \
+# the 0-ULP window gather, and the two pins of Vina's incremental
+# evaluator: its docks equal the full-walk oracle's bit for bit, and a
+# torsion probe leaves every atom outside its branch bit-identical.
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/FastPath/TorsionsBatch/WindowScoreBatch/IncrementalMatchesFullWalk/TorsionProbeLeavesRest)"
+go test -run 'ScoreGolden|TrajectoryGolden|PackedSpans|FastPath|TorsionsBatch|WindowScoreBatch|IncrementalMatchesFullWalk|TorsionProbeLeavesRest' -count=1 \
 	./internal/chem ./internal/dock ./internal/dock/vina ./internal/dock/ad4
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
