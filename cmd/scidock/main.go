@@ -210,6 +210,27 @@ func run(mode string, receptors, ligands, cores int, effort string, seed int64, 
 // once the listener is up.
 var serveListening func(string)
 
+// Connection deadlines of the campaign API. A request body is at most
+// 1 MiB (the handler's MaxBytesReader), so readTimeout bounds how long
+// a slow client can hold a handler reading it; idleTimeout closes
+// keep-alive connections nobody uses. There is no write timeout yet: a
+// /query response takes as long as its query, which has no budget.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the HTTP server runServe runs the campaign API on.
+func newServer(m *campaign.Manager) *http.Server {
+	return &http.Server{
+		Handler:           campaign.NewHandler(m),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe runs the resident campaign service until ctx is cancelled
 // (SIGINT/SIGTERM in main), then drains: admissions stop, queued
 // campaigns are cancelled, running ones get a grace period to finish
@@ -225,7 +246,7 @@ func runServe(ctx context.Context, addr string) error {
 		serveListening(ln.Addr().String())
 	}
 
-	srv := &http.Server{Handler: campaign.NewHandler(m), ReadHeaderTimeout: 10 * time.Second}
+	srv := newServer(m)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

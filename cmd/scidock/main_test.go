@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/parallel"
 )
 
 func TestRunSmokeCampaign(t *testing.T) {
@@ -75,6 +78,31 @@ func TestValidateFlagsUpFront(t *testing.T) {
 	}
 	if err := validateFlags("vina", 2, 1, 4, "quick"); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
+	}
+}
+
+// TestNewServerTimeouts pins the served surface's connection deadlines:
+// a slow request body and an idle keep-alive connection are both cut
+// off, and the handler is the campaign API.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := newServer(campaign.NewManager(parallel.NewPool(1), campaign.Limits{}))
+	if srv.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"ReadHeaderTimeout", srv.ReadHeaderTimeout, readHeaderTimeout},
+		{"ReadTimeout", srv.ReadTimeout, readTimeout},
+		{"IdleTimeout", srv.IdleTimeout, idleTimeout},
+	} {
+		if c.got != c.want || c.got <= 0 {
+			t.Errorf("%s = %v, want %v (> 0)", c.name, c.got, c.want)
+		}
+	}
+	if srv.ReadTimeout < srv.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout %v is shorter than ReadHeaderTimeout %v", srv.ReadTimeout, srv.ReadHeaderTimeout)
 	}
 }
 

@@ -268,6 +268,9 @@ func (m *Manager) run(r *record, cfg core.Config, ctx context.Context, cancel co
 
 	camp, err := core.NewCampaign(cfg)
 	if err == nil {
+		// Nothing reads a served campaign's staged files back, and its
+		// record outlives it: keep the file accounting, not the bytes.
+		camp.Engine.FS.DropContents()
 		m.mu.Lock()
 		r.camp = camp
 		m.mu.Unlock()

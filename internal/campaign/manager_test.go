@@ -148,6 +148,63 @@ func TestConcurrentCampaignsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestManagerKeepsFileAccountingNotBytes pins what the Manager's
+// content drop changes: a campaign it runs lists the same paths with
+// the same sizes, counters and total as core.Run of the same spec, and
+// only its Read fails.
+func TestManagerKeepsFileAccountingNotBytes(t *testing.T) {
+	spec := tinySpec(3)
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(parallel.NewPool(2), Limits{})
+	id, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	managed, err := m.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, drop := direct.Engine.FS, managed.Engine.FS
+	want, err := keep.List("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drop.List("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Manager campaign lists %d paths, core.Run %d", len(got), len(want))
+	}
+	for _, p := range want {
+		ws, _ := keep.Stat(p)
+		gs, err := drop.Stat(p)
+		if err != nil || gs != ws {
+			t.Errorf("%s: size %d (%v), core.Run's %d", p, gs, err, ws)
+		}
+	}
+	ko, kr, kw := keep.Stats()
+	if do, dr, dw := drop.Stats(); do != ko || dr != kr || dw != kw {
+		t.Errorf("Stats = %d ops %d read %d written, core.Run's %d %d %d", do, dr, dw, ko, kr, kw)
+	}
+	if drop.TotalBytes() != keep.TotalBytes() {
+		t.Errorf("TotalBytes = %d, core.Run's %d", drop.TotalBytes(), keep.TotalBytes())
+	}
+	if _, _, err := keep.Read(want[0]); err != nil {
+		t.Errorf("core.Run campaign: Read(%s): %v", want[0], err)
+	}
+	if _, _, err := drop.Read(want[0]); err == nil || !strings.Contains(err.Error(), want[0]) {
+		t.Errorf("Manager campaign: Read(%s) = %v, want an error naming the path", want[0], err)
+	}
+}
+
 // blockingConfig returns a config whose first stage-completion blocks
 // until release is closed, signalling started once — a deterministic
 // window in which the campaign is running mid-flight.
@@ -482,13 +539,14 @@ func TestStatusWhileRunning(t *testing.T) {
 
 // TestFinishedCampaignFootprint bounds what the Manager keeps per
 // finished campaign. A record pins the campaign's provenance database,
-// its staged files and its reports — never the product store, which
+// its reports and its file accounting — never the product store, which
 // dies when Execute returns (core.TestStoreFootprintDiesWithExecute
-// watches the lattices go), and never more than one copy of a
-// rendering staged into many pair directories. With per-pair copies and
-// a retained builder the same campaign held 6.5 MB; it holds 3.3 MB.
+// watches the lattices go), and never a staged byte: the Manager drops
+// the file system's contents before the campaign runs. With per-pair
+// copies and a retained builder the same campaign held 6.5 MB; with one
+// copy of each shared rendering, 3.1 MB; with none, 1.4 MB.
 func TestFinishedCampaignFootprint(t *testing.T) {
-	const campaigns, budget = 4, 4.5 * (1 << 20)
+	const campaigns, budget = 4, 2.0 * (1 << 20)
 	spec := Spec{Receptors: 40, Ligands: 4, Cores: 16, Effort: "smoke", DisableFailures: true}
 	m := NewManager(parallel.NewPool(2), Limits{})
 	run := func(seed int64) *core.Campaign {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/chem"
+	"repro/internal/textio"
 )
 
 // DLGRun is one docking run recorded in a DLG file: its rank, free
@@ -51,7 +52,7 @@ func (d *DLG) Best() (DLGRun, bool) {
 // WriteDLG emits a docking log in the AutoDock-style layout consumed
 // by SciCumulus' extractor components (and by ParseDLG).
 func WriteDLG(w io.Writer, d *DLG) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "DOCKED: PROGRAM %s\n", d.Program)
 	fmt.Fprintf(bw, "DOCKED: RECEPTOR %s\n", d.Receptor)
 	fmt.Fprintf(bw, "DOCKED: LIGAND %s\n", d.Ligand)

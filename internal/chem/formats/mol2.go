@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/chem"
+	"repro/internal/textio"
 )
 
 // ParseMol2 reads a Tripos Sybyl Mol2 file, the intermediate format
@@ -128,7 +129,7 @@ func mol2BondString(o chem.BondOrder) string {
 // WriteMol2 emits a Tripos Mol2 file with SYBYL atom types derived
 // from the element (refined typing happens later, in PDBQT).
 func WriteMol2(w io.Writer, m *chem.Molecule) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintln(bw, "@<TRIPOS>MOLECULE")
 	fmt.Fprintln(bw, m.Name)
 	fmt.Fprintf(bw, "%5d %5d %5d\n", len(m.Atoms), len(m.Bonds), 1)

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/chem"
+	"repro/internal/textio"
 )
 
 // ParsePDB reads a Protein Data Bank file, collecting ATOM and HETATM
@@ -150,7 +151,7 @@ func elementFromNameField(field string) string {
 // WritePDB emits the molecule as ATOM/HETATM records (plus CONECT for
 // any bonds) terminated by END.
 func WritePDB(w io.Writer, m *chem.Molecule) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "HEADER    %s\n", m.Name)
 	for i, a := range m.Atoms {
 		rec := "ATOM  "

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/chem"
+	"repro/internal/textio"
 )
 
 // PDBQTLigand bundles a parsed ligand with the torsion tree encoded in
@@ -22,7 +23,7 @@ type PDBQTLigand struct {
 // extended with partial charge and AutoDock atom type, exactly what
 // prepare_receptor4.py produces.
 func WritePDBQTReceptor(w io.Writer, m *chem.Molecule) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "REMARK  receptor %s prepared by scidock-go\n", m.Name)
 	for i, a := range m.Atoms {
 		writePDBQTAtom(bw, i+1, a)
@@ -35,7 +36,7 @@ func WritePDBQTReceptor(w io.Writer, m *chem.Molecule) error {
 // ROOT/BRANCH records derived from the torsion tree, terminated by a
 // TORSDOF record, following prepare_ligand4.py's layout.
 func WritePDBQTLigand(w io.Writer, m *chem.Molecule, tree *chem.TorsionTree) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "REMARK  ligand %s prepared by scidock-go\n", m.Name)
 	fmt.Fprintf(bw, "REMARK  %d active torsions\n", tree.NumTorsions())
 
@@ -130,7 +131,7 @@ func WritePDBQTModels(w io.Writer, mol *chem.Molecule, poses [][]chem.Vec3, febs
 	if len(poses) != len(febs) {
 		return fmt.Errorf("formats: %d poses but %d energies", len(poses), len(febs))
 	}
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	for m, pose := range poses {
 		if len(pose) != len(mol.Atoms) {
 			return fmt.Errorf("formats: model %d has %d coordinates for %d atoms",

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/chem"
+	"repro/internal/textio"
 )
 
 // ParseSDF reads the first structure of an SD file (MDL V2000
@@ -87,7 +88,7 @@ func ParseSDF(r io.Reader, name string) (*chem.Molecule, error) {
 
 // WriteSDF emits a V2000 SD file for the molecule, ending with $$$$.
 func WriteSDF(w io.Writer, m *chem.Molecule) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "%s\n", m.Name)
 	fmt.Fprintln(bw, "  SciDock-Go  3D")
 	fmt.Fprintln(bw)

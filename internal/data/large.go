@@ -137,7 +137,7 @@ func GenerateLargeLigand() (*chem.Molecule, LigandInfo) {
 		{2, -1, 2, 1, chem.Chlorine, 0},
 		{4, +1, -1, 2, chem.Oxygen, 1}, // phenol → OA + HD
 		{6, -1, -1, 1, chem.Bromine, 0},
-		{10, +1, 2, 3, chem.Iodine, 0}, // pyridine-rooted terphenyl
+		{10, +1, 2, 3, chem.Iodine, 0},    // pyridine-rooted terphenyl
 		{14, -1, -1, 2, chem.Nitrogen, 2}, // aniline → N + 2 HD
 		{16, +1, -1, 2, chem.Fluorine, 0},
 		{18, -1, -1, 1, chem.Chlorine, 0},

@@ -73,7 +73,7 @@ func NewFastBank(tbls []*Radial) (bank []float32, offs []int32) {
 // bin — absorbed by the same interpolation-error envelope the bound
 // tests pin.
 //
-//unit: r2=Å2
+// unit: r2=Å2
 func FastAt(bank []float32, off int32, r2 float64) float32 {
 	x := float32(r2 * FastInvCore)
 	if r2 >= SplitR2 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/data"
+	"repro/internal/textio"
 )
 
 // Program selects the docking engine for a pair, the output of
@@ -90,7 +91,7 @@ func DefaultGPF(receptor *chem.Molecule, lig *PreparedLigand, spacing float64) G
 
 // WriteGPF emits the grid parameter file in AutoGrid's keyword format.
 func WriteGPF(w io.Writer, g *GPF) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "npts %d %d %d\n", g.NPts[0], g.NPts[1], g.NPts[2])
 	fmt.Fprintf(bw, "gridfld %s.maps.fld\n", strings.TrimSuffix(g.Receptor, ".pdbqt"))
 	fmt.Fprintf(bw, "spacing %.3f\n", g.Spacing)
@@ -216,7 +217,7 @@ func DefaultDPF(ligand string, fld string, seed int64) DPF {
 
 // WriteDPF emits the docking parameter file in AutoDock's format.
 func WriteDPF(w io.Writer, d *DPF) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "autodock_parameter_version 4.2\n")
 	fmt.Fprintf(bw, "seed %d\n", d.RandomSeed)
 	fmt.Fprintf(bw, "fld %s\n", d.FLD)
@@ -314,7 +315,7 @@ func DefaultVinaConfig(g *GPF, ligand string, seed int64) VinaConfig {
 
 // WriteVinaConfig emits the config in Vina's key = value format.
 func WriteVinaConfig(w io.Writer, c *VinaConfig) error {
-	bw := bufio.NewWriter(w)
+	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "receptor = %s\n", c.Receptor)
 	fmt.Fprintf(bw, "ligand = %s\n", c.Ligand)
 	fmt.Fprintf(bw, "center_x = %.3f\ncenter_y = %.3f\ncenter_z = %.3f\n",

@@ -6,9 +6,10 @@
 package sched
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // Activity tags of the SciDock workflow, shared between the cost
@@ -97,9 +98,10 @@ func (c *CostModel) Sample(tag, key string) float64 {
 	if !ok {
 		return 1.0 * c.scale()
 	}
-	r := rand.New(rand.NewSource(seedOf(tag + "|" + key)))
+	r := seeded(seedOf(tag, "|", key))
 	// Lognormal with E[X] = mean: X = mean * exp(σZ - σ²/2).
 	z := r.NormFloat64()
+	generators.Put(r)
 	x := e.mean * math.Exp(e.sigma*z-e.sigma*e.sigma/2)
 	if x < e.min {
 		x = e.min
@@ -110,6 +112,10 @@ func (c *CostModel) Sample(tag, key string) float64 {
 	return x * c.scale()
 }
 
+// maxRetries is SciCumulus' re-execution cap: an activation fails at
+// most this many times before its success.
+const maxRetries = 5
+
 // FailureRate is the transient activation failure probability the
 // paper observed ("about 10% of activity execution failures").
 const FailureRate = 0.10
@@ -119,20 +125,49 @@ const FailureRate = 0.10
 // cost before the failure is detected) followed by one full-cost
 // success. Deterministic per key.
 func (c *CostModel) Attempts(tag, key string, cost float64) []float64 {
-	r := rand.New(rand.NewSource(seedOf("fail|" + tag + "|" + key)))
-	var out []float64
-	for r.Float64() < FailureRate {
+	r := seeded(seedOf("fail|", tag, "|", key))
+	var out [maxRetries + 1]float64
+	n := 0
+	for n < maxRetries && r.Float64() < FailureRate {
 		// The failure surfaces partway through the execution.
-		out = append(out, cost*(0.1+0.8*r.Float64()))
-		if len(out) >= 5 { // re-execution cap, as SciCumulus enforces
-			break
-		}
+		out[n] = cost * (0.1 + 0.8*r.Float64())
+		n++
 	}
-	return append(out, cost)
+	generators.Put(r)
+	out[n] = cost
+	return slices.Clone(out[:n+1])
 }
 
-func seedOf(s string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
+// generators holds the cost model's reusable generators. Seeding one
+// yields exactly the stream rand.New(rand.NewSource(seed)) would, so a
+// draw is a pure function of its seed either way; reusing them spares
+// every activation two fresh 4.9 KB sources.
+var generators = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// seeded returns a pooled generator seeded with seed. Put it back when
+// the draw is done.
+func seeded(seed int64) *rand.Rand {
+	r := generators.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
+// FNV-64a parameters (hash/fnv), inlined so that hashing a key
+// allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// seedOf is the FNV-64a hash of the concatenated parts, masked to a
+// non-negative seed.
+func seedOf(parts ...string) int64 {
+	h := uint64(fnvOffset64)
+	for _, s := range parts {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= fnvPrime64
+		}
+	}
+	return int64(h & 0x7fffffffffffffff)
 }

@@ -50,12 +50,14 @@ type coreKey struct {
 }
 
 // eligibleCores enumerates the usable cores of a fleet in stable
-// (fleet, core-index) order, honoring the worker cap.
-func eligibleCores(vms []*cloud.VM, cap int) ([]coreState, error) {
+// (fleet, core-index) order, honoring the worker cap. It appends to
+// scratch[:0], so a scheduler that passes back the slice it got last
+// time places without allocating.
+func eligibleCores(scratch []coreState, vms []*cloud.VM, cap int) ([]coreState, error) {
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("sched: no VMs available")
 	}
-	var cores []coreState
+	cores := scratch[:0]
 	for _, vm := range vms {
 		for c := 0; c < vm.Type.Cores; c++ {
 			if cap > 0 && len(cores) >= cap {
@@ -103,6 +105,7 @@ type Greedy struct {
 
 	masterFree float64
 	freeAt     map[coreKey]float64
+	cores      []coreState // eligibleCores scratch
 }
 
 // NewGreedy returns the calibrated scheduler. The per-VM master delay
@@ -124,10 +127,11 @@ func (g *Greedy) Reset() {
 // (cores only fill forward), which is what keeps streamed provenance
 // timestamps monotone per core.
 func (g *Greedy) Place(now float64, a Activation, fleet []*cloud.VM) (Placement, error) {
-	cores, err := eligibleCores(fleet, g.WorkerCap)
+	cores, err := eligibleCores(g.cores, fleet, g.WorkerCap)
 	if err != nil {
 		return Placement{}, err
 	}
+	g.cores = cores
 	if g.freeAt == nil {
 		g.freeAt = make(map[coreKey]float64)
 	}
@@ -177,6 +181,7 @@ type RoundRobin struct {
 
 	next   int
 	freeAt map[coreKey]float64
+	cores  []coreState // eligibleCores scratch
 }
 
 // Reset clears the placement state for a fresh run.
@@ -187,10 +192,11 @@ func (rr *RoundRobin) Reset() {
 
 // Place deals the activation to the next core in rotation.
 func (rr *RoundRobin) Place(now float64, a Activation, fleet []*cloud.VM) (Placement, error) {
-	cores, err := eligibleCores(fleet, rr.WorkerCap)
+	cores, err := eligibleCores(rr.cores, fleet, rr.WorkerCap)
 	if err != nil {
 		return Placement{}, err
 	}
+	rr.cores = cores
 	if rr.freeAt == nil {
 		rr.freeAt = make(map[coreKey]float64)
 	}

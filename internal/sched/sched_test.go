@@ -2,9 +2,12 @@ package sched
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cloud"
@@ -81,6 +84,113 @@ func TestAttemptsFailureStatistics(t *testing.T) {
 	rate := float64(fails) / float64(n)
 	if rate < 0.07 || rate > 0.13 {
 		t.Errorf("failure rate = %.3f, want ~0.10 (paper §IV.B)", rate)
+	}
+}
+
+// freshDraw is the cost model's draw as first written: FNV-64a of the
+// concatenated key seeding a fresh generator. The pooled generators
+// must reproduce it bit for bit.
+func freshDraw(key string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return rand.New(rand.NewSource(int64(h.Sum64() & 0x7fffffffffffffff)))
+}
+
+// TestDrawsEqualFreshGenerators pins Sample and Attempts to the
+// fresh-generator reference over a fixed corpus of keys, interleaved
+// so that every pooled generator is reseeded from another key's state.
+func TestDrawsEqualFreshGenerators(t *testing.T) {
+	cm := &CostModel{Scale: 0.37}
+	tags := make([]string, 0, len(costTable))
+	for tag := range costTable {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	keys := []string{"", "0E6_2HHN", "1k|autodock4|x", "XL1_9XLR"}
+	for i := 0; i < 300; i++ {
+		keys = append(keys, fmt.Sprintf("k%d", i), fmt.Sprintf("%04d_R%03d", i%42, i))
+	}
+	for _, tag := range tags {
+		e := costTable[tag]
+		for _, key := range keys {
+			r := freshDraw(tag + "|" + key)
+			x := e.mean * math.Exp(e.sigma*r.NormFloat64()-e.sigma*e.sigma/2)
+			want := math.Min(math.Max(x, e.min), e.max) * cm.Scale
+			got := cm.Sample(tag, key)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Sample(%s, %q) = %v, fresh generator draws %v", tag, key, got, want)
+			}
+
+			r = freshDraw("fail|" + tag + "|" + key)
+			var wantAt []float64
+			for r.Float64() < FailureRate {
+				wantAt = append(wantAt, got*(0.1+0.8*r.Float64()))
+				if len(wantAt) >= maxRetries {
+					break
+				}
+			}
+			wantAt = append(wantAt, got)
+			if gotAt := cm.Attempts(tag, key, got); !slices.Equal(gotAt, wantAt) {
+				t.Fatalf("Attempts(%s, %q) = %v, fresh generator draws %v", tag, key, gotAt, wantAt)
+			}
+		}
+	}
+}
+
+// TestDrawsConcurrent draws from several goroutines at once, as
+// co-resident campaigns do, and requires every draw to equal the
+// serial one. Run under -race.
+func TestDrawsConcurrent(t *testing.T) {
+	cm := NewCostModel()
+	const keys = 400
+	want := make([]float64, keys)
+	for i := range want {
+		want[i] = cm.Sample(TagDockVina, fmt.Sprint(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				k := (i*7 + g*13) % keys
+				got := cm.Sample(TagDockVina, fmt.Sprint(k))
+				at := cm.Attempts(TagDockVina, fmt.Sprint(k), got)
+				if got != want[k] || at[len(at)-1] != got {
+					t.Errorf("goroutine %d: draw for key %d = %v (%v), serial %v", g, k, got, at, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDrawsAllocate pins what a draw costs the heap: nothing for
+// Sample, the result slice alone for Attempts.
+func TestDrawsAllocate(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops pooled generators at random under -race")
+	}
+	cm := NewCostModel()
+	cm.Sample(TagDockAD4, "warm") // the pool's first generator
+	if n := testing.AllocsPerRun(200, func() { cm.Sample(TagDockAD4, "0E6_2HHN") }); n != 0 {
+		t.Errorf("Sample allocates %v times per call, want 0", n)
+	}
+	// Some of these keys draw retries: one allocation each, retries or
+	// not.
+	retried := 0
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("pair%d", i)
+		if len(cm.Attempts(TagDockVina, key, 10)) > 1 {
+			retried++
+		}
+		if n := testing.AllocsPerRun(20, func() { cm.Attempts(TagDockVina, key, 10) }); n != 1 {
+			t.Errorf("Attempts(%q) allocates %v times per call, want 1 (its result)", key, n)
+		}
+	}
+	if retried == 0 {
+		t.Error("no key in the corpus draws a retry")
 	}
 }
 

@@ -3,6 +3,8 @@ package simfs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -181,4 +183,112 @@ func TestWriteSharesOneSlice(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(fs)
+}
+
+// TestDropContentsKeepsAccounting feeds the same random write,
+// overwrite and remove sequences to a file system that keeps its
+// contents and to one whose contents were dropped (half of them
+// before any operation, half midway). Everything but Read must answer
+// identically; Read on the dropped one fails, naming the path.
+func TestDropContentsKeepsAccounting(t *testing.T) {
+	dirs := []string{"/exp", "/exp/pair1", "/exp/pair2", "/other"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keep, drop := New(), New()
+		dropAt := 0
+		if seed%2 == 0 {
+			dropAt = 50
+		}
+		for op := 0; op < 100; op++ {
+			if op == dropAt {
+				drop.DropContents()
+			}
+			path := fmt.Sprintf("%s/f%d", dirs[rng.Intn(len(dirs))], rng.Intn(6))
+			if rng.Intn(4) == 0 {
+				ek, ed := keep.Remove(path), drop.Remove(path)
+				if (ek == nil) != (ed == nil) {
+					t.Fatalf("seed %d op %d: Remove(%s) = %v vs %v", seed, op, path, ek, ed)
+				}
+				continue
+			}
+			data := make([]byte, rng.Intn(3000))
+			lk, ek := keep.Write(path, data)
+			ld, ed := drop.Write(path, data)
+			if lk != ld || ek != nil || ed != nil {
+				t.Fatalf("seed %d op %d: Write(%s) = %v, %v vs %v, %v", seed, op, path, lk, ek, ld, ed)
+			}
+		}
+		assertSameAccounting(t, seed, keep, drop)
+	}
+}
+
+func assertSameAccounting(t *testing.T, seed int64, keep, drop *FS) {
+	t.Helper()
+	ok, rk, wk := keep.Stats()
+	od, rd, wd := drop.Stats()
+	if ok != od || rk != rd || wk != wd {
+		t.Fatalf("seed %d: Stats = %d %d %d vs %d %d %d", seed, ok, rk, wk, od, rd, wd)
+	}
+	if keep.TotalBytes() != drop.TotalBytes() {
+		t.Fatalf("seed %d: TotalBytes = %d vs %d", seed, keep.TotalBytes(), drop.TotalBytes())
+	}
+	for _, dir := range []string{"/", "/exp", "/exp/pair1", "/other"} {
+		lk, _ := keep.List(dir)
+		ld, _ := drop.List(dir)
+		if !reflect.DeepEqual(lk, ld) {
+			t.Fatalf("seed %d: List(%s) = %v vs %v", seed, dir, lk, ld)
+		}
+	}
+	all, _ := keep.List("/")
+	for _, p := range all {
+		nk, ek := keep.Stat(p)
+		nd, ed := drop.Stat(p)
+		if nk != nd || ek != nil || ed != nil {
+			t.Fatalf("seed %d: Stat(%s) = %d, %v vs %d, %v", seed, p, nk, ek, nd, ed)
+		}
+		if !keep.Exists(p) || !drop.Exists(p) {
+			t.Fatalf("seed %d: %s listed but not Exists", seed, p)
+		}
+		if _, _, err := keep.Read(p); err != nil {
+			t.Fatalf("seed %d: retaining Read(%s): %v", seed, p, err)
+		}
+		if _, _, err := drop.Read(p); err == nil || !strings.Contains(err.Error(), p) {
+			t.Fatalf("seed %d: Read(%s) after DropContents = %v, want an error naming the path", seed, p, err)
+		}
+	}
+	if keep.Exists("/exp/f9") != drop.Exists("/exp/f9") {
+		t.Fatalf("seed %d: Exists of a never-written path differs", seed)
+	}
+}
+
+// TestDropContentsConcurrent drops the contents while writers run:
+// every file is still accounted with its size, and none keeps content.
+// Run under -race.
+func TestDropContentsConcurrent(t *testing.T) {
+	const writers, files = 4, 200
+	fs := New()
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < files; j++ {
+				fs.Write(fmt.Sprintf("/w/%d/%d", id, j), make([]byte, j))
+			}
+		}(i)
+	}
+	fs.DropContents()
+	wg.Wait()
+	paths, _ := fs.List("/w")
+	if len(paths) != writers*files {
+		t.Fatalf("%d files listed, want %d", len(paths), writers*files)
+	}
+	if got, want := fs.TotalBytes(), int64(writers*files*(files-1)/2); got != want {
+		t.Errorf("TotalBytes = %d, want %d", got, want)
+	}
+	for _, p := range paths {
+		if _, _, err := fs.Read(p); err == nil {
+			t.Fatalf("%s kept its content after DropContents", p)
+		}
+	}
 }

@@ -13,6 +13,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# Every Go file is gofmt-clean, except the lint fixtures, which pin
+# both spellings of the //unit: directive on purpose.
+echo "==> gofmt -l (all but internal/lint/testdata)"
+unformatted=$(find . -name '*.go' -not -path './internal/lint/testdata/*' -exec gofmt -l {} +)
+test -z "$unformatted" || { echo "check: not gofmt-clean:" >&2; echo "$unformatted" >&2; exit 1; }
+
 echo "==> scilint ./..."
 go run ./cmd/scilint ./...
 
