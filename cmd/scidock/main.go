@@ -115,7 +115,8 @@ func run(mode string, receptors, ligands, cores int, effort string, seed int64, 
 	if monitor {
 		// Runtime steering (§IV.B): after each stage, query the live
 		// provenance database for failures so the scientist can react
-		// before the workflow ends.
+		// before the workflow ends. internal/prov's seedSQL holds a
+		// copy of this SQL; keep the two in step.
 		cfg.OnStageComplete = func(ev engine.StageEvent) {
 			res, err := ev.Engine.DB.Query(
 				"SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'")

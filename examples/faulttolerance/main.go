@@ -69,7 +69,8 @@ func main() {
 		stats.FormatDuration(rep.TET), rep.Activations, rep.Failures, rep.Aborted)
 
 	// The scientist queries provenance to find what looped — exactly
-	// the investigation the paper describes.
+	// the investigation the paper describes. internal/prov's seedSQL
+	// holds a copy of this SQL and the next; keep them in step.
 	res, err := unsteered.Engine.DB.Query(`SELECT a.tag, count(*)
 FROM hactivity a, hactivation t
 WHERE a.actid = t.actid AND t.status = 'ABORTED'

@@ -40,6 +40,7 @@ func main() {
 			stats.FormatDuration(rep.TET), rep.Activations, rep.Failures)
 
 		// Mine the docking result from provenance, as §V.D does.
+		// internal/prov's seedSQL holds a copy of this SQL.
 		res, err := camp.Engine.DB.Query(
 			"SELECT receptor, ligand, feb, rmsd, nruns FROM ddocking")
 		if err != nil {

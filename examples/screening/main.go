@@ -62,6 +62,7 @@ func main() {
 	}
 
 	fmt.Println("\nwhich receptors bound every ligand favourably?")
+	// internal/prov's seedSQL holds a copy of this SQL.
 	res, err := camp.Engine.DB.Query(`SELECT receptor, count(*), avg(feb)
 FROM ddocking WHERE feb < 0
 GROUP BY receptor

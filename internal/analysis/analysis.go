@@ -32,6 +32,8 @@ type Coverage struct {
 // CoverageReport computes the per-program coverage of the campaign —
 // the quantitative form of the paper's claim that widening the
 // compound space is what surfaces new candidate interactions.
+// internal/prov's seedSQL holds a copy of its SQL; keep the two in step,
+// here and in ConsensusReport and TopReceptors.
 func CoverageReport(db *prov.DB) ([]Coverage, error) {
 	progs, err := db.Query("SELECT program, count(*) FROM ddocking GROUP BY program ORDER BY program")
 	if err != nil {

@@ -469,7 +469,8 @@ func (m *Manager) snapshotLocked(r *record) Status {
 }
 
 // problemCount is the steering query of §IV.B: how many activations
-// have gone wrong so far.
+// have gone wrong so far. internal/prov's seedSQL holds a copy of its
+// SQL; keep the two in step.
 func problemCount(db *prov.DB) (int64, error) {
 	res, err := db.Query("SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'")
 	if err != nil {

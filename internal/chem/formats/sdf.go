@@ -39,6 +39,9 @@ func ParseSDF(r io.Reader, name string) (*chem.Molecule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("formats: sdf %q: bad bond count: %w", name, err)
 	}
+	if nAtoms < 0 || nBonds < 0 {
+		return nil, fmt.Errorf("formats: sdf %q: negative count in %q", name, counts)
+	}
 	if len(lines) < 4+nAtoms+nBonds {
 		return nil, fmt.Errorf("formats: sdf %q: expected %d atom + %d bond lines, file has %d lines",
 			name, nAtoms, nBonds, len(lines))

@@ -86,6 +86,7 @@ func FitFEB(cfg Config) ([]FEBFit, error) {
 		if err != nil {
 			return nil, err
 		}
+		// internal/prov's seedSQL holds a copy of this SQL.
 		res, err := camp.Engine.DB.Query(`SELECT feb FROM ddocking`)
 		if err != nil {
 			return nil, err

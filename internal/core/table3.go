@@ -21,7 +21,8 @@ type Table3Row struct {
 
 // Table3 mines the campaign's provenance database for the Table 3
 // statistics, exactly as the paper derives them from Query-1-style
-// SQL over the ddocking extractor table.
+// SQL over the ddocking extractor table. internal/prov's seedSQL holds a
+// copy of its SQL; keep the two in step.
 func Table3(db *prov.DB, ligands []string) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, lig := range ligands {
@@ -76,6 +77,7 @@ func FormatTable3(rows []Table3Row) string {
 // TopInteractions returns the n most favourable receptor-ligand
 // interactions across the campaign (the paper's "best three
 // interactions" analysis naming 2HHN-0E6, 1S4V-0D6, 1HUC-0D6).
+// internal/prov's seedSQL holds a copy of its SQL; keep the two in step.
 func TopInteractions(db *prov.DB, n int) ([]string, error) {
 	res, err := db.Query(fmt.Sprintf(
 		`SELECT receptor, ligand, feb FROM ddocking WHERE feb < 0 ORDER BY feb ASC LIMIT %d`, n))

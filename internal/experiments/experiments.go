@@ -202,7 +202,8 @@ func (s *Suite) Table3() (string, error) {
 	var sb strings.Builder
 	sb.WriteString("TABLE 3. RESULTS OF MOLECULAR DOCKING PROCESSES FOR SCIDOCK\n")
 	sb.WriteString(core.FormatTable3(rows))
-	// Headline counts: total FEB(-) per program.
+	// Headline counts: total FEB(-) per program. internal/prov's
+	// seedSQL holds a copy of this SQL; keep the two in step.
 	for _, prog := range []string{"autodock4", "vina"} {
 		res, err := camp.Engine.DB.Query(fmt.Sprintf(
 			"SELECT count(*) FROM ddocking WHERE program = '%s' AND feb < 0", prog))
@@ -255,6 +256,7 @@ func (s *Suite) timingRun() (*core.Campaign, error) {
 }
 
 // histogramQuery is the SQL of §V.C, verbatim (workflow id 1).
+// internal/prov's seedSQL holds a copy; keep the two in step.
 const histogramQuery = `SELECT extract ('epoch' from (t.endtime-t.starttime))
 FROM hworkflow w, hactivity a, hactivation t
 WHERE w.wkfid = a.wkfid
@@ -295,6 +297,8 @@ func (s *Suite) Figure6() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// internal/prov's seedSQL holds a copy of this SQL; keep the two
+	// in step.
 	res, err := camp.Engine.DB.Query(`SELECT a.tag,
 count(*),
 avg(extract ('epoch' from (t.endtime-t.starttime))),

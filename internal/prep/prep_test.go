@@ -198,7 +198,7 @@ func TestFilterDocking(t *testing.T) {
 	}
 }
 
-func preparedPair(t *testing.T) (*chem.Molecule, *PreparedLigand) {
+func preparedPair(t testing.TB) (*chem.Molecule, *PreparedLigand) {
 	t.Helper()
 	rec, _ := data.GenerateReceptor("2HHN")
 	prec, err := PrepareReceptor(rec)

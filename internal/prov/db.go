@@ -397,31 +397,12 @@ func (db *DB) InsertBatch(table string, rows [][]Value) error {
 	return nil
 }
 
-// Update applies fn to a copy of every row matching pred and installs
-// the copies (copy-on-write, so in-flight zero-copy snapshots keep
-// reading the pre-update rows). It returns the number of rows updated.
-func (db *DB) Update(table string, pred func(row []Value) bool, fn func(row []Value)) (int, error) {
-	t, err := db.lookupTable(table)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := 0; i < t.n; i++ {
-		if !pred(t.rowLocked(i)) {
-			continue
-		}
-		t.updateRowLocked(i, fn)
-		n++
-	}
-	return n, nil
-}
-
-// UpdateByKey applies fn (copy-on-write) to every row whose column
-// equals key. With a declared index on the column this is O(1) in the
-// table size — the path CloseActivation takes 80,000 times in the
-// paper's sweep; without one it degrades to the Update scan.
+// UpdateByKey applies fn to a copy of every row whose column equals
+// key and installs the copies (copy-on-write, so in-flight zero-copy
+// snapshots keep reading the pre-update rows). It returns the number of
+// rows updated. With a declared index on the column this is O(1) in
+// the table size — the path CloseActivation takes 80,000 times in the
+// paper's sweep; without one it scans the table.
 func (db *DB) UpdateByKey(table, column string, key Value, fn func(row []Value)) (int, error) {
 	t, err := db.lookupTable(table)
 	if err != nil {
@@ -480,6 +461,11 @@ func (db *DB) NumRows(table string) int {
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.tableNamesLocked()
+}
+
+// tableNamesLocked returns sorted table names; the caller holds db.mu.
+func (db *DB) tableNamesLocked() []string {
 	out := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		out = append(out, n)

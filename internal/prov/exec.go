@@ -2,7 +2,6 @@ package prov
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,13 +13,6 @@ type Result struct {
 	Columns []string
 	Rows    [][]Value
 }
-
-// CrossCheck, when true, makes every Query run twice — once through
-// the indexed planner and once through executeReference — on the same
-// snapshot, and fail loudly on any divergence. Tests turn it on so
-// every corpus query doubles as a planner-equivalence check; it is off
-// in production (it defeats the planner's purpose).
-var CrossCheck = false
 
 // Query parses and executes a SQL statement against the database,
 // taking a consistent snapshot so it can run while the workflow is
@@ -34,41 +26,7 @@ func (db *DB) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := executePlanned(tables, q)
-	if CrossCheck {
-		ref, rerr := executeReference(tables, q)
-		if cerr := compareResults(res, err, ref, rerr); cerr != nil {
-			return nil, cerr
-		}
-	}
-	return res, err
-}
-
-// compareResults reports a divergence between the planner and the
-// reference executor. Both failing counts as agreement: the planner
-// folds aggregates incrementally and stops at LIMIT, so when a query
-// errors, which of several errors surfaces first may differ. Empty and
-// nil row sets also count as equal (the executors reach length zero by
-// different paths).
-func compareResults(p *Result, perr error, r *Result, rerr error) error {
-	if (perr != nil) != (rerr != nil) {
-		return fmt.Errorf("prov: planner/reference divergence: planner err=%v, reference err=%v", perr, rerr)
-	}
-	if perr != nil {
-		return nil
-	}
-	if !reflect.DeepEqual(p.Columns, r.Columns) {
-		return fmt.Errorf("prov: planner/reference divergence: columns %v vs %v", p.Columns, r.Columns)
-	}
-	if len(p.Rows) != len(r.Rows) {
-		return fmt.Errorf("prov: planner/reference divergence: %d rows vs %d rows", len(p.Rows), len(r.Rows))
-	}
-	for i := range p.Rows {
-		if !reflect.DeepEqual(p.Rows[i], r.Rows[i]) {
-			return fmt.Errorf("prov: planner/reference divergence at row %d: %v vs %v", i, p.Rows[i], r.Rows[i])
-		}
-	}
-	return nil
+	return executePlanned(tables, q)
 }
 
 // boundTable is a zero-copy snapshot of one FROM entry.
@@ -197,8 +155,7 @@ func conjuncts(b boolExpr) []boolExpr {
 }
 
 // assignConjuncts performs predicate pushdown: a conjunct fires at the
-// first join depth where all its aliases are bound. Planner and
-// reference share this so they prune identically.
+// first join depth where all its aliases are bound.
 func assignConjuncts(tables []boundTable, q *query) [][]boolExpr {
 	condAt := make([][]boolExpr, len(tables))
 	for _, c := range conjuncts(q.Where) {
@@ -222,8 +179,7 @@ func assignConjuncts(tables []boundTable, q *query) [][]boolExpr {
 // index) using the same alias/bare-column rules as env.lookup, minus
 // the binding checks. Ambiguous or unknown references report !ok — the
 // planner then simply doesn't use the reference as an index probe and
-// the runtime evaluation surfaces the error exactly as the reference
-// executor would.
+// the runtime evaluation surfaces the error, as a scan would.
 func resolveRef(tables []boundTable, ref colRef) (ti, ci int, ok bool) {
 	if ref.Table != "" {
 		at := strings.ToLower(ref.Table)
@@ -271,9 +227,9 @@ type planSeed struct {
 
 // planSeeds picks at most one index seed per depth. Only the FIRST
 // conjunct at a depth is eligible: for a row the index filters out,
-// the reference executor would have evaluated nothing but that one
-// equality (which cannot error) before rejecting the row, so skipping
-// it can never change error behavior. All conjuncts — including the
+// a full scan would have evaluated nothing but that one equality
+// (which cannot error) before rejecting the row, so skipping it can
+// never change error behavior. All conjuncts — including the
 // seed — remain as residual filters, so a seed can only ever shrink
 // the scan, never change the result.
 func planSeeds(tables []boundTable, condAt [][]boolExpr) []planSeed {
@@ -324,12 +280,13 @@ func trySeed(tables []boundTable, d int, probe, val expr) (planSeed, bool) {
 	return planSeed{}, false
 }
 
-// executePlanned is the indexed executor: same join order and residual
-// predicates as executeReference, but each depth may enumerate index
-// candidates instead of the full table, results stream into a sink
-// instead of materializing the joined combinations, and LIMIT without
-// ORDER BY stops the enumeration early. Candidates are sorted
-// ascending, so output row order matches the reference exactly.
+// executePlanned is the query executor. It joins the FROM tables in
+// order with each conjunct pushed to the depth where its aliases bind,
+// but each depth may enumerate index candidates instead of the full
+// table, and combinations stream into a sink instead of being
+// materialized. Candidates are sorted ascending, so output row order
+// is the scan order: the reference executor the tests hold it to
+// agrees row for row.
 func executePlanned(tables []boundTable, q *query) (*Result, error) {
 	e := &env{tables: tables, rows: make([]int, len(tables))}
 	for i := range e.rows {
@@ -354,32 +311,13 @@ func executePlanned(tables []boundTable, q *query) (*Result, error) {
 	}
 
 	// sink consumes one fully-bound combination (true = stop early);
-	// finish runs after enumeration to emit buffered output.
+	// finish returns the output rows once enumeration completes.
 	var sink func() (bool, error)
-	var finish func() error
-
-	switch {
-	case grouped:
-		sink, finish = groupedSink(e, q, res)
-	case len(q.OrderBy) > 0:
-		sink, finish = sortedSink(e, q, res)
-	default:
-		sink = func() (bool, error) {
-			if q.Limit >= 0 && len(res.Rows) >= q.Limit {
-				return true, nil
-			}
-			vals := make([]Value, 0, len(q.Select))
-			for _, it := range q.Select {
-				v, err := evalExpr(e, it.Expr)
-				if err != nil {
-					return false, err
-				}
-				vals = append(vals, v)
-			}
-			res.Rows = append(res.Rows, vals)
-			return q.Limit >= 0 && len(res.Rows) >= q.Limit, nil
-		}
-		finish = func() error { return nil }
+	var finish func() ([]outRow, error)
+	if grouped {
+		sink, finish = groupedSink(e, q)
+	} else {
+		sink, finish = rowSink(e, q)
 	}
 
 	bufs := make([][]int, len(tables))
@@ -437,61 +375,90 @@ func executePlanned(tables []boundTable, q *query) (*Result, error) {
 	if _, err := recurse(0); err != nil {
 		return nil, err
 	}
-	if err := finish(); err != nil {
+	rows, err := finish()
+	if err != nil {
 		return nil, err
+	}
+	// The output tail every path shares: stable sort by the ORDER BY
+	// keys, then LIMIT.
+	if len(q.OrderBy) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			return orderLess(q.OrderBy, rows[i].keys, rows[j].keys)
+		})
+	}
+	if q.Limit >= 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	res.Rows = make([][]Value, len(rows))
+	for i, r := range rows {
+		res.Rows[i] = r.vals
 	}
 	return res, nil
 }
 
-// sortedSink buffers projected rows plus their ORDER BY keys, sorting
-// and applying LIMIT once enumeration completes.
-func sortedSink(e *env, q *query, res *Result) (func() (bool, error), func() error) {
-	type outRow struct {
-		vals []Value
-		keys []Value
+// outRow is one output row before the tail: its select-list values
+// and its ORDER BY keys.
+type outRow struct {
+	vals, keys []Value
+}
+
+// project evaluates one output row: sel for the select list, ord for
+// the ORDER BY keys.
+func project[X any](sel, ord []X, eval func(X) (Value, error)) (outRow, error) {
+	r := outRow{vals: make([]Value, 0, len(sel)), keys: make([]Value, 0, len(ord))}
+	for _, x := range sel {
+		v, err := eval(x)
+		if err != nil {
+			return outRow{}, err
+		}
+		r.vals = append(r.vals, v)
 	}
+	for _, x := range ord {
+		v, err := eval(x)
+		if err != nil {
+			return outRow{}, err
+		}
+		r.keys = append(r.keys, v)
+	}
+	return r, nil
+}
+
+// rowSink projects every combination of an ungrouped query. Without
+// ORDER BY, LIMIT stops the enumeration as soon as enough rows exist —
+// the only early stop, since sorting and grouping need every
+// combination.
+func rowSink(e *env, q *query) (func() (bool, error), func() ([]outRow, error)) {
+	sel := make([]expr, len(q.Select))
+	for i, it := range q.Select {
+		sel[i] = it.Expr
+	}
+	ord := make([]expr, len(q.OrderBy))
+	for i, ob := range q.OrderBy {
+		ord[i] = ob.Expr
+	}
+	eval := func(x expr) (Value, error) { return evalExpr(e, x) }
+	early := len(q.OrderBy) == 0 && q.Limit >= 0
 	var rows []outRow
 	sink := func() (bool, error) {
-		vals := make([]Value, 0, len(q.Select))
-		for _, it := range q.Select {
-			v, err := evalExpr(e, it.Expr)
-			if err != nil {
-				return false, err
-			}
-			vals = append(vals, v)
+		if early && len(rows) >= q.Limit {
+			return true, nil
 		}
-		keys := make([]Value, 0, len(q.OrderBy))
-		for _, ob := range q.OrderBy {
-			v, err := evalExpr(e, ob.Expr)
-			if err != nil {
-				return false, err
-			}
-			keys = append(keys, v)
+		r, err := project(sel, ord, eval)
+		if err != nil {
+			return false, err
 		}
-		rows = append(rows, outRow{vals, keys})
-		return false, nil
+		rows = append(rows, r)
+		return early && len(rows) >= q.Limit, nil
 	}
-	finish := func() error {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return orderLess(q.OrderBy, rows[i].keys, rows[j].keys)
-		})
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.vals)
-		}
-		if q.Limit >= 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
-		return nil
-	}
-	return sink, finish
+	return sink, func() ([]outRow, error) { return rows, nil }
 }
 
 // gexpr is a grouped select/order expression compiled for streaming
 // aggregation: aggregate calls become slots in a per-group aggState
 // array, arithmetic over aggregates stays a tree, and everything else
 // (including non-aggregate functions whose arguments contain
-// aggregates, which the reference evaluates — and faults — on the
-// group's first row) is a leaf evaluated on the first row.
+// aggregates, which therefore fault) is a leaf evaluated on the
+// group's first row.
 type gexpr interface{}
 
 type gAgg struct{ i int }
@@ -519,9 +486,9 @@ func compileG(ex expr, aggs *[]funcCall) gexpr {
 	return gLeaf{ex: ex}
 }
 
-// aggState folds one aggregate incrementally; its fold/final split
-// replicates foldAggregate exactly (nil skipping, DISTINCT via the
-// formatted value, sum/avg numeric check, empty-set results).
+// aggState folds one aggregate incrementally: nil skipping, DISTINCT
+// via the formatted value, the sum/avg numeric check, and SQL's
+// empty-set results.
 type aggState struct {
 	f     funcCall
 	seen  map[string]bool
@@ -534,8 +501,7 @@ type aggState struct {
 func (a *aggState) fold(e *env) error {
 	if a.f.Star || len(a.f.Args) != 1 {
 		// COUNT(*) needs no per-row work; wrong arity is reported by
-		// final(), like the reference (which only faults for groups
-		// that are actually emitted).
+		// final(), so it faults even on an empty group.
 		return nil
 	}
 	v, err := evalExpr(e, a.f.Args[0])
@@ -626,9 +592,11 @@ func evalG(e *env, g gexpr, gs *groupState) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return evalBin(&env{}, binExpr{Op: x.op, L: litVal(l), R: litVal(r)})
+		return arith(x.op, l, r)
 	case gLeaf:
-		if gs.combos == 0 {
+		// An empty group has no row to read a column from; a leaf
+		// that reads none (a literal) still has its value.
+		if gs.combos == 0 && readsColumn(x.ex) {
 			return nil, nil
 		}
 		e.rows = gs.firstRows
@@ -639,10 +607,10 @@ func evalG(e *env, g gexpr, gs *groupState) (Value, error) {
 
 // groupedSink streams joined combinations into groups — one map probe
 // and one incremental fold per combination — instead of materializing
-// the whole join and re-scanning it per group like the reference.
-// Group keys replicate the reference's formatValue-plus-NUL encoding
-// byte for byte, built in a reused buffer.
-func groupedSink(e *env, q *query, res *Result) (func() (bool, error), func() error) {
+// the whole join and re-scanning it per group. Group keys are the
+// formatValue-plus-NUL encoding of the GROUP BY values, built in a
+// reused buffer.
+func groupedSink(e *env, q *query) (func() (bool, error), func() ([]outRow, error)) {
 	var aggTmpl []funcCall
 	selG := make([]gexpr, len(q.Select))
 	for i, it := range q.Select {
@@ -699,54 +667,27 @@ func groupedSink(e *env, q *query, res *Result) (func() (bool, error), func() er
 		return false, nil
 	}
 
-	finish := func() error {
+	finish := func() ([]outRow, error) {
 		if len(q.GroupBy) == 0 && len(order) == 0 {
 			// Aggregates over an empty set still yield one row.
 			order = append(order, newGroup())
 		}
-		type outRow struct {
-			vals []Value
-			keys []Value
-		}
 		rows := make([]outRow, 0, len(order))
 		for _, gs := range order {
-			vals := make([]Value, 0, len(q.Select))
-			for _, g := range selG {
-				v, err := evalG(e, g, gs)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, v)
+			r, err := project(selG, ordG, func(g gexpr) (Value, error) { return evalG(e, g, gs) })
+			if err != nil {
+				return nil, err
 			}
-			keys := make([]Value, 0, len(q.OrderBy))
-			for _, g := range ordG {
-				v, err := evalG(e, g, gs)
-				if err != nil {
-					return err
-				}
-				keys = append(keys, v)
-			}
-			rows = append(rows, outRow{vals, keys})
+			rows = append(rows, r)
 		}
-		if len(q.OrderBy) > 0 {
-			sort.SliceStable(rows, func(i, j int) bool {
-				return orderLess(q.OrderBy, rows[i].keys, rows[j].keys)
-			})
-		}
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.vals)
-		}
-		if q.Limit >= 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
-		return nil
+		return rows, nil
 	}
 	return sink, finish
 }
 
 // appendKeyValue appends formatValue(v) to b without allocating.
-// It must stay byte-identical to formatValue: group keys built here
-// feed the same map semantics the reference gets from the string form.
+// It must stay byte-identical to formatValue: group keys are the
+// string form of the GROUP BY values.
 func appendKeyValue(b []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -773,175 +714,6 @@ func appendKeyValue(b []byte, v Value) []byte {
 	default:
 		return fmt.Appendf(b, "%v", x)
 	}
-}
-
-// executeReference is the straightforward executor the planner is
-// pinned against: unindexed nested-loop join materializing every
-// combination, then grouping/sorting/limiting. Kept verbatim as the
-// semantic oracle — any planner change must keep CrossCheck green
-// against this.
-func executeReference(tables []boundTable, q *query) (*Result, error) {
-	e := &env{tables: tables, rows: make([]int, len(tables))}
-	for i := range e.rows {
-		e.rows[i] = -1
-	}
-
-	condAt := assignConjuncts(tables, q)
-
-	var joined []([]int)
-	var joinErr error
-	var recurse func(depth int)
-	recurse = func(depth int) {
-		if joinErr != nil {
-			return
-		}
-		if depth == len(tables) {
-			joined = append(joined, append([]int(nil), e.rows...))
-			return
-		}
-		n := tables[depth].snap.n
-		for ri := 0; ri < n; ri++ {
-			e.rows[depth] = ri
-			ok := true
-			for _, c := range condAt[depth] {
-				pass, err := evalBool(e, c)
-				if err != nil {
-					joinErr = err
-					return
-				}
-				if !pass {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				recurse(depth + 1)
-			}
-		}
-		e.rows[depth] = -1
-	}
-	recurse(0)
-	if joinErr != nil {
-		return nil, joinErr
-	}
-
-	grouped := len(q.GroupBy) > 0
-	if !grouped {
-		for _, it := range q.Select {
-			if hasAggregate(it.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-
-	res := &Result{}
-	for _, it := range q.Select {
-		res.Columns = append(res.Columns, it.Alias)
-	}
-
-	if grouped {
-		groups := map[string][][]int{}
-		var order []string
-		for _, rows := range joined {
-			e.rows = rows
-			var key strings.Builder
-			for _, g := range q.GroupBy {
-				v, err := e.lookup(g)
-				if err != nil {
-					return nil, err
-				}
-				key.WriteString(formatValue(v))
-				key.WriteByte('\x00')
-			}
-			k := key.String()
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], rows)
-		}
-		if len(q.GroupBy) == 0 && len(joined) > 0 {
-			order = []string{""}
-			groups[""] = joined
-		}
-		if len(q.GroupBy) == 0 && len(joined) == 0 {
-			// Aggregates over an empty set still yield one row.
-			order = []string{""}
-			groups[""] = nil
-		}
-		type outRow struct {
-			vals []Value
-			keys []Value
-		}
-		var rows []outRow
-		for _, k := range order {
-			g := groups[k]
-			var vals []Value
-			for _, it := range q.Select {
-				v, err := evalGrouped(e, it.Expr, g)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, v)
-			}
-			var keys []Value
-			for _, ob := range q.OrderBy {
-				v, err := evalGrouped(e, ob.Expr, g)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, v)
-			}
-			rows = append(rows, outRow{vals: vals, keys: keys})
-		}
-		if len(q.OrderBy) > 0 {
-			sort.SliceStable(rows, func(i, j int) bool {
-				return orderLess(q.OrderBy, rows[i].keys, rows[j].keys)
-			})
-		}
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.vals)
-		}
-	} else {
-		type outRow struct {
-			vals []Value
-			keys []Value
-		}
-		var rows []outRow
-		for _, rset := range joined {
-			e.rows = rset
-			var vals []Value
-			for _, it := range q.Select {
-				v, err := evalExpr(e, it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, v)
-			}
-			var keys []Value
-			for _, ob := range q.OrderBy {
-				v, err := evalExpr(e, ob.Expr)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, v)
-			}
-			rows = append(rows, outRow{vals, keys})
-		}
-		if len(q.OrderBy) > 0 {
-			sort.SliceStable(rows, func(i, j int) bool {
-				return orderLess(q.OrderBy, rows[i].keys, rows[j].keys)
-			})
-		}
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.vals)
-		}
-	}
-
-	if q.Limit >= 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return res, nil
 }
 
 func orderLess(obs []orderItem, a, b []Value) bool {
@@ -974,6 +746,13 @@ func hasAggregate(e expr) bool {
 		return hasAggregate(x.L) || hasAggregate(x.R)
 	}
 	return false
+}
+
+// readsColumn reports whether an expression references any column.
+func readsColumn(e expr) bool {
+	cols := map[string]bool{}
+	aliasesOf(e, cols)
+	return len(cols) > 0
 }
 
 func evalBool(e *env, b boolExpr) (bool, error) {
@@ -1109,18 +888,24 @@ func evalBin(e *env, b binExpr) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	// timestamp - timestamp = interval in seconds (float64).
+	return arith(b.Op, l, r)
+}
+
+// arith applies one arithmetic operator to two values, per row or to
+// aggregate results alike: timestamp minus timestamp is an interval in
+// seconds (float64); anything else needs two numbers, so NULL errors.
+func arith(op string, l, r Value) (Value, error) {
 	if lt, ok := l.(time.Time); ok {
-		if rt, ok := r.(time.Time); ok && b.Op == "-" {
+		if rt, ok := r.(time.Time); ok && op == "-" {
 			return lt.Sub(rt).Seconds(), nil
 		}
 	}
 	lf, ok1 := numeric(l)
 	rf, ok2 := numeric(r)
 	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("prov: arithmetic on non-numeric values %v %s %v", l, b.Op, r)
+		return nil, fmt.Errorf("prov: arithmetic on non-numeric values %v %s %v", l, op, r)
 	}
-	switch b.Op {
+	switch op {
 	case "+":
 		return lf + rf, nil
 	case "-":
@@ -1133,7 +918,7 @@ func evalBin(e *env, b binExpr) (Value, error) {
 		}
 		return lf / rf, nil
 	default:
-		return nil, fmt.Errorf("prov: unknown arithmetic operator %q", b.Op)
+		return nil, fmt.Errorf("prov: unknown arithmetic operator %q", op)
 	}
 }
 
@@ -1166,128 +951,6 @@ func evalFunc(e *env, f funcCall) (Value, error) {
 	default:
 		return nil, fmt.Errorf("prov: unknown function %q", f.Name)
 	}
-}
-
-// evalGrouped evaluates an expression over a group of joined rows:
-// aggregates fold the group, other expressions evaluate on the first
-// row (SQL requires them to be functionally dependent on the group
-// key; we follow PostgreSQL 8.4's permissiveness).
-func evalGrouped(e *env, ex expr, group [][]int) (Value, error) {
-	switch x := ex.(type) {
-	case funcCall:
-		switch x.Name {
-		case "min", "max", "sum", "avg", "count":
-			return foldAggregate(e, x, group)
-		}
-	case binExpr:
-		if hasAggregate(x) {
-			l, err := evalGrouped(e, x.L, group)
-			if err != nil {
-				return nil, err
-			}
-			r, err := evalGrouped(e, x.R, group)
-			if err != nil {
-				return nil, err
-			}
-			return evalBin(&env{}, binExpr{Op: x.Op, L: litVal(l), R: litVal(r)})
-		}
-	}
-	if len(group) == 0 {
-		return nil, nil
-	}
-	e.rows = group[0]
-	return evalExpr(e, ex)
-}
-
-// litVal wraps an already-evaluated value back into an expression so
-// evalBin can combine aggregate results.
-func litVal(v Value) expr {
-	switch x := v.(type) {
-	case float64:
-		return litNum{x}
-	case int64:
-		return litNum{float64(x)}
-	case string:
-		return litStr{x}
-	default:
-		return litNum{0}
-	}
-}
-
-func foldAggregate(e *env, f funcCall, group [][]int) (Value, error) {
-	if f.Name == "count" && f.Star {
-		return int64(len(group)), nil
-	}
-	if len(f.Args) != 1 {
-		return nil, fmt.Errorf("prov: %s needs exactly one argument", f.Name)
-	}
-	if f.Name == "count" && f.Distinct {
-		seen := map[string]bool{}
-		for _, rows := range group {
-			e.rows = rows
-			v, err := evalExpr(e, f.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if v != nil {
-				seen[formatValue(v)] = true
-			}
-		}
-		return int64(len(seen)), nil
-	}
-	var (
-		acc   float64
-		n     int
-		first = true
-		best  Value
-	)
-	for _, rows := range group {
-		e.rows = rows
-		v, err := evalExpr(e, f.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			continue
-		}
-		n++
-		switch f.Name {
-		case "count":
-			continue
-		case "min":
-			if first || compareValues(v, best) < 0 {
-				best = v
-			}
-		case "max":
-			if first || compareValues(v, best) > 0 {
-				best = v
-			}
-		case "sum", "avg":
-			fv, ok := numeric(v)
-			if !ok {
-				return nil, fmt.Errorf("prov: %s over non-numeric value %v", f.Name, v)
-			}
-			acc += fv
-		}
-		first = false
-	}
-	switch f.Name {
-	case "count":
-		return int64(n), nil
-	case "min", "max":
-		return best, nil
-	case "sum":
-		if n == 0 {
-			return nil, nil
-		}
-		return acc, nil
-	case "avg":
-		if n == 0 {
-			return nil, nil
-		}
-		return acc / float64(n), nil
-	}
-	return nil, fmt.Errorf("prov: unreachable aggregate %q", f.Name)
 }
 
 // Format renders the result like psql's aligned output (the style of

@@ -63,21 +63,6 @@ func (db *DB) Save(w io.Writer) error {
 	return nil
 }
 
-// tableNamesLocked returns sorted table names; caller holds a lock.
-func (db *DB) tableNamesLocked() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	// Small set; insertion sort keeps this dependency-free.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // LoadDB reads a database written by Save, validating every row
 // against its declared schema.
 func LoadDB(r io.Reader) (*DB, error) {

@@ -2,6 +2,7 @@ package prov
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,52 @@ func TestArithmeticAndAliases(t *testing.T) {
 	}
 	if res.Rows[0][0].(float64) != 617 || res.Rows[0][1].(float64) != 2468 || res.Rows[0][2].(float64) != 1234 {
 		t.Errorf("arithmetic = %v", res.Rows[0])
+	}
+}
+
+// Arithmetic over aggregate results: timestamps subtract to seconds,
+// a literal keeps its value on an empty group, NULL fails as it does
+// per row.
+func TestArithmeticOverAggregates(t *testing.T) {
+	db, err := NewProvWfDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
+	// 08:00:00–08:00:30 and 08:00:30–08:01:00.
+	for i, start := range []time.Time{base, base.Add(30 * time.Second)} {
+		if err := db.InsertActivation(int64(i+1), 1, 1, StatusFinished,
+			start, start.Add(30*time.Second), "vm-1", 0, "cmd"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		sql  string
+		want []Value
+	}{
+		{"SELECT max(endtime) - min(starttime) FROM hactivation", []Value{60.0}},
+		{"SELECT count(*) + 1 FROM hactivation WHERE taskid = 99", []Value{1.0}},
+		{"SELECT 'x', 2 * count(*), count(*) FROM hactivation WHERE taskid = 99", []Value{"x", 0.0, int64(0)}},
+		{"SELECT status, max(endtime) - min(endtime) FROM hactivation GROUP BY status", []Value{StatusFinished, 30.0}},
+		{"SELECT max(taskid) + 1 FROM hactivation WHERE taskid = 99", nil},
+	} {
+		if err := checkQuery(db, c.sql); err != nil {
+			t.Error(err)
+		}
+		res, err := db.Query(c.sql)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: arithmetic on NULL accepted: %v", c.sql, res.Rows)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+			continue
+		}
+		if len(res.Rows) != 1 || !reflect.DeepEqual(res.Rows[0], c.want) {
+			t.Errorf("%s = %v, want %v", c.sql, res.Rows, c.want)
+		}
 	}
 }
 

@@ -9,6 +9,15 @@ import (
 	"time"
 )
 
+// The SQL ExportPROVN issues. FuzzQuery seeds from these constants.
+const (
+	provnWorkflowsSQL   = "SELECT wkfid, tag, description FROM hworkflow ORDER BY wkfid"
+	provnActivitiesSQL  = "SELECT actid, wkfid, tag FROM hactivity ORDER BY actid"
+	provnVMsSQL         = "SELECT vmid, count(*) FROM hactivation GROUP BY vmid ORDER BY vmid"
+	provnActivationsSQL = "SELECT taskid, actid, wkfid, status, starttime, endtime, vmid FROM hactivation ORDER BY taskid"
+	provnFilesSQL       = "SELECT fileid, taskid, fname, fsize, fdir FROM hfile ORDER BY fileid"
+)
+
 // The paper's provenance repository follows the W3C PROV family and
 // the PROV-Wf extension (§V.C, Missier et al. 2013). ExportPROVN
 // serializes the relational store into PROV-N notation, so external
@@ -26,7 +35,7 @@ func (db *DB) ExportPROVN(w io.Writer) error {
 	fmt.Fprintln(bw, "  agent(scw:SciCumulus, [prov:type=\"prov:SoftwareAgent\"])")
 
 	// Workflows as plans.
-	wf, err := db.Query("SELECT wkfid, tag, description FROM hworkflow ORDER BY wkfid")
+	wf, err := db.Query(provnWorkflowsSQL)
 	if err != nil {
 		return err
 	}
@@ -36,7 +45,7 @@ func (db *DB) ExportPROVN(w io.Writer) error {
 	}
 
 	// Activity tags (the workflow's abstract activities).
-	acts, err := db.Query("SELECT actid, wkfid, tag FROM hactivity ORDER BY actid")
+	acts, err := db.Query(provnActivitiesSQL)
 	if err != nil {
 		return err
 	}
@@ -46,7 +55,7 @@ func (db *DB) ExportPROVN(w io.Writer) error {
 	}
 
 	// VMs as agents (discovered from activations).
-	vms, err := db.Query("SELECT vmid, count(*) FROM hactivation GROUP BY vmid ORDER BY vmid")
+	vms, err := db.Query(provnVMsSQL)
 	if err != nil {
 		return err
 	}
@@ -59,8 +68,7 @@ func (db *DB) ExportPROVN(w io.Writer) error {
 	}
 
 	// Activations as activities.
-	activations, err := db.Query(
-		"SELECT taskid, actid, wkfid, status, starttime, endtime, vmid FROM hactivation ORDER BY taskid")
+	activations, err := db.Query(provnActivationsSQL)
 	if err != nil {
 		return err
 	}
@@ -83,7 +91,7 @@ func (db *DB) ExportPROVN(w io.Writer) error {
 	}
 
 	// Files as entities generated by their activations.
-	files, err := db.Query("SELECT fileid, taskid, fname, fsize, fdir FROM hfile ORDER BY fileid")
+	files, err := db.Query(provnFilesSQL)
 	if err != nil {
 		return err
 	}

@@ -6,12 +6,22 @@ import (
 	"time"
 )
 
-// benchDB builds a provenance DB with n open (RUNNING) activations.
-func benchDB(b *testing.B, n int) *DB {
+// benchDB builds a provenance DB with n open (RUNNING) activations;
+// unindexed drops the default hash indexes.
+func benchDB(b *testing.B, n int, unindexed bool) *DB {
 	b.Helper()
 	db, err := NewProvWfDB()
 	if err != nil {
 		b.Fatal(err)
+	}
+	if unindexed {
+		bare := NewDB()
+		for _, name := range db.TableNames() {
+			if err := bare.CreateTable(name, db.tables[name].Columns); err != nil {
+				b.Fatal(err)
+			}
+		}
+		db = bare
 	}
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	for i := 1; i <= n; i++ {
@@ -22,25 +32,15 @@ func benchDB(b *testing.B, n int) *DB {
 	return db
 }
 
-// noCrossCheck turns the planner==reference oracle off for the
-// benchmark body (TestMain enables it package-wide); production runs
-// single-executor.
-func noCrossCheck(b *testing.B) {
-	b.Helper()
-	old := CrossCheck
-	CrossCheck = false
-	b.Cleanup(func() { CrossCheck = old })
-}
-
 // BenchmarkCloseActivation measures the activation-close hot path at
 // the paper's sweep scale (80k open activations): the indexed O(1)
-// point update against the full-table-scan path the seed
-// implementation used (DB.Update with a taskid predicate).
+// point update against the full-table scan UpdateByKey falls back to
+// without a taskid index (the seed implementation's cost).
 func BenchmarkCloseActivation(b *testing.B) {
 	const n = 80_000
 	end := time.Date(2014, 3, 1, 9, 0, 0, 0, time.UTC)
 	b.Run("indexed", func(b *testing.B) {
-		db := benchDB(b, n)
+		db := benchDB(b, n, false)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -51,18 +51,12 @@ func BenchmarkCloseActivation(b *testing.B) {
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
-		db := benchDB(b, n)
+		db := benchDB(b, n, true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			taskid := int64(i%n + 1)
-			if _, err := db.Update(TableActivation,
-				func(row []Value) bool { return row[0] == taskid },
-				func(row []Value) {
-					row[3] = StatusFinished
-					row[5] = end
-					row[7] = int64(0)
-				}); err != nil {
+			if err := db.CloseActivation(taskid, StatusFinished, end, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,8 +66,7 @@ func BenchmarkCloseActivation(b *testing.B) {
 // BenchmarkQueryPoint is an indexed single-row lookup; ReportAllocs
 // pins the no-O(rows)-allocation property of the zero-copy snapshot.
 func BenchmarkQueryPoint(b *testing.B) {
-	noCrossCheck(b)
-	db := benchDB(b, 80_000)
+	db := benchDB(b, 80_000, false)
 	sql := fmt.Sprintf("SELECT status, vmid FROM hactivation WHERE taskid = %d", 79_999)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -92,8 +85,7 @@ func BenchmarkQueryPoint(b *testing.B) {
 // Figure-5 histogram shape. Allocations must stay O(groups), not
 // O(rows).
 func BenchmarkQueryAggregate(b *testing.B) {
-	noCrossCheck(b)
-	db := benchDB(b, 20_000)
+	db := benchDB(b, 20_000, false)
 	sql := "SELECT status, count(*) FROM hactivation GROUP BY status"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -106,7 +98,7 @@ func BenchmarkQueryAggregate(b *testing.B) {
 
 // BenchmarkInsert measures single-row ingest into an indexed table.
 func BenchmarkInsert(b *testing.B) {
-	db := benchDB(b, 0)
+	db := benchDB(b, 0, false)
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -121,7 +113,7 @@ func BenchmarkInsert(b *testing.B) {
 // BenchmarkAppenderIngest measures the engine-facing batched path: a
 // Begin/Close pair per activation through the buffered appender.
 func BenchmarkAppenderIngest(b *testing.B) {
-	db := benchDB(b, 0)
+	db := benchDB(b, 0, false)
 	app := NewAppender(db, 0)
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	end := base.Add(time.Second)

@@ -4,20 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestMain pins planner==reference across the whole package: with
-// CrossCheck on, every Query in every test executes through both the
-// indexed planner and executeReference and fails on any divergence.
-func TestMain(m *testing.M) {
-	CrossCheck = true
-	os.Exit(m.Run())
-}
 
 // --- segmented storage ---
 
@@ -68,9 +59,8 @@ func TestUpdateCopyOnWriteSealedRow(t *testing.T) {
 	db := kvTable(t, segSize+10)
 	// Row 5 is in a sealed segment; row segSize+5 is in the tail.
 	for _, id := range []int{5, segSize + 5} {
-		n, err := db.Update("kv",
-			func(row []Value) bool { return row[0] == int64(id) },
-			func(row []Value) { row[2] = -1.0 })
+		// kv has no index: this is UpdateByKey's scan path.
+		n, err := db.UpdateByKey("kv", "id", int64(id), func(row []Value) { row[2] = -1.0 })
 		if err != nil || n != 1 {
 			t.Fatalf("update id %d: n=%d err=%v", id, n, err)
 		}
@@ -396,90 +386,157 @@ func TestAppenderAutoFlushAtCap(t *testing.T) {
 
 // --- planner==reference property test over randomized rows ---
 
+// randomDB fills a PROV-Wf database and two plain tables t and u
+// (id, grp, val, n, ts) with rows drawn from seed: duplicate keys,
+// repeated timestamps and, for odd seeds only, NULLs in every column.
+// t is indexed on id and grp, u on id and ts, and the PROV-Wf tables
+// carry their default indexes, so queries take both the index and the
+// scan paths. TestPlannerMatchesReferenceRandomized and FuzzQuery
+// query it.
+func randomDB(seed int64) (*DB, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nulls := seed%2 != 0
+	cell := func(v Value) Value {
+		if nulls && rng.Intn(8) == 0 {
+			return nil
+		}
+		return v
+	}
+	pick := func(vals ...string) Value { return cell(vals[rng.Intn(len(vals))]) }
+	num := func(lo, hi int) Value { return cell(int64(lo + rng.Intn(hi-lo+1))) }
+	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
+	// Forty instants 30 s apart, so timestamps repeat.
+	at := func() Value { return cell(base.Add(time.Duration(rng.Intn(40)) * 30 * time.Second)) }
+
+	db, err := NewProvWfDB()
+	if err != nil {
+		return nil, err
+	}
+	for _, tn := range []string{"t", "u"} {
+		if err := db.CreateTable(tn, []Column{
+			{"id", TInt}, {"grp", TString}, {"val", TFloat}, {"n", TInt}, {"ts", TTime},
+		}); err != nil {
+			return nil, err
+		}
+	}
+	for _, ix := range [][2]string{{"t", "id"}, {"t", "grp"}, {"u", "id"}, {"u", "ts"}} {
+		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
+			return nil, err
+		}
+	}
+	ins := func(table string, row ...Value) {
+		if err == nil {
+			err = db.Insert(table, row)
+		}
+	}
+	nw := 2 + rng.Intn(2) // a third row duplicates a wkfid
+	for w := 0; w < nw; w++ {
+		ins(TableWorkflow, num(1, 2), pick("SciDock", "SciDock-vina"), pick("Docking"), pick("scidock"), pick("/exp/"))
+	}
+	tags := []string{"babel", "recprep", "autogrid", "autodock4", "vina", "src", "dock"}
+	for a := 1; a <= 6; a++ {
+		ins(TableActivity, cell(int64(a)), num(1, 2), pick(tags...), pick("/exp/template/"), pick("./experiment.cmd"), pick("READY"))
+	}
+	n := 10 + rng.Intn(30)
+	for i := 0; i < n; i++ {
+		start, end := at(), at()
+		if st, ok := start.(time.Time); ok && end != nil {
+			end = st.Add(time.Duration(rng.Intn(4)) * 30 * time.Second)
+		}
+		ins(TableActivation, num(1, n), num(1, 7), num(1, 2),
+			pick(StatusRunning, StatusFinished, StatusFailed, StatusAborted),
+			start, end, pick("vm-0", "vm-1", "vm-2"), num(0, 2), pick("cmd-babel", "cmd-dock", "cmd # aborted"))
+		ins(TableFile, cell(int64(i+1)), num(1, n), num(1, 7), num(1, 2),
+			pick("2HHN_0E6.dlg", "1S4V_0D6.dlg", "GOL_4C5P.dlg", "0E6.pdbqt", "2HHN.gpf"),
+			cell(int64(rng.Intn(5)*1000)), pick("/exp/autodock4/", "/exp/vina/"))
+		if i%2 == 0 {
+			ins(TableDocking, num(1, n), num(1, 2), pick("2HHN", "1S4V", "1HUC", "4C5P"),
+				pick("0E6", "0D6", "GOL", "COA"), pick("autodock4", "vina"),
+				cell(float64(rng.Intn(120)-100)/10), cell(float64(rng.Intn(600))/10), num(1, 10))
+		}
+	}
+	for r := 1; r <= 6; r++ {
+		ins(TableRelation, cell(int64(r)), num(1, 6), pick("rel_in_babel", "rel_out_babel", "rel_in_dock"),
+			pick("Input", "Output"), pick("babel.txt", "dock.txt"))
+	}
+	rows := 20 + rng.Intn(60)
+	for i := 0; i < rows; i++ {
+		for _, tn := range []string{"t", "u"} {
+			ins(tn, num(0, rows/2), pick("a", "b", "c", "dd", "", "ñ"),
+				cell(float64(rng.Intn(20)-4)/4), num(-3, 3), at())
+		}
+	}
+	return db, err
+}
+
 func TestPlannerMatchesReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	groups := []string{"a", "b", "c", "dd", ""}
-	for round := 0; round < 4; round++ {
-		db := NewDB()
-		for _, tn := range []string{"t", "u"} {
-			if err := db.CreateTable(tn, []Column{
-				{"id", TInt}, {"grp", TString}, {"val", TFloat}, {"ts", TTime},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Indexes on some tables/columns only, so both the indexed and
-		// the fallback paths run.
-		if err := db.CreateIndex("t", "id"); err != nil {
+	groups := []string{"a", "b", "c", "dd", "ñ"}
+	// The planner must answer these without error on every round, NULLs
+	// included: NULL sorts first, and the id = N, val >= 0 and grp >= ''
+	// filters drop NULL rows before arithmetic or LIKE can see them.
+	nullSafe := []string{
+		"SELECT id, grp, val FROM t WHERE id = %d",
+		"SELECT id FROM t WHERE id = %d ORDER BY val DESC LIMIT 3",
+		"SELECT grp, count(*), sum(val), avg(val), min(val), max(val) FROM t GROUP BY grp ORDER BY grp",
+		"SELECT count(distinct grp) FROM t WHERE id >= %d",
+		"SELECT a.id, b.val FROM t a, u b WHERE a.id = b.id AND a.val >= %d ORDER BY a.id, b.val LIMIT 20",
+		"SELECT b.grp, count(*) FROM t a, u b WHERE a.id = b.id AND a.grp = '%s' GROUP BY b.grp ORDER BY b.grp",
+		"SELECT id, val FROM u WHERE id = %d AND val > 1",
+		"SELECT count(*) FROM t WHERE grp IN ('a', 'b') AND id <> %d",
+		"SELECT grp FROM t WHERE grp >= '' AND grp LIKE '%%d%%' AND id >= %d ORDER BY id LIMIT 5",
+		"SELECT max(ts), min(ts), count(*) FROM u WHERE id = %d",
+		"SELECT id + val, id * 2 FROM t WHERE id = %d AND val >= 0 ORDER BY id + val",
+		"SELECT count(*) - count(val) FROM t WHERE id >= %d",
+		"SELECT id FROM t WHERE id = %d LIMIT 0",
+	}
+	// Widened: arithmetic over aggregates, literals on an empty group,
+	// the timestamp index, LIMIT without ORDER BY, IN over negative
+	// numbers. Some do arithmetic on NULL, so only the NULL-free even
+	// rounds must answer them without error.
+	widened := []string{
+		"SELECT count(*) + 1, count(val) * 2 FROM u WHERE id = %d",
+		"SELECT grp, max(ts) - min(ts), sum(n) FROM t GROUP BY grp ORDER BY max(ts) - min(ts) DESC, grp",
+		"SELECT 1, 'x', count(*) FROM t WHERE id < %d - 100",
+		"SELECT a.id, b.id FROM u a, u b WHERE a.id = %d AND b.ts = a.ts ORDER BY b.id",
+		"SELECT n, count(*) FROM t WHERE n IN (-1, 0, 1) GROUP BY n ORDER BY n DESC",
+		"SELECT grp, n FROM t WHERE NOT grp = 'a' OR n > %d LIMIT 7",
+		"SELECT extract('epoch' from ts) FROM t WHERE id = %d ORDER BY ts DESC, id",
+		"SELECT a.grp, a.n * b.n FROM t a, u b WHERE a.grp = b.grp AND a.id < %d ORDER BY a.n * b.n, a.grp LIMIT 9",
+		"SELECT t.grp, count(*) FROM hactivation h, t WHERE h.taskid = t.id GROUP BY t.grp ORDER BY t.grp",
+	}
+	queries := append(append([]string(nil), nullSafe...), widened...)
+	for round := 0; round < 6; round++ {
+		db, err := randomDB(int64(round))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.CreateIndex("t", "grp"); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.CreateIndex("u", "id"); err != nil {
-			t.Fatal(err)
-		}
-		base := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-		nrows := 50 + rng.Intn(150)
-		for i := 0; i < nrows; i++ {
-			for _, tn := range []string{"t", "u"} {
-				var grp Value = groups[rng.Intn(len(groups))]
-				var val Value = float64(rng.Intn(20)) / 4
-				if rng.Intn(10) == 0 {
-					grp = nil
-				}
-				if rng.Intn(10) == 0 {
-					val = nil
-				}
-				// Duplicate ids on purpose: postings with several rows.
-				if err := db.Insert(tn, []Value{
-					int64(rng.Intn(nrows / 2)), grp, val, base.Add(time.Duration(rng.Intn(3600)) * time.Second),
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		queries := []string{
-			"SELECT id, grp, val FROM t WHERE id = %d",
-			"SELECT id FROM t WHERE id = %d ORDER BY val DESC LIMIT 3",
-			"SELECT grp, count(*), sum(val), avg(val), min(val), max(val) FROM t GROUP BY grp ORDER BY grp",
-			"SELECT count(distinct grp) FROM t WHERE id >= %d",
-			"SELECT a.id, b.val FROM t a, u b WHERE a.id = b.id AND a.val >= %d ORDER BY a.id, b.val LIMIT 20",
-			"SELECT b.grp, count(*) FROM t a, u b WHERE a.id = b.id AND a.grp = '%s' GROUP BY b.grp ORDER BY b.grp",
-			"SELECT id, val FROM u WHERE id = %d AND val > 1",
-			"SELECT count(*) FROM t WHERE grp IN ('a', 'b') AND id <> %d",
-			// grp >= '' filters the nils out before LIKE sees them
-			// (conjuncts evaluate in order in both executors).
-			"SELECT grp FROM t WHERE grp >= '' AND grp LIKE '%%d%%' AND id >= %d ORDER BY id LIMIT 5",
-			"SELECT max(ts), min(ts), count(*) FROM u WHERE id = %d",
-			// val >= 0 filters the nils out before the arithmetic in the
-			// select list can see them.
-			"SELECT id + val, id * 2 FROM t WHERE id = %d AND val >= 0 ORDER BY id + val",
-			"SELECT count(*) - count(val) FROM t WHERE id >= %d",
-			"SELECT id FROM t WHERE id = %d LIMIT 0",
-		}
+		nrows := db.NumRows("t")
 		for i := 0; i < 60; i++ {
-			q := queries[rng.Intn(len(queries))]
+			k := rng.Intn(len(queries))
+			q := queries[k]
 			var sql string
 			if strings.Contains(q, "'%s'") {
-				sql = fmt.Sprintf(q, groups[rng.Intn(len(groups)-1)])
+				sql = fmt.Sprintf(q, groups[rng.Intn(len(groups))])
 			} else if strings.Contains(q, "%d") {
 				sql = fmt.Sprintf(q, rng.Intn(nrows/2+5))
 			} else {
 				sql = q
 			}
-			// CrossCheck (on for the whole package) performs the actual
-			// planner==reference comparison inside Query.
-			if _, err := db.Query(sql); err != nil {
+			if err := checkQuery(db, sql); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if _, err := db.Query(sql); err != nil && (round%2 == 0 || k < len(nullSafe)) {
 				t.Fatalf("round %d query %q: %v", round, sql, err)
 			}
 		}
 	}
 }
 
-// TestCrossCheckDetectsDivergence makes sure the oracle itself works:
-// a deliberately broken comparison must be caught, not silently pass.
-func TestCrossCheckDetectsDivergence(t *testing.T) {
+// TestCompareResultsDetectsDivergence makes sure the oracle itself
+// works: a deliberately broken comparison must be caught, not silently
+// pass.
+func TestCompareResultsDetectsDivergence(t *testing.T) {
 	db := kvTable(t, 10)
 	res, err := db.Query("SELECT count(*) FROM kv")
 	if err != nil {
@@ -578,9 +635,6 @@ func TestQueryAllocsScaleFree(t *testing.T) {
 	// The zero-copy snapshot must keep per-query allocations
 	// independent of table size: the seed implementation deep-copied
 	// every row of every referenced table on every Query.
-	old := CrossCheck
-	CrossCheck = false
-	defer func() { CrossCheck = old }()
 	measure := func(rows int) float64 {
 		db := kvTable(t, rows)
 		if err := db.CreateIndex("kv", "id"); err != nil {

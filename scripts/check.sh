@@ -31,6 +31,22 @@ go run ./cmd/scilint ./cmd/... ./internal/lint/...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Every parser of bytes from outside the process has a native fuzz
+# target, and FuzzQuery holds the SQL planner to the reference executor.
+# go test already ran their checked-in seeds; 3 s each (under a minute
+# in all, cold build included) explores past them. A crash fails the
+# gate and leaves its input under the package's testdata/fuzz/: fix
+# the bug and keep the input as a regression seed.
+echo "==> fuzz smoke (3 s per target)"
+for target in \
+	internal/prov:FuzzQuery internal/prov:FuzzLoadDB \
+	internal/chem/formats:FuzzSDF internal/chem/formats:FuzzPDB \
+	internal/chem/formats:FuzzMol2 internal/chem/formats:FuzzPDBQT \
+	internal/chem/formats:FuzzDLG internal/grid:FuzzParseMap \
+	internal/workflow/spec:FuzzParse internal/prep:FuzzParamFiles; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 3s -fuzzminimizetime 1s "./${target%%:*}"
+done
+
 # The engine's virtual timeline must not depend on how the dispatcher,
 # the worker pool and a cancel interleave, under either Runtime value:
 # give each gate run five schedules of those tests, not one.
