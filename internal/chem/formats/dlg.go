@@ -61,10 +61,24 @@ func WriteDLG(w io.Writer, d *DLG) error {
 	fmt.Fprintln(bw, "     CLUSTERING HISTOGRAM")
 	fmt.Fprintln(bw, "Run | FEB (kcal/mol) | RMSD (A) | Cluster Size")
 	for _, r := range d.Runs {
-		fmt.Fprintf(bw, "RESULT %4d %12.4f %10.4f %6d\n", r.Run, r.FEB, r.RMSD, r.ClusterN)
+		b := append(bw.AvailableBuffer(), "RESULT "...)
+		b = textio.AppendInt(b, r.Run, 4)
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, r.FEB, 12, 4)
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, r.RMSD, 10, 4)
+		b = append(b, ' ')
+		b = textio.AppendInt(b, r.ClusterN, 6)
+		bw.Write(append(b, '\n'))
 	}
 	if best, ok := d.Best(); ok {
-		fmt.Fprintf(bw, "BEST: run=%d feb=%.4f rmsd=%.4f\n", best.Run, best.FEB, best.RMSD)
+		b := append(bw.AvailableBuffer(), "BEST: run="...)
+		b = textio.AppendInt(b, best.Run, 0)
+		b = append(b, " feb="...)
+		b = textio.AppendFixed(b, best.FEB, 0, 4)
+		b = append(b, " rmsd="...)
+		b = textio.AppendFixed(b, best.RMSD, 0, 4)
+		bw.Write(append(b, '\n'))
 	}
 	if d.Docked != nil {
 		fmt.Fprintln(bw, "DOCKED: MODEL")

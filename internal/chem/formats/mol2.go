@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/chem"
 	"repro/internal/textio"
@@ -141,8 +142,26 @@ func WriteMol2(w io.Writer, m *chem.Molecule) error {
 		if res == "" {
 			res = "LIG"
 		}
-		fmt.Fprintf(bw, "%7d %-8s %9.4f %9.4f %9.4f %-5s %3d %-7s %9.4f\n",
-			i+1, a.Name, a.Pos.X, a.Pos.Y, a.Pos.Z, sybylType(a), 1, res+"1", a.Charge)
+		// fmt's "%7d %-8s %9.4f %9.4f %9.4f %-5s %3d %-7s %9.4f" of the
+		// id, name, coordinates, SYBYL type, substructure 1, residue+"1"
+		// and charge.
+		b := textio.AppendInt(bw.AvailableBuffer(), i+1, 7)
+		b = append(b, ' ')
+		b = textio.AppendLeft(b, a.Name, 8)
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, a.Pos.X, 9, 4)
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, a.Pos.Y, 9, 4)
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, a.Pos.Z, 9, 4)
+		b = append(b, ' ')
+		b = textio.AppendLeft(b, sybylType(a), 5)
+		b = append(b, "   1 "...)
+		// res+"1" left-aligned in 7 runes: the "1" fills what res leaves.
+		b = textio.AppendLeft(append(b, res...), "1", 7-utf8.RuneCountInString(res))
+		b = append(b, ' ')
+		b = textio.AppendFixed(b, a.Charge, 9, 4)
+		bw.Write(append(b, '\n'))
 	}
 	fmt.Fprintln(bw, "@<TRIPOS>BOND")
 	for i, b := range m.Bonds {

@@ -154,10 +154,6 @@ func WritePDB(w io.Writer, m *chem.Molecule) error {
 	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "HEADER    %s\n", m.Name)
 	for i, a := range m.Atoms {
-		rec := "ATOM  "
-		if a.HetAtm {
-			rec = "HETATM"
-		}
 		serial := a.Serial
 		if serial == 0 {
 			serial = i + 1
@@ -166,13 +162,10 @@ func WritePDB(w io.Writer, m *chem.Molecule) error {
 		if res == "" {
 			res = "UNK"
 		}
-		chain := a.Chain
-		if chain == "" {
-			chain = "A"
-		}
-		fmt.Fprintf(bw, "%s%5d %-4s %-3s %1s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s\n",
-			rec, serial, pdbAtomName(a.Name), res, chain, a.ResSeq,
-			a.Pos.X, a.Pos.Y, a.Pos.Z, 1.0, 0.0, strings.ToUpper(string(a.Element)))
+		b := appendAtomRecord(bw.AvailableBuffer(), serial, a, res)
+		b = append(b, "          "...)
+		b = textio.AppendRight(b, strings.ToUpper(string(a.Element)), 2)
+		bw.Write(append(b, '\n'))
 	}
 	for _, b := range m.Bonds {
 		fmt.Fprintf(bw, "CONECT%5d%5d\n", serialOf(m, b.A), serialOf(m, b.B))
@@ -181,18 +174,46 @@ func WritePDB(w io.Writer, m *chem.Molecule) error {
 	return bw.Flush()
 }
 
+// appendAtomRecord appends columns 1–66 of an ATOM/HETATM record, the
+// part PDB and PDBQT share — fmt's
+// "%s%5d %-4s %-3s %1s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f" of the record
+// name, serial, aligned atom name, residue, chain (default "A"),
+// sequence number, coordinates, occupancy 1.00 and temperature factor
+// 0.00.
+func appendAtomRecord(b []byte, serial int, a chem.Atom, res string) []byte {
+	if a.HetAtm {
+		b = append(b, "HETATM"...)
+	} else {
+		b = append(b, "ATOM  "...)
+	}
+	b = textio.AppendInt(b, serial, 5)
+	b = append(b, ' ')
+	// The PDB alignment rule: names of 1-3 characters start in column
+	// 14, one space into the 4-character field.
+	if len(a.Name) >= 4 {
+		b = textio.AppendLeft(b, a.Name[:4], 4)
+	} else {
+		b = textio.AppendLeft(append(b, ' '), a.Name, 3)
+	}
+	b = append(b, ' ')
+	b = textio.AppendLeft(b, res, 3)
+	b = append(b, ' ')
+	chain := a.Chain
+	if chain == "" {
+		chain = "A"
+	}
+	b = textio.AppendRight(b, chain, 1)
+	b = textio.AppendInt(b, a.ResSeq, 4)
+	b = append(b, "    "...)
+	b = textio.AppendFixed(b, a.Pos.X, 8, 3)
+	b = textio.AppendFixed(b, a.Pos.Y, 8, 3)
+	b = textio.AppendFixed(b, a.Pos.Z, 8, 3)
+	return append(b, "  1.00  0.00"...)
+}
+
 func serialOf(m *chem.Molecule, idx int) int {
 	if s := m.Atoms[idx].Serial; s != 0 {
 		return s
 	}
 	return idx + 1
-}
-
-// pdbAtomName applies the PDB alignment rule: names of 1-3 characters
-// start in column 14 (so we prefix a space within the 4-char field).
-func pdbAtomName(name string) string {
-	if len(name) >= 4 {
-		return name[:4]
-	}
-	return " " + name
 }

@@ -250,26 +250,23 @@ func orderedPair(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-func writePDBQTAtom(w io.Writer, serial int, a chem.Atom) {
+// writePDBQTAtom writes one PDBQT ATOM/HETATM record: the PDB columns
+// of appendAtomRecord, then the partial charge and the AutoDock type.
+func writePDBQTAtom(w textio.Writer, serial int, a chem.Atom) {
 	res := a.Residue
 	if res == "" {
 		res = "LIG"
-	}
-	chain := a.Chain
-	if chain == "" {
-		chain = "A"
-	}
-	rec := "ATOM  "
-	if a.HetAtm {
-		rec = "HETATM"
 	}
 	typ := a.Type
 	if typ == "" {
 		typ = chem.TypeForElement(a.Element)
 	}
-	fmt.Fprintf(w, "%s%5d %-4s %-3s %1s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f    %6.3f %-2s\n",
-		rec, serial, pdbAtomName(a.Name), res, chain, a.ResSeq,
-		a.Pos.X, a.Pos.Y, a.Pos.Z, 1.0, 0.0, a.Charge, string(typ))
+	b := appendAtomRecord(w.AvailableBuffer(), serial, a, res)
+	b = append(b, "    "...)
+	b = textio.AppendFixed(b, a.Charge, 6, 3)
+	b = append(b, ' ')
+	b = textio.AppendLeft(b, string(typ), 2)
+	w.Write(append(b, '\n'))
 }
 
 // ParsePDBQT reads a PDBQT file. For receptor files the returned

@@ -97,8 +97,12 @@ func WriteSDF(w io.Writer, m *chem.Molecule) error {
 	fmt.Fprintln(bw)
 	fmt.Fprintf(bw, "%3d%3d  0  0  0  0  0  0  0  0999 V2000\n", len(m.Atoms), len(m.Bonds))
 	for _, a := range m.Atoms {
-		fmt.Fprintf(bw, "%10.4f%10.4f%10.4f %-3s 0  0  0  0  0  0  0  0  0  0  0  0\n",
-			a.Pos.X, a.Pos.Y, a.Pos.Z, string(a.Element))
+		b := textio.AppendFixed(bw.AvailableBuffer(), a.Pos.X, 10, 4)
+		b = textio.AppendFixed(b, a.Pos.Y, 10, 4)
+		b = textio.AppendFixed(b, a.Pos.Z, 10, 4)
+		b = append(b, ' ')
+		b = textio.AppendLeft(b, string(a.Element), 3)
+		bw.Write(append(b, " 0  0  0  0  0  0  0  0  0  0  0  0\n"...))
 	}
 	for _, b := range m.Bonds {
 		fmt.Fprintf(bw, "%3d%3d%3d  0  0  0  0\n", b.A+1, b.B+1, int(b.Order))

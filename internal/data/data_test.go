@@ -1,6 +1,9 @@
 package data
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chem"
@@ -253,5 +256,27 @@ func TestSeedStability(t *testing.T) {
 	}
 	if Seed("x") < 0 {
 		t.Error("seed must be non-negative")
+	}
+}
+
+// TestMetaDrawsEqualFreshGenerators pins ReceptorMeta and LigandMeta,
+// which draw from a lazyrand generator, to the draws a fresh
+// rand.New(rand.NewSource(seed)) takes, for every dataset code, the
+// large pair and a few codes outside the dataset.
+func TestMetaDrawsEqualFreshGenerators(t *testing.T) {
+	codes := append([]string{LargeReceptorCode, LargeLigandCode, "", "x", "not a code"}, ReceptorCodes...)
+	codes = append(codes, LigandCodes...)
+	for _, code := range codes {
+		r := rand.New(rand.NewSource(Seed(code)))
+		residues, pocket, hg := 180+r.Intn(300), 7.0+r.Float64()*3.0, r.Intn(40) == 0
+		got := ReceptorMeta(code)
+		if got.Residues != residues || math.Float64bits(got.PocketR) != math.Float64bits(pocket) || got.ContainsHg != hg {
+			t.Fatalf("ReceptorMeta(%q) = %+v, fresh generator draws %d, %v, %v", code, got, residues, pocket, hg)
+		}
+		r = rand.New(rand.NewSource(Seed(code) ^ 0x11a44d))
+		heavy, problematic := 8+r.Intn(18), r.Intn(15) == 0 && !slices.Contains(Table3Ligands, code)
+		if l := LigandMeta(code); l.HeavyAtoms != heavy || l.Problematic != problematic {
+			t.Fatalf("LigandMeta(%q) = %+v, fresh generator draws %d, %v", code, l, heavy, problematic)
+		}
 	}
 }

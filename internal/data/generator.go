@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/chem"
+	"repro/internal/lazyrand"
 )
 
 // SizeClass categorizes a receptor for SciDock's docking filter
@@ -52,7 +53,7 @@ const residueClassThreshold = 330
 // without generating its coordinates (cheap; used by the docking
 // filter and by workload planning).
 func ReceptorMeta(code string) ReceptorInfo {
-	r := rand.New(rand.NewSource(Seed(code)))
+	r := lazyrand.New(Seed(code))
 	residues := 180 + r.Intn(300) // 180..479 synthetic residues
 	info := ReceptorInfo{
 		Code:     code,
@@ -83,9 +84,9 @@ func ReceptorMeta(code string) ReceptorInfo {
 func GenerateReceptor(code string) (*chem.Molecule, ReceptorInfo) {
 	info := ReceptorMeta(code)
 	r := rand.New(rand.NewSource(Seed(code) ^ 0x5ec7e7))
-	m := &chem.Molecule{Name: code}
-
 	nAtoms := 120 + int(float64(info.Residues-180)/299.0*300.0) // 120..420
+	// One more slot for the mercury atom a ContainsHg receptor gets.
+	m := &chem.Molecule{Name: code, Atoms: make([]chem.Atom, 0, nAtoms+1)}
 	// Shell radii: pocket wall starts at PocketR and is ~5 Å thick.
 	for i := 0; i < nAtoms; i++ {
 		// Spherical direction, leaving a 60°-wide entry channel
@@ -167,7 +168,7 @@ type LigandInfo struct {
 // LigandMeta returns deterministic ligand metadata without building
 // coordinates.
 func LigandMeta(code string) LigandInfo {
-	r := rand.New(rand.NewSource(Seed(code) ^ 0x11a44d))
+	r := lazyrand.New(Seed(code) ^ 0x11a44d)
 	info := LigandInfo{
 		Code:       code,
 		HeavyAtoms: 8 + r.Intn(18), // 8..25 heavy atoms

@@ -65,7 +65,7 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 				errs[run-1] = fmt.Errorf("ad4: run %d panicked: %v", run, r)
 			}
 		}()
-		r := rand.New(rand.NewSource(e.Params.RandomSeed + int64(run)*7919))
+		r := ws.Rand(e.Params.RandomSeed + int64(run)*7919)
 		pose, feb, n := e.runLGA(r, s, lig, ws)
 		rmsd, err := chem.RMSD(lig.Coords(pose), lig.Reference())
 		if err != nil {

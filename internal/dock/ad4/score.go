@@ -30,7 +30,8 @@ const (
 
 // Scorer evaluates the AD4 free energy of binding of a ligand
 // conformation against precomputed AutoGrid maps. The intermolecular
-// term is grid.Maps.InterAccum over per-atom resolved lattices, and
+// term is grid.Maps.InterPose (InterAccum for a batch) over per-atom
+// resolved lattices, and
 // the intramolecular term reads the pair potential from the r²-indexed
 // radial tables of internal/dock/tables (with the r ≥ 0.5 Å clamp
 // baked in), so neither hot loop hashes a map key or takes a sqrt;
@@ -48,7 +49,7 @@ type Scorer struct {
 	torsTerm   float64
 
 	// Per-atom resolved affinity lattices and pre-scaled charge
-	// weights, the arguments of grid.Maps.InterAccum.
+	// weights, the arguments of grid.Maps.InterPose and InterAccum.
 	affFld []grid.Field // per ligand atom: its type's affinity lattice
 	wq     []float64    // per atom: weightElec · charge
 	wdq    []float64    // per atom: weightDesolv · |charge|
@@ -112,15 +113,15 @@ func intraPairs(m *chem.Molecule) [][2]int {
 	adj := m.Adjacency()
 	var pairs [][2]int
 	dist := make([]int, n)
+	queue := make([]int, 0, n) // one BFS queue, reused from source to source
 	for src := 0; src < n; src++ {
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], src)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			if dist[v] >= 3 {
 				continue
 			}
@@ -145,9 +146,9 @@ func intraPairs(m *chem.Molecule) [][2]int {
 // search objective; the FEB printed into DLG files comes from
 // ReportedFEB, which — like the real AutoDock — excludes the ligand's
 // internal energy. It is the one-pose case of the exact kernel — the
-// same grid.Maps.InterAccum stencil and the same table read and
-// addition order as ScoreBatch — safe for concurrent use and
-// allocation-free.
+// stencil of grid.Maps.InterAccum (walked by InterPose) and the same
+// table read and addition order as ScoreBatch — safe for concurrent
+// use and allocation-free.
 //
 // exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
@@ -163,20 +164,14 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 	return s.interEnergy(coords) + s.torsTerm
 }
 
-// interEnergy is ScoreBatch's intermolecular walk over a batch of one:
-// InterAccum with stride 1 over one-element component slices, atoms
-// ascending, all three weighted terms of an atom added to the one
+// interEnergy is the intermolecular term of one pose: grid.Maps.InterPose,
+// whose sum is ScoreBatch's InterAccum walk at n = 1 bit for bit —
+// atoms ascending, all three weighted terms of an atom added to the one
 // running sum in vdW/electrostatic/desolvation order.
 //
 // exact: same float64 addition sequence as ScoreBatch
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
-	var inter [1]float64
-	for i, p := range coords {
-		x, y, z := [1]float64{p.X}, [1]float64{p.Y}, [1]float64{p.Z}
-		s.Maps.InterAccum(s.affFld[i], x[:], y[:], z[:], 1,
-			weightVdw, s.wq[i], s.wdq[i], inter[:])
-	}
-	return inter[0]
+	return s.Maps.InterPose(coords, s.affFld, weightVdw, s.wq, s.wdq)
 }
 
 // exact: same per-pose addition sequence as ScoreBatch's intraBatch

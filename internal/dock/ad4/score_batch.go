@@ -10,8 +10,9 @@ import (
 
 // ScoreBatch scores every pose of the batch, writing the free energy
 // of slot p into out[p]. Results are bit-identical to calling Score on
-// each pose's coordinates — Score is this walk for one pose, the same
-// grid.Maps.InterAccum and the same table read: per pose every term is
+// each pose's coordinates — Score is this walk for one pose,
+// grid.Maps.InterPose adding InterAccum's terms in its order, and the
+// same table read: per pose every term is
 // accumulated in exactly the sequential order — atoms ascending with
 // the vdW, electrostatic and desolvation reads in that order,
 // intramolecular pairs in table order, then

@@ -1,9 +1,6 @@
 package dock
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // RefineResult is the outcome of a local pose refinement.
 type RefineResult struct {
@@ -34,7 +31,7 @@ func RefineWorkspace(s Scorer, lig *Ligand, box Box, start Pose, iterations int,
 		return RefineResult{}, fmt.Errorf("dock: pose has %d torsions, ligand %d",
 			len(start.Torsions), lig.NumTorsions())
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := ws.Rand(seed)
 	cur, cand := ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)

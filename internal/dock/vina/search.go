@@ -160,7 +160,7 @@ func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result
 // trajectories. All candidate evaluation goes through the worker's
 // workspace: zero heap allocations per evaluation.
 func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, steps int, ws *dock.Workspace) mode {
-	r := rand.New(rand.NewSource(e.Config.Seed + int64(chain)*104729))
+	r := ws.Rand(e.Config.Seed + int64(chain)*104729)
 	ws.Eval.Stats = dock.Stats{} // the chain's own counters: workers run many chains
 	cur, cand, best := ws.Get(), ws.Get(), ws.Get()
 	defer ws.Put(cur)

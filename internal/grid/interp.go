@@ -18,9 +18,9 @@ func (m *Maps) InBox(p chem.Vec3) bool {
 }
 
 // Field is one resolved map lattice: the map-name lookup done once, so
-// the AD4 scorer hands InterAccum its atoms' affinity lattices without
-// a per-call map-key hash, and At reads one lattice at one point — the
-// reference InterAccum is pinned against. The zero Field is invalid;
+// the AD4 scorer hands InterPose and InterAccum its atoms' affinity
+// lattices without a per-call map-key hash, and At reads one lattice at
+// one point — the reference InterAccum is pinned against. The zero Field is invalid;
 // obtain one from AffinityField / ElectrostaticField /
 // DesolvationField.
 type Field struct {
@@ -60,8 +60,9 @@ func (m *Maps) DesolvationField() Field {
 //	acc[p] += wv·affinity(pt) + wq·electrostatic(pt) + wdq·desolvation(pt)
 //
 // where pt is (xs[p·stride], ys[p·stride], zs[p·stride]) — the caller
-// passes component slices pre-offset to the atom; the per-pose AD4
-// scorer is the one-pose case, stride 1 over one-element slices. The
+// passes component slices pre-offset to the atom. It is the AD4 batch
+// scorer's kernel; the per-pose scorer walks a pose with InterPose,
+// whose sum is InterAccum's at n = 1 bit for bit. The
 // three lattices share one trilinear stencil, each is read with
 // Field.At's lerp chain, and the weighted products are added to acc[p]
 // in vdW/electrostatic/desolvation order, so every term is
@@ -150,6 +151,79 @@ func interAccumFast(m *Maps, aed []float32, xs, ys, zs []float64, stride int, wv
 		s += wdqf * ((d00*uy+d10*ty)*uz + (d01*uy+d11*ty)*tz)
 		acc[p] = s
 	}
+}
+
+// InterPose is the intermolecular energy of one pose: for each atom i
+// in ascending order, wv·affinity + wq[i]·electrostatic +
+// wdq[i]·desolvation at coords[i], aff[i] being the atom's affinity
+// lattice. Every term and addition is InterAccum's — the same stencil,
+// lerp chains and vdW/electrostatic/desolvation order into one running
+// sum — so the result equals InterAccum over the atoms at n = 1 bit for
+// bit, without entering a batch kernel per atom: the grid geometry is
+// read once per pose, and a cell index is int(fx), which equals
+// int(math.Floor(fx)) because the box test has already sent every
+// fx < 0 to the penalty branch.
+func (m *Maps) InterPose(coords []chem.Vec3, aff []Field, wv float64, wq, wdq []float64) float64 {
+	o := m.Spec.Origin()
+	sp := m.Spec.Spacing
+	nx, ny, nz := m.Spec.NPts[0], m.Spec.NPts[1], m.Spec.NPts[2]
+	mx, my, mz := float64(nx-1), float64(ny-1), float64(nz-1)
+	dy, dz := nx, nx*ny
+	elecSl, desolvSl := m.elec, m.desolv
+	aff, wq, wdq = aff[:len(coords)], wq[:len(coords)], wdq[:len(coords)]
+	var s float64
+	for i, p := range coords {
+		fx := (p.X - o.X) / sp
+		fy := (p.Y - o.Y) / sp
+		fz := (p.Z - o.Z) / sp
+		if fx < 0 || fy < 0 || fz < 0 || fx > mx || fy > my || fz > mz {
+			s += wv * OutOfBoxPenalty
+			s += wq[i] * OutOfBoxPenalty
+			s += wdq[i] * OutOfBoxPenalty
+			continue
+		}
+		ix, iy, iz := int(fx), int(fy), int(fz)
+		if ix >= nx-1 {
+			ix = nx - 2
+		}
+		if iy >= ny-1 {
+			iy = ny - 2
+		}
+		if iz >= nz-1 {
+			iz = nz - 2
+		}
+		tx := fx - float64(ix)
+		ty := fy - float64(iy)
+		tz := fz - float64(iz)
+		i00 := (iz*ny+iy)*nx + ix
+		i10 := i00 + dy
+		i01 := i00 + dz
+		i11 := i01 + dy
+		ux, uy, uz := 1-tx, 1-ty, 1-tz
+		affSl := aff[i].sl
+		{
+			c00 := affSl[i00]*ux + affSl[i00+1]*tx
+			c10 := affSl[i10]*ux + affSl[i10+1]*tx
+			c01 := affSl[i01]*ux + affSl[i01+1]*tx
+			c11 := affSl[i11]*ux + affSl[i11+1]*tx
+			s += wv * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
+		}
+		{
+			c00 := elecSl[i00]*ux + elecSl[i00+1]*tx
+			c10 := elecSl[i10]*ux + elecSl[i10+1]*tx
+			c01 := elecSl[i01]*ux + elecSl[i01+1]*tx
+			c11 := elecSl[i11]*ux + elecSl[i11+1]*tx
+			s += wq[i] * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
+		}
+		{
+			c00 := desolvSl[i00]*ux + desolvSl[i00+1]*tx
+			c10 := desolvSl[i10]*ux + desolvSl[i10+1]*tx
+			c01 := desolvSl[i01]*ux + desolvSl[i01+1]*tx
+			c11 := desolvSl[i11]*ux + desolvSl[i11+1]*tx
+			s += wdq[i] * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
+		}
+	}
+	return s
 }
 
 func interAccum(m *Maps, affSl, elecSl, desolvSl []float64, xs, ys, zs []float64, stride int, wv, wq, wdq float64, acc []float64) {

@@ -28,7 +28,7 @@ func (m *Maps) WriteMap(w io.Writer, which string) error {
 	fmt.Fprintf(bw, "NELEMENTS %d %d %d\n", m.Spec.NPts[0]-1, m.Spec.NPts[1]-1, m.Spec.NPts[2]-1)
 	fmt.Fprintf(bw, "CENTER %.3f %.3f %.3f\n", m.Spec.Center.X, m.Spec.Center.Y, m.Spec.Center.Z)
 	for _, v := range sl {
-		fmt.Fprintf(bw, "%.3f\n", v)
+		bw.Write(append(textio.AppendFixed(bw.AvailableBuffer(), v, 0, 3), '\n'))
 	}
 	return bw.Flush()
 }

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+
+	"repro/internal/lazyrand"
 )
 
 // Activity tags of the SciDock workflow, shared between the cost
@@ -138,11 +140,12 @@ func (c *CostModel) Attempts(tag, key string, cost float64) []float64 {
 	return slices.Clone(out[:n+1])
 }
 
-// generators holds the cost model's reusable generators. Seeding one
-// yields exactly the stream rand.New(rand.NewSource(seed)) would, so a
-// draw is a pure function of its seed either way; reusing them spares
-// every activation two fresh 4.9 KB sources.
-var generators = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// generators holds the cost model's reusable generators. Each draws
+// from a lazyrand.Source, so seeding one yields exactly the stream
+// rand.New(rand.NewSource(seed)) would, and a draw is a pure function
+// of its seed either way; a Seed costs nothing instead of filling 607
+// words, and pooling spares every activation two allocations.
+var generators = sync.Pool{New: func() any { return rand.New(new(lazyrand.Source)) }}
 
 // seeded returns a pooled generator seeded with seed. Put it back when
 // the draw is done.

@@ -1,5 +1,7 @@
-// Package textio holds the one writer the text-format renderers
-// (formats, prep, grid) write through.
+// Package textio holds what the text-format renderers (formats, prep,
+// grid) write with: the one writer they write through, and append
+// helpers that render fixed-width record fields byte-identically to the
+// fmt verbs they replace.
 package textio
 
 import (
@@ -8,10 +10,15 @@ import (
 	"io"
 )
 
-// Writer is what a text-format renderer writes into.
+// Writer is what a text-format renderer writes into. A record is built
+// by appending to AvailableBuffer and passing the result to Write, the
+// idiom bufio.Writer and bytes.Buffer document: the bytes land in the
+// writer's own storage, and only a record longer than the space left
+// allocates.
 type Writer interface {
 	io.Writer
 	io.StringWriter
+	AvailableBuffer() []byte
 	Flush() error
 }
 

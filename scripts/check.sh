@@ -32,7 +32,8 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # Every parser of bytes from outside the process has a native fuzz
-# target, and FuzzQuery holds the SQL planner to the reference executor.
+# target, FuzzQuery holds the SQL planner to the reference executor, and
+# FuzzAppendFixed holds the text renderers' fixed-point formatter to fmt.
 # go test already ran their checked-in seeds; 3 s each (under a minute
 # in all, cold build included) explores past them. A crash fails the
 # gate and leaves its input under the package's testdata/fuzz/: fix
@@ -43,7 +44,8 @@ for target in \
 	internal/chem/formats:FuzzSDF internal/chem/formats:FuzzPDB \
 	internal/chem/formats:FuzzMol2 internal/chem/formats:FuzzPDBQT \
 	internal/chem/formats:FuzzDLG internal/grid:FuzzParseMap \
-	internal/workflow/spec:FuzzParse internal/prep:FuzzParamFiles; do
+	internal/workflow/spec:FuzzParse internal/prep:FuzzParamFiles \
+	internal/textio:FuzzAppendFixed; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 3s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
