@@ -5,9 +5,9 @@
 //
 // Packages follow the go tool's pattern syntax ("./...", "internal/dock",
 // import paths); the default is "./...". Exit status: 0 when no
-// error-severity finding survives filtering, 1 when at least one does,
-// 2 on usage or load failure. Suppress a finding at its source line
-// (or the line above) with:
+// finding survives suppression, 1 when at least one does, 2 on usage
+// or load failure. Suppress a finding at its source line (or the line
+// above) with:
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 package main
@@ -32,11 +32,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array")
-		sarifOut = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-		severity = fs.String("severity", "warn", "minimum severity to report: warn or error")
-		noTests  = fs.Bool("notests", false, "skip _test.go files entirely")
-		list     = fs.Bool("list", false, "list registered analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit findings as a JSON array")
+		list    = fs.Bool("list", false, "list registered analyzers and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: scilint [flags] [packages]\n")
@@ -49,22 +46,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-12s %s  %s\n", a.Name, a.Severity, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	minSev, err := lint.ParseSeverity(*severity)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "scilint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-
-	pkgs, err := lint.Load(lint.LoadConfig{IncludeTests: !*noTests}, fs.Args()...)
+	pkgs, err := lint.Load(fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -78,40 +65,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	filtered := diags[:0]
-	for _, d := range diags {
-		if d.Severity >= minSev {
-			filtered = append(filtered, d)
-		}
-	}
-
-	switch {
-	case *sarifOut:
-		if err := lint.WriteSARIF(stdout, analyzers, filtered); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if filtered == nil {
-			filtered = []lint.Diagnostic{}
+		if diags == nil {
+			diags = []lint.Diagnostic{}
 		}
-		if err := enc.Encode(filtered); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-	default:
+	} else {
 		cwd, err := os.Getwd()
 		if err != nil {
 			cwd = "" // fall back to absolute paths in output
 		}
-		for _, d := range filtered {
-			fmt.Fprintf(stdout, "%s: %s %s: %s\n", relPos(cwd, d), d.Severity, d.Analyzer, d.Message)
+		for _, d := range diags {
+			fmt.Fprintf(stdout, "%s: %s: %s\n", relPos(cwd, d), d.Analyzer, d.Message)
 		}
-		if len(filtered) > 0 {
+		if len(diags) > 0 {
 			counts := map[string]int{}
-			for _, d := range filtered {
+			for _, d := range diags {
 				counts[d.Analyzer]++
 			}
 			names := make([]string, 0, len(counts))
@@ -119,18 +93,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			fmt.Fprintf(stdout, "scilint: %d finding(s):", len(filtered))
+			fmt.Fprintf(stdout, "scilint: %d finding(s):", len(diags))
 			for _, n := range names {
 				fmt.Fprintf(stdout, " %s=%d", n, counts[n])
 			}
 			fmt.Fprintln(stdout)
 		}
 	}
-
-	for _, d := range filtered {
-		if d.Severity == lint.Error {
-			return 1
-		}
+	if len(diags) > 0 {
+		return 1
 	}
 	return 0
 }

@@ -3,61 +3,30 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
-	"strings"
 )
 
 // CtxLeak targets goroutine lifecycle bugs in the engine's long-lived
-// worker pools:
-//
-//   - a `go func() { ... }` whose body contains an infinite `for {}`
-//     with no shutdown path at all — no select, no channel receive, no
-//     return/break — can never be stopped and leaks a worker per
-//     stage; every worker loop must be able to observe a done/ctx
-//     channel, a closed job channel, or a stop message (warn);
-//   - under a module go directive older than 1.22, a goroutine literal
-//     capturing its enclosing loop variable races with the next
-//     iteration (all iterations share one variable); pass the value as
-//     an argument instead (error). With go >= 1.22 loop variables are
-//     per-iteration and this part stays silent.
+// worker pools: a `go func() { ... }` whose body contains an infinite
+// `for {}` with no shutdown path at all — no select, no channel
+// receive, no return/break — can never be stopped and leaks a worker
+// per stage; every worker loop must be able to observe a done/ctx
+// channel, a closed job channel, or a stop message.
 var CtxLeak = &Analyzer{
-	Name:     "ctxleak",
-	Doc:      "flags goroutine worker loops without a shutdown path and pre-1.22 loop-variable captures",
-	Severity: Warn,
-	Run:      runCtxLeak,
+	Name: "ctxleak",
+	Doc:  "flags goroutine worker loops without a shutdown path",
+	Run:  runCtxLeak,
 }
 
 func runCtxLeak(pass *Pass) {
-	sharedLoopVars := goVersionBefore(pass.GoVersion, 1, 22)
-	pass.Inspect(func(n ast.Node, stack []ast.Node) {
+	pass.Inspect(func(n ast.Node, _ []ast.Node) {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok {
 			return
 		}
-		lit, ok := gs.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return
-		}
-		checkWorkerLoops(pass, lit)
-		if sharedLoopVars {
-			checkLoopVarCapture(pass, lit, stack)
+		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+			checkWorkerLoops(pass, lit)
 		}
 	})
-}
-
-// goVersionBefore parses "go1.NN" and compares against major.minor.
-func goVersionBefore(v string, major, minor int) bool {
-	v = strings.TrimPrefix(v, "go")
-	parts := strings.SplitN(v, ".", 3)
-	if len(parts) < 2 {
-		return false // unknown: assume modern semantics
-	}
-	maj, err1 := strconv.Atoi(parts[0])
-	min, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return maj < major || (maj == major && min < minor)
 }
 
 // checkWorkerLoops flags `for {}` loops inside the goroutine body that
@@ -110,49 +79,4 @@ func hasShutdownPath(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// checkLoopVarCapture reports idents inside the goroutine literal that
-// resolve to a loop variable of an enclosing for/range statement.
-func checkLoopVarCapture(pass *Pass, lit *ast.FuncLit, stack []ast.Node) {
-	objs := map[any]bool{}
-	addDef := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" || pass.Info == nil {
-			return
-		}
-		if obj := pass.Info.Defs[id]; obj != nil {
-			objs[obj] = true
-		}
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.RangeStmt:
-			if s.Tok == token.DEFINE {
-				addDef(s.Key)
-				addDef(s.Value)
-			}
-		case *ast.ForStmt:
-			if as, ok := s.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-				for _, lhs := range as.Lhs {
-					addDef(lhs)
-				}
-			}
-		}
-	}
-	if len(objs) == 0 {
-		return
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := pass.Info.Uses[id]; obj != nil && objs[obj] {
-			pass.ReportSevf(Error, id.Pos(),
-				"goroutine captures loop variable %s (go %s shares one variable across iterations); pass it as an argument",
-				id.Name, strings.TrimPrefix(pass.GoVersion, "go"))
-		}
-		return true
-	})
 }

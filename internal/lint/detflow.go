@@ -8,16 +8,17 @@ import (
 	"strings"
 )
 
-// DetFlow upgrades wildrand's syntactic check to an interprocedural
-// determinism-taint analysis over the Run's call graph. wildrand only
-// sees a rand.Float64() written directly inside a hot package; a hot
-// path that reaches the process-global source through a helper — in
-// the same package or another one — replays differently on every run
-// and silently breaks the bit-reproducibility the paper's provenance
-// and re-execution guarantees rest on.
+// DetFlow is an interprocedural determinism-taint analysis over the
+// Run's call graph. A hot path that reaches the process-global rand
+// source or the wall clock — directly, through a helper in the same
+// package, or through another package — replays differently on every
+// run and silently breaks the bit-reproducibility the paper's
+// provenance and re-execution guarantees rest on.
 //
 // Taint sources (per function, direct):
 //   - calls through math/rand's (or v2's) package-level global source;
+//     constructing a seeded generator (rand.New, rand.NewSource, ...)
+//     is the approved pattern and is not a source;
 //   - time.Now();
 //   - ranging over a map while appending to a slice or sending on a
 //     channel (order-sensitive accumulation), unless the function also
@@ -26,25 +27,38 @@ import (
 //
 // Taint propagates from callee to caller along static call edges;
 // methods on an injected *rand.Rand are never sources, so seeding a
-// local generator sanitizes a subtree. Findings are reported at call
-// sites in deterministic hot packages and in any function that writes
-// provenance rows, with the full call chain down to the source.
-// Direct source calls in hot packages are wildrand's findings and are
-// not re-reported here; detflow flags only calls whose callee is a
-// module function with transitive taint. Dynamic dispatch (interface
-// methods, function values) is invisible to the static call graph.
-// Test files are exempt.
+// local generator sanitizes a subtree. Findings:
+//   - in deterministic hot packages, every direct global-rand or
+//     time.Now call site;
+//   - in hot packages and in any function that writes provenance rows,
+//     every call to a module function with transitive taint, with the
+//     full call chain down to the source.
+//
+// Dynamic dispatch (interface methods, function values) is invisible
+// to the static call graph. Test files are exempt.
 var DetFlow = &Analyzer{
-	Name:     "detflow",
-	Doc:      "interprocedural taint: nondeterminism (global rand, wall clock, map order) reaching hot paths or provenance writes",
-	Severity: Error,
-	Run:      runDetFlow,
+	Name: "detflow",
+	Doc:  "interprocedural taint: nondeterminism (global rand, wall clock, map order) reaching hot paths or provenance writes",
+	Run:  runDetFlow,
 }
 
-// detFlowHotPaths extends wildrand's hot set with grid generation
-// (Spec-deterministic slab decomposition) — packages where calling any
-// nondeterministic helper is a finding.
-var detFlowHotPaths = append([]string{"internal/grid"}, wildRandHotPaths...)
+// detFlowHotPaths are import-path fragments marking the packages where
+// determinism is load-bearing: the search kernels, the dataflow engine,
+// the scheduler and grid generation (Spec-deterministic slab
+// decomposition).
+var detFlowHotPaths = []string{
+	"internal/dock",
+	"internal/engine",
+	"internal/grid",
+	"internal/sched",
+}
+
+// randConstructors are the math/rand package-level functions that
+// build explicit generators rather than touching the global source.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
 
 // taintInfo explains why one function is tainted.
 type taintInfo struct {
@@ -54,28 +68,24 @@ type taintInfo struct {
 	hops int       // distance from the root source
 }
 
-// detState is the per-Run taint computation, cached on the shared
-// state via the callgraph pointer identity.
+// detState is the per-Run taint computation.
 type detState struct {
 	cg      *callGraph
 	tainted map[string]*taintInfo
 	sinks   map[string]bool // funcs that write provenance rows
 }
 
-var detStateCache = map[*callGraph]*detState{}
+// detStateFor returns the per-Run taint state, computing it on first
+// use.
+func (p *Pass) detStateFor() *detState {
+	if p.shared.det == nil {
+		p.shared.det = computeDetState(p.CallGraphFor())
+	}
+	return p.shared.det
+}
 
 func runDetFlow(pass *Pass) {
-	cg := pass.CallGraphFor()
-	st := detStateCache[cg]
-	if st == nil {
-		st = computeDetState(cg)
-		// Cache keyed by graph identity: a new Run builds a new graph,
-		// so stale entries never collide; drop old ones to stay small.
-		for k := range detStateCache {
-			delete(detStateCache, k)
-		}
-		detStateCache[cg] = st
-	}
+	st := pass.detStateFor()
 
 	hot := false
 	for _, frag := range detFlowHotPaths {
@@ -83,6 +93,19 @@ func runDetFlow(pass *Pass) {
 			hot = true
 			break
 		}
+	}
+
+	if hot {
+		pass.Inspect(func(n ast.Node, _ []ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || pass.IsTestFile(call.Pos()) {
+				return
+			}
+			if what, ok := sourceCall(pass.Package, call); ok {
+				pass.Reportf(call.Pos(),
+					"nondeterminism in deterministic hot path: this call %s; thread an injected seeded *rand.Rand or clock instead", what)
+			}
+		})
 	}
 
 	for _, node := range st.cg.nodes {
@@ -94,26 +117,17 @@ func runDetFlow(pass *Pass) {
 		}
 		reported := map[string]bool{}
 		for _, e := range node.edges {
-			ti := st.tainted[e.to]
-			if ti == nil {
-				continue
-			}
-			callee := st.cg.nodes[e.to]
-			if callee == nil {
-				continue // taint only flags module functions; stdlib sources are wildrand's
-			}
-			if reported[e.to] {
+			if st.tainted[e.to] == nil || reported[e.to] {
 				continue // one finding per distinct tainted callee per caller
 			}
 			reported[e.to] = true
-			chain := st.chain(e.to)
 			where := "deterministic hot path"
 			if !hot {
 				where = "provenance-writing function"
 			}
 			pass.Reportf(e.pos,
 				"nondeterminism reaches %s: %s; seed a *rand.Rand (or sort map keys) at the source",
-				where, chain)
+				where, st.chain(e.to))
 		}
 	}
 }
@@ -197,44 +211,20 @@ func computeDetState(cg *callGraph) *detState {
 func directSource(node *cgNode) (what string, pos token.Pos, ok bool) {
 	pkg := node.pkg
 	sortsAfter := callsSort(node)
-	found := func(w string, p token.Pos) {
-		if !ok {
-			what, pos, ok = w, p, true
-		}
-	}
 	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
 		if ok {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			sel, isSel := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !isSel {
-				return true
-			}
-			id, isId := sel.X.(*ast.Ident)
-			if !isId {
-				return true
-			}
-			pn, isPkg := pkg.Info.Uses[id].(*types.PkgName)
-			if !isPkg {
-				return true // method call, e.g. on an injected *rand.Rand: sanitized
-			}
-			switch pn.Imported().Path() {
-			case "math/rand", "math/rand/v2":
-				if !wildRandConstructors[sel.Sel.Name] {
-					found("draws from the math/rand global source (rand."+sel.Sel.Name+")", n.Pos())
-				}
-			case "time":
-				if sel.Sel.Name == "Now" {
-					found("reads the wall clock (time.Now)", n.Pos())
-				}
+			if w, isSrc := sourceCall(pkg, n); isSrc {
+				what, pos, ok = w, n.Pos(), true
 			}
 		case *ast.RangeStmt:
 			if t := pkg.TypeOf(n.X); t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap && !sortsAfter &&
 					orderSensitiveBody(n.Body) {
-					found("iterates a map in nondeterministic order into an ordered collection", n.Pos())
+					what, pos, ok = "iterates a map in nondeterministic order into an ordered collection", n.Pos(), true
 					return false
 				}
 			}
@@ -242,6 +232,34 @@ func directSource(node *cgNode) (what string, pos token.Pos, ok bool) {
 		return true
 	})
 	return what, pos, ok
+}
+
+// sourceCall classifies one call as a direct nondeterminism source: a
+// draw from math/rand's process-global source, or time.Now.
+func sourceCall(pkg *Package, call *ast.CallExpr) (what string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", false
+	}
+	id, isId := sel.X.(*ast.Ident)
+	if !isId {
+		return "", false
+	}
+	pn, isPkg := pkg.Info.Uses[id].(*types.PkgName)
+	if !isPkg {
+		return "", false // method call, e.g. on an injected *rand.Rand: sanitized
+	}
+	switch pn.Imported().Path() {
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[sel.Sel.Name] {
+			return "draws from the math/rand global source (rand." + sel.Sel.Name + ")", true
+		}
+	case "time":
+		if sel.Sel.Name == "Now" {
+			return "reads the wall clock (time.Now)", true
+		}
+	}
+	return "", false
 }
 
 // callsSort reports whether the function calls sort.* or

@@ -13,10 +13,9 @@ import (
 // discard annotated with //lint:ignore discarderr <reason>. Test
 // files are exempt.
 var DiscardErr = &Analyzer{
-	Name:     "discarderr",
-	Doc:      "flags blank-identifier discards of error values outside test files",
-	Severity: Error,
-	Run:      runDiscardErr,
+	Name: "discarderr",
+	Doc:  "flags blank-identifier discards of error values outside test files",
+	Run:  runDiscardErr,
 }
 
 func runDiscardErr(pass *Pass) {

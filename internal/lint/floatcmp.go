@@ -25,10 +25,9 @@ import (
 //     almost/approx/close/within/eps/toler), which is where the one
 //     legitimate exact comparison per helper lives.
 var FloatCmp = &Analyzer{
-	Name:     "floatcmp",
-	Doc:      "flags exact ==/!= on floating-point expressions outside approved epsilon helpers",
-	Severity: Error,
-	Run:      runFloatCmp,
+	Name: "floatcmp",
+	Doc:  "flags exact ==/!= on floating-point expressions outside approved epsilon helpers",
+	Run:  runFloatCmp,
 }
 
 var epsilonHelperRE = regexp.MustCompile(`(?i)(almost|approx|close|within|eps|toler)`)

@@ -1,27 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
-
-// docDirective returns the payload of the first `//name: payload` line
-// of a comment group, and whether the group has one. gofmt rewrites a
-// doc-comment line `//name: x` to `// name: x` (a space after the colon
-// disqualifies it as a Go directive), so both spellings count: an
-// annotation must not switch its analyzer off by being formatted.
-func docDirective(cg *ast.CommentGroup, name string) (string, bool) {
-	if cg == nil {
-		return "", false
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, ok := strings.CutPrefix(text, name+":"); ok {
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}
+import "strings"
 
 // ignoreDirective is a parsed //lint:ignore comment.
 type ignoreDirective struct {

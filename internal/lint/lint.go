@@ -7,8 +7,8 @@
 //
 // The cmd/scilint driver loads every package in the module, runs the
 // registered analyzers over each typed package and reports diagnostics
-// with file:line positions and severities. Findings can be suppressed
-// at the source line with a recognized directive:
+// with file:line positions; every finding fails the gate. Findings can
+// be suppressed at the source line with a recognized directive:
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
@@ -25,38 +25,9 @@ import (
 	"strings"
 )
 
-// Severity classifies a diagnostic. Error findings fail the CI gate;
-// Warn findings are reported but do not affect the exit status.
-type Severity int
-
-const (
-	Warn Severity = iota
-	Error
-)
-
-func (s Severity) String() string {
-	if s == Error {
-		return "error"
-	}
-	return "warn"
-}
-
-// ParseSeverity converts a flag value into a Severity.
-func ParseSeverity(s string) (Severity, error) {
-	switch strings.ToLower(s) {
-	case "warn", "warning":
-		return Warn, nil
-	case "error":
-		return Error, nil
-	}
-	return Warn, fmt.Errorf("lint: unknown severity %q (want warn or error)", s)
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
-	Severity Severity       `json:"-"`
-	Sev      string         `json:"severity"`
 	Pos      token.Position `json:"position"`
 	Message  string         `json:"message"`
 }
@@ -68,8 +39,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Severity is the default severity of this analyzer's findings.
-	Severity Severity
 	// Run performs the analysis.
 	Run func(*Pass)
 }
@@ -80,20 +49,21 @@ type Pass struct {
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 	// all is every package of this Run, for interprocedural analyzers
-	// (detflow's call graph, dimcheck's cross-package unit seeds).
+	// (detflow's call graph).
 	all []*Package
 	// shared is per-Run scratch shared across packages and analyzers;
-	// expensive structures (call graph, unit seeds, per-function CFGs)
+	// expensive structures (call graph, taint state, per-function CFGs)
 	// are built once per Run and memoized here.
 	shared *runShared
 }
 
-// runShared caches per-Run interprocedural state. Run is
-// single-goroutine, so no locking.
+// runShared caches per-Run interprocedural state. A Run is
+// single-goroutine and owns its runShared, so no locking; concurrent
+// Runs share nothing.
 type runShared struct {
 	cfgs      map[ast.Node]*CFG // *ast.FuncDecl -> its CFG
 	callgraph *callGraph
-	dimSeeds  *dimSeeds
+	det       *detState
 }
 
 // FuncCFG returns the (cached) control-flow graph of a declared
@@ -136,17 +106,10 @@ func (p *Package) isTerminatingCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// Reportf records a finding at the analyzer's default severity.
+// Reportf records a finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportSevf(p.analyzer.Severity, pos, format, args...)
-}
-
-// ReportSevf records a finding with an explicit severity.
-func (p *Pass) ReportSevf(sev Severity, pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.analyzer.Name,
-		Severity: sev,
-		Sev:      sev.String(),
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -244,36 +207,4 @@ func namedFrom(t types.Type) (path, name string, ok bool) {
 func isSyncLocker(t types.Type) bool {
 	path, name, ok := namedFrom(t)
 	return ok && path == "sync" && (name == "Mutex" || name == "RWMutex")
-}
-
-// containsLocker reports whether t is a mutex or a struct with a
-// direct (possibly embedded) mutex field.
-func containsLocker(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if isSyncLocker(t) {
-		return true
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if isSyncLocker(ft) {
-			return true
-		}
-		if _, isPtr := ft.(*types.Pointer); isPtr {
-			continue
-		}
-		if fst, ok := ft.Underlying().(*types.Struct); ok && fst != st.Underlying() {
-			for j := 0; j < fst.NumFields(); j++ {
-				if isSyncLocker(fst.Field(j).Type()) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -6,29 +6,26 @@ import (
 	"go/parser"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // checkFixture type-checks one in-memory fixture file as package
-// `path` (which controls path-sensitive analyzers like wildrand).
-// Loaders are shared per go version so the standard-library closure is
-// type-checked once per test binary, not once per case.
-var testLoaders = map[string]*loader{}
+// `path` (which controls path-sensitive analyzers like detflow). The
+// loader is shared so the standard-library closure is type-checked
+// once per test binary, not once per case.
+var testLoader *loader
 
-func checkFixture(t *testing.T, path, goVersion, filename, src string) *Package {
+func checkFixture(t *testing.T, path, filename, src string) *Package {
 	t.Helper()
-	ld := testLoaders[goVersion]
+	ld := testLoader
 	if ld == nil {
-		modDir, modPath, modGo, err := findModule(".")
+		modDir, modPath, goVersion, err := findModule(".")
 		if err != nil {
 			t.Fatalf("findModule: %v", err)
 		}
-		if goVersion == "" {
-			goVersion = modGo
-		}
 		ld = newLoader(modDir, modPath, goVersion)
-		testLoaders[goVersion] = ld
-		testLoaders[""] = ld // default alias on first use
+		testLoader = ld
 	}
 	f, err := parser.ParseFile(ld.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
@@ -67,9 +64,9 @@ func wantMarkers(t *testing.T, src string) map[int]*regexp.Regexp {
 // runCase runs one analyzer over one fixture (through the full Run
 // pipeline, so //lint:ignore filtering applies) and asserts that the
 // diagnostics exactly match the `// want` markers by line.
-func runCase(t *testing.T, an *Analyzer, path, goVersion, filename, src string) {
+func runCase(t *testing.T, an *Analyzer, path, filename, src string) {
 	t.Helper()
-	pkg := checkFixture(t, path, goVersion, filename, src)
+	pkg := checkFixture(t, path, filename, src)
 	diags := Run([]*Package{pkg}, []*Analyzer{an})
 
 	want := wantMarkers(t, src)
@@ -152,68 +149,7 @@ func tieBreak(a, b float64) bool {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, FloatCmp, "fixture/floatcmp", "", "fixture.go", tc.src)
-		})
-	}
-}
-
-func TestExactFlow(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"flags_narrowing_and_arithmetic", `package p
-
-//exact: bit-identical to the reference path
-func scoreExact(xs []float64, acc []float32) float64 {
-	v := float32(xs[0]) // want "float32 conversion inside //exact: function"
-	w := acc[0] * acc[1] // want "float32 \* arithmetic inside //exact: function"
-	acc[0] += w // want "float32 \+= inside //exact: function"
-	return float64(v)
-}
-`},
-		{"gofmt_spelling_still_checked", `package p
-
-// exact: bit-identical to the reference path
-func scoreExact(xs []float64) float64 {
-	return float64(float32(xs[0])) // want "float32 conversion inside //exact: function"
-}
-`},
-		{"widening_and_plain_float64_exempt", `package p
-
-//exact: bit-identical to the reference path
-func scoreExact(xs []float32) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += float64(x) // widening: exempt
-	}
-	return s * 0.5
-}
-
-func scoreFast(xs []float64) float32 { // no directive: exempt
-	return float32(xs[0]) * 0.5
-}
-`},
-		{"float32_to_float32_exempt", `package p
-
-type affinity float32
-
-//exact: node passthrough
-func reslot(v float32) affinity {
-	return affinity(v) // float32-based to float32-based: no narrowing
-}
-`},
-		{"suppression", `package p
-
-//exact: bit-identical modulo the documented seed fold
-func fold(v float64) float32 {
-	//lint:ignore exactflow the fold is part of the pinned contract
-	return float32(v)
-}
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, ExactFlow, "fixture/exactflow", "", "fixture.go", tc.src)
+			runCase(t, FloatCmp, "fixture/floatcmp", "fixture.go", tc.src)
 		})
 	}
 }
@@ -271,251 +207,9 @@ func h() int {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, DiscardErr, "fixture/discarderr", "", tc.file, tc.src)
+			runCase(t, DiscardErr, "fixture/discarderr", tc.file, tc.src)
 		})
 	}
-}
-
-func TestMutexHeld(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"copy_by_value", `package p
-
-import "sync"
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func byValue(mu sync.Mutex) { mu.Lock() } // want "passes lock by value"
-
-func (g guarded) byValRecv() int { return g.n } // want "passes lock by value"
-
-func copies(g *guarded) {
-	cp := *g // want "assignment copies lock value"
-	_ = cp
-}
-
-func ranges(gs []guarded) {
-	for _, g := range gs { // want "range copies lock"
-		_ = g.n
-	}
-}
-`},
-		{"lock_without_unlock", `package p
-
-import "sync"
-
-var mu sync.Mutex
-
-func leaks() {
-	mu.Lock() // want "no matching unlock"
-}
-
-func ok() {
-	mu.Lock()
-	defer mu.Unlock()
-}
-
-func okInline() {
-	mu.Lock()
-	mu.Unlock()
-}
-`},
-		{"blocking_while_held", `package p
-
-import (
-	"sync"
-	"time"
-)
-
-var (
-	mu sync.Mutex
-	ch = make(chan int)
-	wg sync.WaitGroup
-)
-
-func sends() {
-	mu.Lock()
-	ch <- 1 // want "channel send while mu is held"
-	mu.Unlock()
-}
-
-func sleeps() {
-	mu.Lock()
-	defer mu.Unlock()
-	time.Sleep(time.Millisecond) // want "time.Sleep while mu is held"
-}
-
-func waits() {
-	mu.Lock()
-	wg.Wait() // want "WaitGroup.Wait while mu is held"
-	mu.Unlock()
-}
-
-func relocks() {
-	mu.Lock()
-	mu.Lock() // want "re-locked while already held"
-	mu.Unlock()
-}
-`},
-		{"cond_wait_exempt", `package p
-
-import "sync"
-
-type box struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	full bool
-}
-
-func (b *box) waitFull() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for !b.full {
-		b.cond.Wait() // sync.Cond.Wait: exempt by design
-	}
-}
-
-func (b *box) signalAfter() {
-	b.mu.Lock()
-	b.full = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-	b.cond.Signal()
-}
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, MutexHeld, "fixture/mutexheld", "", "fixture.go", tc.src)
-		})
-	}
-}
-
-func TestWildRand(t *testing.T) {
-	hotSrc := `package p
-
-import (
-	"math/rand"
-	"time"
-)
-
-func roll() int {
-	return rand.Intn(6) // want "math/rand global source call rand.Intn"
-}
-
-func stamp() time.Time {
-	return time.Now() // want "in deterministic hot path"
-}
-
-func seeded(seed int64) float64 {
-	r := rand.New(rand.NewSource(seed)) // constructors: exempt
-	return r.Float64()                  // method on injected source: exempt
-}
-
-func elapsed(d time.Duration) time.Duration { return d * 2 }
-`
-	t.Run("hot_path_flags", func(t *testing.T) {
-		runCase(t, WildRand, "repro/internal/dock/fixture", "", "fixture.go", hotSrc)
-	})
-	t.Run("cold_path_exempt", func(t *testing.T) {
-		cold := strings.ReplaceAll(hotSrc, `// want "math/rand global source call rand.Intn"`, "")
-		cold = strings.ReplaceAll(cold, `// want "in deterministic hot path"`, "")
-		runCase(t, WildRand, "repro/internal/analysis/fixture", "", "fixture.go", cold)
-	})
-	// Regression guard for the parallel search pools: per-worker seeded
-	// sources must stay clean, while a global draw inside a pooled
-	// goroutine is flagged.
-	poolSrc := `package p
-
-import (
-	"math/rand"
-	"sync"
-)
-
-func searchChains(seed int64, chains, workers int) []float64 {
-	out := make([]float64, chains)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := w; c < chains; c += workers {
-				r := rand.New(rand.NewSource(seed + int64(c)*104729)) // per-chain source: exempt
-				out[c] = r.Float64()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
-}
-
-func jitteredChains(chains int) []float64 {
-	out := make([]float64, chains)
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := w; c < chains; c += 2 {
-				out[c] = rand.Float64() // want "math/rand global source call rand.Float64"
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
-}
-`
-	t.Run("worker_pool", func(t *testing.T) {
-		runCase(t, WildRand, "repro/internal/dock/fixture", "", "fixture.go", poolSrc)
-	})
-	// The engine's dataflow dispatcher is a hot path: its virtual
-	// clocks come from placements, never the wall clock, and any
-	// per-activation randomness must flow through a seeded source
-	// keyed on the tuple. Both wall-clock reads and global draws
-	// inside the dispatch loop are flagged.
-	dispatcherSrc := `package p
-
-import (
-	"math/rand"
-	"time"
-)
-
-type node struct{ readyAt, planCost float64 }
-
-func dispatch(ready []*node, seed int64) float64 {
-	frontier := 0.0
-	for _, n := range ready {
-		r := rand.New(rand.NewSource(seed ^ int64(len(ready)))) // injected source: exempt
-		jitter := r.Float64() * 0
-
-		end := n.readyAt + n.planCost + jitter
-		if end > frontier {
-			frontier = end
-		}
-	}
-	return frontier
-}
-
-func dispatchWall(ready []*node) float64 {
-	frontier := 0.0
-	for _, n := range ready {
-		now := float64(time.Now().UnixNano()) // want "in deterministic hot path"
-		tie := rand.Float64()                 // want "math/rand global source call rand.Float64"
-		end := now + n.planCost + tie
-		if end > frontier {
-			frontier = end
-		}
-	}
-	return frontier
-}
-`
-	t.Run("engine_dispatcher", func(t *testing.T) {
-		runCase(t, WildRand, "repro/internal/engine/fixture", "", "fixture.go", dispatcherSrc)
-	})
 }
 
 func TestProvPair(t *testing.T) {
@@ -624,16 +318,16 @@ func assigned(db *prov.DB, now time.Time) error {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, ProvPair, "fixture/provpair", "", "fixture.go", header+tc.body)
+			runCase(t, ProvPair, "fixture/provpair", "fixture.go", header+tc.body)
 		})
 	}
 }
 
 func TestCtxLeak(t *testing.T) {
 	cases := []struct {
-		name, goVersion, src string
+		name, src string
 	}{
-		{"unstoppable_loop", "", `package p
+		{"unstoppable_loop", `package p
 
 func work() {}
 
@@ -645,7 +339,7 @@ func spawn() {
 	}()
 }
 `},
-		{"shutdown_paths_ok", "", `package p
+		{"shutdown_paths_ok", `package p
 
 func work() {}
 
@@ -688,7 +382,7 @@ func spawnRange(jobs chan int) {
 		// condition and is never a worker loop. A cond.Wait spin with
 		// no shutdown check stays flagged — sync.Cond.Wait alone is
 		// not an exit.
-		{"dispatcher_worker", "", `package p
+		{"dispatcher_worker", `package p
 
 import "sync"
 
@@ -733,42 +427,10 @@ func (d *dispatcher) spin() {
 	}()
 }
 `},
-		{"loopvar_pre122", "go1.21", `package p
-
-func use(int) {}
-
-func fan(xs []int) {
-	for _, x := range xs {
-		go func() {
-			use(x) // want "goroutine captures loop variable x"
-		}()
-	}
-}
-
-func byArg(xs []int) {
-	for _, x := range xs {
-		go func(x int) {
-			use(x) // passed as argument: exempt
-		}(x)
-	}
-}
-`},
-		{"loopvar_go122_exempt", "go1.22", `package p
-
-func use(int) {}
-
-func fan(xs []int) {
-	for _, x := range xs {
-		go func() {
-			use(x) // per-iteration variable since 1.22: exempt
-		}()
-	}
-}
-`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, CtxLeak, "fixture/ctxleak", tc.goVersion, "fixture.go", tc.src)
+			runCase(t, CtxLeak, "fixture/ctxleak", "fixture.go", tc.src)
 		})
 	}
 }
@@ -790,7 +452,7 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ctxleak", "detflow", "dimcheck", "discarderr", "exactflow", "floatcmp", "lockflow", "mutexheld", "provpair", "wildrand"}
+	want := []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow", "provpair"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))
@@ -812,11 +474,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestFixturePackages loads the on-disk fixture packages end-to-end
-// through Load (the same path cmd/scilint uses) and checks the seeded
-// findings surface and the clean package stays clean.
+// through Load (the same path cmd/scilint uses) and pins how many
+// findings each analyzer reports in each package.
 func TestFixturePackages(t *testing.T) {
-	pkgs, err := Load(LoadConfig{IncludeTests: true},
-		"testdata/src/sick", "testdata/src/internal/dock",
+	pkgs, err := Load("testdata/src/sick", "testdata/src/internal/dock",
 		"testdata/src/noise", "testdata/src/clean")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -828,7 +489,7 @@ func TestFixturePackages(t *testing.T) {
 	}
 	diags := Run(pkgs, Analyzers())
 
-	perPkg := map[string]map[string]int{}
+	got := map[string]map[string]int{}
 	for _, d := range diags {
 		key := "other"
 		switch {
@@ -841,33 +502,22 @@ func TestFixturePackages(t *testing.T) {
 		case strings.Contains(d.Pos.Filename, "src/clean"):
 			key = "clean"
 		}
-		if perPkg[key] == nil {
-			perPkg[key] = map[string]int{}
+		if got[key] == nil {
+			got[key] = map[string]int{}
 		}
-		perPkg[key][d.Analyzer]++
+		got[key][d.Analyzer]++
 	}
-	if len(perPkg["clean"]) != 0 {
-		t.Errorf("clean fixture produced findings: %v", perPkg["clean"])
+	// The clean package stays clean, and the cold helper package's
+	// direct draw is below detflow's radar: the taint surfaces in the
+	// dock fixture instead.
+	want := map[string]map[string]int{
+		"sick": {"ctxleak": 3, "discarderr": 1, "floatcmp": 1, "lockflow": 6, "provpair": 1},
+		// Three direct sources (Jitter, Stamp, PoolGlobalRand) plus two
+		// tainted calls (noise.Wall, typeNames).
+		"dock": {"detflow": 5},
 	}
-	// The cold helper package's direct draw is deliberately below every
-	// analyzer's radar; the taint surfaces in the dock fixture instead.
-	if len(perPkg["noise"]) != 0 {
-		t.Errorf("noise fixture produced findings: %v", perPkg["noise"])
-	}
-	for _, an := range []string{"floatcmp", "exactflow", "discarderr", "mutexheld", "provpair", "ctxleak", "lockflow", "dimcheck"} {
-		if perPkg["sick"][an] == 0 {
-			t.Errorf("sick fixture produced no %s finding; got %v", an, perPkg["sick"])
-		}
-	}
-	// Two from ScoreWindowExact (//exact:), one from ScorePoseExact
-	// (// exact:, the spelling gofmt rewrites the directive to).
-	if got := perPkg["sick"]["exactflow"]; got != 3 {
-		t.Errorf("sick fixture produced %d exactflow findings, want 3", got)
-	}
-	for _, an := range []string{"wildrand", "detflow"} {
-		if perPkg["dock"][an] == 0 {
-			t.Errorf("dock fixture produced no %s finding; got %v", an, perPkg["dock"])
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("findings per fixture and analyzer = %v, want %v", got, want)
 	}
 	// Diagnostics must carry exact positions into the fixture files.
 	for _, d := range diags {
@@ -875,5 +525,65 @@ func TestFixturePackages(t *testing.T) {
 			t.Errorf("diagnostic without position: %+v", d)
 		}
 	}
-	_ = fmt.Sprintf // keep fmt for future debugging tweaks
+}
+
+// TestConcurrentRuns runs two lint.Run calls at once, as two scilint
+// invocations embedded in one process would. Each Run keeps its call
+// graph, taint state and CFGs to itself, so under -race this fails on
+// any state shared between Runs, and each must report what it reports
+// alone.
+func TestConcurrentRuns(t *testing.T) {
+	const src = `package p
+
+import "math/rand"
+
+func jitter() float64 {
+	return rand.Float64()
+}
+
+func Search() float64 {
+	return jitter()
+}
+`
+	modDir, modPath, goVersion, err := findModule(".")
+	if err != nil {
+		t.Fatalf("findModule: %v", err)
+	}
+	var pkgs []*Package
+	for _, path := range []string{"repro/internal/dock/fixture", "repro/internal/engine/fixture"} {
+		// A loader each: a shared FileSet's internal locking would order
+		// the two Runs' accesses and hide a race between them.
+		ld := newLoader(modDir, modPath, goVersion)
+		f, err := parser.ParseFile(ld.fset, "fixture.go", src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse fixture: %v", err)
+		}
+		pkg, err := ld.check(path, []*ast.File{f})
+		if err != nil {
+			t.Fatalf("check fixture: %v", err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	results := make([][]Diagnostic, len(pkgs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, pkg := range pkgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[i] = Run([]*Package{pkg}, Analyzers())
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, pkg := range pkgs {
+		alone := Run([]*Package{pkg}, Analyzers())
+		if len(alone) != 2 {
+			t.Errorf("%s: %d findings alone, want the draw and the tainted call: %v", pkg.Path, len(alone), alone)
+		}
+		if fmt.Sprint(results[i]) != fmt.Sprint(alone) {
+			t.Errorf("%s: concurrent Run = %v, alone = %v", pkg.Path, results[i], alone)
+		}
+	}
 }

@@ -24,8 +24,8 @@ type Package struct {
 	Path string
 	// Fset maps positions; shared across all packages of a load.
 	Fset *token.FileSet
-	// Files are the parsed sources (with comments), tests included
-	// when the load requested them.
+	// Files are the parsed sources (with comments), in-package
+	// _test.go files included.
 	Files []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
@@ -34,38 +34,24 @@ type Package struct {
 	// TypeErrors collects type-checker complaints (the load keeps
 	// going; callers decide whether they are fatal).
 	TypeErrors []error
-	// GoVersion is the module's go directive (e.g. "go1.22").
-	GoVersion string
 
 	insp *inspector
 }
 
-// LoadConfig controls a load.
-type LoadConfig struct {
-	// Dir anchors pattern resolution; it must lie inside the module.
-	// Empty means the current directory.
-	Dir string
-	// IncludeTests adds in-package _test.go files to target packages.
-	IncludeTests bool
-}
-
 // Load resolves patterns ("./...", "dir/...", relative directories or
-// module import paths) to module packages and type-checks each one
-// along with its full dependency closure.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.Getwd(); err != nil {
-			return nil, err
-		}
+// module import paths, relative to the current directory) to module
+// packages and type-checks each one, in-package tests included, along
+// with its full dependency closure.
+func Load(patterns ...string) ([]*Package, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return nil, err
 	}
 	modDir, modPath, goVersion, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
 	ld := newLoader(modDir, modPath, goVersion)
-	ld.includeTests = cfg.IncludeTests
 
 	dirs, err := expandPatterns(dir, modDir, modPath, patterns)
 	if err != nil {
@@ -197,12 +183,11 @@ func walkGoDirs(root string, add func(string)) {
 // loader type-checks packages from source, caching completed packages
 // so each import path is checked once per load.
 type loader struct {
-	fset         *token.FileSet
-	ctxt         build.Context
-	modDir       string
-	modPath      string
-	goVersion    string
-	includeTests bool
+	fset      *token.FileSet
+	ctxt      build.Context
+	modDir    string
+	modPath   string
+	goVersion string
 
 	cache   map[string]*types.Package // completed dependency packages
 	loading map[string]bool           // cycle detection
@@ -281,15 +266,15 @@ func (l *loader) resolve(path string) (dir string, local bool, err error) {
 }
 
 // parseDir parses a package directory's buildable files. Target
-// packages keep comments (for ignore directives) and optionally
-// include in-package test files.
+// packages keep comments (for ignore directives) and include
+// in-package test files.
 func (l *loader) parseDir(dir string, target bool) ([]*ast.File, error) {
 	bp, err := l.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
 	names := append([]string(nil), bp.GoFiles...)
-	if target && l.includeTests {
+	if target {
 		names = append(names, bp.TestGoFiles...)
 	}
 	sort.Strings(names)
@@ -347,11 +332,10 @@ func (l *loader) check(path string, files []*ast.File) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	pkg := &Package{
-		Path:      path,
-		Fset:      l.fset,
-		Files:     files,
-		Info:      info,
-		GoVersion: l.goVersion,
+		Path:  path,
+		Fset:  l.fset,
+		Files: files,
+		Info:  info,
 	}
 	conf := types.Config{
 		Importer:  l,

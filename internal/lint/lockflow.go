@@ -3,22 +3,30 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
+	"strings"
 )
 
-// LockFlow verifies lock/unlock pairing path-sensitively on the CFG,
-// replacing mutexheld's function-scope heuristic for release checking:
-// mutexheld treats "an unlock exists somewhere in the function" as
-// good enough, which lets an early return leak a read lock as long as
-// some other path releases it — exactly the provenance TableShard
-// snapshot bug shape. LockFlow runs a forward must-held analysis over
-// every declared function:
+// LockFlow verifies lock discipline path-sensitively on the CFG. It
+// runs a forward must-held analysis over every declared function and
+// reports:
 //
-//   - error: a path reaches a return (or falls off the end) while a
+//   - a path that reaches a return (or falls off the end) while a
 //     mutex locked in this function is still held and no deferred
-//     unlock releases it;
-//   - error: a mutex is re-locked on a path where it is already held
-//     (self-deadlock for sync.Mutex, writer starvation for RWMutex).
+//     unlock releases it. An unlock on some other path does not help:
+//     an early return that leaks a read lock is exactly the provenance
+//     TableShard snapshot bug shape;
+//   - a mutex re-locked on a path where it is already held
+//     (self-deadlock for sync.Mutex, writer starvation for RWMutex);
+//   - a blocking operation — channel send or receive, select without
+//     default, range over a channel, time.Sleep or sync.WaitGroup.Wait
+//     — on a path where a lock is held. The engine and prov layers
+//     serialize on small mutexes while thousands of activations run;
+//     blocking inside a held region turns a nanosecond critical
+//     section into a convoy, or a deadlock when the blocked operation
+//     needs the same lock. sync.Cond.Wait is exempt: it unlocks
+//     atomically and must be called with the lock held.
 //
 // Held-ness is tracked per lock expression ("t.mu") with must/may
 // precision: a lock held on only one incoming path merges to may-held
@@ -26,12 +34,46 @@ import (
 // c { Unlock }") stay clean. Paths that end in panic or os.Exit are
 // not release points and are exempt. Unlocking a mutex the function
 // never locked is deliberate in hand-off protocols (cond-wait worker
-// loops) and stays silent. Test files are exempt.
+// loops) and stays silent. Function literals run later (or on other
+// goroutines) and are not followed. Test files are exempt.
 var LockFlow = &Analyzer{
-	Name:     "lockflow",
-	Doc:      "CFG-based verification that every Lock/RLock is released on all paths (and never re-acquired while held)",
-	Severity: Error,
-	Run:      runLockFlow,
+	Name: "lockflow",
+	Doc:  "CFG-based verification that every Lock/RLock is released on all paths, never re-acquired while held, and never held across a blocking operation",
+	Run:  runLockFlow,
+}
+
+// lockOp describes one mutex method call site.
+type lockOp struct {
+	key     string // receiver expression, e.g. "e.mu"
+	read    bool   // RLock/RUnlock
+	acquire bool   // Lock/RLock vs Unlock/RUnlock
+}
+
+// mutexCall decodes a call expression into a lockOp when it is a
+// sync.Mutex/RWMutex (un)lock.
+func mutexCall(pass *Pass, call *ast.CallExpr) (lockOp, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return lockOp{}, false
+	}
+	var op lockOp
+	switch sel.Sel.Name {
+	case "Lock":
+		op = lockOp{acquire: true}
+	case "RLock":
+		op = lockOp{acquire: true, read: true}
+	case "Unlock":
+		op = lockOp{}
+	case "RUnlock":
+		op = lockOp{read: true}
+	default:
+		return lockOp{}, false
+	}
+	if !isSyncLocker(pass.TypeOf(sel.X)) {
+		return lockOp{}, false
+	}
+	op.key = types.ExprString(sel.X)
+	return op, true
 }
 
 // lockHeld is one held lock in a lockFact.
@@ -65,9 +107,13 @@ func lockKeyOf(op lockOp) string {
 // lockProblem is the FlowProblem for one function.
 type lockProblem struct {
 	pass *Pass
-	// report, when non-nil, receives double-lock findings during the
-	// final replay pass (nil during fixpoint iteration).
-	report func(pos token.Pos, op lockOp)
+	// ctrl maps the CFG nodes that stand in for a select or range
+	// statement (each select's comm statements, each range operand)
+	// to that statement.
+	ctrl map[ast.Node]ast.Stmt
+	// report, when non-nil, receives re-lock and blocking findings
+	// during the final replay pass (nil during fixpoint iteration).
+	report func(pos token.Pos, msg string)
 }
 
 func (lp *lockProblem) EntryFact() Fact { return lockFact{} }
@@ -80,23 +126,51 @@ func (lp *lockProblem) Transfer(b *Block, in Fact) Fact {
 	return f
 }
 
-// transferNode applies every mutex call in one node to the fact.
+// transferNode applies every mutex call in one node to the fact and,
+// during replay, reports blocking operations under a must-held lock.
 // Function literals run later (or elsewhere) and are skipped; defer
 // statements are release points handled separately at exits.
 func (lp *lockProblem) transferNode(n ast.Node, f lockFact) {
+	// A comm's channel operation blocks only when its select has no
+	// default, and is then reported once, as the select.
+	inComm := false
+	switch s := lp.ctrl[n].(type) {
+	case *ast.SelectStmt:
+		inComm = true
+		if !selectHasDefault(s) {
+			lp.blocking(f, s.Pos(), "blocking select")
+		}
+	case *ast.RangeStmt:
+		if t := lp.pass.TypeOf(s.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				lp.blocking(f, s.Pos(), "range over channel")
+			}
+		}
+	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit, *ast.DeferStmt:
 			return false
+		case *ast.SendStmt:
+			if !inComm {
+				lp.blocking(f, m.Pos(), "channel send")
+			}
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW && !inComm {
+				lp.blocking(f, m.Pos(), "channel receive")
+			}
 		case *ast.CallExpr:
 			op, ok := mutexCall(lp.pass, m)
 			if !ok {
+				if lp.report != nil {
+					lp.blocking(f, m.Pos(), blockingCall(lp.pass, m))
+				}
 				return true
 			}
 			key := lockKeyOf(op)
 			if op.acquire {
 				if held, ok := f[key]; ok && held.must && !op.read && lp.report != nil {
-					lp.report(m.Pos(), op)
+					lp.report(m.Pos(), op.key+" re-locked on a path where it is already held: self-deadlock")
 				}
 				if _, ok := f[key]; !ok {
 					f[key] = lockHeld{read: op.read, must: true, site: m.Pos()}
@@ -111,6 +185,45 @@ func (lp *lockProblem) transferNode(n ast.Node, f lockFact) {
 		}
 		return true
 	})
+}
+
+// blocking reports the blocking operation what ("" for none) during
+// replay when some lock is must-held; the smallest held key is named,
+// so messages are stable.
+func (lp *lockProblem) blocking(f lockFact, pos token.Pos, what string) {
+	if lp.report == nil || what == "" {
+		return
+	}
+	held := ""
+	for key, h := range f {
+		if h.must && (held == "" || key < held) {
+			held = key
+		}
+	}
+	if held != "" {
+		lp.report(pos, what+" while "+strings.TrimSuffix(held, ":r")+" is held; shrink the critical section")
+	}
+}
+
+// blockingCall names a call that parks the goroutine — time.Sleep or
+// sync.WaitGroup.Wait — or returns "".
+func blockingCall(pass *Pass, call *ast.CallExpr) string {
+	switch funcKey(pass.calleeFunc(call)) {
+	case "time.Sleep":
+		return "time.Sleep"
+	case "sync.WaitGroup.Wait":
+		return "WaitGroup.Wait"
+	}
+	return ""
+}
+
+func selectHasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if c.(*ast.CommClause).Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func (lp *lockProblem) Merge(a, b Fact) Fact {
@@ -206,8 +319,21 @@ func checkLockFlow(pass *Pass, fd *ast.FuncDecl) {
 		return
 	}
 
+	lp := &lockProblem{pass: pass, ctrl: map[ast.Node]ast.Stmt{}}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.SelectStmt:
+			for _, c := range s.Body.List {
+				if comm := c.(*ast.CommClause).Comm; comm != nil {
+					lp.ctrl[comm] = s
+				}
+			}
+		case *ast.RangeStmt:
+			lp.ctrl[s.X] = s
+		}
+		return true
+	})
 	g := pass.FuncCFG(fd)
-	lp := &lockProblem{pass: pass}
 	in := ForwardFlow(g, lp)
 	deferred := deferredReleases(pass, g)
 
@@ -236,34 +362,27 @@ func checkLockFlow(pass *Pass, fd *ast.FuncDecl) {
 			if h.read {
 				name = "RLock()"
 			}
-			lock := key
-			if h.read {
-				lock = key[:len(key)-2] // strip ":r"
-			}
-			add(pos, lock+"."+name+" acquired at "+
+			add(pos, strings.TrimSuffix(key, ":r")+"."+name+" acquired at "+
 				pass.Fset.Position(h.site).String()+" is still held when this path "+how)
 		}
 	}
 
-	// Replay each reachable block with its final in-fact: double-lock
-	// reporting happens inside the transfer, leak reporting at every
-	// return node and at the fall-off-the-end block's out-fact.
+	// Replay each reachable block with its final in-fact: re-lock and
+	// blocking reports happen inside the transfer, leak reports at
+	// every return node and at the fall-off-the-end block's out-fact.
+	lp.report = add
 	for _, b := range g.Blocks {
 		inF, reachable := in[b]
 		if !reachable {
 			continue
 		}
 		f := inF.(lockFact).clone()
-		lp.report = func(pos token.Pos, op lockOp) {
-			add(pos, op.key+" re-locked on a path where it is already held: self-deadlock")
-		}
 		for _, n := range b.Nodes {
 			if ret, isRet := n.(*ast.ReturnStmt); isRet {
 				leakCheck(f, ret.Pos(), "returns")
 			}
 			lp.transferNode(n, f)
 		}
-		lp.report = nil
 		if b == g.FallsOff {
 			leakCheck(f, fd.Body.Rbrace, "reaches the end of "+fd.Name.Name)
 		}

@@ -26,10 +26,9 @@ import (
 // guarded by the start's own error check counts as the start having
 // failed (no activation exists on that path).
 var ProvPair = &Analyzer{
-	Name:     "provpair",
-	Doc:      "flags provenance activation starts not paired with a close on every path",
-	Severity: Error,
-	Run:      runProvPair,
+	Name: "provpair",
+	Doc:  "flags provenance activation starts not paired with a close on every path",
+	Run:  runProvPair,
 }
 
 var (

@@ -7,14 +7,10 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CtxLeak,
 		DetFlow,
-		DimCheck,
 		DiscardErr,
-		ExactFlow,
 		FloatCmp,
 		LockFlow,
-		MutexHeld,
 		ProvPair,
-		WildRand,
 	}
 }
 

@@ -146,43 +146,6 @@ func (q *CampaignQueue) depth() int {
 	return len(q.queue)
 }
 
-// tableAt2 mirrors the r²-indexed kernel lookups.
-//
-//unit: r2=Å2
-func tableAt2(r2 float64) float64 {
-	return r2
-}
-
-// LookupEnergy squares the distance before the r²-indexed lookup — the
-// unit-correct counterpart of the sick fixture's r/r² swap.
-//
-//unit: r=Å
-func LookupEnergy(r float64) float64 {
-	return tableAt2(r * r)
-}
-
-// soaLane reads one pose's coordinate component out of a batched SoA
-// lane.
-//
-//unit: result=Å
-func soaLane(lane []float64, k int) float64 {
-	return lane[k]
-}
-
-// BatchIntraAccum is the unit-correct batched pair-major kernel: the
-// squared pair distance goes to the r²-indexed lookup untouched, the
-// disciplined counterpart of the sick fixture's sqrt-then-lookup swap.
-func BatchIntraAccum(xs, ys, zs []float64, stride, i, j int, out []float64) {
-	for p := range out {
-		base := p * stride
-		dx := soaLane(xs, base+i) - soaLane(xs, base+j)
-		dy := soaLane(ys, base+i) - soaLane(ys, base+j)
-		dz := soaLane(zs, base+i) - soaLane(zs, base+j)
-		r2 := dx*dx + dy*dy + dz*dz
-		out[p] += tableAt2(r2)
-	}
-}
-
 // SortedKeys collects map keys and sorts them, so the iteration order
 // never reaches the output — the sanitized idiom detflow accepts.
 func SortedKeys(m map[string]int) []string {
@@ -192,46 +155,4 @@ func SortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ScoreWindowExact keeps the bit-identity promise: float64 arithmetic
-// end to end, with float32 storage only widened before use.
-//
-//exact: bit-identical to the per-pose path
-func ScoreWindowExact(out []float64, lattice []float32) {
-	acc := 0.0
-	for _, v := range lattice {
-		acc += float64(v)
-	}
-	out[0] = acc
-}
-
-// ScoreWindowFast carries no exactness directive, so its float32
-// kernel is the tolerance fast path exactflow leaves alone.
-func ScoreWindowFast(out []float32, terms []float64) {
-	var acc float32
-	for _, t := range terms {
-		acc += float32(t)
-	}
-	out[0] = acc
-}
-
-// WindowGatherCount is the unit-correct window admission loop: the
-// squared displacement is compared against the squared bound, so both
-// sides of the test carry Å² — the disciplined counterpart of the sick
-// fixture's Å-vs-Å² admission swap.
-//
-//unit: bound=Å
-func WindowGatherCount(xs, ys, zs, ax, ay, az []float64, bound float64) int {
-	n := 0
-	for k := range xs {
-		dx := soaLane(xs, k) - soaLane(ax, k)
-		dy := soaLane(ys, k) - soaLane(ay, k)
-		dz := soaLane(zs, k) - soaLane(az, k)
-		d2 := dx*dx + dy*dy + dz*dz
-		if d2 <= bound*bound {
-			n++
-		}
-	}
-	return n
 }

@@ -1,10 +1,9 @@
-// Package dock is the wildrand and detflow scilint fixture. Its
-// directory path contains "internal/dock", which puts it on the
-// analyzers' deterministic hot-path list: global rand calls and
-// wall-clock reads are findings here, while the injected seeded source
-// is not. The *ViaHelper/*CrossPackage functions below reach the same
-// sources through call chains — invisible to the syntactic wildrand,
-// caught by detflow's call-graph taint.
+// Package dock is the detflow scilint fixture. Its directory path
+// contains "internal/dock", which puts it on the deterministic hot-path
+// list: global rand calls and wall-clock reads are findings here at
+// every call site, while the injected seeded source is not. The
+// *CrossPackage and Emit* functions below reach the same sources
+// through call chains, which detflow's call-graph taint follows.
 package dock
 
 import (
@@ -15,12 +14,12 @@ import (
 	"repro/internal/lint/testdata/src/noise"
 )
 
-// Jitter draws from the process-global rand source (wildrand, error).
+// Jitter draws from the process-global rand source (detflow).
 func Jitter() float64 {
 	return rand.Float64()
 }
 
-// Stamp reads the wall clock in a hot path (wildrand, error).
+// Stamp reads the wall clock in a hot path (detflow).
 func Stamp() time.Time {
 	return time.Now()
 }
@@ -35,7 +34,7 @@ func Seeded(seed int64) float64 {
 
 // PoolGlobalRand mirrors the worker-pool shape of the parallel search
 // engines but draws from the process-global source inside the worker
-// goroutine — non-reproducible across worker counts (wildrand, error).
+// goroutine — non-reproducible across worker counts (detflow).
 func PoolGlobalRand(chains int) []float64 {
 	out := make([]float64, chains)
 	done := make(chan int)
@@ -53,9 +52,9 @@ func PoolGlobalRand(chains int) []float64 {
 }
 
 // JitterCrossPackage reaches the process-global rand source through a
-// helper in a cold package. wildrand is silent both here (no direct
-// draw) and in noise (not a hot path); detflow reports this call site
-// with the chain down to the source (detflow, error).
+// helper in a cold package: there is no direct draw here, and noise is
+// not a hot path, so detflow reports this call site with the chain
+// down to the source (detflow).
 func JitterCrossPackage() float64 {
 	return noise.Wall()
 }
@@ -76,9 +75,8 @@ func typeNames(m map[string]int) []string {
 	return out
 }
 
-// EmitTypes calls the order-sensitive helper from a hot path (detflow,
-// error). wildrand has no map-order check at all, so the old registry
-// passes this function untouched.
+// EmitTypes calls the order-sensitive helper from a hot path
+// (detflow).
 func EmitTypes(m map[string]int) []string {
 	return typeNames(m)
 }

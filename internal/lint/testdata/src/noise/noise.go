@@ -1,8 +1,8 @@
 // Package noise is the cold half of the detflow fixture: its import
-// path has no deterministic-hot-path fragment, so wildrand ignores the
-// direct global-source draw below. The draw only becomes a finding
-// when a hot package (testdata/src/internal/dock) calls in — which is
-// exactly the interprocedural gap detflow exists to close.
+// path has no deterministic-hot-path fragment, so the direct
+// global-source draw below is not a finding here. The draw only
+// becomes one when a hot package (testdata/src/internal/dock) calls
+// in, at that call site.
 package noise
 
 import "math/rand"

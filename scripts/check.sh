@@ -13,20 +13,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-# Every Go file is gofmt-clean, except the lint fixtures, which pin
-# both spellings of the //unit: directive on purpose.
-echo "==> gofmt -l (all but internal/lint/testdata)"
-unformatted=$(find . -name '*.go' -not -path './internal/lint/testdata/*' -exec gofmt -l {} +)
+echo "==> gofmt -l"
+unformatted=$(find . -name '*.go' -exec gofmt -l {} +)
 test -z "$unformatted" || { echo "check: not gofmt-clean:" >&2; echo "$unformatted" >&2; exit 1; }
 
 echo "==> scilint ./..."
 go run ./cmd/scilint ./...
-
-# The linter lints itself: the flow analyzers (CFG builder, dataflow
-# engine, taint propagation) are exactly the kind of fixpoint code
-# where a leaked lock or nondeterministic map range would be embarrassing.
-echo "==> scilint self-lint (./cmd/... ./internal/lint/...)"
-go run ./cmd/scilint ./cmd/... ./internal/lint/...
 
 echo "==> go test -race ./..."
 go test -race ./...
