@@ -249,3 +249,66 @@ func TestStoreFootprintDiesWithExecute(t *testing.T) {
 		runtime.KeepAlive(camp)
 	}
 }
+
+// TestStoreReceptorFootprint bounds the heap the receptor-side store
+// products retain per receptor: the prepared receptor, the lattice set
+// over the probe union and, for a receptor the size filter sends to
+// Vina, Vina's receptor index — what an adaptive campaign keeps per
+// receptor until Execute returns. Ten receptors at campaign effort,
+// five of them Vina's. When Vina's fine-cell lists copied every listed
+// atom (32 bytes a listing) the store retained 0.665 MB per receptor;
+// with int16 indices into the packed atoms, 0.320 MB.
+func TestStoreReceptorFootprint(t *testing.T) {
+	const receptors, budget = 10, 0.5 * (1 << 20)
+	var recs []string
+	for _, code := range data.ReceptorCodes {
+		if !data.ReceptorMeta(code).ContainsHg {
+			recs = append(recs, code)
+		}
+		if len(recs) == receptors {
+			break
+		}
+	}
+	cfg := Config{
+		Mode:    ModeAdaptive,
+		Dataset: data.Dataset{Receptors: recs, Ligands: data.LigandCodes[:4]},
+		Effort:  CampaignEffort(),
+	}
+	var vinaRecs []string // the receptors the size filter sends to Vina
+	for _, rec := range recs {
+		if prep.FilterDocking(data.ReceptorMeta(rec)) == prep.ProgramVina {
+			vinaRecs = append(vinaRecs, rec)
+		}
+	}
+	fill := func(st *store) {
+		for _, rec := range recs {
+			if _, err := st.latticeSet(rec, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rec := range vinaRecs {
+			if _, err := st.vinaIndex(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	fill(newStore(cfg)) // warm-up: radial tables and lazily built globals
+	st := newStore(cfg)
+	st.probeUnion() // the prepared ligands are not receptor-side
+	before := heap()
+	fill(st)
+	after := heap()
+	runtime.KeepAlive(st)
+	per := (float64(after) - float64(before)) / receptors
+	t.Logf("heap retained per receptor: %.3f MB (%d of %d receptors dock with Vina)", per/(1<<20), len(vinaRecs), receptors)
+	if per > budget {
+		t.Errorf("the store retains %.3f MB per receptor, budget %.3f MB", per/(1<<20), budget/(1<<20))
+	}
+}

@@ -2,6 +2,7 @@ package dock
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/chem"
 )
@@ -56,14 +57,14 @@ type PackedNeighbors struct {
 	eoff    []int32     // per cell: offset into entries, len = #cells + 1
 
 	// Fine-cell candidate lists (see buildFine): per fine cell, the
-	// packed atoms that can be within the cutoff of any query point the
-	// cell is responsible for, copied in ascending packed order. nil
-	// when the receptor is too large for the duplicated storage; Spans
-	// then falls back to the coarse entry walk.
-	fatoms []PackedAtom
-	foff   []int32 // per fine cell: offset into fatoms, len = #cells + 1
-	fdims  [3]int
-	finv   float64 // reciprocal fine cell size
+	// indices into atoms of every packed atom that can be within the
+	// cutoff of any query point the cell is responsible for, in
+	// ascending packed order. nil above fineGatherMaxAtoms; Spans then
+	// falls back to the coarse entry walk.
+	fidx  []int16
+	foff  []int32 // per fine cell: offset into fidx, len = #cells + 1
+	fdims [3]int
+	finv  float64 // reciprocal fine cell size
 }
 
 // pruneSlack inflates the prune-sphere radius so rounding — of the
@@ -145,23 +146,26 @@ func NewPackedNeighbors(nl *NeighborList, class func(atom int32) int32) *PackedN
 	return pn
 }
 
-// fineGatherMaxAtoms gates the fine-cell candidate lists: each packed
-// atom is duplicated into every fine cell it can interact with (~80×
-// at half-cutoff cells), so the lists are built only when the packed
-// set is small enough that the duplicated storage stays in the tens of
-// megabytes. Above the gate Spans uses the coarse entry walk.
+// fineGatherMaxAtoms gates the fine-cell candidate lists: a packed
+// atom is listed in every fine cell it can interact with (~57× at
+// half-cutoff cells on the dataset receptors), at 2 bytes a listing,
+// so the lists cost ~115 bytes per packed atom. Above the gate Spans
+// uses the coarse entry walk.
 const fineGatherMaxAtoms = 8192
 
+// The lists index atoms with int16.
+const _ = uint(1<<15 - fineGatherMaxAtoms)
+
 // buildFine precomputes per-fine-cell candidate lists: the box is
-// tiled with cells of half the cutoff, and each cell stores a copy of
-// every packed atom within one cutoff (plus pruneSlack) of the cell
+// tiled with cells of half the cutoff, and each cell lists the index
+// of every packed atom within one cutoff (plus pruneSlack) of the cell
 // box, in ascending packed order. A query resolves its fine cell with
-// one multiply per axis and walks a single contiguous span — the
+// one multiply per axis and walks a single contiguous list — the
 // candidate volume is the cell box dilated by the cutoff (~4× tighter
 // than the coarse 27-cell neighborhood after its prune spheres), and
 // the per-query geometry tests disappear entirely.
 //
-// Order and membership of Gather's output are unchanged: the span
+// Order and membership of Gather's output are unchanged: the list
 // holds a superset of the in-cutoff atoms in ascending packed order —
 // the order the coarse raster walk emits them — and the same exact
 // r² ≤ cut² test decides membership.
@@ -171,6 +175,10 @@ const fineGatherMaxAtoms = 8192
 // query's preimage extends the boundary cell's box only beyond the
 // atom bounding box, where dilation by the cutoff reaches no atom the
 // cell-box dilation does not already reach.
+//
+// Two passes over the atoms, each testing only the cells around an
+// atom, size every list exactly: the first counts, the second fills
+// in ascending atom order.
 func (pn *PackedNeighbors) buildFine() {
 	if len(pn.atoms) == 0 || len(pn.atoms) > fineGatherMaxAtoms {
 		return
@@ -189,30 +197,48 @@ func (pn *PackedNeighbors) buildFine() {
 	ncells := dims[0] * dims[1] * dims[2]
 	reach := nl.cutoff + pruneSlack
 	reach2 := reach * reach
-	foff := make([]int32, ncells+1)
-	var fatoms []PackedAtom
-	c := 0
-	for z := 0; z < dims[2]; z++ {
-		loZ := nl.min.Z + float64(z)*h
-		for y := 0; y < dims[1]; y++ {
-			loY := nl.min.Y + float64(y)*h
-			for x := 0; x < dims[0]; x++ {
-				loX := nl.min.X + float64(x)*h
-				for i := range pn.atoms {
-					a := &pn.atoms[i]
+	// cells calls visit for every fine cell within reach of a. The
+	// scanned range pads the reach by one cell on each side, so
+	// rounding cannot hide a cell; the distance test decides.
+	cells := func(a *PackedAtom, visit func(c int)) {
+		var lo, hi [3]int
+		for d, v := range [3]float64{a.X - nl.min.X, a.Y - nl.min.Y, a.Z - nl.min.Z} {
+			lo[d] = clampCell(int(math.Floor((v-reach)/h))-1, dims[d])
+			hi[d] = clampCell(int(math.Floor((v+reach)/h))+1, dims[d])
+		}
+		for z := lo[2]; z <= hi[2]; z++ {
+			loZ := nl.min.Z + float64(z)*h
+			dz := boxDist(a.Z, loZ, loZ+h)
+			for y := lo[1]; y <= hi[1]; y++ {
+				loY := nl.min.Y + float64(y)*h
+				dy := boxDist(a.Y, loY, loY+h)
+				row := (z*dims[1] + y) * dims[0]
+				for x := lo[0]; x <= hi[0]; x++ {
+					loX := nl.min.X + float64(x)*h
 					dx := boxDist(a.X, loX, loX+h)
-					dy := boxDist(a.Y, loY, loY+h)
-					dz := boxDist(a.Z, loZ, loZ+h)
 					if dx*dx+dy*dy+dz*dz <= reach2 {
-						fatoms = append(fatoms, *a)
+						visit(row + x)
 					}
 				}
-				c++
-				foff[c] = int32(len(fatoms))
 			}
 		}
 	}
-	pn.fatoms = fatoms
+	foff := make([]int32, ncells+1)
+	for i := range pn.atoms {
+		cells(&pn.atoms[i], func(c int) { foff[c+1]++ })
+	}
+	for c := 0; c < ncells; c++ {
+		foff[c+1] += foff[c]
+	}
+	fidx := make([]int16, foff[ncells])
+	next := slices.Clone(foff[:ncells])
+	for i := range pn.atoms {
+		cells(&pn.atoms[i], func(c int) {
+			fidx[next[c]] = int16(i)
+			next[c]++
+		})
+	}
+	pn.fidx = fidx
 	pn.foff = foff
 	pn.fdims = dims
 	pn.finv = 1 / h
@@ -288,36 +314,36 @@ func pruneSphere(sp []PackedAtom, cutoff float64, s, e int32) cellEntry {
 // Read-only; shared with the structure itself.
 func (pn *PackedNeighbors) Atoms() []PackedAtom { return pn.atoms }
 
-// Spans locates the candidates of query point p: it writes [start, end)
-// ranges into out and returns the atom array they index plus their
-// count. Every packed atom within the cutoff of p lies in one of the
-// ranges, and walking them in order visits candidates in ascending
-// packed order — the order NeighborList.Spans-driven sequential scoring
-// visits them — so a caller that distance-filters them with FilterSpan
-// (Gather into one buffer, the per-pose scorer chunk by chunk) sees the
-// same hit sequence. No range is returned for a point more than one
-// cutoff outside the atom bounding box.
-//
-// With fine-cell lists the answer is one pre-pruned range of the
-// clamp-located fine cell. Above fineGatherMaxAtoms it is the base
-// cell's neighborhood entries whose prune sphere contains p, tested
+// Spans locates the candidates of query point p, in one of two forms.
+// With fine-cell lists it returns the index list of the fine cell p
+// clamps into (candidates Atoms()[fine[0]], Atoms()[fine[1]], …) and
+// ns = 0. Above fineGatherMaxAtoms it returns a nil list and writes ns
+// [start, end) ranges of Atoms() into out: the base cell's
+// neighborhood entries whose prune sphere contains p, tested
 // branch-free (unconditional store, conditionally advanced count). The
 // base cell is clamped into the grid like NeighborList queries: for
 // points outside the grid but inside the guard box the clamped
 // neighborhood is a superset of the exact one whose extra cells lie
 // entirely beyond the cutoff.
-func (pn *PackedNeighbors) Spans(p chem.Vec3, out *[27][2]int32) ([]PackedAtom, int) {
+//
+// Either way every packed atom within the cutoff of p is a candidate,
+// and walking the candidates in order visits them in ascending packed
+// order — the order NeighborList.Spans-driven sequential scoring
+// visits them — so a caller that distance-filters them with
+// FilterIndexed or FilterSpan (Gather into one buffer, the per-pose
+// scorer chunk by chunk) sees the same hit sequence. No candidate is
+// returned for a point more than one cutoff outside the atom bounding
+// box.
+func (pn *PackedNeighbors) Spans(p chem.Vec3, out *[27][2]int32) (fine []int16, ns int) {
 	nl := pn.nl
 	if !nl.near(p) {
 		return nil, 0
 	}
-	if pn.fatoms != nil {
-		out[0] = pn.fineRange(p)
-		return pn.fatoms, 1
+	if pn.fidx != nil {
+		return pn.fineCell(p), 0
 	}
 	b := nl.index(nl.cellOf(p))
 	pxf, pyf, pzf := float32(p.X), float32(p.Y), float32(p.Z)
-	ns := 0
 	for _, en := range pn.entries[pn.eoff[b]:pn.eoff[b+1]] {
 		ex := en.cx - pxf
 		ey := en.cy - pyf
@@ -329,18 +355,18 @@ func (pn *PackedNeighbors) Spans(p chem.Vec3, out *[27][2]int32) ([]PackedAtom, 
 		}
 		ns += keep
 	}
-	return pn.atoms, ns
+	return nil, ns
 }
 
-// fineRange returns the candidate range, in fatoms, of the fine cell
-// that p clamps into.
-func (pn *PackedNeighbors) fineRange(p chem.Vec3) [2]int32 {
+// fineCell returns the candidate index list of the fine cell that p
+// clamps into.
+func (pn *PackedNeighbors) fineCell(p chem.Vec3) []int16 {
 	nl := pn.nl
 	cx := clampCell(int((p.X-nl.min.X)*pn.finv), pn.fdims[0])
 	cy := clampCell(int((p.Y-nl.min.Y)*pn.finv), pn.fdims[1])
 	cz := clampCell(int((p.Z-nl.min.Z)*pn.finv), pn.fdims[2])
 	c := (cz*pn.fdims[1]+cy)*pn.fdims[0] + cx
-	return [2]int32{pn.foff[c], pn.foff[c+1]}
+	return pn.fidx[pn.foff[c]:pn.foff[c+1]]
 }
 
 // Gather collects into hits every packed atom within cut2 (squared
@@ -350,30 +376,59 @@ func (pn *PackedNeighbors) fineRange(p chem.Vec3) [2]int32 {
 //
 // unit: cut2=Å2
 func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
-	if pn.fatoms != nil && pn.nl.near(p) {
-		// One span: skip the span array (zeroed per call) and the loop.
-		sp := pn.fineRange(p)
-		return FilterSpan(pn.fatoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, 0)
+	if pn.fidx != nil && pn.nl.near(p) {
+		// One list: skip the span array (zeroed per call) and the loop.
+		return FilterIndexed(pn.atoms, pn.fineCell(p), p.X, p.Y, p.Z, cut2, hits, 0)
 	}
 	var spans [27][2]int32
-	atoms, ns := pn.Spans(p, &spans)
+	_, ns := pn.Spans(p, &spans)
 	m := 0
 	for _, sp := range spans[:ns] {
-		m = FilterSpan(atoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, m)
+		m = FilterSpan(pn.atoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, m)
+	}
+	return m
+}
+
+// FilterIndexed is FilterSpan over the candidates atoms[idx[0]],
+// atoms[idx[1]], … — a fine-cell list of Spans: the same
+// squared-distance expression, the same r² ≤ cut² test and the same
+// branch-free store, so the hit sequence is the one FilterSpan emits
+// over the listed atoms in list order. Unlike FilterSpan's, the loop is
+// not unrolled: with the index load in the chain, unrolling measured
+// no faster.
+//
+// unit: cut2=Å2
+func FilterIndexed(atoms []PackedAtom, idx []int16, px, py, pz, cut2 float64, hits []Hit, m int) int {
+	mask := len(hits) - 1
+	for _, i := range idx {
+		a := &atoms[i]
+		dx := a.X - px
+		dy := a.Y - py
+		dz := a.Z - pz
+		r2 := dx*dx + dy*dy + dz*dz
+		h := &hits[m&mask]
+		h.R2 = r2
+		h.Cls = a.Cls
+		hit := 0
+		if r2 <= cut2 {
+			hit = 1
+		}
+		m += hit
 	}
 	return m
 }
 
 // FilterSpan appends to hits, from cursor m on, every candidate of sp
 // within cut2 of the query point, preserving span order, and returns
-// the advanced cursor. It is the one radius filter of the exact and
-// fast kernels — PackedNeighbors.Gather runs it over each candidate
-// span, the per-pose scorers over one chunk of a span at a time, the
-// window path over the shared-gather span — so every caller emits the
-// same hit sequence from the same squared-distance expression and the
-// same exact r² ≤ cut² test. The loop is branch-free: every candidate
-// is stored at the cursor and the cursor advances only on a hit, so
-// the ~75% of candidates beyond the cutoff cost no branch
+// the advanced cursor. It and FilterIndexed, its twin over a fine-cell
+// index list, are the radius filter of the exact and fast kernels —
+// PackedNeighbors.Gather runs one of them over each candidate list,
+// the per-pose scorers over one chunk of a list at a time, the window
+// path FilterSpan over the shared-gather span — so every caller emits
+// the same hit sequence from the same squared-distance expression and
+// the same exact r² ≤ cut² test. The loop is branch-free: every
+// candidate is stored at the cursor and the cursor advances only on a
+// hit, so the ~75% of candidates beyond the cutoff cost no branch
 // mispredictions. hits must have power-of-two length ≥ m + len(sp)
 // (see Batch.Hits): the store indexes with cursor&(len-1), which the
 // compiler proves in bounds.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chem"
 )
@@ -37,10 +38,12 @@ func jitteredLattice(side int, seed int64) *chem.Molecule {
 // scorer shares, on both sides of the fine-cell gate: for query points
 // inside the atom box, on its faces and one cutoff outside it, the hit
 // sequence (class and R² bits, in order) of Gather, and of the per-pose
-// scorer's chunked Spans + FilterSpan walk at every chunk length from 1
-// (a span split at every boundary, every chunk an unpaired tail) to the
-// production 64, equals a brute-force scan of the packed atoms in
-// ascending packed order.
+// scorer's chunked walk of Spans' candidates (FilterIndexed over the
+// fine-cell index list, FilterSpan over coarse spans) at every chunk
+// length from 1 (a list split at every boundary, every chunk an
+// unpaired tail) to the production 64, equals a brute-force scan of
+// the packed atoms in ascending packed order. The fine lists take at
+// most 2 bytes an entry.
 func TestPackedSpansMatchBruteForce(t *testing.T) {
 	const cutoff = 8.0
 	const cut2 = cutoff * cutoff
@@ -54,9 +57,16 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 		// receptor hydrogens the Vina scorer never scores.
 		pn := NewPackedNeighbors(nl, func(atom int32) int32 { return atom%5 - 1 })
 		atoms := pn.Atoms()
-		if got := pn.fatoms != nil; got != tc.fine {
+		if got := pn.fidx != nil; got != tc.fine {
 			t.Fatalf("side %d: %d packed atoms, fine lists built = %v, want %v",
 				tc.side, len(atoms), got, tc.fine)
+		}
+		if tc.fine {
+			entries := int(pn.foff[len(pn.foff)-1])
+			if bytes := cap(pn.fidx) * int(unsafe.Sizeof(pn.fidx[0])); bytes > 2*entries {
+				t.Fatalf("side %d: fine lists hold %d entries in %d bytes, want ≤ 2 bytes an entry",
+					tc.side, entries, bytes)
+			}
 		}
 		hitLen := 1
 		for hitLen < len(atoms) {
@@ -114,14 +124,22 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 			check("Gather", hits[:pn.Gather(p, cut2, hits)])
 
 			var spans [27][2]int32
-			cands, ns := pn.Spans(p, &spans)
-			for _, chunk := range []int32{1, 2, 3, 7, 64} {
+			fine, ns := pn.Spans(p, &spans)
+			if tc.fine != (ns == 0) && len(want) > 0 {
+				t.Fatalf("side %d query %d %v: %d coarse spans on the wrong side of the gate", tc.side, qi, p, ns)
+			}
+			for _, chunk := range []int{1, 2, 3, 7, 64} {
 				var buf [64]Hit
 				var got []Hit
+				for at := 0; at < len(fine); at += chunk {
+					end := min(at+chunk, len(fine))
+					m := FilterIndexed(atoms, fine[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
+					got = append(got, buf[:m]...)
+				}
 				for _, sp := range spans[:ns] {
-					for at := sp[0]; at < sp[1]; at += chunk {
-						end := min(at+chunk, sp[1])
-						m := FilterSpan(cands[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
+					for at := sp[0]; at < sp[1]; at += int32(chunk) {
+						end := min(at+int32(chunk), sp[1])
+						m := FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
 						got = append(got, buf[:m]...)
 					}
 				}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/chem"
@@ -26,15 +27,65 @@ type key struct {
 
 // cache holds every built table for the process lifetime. Tables are
 // pure functions of the force-field parameters, so the first builder
-// to finish wins and every later caller shares the same node slice.
+// to finish wins and every later caller shares the same node array.
 var cache sync.Map // key -> *Radial
+
+// interned holds one *Radial per distinct node content, bucketed by
+// contentHash. Several keys often tabulate identical bits — AD4 gives
+// C and A the same Rii/Epsii, N/NA, S/SA and H/HD differ only in
+// H-bond pairings that a given partner may not have, and Vina's term
+// reads only the radius sum and two flags — so keys share one table
+// and one cache footprint.
+var interned struct {
+	sync.Mutex
+	m map[uint64][]*Radial
+}
 
 func lookup(k key, build func() *Radial) *Radial {
 	if v, ok := cache.Load(k); ok {
 		return v.(*Radial)
 	}
-	v, _ := cache.LoadOrStore(k, build())
+	// Interning before the store makes racing builders of one key
+	// converge on one pointer whichever of them stores.
+	v, _ := cache.LoadOrStore(k, intern(build()))
 	return v.(*Radial)
+}
+
+// intern returns the interned table whose nodes are bit-equal to t's,
+// interning t if there is none. Nodes compare by math.Float64bits, so
+// +0 and −0, or two NaN payloads, never merge.
+func intern(t *Radial) *Radial {
+	h := t.contentHash()
+	interned.Lock()
+	defer interned.Unlock()
+	for _, u := range interned.m[h] {
+		if u.sameBits(t) {
+			return u
+		}
+	}
+	if interned.m == nil {
+		interned.m = make(map[uint64][]*Radial)
+	}
+	interned.m[h] = append(interned.m[h], t)
+	return t
+}
+
+// contentHash mixes the nodes' bits FNV-1a style, a word at a time.
+func (t *Radial) contentHash() uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range t.vals {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	return h
+}
+
+func (t *Radial) sameBits(u *Radial) bool {
+	for i, v := range t.vals {
+		if math.Float64bits(v) != math.Float64bits(u.vals[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func pairKey(k kind, a, b chem.AtomType) key {

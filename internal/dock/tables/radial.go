@@ -10,9 +10,11 @@
 // The package owns the analytic forms (moved here from the grid and
 // vina packages so both can share one source of truth without an
 // import cycle) and a process-global cache of built tables, keyed by
-// (kind, type pair). Tables are deterministic functions of the force
-// field alone, so sharing them across scorers and goroutines is safe
-// and keeps per-pair docking setup allocation-free after warm-up.
+// (kind, type pair) and interned by content, so keys whose potentials
+// tabulate to the same bits share one table. Tables are deterministic
+// functions of the force field alone, so sharing them across scorers
+// and goroutines is safe and keeps per-pair docking setup
+// allocation-free after warm-up.
 package tables
 
 import "math"

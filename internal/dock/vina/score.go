@@ -307,13 +307,14 @@ func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 }
 
 // atomInter is sᵢ, heavy ligand atom i's own sum of receptor terms at
-// position p: the candidate spans of PackedNeighbors.Spans — the
-// accessor Gather uses, so receptors above and below the fine-cell
-// gate take the same branch as the batched kernels — filtered by
-// dock.FilterSpan and read from the atom's table row in hit order. A
-// span is filtered one chunk at a time into the fixed scratch array
-// (chunks keep span order and an even length, so the hit sequence is
-// the whole span's), which is what keeps a shared scorer free of
+// position p: the candidates of PackedNeighbors.Spans — the accessor
+// Gather uses, so receptors above and below the fine-cell gate take
+// the same branch as the batched kernels — filtered by
+// dock.FilterIndexed (a fine-cell list) or dock.FilterSpan (coarse
+// spans) and read from the atom's table row in hit order. A candidate
+// list is filtered one chunk at a time into the fixed scratch array
+// (chunks keep list order and an even length, so the hit sequence is
+// the whole list's), which is what keeps a shared scorer free of
 // per-call scratch.
 //
 // exact: same hit order and float64 addition sequence as ScoreBatch's per-(atom, pose) sum
@@ -321,8 +322,16 @@ func (s *Scorer) atomInter(i int, p chem.Vec3, scr *interScratch) float64 {
 	const cut2 = cutoff * cutoff
 	hits := &scr.hits
 	row := s.interTbl[i]
+	atoms := s.packed.Atoms()
 	var sum float64
-	atoms, ns := s.packed.Spans(p, &scr.spans)
+	fine, ns := s.packed.Spans(p, &scr.spans)
+	for at := 0; at < len(fine); at += len(hits) {
+		end := min(at+len(hits), len(fine))
+		m := dock.FilterIndexed(atoms, fine[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+		for _, h := range hits[:m] {
+			sum += row[h.Cls].At2(h.R2)
+		}
+	}
 	for _, sp := range scr.spans[:ns] {
 		for at := sp[0]; at < sp[1]; at += int32(len(hits)) {
 			end := min(at+int32(len(hits)), sp[1])

@@ -77,6 +77,18 @@ echo "==> large-pair window kernel smoke (-benchtime=1x)"
 go test -run '^$' -bench 'WindowScoreBatch.*Large' -benchtime=1x \
 	./internal/dock/vina ./internal/dock/ad4
 
+# The benchmark harness end to end, one traced smoke run per workload
+# (≈ 5 s in all). Besides the harness itself this runs the batched
+# kernels under the layer probes, which the unit tests reach only
+# cell by cell. A failed operation or check exits non-zero.
+echo "==> bench harness smoke (every workload, -smoke -seconds 0.2 -trace 1)"
+benchlog=$(mktemp)
+for workload in dock_ref dock_large screen_adaptive served_mixed; do
+	go run ./bench -workload "$workload" -smoke -seconds 0.2 -trace 1 >"$benchlog" 2>&1 ||
+		{ echo "check: bench smoke: workload $workload failed" >&2; cat "$benchlog" >&2; rm -f "$benchlog"; exit 1; }
+done
+rm -f "$benchlog"
+
 # The synthetic dataset generator must be deterministic: two
 # generations into fresh directories are byte-identical, including the
 # -large L2-overflow pair.
