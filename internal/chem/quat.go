@@ -121,21 +121,3 @@ func (q Quat) RotationAngle() float64 {
 	a := 2 * math.Acos(math.Abs(w))
 	return a
 }
-
-// RotationAngleTo returns the angle in [0, π] of the relative rotation
-// q·r⁻¹ between two unit quaternions: how far a vector rotated by r
-// can swing when rotated by q instead. Window screening uses it to
-// bound the orientation contribution to a pose's displacement from
-// its anchor.
-func (q Quat) RotationAngleTo(r Quat) float64 {
-	// |⟨q,r⟩| = |cos(α/2)| of the relative rotation; the absolute value
-	// folds the double cover.
-	dot := q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z
-	if dot < 0 {
-		dot = -dot
-	}
-	if dot > 1 {
-		dot = 1
-	}
-	return 2 * math.Acos(dot)
-}

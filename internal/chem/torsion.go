@@ -346,3 +346,43 @@ func (t *TorsionTree) ApplyTorsionsInto(dst, base []Vec3, angles []float64) []Ve
 	}
 	return out
 }
+
+// RigidUnits partitions the nAtoms atoms of the conformation into
+// rigid units: two atoms share a unit exactly when every torsion
+// either moves both or neither, so their pairwise distance is
+// invariant under any torsion angles (and under the rigid-body
+// transform). Unit 0 is the root fragment. The returned slice maps
+// atom index → unit id, with ids dense in [0, numUnits).
+//
+// Vina's scorer groups its intramolecular pairs by the units they
+// join, so a group's sum depends on two units' coordinates alone.
+func (t *TorsionTree) RigidUnits(nAtoms int) []int32 {
+	// Signature of an atom = the set of torsions whose effect-set
+	// contains it (axis atoms excluded, matching the rotation rule).
+	// Torsions are tree-ordered root-outward, so the signature of any
+	// moved atom is a chain of nested effect-sets; hashing the chain
+	// incrementally gives each distinct signature a distinct id.
+	unit := make([]int32, nAtoms)
+	type sig struct {
+		parent int32 // unit id before this torsion was applied
+		tor    int32
+	}
+	ids := map[sig]int32{}
+	next := int32(1)
+	for k, tor := range t.Torsions {
+		for _, idx := range tor.Moved {
+			if idx == tor.Axis2 {
+				continue
+			}
+			s := sig{parent: unit[idx], tor: int32(k)}
+			id, ok := ids[s]
+			if !ok {
+				id = next
+				next++
+				ids[s] = id
+			}
+			unit[idx] = id
+		}
+	}
+	return unit
+}

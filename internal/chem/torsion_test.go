@@ -179,3 +179,92 @@ func TestApplyTorsionsPanicsOnBadAngles(t *testing.T) {
 	}()
 	tree.ApplyTorsions(m.Positions(), []float64{0, 0, 0})
 }
+
+// chainLike builds a heavy-atom chain with nAtoms carbons and a
+// two-carbon branch, giving several genuinely rotatable bonds and a
+// non-trivial rigid-unit structure.
+func chainLike(nAtoms int) *Molecule {
+	m := &Molecule{Name: "CHAIN"}
+	for i := 0; i < nAtoms; i++ {
+		// Zig-zag so axes are not collinear.
+		m.Atoms = append(m.Atoms, Atom{Element: Carbon,
+			Pos: V(1.5*float64(i), 0.4*float64(i%2), 0.1*float64(i%3))})
+		if i > 0 {
+			m.Bonds = append(m.Bonds, Bond{A: i - 1, B: i, Order: Single})
+		}
+	}
+	// Branch off the middle atom.
+	mid := nAtoms / 2
+	b0 := len(m.Atoms)
+	m.Atoms = append(m.Atoms,
+		Atom{Element: Carbon, Pos: V(1.5*float64(mid), 1.8, 0.7)},
+		Atom{Element: Carbon, Pos: V(1.5*float64(mid)+0.8, 3.0, 0.9)})
+	m.Bonds = append(m.Bonds,
+		Bond{A: mid, B: b0, Order: Single},
+		Bond{A: b0, B: b0 + 1, Order: Single})
+	return m
+}
+
+// TestRigidUnitsInvariance pins the property Vina's intramolecular groups rely on:
+// pairwise distances inside one rigid unit are invariant under any
+// torsion angles, and the partition is maximal enough to separate
+// atoms across a rotatable bond.
+func TestRigidUnitsInvariance(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	m := chainLike(11)
+	tree, err := BuildTorsionTree(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := m.Positions()
+	unit := tree.RigidUnits(len(base))
+	if len(unit) != len(base) {
+		t.Fatalf("unit len %d, want %d", len(unit), len(base))
+	}
+	nUnits := 0
+	for _, u := range unit {
+		if int(u)+1 > nUnits {
+			nUnits = int(u) + 1
+		}
+	}
+	if nUnits < 2 {
+		t.Fatalf("only %d rigid units for %d torsions", nUnits, tree.NumTorsions())
+	}
+	angles := make([]float64, tree.NumTorsions())
+	for trial := 0; trial < 50; trial++ {
+		for i := range angles {
+			angles[i] = (r.Float64()*2 - 1) * math.Pi
+		}
+		rot := tree.ApplyTorsions(base, angles)
+		crossChanged := false
+		for i := 0; i < len(base); i++ {
+			for j := i + 1; j < len(base); j++ {
+				d0 := base[i].Dist(base[j])
+				d1 := rot[i].Dist(rot[j])
+				if unit[i] == unit[j] {
+					if math.Abs(d0-d1) > 1e-9 {
+						t.Fatalf("trial %d: same-unit pair %d-%d distance %v -> %v",
+							trial, i, j, d0, d1)
+					}
+				} else if math.Abs(d0-d1) > 1e-9 {
+					crossChanged = true
+				}
+			}
+		}
+		if !crossChanged {
+			t.Fatalf("trial %d: no cross-unit distance changed; partition too coarse", trial)
+		}
+	}
+	// Axis atoms of a torsion sit on both sides geometrically but must
+	// belong to the non-moved unit (they do not rotate).
+	for k, tor := range tree.Torsions {
+		for _, idx := range tor.Moved {
+			if idx == tor.Axis2 {
+				continue
+			}
+			if unit[idx] == unit[tor.Axis1] {
+				t.Fatalf("torsion %d: moved atom %d shares unit with axis1 %d", k, idx, tor.Axis1)
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@ package ad4
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -30,34 +29,23 @@ const (
 
 // Scorer evaluates the AD4 free energy of binding of a ligand
 // conformation against precomputed AutoGrid maps. The intermolecular
-// term is grid.Maps.InterPose (InterAccum for a batch) over per-atom
-// resolved lattices, and
-// the intramolecular term reads the pair potential from the r²-indexed
+// term is grid.Maps.InterPose over per-atom resolved lattices, and the
+// intramolecular term reads the pair potential from the r²-indexed
 // radial tables of internal/dock/tables (with the r ≥ 0.5 Å clamp
-// baked in), so neither hot loop hashes a map key or takes a sqrt;
-// per-pose Score is the one-pose case of the walk ScoreBatch runs.
-// ScoreAnalytic keeps the closed-form intramolecular path as the
-// golden reference.
+// baked in), so neither hot loop hashes a map key or takes a sqrt. The
+// closed-form intramolecular path survives as the tests' oracle.
 type Scorer struct {
 	Maps *grid.Maps
 	Lig  *dock.Ligand
 
-	atomTypes  []chem.AtomType
-	charges    []float64
-	intraPairs [][2]int
-	intraTbl   []intraPair
-	torsTerm   float64
+	intraTbl []intraPair
+	torsTerm float64
 
 	// Per-atom resolved affinity lattices and pre-scaled charge
-	// weights, the arguments of grid.Maps.InterPose and InterAccum.
+	// weights, the arguments of grid.Maps.InterPose.
 	affFld []grid.Field // per ligand atom: its type's affinity lattice
 	wq     []float64    // per atom: weightElec · charge
 	wdq    []float64    // per atom: weightDesolv · |charge|
-
-	// Tolerance-bounded fast path (score_fast.go), built lazily on the
-	// first ScoreBatchFast call so exact-only campaigns pay nothing.
-	fastOnce sync.Once
-	fast     *fastState
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
@@ -83,8 +71,6 @@ func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 		if t == "" {
 			return nil, fmt.Errorf("ad4: ligand %q atom %d untyped (preparation missing)", lig.Mol.Name, i)
 		}
-		s.atomTypes = append(s.atomTypes, t)
-		s.charges = append(s.charges, a.Charge)
 		fld, err := maps.AffinityField(t)
 		if err != nil {
 			return nil, fmt.Errorf("ad4: %w", err)
@@ -93,13 +79,12 @@ func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 		s.wq = append(s.wq, weightElec*a.Charge)
 		s.wdq = append(s.wdq, weightDesolv*math.Abs(a.Charge))
 	}
-	s.intraPairs = intraPairs(lig.Mol)
-	for _, pr := range s.intraPairs {
-		i, j := pr[0], pr[1]
+	for _, pr := range intraPairs(lig.Mol) {
+		ai, aj := &lig.Mol.Atoms[pr[0]], &lig.Mol.Atoms[pr[1]]
 		s.intraTbl = append(s.intraTbl, intraPair{
-			i: int32(i), j: int32(j),
-			tbl: tables.AD4Pair(s.atomTypes[i], s.atomTypes[j]),
-			qq:  coulombConst * s.charges[i] * s.charges[j] / intraDielec,
+			i: int32(pr[0]), j: int32(pr[1]),
+			tbl: tables.AD4Pair(ai.Type, aj.Type),
+			qq:  coulombConst * ai.Charge * aj.Charge / intraDielec,
 		})
 	}
 	s.torsTerm = weightTors * float64(lig.NumTorsions())
@@ -145,12 +130,7 @@ func intraPairs(m *chem.Molecule) [][2]int {
 // internal energy and the torsional entropy penalty. This is the
 // search objective; the FEB printed into DLG files comes from
 // ReportedFEB, which — like the real AutoDock — excludes the ligand's
-// internal energy. It is the one-pose case of the exact kernel — the
-// stencil of grid.Maps.InterAccum (walked by InterPose) and the same
-// table read and addition order as ScoreBatch — safe for concurrent
-// use and allocation-free.
-//
-// exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
+// internal energy. Safe for concurrent use and allocation-free.
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
 	inter := s.interEnergy(coords)
 	return inter + weightIntra*s.intra(coords) + s.torsTerm
@@ -164,17 +144,16 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 	return s.interEnergy(coords) + s.torsTerm
 }
 
-// interEnergy is the intermolecular term of one pose: grid.Maps.InterPose,
-// whose sum is ScoreBatch's InterAccum walk at n = 1 bit for bit —
-// atoms ascending, all three weighted terms of an atom added to the one
-// running sum in vdW/electrostatic/desolvation order.
-//
-// exact: same float64 addition sequence as ScoreBatch
+// interEnergy is the intermolecular term of one pose:
+// grid.Maps.InterPose — atoms ascending, all three weighted terms of an
+// atom added to the one running sum in vdW/electrostatic/desolvation
+// order.
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 	return s.Maps.InterPose(coords, s.affFld, weightVdw, s.wq, s.wdq)
 }
 
-// exact: same per-pose addition sequence as ScoreBatch's intraBatch
+// intra is the intramolecular term of one pose: the in-cutoff pair
+// terms added in table order, r² clamped at AutoDock's r ≥ 0.5 Å.
 func (s *Scorer) intra(coords []chem.Vec3) float64 {
 	const cut2 = intraCutoff * intraCutoff
 	var e float64
@@ -187,31 +166,6 @@ func (s *Scorer) intra(coords []chem.Vec3) float64 {
 			r2 = tables.RMin2 // AutoDock's r ≥ 0.5 Å clamp, in r² space
 		}
 		e += pr.tbl.At2(r2) + pr.qq/r2
-	}
-	return e
-}
-
-// ScoreAnalytic is Score with the intramolecular term evaluated from
-// the closed-form pair potential (sqrt per pair) instead of the radial
-// tables: the golden reference for the table equivalence tests and the
-// baseline the kernel benchmarks report speedups over.
-func (s *Scorer) ScoreAnalytic(coords []chem.Vec3) float64 {
-	return s.interEnergy(coords) + weightIntra*s.intraAnalytic(coords) + s.torsTerm
-}
-
-func (s *Scorer) intraAnalytic(coords []chem.Vec3) float64 {
-	var e float64
-	for _, pr := range s.intraPairs {
-		i, j := pr[0], pr[1]
-		r := coords[i].Dist(coords[j])
-		if r > intraCutoff {
-			continue
-		}
-		if r < 0.5 {
-			r = 0.5
-		}
-		e += grid.PairEnergy(s.atomTypes[i].Params(), s.atomTypes[j].Params(), r)
-		e += coulombConst * s.charges[i] * s.charges[j] / (intraDielec * r * r)
 	}
 	return e
 }

@@ -30,9 +30,8 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 // TestScoreGolden pins per-pose Score and ReportedFEB to the bit. The
 // digests were re-recorded once at trajectory epoch 2: AD4's scoring
 // did not change, the coordinates it is handed did (the root-frame
-// pose model — no re-centring after the torsions). Score and
-// ScoreBatch share grid.InterAccum, so the ScoreBatch == Score tests
-// only pin batch invariance; this pins the float64 addition sequence.
+// pose model — no re-centring after the torsions). This pins the
+// float64 addition sequence.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {

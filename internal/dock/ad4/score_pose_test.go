@@ -9,13 +9,14 @@ import (
 	"repro/internal/data"
 )
 
-// TestInterPoseMatchesInterAccum pins the per-pose intermolecular walk,
-// grid.Maps.InterPose, to ScoreBatch's kernel at n = 1: InterAccum over
-// one-element slices, atom by atom into one sum. Bit for bit, on every
+// TestInterPoseMatchesFieldAt pins the per-pose intermolecular walk,
+// grid.Maps.InterPose, to the weighted grid.Field.At reads of each
+// atom's affinity, electrostatic and desolvation lattices, added atom
+// by atom to one sum in that order. Bit for bit, on every
 // dataset ligand against 2HHN and on XL1 against 9XLR, for poses inside
 // the box, straddling its faces and wholly outside it, and for atoms
 // placed exactly on the lattice's lower and upper faces and at −0.
-func TestInterPoseMatchesInterAccum(t *testing.T) {
+func TestInterPoseMatchesFieldAt(t *testing.T) {
 	pairs := [][2]string{{data.LargeReceptorCode, data.LargeLigandCode}}
 	for _, l := range data.LigandCodes {
 		pairs = append(pairs, [2]string{"2HHN", l})
@@ -29,13 +30,15 @@ func TestInterPoseMatchesInterAccum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		elec, desolv := maps.ElectrostaticField(), maps.DesolvationField()
 		reference := func(coords []chem.Vec3) float64 {
-			var acc [1]float64
+			var sum float64
 			for i, p := range coords {
-				maps.InterAccum(s.affFld[i], []float64{p.X}, []float64{p.Y}, []float64{p.Z}, 1,
-					weightVdw, s.wq[i], s.wdq[i], acc[:])
+				sum += weightVdw * s.affFld[i].At(p)
+				sum += s.wq[i] * elec.At(p)
+				sum += s.wdq[i] * desolv.At(p)
 			}
-			return acc[0]
+			return sum
 		}
 		var sets [][]chem.Vec3
 		for i, pose := range randomPoses(lig, 24, 29) {
@@ -72,7 +75,7 @@ func TestInterPoseMatchesInterAccum(t *testing.T) {
 		for k, coords := range sets {
 			got, want := s.interEnergy(coords), reference(coords)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s/%s coordinate set %d: InterPose %v, InterAccum at n = 1 %v", pr[0], pr[1], k, got, want)
+				t.Fatalf("%s/%s coordinate set %d: InterPose %v, Field.At sum %v", pr[0], pr[1], k, got, want)
 			}
 		}
 	}

@@ -7,8 +7,33 @@ import (
 	"repro/internal/chem"
 )
 
-// TestBatchAppendMatchesCoords pins the SoA contract: every component
-// of every slot is bit-identical to the AoS CoordsInto path.
+// requireBatchCoords fails unless b holds exactly the poses, each slot's
+// Coords and every SoA component bit-identical to CoordsInto.
+func requireBatchCoords(t *testing.T, label string, lig *Ligand, b *Batch, poses []Pose) {
+	t.Helper()
+	if b.Len() != len(poses) {
+		t.Fatalf("%s: Len %d, want %d", label, b.Len(), len(poses))
+	}
+	stride := lig.Mol.NumAtoms()
+	xs, ys, zs := b.SoA()
+	if len(xs) != len(poses)*stride || len(ys) != len(xs) || len(zs) != len(xs) {
+		t.Fatalf("%s: SoA lanes %d/%d/%d, want %d", label, len(xs), len(ys), len(zs), len(poses)*stride)
+	}
+	for k, p := range poses {
+		got := b.Coords(k)
+		for i, w := range lig.CoordsInto(p, nil) {
+			at := k*stride + i
+			if got[i] != w || xs[at] != w.X || ys[at] != w.Y || zs[at] != w.Z {
+				t.Fatalf("%s: pose %d atom %d: Coords %v, SoA (%v,%v,%v), CoordsInto %v",
+					label, k, i, got[i], xs[at], ys[at], zs[at], w)
+			}
+		}
+	}
+}
+
+// TestBatchAppendMatchesCoords pins the stand-in Batch to CoordsInto:
+// Append returns consecutive slots, and past the initial capacity every
+// slot equals the per-pose coordinates bit for bit.
 func TestBatchAppendMatchesCoords(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(1, -2, 3), Size: chem.V(12, 12, 12)}
@@ -22,32 +47,15 @@ func TestBatchAppendMatchesCoords(t *testing.T) {
 			t.Fatalf("slot %d, want %d", slot, k)
 		}
 	}
-	if b.Len() != len(poses) || b.Stride() != lig.Mol.NumAtoms() {
-		t.Fatalf("len=%d stride=%d, want %d/%d", b.Len(), b.Stride(), len(poses), lig.Mol.NumAtoms())
-	}
-	xs, ys, zs := b.SoA()
-	for k, p := range poses {
-		want := lig.Coords(p)
-		for i, w := range want {
-			at := k*b.Stride() + i
-			if xs[at] != w.X || ys[at] != w.Y || zs[at] != w.Z {
-				t.Fatalf("pose %d atom %d: batch (%v,%v,%v) != coords %v",
-					k, i, xs[at], ys[at], zs[at], w)
-			}
-			if got := b.At(k, i); got != w {
-				t.Fatalf("At(%d,%d) = %v, want %v", k, i, got, w)
-			}
-		}
-	}
+	requireBatchCoords(t, "33 poses", lig, b, poses)
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", b.Len())
 	}
 }
 
-// TestBatchSizesMatchCoords sweeps the engine batch sizes, pinning the
-// 0-ULP contract of the deferred batched-kinematics materialization at
-// every size including the empty batch.
+// TestBatchSizesMatchCoords sweeps the engine batch sizes, the empty
+// batch included.
 func TestBatchSizesMatchCoords(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(0, 1, -1), Size: chem.V(14, 14, 14)}
@@ -60,31 +68,18 @@ func TestBatchSizesMatchCoords(t *testing.T) {
 			poses[k] = RandomPose(r, box, lig.NumTorsions())
 			b.Append(poses[k])
 		}
-		xs, ys, zs := b.SoA()
-		if len(xs) != n*b.Stride() {
-			t.Fatalf("n=%d: SoA len %d, want %d", n, len(xs), n*b.Stride())
-		}
-		for k, p := range poses {
-			want := lig.Coords(p)
-			for i, w := range want {
-				at := k*b.Stride() + i
-				if xs[at] != w.X || ys[at] != w.Y || zs[at] != w.Z {
-					t.Fatalf("n=%d pose %d atom %d mismatch", n, k, i)
-				}
-			}
-		}
+		requireBatchCoords(t, "sweep", lig, b, poses)
 	}
 }
 
-// TestBatchIncrementalMaterialize pins the growth edge cases of the
-// deferred materialization: materialize, append past capacity,
-// materialize again — earlier slots must survive the lane growth — and
-// Reset-then-Append storage reuse.
+// TestBatchIncrementalMaterialize reads the batch, appends past its
+// capacity and reads it again — earlier slots must survive the growth —
+// and then reuses the storage after Reset.
 func TestBatchIncrementalMaterialize(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(12, 12, 12)}
 	r := rand.New(rand.NewSource(31))
-	b := NewBatch(lig, 2) // tiny: every phase below grows the lanes
+	b := NewBatch(lig, 2) // tiny: every phase below grows the storage
 	var poses []Pose
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -93,36 +88,20 @@ func TestBatchIncrementalMaterialize(t *testing.T) {
 			b.Append(p)
 		}
 	}
-	check := func(phase string) {
-		t.Helper()
-		xs, ys, zs := b.SoA()
-		for k, p := range poses {
-			want := lig.Coords(p)
-			for i, w := range want {
-				at := k*b.Stride() + i
-				if xs[at] != w.X || ys[at] != w.Y || zs[at] != w.Z {
-					t.Fatalf("%s: pose %d atom %d mismatch", phase, k, i)
-				}
-			}
-		}
-	}
 	appendN(3)
-	check("first window")
-	// Appending after a materialization must only materialize the tail
-	// while preserving the already-written slots across lane growth.
+	requireBatchCoords(t, "first fill", lig, b, poses)
 	appendN(14)
-	check("grown window")
+	requireBatchCoords(t, "grown fill", lig, b, poses)
 	appendN(1)
-	check("single-pose tail")
-	// Reset-then-Append reuses the high-water storage.
+	requireBatchCoords(t, "single-pose tail", lig, b, poses)
 	b.Reset()
 	poses = poses[:0]
 	appendN(5)
-	check("after reset")
+	requireBatchCoords(t, "after reset", lig, b, poses)
 }
 
-// TestBatchZeroTorsionLigand covers the rigid-ligand path: CoordsInto
-// skips the centroid re-centre, and the batched kernel must too.
+// TestBatchZeroTorsionLigand covers the rigid ligand, for which
+// CoordsInto skips the centroid re-centre.
 func TestBatchZeroTorsionLigand(t *testing.T) {
 	m := &chem.Molecule{Name: "RIGID"}
 	r := rand.New(rand.NewSource(17))
@@ -142,21 +121,11 @@ func TestBatchZeroTorsionLigand(t *testing.T) {
 		poses = append(poses, p)
 		b.Append(p)
 	}
-	xs, ys, zs := b.SoA()
-	for k, p := range poses {
-		want := lig.Coords(p)
-		for i, w := range want {
-			at := k*b.Stride() + i
-			if xs[at] != w.X || ys[at] != w.Y || zs[at] != w.Z {
-				t.Fatalf("pose %d atom %d mismatch", k, i)
-			}
-		}
-	}
+	requireBatchCoords(t, "rigid", lig, b, poses)
 }
 
-// TestBatchAppendCopiesPose pins the aliasing contract: mutating a
-// pose (or its torsion slice) after Append, before materialization,
-// must not affect the staged slot.
+// TestBatchAppendCopiesPose pins the aliasing contract: mutating a pose
+// (or its torsion slice) after Append does not reach its slot.
 func TestBatchAppendCopiesPose(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(12, 12, 12)}
@@ -165,23 +134,16 @@ func TestBatchAppendCopiesPose(t *testing.T) {
 	p := RandomPose(r, box, lig.NumTorsions())
 	snapshot := p.Clone()
 	b.Append(p)
-	// Mutate every field of the appended pose before SoA materializes.
 	p.Translation = chem.V(99, 99, 99)
 	p.Orientation = chem.RandomQuat(0.1, 0.2, 0.3)
 	for i := range p.Torsions {
 		p.Torsions[i] = 1.234
 	}
-	want := lig.Coords(snapshot)
-	xs, ys, zs := b.SoA()
-	for i, w := range want {
-		if xs[i] != w.X || ys[i] != w.Y || zs[i] != w.Z {
-			t.Fatalf("atom %d: staged slot aliased the caller's pose", i)
-		}
-	}
+	requireBatchCoords(t, "mutated after Append", lig, b, []Pose{snapshot})
 }
 
 // TestBatchAppendPanicsOnTorsionMismatch mirrors CoordsInto's
-// validation at the staging boundary.
+// validation.
 func TestBatchAppendPanicsOnTorsionMismatch(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	b := NewBatch(lig, 1)
@@ -195,7 +157,7 @@ func TestBatchAppendPanicsOnTorsionMismatch(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocs pins the zero-alloc contract of the warm
-// Reset/Append cycle.
+// Reset/Append/SoA cycle.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(10, 10, 10)}
@@ -205,46 +167,15 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	for i := range poses {
 		poses[i] = RandomPose(r, box, lig.NumTorsions())
 	}
-	// Warm: reach the high-water mark and the scratch buffers once.
-	b.Reset()
-	for _, p := range poses {
-		b.Append(p)
-	}
-	_, _, _ = b.SoA()
-	_ = b.Scratch(len(poses))
-	_ = b.Scratch32(2 * len(poses))
-	_ = b.Hits(256)
-	allocs := testing.AllocsPerRun(100, func() {
+	run := func() {
 		b.Reset()
 		for _, p := range poses {
 			b.Append(p)
 		}
 		_, _, _ = b.SoA()
-		_ = b.Scratch(len(poses))
-		_ = b.Scratch32(2 * len(poses))
-		_ = b.Hits(256)
-	})
-	if allocs != 0 {
+	}
+	run() // warm: reach the high-water mark once
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("steady-state batch loop allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func BenchmarkBatchAppend50(b *testing.B) {
-	lig := testLigand(b, "0E6")
-	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(10, 10, 10)}
-	r := rand.New(rand.NewSource(5))
-	poses := make([]Pose, 50)
-	for i := range poses {
-		poses[i] = RandomPose(r, box, lig.NumTorsions())
-	}
-	batch := NewBatch(lig, len(poses))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Reset()
-		for _, p := range poses {
-			batch.Append(p)
-		}
-		_, _, _ = batch.SoA()
 	}
 }

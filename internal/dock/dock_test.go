@@ -282,6 +282,23 @@ func TestResultToDLG(t *testing.T) {
 	}
 }
 
+// neighborsOf walks nl's cell spans around q and returns every
+// indexed atom within the cutoff with its squared distance — the
+// filter map generation runs over the same spans.
+func neighborsOf(nl *NeighborList, q chem.Vec3) map[int]float64 {
+	var spans [27][2]int32
+	n := nl.Spans(q, &spans)
+	got := map[int]float64{}
+	for _, sp := range spans[:n] {
+		for _, i := range nl.Indices()[sp[0]:sp[1]] {
+			if r2 := nl.Positions()[i].Dist2(q); r2 <= nl.cutoff*nl.cutoff {
+				got[int(i)] = r2
+			}
+		}
+	}
+	return got
+}
+
 func TestNeighborListMatchesBruteForce(t *testing.T) {
 	rec, _ := data.GenerateReceptor("1CSB")
 	nl := NewNeighborList(rec, 8)
@@ -294,13 +311,12 @@ func TestNeighborListMatchesBruteForce(t *testing.T) {
 				brute[i] = true
 			}
 		}
-		got := map[int]bool{}
-		nl.ForNeighbors(q, func(i int, d float64) {
-			got[i] = true
-			if math.Abs(d-rec.Atoms[i].Pos.Dist(q)) > 1e-9 {
-				t.Fatalf("distance wrong for atom %d", i)
+		got := neighborsOf(nl, q)
+		for i, r2 := range got {
+			if !brute[i] || r2 != rec.Atoms[i].Pos.Dist2(q) {
+				t.Fatalf("trial %d: atom %d at r² %v not a brute-force neighbour", trial, i, r2)
 			}
-		})
+		}
 		if len(got) != len(brute) {
 			t.Fatalf("trial %d: %d vs brute %d", trial, len(got), len(brute))
 		}
@@ -309,39 +325,33 @@ func TestNeighborListMatchesBruteForce(t *testing.T) {
 	// atoms that define the bounding box, which sit exactly on the outer
 	// faces of the boundary cells.
 	for i, a := range rec.Atoms {
-		found := false
-		nl.ForNeighbors2(a.Pos, func(j int, r2 float64) {
-			if j == i && r2 == 0 {
-				found = true
-			}
-		})
-		if !found {
+		if r2, found := neighborsOf(nl, a.Pos)[i]; !found || r2 != 0 {
 			t.Fatalf("atom %d not found by its own query", i)
 		}
 	}
 	// Far query returns nothing.
-	count := 0
-	nl.ForNeighbors(chem.V(1e4, 1e4, 1e4), func(int, float64) { count++ })
-	if count != 0 {
+	if count := len(neighborsOf(nl, chem.V(1e4, 1e4, 1e4))); count != 0 {
 		t.Errorf("far query hit %d atoms", count)
 	}
 }
 
+// TestNeighborListForNeighbors2 pins the r²-form neighbour walk over
+// Spans (the walk ForNeighbors2 used to wrap): every reported r² is
+// exact, and membership agrees with the cutoff at random queries.
 func TestNeighborListForNeighbors2(t *testing.T) {
 	rec, _ := data.GenerateReceptor("1CSB")
 	nl := NewNeighborList(rec, 8)
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
 		q := chem.V(r.Float64()*30-15, r.Float64()*30-15, r.Float64()*30-15)
-		got := map[int]bool{}
-		nl.ForNeighbors2(q, func(i int, r2 float64) {
-			got[i] = true
-			if want := rec.Atoms[i].Pos.Dist2(q); math.Abs(r2-want) > 1e-9 {
+		got := neighborsOf(nl, q)
+		for i, r2 := range got {
+			if want := rec.Atoms[i].Pos.Dist2(q); r2 != want {
 				t.Fatalf("r² wrong for atom %d: got %v want %v", i, r2, want)
 			}
-		})
+		}
 		for i, a := range rec.Atoms {
-			if (a.Pos.Dist(q) <= 8) != got[i] {
+			if _, ok := got[i]; (a.Pos.Dist(q) <= 8) != ok {
 				t.Fatalf("trial %d: atom %d membership mismatch", trial, i)
 			}
 		}
@@ -394,13 +404,12 @@ func TestNeighborListBoundaryFaces(t *testing.T) {
 		if n := nl.Spans(tc.q, &spans); !tc.inside && n != 0 {
 			t.Errorf("%s: %d candidate cells beyond the expanded box", tc.name, n)
 		}
-		got := map[int]bool{}
-		nl.ForNeighbors2(tc.q, func(i int, r2 float64) { got[i] = true })
+		got := neighborsOf(nl, tc.q)
 		if len(got) != len(brute) {
 			t.Errorf("%s: got %d neighbours, brute %d", tc.name, len(got), len(brute))
 		}
 		for i := range brute {
-			if !got[i] {
+			if _, ok := got[i]; !ok {
 				t.Errorf("%s: missing atom %d", tc.name, i)
 			}
 		}

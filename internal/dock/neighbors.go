@@ -141,29 +141,3 @@ func (nl *NeighborList) Indices() []int32 { return nl.idx }
 // Positions returns the indexed atom positions, ordered by atom index.
 // Read-only; shared with the list itself.
 func (nl *NeighborList) Positions() []chem.Vec3 { return nl.pos }
-
-// ForNeighbors2 calls fn for every indexed atom within cutoff of p,
-// passing the atom index and the squared distance. This is the form
-// the table-backed scorers want: cell walks produce r² for free and
-// the radial tables are r²-indexed, so no sqrt is ever taken.
-func (nl *NeighborList) ForNeighbors2(p chem.Vec3, fn func(i int, r2 float64)) {
-	var spans [27][2]int32
-	n := nl.Spans(p, &spans)
-	cut2 := nl.cutoff * nl.cutoff
-	for s := 0; s < n; s++ {
-		for _, i := range nl.idx[spans[s][0]:spans[s][1]] {
-			if r2 := nl.pos[i].Dist2(p); r2 <= cut2 {
-				fn(int(i), r2)
-			}
-		}
-	}
-}
-
-// ForNeighbors calls fn for every indexed atom within cutoff of p,
-// passing the atom index and its distance (a sqrt-taking convenience
-// wrapper over ForNeighbors2).
-func (nl *NeighborList) ForNeighbors(p chem.Vec3, fn func(i int, r float64)) {
-	nl.ForNeighbors2(p, func(i int, r2 float64) {
-		fn(i, math.Sqrt(r2))
-	})
-}

@@ -18,6 +18,15 @@ type PackedAtom struct {
 	_       int32
 }
 
+// Hit is one in-cutoff candidate of a receptor query: its squared
+// distance and its radial-table class, packed to 16 bytes. FilterSpan
+// and FilterIndexed store one per candidate at the cursor.
+type Hit struct {
+	R2  float64
+	Cls int32
+	_   int32
+}
+
 // cellEntry is one non-empty neighbor cell in a base cell's
 // precomputed neighborhood list: the packed-atom span [s, e) plus a
 // conservative prune sphere. A query point lying outside the sphere —
@@ -36,11 +45,11 @@ type cellEntry struct {
 // PackedNeighbors is a scoring-ready mirror of a NeighborList: per
 // cell, the atoms that can contribute interaction terms (class ≥ 0)
 // are copied into one contiguous array in exactly the CSR order of the
-// source list. The scorers — per pose and batched — walk it instead of
-// the index CSR, replacing the per-candidate index load plus random
-// position gather of that layout with sequential streaming loads — the
-// term sequence (and so the float64 accumulation order) is unchanged,
-// because packing only drops atoms that never produce a term.
+// source list. Vina's scorer walks it instead of the index CSR,
+// replacing the per-candidate index load plus random position gather
+// of that layout with sequential streaming loads — the term sequence
+// (and so the float64 accumulation order) is unchanged, because
+// packing only drops atoms that never produce a term.
 //
 // The neighborhood walk itself is precomputed: for every base cell,
 // the (≤27) surrounding cells that exist and are non-empty are stored
@@ -52,7 +61,6 @@ type cellEntry struct {
 type PackedNeighbors struct {
 	nl      *NeighborList
 	atoms   []PackedAtom
-	aoff    []int32     // per cell: packed-atom span offsets, len = #cells + 1
 	entries []cellEntry // concatenated per-base-cell neighbor lists
 	eoff    []int32     // per cell: offset into entries, len = #cells + 1
 
@@ -85,7 +93,6 @@ func NewPackedNeighbors(nl *NeighborList, class func(atom int32) int32) *PackedN
 	pn := &PackedNeighbors{
 		nl:    nl,
 		atoms: make([]PackedAtom, 0, len(nl.idx)),
-		aoff:  make([]int32, ncells+1),
 		eoff:  make([]int32, ncells+1),
 	}
 	// Pack atoms cell by cell and build each non-empty cell's span and
@@ -106,7 +113,6 @@ func NewPackedNeighbors(nl *NeighborList, class func(atom int32) int32) *PackedN
 			pn.atoms = append(pn.atoms, PackedAtom{X: p.X, Y: p.Y, Z: p.Z, Cls: cl})
 		}
 		e := int32(len(pn.atoms))
-		pn.aoff[c+1] = e
 		if e > s {
 			cells[c] = cellSpan{entry: pruneSphere(pn.atoms[s:e], nl.cutoff, s, e), full: true}
 		}
@@ -165,7 +171,7 @@ const _ = uint(1<<15 - fineGatherMaxAtoms)
 // than the coarse 27-cell neighborhood after its prune spheres), and
 // the per-query geometry tests disappear entirely.
 //
-// Order and membership of Gather's output are unchanged: the list
+// Order and membership of the filtered hits are unchanged: the list
 // holds a superset of the in-cutoff atoms in ascending packed order —
 // the order the coarse raster walk emits them — and the same exact
 // r² ≤ cut² test decides membership.
@@ -330,10 +336,9 @@ func (pn *PackedNeighbors) Atoms() []PackedAtom { return pn.atoms }
 // and walking the candidates in order visits them in ascending packed
 // order — the order NeighborList.Spans-driven sequential scoring
 // visits them — so a caller that distance-filters them with
-// FilterIndexed or FilterSpan (Gather into one buffer, the per-pose
-// scorer chunk by chunk) sees the same hit sequence. No candidate is
-// returned for a point more than one cutoff outside the atom bounding
-// box.
+// FilterIndexed or FilterSpan sees the same hit sequence either way.
+// No candidate is returned for a point more than one cutoff outside
+// the atom bounding box.
 func (pn *PackedNeighbors) Spans(p chem.Vec3, out *[27][2]int32) (fine []int16, ns int) {
 	nl := pn.nl
 	if !nl.near(p) {
@@ -369,26 +374,6 @@ func (pn *PackedNeighbors) fineCell(p chem.Vec3) []int16 {
 	return pn.fidx[pn.foff[c]:pn.foff[c+1]]
 }
 
-// Gather collects into hits every packed atom within cut2 (squared
-// cutoff) of p, in Spans order, and returns the count. hits must be a
-// power-of-two-length scratch at least as long as Atoms() (see
-// Batch.Hits).
-//
-// unit: cut2=Å2
-func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
-	if pn.fidx != nil && pn.nl.near(p) {
-		// One list: skip the span array (zeroed per call) and the loop.
-		return FilterIndexed(pn.atoms, pn.fineCell(p), p.X, p.Y, p.Z, cut2, hits, 0)
-	}
-	var spans [27][2]int32
-	_, ns := pn.Spans(p, &spans)
-	m := 0
-	for _, sp := range spans[:ns] {
-		m = FilterSpan(pn.atoms[sp[0]:sp[1]], p.X, p.Y, p.Z, cut2, hits, m)
-	}
-	return m
-}
-
 // FilterIndexed is FilterSpan over the candidates atoms[idx[0]],
 // atoms[idx[1]], … — a fine-cell list of Spans: the same
 // squared-distance expression, the same r² ≤ cut² test and the same
@@ -421,17 +406,13 @@ func FilterIndexed(atoms []PackedAtom, idx []int16, px, py, pz, cut2 float64, hi
 // FilterSpan appends to hits, from cursor m on, every candidate of sp
 // within cut2 of the query point, preserving span order, and returns
 // the advanced cursor. It and FilterIndexed, its twin over a fine-cell
-// index list, are the radius filter of the exact and fast kernels —
-// PackedNeighbors.Gather runs one of them over each candidate list,
-// the per-pose scorers over one chunk of a list at a time, the window
-// path FilterSpan over the shared-gather span — so every caller emits
-// the same hit sequence from the same squared-distance expression and
-// the same exact r² ≤ cut² test. The loop is branch-free: every
+// index list, are the radius filter Vina's atomInter runs over one
+// chunk of a candidate list at a time. The loop is branch-free: every
 // candidate is stored at the cursor and the cursor advances only on a
 // hit, so the ~75% of candidates beyond the cutoff cost no branch
-// mispredictions. hits must have power-of-two length ≥ m + len(sp)
-// (see Batch.Hits): the store indexes with cursor&(len-1), which the
-// compiler proves in bounds.
+// mispredictions. hits must have power-of-two length ≥ m + len(sp):
+// the store indexes with cursor&(len-1), which the compiler proves in
+// bounds.
 //
 // unit: cut2=Å2
 func FilterSpan(sp []PackedAtom, px, py, pz, cut2 float64, hits []Hit, m int) int {
@@ -481,65 +462,4 @@ func FilterSpan(sp []PackedAtom, px, py, pz, cut2 float64, hits []Hit, m int) in
 		m += hit
 	}
 	return m
-}
-
-// GatherShared appends to out a copy of every packed atom within reach
-// of p — the window-shared gather of incumbent-anchored screening. The
-// caller passes reach = cutoff + D where D bounds how far the querying
-// ligand atom can drift from p across the window's poses; by the
-// triangle inequality the appended set is then a superset of every
-// such pose's true in-cutoff neighbor set, so rescoring a pose against
-// it with the exact r² ≤ cutoff² test reproduces the per-pose
-// Gather hit sequence bit for bit (membership AND order: candidates
-// are appended in ascending packed order, the order Gather emits).
-// pruneSlack is added to reach internally, mirroring the prune-sphere
-// slack, so coordinate rounding at the reach surface can never drop a
-// candidate the real-arithmetic argument keeps.
-//
-// Unlike Gather, the reach can exceed one cell edge, so the walk
-// derives its own cell range instead of using the precomputed 27-cell
-// neighborhoods; it runs once per window (not once per pose), so it
-// trades the per-pose branch-free machinery for simplicity. Returns
-// the number of atoms appended.
-//
-// unit: reach=Å
-func (pn *PackedNeighbors) GatherShared(p chem.Vec3, reach float64, out *[]PackedAtom) int {
-	nl := pn.nl
-	r := reach + pruneSlack
-	if p.X < nl.min.X-r || p.X > nl.max.X+r ||
-		p.Y < nl.min.Y-r || p.Y > nl.max.Y+r ||
-		p.Z < nl.min.Z-r || p.Z > nl.max.Z+r {
-		return 0
-	}
-	r2 := r * r
-	lo := nl.cellOf(chem.V(p.X-r, p.Y-r, p.Z-r))
-	hi := nl.cellOf(chem.V(p.X+r, p.Y+r, p.Z+r))
-	for d := 0; d < 3; d++ {
-		if lo[d] < 0 {
-			lo[d] = 0
-		}
-		if hi[d] >= nl.dims[d] {
-			hi[d] = nl.dims[d] - 1
-		}
-	}
-	n0 := len(*out)
-	// Ascending z,y,x — ascending cell index — so appended candidates
-	// stay in ascending packed order.
-	for z := lo[2]; z <= hi[2]; z++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			row := (z*nl.dims[1] + y) * nl.dims[0]
-			s := pn.aoff[row+lo[0]]
-			e := pn.aoff[row+hi[0]+1]
-			for i := s; i < e; i++ {
-				a := &pn.atoms[i]
-				dx := a.X - p.X
-				dy := a.Y - p.Y
-				dz := a.Z - p.Z
-				if dx*dx+dy*dy+dz*dz <= r2 {
-					*out = append(*out, *a)
-				}
-			}
-		}
-	}
-	return len(*out) - n0
 }

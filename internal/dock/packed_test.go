@@ -34,16 +34,15 @@ func jitteredLattice(side int, seed int64) *chem.Molecule {
 	return m
 }
 
-// TestPackedSpansMatchBruteForce pins the candidate walk every table
-// scorer shares, on both sides of the fine-cell gate: for query points
-// inside the atom box, on its faces and one cutoff outside it, the hit
-// sequence (class and R² bits, in order) of Gather, and of the per-pose
-// scorer's chunked walk of Spans' candidates (FilterIndexed over the
-// fine-cell index list, FilterSpan over coarse spans) at every chunk
-// length from 1 (a list split at every boundary, every chunk an
-// unpaired tail) to the production 64, equals a brute-force scan of
-// the packed atoms in ascending packed order. The fine lists take at
-// most 2 bytes an entry.
+// TestPackedSpansMatchBruteForce pins the candidate walk of the Vina
+// scorer, on both sides of the fine-cell gate: for query points inside
+// the atom box, on its faces and one cutoff outside it, the hit
+// sequence (class and R² bits, in order) of the chunked walk of Spans'
+// candidates (FilterIndexed over the fine-cell index list, FilterSpan
+// over coarse spans) at every chunk length from 1 (a list split at
+// every boundary, every chunk an unpaired tail) to the production 64
+// equals a brute-force scan of the packed atoms in ascending packed
+// order. The fine lists take at most 2 bytes an entry.
 func TestPackedSpansMatchBruteForce(t *testing.T) {
 	const cutoff = 8.0
 	const cut2 = cutoff * cutoff
@@ -68,12 +67,6 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 					tc.side, entries, bytes)
 			}
 		}
-		hitLen := 1
-		for hitLen < len(atoms) {
-			hitLen *= 2
-		}
-		hits := make([]Hit, hitLen)
-
 		lo, hi := chem.BoundingBox(mol.Positions())
 		r := rand.New(rand.NewSource(7))
 		var queries []chem.Vec3
@@ -121,8 +114,6 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 					}
 				}
 			}
-			check("Gather", hits[:pn.Gather(p, cut2, hits)])
-
 			var spans [27][2]int32
 			fine, ns := pn.Spans(p, &spans)
 			if tc.fine != (ns == 0) && len(want) > 0 {

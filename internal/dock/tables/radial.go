@@ -92,12 +92,11 @@ func NewRadial(f func(r float64) float64) *Radial {
 }
 
 // At2 returns the interpolated value at squared distance r2 ≥ 0: the
-// one table evaluation every kernel — per-pose and batched scorers,
-// map generation — inlines.
+// one table evaluation both scorers and map generation inline.
 //
 // The table coordinate is the smaller of the two segment coordinates,
 // which selects the right segment without a data-dependent branch (a
-// batch of mixed core/tail distances costs no mispredictions). The core
+// run of mixed core/tail distances costs no mispredictions). The core
 // line r2·invCore is exact and steeper than the tail line, and the two
 // cross at the shared boundary node, so it lies below the tail line
 // exactly when r2 < SplitR2; rounding is monotone, so the computed

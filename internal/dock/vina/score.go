@@ -6,7 +6,6 @@ package vina
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -28,17 +27,14 @@ const (
 // directly over a cell list is numerically equivalent at these
 // scales).
 //
-// Every scoring path reads the pair interactions from the r²-indexed
-// radial tables of internal/dock/tables over the packed heavy-atom
-// cell walk — squared distances only, no sqrt or exp per pair — and
-// per-pose Score is the one-pose case of the walk ScoreBatch runs.
-// ScoreAnalytic keeps the closed-form path over the plain neighbour
-// list as the golden reference for equivalence tests and benchmarks.
+// Score reads the pair interactions from the r²-indexed radial tables
+// of internal/dock/tables over the packed heavy-atom cell walk —
+// squared distances only, no sqrt or exp per pair. The closed-form
+// path survives as the tests' oracle.
 type Scorer struct {
 	*ReceptorIndex
 	Lig *dock.Ligand
 
-	ligTypes  []chem.TypeParams
 	ligIsH    []bool
 	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
 	frag      []int32            // per ligand atom: its rigid fragment (chem.TorsionTree.RigidUnits)
@@ -47,11 +43,6 @@ type Scorer struct {
 	groups    []intraGroup       // the runs of intraTbl, ascending (a, b)
 	rotFactor float64
 	intraRef  float64 // internal energy of the input conformation
-
-	// Tolerance-bounded fast path (score_fast.go), built lazily on the
-	// first ScoreBatchFast call so exact-only campaigns pay nothing.
-	fastOnce sync.Once
-	fast     *fastState
 }
 
 // ReceptorIndex is the receptor half of a Scorer: the cell lists and
@@ -61,10 +52,8 @@ type Scorer struct {
 type ReceptorIndex struct {
 	Receptor *chem.Molecule
 
-	nl          *dock.NeighborList    // every receptor atom; ScoreAnalytic's walk
-	packed      *dock.PackedNeighbors // heavy receptor atoms in span order; every table path's walk
-	recTypes    []chem.TypeParams
-	recTypeList []chem.AtomType // heavy receptor types in interTbl column order
+	packed      *dock.PackedNeighbors // heavy receptor atoms in span order, Score's walk
+	recTypeList []chem.AtomType       // heavy receptor types in interTbl column order
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
@@ -98,10 +87,7 @@ func NewReceptorIndex(receptor *chem.Molecule) (*ReceptorIndex, error) {
 	if receptor.NumAtoms() == 0 {
 		return nil, fmt.Errorf("vina: receptor %q has no atoms", receptor.Name)
 	}
-	ix := &ReceptorIndex{
-		Receptor: receptor,
-		nl:       dock.NewNeighborList(receptor, cutoff),
-	}
+	ix := &ReceptorIndex{Receptor: receptor}
 	// Dense index of receptor atom types so the inner loop can pick a
 	// table with one slice lookup. Hydrogens are invisible to the Vina
 	// function, so they get index -1 and no tables.
@@ -115,7 +101,6 @@ func NewReceptorIndex(receptor *chem.Molecule) (*ReceptorIndex, error) {
 		if !t.Params().Supported {
 			return nil, fmt.Errorf("vina: receptor %q atom %d type %s unsupported", receptor.Name, i, t)
 		}
-		ix.recTypes = append(ix.recTypes, t.Params())
 		if t == chem.TypeH || t == chem.TypeHD {
 			recTblIdx = append(recTblIdx, -1)
 			continue
@@ -131,7 +116,8 @@ func NewReceptorIndex(receptor *chem.Molecule) (*ReceptorIndex, error) {
 	// Pack the heavy receptor atoms (the only ones that ever score) in
 	// span order: position plus table column per 32-byte slot, walked
 	// with streaming loads instead of an index-CSR gather.
-	ix.packed = dock.NewPackedNeighbors(ix.nl, func(aj int32) int32 { return recTblIdx[aj] })
+	nl := dock.NewNeighborList(receptor, cutoff)
+	ix.packed = dock.NewPackedNeighbors(nl, func(aj int32) int32 { return recTblIdx[aj] })
 	return ix, nil
 }
 
@@ -160,7 +146,6 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 		if t == "" {
 			return nil, fmt.Errorf("vina: ligand %q atom %d untyped", lig.Mol.Name, i)
 		}
-		s.ligTypes = append(s.ligTypes, t.Params())
 		s.ligIsH = append(s.ligIsH, !a.Element.IsHeavy())
 		var row []*tables.Radial
 		if a.Element.IsHeavy() {
@@ -257,9 +242,7 @@ func intraPairs14(m *chem.Molecule) [][2]int {
 // damped internal term. Hydrogens are invisible to the Vina function.
 // It is the public reference and the test oracle — the search scores
 // through the incremental evaluator (evaluator.go), which adds these
-// same partial sums in this same order — and the one-pose case of the
-// exact kernel: the same candidate spans, radius filter, table read
-// and addition order as ScoreBatch. Safe for concurrent use and
+// same partial sums in this same order. Safe for concurrent use and
 // allocation-free: the scorer is read-only and the hit scratch lives
 // on the caller's stack.
 //
@@ -269,16 +252,12 @@ func intraPairs14(m *chem.Molecule) [][2]int {
 // coordinates alone; the internal energy is Σ over fragment pairs
 // ascending of a per-pair-group sum (groupIntra), each a function of
 // its two fragments' coordinates alone.
-//
-// exact: the reference ScoreBatch is pinned against; float32 belongs in ScoreBatchFast
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
 	return s.combine(s.interEnergy(coords), s.intraEnergy(coords))
 }
 
 // combine folds the two sums into the affinity; the evaluator calls it
 // on its reassembled sums so the last operations match Score's too.
-//
-// exact: Score's closing expression
 func (s *Scorer) combine(inter, intra float64) float64 {
 	return inter/s.rotFactor + intraWeight*(intra-s.intraRef)
 }
@@ -292,8 +271,6 @@ func (s *Scorer) ReportedFEB(coords []chem.Vec3) float64 {
 
 // interEnergy sums the pairwise ligand–receptor terms, shared by Score
 // and ReportedFEB: Σᵢ sᵢ over heavy ligand atoms in ascending order.
-//
-// exact: per-atom sums added in atom order, as ScoreBatch adds them
 func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 	var scr interScratch
 	var inter float64
@@ -307,17 +284,14 @@ func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 }
 
 // atomInter is sᵢ, heavy ligand atom i's own sum of receptor terms at
-// position p: the candidates of PackedNeighbors.Spans — the accessor
-// Gather uses, so receptors above and below the fine-cell gate take
-// the same branch as the batched kernels — filtered by
+// position p: the candidates of PackedNeighbors.Spans, filtered by
 // dock.FilterIndexed (a fine-cell list) or dock.FilterSpan (coarse
-// spans) and read from the atom's table row in hit order. A candidate
-// list is filtered one chunk at a time into the fixed scratch array
-// (chunks keep list order and an even length, so the hit sequence is
-// the whole list's), which is what keeps a shared scorer free of
-// per-call scratch.
-//
-// exact: same hit order and float64 addition sequence as ScoreBatch's per-(atom, pose) sum
+// spans) and read from the atom's table row in hit order — ascending
+// packed order on both sides of the fine-cell gate. A candidate list
+// is filtered one chunk at a time into the fixed scratch array (chunks
+// keep list order and an even length, so the hit sequence is the whole
+// list's), which is what keeps a shared scorer free of per-call
+// scratch.
 func (s *Scorer) atomInter(i int, p chem.Vec3, scr *interScratch) float64 {
 	const cut2 = cutoff * cutoff
 	hits := &scr.hits
@@ -344,9 +318,8 @@ func (s *Scorer) atomInter(i int, p chem.Vec3, scr *interScratch) float64 {
 	return sum
 }
 
-// intraEnergy sums the heavy-atom 1-4+ pair terms group by group.
-//
-// exact: per-group sums added in group order, as ScoreBatch's intraBatch adds them
+// intraEnergy sums the heavy-atom 1-4+ pair terms, each group's sum
+// (groupIntra) added in group order.
 func (s *Scorer) intraEnergy(coords []chem.Vec3) float64 {
 	var intra float64
 	for g := range s.groups {
@@ -357,8 +330,6 @@ func (s *Scorer) intraEnergy(coords []chem.Vec3) float64 {
 
 // groupIntra is the sum of group g's in-cutoff pair terms, in table
 // order.
-//
-// exact: same per-pose addition sequence as intraBatch's per-group sum
 func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
 	const cut2 = cutoff * cutoff
 	gr := s.groups[g]
@@ -369,54 +340,4 @@ func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
 		}
 	}
 	return sum
-}
-
-// ScoreAnalytic is Score evaluated from the closed-form pair potential
-// (sqrt + exp per pair) instead of the radial tables: the golden
-// reference for the table equivalence tests and the baseline the
-// kernel benchmarks report speedups over. It shares intraRef with the
-// table path — the reference offset cancels in the internal-energy
-// delta, so any table-vs-analytic difference comes from the pair sums
-// alone.
-func (s *Scorer) ScoreAnalytic(coords []chem.Vec3) float64 {
-	return s.interEnergyAnalytic(coords)/s.rotFactor +
-		intraWeight*(s.intraEnergyAnalytic(coords)-s.intraRef)
-}
-
-func (s *Scorer) interEnergyAnalytic(coords []chem.Vec3) float64 {
-	var inter float64
-	for i, p := range coords {
-		if s.ligIsH[i] {
-			continue
-		}
-		lt := s.ligTypes[i]
-		s.nl.ForNeighbors(p, func(j int, r float64) {
-			rt := s.recTypes[j]
-			if rt.Type == chem.TypeH || rt.Type == chem.TypeHD {
-				return
-			}
-			inter += pairTerm(lt, rt, r)
-		})
-	}
-	return inter
-}
-
-func (s *Scorer) intraEnergyAnalytic(coords []chem.Vec3) float64 {
-	var intra float64
-	for _, pr := range s.intraTbl {
-		r := coords[pr.i].Dist(coords[pr.j])
-		if r <= cutoff {
-			intra += pairTerm(s.ligTypes[pr.i], s.ligTypes[pr.j], r)
-		}
-	}
-	return intra
-}
-
-// pairTerm is the Vina pairwise function on the surface distance
-// d = r − R_i − R_j; the analytic form lives in internal/dock/tables
-// (the single source both this package and the table builder share).
-//
-// unit: r=Å result=kcal/mol
-func pairTerm(a, b chem.TypeParams, r float64) float64 {
-	return tables.VinaPair(a, b, r)
 }

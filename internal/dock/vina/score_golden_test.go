@@ -32,9 +32,8 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 // digests were re-recorded once at trajectory epoch 2 — the root-frame
 // pose model (no re-centring after the torsions) and the reusable
 // summation order (per-atom inter sums, per-fragment-pair intra sums)
-// — with ScoreBatch == Score holding unedited across the change, so
-// the batch contract tests are not the sole witness of the hit order
-// and the float64 addition sequence from here on.
+// — so this test, not a second kernel pinned against Score, is the
+// witness of the hit order and the float64 addition sequence.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chem"
 	"repro/internal/data"
 	"repro/internal/dock"
+	"repro/internal/dock/tables"
 	"repro/internal/prep"
 )
 
@@ -101,22 +102,22 @@ func TestPairTermProperties(t *testing.T) {
 	oa := chem.TypeOA.Params()
 	n := chem.TypeN.Params()
 	// Deep clash is strongly positive.
-	if e := pairTerm(c, c, 1.0); e <= 0 {
+	if e := tables.VinaPair(c, c, 1.0); e <= 0 {
 		t.Errorf("clash energy = %v", e)
 	}
 	// Contact distance for a hydrophobic pair is favourable.
 	contact := c.Rii/2 + c.Rii/2
-	if e := pairTerm(c, c, contact+0.2); e >= 0 {
+	if e := tables.VinaPair(c, c, contact+0.2); e >= 0 {
 		t.Errorf("contact energy = %v, want negative", e)
 	}
 	// H-bond pair at contact is much more favourable than C-C.
-	hb := pairTerm(n, oa, n.Rii/2+oa.Rii/2-0.5)
-	cc := pairTerm(c, c, contact-0.5)
+	hb := tables.VinaPair(n, oa, n.Rii/2+oa.Rii/2-0.5)
+	cc := tables.VinaPair(c, c, contact-0.5)
 	if hb >= cc {
 		t.Errorf("hbond %v not stronger than hydrophobic %v", hb, cc)
 	}
 	// Beyond cutoff-ish distances the terms decay to ~0.
-	if e := pairTerm(c, c, 7.9); math.Abs(e) > 0.01 {
+	if e := tables.VinaPair(c, c, 7.9); math.Abs(e) > 0.01 {
 		t.Errorf("long-range term = %v", e)
 	}
 }

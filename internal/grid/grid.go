@@ -11,9 +11,8 @@
 // the inner loop — and fans the z-slab loop out over a bounded worker
 // pool. The decomposition is fixed by the Spec (one task per z slab,
 // every point written exactly once), so output is bit-identical
-// regardless of worker count. GenerateReference keeps the serial
-// analytic path as the golden reference for equivalence tests and the
-// kernel benchmarks.
+// regardless of worker count. The serial analytic path lives on in
+// the tests as the oracle the tables are pinned against.
 package grid
 
 import (
@@ -83,35 +82,6 @@ type Maps struct {
 	affinity map[chem.AtomType][]float64
 	elec     []float64
 	desolv   []float64
-
-	// Per-affinity-type interleaved [affinity, elec, desolv] float32
-	// lattices, built lazily for the tolerance fast path: the three
-	// lattices share every trilinear stencil, so interleaving them puts
-	// all three values of a corner pair in one contiguous 24-byte read
-	// — a quarter of the cache lines the separate lattices touch. The
-	// float64 lattices are narrowed to float32 exactly as the fast
-	// lerp would, so interleaving does not change any fast-path value.
-	// See InterAccumFast.
-	aedOnce   sync.Once
-	aedTriple map[chem.AtomType][]float32
-}
-
-// fastTriple returns the interleaved [affinity, elec, desolv] lattice
-// of an affinity type, building all of them on first use.
-func (m *Maps) fastTriple(t chem.AtomType) []float32 {
-	m.aedOnce.Do(func() {
-		m.aedTriple = make(map[chem.AtomType][]float32, len(m.affinity))
-		for ty, aff := range m.affinity {
-			tr := make([]float32, 3*len(aff))
-			for k, v := range aff {
-				tr[3*k] = float32(v)
-				tr[3*k+1] = float32(m.elec[k])
-				tr[3*k+2] = float32(m.desolv[k])
-			}
-			m.aedTriple[ty] = tr
-		}
-	})
-	return m.aedTriple[t]
 }
 
 // Types returns the atom types with affinity maps in sorted order, so
@@ -372,36 +342,4 @@ func clamp(e float64) float64 {
 		return -energyClamp
 	}
 	return e
-}
-
-// PairEnergy is the AD4 pairwise dispersion/repulsion potential; the
-// analytic form lives in internal/dock/tables (shared with the
-// scorers), re-exported here for map consumers and tests.
-func PairEnergy(probe, rec chem.TypeParams, r float64) float64 {
-	return tables.PairEnergy(probe, rec, r)
-}
-
-// PairEnergySmoothed applies AutoGrid's potential smoothing to
-// PairEnergy; see tables.PairEnergySmoothed.
-func PairEnergySmoothed(probe, rec chem.TypeParams, r, smooth float64) float64 {
-	return tables.PairEnergySmoothed(probe, rec, r, smooth)
-}
-
-// electrostaticTerm is the Coulomb interaction of a unit probe charge
-// with receptor charge q at distance r under the Mehler–Solmajer
-// distance-dependent dielectric (the analytic reference path).
-func electrostaticTerm(q, r float64) float64 {
-	return q * tables.ElecScale(r)
-}
-
-// dielectric is the sigmoidal distance-dependent dielectric of
-// Mehler & Solmajer (1991); see tables.Dielectric.
-func dielectric(r float64) float64 {
-	return tables.Dielectric(r)
-}
-
-// desolvationTerm is the gaussian-weighted atomic desolvation term of
-// the AD4 force field (the analytic reference path).
-func desolvationTerm(a *chem.Atom, r float64) float64 {
-	return tables.DesolvCoeff(receptorAtomType(a).Params(), a.Charge) * tables.DesolvWeight(r)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/data"
+	"repro/internal/dock/tables"
 	"repro/internal/prep"
 )
 
@@ -163,20 +164,20 @@ func TestPairEnergyShape(t *testing.T) {
 	c := chem.TypeC.Params()
 	// Minimum at r = Rij, repulsive well inside, attractive outside.
 	rij := c.Rii
-	atMin := PairEnergy(c, c, rij)
+	atMin := tables.PairEnergy(c, c, rij)
 	if !closeTo(atMin, -c.Epsii, 1e-9) {
 		t.Errorf("well depth = %v, want %v", atMin, -c.Epsii)
 	}
-	if PairEnergy(c, c, rij*0.7) < 0 {
+	if tables.PairEnergy(c, c, rij*0.7) < 0 {
 		t.Error("short range should be repulsive")
 	}
-	if e := PairEnergy(c, c, rij*1.5); e >= 0 || e < atMin {
+	if e := tables.PairEnergy(c, c, rij*1.5); e >= 0 || e < atMin {
 		t.Errorf("long range energy = %v, want in (%v, 0)", e, atMin)
 	}
 	// H-bond pair deeper than dispersion pair.
 	hd := chem.TypeHD.Params()
 	oa := chem.TypeOA.Params()
-	hbondMin := PairEnergy(hd, oa, (hd.Rii+oa.Rii)/2)
+	hbondMin := tables.PairEnergy(hd, oa, (hd.Rii+oa.Rii)/2)
 	plainMin := -math.Sqrt(hd.Epsii * oa.Epsii)
 	if hbondMin >= plainMin {
 		t.Errorf("hbond well %v not deeper than plain %v", hbondMin, plainMin)
@@ -300,7 +301,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := GenerateReference(rec, spec, types)
+	ref, err := generateReference(rec, spec, types)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func BenchmarkGenerateMapsReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateReference(rec, spec, types); err != nil {
+		if _, err := generateReference(rec, spec, types); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,44 +401,44 @@ func TestPairEnergySmoothed(t *testing.T) {
 	rij := c.Rii
 	// Inside the window around the minimum: flat at the well depth.
 	for _, r := range []float64{rij - 0.2, rij, rij + 0.2} {
-		if got := PairEnergySmoothed(c, c, r, 0.5); !closeTo(got, -c.Epsii, 1e-9) {
+		if got := tables.PairEnergySmoothed(c, c, r, 0.5); !closeTo(got, -c.Epsii, 1e-9) {
 			t.Errorf("smoothed(%v) = %v, want %v", r, got, -c.Epsii)
 		}
 	}
 	// Outside the window: shifted toward the minimum by smooth/2.
 	r := rij + 1.0
-	if got, want := PairEnergySmoothed(c, c, r, 0.5), PairEnergy(c, c, r-0.25); !closeTo(got, want, 1e-12) {
+	if got, want := tables.PairEnergySmoothed(c, c, r, 0.5), tables.PairEnergy(c, c, r-0.25); !closeTo(got, want, 1e-12) {
 		t.Errorf("right side smoothed = %v, want %v", got, want)
 	}
 	r = rij - 1.0
-	if got, want := PairEnergySmoothed(c, c, r, 0.5), PairEnergy(c, c, r+0.25); !closeTo(got, want, 1e-12) {
+	if got, want := tables.PairEnergySmoothed(c, c, r, 0.5), tables.PairEnergy(c, c, r+0.25); !closeTo(got, want, 1e-12) {
 		t.Errorf("left side smoothed = %v, want %v", got, want)
 	}
 	// Smoothing never raises the energy.
 	for r := 2.0; r < 8; r += 0.1 {
-		if PairEnergySmoothed(c, c, r, 0.5) > PairEnergy(c, c, r)+1e-12 {
+		if tables.PairEnergySmoothed(c, c, r, 0.5) > tables.PairEnergy(c, c, r)+1e-12 {
 			t.Fatalf("smoothing raised energy at r=%v", r)
 		}
 	}
 	// Zero smooth is the raw potential.
-	if PairEnergySmoothed(c, c, 3.3, 0) != PairEnergy(c, c, 3.3) {
+	if tables.PairEnergySmoothed(c, c, 3.3, 0) != tables.PairEnergy(c, c, 3.3) {
 		t.Error("zero smooth changed potential")
 	}
 }
 
 func TestMehlerSolmajerDielectric(t *testing.T) {
 	// Near contact: low dielectric (screened vacuum-like).
-	if e := dielectric(1.0); e < 1 || e > 10 {
+	if e := tables.Dielectric(1.0); e < 1 || e > 10 {
 		t.Errorf("ε(1Å) = %v, want small", e)
 	}
 	// Long range: approaches bulk water (~78).
-	if e := dielectric(50); e < 60 || e > 79 {
+	if e := tables.Dielectric(50); e < 60 || e > 79 {
 		t.Errorf("ε(50Å) = %v, want near 78", e)
 	}
 	// Monotone increasing.
 	prev := 0.0
 	for r := 0.5; r < 30; r += 0.5 {
-		e := dielectric(r)
+		e := tables.Dielectric(r)
 		if e < prev {
 			t.Fatalf("dielectric not monotone at r=%v", r)
 		}
@@ -445,11 +446,12 @@ func TestMehlerSolmajerDielectric(t *testing.T) {
 	}
 }
 
-// InterAccum — the AD4 scorers' intermolecular kernel, per pose and
-// batched — must be bit-equal to the weighted Field.At reads it
-// replaces, added in vdW/electrostatic/desolvation order, inside the
-// box and on the out-of-box penalty path, whatever the stride.
-func TestInterAccumMatchesFieldAt(t *testing.T) {
+// InterPose — the AD4 scorer's intermolecular walk — must be
+// bit-equal to the weighted Field.At reads it replaces, added to one
+// running sum atom by atom in vdW/electrostatic/desolvation order,
+// inside the box and on the out-of-box penalty path, for one-atom
+// poses and for one pose of every point.
+func TestInterPoseMatchesFieldAt(t *testing.T) {
 	rec := preparedReceptor(t, "2HHN")
 	spec := smallSpec(rec)
 	m, err := GenerateWorkers(rec, spec, []chem.AtomType{chem.TypeC, chem.TypeOA}, 1)
@@ -464,37 +466,30 @@ func TestInterAccumMatchesFieldAt(t *testing.T) {
 		float64(spec.NPts[1]-1)*spec.Spacing,
 		float64(spec.NPts[2]-1)*spec.Spacing,
 	)
-	const n, stride = 500, 3
-	const wv, wq, wdq = 0.1662, -0.05, 0.02
-	xs, ys, zs := make([]float64, n*stride), make([]float64, n*stride), make([]float64, n*stride)
-	want := make([]float64, n)
-	for i := 0; i < n; i++ {
+	const n = 500
+	const wv = 0.1662
+	coords := make([]chem.Vec3, n)
+	aff, wq, wdq := make([]Field, n), make([]float64, n), make([]float64, n)
+	var want float64
+	for i := range coords {
 		// Mostly inside the box, sometimes outside (penalty path).
 		p := spec.Origin().Add(chem.V(
 			(r.Float64()*1.2-0.1)*span.X,
 			(r.Float64()*1.2-0.1)*span.Y,
 			(r.Float64()*1.2-0.1)*span.Z,
 		))
-		xs[i*stride], ys[i*stride], zs[i*stride] = p.X, p.Y, p.Z
-		want[i] = 1 // a running sum the terms are added to in turn
-		want[i] += wv * fC.At(p)
-		want[i] += wq * fe.At(p)
-		want[i] += wdq * fd.At(p)
-
-		one := []float64{1}
-		m.InterAccum(fC, []float64{p.X}, []float64{p.Y}, []float64{p.Z}, 1, wv, wq, wdq, one)
-		if one[0] != want[i] {
-			t.Fatalf("point %d: one-pose InterAccum %v != Field.At sum %v", i, one[0], want[i])
+		coords[i], aff[i] = p, fC
+		wq[i], wdq[i] = -0.05*float64(i%7-3), 0.02*float64(i%5)
+		var one float64
+		for _, term := range []float64{wv * fC.At(p), wq[i] * fe.At(p), wdq[i] * fd.At(p)} {
+			one += term
+			want += term
+		}
+		if got := m.InterPose(coords[i:i+1], aff[i:i+1], wv, wq[i:i+1], wdq[i:i+1]); got != one {
+			t.Fatalf("point %d: one-atom InterPose %v != Field.At sum %v", i, got, one)
 		}
 	}
-	got := make([]float64, n)
-	for i := range got {
-		got[i] = 1
-	}
-	m.InterAccum(fC, xs, ys, zs, stride, wv, wq, wdq, got)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("point %d: batched InterAccum %v != Field.At sum %v", i, got[i], want[i])
-		}
+	if got := m.InterPose(coords, aff, wv, wq, wdq); got != want {
+		t.Fatalf("%d-atom InterPose %v != Field.At sum %v", n, got, want)
 	}
 }

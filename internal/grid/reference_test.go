@@ -1,22 +1,22 @@
 package grid
 
 import (
+	"math"
+
 	"repro/internal/chem"
-	"repro/internal/dock"
+	"repro/internal/dock/tables"
 )
 
-// GenerateReference is the serial analytic AutoGrid path: identical
-// semantics to Generate, but every pair interaction is evaluated from
-// the closed-form potentials (sqrt, exp and all) instead of the radial
-// tables. It is the golden reference the equivalence tests pin the
-// tables against, and the baseline the kernel benchmarks report
-// speedups over. Production code should call Generate.
-func GenerateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, error) {
+// generateReference is the serial analytic AutoGrid path, the oracle
+// TestGenerateMatchesReference pins Generate's radial tables against:
+// identical semantics, but every pair interaction is evaluated from the
+// closed-form potentials (sqrt, exp and all), over every receptor atom
+// within the cutoff in atom order rather than over a cell list.
+func generateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, error) {
 	m, probeTypes, err := newMaps(receptor, spec, types)
 	if err != nil {
 		return nil, err
 	}
-	cells := dock.NewNeighborList(receptor, interactionCutoff)
 	probes := make([]chem.TypeParams, 0, len(probeTypes))
 	probeSlices := make([][]float64, 0, len(probeTypes))
 	for _, t := range probeTypes {
@@ -36,18 +36,22 @@ func GenerateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType
 				))
 				var elec, desolv float64
 				affin := make([]float64, len(probes))
-				cells.ForNeighbors(p, func(ai int, r float64) {
+				for ai := range receptor.Atoms {
 					a := &receptor.Atoms[ai]
+					r := math.Sqrt(a.Pos.Dist2(p))
+					if r > interactionCutoff {
+						continue
+					}
 					if r < 0.5 {
 						r = 0.5 // AutoGrid's rmin clamp
 					}
-					elec += electrostaticTerm(a.Charge, r)
-					desolv += desolvationTerm(a, r)
 					ap := receptorAtomType(a).Params()
+					elec += a.Charge * tables.ElecScale(r)
+					desolv += tables.DesolvCoeff(ap, a.Charge) * tables.DesolvWeight(r)
 					for pi := range probes {
-						affin[pi] += PairEnergySmoothed(probes[pi], ap, r, smoothRadius)
+						affin[pi] += tables.PairEnergySmoothed(probes[pi], ap, r, smoothRadius)
 					}
-				})
+				}
 				m.elec[idx] = clamp(elec)
 				m.desolv[idx] = clamp(desolv)
 				for pi := range probes {

@@ -72,7 +72,7 @@ func TestSubsetLatticeIndependentOfProbeList(t *testing.T) {
 
 // TestSubsetView checks that a view is indistinguishable from a set
 // generated for exactly its types — Types, .fld, every .map file and
-// InterAccum — while sharing the parent's backing arrays, and that a
+// InterPose — while sharing the parent's backing arrays, and that a
 // type the parent lacks is refused.
 func TestSubsetView(t *testing.T) {
 	rec := preparedReceptor(t, "2HHN")
@@ -141,11 +141,11 @@ func TestSubsetView(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			p := spec.Origin().Add(chem.V(
 				(r.Float64()*1.2-0.1)*span, (r.Float64()*1.2-0.1)*span, (r.Float64()*1.2-0.1)*span))
-			a, b := []float64{1}, []float64{1}
-			view.InterAccum(fv, []float64{p.X}, []float64{p.Y}, []float64{p.Z}, 1, 0.1662, -0.05, 0.02, a)
-			direct.InterAccum(fd, []float64{p.X}, []float64{p.Y}, []float64{p.Z}, 1, 0.1662, -0.05, 0.02, b)
-			if math.Float64bits(a[0]) != math.Float64bits(b[0]) {
-				t.Fatalf("%s at %v: view InterAccum %v != direct %v", ty, p, a[0], b[0])
+			pose, wq, wdq := []chem.Vec3{p}, []float64{-0.05}, []float64{0.02}
+			a := view.InterPose(pose, []Field{fv}, 0.1662, wq, wdq)
+			b := direct.InterPose(pose, []Field{fd}, 0.1662, wq, wdq)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s at %v: view InterPose %v != direct %v", ty, p, a, b)
 			}
 		}
 	}

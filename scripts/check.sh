@@ -7,6 +7,43 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# go test -run exits 0 when its pattern matches no test, so a renamed
+# or misspelled test would silently drop out of a focused stage.
+# require_tests SELECTOR PACKAGES... fails, naming the alternative,
+# unless every |-separated alternative of SELECTOR matches at least one
+# Test or Fuzz function that go test -list finds in PACKAGES.
+require_tests() {
+	sel=$1
+	shift
+	where="$*"
+	listed=$(go test -list "$sel" "$@" | grep -E '^(Test|Fuzz)' || true)
+	set -f
+	old_ifs=$IFS
+	IFS='|'
+	for alt in $sel; do
+		printf '%s\n' "$listed" | grep -Eq -- "$alt" || {
+			echo "check: -run selector alternative '$alt' matches no test in $where" >&2
+			exit 1
+		}
+	done
+	IFS=$old_ifs
+	set +f
+}
+
+# gated_test SELECTOR GO_TEST_ARGS...: go test -run SELECTOR GO_TEST_ARGS
+# after require_tests over the ./ package arguments.
+gated_test() {
+	sel=$1
+	shift
+	pkgs=""
+	for arg in "$@"; do
+		case $arg in ./*) pkgs="$pkgs $arg" ;; esac
+	done
+	# shellcheck disable=SC2086 # pkgs is a space-separated package list
+	require_tests "$sel" $pkgs
+	go test -run "$sel" "$@"
+}
+
 echo "==> go build ./..."
 go build ./...
 
@@ -38,6 +75,7 @@ for target in \
 	internal/chem/formats:FuzzDLG internal/grid:FuzzParseMap \
 	internal/workflow/spec:FuzzParse internal/prep:FuzzParamFiles \
 	internal/textio:FuzzAppendFixed; do
+	require_tests "^${target#*:}\$" "./${target%%:*}"
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 3s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
@@ -45,7 +83,7 @@ done
 # the worker pool and a cancel interleave, under either Runtime value:
 # give each gate run five schedules of those tests, not one.
 echo "==> engine interleaving stress (-race -count=5 Dataflow/RunContext/StageComplete)"
-go test -race -count=5 -run 'Dataflow|RunContext|StageComplete' ./internal/engine
+gated_test 'Dataflow|RunContext|StageComplete' -race -count=5 ./internal/engine
 
 # What the campaign product store rests on, three schedules each: the
 # every-staged-byte golden, the finished-campaign footprint (the store
@@ -53,34 +91,27 @@ go test -race -count=5 -run 'Dataflow|RunContext|StageComplete' ./internal/engin
 # Status poll beside a running adaptive campaign, and the lattice /
 # Subset independence contracts.
 echo "==> product store contracts (-race -count=3 Artifacts/Footprint/Status/Subset)"
-go test -race -count=3 -run 'Artifacts|Footprint|Status|Subset' ./internal/core ./internal/campaign ./internal/grid
+gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./internal/campaign ./internal/grid
 
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the candidate walk
 # on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
-# the 0-ULP batched-kinematics pin, the fast-path tolerance envelopes,
-# the 0-ULP window gather, and the two pins of Vina's incremental
-# evaluator: its docks equal the full-walk oracle's bit for bit, and a
-# torsion probe leaves every atom outside its branch bit-identical.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/FastPath/TorsionsBatch/WindowScoreBatch/IncrementalMatchesFullWalk/TorsionProbeLeavesRest)"
-go test -run 'ScoreGolden|TrajectoryGolden|PackedSpans|FastPath|TorsionsBatch|WindowScoreBatch|IncrementalMatchesFullWalk|TorsionProbeLeavesRest' -count=1 \
-	./internal/chem ./internal/dock ./internal/dock/vina ./internal/dock/ad4
+# and the two pins of Vina's incremental evaluator: its docks equal the
+# full-walk oracle's bit for bit, and a torsion probe leaves every atom
+# outside its branch bit-identical.
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/IncrementalMatchesFullWalk/TorsionProbeLeavesRest)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|IncrementalMatchesFullWalk|TorsionProbeLeavesRest' -count=1 \
+	./internal/dock ./internal/dock/vina ./internal/dock/ad4
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
 	./internal/grid ./internal/dock \
 	./internal/dock/tables ./internal/dock/vina ./internal/dock/ad4
 
-# The large-pair windowed kernels run through dedicated benchmarks so
-# the L2-overflow workload's window path is exercised end to end.
-echo "==> large-pair window kernel smoke (-benchtime=1x)"
-go test -run '^$' -bench 'WindowScoreBatch.*Large' -benchtime=1x \
-	./internal/dock/vina ./internal/dock/ad4
-
 # The benchmark harness end to end, one traced smoke run per workload
-# (≈ 5 s in all). Besides the harness itself this runs the batched
-# kernels under the layer probes, which the unit tests reach only
-# cell by cell. A failed operation or check exits non-zero.
+# (≈ 5 s in all): the timed ops, their checks and every layer probe,
+# which the unit tests reach only piece by piece. A failed operation or
+# check exits non-zero.
 echo "==> bench harness smoke (every workload, -smoke -seconds 0.2 -trace 1)"
 benchlog=$(mktemp)
 for workload in dock_ref dock_large screen_adaptive served_mixed; do
