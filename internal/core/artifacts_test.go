@@ -50,11 +50,14 @@ func artifactsDigest(t *testing.T, camp *Campaign) string {
 
 // TestCampaignArtifactsGolden pins every byte a campaign produces: the
 // staged files and the provenance database. The digests were
-// re-recorded once at trajectory epoch 2 — the root-frame pose model,
+// re-recorded at trajectory epoch 2 — the root-frame pose model,
 // Vina's reusable summation order and the re-fitted FEB calibration,
 // from the full-walk search before the incremental evaluator existed —
-// and must never be edited by a change that claims to preserve
-// behaviour. The bench digest covers ddocking rows and TET bits only;
+// and again when the radial tables took their octave-indexed geometry
+// and every exponential on the exact path (table nodes, cost draws,
+// Metropolis test) moved to fmath.Exp, which gives equal digests with
+// and without GODEBUG=cpu.fma=off. They must never be edited by a
+// change that claims to preserve behaviour. The bench digest covers ddocking rows and TET bits only;
 // this covers the rest.
 func TestCampaignArtifactsGolden(t *testing.T) {
 	switch runtime.GOARCH {
@@ -76,7 +79,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Mode: ModeAdaptive, Dataset: small, Cores: 8,
 				Effort: SmokeEffort(), Seed: 2014, HgGuard: true,
 			},
-			want: "d905d591cf421cd589b06753f97d097b9d80305db2ae10c0e0a9d989d85e841e",
+			want: "84e2c3d919d822433615da9053736b01361268bae451666fd8a28ce5f5867229",
 		},
 		{
 			name: "ad4-writemaps",
@@ -86,7 +89,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Cores:   2, Effort: SmokeEffort(), HgGuard: true, DisableFailures: true,
 				WriteMaps: true,
 			},
-			want: "74b21b64ba5373839a7ff347b55788247261fdf3bde161e39904ffef8a820175",
+			want: "44bb079447dd22fec8cbb5343b0d742e38ade74f411d94949ebc3f31599f9ddb",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -255,11 +255,17 @@ func wrap(a float64) float64 {
 	return a
 }
 
-// solisWets is AutoDock's local search: adaptive random-direction
-// descent. Successful steps expand the step size and leave a bias;
-// failures try the opposite direction, then shrink. The pose is
-// refined in place through the workspace — zero allocations per
-// candidate — and the improved energy returned.
+// solisWets is a simplified form of AutoDock's Solis-Wets local
+// search: each step draws a fresh gaussian perturbation of the current
+// pose (step scale rho: 0.5·rho Å on translation, 0.15·rho rad on
+// orientation and torsions), clamps it into the box, and keeps it only
+// if it lowers the energy.
+// Four successes in a row double rho, four failures in a row halve
+// it, and the search stops after LocalIts steps or once rho falls to
+// 0.01. Unlike AutoDock it keeps no bias vector and never tries the
+// opposite of a failed step. The pose is refined in place through the
+// workspace — zero allocations per candidate — and the improved
+// energy returned.
 func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.Pose, feb float64, evals *int) float64 {
 	rho := 1.0
 	const rhoMin = 0.01

@@ -49,8 +49,9 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 }
 
 // TestDockTrajectoryGolden pins the whole search trajectory. The
-// digests were re-recorded once at trajectory epoch 2 (the root-frame
-// pose model); the LGA and Solis-Wets themselves did not change.
+// digests were re-recorded at trajectory epoch 2 (the root-frame pose
+// model) and at the octave-indexed radial tables; the LGA and
+// Solis-Wets themselves did not change.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{77, 2014}
@@ -58,8 +59,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		rec, lig string
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", [2]string{"54fa092bafb9b9e4", "8a70ff091bc5a4fb"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"0eb5ae099b16ccd7", "ddf66ee7d0f6b451"}},
+		{"2HHN", "0E6", [2]string{"38a3fd1e48c84420", "18390f673d98c18f"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"ed5feb86b32e9da1", "c5cf846bdb05075c"}},
 	}
 	for _, p := range pairs {
 		maps, lig, box := setupPair(t, p.rec, p.lig)

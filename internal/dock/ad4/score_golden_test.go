@@ -28,18 +28,19 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 }
 
 // TestScoreGolden pins per-pose Score and ReportedFEB to the bit. The
-// digests were re-recorded once at trajectory epoch 2: AD4's scoring
-// did not change, the coordinates it is handed did (the root-frame
-// pose model — no re-centring after the torsions). This pins the
-// float64 addition sequence.
+// digests were re-recorded at trajectory epoch 2, when the coordinates
+// AD4 is handed changed (the root-frame pose model — no re-centring
+// after the torsions), and again when the radial tables took their
+// octave-indexed geometry and fmath's exponentials. This pins the
+// float64 addition sequence and the table nodes.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "f98583c9e2f1f26f"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "68a56d3995d18abf"},
+		{"2HHN", "0E6", "9b22710bffc4f3bd"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "b9d27a3ddef33304"},
 	}
 	for _, p := range pairs {
 		maps, lig, _ := setupPair(t, p.rec, p.lig)

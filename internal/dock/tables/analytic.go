@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/chem"
+	"repro/internal/fmath"
 )
 
 // SmoothRadius is AutoGrid's default potential smoothing (the GPF
@@ -44,12 +45,12 @@ func PairEnergy(probe, rec chem.TypeParams, r float64) float64 {
 		eps *= 5
 		q2 := q * q
 		q10 := q2 * q2 * q2 * q2 * q2
-		return eps * (5*q10*q2 - 6*q10)
+		return eps * (float64(5*q10*q2) - float64(6*q10))
 	}
 	// Ordinary 12-6 Lennard-Jones: E = ε ((rij/r)^12 − 2 (rij/r)^6).
-	q6 := q * q * q
-	q6 *= q6
-	return eps * (q6*q6 - 2*q6)
+	q3 := q * q * q
+	q6 := float64(q3 * q3)
+	return eps * (float64(q6*q6) - float64(2*q6))
 }
 
 // PairEnergySmoothed applies AutoGrid's potential smoothing to
@@ -67,7 +68,7 @@ func PairEnergySmoothed(probe, rec chem.TypeParams, r, smooth float64) float64 {
 	if smooth <= 0 {
 		return PairEnergy(probe, rec, r)
 	}
-	half := smooth / 2
+	half := float64(smooth / 2)
 	rij := (probe.Rii + rec.Rii) / 2
 	// The 12-6 minimum sits at rij; the 12-10 at rij as well (both
 	// are parameterized so the well bottom is at the radius sum).
@@ -97,7 +98,7 @@ func Dielectric(r float64) float64 {
 		k      = 7.7839
 		lambda = 0.003627
 	)
-	e := a + bCoef/(1+k*math.Exp(-lambda*bCoef*r))
+	e := a + bCoef/(1+float64(k*fmath.Exp(-lambda*bCoef*r)))
 	if e < 1 {
 		e = 1
 	}
@@ -120,13 +121,13 @@ func ElecScale(r float64) float64 {
 //
 // unit: r=Å
 func DesolvWeight(r float64) float64 {
-	return 0.1 * math.Exp(-r*r/(2*DesolvSigma*DesolvSigma))
+	return 0.1 * fmath.Exp(-r*r/(2*DesolvSigma*DesolvSigma))
 }
 
 // DesolvCoeff is the per-atom prefactor of the AD4 desolvation term:
 // volume × solvation parameter plus a charge-dependent component.
 func DesolvCoeff(p chem.TypeParams, charge float64) float64 {
-	return p.SolPar*p.SolVol + 0.01097*math.Abs(charge)*p.SolVol
+	return float64(p.SolPar*p.SolVol) + float64(0.01097*math.Abs(charge)*p.SolVol)
 }
 
 // VinaPair is the Vina pairwise scoring function on the surface
@@ -135,24 +136,24 @@ func DesolvCoeff(p chem.TypeParams, charge float64) float64 {
 //
 // unit: r=Å result=kcal/mol
 func VinaPair(a, b chem.TypeParams, r float64) float64 {
-	d := r - (a.Rii/2 + b.Rii/2)
-	e := VinaWGauss1 * gauss(d, 0, 0.5)
-	e += VinaWGauss2 * gauss(d, 3.0, 2.0)
+	d := r - (float64(a.Rii/2) + float64(b.Rii/2))
+	e := float64(VinaWGauss1 * gauss(d, 0, 0.5))
+	e += float64(VinaWGauss2 * gauss(d, 3.0, 2.0))
 	if d < 0 {
-		e += VinaWRepulsion * d * d
+		e += float64(VinaWRepulsion * d * d)
 	}
 	if a.Hydroph && b.Hydroph {
-		e += VinaWHydrophob * ramp(d, 0.5, 1.5)
+		e += float64(VinaWHydrophob * ramp(d, 0.5, 1.5))
 	}
 	if VinaHBondPair(a, b) {
-		e += VinaWHBond * ramp(d, -0.7, 0)
+		e += float64(VinaWHBond * ramp(d, -0.7, 0))
 	}
 	return e
 }
 
 func gauss(d, off, width float64) float64 {
 	x := (d - off) / width
-	return math.Exp(-x * x)
+	return fmath.Exp(-x * x)
 }
 
 // ramp is 1 below lo, 0 above hi, linear between.

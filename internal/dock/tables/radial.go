@@ -12,42 +12,37 @@
 // import cycle) and a process-global cache of built tables, keyed by
 // (kind, type pair) and interned by content, so keys whose potentials
 // tabulate to the same bits share one table. Tables are deterministic
-// functions of the force field alone, so sharing them across scorers
-// and goroutines is safe and keeps per-pair docking setup
-// allocation-free after warm-up.
+// functions of the force field alone — the analytic forms take their
+// exponentials from fmath and round every product on its own, so the
+// nodes do not depend on the CPU's fused multiply-add — and sharing
+// them across scorers and goroutines is safe and keeps per-pair
+// docking setup allocation-free after warm-up.
 package tables
 
 import "math"
 
-// Table geometry. Each table has two uniform-in-r² segments: a fine
-// core over [0, SplitR2) where the Lennard-Jones repulsive wall makes
-// the potentials violently curved, and a coarse tail over
-// [SplitR2, Cutoff²] where every potential is smooth. The split keeps
-// interpolation within 1e-3 kcal/mol over the scored range (see
-// DESIGN.md "Kernel architecture") while shrinking each table ~4× so
-// the working set of a multi-table inner loop stays cache-resident —
-// with a single uniform segment at core resolution the lookups are
-// cache-miss bound and most of the table-path speedup evaporates.
+// Table geometry. Every table covers [0, Cutoff²] in two parts:
 //
-// RMin²·invCore = 256 exactly, so the r ≥ RMin clamp baked into the
-// AD4/electrostatic/desolvation tables lands on a table node and never
-// puts a derivative kink inside an interpolation bin; SplitR2 itself
-// is the shared boundary node of the two segments.
+//   - a short uniform core over [0, RMin²) with Δr² = 2⁻⁸ Ų. The
+//     clamped tables (AD4, electrostatic, desolvation) are constant
+//     there; Vina keeps its unclamped values, which only deep clashes
+//     read;
+//   - octaves [2ᵏ, 2ᵏ⁺¹) for k = −2…5, each cut into octaveNodes
+//     equal bins, so the node spacing is at most r²/octaveNodes
+//     everywhere from RMin² to the cutoff. That relative spacing is
+//     what the Lennard-Jones wall near RMin needs, and it is ample on
+//     the smooth tail (see DESIGN.md "Resolution and error bound").
+//
+// Cutoff² = 2⁶ and RMin² = 2⁻² are exact powers of two, so both ends
+// of the octave part are nodes, and the r ≥ RMin clamp never puts a
+// derivative kink inside an interpolation bin. An octave node's index
+// is the top bits of its r²'s float64 encoding (exponent and top
+// octaveBits mantissa bits) less a constant, which is all At2 computes.
 const (
 	// Cutoff is the non-bonded interaction cutoff in Å shared by
 	// AutoGrid map generation and both scoring functions.
 	//unit: Å
 	Cutoff = 8.0
-	// SplitR2 is the r² boundary (Ų) between the fine core segment
-	// and the coarse tail segment.
-	//unit: Å2
-	SplitR2 = 16.0
-	// BinsCore is the number of r² bins covering [0, SplitR2):
-	// Δr² = 2⁻¹⁰ Ų, fine enough for the r≈RMin repulsive core.
-	BinsCore = 1 << 14
-	// BinsTail is the number of r² bins covering [SplitR2, Cutoff²]:
-	// Δr² ≈ 1.2e-2 Ų, ample for the smooth attractive tail.
-	BinsTail = 1 << 12
 	// RMin is AutoGrid's minimum interaction distance: pair terms are
 	// evaluated at max(r, RMin), capping the singular repulsive core.
 	//unit: Å
@@ -56,61 +51,87 @@ const (
 	//unit: Å2
 	RMin2 = RMin * RMin
 
-	// NNodes is the total node count of every Radial: BinsCore core
-	// nodes plus BinsTail+1 tail nodes (the boundary node is shared).
-	NNodes = BinsCore + BinsTail + 1
+	coreBins    = 64               // uniform bins over [0, RMin²)
+	coreInv     = coreBins / RMin2 // core bins per Ų
+	octaveBits  = 8
+	octaveNodes = 1 << octaveBits // bins per octave of r²
+	octaves     = 8               // [2⁻², 2⁶)
 
-	invCore = BinsCore / SplitR2                   // core bins per Ų
-	invTail = BinsTail / (Cutoff*Cutoff - SplitR2) // tail bins per Ų
+	// nNodes is the node count of every Radial: the core nodes, then
+	// the octave nodes from RMin² up to and including Cutoff².
+	nNodes = coreBins + octaves*octaveNodes + 1
+
+	// fracBits is the number of low mantissa bits below the node
+	// index; they hold the interpolation fraction.
+	fracBits = 52 - octaveBits
+	// octaveBase is RMin²'s index bits (biased exponent 1023−2, zero
+	// mantissa) less its node index, so an octave node's index is
+	// Float64bits(r²)>>fracBits − octaveBase.
+	octaveBase = (1023-2)<<octaveBits - coreBins
 )
 
-// Radial is one radial interaction tabulated on the two-segment
-// r²-indexed grid over [0, Cutoff²], evaluated by linear interpolation
-// in r². Queries at or beyond the cutoff return the last node (callers
+// Radial is one radial interaction tabulated on the octave-indexed r²
+// grid over [0, Cutoff²], evaluated by linear interpolation in r².
+// Queries at or beyond the cutoff return the last node (callers
 // cutoff-check first; every tabulated potential is ~0 there).
 type Radial struct {
-	// vals holds BinsCore core nodes (vals[i] = f(√(i/invCore)) for
-	// i < BinsCore), then the BinsTail+1 tail nodes starting with the
-	// shared boundary node at r² = SplitR2. A fixed-size array, so a
-	// *Radial is the node pointer itself: At2 inlined into a scoring
-	// loop loads no slice header and checks the index against a
-	// constant.
-	vals [NNodes]float64
+	// vals holds the coreBins core nodes (vals[i] = f(√(i/coreInv))),
+	// then the octave nodes from r² = RMin² to r² = Cutoff², then the
+	// last node once more: At2 clamps a beyond-cutoff index onto the
+	// last node and interpolates towards its equal copy, so the clamp
+	// costs no branch. A fixed-size array, so a *Radial is the node
+	// pointer itself: At2 inlined into a scoring loop loads no slice
+	// header.
+	vals [nNodes + 1]float64
+}
+
+// nodeR2 is the squared distance (Ų) of node i < nNodes.
+func nodeR2(i int) float64 {
+	if i < coreBins {
+		return float64(i) / coreInv
+	}
+	return math.Float64frombits(uint64(i+octaveBase) << fracBits)
 }
 
 // NewRadial tabulates f — a function of the distance r in Å — on the
-// package's two-segment r² grid.
+// package's octave-indexed r² grid.
 func NewRadial(f func(r float64) float64) *Radial {
 	t := new(Radial)
-	for i := 0; i < BinsCore; i++ {
-		t.vals[i] = f(math.Sqrt(float64(i) / invCore))
+	for i := range nNodes {
+		t.vals[i] = f(math.Sqrt(nodeR2(i)))
 	}
-	for j := 0; j <= BinsTail; j++ {
-		t.vals[BinsCore+j] = f(math.Sqrt(SplitR2 + float64(j)/invTail))
-	}
+	t.vals[nNodes] = t.vals[nNodes-1]
 	return t
 }
 
 // At2 returns the interpolated value at squared distance r2 ≥ 0: the
 // one table evaluation both scorers and map generation inline.
 //
-// The table coordinate is the smaller of the two segment coordinates,
-// which selects the right segment without a data-dependent branch (a
-// run of mixed core/tail distances costs no mispredictions). The core
-// line r2·invCore is exact and steeper than the tail line, and the two
-// cross at the shared boundary node, so it lies below the tail line
-// exactly when r2 < SplitR2; rounding is monotone, so the computed
-// values keep that order and can only tie on identical bits. The
-// result is therefore bit for bit the branch `if r2 >= SplitR2` would
-// pick.
+// From RMin² on, the node index is the bits of r2 above fracBits (an
+// index past the last node is clamped onto it), and the bits below,
+// scaled by 2^-fracBits, are the fraction of the bin: within one
+// octave r² is linear in its mantissa, so this is linear interpolation
+// in r², and at a node the fraction is exactly zero. Sub-RMin
+// distances take the uniform core, a branch only deep clashes reach,
+// so it is all but never mispredicted.
+//
+// The inlining cost is at the compiler's budget of 80: check
+// `go build -gcflags=-m` after any edit, since a call per pair term
+// would cost more than the table saves.
 //
 // unit: r2=Å2
 func (t *Radial) At2(r2 float64) float64 {
-	x := min(r2*invCore, BinsCore+(r2-SplitR2)*invTail)
-	i := int(x)
-	if i >= NNodes-1 {
-		return t.vals[NNodes-1]
+	var i int
+	var frac float64
+	if r2 < RMin2 {
+		x := float64(r2 * coreInv)
+		i = int(x)
+		frac = x - float64(i)
+	} else {
+		b := math.Float64bits(r2)
+		i = int(min(b>>fracBits, octaveBase+nNodes-1)) - octaveBase
+		frac = float64(b&(1<<fracBits-1)) * (1.0 / (1 << fracBits))
 	}
 	v := t.vals[i]
-	return v + (x-float64(i))*(t.vals[i+1]-v)
+	return v + float64(frac*(t.vals[i+1]-v))
 }

@@ -29,19 +29,20 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 }
 
 // TestScoreGolden pins per-pose Score and ReportedFEB to the bit. The
-// digests were re-recorded once at trajectory epoch 2 — the root-frame
-// pose model (no re-centring after the torsions) and the reusable
-// summation order (per-atom inter sums, per-fragment-pair intra sums)
-// — so this test, not a second kernel pinned against Score, is the
-// witness of the hit order and the float64 addition sequence.
+// digests were re-recorded at trajectory epoch 2 — the root-frame pose
+// model (no re-centring after the torsions) and the reusable summation
+// order (per-atom inter sums, per-fragment-pair intra sums) — and
+// again at the octave-indexed radial tables built with fmath.Exp, so
+// this test, not a second kernel pinned against Score, is the witness
+// of the hit order, the float64 addition sequence and the table nodes.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "c4fd8e363a01fdab"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "6562e8a96cc5e465"},
+		{"2HHN", "0E6", "8771df0eadb9487e"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "18872a7803eec56e"},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

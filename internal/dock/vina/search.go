@@ -2,7 +2,6 @@ package vina
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/dock"
+	"repro/internal/fmath"
 	"repro/internal/parallel"
 	"repro/internal/prep"
 )
@@ -175,7 +175,7 @@ func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, step
 		dock.PerturbInto(r, cand, *cur, 2.0, 0.5)
 		dock.ClampToBox(cand, box)
 		candFeb := e.localOptimize(s, ws, box, cand, r)
-		if candFeb < curFeb || r.Float64() < math.Exp((curFeb-candFeb)/temperature) {
+		if candFeb < curFeb || r.Float64() < fmath.Exp((curFeb-candFeb)/temperature) {
 			cur, cand = cand, cur
 			curFeb = candFeb
 			if curFeb < bestFeb {

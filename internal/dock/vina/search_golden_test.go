@@ -48,11 +48,13 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 }
 
 // TestDockTrajectoryGolden pins the whole search trajectory. The
-// digests were re-recorded once at trajectory epoch 2, from the search
+// digests were first re-recorded at trajectory epoch 2, from the search
 // that called Score(ws.Coords(probe)) on every probe, before the
 // incremental evaluator existed — so the evaluator that replaced that
-// full walk is proven to follow the same trajectory to the bit
-// (TestIncrementalMatchesFullWalk keeps comparing the two).
+// full walk was proven to follow the same trajectory to the bit
+// (TestIncrementalMatchesFullWalk keeps comparing the two) — and again
+// at the octave-indexed radial tables and fmath.Exp in the tables and
+// the Metropolis test.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{19, 2014}
@@ -61,8 +63,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		steps    int
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", 6, [2]string{"7be6c92066591b2a", "d2c24ea830c0e993"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"9af3c2ce48dfb8a1", "0476f2ebc68ba004"}},
+		{"2HHN", "0E6", 6, [2]string{"f0b6410390c5e19d", "e62e373547fcdea7"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"1b7bfb965d60a68e", "502935a42d37cf8e"}},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

@@ -6,11 +6,11 @@
 package sched
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
 
+	"repro/internal/fmath"
 	"repro/internal/lazyrand"
 )
 
@@ -104,7 +104,7 @@ func (c *CostModel) Sample(tag, key string) float64 {
 	// Lognormal with E[X] = mean: X = mean * exp(σZ - σ²/2).
 	z := r.NormFloat64()
 	generators.Put(r)
-	x := e.mean * math.Exp(e.sigma*z-e.sigma*e.sigma/2)
+	x := e.mean * fmath.Exp(e.sigma*z-e.sigma*e.sigma/2)
 	if x < e.min {
 		x = e.min
 	}

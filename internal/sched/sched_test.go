@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/fmath"
 )
 
 func TestCostModelDeterministicAndClamped(t *testing.T) {
@@ -114,7 +115,7 @@ func TestDrawsEqualFreshGenerators(t *testing.T) {
 		e := costTable[tag]
 		for _, key := range keys {
 			r := freshDraw(tag + "|" + key)
-			x := e.mean * math.Exp(e.sigma*r.NormFloat64()-e.sigma*e.sigma/2)
+			x := e.mean * fmath.Exp(e.sigma*r.NormFloat64()-e.sigma*e.sigma/2)
 			want := math.Min(math.Max(x, e.min), e.max) * cm.Scale
 			got := cm.Sample(tag, key)
 			if math.Float64bits(got) != math.Float64bits(want) {
