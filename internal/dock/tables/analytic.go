@@ -7,6 +7,12 @@ import (
 	"repro/internal/fmath"
 )
 
+// In the forms below every product that meets an addition is wrapped in
+// an explicit float64 conversion, which the Go specification says no
+// compiler may fuse into a multiply-add, and every exponential is
+// fmath.Exp: the tables' nodes are the same bits on every CPU and
+// GOARCH.
+
 // SmoothRadius is AutoGrid's default potential smoothing (the GPF
 // "smooth 0.5" keyword): the pairwise potential at r is replaced by
 // its minimum over |r'-r| ≤ smooth/2, flattening the well bottom so

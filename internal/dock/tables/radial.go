@@ -37,7 +37,8 @@ import "math"
 // of the octave part are nodes, and the r ≥ RMin clamp never puts a
 // derivative kink inside an interpolation bin. An octave node's index
 // is the top bits of its r²'s float64 encoding (exponent and top
-// octaveBits mantissa bits) less a constant, which is all At2 computes.
+// octaveBits mantissa bits) less a constant, so At2 finds the bin with
+// one shift instead of a search or a logarithm.
 const (
 	// Cutoff is the non-bonded interaction cutoff in Å shared by
 	// AutoGrid map generation and both scoring functions.

@@ -111,6 +111,21 @@ func TestContinuousAcrossOctaveEdges(t *testing.T) {
 	}
 }
 
+// Beyond the cutoff At2 returns the last node bit for bit, whatever
+// the low mantissa bits of r2: the index is clamped onto the last node
+// and interpolates towards its repeated copy.
+func TestBeyondCutoffIsLastNode(t *testing.T) {
+	for _, fam := range familyTables() {
+		want := math.Float64bits(fam.tbl.At2(Cutoff * Cutoff))
+		for _, r2 := range []float64{math.Nextafter(Cutoff*Cutoff, 100), 64.3, 99.99, 1e6, math.Inf(1)} {
+			if got := math.Float64bits(fam.tbl.At2(r2)); got != want {
+				t.Errorf("%s: At2(%v) = %v, want the last node %v", fam.name, r2,
+					math.Float64frombits(got), math.Float64frombits(want))
+			}
+		}
+	}
+}
+
 // Below RMin² the clamped tables are constant, bit for bit, and Vina's
 // core nodes hold its unclamped values.
 func TestCoreSegment(t *testing.T) {

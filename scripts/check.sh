@@ -103,6 +103,25 @@ echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/Increm
 gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|IncrementalMatchesFullWalk|TorsionProbeLeavesRest' -count=1 \
 	./internal/dock ./internal/dock/vina ./internal/dock/ad4
 
+# Every pair term of map generation and both scorers is one inlined
+# Radial.At2; its inlining cost sits at the compiler's budget, so an
+# edit that pushes it over would turn each term into a call unnoticed.
+echo "==> Radial.At2 stays inlinable"
+go build -gcflags=-m ./internal/dock/tables 2>&1 | grep -q 'can inline (\*Radial).At2' ||
+	{ echo "check: tables.(*Radial).At2 is no longer inlinable (go build -gcflags=-m ./internal/dock/tables)" >&2; exit 1; }
+
+# The digests must not depend on the CPU's fused multiply-add. amd64's
+# math.Exp is assembly that branches on it, so every exponential on the
+# exact path (table nodes, cost draws, Vina's Metropolis test) is
+# fmath.Exp; re-run the goldens with the feature masked to hold that.
+echo "==> goldens without FMA (GODEBUG=cpu.fma=off ScoreGolden/TrajectoryGolden/ArtifactsGolden)"
+(
+	GODEBUG=cpu.fma=off
+	export GODEBUG
+	gated_test 'ScoreGolden|TrajectoryGolden|ArtifactsGolden' -count=1 \
+		./internal/dock/vina ./internal/dock/ad4 ./internal/core
+)
+
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
 	./internal/grid ./internal/dock \
