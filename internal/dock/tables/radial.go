@@ -79,10 +79,10 @@ type Radial struct {
 	// vals holds the coreBins core nodes (vals[i] = f(√(i/coreInv))),
 	// then the octave nodes from r² = RMin² to r² = Cutoff², then the
 	// last node once more: At2 clamps a beyond-cutoff index onto the
-	// last node and interpolates towards its equal copy, so the clamp
-	// costs no branch. A fixed-size array, so a *Radial is the node
-	// pointer itself: At2 inlined into a scoring loop loads no slice
-	// header.
+	// last node and interpolates towards its equal copy, so it needs no
+	// separate return path, which would not fit its inlining budget. A
+	// fixed-size array, so a *Radial is the node pointer itself: At2
+	// inlined into a scoring loop loads no slice header.
 	vals [nNodes + 1]float64
 }
 
