@@ -282,140 +282,6 @@ func TestResultToDLG(t *testing.T) {
 	}
 }
 
-// neighborsOf walks nl's cell spans around q and returns every
-// indexed atom within the cutoff with its squared distance — the
-// filter map generation runs over the same spans.
-func neighborsOf(nl *NeighborList, q chem.Vec3) map[int]float64 {
-	var spans [27][2]int32
-	n := nl.Spans(q, &spans)
-	got := map[int]float64{}
-	for _, sp := range spans[:n] {
-		for _, i := range nl.Indices()[sp[0]:sp[1]] {
-			if r2 := nl.Positions()[i].Dist2(q); r2 <= nl.cutoff*nl.cutoff {
-				got[int(i)] = r2
-			}
-		}
-	}
-	return got
-}
-
-func TestNeighborListMatchesBruteForce(t *testing.T) {
-	rec, _ := data.GenerateReceptor("1CSB")
-	nl := NewNeighborList(rec, 8)
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		q := chem.V(r.Float64()*30-15, r.Float64()*30-15, r.Float64()*30-15)
-		brute := map[int]bool{}
-		for i, a := range rec.Atoms {
-			if a.Pos.Dist(q) <= 8 {
-				brute[i] = true
-			}
-		}
-		got := neighborsOf(nl, q)
-		for i, r2 := range got {
-			if !brute[i] || r2 != rec.Atoms[i].Pos.Dist2(q) {
-				t.Fatalf("trial %d: atom %d at r² %v not a brute-force neighbour", trial, i, r2)
-			}
-		}
-		if len(got) != len(brute) {
-			t.Fatalf("trial %d: %d vs brute %d", trial, len(got), len(brute))
-		}
-	}
-	// A query at an atom's own position sees that atom — including the
-	// atoms that define the bounding box, which sit exactly on the outer
-	// faces of the boundary cells.
-	for i, a := range rec.Atoms {
-		if r2, found := neighborsOf(nl, a.Pos)[i]; !found || r2 != 0 {
-			t.Fatalf("atom %d not found by its own query", i)
-		}
-	}
-	// Far query returns nothing.
-	if count := len(neighborsOf(nl, chem.V(1e4, 1e4, 1e4))); count != 0 {
-		t.Errorf("far query hit %d atoms", count)
-	}
-}
-
-// TestNeighborListForNeighbors2 pins the r²-form neighbour walk over
-// Spans (the walk ForNeighbors2 used to wrap): every reported r² is
-// exact, and membership agrees with the cutoff at random queries.
-func TestNeighborListForNeighbors2(t *testing.T) {
-	rec, _ := data.GenerateReceptor("1CSB")
-	nl := NewNeighborList(rec, 8)
-	r := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		q := chem.V(r.Float64()*30-15, r.Float64()*30-15, r.Float64()*30-15)
-		got := neighborsOf(nl, q)
-		for i, r2 := range got {
-			if want := rec.Atoms[i].Pos.Dist2(q); r2 != want {
-				t.Fatalf("r² wrong for atom %d: got %v want %v", i, r2, want)
-			}
-		}
-		for i, a := range rec.Atoms {
-			if _, ok := got[i]; (a.Pos.Dist(q) <= 8) != ok {
-				t.Fatalf("trial %d: atom %d membership mismatch", trial, i)
-			}
-		}
-	}
-}
-
-// TestNeighborListBoundaryFaces probes each face of the
-// cutoff-expanded bounding box: a query just inside the guard must see
-// exactly the brute-force neighbour set (usually empty but the guard
-// may not drop real neighbours), and a query just outside must
-// early-out with zero visits.
-func TestNeighborListBoundaryFaces(t *testing.T) {
-	rec, _ := data.GenerateReceptor("1CSB")
-	const cutoff = 8.0
-	nl := NewNeighborList(rec, cutoff)
-	min, max := chem.BoundingBox(rec.Positions())
-	center := min.Add(max).Scale(0.5)
-	const eps = 1e-6
-	cases := []struct {
-		name   string
-		q      chem.Vec3
-		inside bool
-	}{
-		{"-x inside", chem.V(min.X-cutoff+eps, center.Y, center.Z), true},
-		{"-x outside", chem.V(min.X-cutoff-eps, center.Y, center.Z), false},
-		{"+x inside", chem.V(max.X+cutoff-eps, center.Y, center.Z), true},
-		{"+x outside", chem.V(max.X+cutoff+eps, center.Y, center.Z), false},
-		{"-y inside", chem.V(center.X, min.Y-cutoff+eps, center.Z), true},
-		{"-y outside", chem.V(center.X, min.Y-cutoff-eps, center.Z), false},
-		{"+y inside", chem.V(center.X, max.Y+cutoff-eps, center.Z), true},
-		{"+y outside", chem.V(center.X, max.Y+cutoff+eps, center.Z), false},
-		{"-z inside", chem.V(center.X, center.Y, min.Z-cutoff+eps), true},
-		{"-z outside", chem.V(center.X, center.Y, min.Z-cutoff-eps), false},
-		{"+z inside", chem.V(center.X, center.Y, max.Z+cutoff-eps), true},
-		{"+z outside", chem.V(center.X, center.Y, max.Z+cutoff+eps), false},
-	}
-	for _, tc := range cases {
-		brute := map[int]bool{}
-		for i, a := range rec.Atoms {
-			if a.Pos.Dist(tc.q) <= cutoff {
-				brute[i] = true
-			}
-		}
-		if !tc.inside && len(brute) != 0 {
-			t.Fatalf("%s: test is self-inconsistent, brute found %d", tc.name, len(brute))
-		}
-		// Beyond the expanded box the walk must not visit a single
-		// candidate cell, in or out of the cutoff.
-		var spans [27][2]int32
-		if n := nl.Spans(tc.q, &spans); !tc.inside && n != 0 {
-			t.Errorf("%s: %d candidate cells beyond the expanded box", tc.name, n)
-		}
-		got := neighborsOf(nl, tc.q)
-		if len(got) != len(brute) {
-			t.Errorf("%s: got %d neighbours, brute %d", tc.name, len(got), len(brute))
-		}
-		for i := range brute {
-			if _, ok := got[i]; !ok {
-				t.Errorf("%s: missing atom %d", tc.name, i)
-			}
-		}
-	}
-}
-
 func TestRefineValidation(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.Vec3{}, Size: chem.V(20, 20, 20)}

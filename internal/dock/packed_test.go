@@ -2,6 +2,7 @@ package dock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -11,9 +12,9 @@ import (
 
 // jitteredLattice is a seeded synthetic atom set: side³ carbons on a
 // 2 Å lattice centred at the origin, each displaced by up to ±0.5 Å per
-// axis. side = 23 gives 12167 atoms — above fineGatherMaxAtoms, which
-// no dataset receptor is — so it is the input that takes the
-// prune-sphere entry walk.
+// axis. side = 35 with every fifth atom dropped packs 34,300 atoms —
+// more than an int16 index can address, and more than any dataset
+// receptor has.
 func jitteredLattice(side int, seed int64) *chem.Molecule {
 	r := rand.New(rand.NewSource(seed))
 	m := &chem.Molecule{Name: fmt.Sprintf("lattice%d", side)}
@@ -34,38 +35,36 @@ func jitteredLattice(side int, seed int64) *chem.Molecule {
 	return m
 }
 
-// TestPackedSpansMatchBruteForce pins the candidate walk of the Vina
-// scorer, on both sides of the fine-cell gate: for query points inside
-// the atom box, on its faces and one cutoff outside it, the hit
-// sequence (class and R² bits, in order) of the chunked walk of Spans'
-// candidates (FilterIndexed over the fine-cell index list, FilterSpan
-// over coarse spans) at every chunk length from 1 (a list split at
-// every boundary, every chunk an unpaired tail) to the production 64
-// equals a brute-force scan of the packed atoms in ascending packed
-// order. The fine lists take at most 2 bytes an entry.
+// TestPackedSpansMatchBruteForce pins the receptor neighbour walk of
+// map generation and the Vina scorer: for query points inside the atom
+// box, on its faces, one cutoff outside it, at every atom's own
+// position (the atoms that define the box sit on its faces) and just
+// inside each of the six guard faces, the hit sequence (class and R²
+// bits, in order) of the chunked FilterIndexed walk of Candidates at
+// every chunk length from 1 to the production 64 equals a brute-force
+// scan of the packed atoms in ascending packed order. Just outside each
+// guard face, and far away, a query has no candidate at all. The fine
+// lists hold exact-sized int32 indices into the packed atoms, not atom
+// copies, and address more atoms than an int16 can.
 func TestPackedSpansMatchBruteForce(t *testing.T) {
 	const cutoff = 8.0
 	const cut2 = cutoff * cutoff
 	for _, tc := range []struct {
-		side int
-		fine bool
-	}{{12, true}, {23, false}} {
+		side     int
+		ownEvery int // probe every ownEvery-th atom's position, and every face atom's
+	}{{12, 1}, {35, 97}} {
 		mol := jitteredLattice(tc.side, 2014)
-		nl := NewNeighborList(mol, cutoff)
 		// Every fifth atom is dropped from the packed set, like the
 		// receptor hydrogens the Vina scorer never scores.
-		pn := NewPackedNeighbors(nl, func(atom int32) int32 { return atom%5 - 1 })
+		pn := NewPackedNeighbors(mol, cutoff, func(atom int32) int32 { return atom%5 - 1 })
 		atoms := pn.Atoms()
-		if got := pn.fidx != nil; got != tc.fine {
-			t.Fatalf("side %d: %d packed atoms, fine lists built = %v, want %v",
-				tc.side, len(atoms), got, tc.fine)
+		if tc.side == 35 && len(atoms) <= math.MaxInt16 {
+			t.Fatalf("side %d: %d packed atoms, want more than an int16 addresses", tc.side, len(atoms))
 		}
-		if tc.fine {
-			entries := int(pn.foff[len(pn.foff)-1])
-			if bytes := cap(pn.fidx) * int(unsafe.Sizeof(pn.fidx[0])); bytes > 2*entries {
-				t.Fatalf("side %d: fine lists hold %d entries in %d bytes, want ≤ 2 bytes an entry",
-					tc.side, entries, bytes)
-			}
+		entries := int(pn.foff[len(pn.foff)-1])
+		if cap(pn.fidx) != entries || unsafe.Sizeof(pn.fidx[0]) != 4 {
+			t.Fatalf("side %d: fine lists hold %d entries in cap %d of %d-byte indices, want exact-sized 4-byte indices",
+				tc.side, entries, cap(pn.fidx), unsafe.Sizeof(pn.fidx[0]))
 		}
 		lo, hi := chem.BoundingBox(mol.Positions())
 		r := rand.New(rand.NewSource(7))
@@ -89,15 +88,42 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 			}
 			queries = append(queries, p)
 		}
-		queries = append(queries, chem.V(hi.X+cutoff+1e-6, 0, 0)) // beyond the guard box
+		for i, a := range mol.Atoms {
+			q := a.Pos
+			if i%tc.ownEvery == 0 || q.X == lo.X || q.X == hi.X ||
+				q.Y == lo.Y || q.Y == hi.Y || q.Z == lo.Z || q.Z == hi.Z {
+				queries = append(queries, q)
+			}
+		}
+		// Each face of the cutoff-expanded box, 1e-6 inside and outside,
+		// and one far query.
+		guard := func(s float64) []chem.Vec3 {
+			c := lo.Add(hi).Scale(0.5)
+			return []chem.Vec3{
+				chem.V(lo.X-cutoff-s, c.Y, c.Z), chem.V(hi.X+cutoff+s, c.Y, c.Z),
+				chem.V(c.X, lo.Y-cutoff-s, c.Z), chem.V(c.X, hi.Y+cutoff+s, c.Z),
+				chem.V(c.X, c.Y, lo.Z-cutoff-s), chem.V(c.X, c.Y, hi.Z+cutoff+s),
+			}
+		}
+		const eps = 1e-6
+		queries = append(queries, guard(-eps)...)
+		beyond := append(guard(eps), chem.V(1e4, 1e4, 1e4))
+		for _, p := range beyond {
+			if n := len(pn.Candidates(p)); n != 0 {
+				t.Fatalf("side %d query %v: %d candidates beyond the guard box", tc.side, p, n)
+			}
+		}
 
-		total := 0
-		for qi, p := range queries {
+		total, own := 0, 0
+		for qi, p := range append(queries, beyond...) {
 			var want []Hit
 			for _, a := range atoms {
 				dx, dy, dz := a.X-p.X, a.Y-p.Y, a.Z-p.Z
 				if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
 					want = append(want, Hit{R2: r2, Cls: a.Cls})
+					if r2 == 0 {
+						own++
+					}
 				}
 			}
 			total += len(want)
@@ -114,31 +140,20 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 					}
 				}
 			}
-			var spans [27][2]int32
-			fine, ns := pn.Spans(p, &spans)
-			if tc.fine != (ns == 0) && len(want) > 0 {
-				t.Fatalf("side %d query %d %v: %d coarse spans on the wrong side of the gate", tc.side, qi, p, ns)
-			}
+			cand := pn.Candidates(p)
 			for _, chunk := range []int{1, 2, 3, 7, 64} {
 				var buf [64]Hit
 				var got []Hit
-				for at := 0; at < len(fine); at += chunk {
-					end := min(at+chunk, len(fine))
-					m := FilterIndexed(atoms, fine[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
+				for at := 0; at < len(cand); at += chunk {
+					end := min(at+chunk, len(cand))
+					m := FilterIndexed(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
 					got = append(got, buf[:m]...)
-				}
-				for _, sp := range spans[:ns] {
-					for at := sp[0]; at < sp[1]; at += int32(chunk) {
-						end := min(at+int32(chunk), sp[1])
-						m := FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, buf[:], 0)
-						got = append(got, buf[:m]...)
-					}
 				}
 				check(fmt.Sprintf("chunk-%d walk", chunk), got)
 			}
 		}
-		if total == 0 {
-			t.Fatalf("side %d: no query had a hit", tc.side)
+		if total == 0 || own == 0 {
+			t.Fatalf("side %d: %d hits, %d of them at a query's own atom", tc.side, total, own)
 		}
 	}
 }

@@ -52,7 +52,7 @@ type Scorer struct {
 type ReceptorIndex struct {
 	Receptor *chem.Molecule
 
-	packed      *dock.PackedNeighbors // heavy receptor atoms in span order, Score's walk
+	packed      *dock.PackedNeighbors // heavy receptor atoms, Score's walk
 	recTypeList []chem.AtomType       // heavy receptor types in interTbl column order
 }
 
@@ -73,12 +73,11 @@ type intraGroup struct {
 	lo, hi int32 // intraTbl[lo:hi]
 }
 
-// interScratch is the stack scratch of one atomInter call chain: the
-// span list and one chunk of filtered hits. Callers declare it once
-// and lend it to every atom of a walk.
+// interScratch is the stack scratch of one atomInter call chain: one
+// chunk of filtered hits. Callers declare it once and lend it to every
+// atom of a walk.
 type interScratch struct {
-	hits  [64]dock.Hit
-	spans [27][2]int32
+	hits [64]dock.Hit
 }
 
 // NewReceptorIndex builds the cell lists over the receptor and
@@ -113,11 +112,9 @@ func NewReceptorIndex(receptor *chem.Molecule) (*ReceptorIndex, error) {
 		}
 		recTblIdx = append(recTblIdx, ti)
 	}
-	// Pack the heavy receptor atoms (the only ones that ever score) in
-	// span order: position plus table column per 32-byte slot, walked
-	// with streaming loads instead of an index-CSR gather.
-	nl := dock.NewNeighborList(receptor, cutoff)
-	ix.packed = dock.NewPackedNeighbors(nl, func(aj int32) int32 { return recTblIdx[aj] })
+	// Pack the heavy receptor atoms (the only ones that ever score):
+	// position plus table column per 32-byte slot.
+	ix.packed = dock.NewPackedNeighbors(receptor, cutoff, func(aj int32) int32 { return recTblIdx[aj] })
 	return ix, nil
 }
 
@@ -284,35 +281,24 @@ func (s *Scorer) interEnergy(coords []chem.Vec3) float64 {
 }
 
 // atomInter is sᵢ, heavy ligand atom i's own sum of receptor terms at
-// position p: the candidates of PackedNeighbors.Spans, filtered by
-// dock.FilterIndexed (a fine-cell list) or dock.FilterSpan (coarse
-// spans) and read from the atom's table row in hit order — ascending
-// packed order on both sides of the fine-cell gate. A candidate list
-// is filtered one chunk at a time into the fixed scratch array (chunks
-// keep list order and an even length, so the hit sequence is the whole
-// list's), which is what keeps a shared scorer free of per-call
-// scratch.
+// position p: the candidates of PackedNeighbors.Candidates, filtered
+// by dock.FilterIndexed and read from the atom's table row in hit
+// order — ascending packed order. The candidate list is filtered one
+// chunk at a time into the fixed scratch array (chunks keep list
+// order, so the hit sequence is the whole list's), which is what keeps
+// a shared scorer free of per-call scratch.
 func (s *Scorer) atomInter(i int, p chem.Vec3, scr *interScratch) float64 {
 	const cut2 = cutoff * cutoff
 	hits := &scr.hits
 	row := s.interTbl[i]
 	atoms := s.packed.Atoms()
 	var sum float64
-	fine, ns := s.packed.Spans(p, &scr.spans)
-	for at := 0; at < len(fine); at += len(hits) {
-		end := min(at+len(hits), len(fine))
-		m := dock.FilterIndexed(atoms, fine[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+	cand := s.packed.Candidates(p)
+	for at := 0; at < len(cand); at += len(hits) {
+		end := min(at+len(hits), len(cand))
+		m := dock.FilterIndexed(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
 		for _, h := range hits[:m] {
 			sum += row[h.Cls].At2(h.R2)
-		}
-	}
-	for _, sp := range scr.spans[:ns] {
-		for at := sp[0]; at < sp[1]; at += int32(len(hits)) {
-			end := min(at+int32(len(hits)), sp[1])
-			m := dock.FilterSpan(atoms[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
-			for _, h := range hits[:m] {
-				sum += row[h.Cls].At2(h.R2)
-			}
 		}
 	}
 	return sum

@@ -91,11 +91,11 @@ func TestScoreMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestScoreLargeReceptor runs the scorer on a receptor above the
-// fine-cell gate of dock.PackedNeighbors (no dataset receptor is), so
-// Score takes the prune-sphere entry walk: it stays within the table
-// tolerance of the analytic reference and allocates nothing. The
-// receptor is a seeded jittered 2 Å carbon lattice, 23³ = 12167 atoms.
+// TestScoreLargeReceptor runs the scorer on a receptor larger than any
+// in the dataset, through the same fine-cell walk as every other: it
+// stays within the table tolerance of the analytic reference and
+// allocates nothing. The receptor is a seeded jittered 2 Å carbon
+// lattice, 23³ = 12167 atoms.
 func TestScoreLargeReceptor(t *testing.T) {
 	_, lig := setupPair(t, "2HHN", "0E6")
 	r := rand.New(rand.NewSource(2014))

@@ -177,11 +177,11 @@ func receptorAtomType(a *chem.Atom) chem.AtomType {
 type generator struct {
 	spec        Spec
 	origin      chem.Vec3
-	cells       *dock.NeighborList
-	charge      []float64          // per receptor atom
-	dcoef       []float64          // per receptor atom, desolvation prefactor
-	typeIdx     []int32            // per receptor atom, index into pairTbl rows
-	pairTbl     [][]*tables.Radial // [receptor type][probe] smoothed AD4 tables
+	cells       *dock.PackedNeighbors // every receptor atom, class = its index
+	charge      []float64             // per receptor atom
+	dcoef       []float64             // per receptor atom, desolvation prefactor
+	typeIdx     []int32               // per receptor atom, index into pairTbl rows
+	pairTbl     [][]*tables.Radial    // [receptor type][probe] smoothed AD4 tables
 	elecTbl     *tables.Radial
 	desolvTbl   *tables.Radial
 	elec        []float64
@@ -190,35 +190,33 @@ type generator struct {
 }
 
 // slab fills every map value of z-plane k. affin is the worker's
-// reusable per-point accumulator, hoisted out of the triple loop; the
-// neighbour walk iterates the CSR spans directly so the per-atom loop
-// body is call-free.
+// reusable per-point accumulator, hoisted out of the triple loop. The
+// neighbour walk filters each point's fine-cell candidate list one
+// chunk of hits at a time; a hit's class is its receptor atom index.
 func (g *generator) slab(k int, affin []float64) {
 	const cut2 = interactionCutoff * interactionCutoff
 	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
 	idx := k * nx * ny
 	z := g.origin.Z + float64(k)*g.spec.Spacing
-	cellIdx, atoms := g.cells.Indices(), g.cells.Positions()
-	var spans [27][2]int32
+	atoms := g.cells.Atoms()
+	var hits [64]dock.Hit
 	for j := 0; j < ny; j++ {
 		y := g.origin.Y + float64(j)*g.spec.Spacing
 		for i := 0; i < nx; i++ {
-			p := chem.V(g.origin.X+float64(i)*g.spec.Spacing, y, z)
+			x := g.origin.X + float64(i)*g.spec.Spacing
 			var elec, desolv float64
 			for pi := range affin {
 				affin[pi] = 0
 			}
-			ns := g.cells.Spans(p, &spans)
-			for s := 0; s < ns; s++ {
-				for _, ai := range cellIdx[spans[s][0]:spans[s][1]] {
-					r2 := atoms[ai].Dist2(p)
-					if r2 > cut2 {
-						continue
-					}
-					elec += g.charge[ai] * g.elecTbl.At2(r2)
-					desolv += g.dcoef[ai] * g.desolvTbl.At2(r2)
-					for pi, tbl := range g.pairTbl[g.typeIdx[ai]] {
-						affin[pi] += tbl.At2(r2)
+			cand := g.cells.Candidates(chem.V(x, y, z))
+			for at := 0; at < len(cand); at += len(hits) {
+				end := min(at+len(hits), len(cand))
+				m := dock.FilterIndexed(atoms, cand[at:end], x, y, z, cut2, hits[:], 0)
+				for _, h := range hits[:m] {
+					elec += g.charge[h.Cls] * g.elecTbl.At2(h.R2)
+					desolv += g.dcoef[h.Cls] * g.desolvTbl.At2(h.R2)
+					for pi, tbl := range g.pairTbl[g.typeIdx[h.Cls]] {
+						affin[pi] += tbl.At2(h.R2)
 					}
 				}
 			}
@@ -256,7 +254,7 @@ func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, 
 	g := &generator{
 		spec:   spec,
 		origin: spec.Origin(),
-		cells:  dock.NewNeighborList(receptor, interactionCutoff),
+		cells:  dock.NewPackedNeighbors(receptor, interactionCutoff, func(atom int32) int32 { return atom }),
 	}
 
 	// Per-atom coefficients and a dense receptor-type index so the

@@ -372,15 +372,28 @@ func BenchmarkGenerateMaps(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateMapsSerial times one-worker map generation on both
+// sides of its build-versus-walk trade-off: every Generate builds the
+// receptor's fine-cell candidate lists once, then walks them per
+// lattice point. On the 24³ lattice at 1 Å the walk dominates; on the
+// smoke-effort 10³ lattice at 2.2 Å the build is most of the cost.
 func BenchmarkGenerateMapsSerial(b *testing.B) {
 	rec := preparedReceptor(b, "2HHN")
 	spec, types := benchSpec(rec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GenerateWorkers(rec, spec, types, 1); err != nil {
-			b.Fatal(err)
-		}
+	smoke := spec
+	smoke.NPts, smoke.Spacing = [3]int{10, 10, 10}, 2.2
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{{"24pts_1.0A", spec}, {"10pts_2.2A", smoke}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GenerateWorkers(rec, tc.spec, types, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

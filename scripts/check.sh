@@ -94,8 +94,8 @@ echo "==> product store contracts (-race -count=3 Artifacts/Footprint/Status/Sub
 gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./internal/campaign ./internal/grid
 
 # Focused re-run of the kernel contracts outside the cached suite:
-# the per-pose score and search-trajectory digests, the candidate walk
-# on both sides of the fine-cell gate (PackedSpans, ./internal/dock),
+# the per-pose score and search-trajectory digests, the receptor
+# neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
 # and the two pins of Vina's incremental evaluator: its docks equal the
 # full-walk oracle's bit for bit, and a torsion probe leaves every atom
 # outside its branch bit-identical.
@@ -121,6 +121,23 @@ echo "==> goldens without FMA (GODEBUG=cpu.fma=off ScoreGolden/TrajectoryGolden/
 	gated_test 'ScoreGolden|TrajectoryGolden|ArtifactsGolden' -count=1 \
 		./internal/dock/vina ./internal/dock/ad4 ./internal/core
 )
+
+# amd64 never fuses a multiply into an add, but arm64 does, and a fused
+# site rounds once where amd64 rounds twice. Until every exact-path
+# package is free of them, their count per package may only fall: the
+# table scripts/fma_arm64.txt holds the current counts.
+echo "==> arm64 fused multiply-add ratchet (scripts/fma_arm64.txt)"
+grep -v '^#' scripts/fma_arm64.txt | while read -r pkg want; do
+	got=$(GOARCH=arm64 go build -gcflags=-S "./$pkg" 2>&1 | grep -cE 'FN?M(ADD|SUB)D' || true)
+	if [ "$got" -gt "$want" ]; then
+		echo "check: $pkg emits $got fused multiply-adds under GOARCH=arm64, the table allows $want" >&2
+		exit 1
+	fi
+	if [ "$got" -lt "$want" ]; then
+		echo "check: $pkg emits $got fused multiply-adds under GOARCH=arm64, fewer than $want: lower its entry in scripts/fma_arm64.txt" >&2
+		exit 1
+	fi
+done
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
