@@ -282,6 +282,143 @@ func TestResultToDLG(t *testing.T) {
 	}
 }
 
+// neighborsOf walks pn's candidates for q the way map generation does
+// (the atom's own index as its class, one FilterIndexed pass) and
+// returns every atom within the cutoff with its squared distance.
+func neighborsOf(pn *PackedNeighbors, cutoff float64, q chem.Vec3) map[int]float64 {
+	atoms, cand := pn.Atoms(), pn.Candidates(q)
+	got := map[int]float64{}
+	var buf [64]Hit
+	for at := 0; at < len(cand); at += len(buf) {
+		end := min(at+len(buf), len(cand))
+		m := FilterIndexed(atoms, cand[at:end], q.X, q.Y, q.Z, cutoff*cutoff, buf[:], 0)
+		for _, h := range buf[:m] {
+			got[int(h.Cls)] = h.R2
+		}
+	}
+	return got
+}
+
+// indexClass packs every atom with its own index as class, as
+// grid.Generate does.
+func indexClass(atom int32) int32 { return atom }
+
+func TestNeighborListMatchesBruteForce(t *testing.T) {
+	rec, _ := data.GenerateReceptor("1CSB")
+	pn := NewPackedNeighbors(rec, 8, indexClass)
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 20; trial++ {
+		q := chem.V(r.Float64()*30-15, r.Float64()*30-15, r.Float64()*30-15)
+		brute := map[int]bool{}
+		for i, a := range rec.Atoms {
+			if a.Pos.Dist(q) <= 8 {
+				brute[i] = true
+			}
+		}
+		got := neighborsOf(pn, 8, q)
+		for i, r2 := range got {
+			if !brute[i] || r2 != rec.Atoms[i].Pos.Dist2(q) {
+				t.Fatalf("trial %d: atom %d at r² %v not a brute-force neighbour", trial, i, r2)
+			}
+		}
+		if len(got) != len(brute) {
+			t.Fatalf("trial %d: %d vs brute %d", trial, len(got), len(brute))
+		}
+	}
+	// A query at an atom's own position sees that atom — including the
+	// atoms that define the bounding box, which sit exactly on the outer
+	// faces of the boundary cells.
+	for i, a := range rec.Atoms {
+		if r2, found := neighborsOf(pn, 8, a.Pos)[i]; !found || r2 != 0 {
+			t.Fatalf("atom %d not found by its own query", i)
+		}
+	}
+	// Far query returns nothing.
+	if count := len(neighborsOf(pn, 8, chem.V(1e4, 1e4, 1e4))); count != 0 {
+		t.Errorf("far query hit %d atoms", count)
+	}
+}
+
+// TestNeighborListForNeighbors2 pins the r²-form neighbour walk over
+// Candidates: every reported r² is exact, and membership agrees with
+// the cutoff at random queries.
+func TestNeighborListForNeighbors2(t *testing.T) {
+	rec, _ := data.GenerateReceptor("1CSB")
+	pn := NewPackedNeighbors(rec, 8, indexClass)
+	r := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 20; trial++ {
+		q := chem.V(r.Float64()*30-15, r.Float64()*30-15, r.Float64()*30-15)
+		got := neighborsOf(pn, 8, q)
+		for i, r2 := range got {
+			if want := rec.Atoms[i].Pos.Dist2(q); r2 != want {
+				t.Fatalf("r² wrong for atom %d: got %v want %v", i, r2, want)
+			}
+		}
+		for i, a := range rec.Atoms {
+			if _, ok := got[i]; (a.Pos.Dist(q) <= 8) != ok {
+				t.Fatalf("trial %d: atom %d membership mismatch", trial, i)
+			}
+		}
+	}
+}
+
+// TestNeighborListBoundaryFaces probes each face of the
+// cutoff-expanded bounding box: a query just inside the guard must see
+// exactly the brute-force neighbour set (usually empty but the guard
+// may not drop real neighbours), and a query just outside must
+// early-out with no candidate at all.
+func TestNeighborListBoundaryFaces(t *testing.T) {
+	rec, _ := data.GenerateReceptor("1CSB")
+	const cutoff = 8.0
+	pn := NewPackedNeighbors(rec, cutoff, indexClass)
+	min, max := chem.BoundingBox(rec.Positions())
+	center := min.Add(max).Scale(0.5)
+	const eps = 1e-6
+	cases := []struct {
+		name   string
+		q      chem.Vec3
+		inside bool
+	}{
+		{"-x inside", chem.V(min.X-cutoff+eps, center.Y, center.Z), true},
+		{"-x outside", chem.V(min.X-cutoff-eps, center.Y, center.Z), false},
+		{"+x inside", chem.V(max.X+cutoff-eps, center.Y, center.Z), true},
+		{"+x outside", chem.V(max.X+cutoff+eps, center.Y, center.Z), false},
+		{"-y inside", chem.V(center.X, min.Y-cutoff+eps, center.Z), true},
+		{"-y outside", chem.V(center.X, min.Y-cutoff-eps, center.Z), false},
+		{"+y inside", chem.V(center.X, max.Y+cutoff-eps, center.Z), true},
+		{"+y outside", chem.V(center.X, max.Y+cutoff+eps, center.Z), false},
+		{"-z inside", chem.V(center.X, center.Y, min.Z-cutoff+eps), true},
+		{"-z outside", chem.V(center.X, center.Y, min.Z-cutoff-eps), false},
+		{"+z inside", chem.V(center.X, center.Y, max.Z+cutoff-eps), true},
+		{"+z outside", chem.V(center.X, center.Y, max.Z+cutoff+eps), false},
+	}
+	for _, tc := range cases {
+		brute := map[int]bool{}
+		for i, a := range rec.Atoms {
+			if a.Pos.Dist(tc.q) <= cutoff {
+				brute[i] = true
+			}
+		}
+		if !tc.inside && len(brute) != 0 {
+			t.Fatalf("%s: test is self-inconsistent, brute found %d", tc.name, len(brute))
+		}
+		// Beyond the expanded box the walk must not visit a single
+		// candidate, in or out of the cutoff.
+		if n := len(pn.Candidates(tc.q)); !tc.inside && n != 0 {
+			t.Errorf("%s: %d candidates beyond the expanded box", tc.name, n)
+		}
+		got := neighborsOf(pn, cutoff, tc.q)
+		if len(got) != len(brute) {
+			t.Errorf("%s: got %d neighbours, brute %d", tc.name, len(got), len(brute))
+		}
+		for i := range brute {
+			if _, ok := got[i]; !ok {
+				t.Errorf("%s: missing atom %d", tc.name, i)
+			}
+		}
+	}
+}
+
 func TestRefineValidation(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.Vec3{}, Size: chem.V(20, 20, 20)}
