@@ -86,9 +86,11 @@ func main() {
 		fmt.Printf("  %s scored %d poses", exp.program, st.Evaluations)
 		if probes := st.TranslationProbes + st.RotationProbes + st.TorsionProbes; probes > 0 {
 			fmt.Printf(": %d local-search probes (%d translation, %d rotation, %d torsion),\n"+
-				"  per-atom sums %d computed / %d reused from the incumbent, intra groups %d / %d",
+				"  per-atom sums %d computed / %d reused from the incumbent, intra groups %d / %d,\n"+
+				"  %d per-atom torsion rotations (%.0f per pose)",
 				probes, st.TranslationProbes, st.RotationProbes, st.TorsionProbes,
-				st.AtomSumsScored, st.AtomSumsReused, st.IntraGroupsScored, st.IntraGroupsReused)
+				st.AtomSumsScored, st.AtomSumsReused, st.IntraGroupsScored, st.IntraGroupsReused,
+				st.TorsionRotations, float64(st.TorsionRotations)/float64(st.Evaluations))
 		}
 		fmt.Println()
 	}

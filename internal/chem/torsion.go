@@ -21,8 +21,25 @@ type Torsion struct {
 }
 
 // TorsionTree is the flexibility model of a ligand: a root rigid
-// fragment plus an ordered list of rotatable bonds. The order is
-// root-outward so torsions can be applied sequentially.
+// fragment plus an ordered list of rotatable bonds, applied one after
+// another in that order.
+//
+// A tree that is ordered — the rule Lineage checks, and what
+// BuildTorsionTree (breadth-first) and ParsePDBQT (reversed ENDBRANCH
+// order) build — meets three conditions. Call torsion j an ancestor of
+// torsion k, and k a descendant of j, when Moved_k lies strictly inside
+// Moved_j:
+//
+//   - every pair of Moved sets is nested or disjoint, and no two are
+//     equal;
+//   - every ancestor comes before its descendants;
+//   - a torsion's axis atoms are moved by its ancestors and by no other
+//     torsion: Axis2 lies in its own Moved set, Axis1 outside it, and
+//     either lies in another torsion's Moved set exactly when that
+//     torsion is an ancestor.
+//
+// On such a tree a change to one angle can be re-placed by walking only
+// its own branch (Lineage.Replay).
 type TorsionTree struct {
 	Root     int // atom index of the root (heaviest fragment's attachment)
 	Torsions []Torsion
@@ -326,25 +343,186 @@ func (t *TorsionTree) ApplyTorsions(base []Vec3, angles []float64) []Vec3 {
 // as needed), so steady-state pose evaluation allocates nothing. dst
 // must not alias base. It returns the filled slice.
 func (t *TorsionTree) ApplyTorsionsInto(dst, base []Vec3, angles []float64) []Vec3 {
+	out, _ := t.ApplyTorsionsRecord(dst, base, angles, nil)
+	return out
+}
+
+// ApplyTorsionsRecord is ApplyTorsionsInto keeping the record a replay
+// starts from: it stores in quats[k] the rotation torsion k applied
+// (with quats nil it keeps none; a zero angle applies no rotation and
+// leaves its entry as it was), and returns the number of per-atom
+// rotations it applied.
+func (t *TorsionTree) ApplyTorsionsRecord(dst, base []Vec3, angles []float64, quats []Quat) ([]Vec3, int) {
 	if len(angles) != len(t.Torsions) {
 		panic(fmt.Sprintf("chem: %d torsion angles for %d torsions", len(angles), len(t.Torsions)))
 	}
 	out := append(dst[:0], base...)
-	for k, tor := range t.Torsions {
+	return out, t.walk(out, nil, angles, quats)
+}
+
+// walk applies the torsions listed in order — every torsion, in tree
+// order, when order is nil — to out, one after another: each rotates
+// its moved atoms by its angle about its axis as out places the axis
+// atoms at that step. A zero angle is skipped. The rotation is stored
+// in quats[k] when quats is non-nil. It returns the number of atoms
+// rotated.
+func (t *TorsionTree) walk(out []Vec3, order []int, angles []float64, quats []Quat) int {
+	steps := len(order)
+	if order == nil {
+		steps = len(t.Torsions)
+	}
+	n := 0
+	for s := 0; s < steps; s++ {
+		k := s
+		if order != nil {
+			k = order[s]
+		}
 		if angles[k] == 0 {
 			continue
 		}
+		tor := &t.Torsions[k]
 		a := out[tor.Axis1]
 		b := out[tor.Axis2]
 		q := AxisAngleQuat(b.Sub(a), angles[k])
-		for _, idx := range tor.Moved {
-			if idx == tor.Axis2 {
-				continue // axis atom does not move
-			}
-			out[idx] = q.Rotate(out[idx].Sub(b)).Add(b)
+		if quats != nil {
+			quats[k] = q
+		}
+		n += rotateAbout(out, tor.Moved, tor.Axis2, q, b)
+	}
+	return n
+}
+
+// rotateAbout rotates out[i] by q about the pivot b for every i in idx
+// but skip (an axis atom, which does not move), and returns the number
+// of atoms it rotated: the per-atom statement of every torsion walk,
+// full or replayed.
+func rotateAbout(out []Vec3, idx []int, skip int, q Quat, b Vec3) int {
+	n := 0
+	for _, i := range idx {
+		if i == skip {
+			continue
+		}
+		out[i] = q.Rotate(out[i].Sub(b)).Add(b)
+		n++
+	}
+	return n
+}
+
+// PlaceInto applies a pose's rigid-body transform — the unit
+// quaternion q about the origin, then the translation tr — to frame,
+// writing dst[i] for every i in idx or, when idx is nil, for every
+// atom. dst may alias frame.
+func PlaceInto(dst, frame []Vec3, idx []int, q Quat, tr Vec3) {
+	if idx == nil {
+		for i, x := range frame {
+			dst[i] = q.Rotate(x).Add(tr)
+		}
+		return
+	}
+	for _, i := range idx {
+		dst[i] = q.Rotate(frame[i]).Add(tr)
+	}
+}
+
+// Lineage is what re-placing a change to one torsion angle involves, per
+// torsion of an ordered tree (see TorsionTree).
+type Lineage struct {
+	tree *TorsionTree
+	// ancestors[k]: the earlier torsions whose Moved set holds Axis2_k,
+	// in tree order.
+	ancestors [][]int
+	// subtree[k]: k, then the later torsions whose Axis2 is in Moved_k,
+	// in tree order.
+	subtree [][]int
+}
+
+// Lineage returns the tree's lineage, or an error naming the first
+// torsion, or pair of torsions, that breaks TorsionTree's ordering rule.
+func (t *TorsionTree) Lineage() (*Lineage, error) {
+	n := 0 // atoms addressed
+	for k, tor := range t.Torsions {
+		lo := min(tor.Axis1, tor.Axis2)
+		n = max(n, tor.Axis1+1, tor.Axis2+1)
+		for _, i := range tor.Moved {
+			lo, n = min(lo, i), max(n, i+1)
+		}
+		if lo < 0 {
+			return nil, fmt.Errorf("chem: torsion %d addresses atom %d", k, lo)
 		}
 	}
-	return out
+	in := make([][]bool, len(t.Torsions)) // in[k][i]: torsion k moves atom i
+	for k, tor := range t.Torsions {
+		in[k] = make([]bool, n)
+		for _, i := range tor.Moved {
+			if in[k][i] {
+				return nil, fmt.Errorf("chem: torsion %d lists atom %d twice", k, i)
+			}
+			in[k][i] = true
+		}
+		if !in[k][tor.Axis2] || in[k][tor.Axis1] {
+			return nil, fmt.Errorf("chem: torsion %d moves axis atom %d or not axis atom %d", k, tor.Axis1, tor.Axis2)
+		}
+	}
+	l := &Lineage{tree: t, ancestors: make([][]int, len(t.Torsions)), subtree: make([][]int, len(t.Torsions))}
+	for k := range t.Torsions {
+		l.subtree[k] = []int{k}
+	}
+	for j, tj := range t.Torsions {
+		for k, tk := range t.Torsions {
+			if j == k {
+				continue
+			}
+			common := 0
+			for _, i := range tk.Moved {
+				if in[j][i] {
+					common++
+				}
+			}
+			inside := common == len(tk.Moved) && len(tk.Moved) < len(tj.Moved) // j is k's ancestor
+			around := common == len(tj.Moved) && len(tj.Moved) < len(tk.Moved)
+			switch {
+			case common > 0 && !inside && !around:
+				return nil, fmt.Errorf("chem: torsions %d and %d move overlapping atom sets, neither inside the other", j, k)
+			case in[j][tk.Axis1] != inside || in[j][tk.Axis2] != inside:
+				return nil, fmt.Errorf("chem: torsion %d moves an axis atom of torsion %d without being its ancestor", j, k)
+			case inside && j > k:
+				return nil, fmt.Errorf("chem: torsion %d comes after its descendant %d", j, k)
+			case inside:
+				l.ancestors[k] = append(l.ancestors[k], j)
+				l.subtree[j] = append(l.subtree[j], k)
+			}
+		}
+	}
+	return l, nil
+}
+
+// Replay re-places the torsion-frame coordinates of a walk for angles
+// that differ from that walk's in torsion k alone. out and quats hold
+// the walk's output and record (ApplyTorsionsRecord's) and are updated
+// in place; it returns the number of per-atom rotations it applied.
+//
+// It resets Moved_k to base, applies each ancestor's recorded rotation
+// to those atoms about the ancestor's axis atom, then walks k and its
+// subtree afresh. The result is ApplyTorsionsRecord's at angles, bit for
+// bit: an atom outside Moved_k is touched only by torsions whose axis
+// atoms lie outside Moved_k too, so it keeps its place; an ancestor's
+// axis atoms lie outside Moved_k and no later torsion moves its Axis2,
+// so its rotation and pivot are the walk's; and k's subtree repeats the
+// walk's operations on the same values in the same order.
+func (l *Lineage) Replay(out, base []Vec3, angles []float64, quats []Quat, k int) int {
+	moved := l.tree.Torsions[k].Moved
+	for _, i := range moved {
+		out[i] = base[i]
+	}
+	n := 0
+	for _, j := range l.ancestors[k] {
+		if angles[j] == 0 {
+			continue
+		}
+		axis := l.tree.Torsions[j].Axis2
+		n += rotateAbout(out, moved, axis, quats[j], out[axis])
+	}
+	return n + l.tree.walk(out, l.subtree[k], angles, quats)
 }
 
 // RigidUnits partitions the nAtoms atoms of the conformation into

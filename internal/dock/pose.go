@@ -66,6 +66,10 @@ type Ligand struct {
 	Tree     *chem.TorsionTree
 	base     []chem.Vec3 // input conformation, about point at the origin
 	refCoord []chem.Vec3 // reference (input frame) coordinates for RMSD
+	// lineage lets CoordsFrom replay one torsion's branch; nil when the
+	// tree is not ordered (chem.TorsionTree), and every pose then takes
+	// the full walk.
+	lineage *chem.Lineage
 }
 
 // NewLigand builds the conformational model. The reference coordinates
@@ -85,7 +89,11 @@ func NewLigand(mol *chem.Molecule, tree *chem.TorsionTree) (*Ligand, error) {
 	for i := range base {
 		base[i] = base[i].Sub(c)
 	}
-	return &Ligand{Mol: mol, Tree: tree, base: base, refCoord: ref}, nil
+	lineage, err := tree.Lineage()
+	if err != nil {
+		lineage = nil // an unordered tree still docks, through the full walk
+	}
+	return &Ligand{Mol: mol, Tree: tree, base: base, refCoord: ref, lineage: lineage}, nil
 }
 
 // NumTorsions returns the ligand's rotatable bond count.
@@ -113,14 +121,113 @@ func (l *Ligand) Coords(p Pose) []chem.Vec3 {
 // reusable partial sums by that bit equality.
 func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 	if len(p.Torsions) != l.NumTorsions() {
-		panic(fmt.Sprintf("dock: pose has %d torsions, ligand %d", len(p.Torsions), l.NumTorsions()))
+		panicTorsions(len(p.Torsions), l.NumTorsions())
 	}
 	coords := l.Tree.ApplyTorsionsInto(buf, l.base, p.Torsions)
-	q := p.Orientation.Normalize()
-	for i := range coords {
-		coords[i] = q.Rotate(coords[i]).Add(p.Translation)
-	}
+	place(coords, coords, nil, &p)
 	return coords
+}
+
+// Placement is a pose as the kinematics placed it, kept so that the
+// next pose can be placed from it (CoordsFrom): the pose, its
+// coordinates in the torsion frame (ApplyTorsionsInto's output, before
+// the rigid-body transform), the rotation each torsion applied, and
+// the final coordinates — the one part read outside this package.
+type Placement struct {
+	pose   Pose
+	frame  []chem.Vec3
+	quats  []chem.Quat // per torsion; stale where the angle is 0, which applies none
+	Coords []chem.Vec3
+}
+
+// CoordsFrom places p into dst with the coordinates CoordsInto gives
+// it, bit for bit, re-placing only what p changed from the placement
+// from (nil: p is placed in full), and returns the number of per-atom
+// torsion rotations that took. dst must not be from.
+//
+//   - p's torsions are from's: the torsion frame is copied and only the
+//     rigid-body transform is applied.
+//   - Exactly one torsion k differs: the torsion frame is copied and k's
+//     branch replayed (chem.Lineage.Replay); when the rigid-body genes
+//     are also from's, the final coordinates are copied and only
+//     Moved_k is transformed again.
+//   - Otherwise, or when the tree has no lineage: the full walk.
+func (l *Ligand) CoordsFrom(dst *Placement, p Pose, from *Placement) int {
+	if len(p.Torsions) != l.NumTorsions() {
+		panicTorsions(len(p.Torsions), l.NumTorsions())
+	}
+	dst.pose.Set(p)
+	dst.quats = grow(dst.quats, len(p.Torsions))
+	var atoms []int // the atoms to transform; nil: all of them
+	rotations := 0
+	if k, n := l.changedTorsions(p, from); n > 1 {
+		dst.frame, rotations = l.Tree.ApplyTorsionsRecord(dst.frame, l.base, p.Torsions, dst.quats)
+	} else {
+		dst.frame = append(dst.frame[:0], from.frame...)
+		copy(dst.quats, from.quats)
+		if n == 1 {
+			rotations = l.lineage.Replay(dst.frame, l.base, p.Torsions, dst.quats, k)
+			if sameRigid(p, from.pose) {
+				dst.Coords = append(dst.Coords[:0], from.Coords...)
+				atoms = l.Tree.Torsions[k].Moved
+			}
+		}
+	}
+	if atoms == nil {
+		dst.Coords = grow(dst.Coords, len(dst.frame))
+	}
+	place(dst.Coords, dst.frame, atoms, &p)
+	return rotations
+}
+
+// changedTorsions returns how many of p's torsions differ in their bits
+// from from's, and the last one that does — or 2 when from is nil, when
+// the tree has no lineage, or when two or more differ: every case
+// CoordsFrom places with the full walk.
+func (l *Ligand) changedTorsions(p Pose, from *Placement) (k, n int) {
+	if from == nil || l.lineage == nil {
+		return -1, 2
+	}
+	k = -1
+	for i, a := range p.Torsions {
+		if math.Float64bits(a) != math.Float64bits(from.pose.Torsions[i]) {
+			k, n = i, n+1
+			if n == 2 {
+				break
+			}
+		}
+	}
+	return k, n
+}
+
+// sameRigid reports whether two poses' rigid-body genes are equal bit
+// for bit.
+func sameRigid(a, b Pose) bool {
+	at, bt, aq, bq := a.Translation, b.Translation, a.Orientation, b.Orientation
+	x := [7]float64{at.X, at.Y, at.Z, aq.W, aq.X, aq.Y, aq.Z}
+	y := [7]float64{bt.X, bt.Y, bt.Z, bq.W, bq.X, bq.Y, bq.Z}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// place applies p's rigid-body transform to the torsion-frame
+// coordinates frame, writing dst at the atoms listed or, when atoms is
+// nil, at all of them. CoordsInto and CoordsFrom both place through
+// here, so the orientation is normalized at one site: arm64 fuses that
+// normalization's multiply-adds, and scripts/fma_arm64.txt counts the
+// sites.
+func place(dst, frame []chem.Vec3, atoms []int, p *Pose) {
+	chem.PlaceInto(dst, frame, atoms, p.Orientation.Normalize(), p.Translation)
+}
+
+// panicTorsions reports a pose whose angle count is not its ligand's
+// torsion count.
+func panicTorsions(pose, ligand int) {
+	panic(fmt.Sprintf("dock: pose has %d torsions, ligand %d", pose, ligand))
 }
 
 // RandomPose samples a uniform pose inside the box with the given

@@ -54,6 +54,11 @@ type Stats struct {
 	// Per-fragment-pair intramolecular sums computed, and taken over
 	// from the incumbent because both fragments were bit-unchanged.
 	IntraGroupsScored, IntraGroupsReused int64
+	// TorsionRotations is the number of per-atom torsion rotations the
+	// kinematics applied: a full walk for a local search's opening
+	// pose, the changed branch's replay for a torsion probe, none for a
+	// rigid-body probe.
+	TorsionRotations int64
 }
 
 // Add accumulates o into s.
@@ -66,6 +71,7 @@ func (s *Stats) Add(o Stats) {
 	s.AtomSumsReused += o.AtomSumsReused
 	s.IntraGroupsScored += o.IntraGroupsScored
 	s.IntraGroupsReused += o.IntraGroupsReused
+	s.TorsionRotations += o.TorsionRotations
 }
 
 // Best returns the run with the lowest FEB.

@@ -18,12 +18,17 @@ import (
 // the rest with the functions Score itself calls, and adds them up in
 // Score's order: the value is Score(coords) to the last bit.
 //
-// What is reusable is decided by comparing coordinate bits, never by
-// consulting the torsion tree, so the result cannot depend on the
-// kinematics argument being right: if a probe moved more than expected
-// it reuses less. A translation or rotation probe moves every atom and
-// reuses nothing (a translation the box clamps back onto the incumbent
-// reuses everything).
+// The probe is placed from the incumbent's placement
+// (dock.Ligand.CoordsFrom): a torsion probe replays only the branch it
+// turns, a rigid-body probe re-applies only the rigid-body transform,
+// and the coordinates are CoordsInto's bit for bit. The kinematics
+// consult the torsion tree's lineage for that; which partial sums are
+// reusable is still decided by comparing coordinate bits, never by
+// consulting the tree, so the sums cannot depend on the kinematics
+// argument being right: if a probe moved more than expected it reuses
+// less. A translation or rotation probe moves every atom and reuses
+// nothing (a translation the box clamps back onto the incumbent reuses
+// everything).
 //
 // The state is the worker's (dock.Workspace.Eval); the scorer stays
 // read-only and shared. An evaluator value lives for one localOptimize
@@ -36,22 +41,22 @@ type evaluator struct {
 
 func newEvaluator(s *Scorer, ws *dock.Workspace) evaluator {
 	st := &ws.Eval
-	st.Resize(len(s.frag), len(s.groups), s.nFrag)
+	st.Resize(len(s.frag), ws.Ligand().NumTorsions(), len(s.groups), s.nFrag)
 	return evaluator{s: s, lig: ws.Ligand(), st: st}
 }
 
 // reset scores p in full, as Score does, and makes it the incumbent.
 func (ev *evaluator) reset(p *dock.Pose) float64 {
-	feb := ev.score(p, nil)
+	feb := ev.score(p, false)
 	ev.accept()
 	return feb
 }
 
-// probe scores p, reusing the incumbent's partial sums wherever p's
-// coordinates are the incumbent's. The incumbent is untouched until
-// accept.
+// probe scores p, reusing the incumbent's placement and partial sums
+// wherever p's coordinates are the incumbent's. The incumbent is
+// untouched until accept.
 func (ev *evaluator) probe(p *dock.Pose) float64 {
-	return ev.score(p, ev.st.Incumbent.Coords)
+	return ev.score(p, true)
 }
 
 // accept makes the pose last scored the incumbent.
@@ -59,15 +64,21 @@ func (ev *evaluator) accept() {
 	ev.st.Incumbent, ev.st.Probe = ev.st.Probe, ev.st.Incumbent
 }
 
-// score materializes p into the probe side and assembles its score,
-// taking over the incumbent's partial sums for atoms whose coordinates
-// equal anchor's bit for bit (nil: none do).
+// score places p into the probe side and assembles its score. Anchored,
+// it places p from the incumbent's placement and takes over the
+// incumbent's partial sums for atoms whose coordinates equal the
+// incumbent's bit for bit; otherwise p is placed and scored in full.
 //
 // exact: Score's partial sums, added in Score's order
-func (ev *evaluator) score(p *dock.Pose, anchor []chem.Vec3) float64 {
+func (ev *evaluator) score(p *dock.Pose, anchored bool) float64 {
 	s, st := ev.s, ev.st
 	inc, prb := &st.Incumbent, &st.Probe
-	prb.Coords = ev.lig.CoordsInto(*p, prb.Coords)
+	var anchor []chem.Vec3
+	var from *dock.Placement
+	if anchored {
+		anchor, from = inc.Coords, &inc.Placement
+	}
+	st.Stats.TorsionRotations += int64(ev.lig.CoordsFrom(&prb.Placement, *p, from))
 	moved := st.Moved
 	for f := range moved {
 		moved[f] = false

@@ -254,8 +254,10 @@ func TestIncrementalMatchesFullWalkPerProbe(t *testing.T) {
 }
 
 // TestDockStats pins what the counters say about the large pair: the
-// compass search is overwhelmingly torsion probes, and those leave
-// most atom sums and pair groups to be taken over from the incumbent.
+// compass search is overwhelmingly torsion probes, those leave most
+// atom sums and pair groups to be taken over from the incumbent, and
+// the kinematics, which replay only the branch a probe turns, rotate
+// about a third of the atoms a full walk would.
 // The counts are per chain and summed in chain order, so they do not
 // depend on the worker count.
 func TestDockStats(t *testing.T) {
@@ -302,6 +304,19 @@ func TestDockStats(t *testing.T) {
 		}
 		if st.IntraGroupsReused == 0 {
 			t.Error("no intramolecular group sum reused")
+		}
+		// A full walk of the large ligand turns 1,073 atoms; a torsion
+		// probe replays only its branch, a rigid-body probe none.
+		full := 0
+		for _, tor := range lig.Tree.Torsions {
+			full += len(tor.Moved) - 1
+		}
+		if full != 1073 {
+			t.Fatalf("a full walk of %s turns %d atoms, want 1073", lig.Mol.Name, full)
+		}
+		if share := float64(st.TorsionRotations) / float64(st.Evaluations) / float64(full); share < 0.25 || share > 0.35 {
+			t.Errorf("%.0f torsion rotations per evaluation, %.0f%% of a full walk's %d: want about a third",
+				float64(st.TorsionRotations)/float64(st.Evaluations), share*100, full)
 		}
 	}
 }

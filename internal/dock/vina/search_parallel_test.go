@@ -99,23 +99,32 @@ func TestLocalOptimizeZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkLocalOptimize tracks the per-candidate evaluation cost of
-// the search hot path; allocs/op must stay 0.
+// the search hot path on the reference pair and on the large one (35
+// torsions, where the branch replay saves most): each iteration is one
+// local optimization from the same fixed pose and seed. allocs/op must
+// stay 0.
 func BenchmarkLocalOptimize(b *testing.B) {
-	rec, lig := setupPair(b, "2HHN", "0E6")
-	s, err := NewScorer(rec, lig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := &Engine{Config: testConfig(5)}
-	box := dock.Box{Center: eng.Config.Center, Size: eng.Config.Size}
-	ws := dock.NewWorkspace(lig)
-	r := rand.New(rand.NewSource(5))
-	cur := ws.Get()
-	dock.RandomPoseInto(r, cur, box, lig.NumTorsions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.localOptimize(s, ws, box, cur, r)
+	for _, p := range [][2]string{{"2HHN", "0E6"}, {data.LargeReceptorCode, data.LargeLigandCode}} {
+		b.Run(p[1], func(b *testing.B) {
+			rec, lig := setupPair(b, p[0], p[1])
+			s, err := NewScorer(rec, lig)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := &Engine{Config: testConfig(5)}
+			box := dock.Box{Center: eng.Config.Center, Size: eng.Config.Size}
+			ws := dock.NewWorkspace(lig)
+			r := rand.New(rand.NewSource(5))
+			start, cur := ws.Get(), ws.Get()
+			dock.RandomPoseInto(r, start, box, lig.NumTorsions())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur.Set(*start)
+				r.Seed(5)
+				eng.localOptimize(s, ws, box, cur, r)
+			}
+		})
 	}
 }
 

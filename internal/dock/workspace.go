@@ -30,11 +30,12 @@ type Workspace struct {
 }
 
 // EvalState is the per-worker state of an incumbent-anchored
-// incremental evaluator (Vina's local optimizer): the partial sums of
-// the incumbent pose and of the probe being scored — swapped when a
-// probe is accepted — and the counters of what was scored and what
-// taken over. It lives here, not on a scorer or an engine, because
-// those are shared between workers and this is one worker's.
+// incremental evaluator (Vina's local optimizer): the placements and
+// partial sums of the incumbent pose and of the probe being scored —
+// swapped when a probe is accepted — and the counters of what was
+// scored and what taken over. It lives here, not on a scorer or an
+// engine, because those are shared between workers and this is one
+// worker's.
 type EvalState struct {
 	Incumbent, Probe Partials
 	// Moved is per-probe scratch: per rigid fragment, whether any of
@@ -44,20 +45,27 @@ type EvalState struct {
 }
 
 // Partials is one pose as an incremental evaluator holds it: its
-// materialized coordinates and the partial sums its score was added up
-// from.
+// placement (the probe is placed from the incumbent's, Ligand.CoordsFrom)
+// and the partial sums its score was added up from.
 type Partials struct {
-	Coords []chem.Vec3
-	Atom   []float64 // per ligand atom: its intermolecular sum
-	Group  []float64 // per intramolecular pair group: its sum
+	Placement
+	Atom  []float64 // per ligand atom: its intermolecular sum
+	Group []float64 // per intramolecular pair group: its sum
 }
 
-// Resize sizes the state for a ligand of the given atom, pair-group and
-// rigid-fragment counts, keeping storage that is already big enough. It
-// does not clear anything: an evaluator scores its first pose in full.
-func (e *EvalState) Resize(atoms, groups, fragments int) {
-	e.Incumbent.Atom, e.Probe.Atom = grow(e.Incumbent.Atom, atoms), grow(e.Probe.Atom, atoms)
-	e.Incumbent.Group, e.Probe.Group = grow(e.Incumbent.Group, groups), grow(e.Probe.Group, groups)
+// Resize sizes the state for a ligand of the given atom, torsion,
+// pair-group and rigid-fragment counts, keeping storage that is already
+// big enough. It does not clear anything: an evaluator scores its first
+// pose in full.
+func (e *EvalState) Resize(atoms, torsions, groups, fragments int) {
+	for _, side := range []*Partials{&e.Incumbent, &e.Probe} {
+		side.frame = grow(side.frame, atoms)
+		side.Coords = grow(side.Coords, atoms)
+		side.quats = grow(side.quats, torsions)
+		side.pose.Torsions = grow(side.pose.Torsions, torsions)
+		side.Atom = grow(side.Atom, atoms)
+		side.Group = grow(side.Group, groups)
+	}
 	e.Moved = grow(e.Moved, fragments)
 }
 
