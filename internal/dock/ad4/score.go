@@ -93,38 +93,7 @@ func NewScorer(maps *grid.Maps, lig *dock.Ligand) (*Scorer, error) {
 
 // intraPairs returns atom index pairs with bond-graph distance ≥ 3
 // (1-4 interactions and beyond), the set AutoDock scores internally.
-func intraPairs(m *chem.Molecule) [][2]int {
-	n := m.NumAtoms()
-	adj := m.Adjacency()
-	var pairs [][2]int
-	dist := make([]int, n)
-	queue := make([]int, 0, n) // one BFS queue, reused from source to source
-	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			if dist[v] >= 3 {
-				continue
-			}
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		for j := src + 1; j < n; j++ {
-			if dist[j] < 0 || dist[j] >= 3 {
-				pairs = append(pairs, [2]int{src, j})
-			}
-		}
-	}
-	return pairs
-}
+func intraPairs(m *chem.Molecule) [][2]int { return m.PairsApart(3) }
 
 // Score implements dock.Scorer: intermolecular grid terms plus the
 // internal energy and the torsional entropy penalty. This is the

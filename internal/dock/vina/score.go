@@ -201,38 +201,7 @@ func (s *Scorer) fragPair(pr intraPair) (a, b int32) {
 
 // intraPairs14 lists ligand atom pairs four or more bonds apart
 // (Vina's internal interaction set).
-func intraPairs14(m *chem.Molecule) [][2]int {
-	n := m.NumAtoms()
-	adj := m.Adjacency()
-	var pairs [][2]int
-	dist := make([]int, n)
-	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			if dist[v] >= 4 {
-				continue
-			}
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		for j := src + 1; j < n; j++ {
-			if dist[j] < 0 || dist[j] >= 4 {
-				pairs = append(pairs, [2]int{src, j})
-			}
-		}
-	}
-	return pairs
-}
+func intraPairs14(m *chem.Molecule) [][2]int { return m.PairsApart(4) }
 
 // Score implements dock.Scorer: the Vina affinity in kcal/mol,
 // inter-molecular terms divided by the rotatable-bond factor plus a

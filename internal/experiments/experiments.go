@@ -494,7 +494,8 @@ func (s *Suite) All() (string, error) {
 }
 
 // ByName dispatches one experiment by id ("t1".."t3", "f5".."f11",
-// "all"), or the calibration fit ("fit").
+// "all"), the calibration fit ("fit") or the search-quality report
+// ("quality").
 func (s *Suite) ByName(name string) (string, error) {
 	switch strings.ToLower(name) {
 	case "t1":
@@ -521,7 +522,9 @@ func (s *Suite) ByName(name string) (string, error) {
 		return s.All()
 	case "fit":
 		return s.Fit()
+	case "quality":
+		return s.Quality()
 	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, all) or fit", name)
+		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, all), fit or quality", name)
 	}
 }

@@ -176,6 +176,17 @@ go run ./cmd/dockbench -exp all >"$ref"
 diff "$ref" results_reference.txt || { echo "check: dockbench -exp all differs from results_reference.txt; regenerate it and EXPERIMENTS.md's quoted numbers" >&2; exit 1; }
 rm -f "$ref"
 
+# How deep each engine's search gets for the poses it scores: mean best
+# raw energy and evaluations per dock over fixed pairs and seeds
+# (≈ 15 s). A change to a search moves these numbers on purpose;
+# results_quality.txt is regenerated with it, so the diff shows the
+# before and after.
+echo "==> results_quality.txt is current (dockbench -exp quality)"
+qual=$(mktemp)
+go run ./cmd/dockbench -exp quality >"$qual"
+diff "$qual" results_quality.txt || { echo "check: dockbench -exp quality differs from results_quality.txt; regenerate it" >&2; exit 1; }
+rm -f "$qual"
+
 echo "==> provenance store benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/prov
 
