@@ -84,13 +84,9 @@ func main() {
 		fmt.Printf("wrote %s: %d atoms, best FEB %.2f kcal/mol (Figure 12)\n", exp.file, res.Atoms, res.FEB)
 		st := res.Stats
 		fmt.Printf("  %s scored %d poses", exp.program, st.Evaluations)
-		if probes := st.TranslationProbes + st.RotationProbes + st.TorsionProbes; probes > 0 {
-			fmt.Printf(": %d local-search probes (%d translation, %d rotation, %d torsion),\n"+
-				"  per-atom sums %d computed / %d reused from the incumbent, intra groups %d / %d,\n"+
-				"  %d per-atom torsion rotations (%.0f per pose)",
-				probes, st.TranslationProbes, st.RotationProbes, st.TorsionProbes,
-				st.AtomSumsScored, st.AtomSumsReused, st.IntraGroupsScored, st.IntraGroupsReused,
-				st.TorsionRotations, float64(st.TorsionRotations)/float64(st.Evaluations))
+		if st.LocalIterations > 0 {
+			fmt.Printf(" (energy plus gradient) in %d accepted quasi-Newton steps, %.1f evaluations per step",
+				st.LocalIterations, float64(st.Evaluations)/float64(st.LocalIterations))
 		}
 		fmt.Println()
 	}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/prep"
 )
 
-// TestTorsionTreeOrder pins the ordering rule the branch replay relies
-// on (chem.TorsionTree): every tree BuildTorsionTree builds over the
+// TestTorsionTreeOrder pins the ordering rule Vina's torsion gradient
+// relies on (chem.TorsionTree): every tree BuildTorsionTree builds over the
 // dataset ligands and the large one meets it, and so does the tree
 // ParsePDBQT reads back from WritePDBQTLigand's output; the same trees
 // with their torsion order reversed break it, as do trees whose Moved
@@ -39,7 +39,7 @@ func TestTorsionTreeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tree.Lineage(); err != nil {
+		if err := tree.CheckOrder(); err != nil {
 			t.Fatalf("%s: BuildTorsionTree's tree is not ordered: %v", raw.Name, err)
 		}
 		var buf bytes.Buffer
@@ -50,7 +50,7 @@ func TestTorsionTreeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := parsed.Tree.Lineage(); err != nil {
+		if err := parsed.Tree.CheckOrder(); err != nil {
 			t.Fatalf("%s: ParsePDBQT's tree is not ordered: %v", raw.Name, err)
 		}
 		for _, tr := range []*chem.TorsionTree{tree, parsed.Tree} {
@@ -60,7 +60,7 @@ func TestTorsionTreeOrder(t *testing.T) {
 			nested++
 			reversed := &chem.TorsionTree{Root: tr.Root, Torsions: slices.Clone(tr.Torsions)}
 			slices.Reverse(reversed.Torsions)
-			if _, err := reversed.Lineage(); err == nil {
+			if err := reversed.CheckOrder(); err == nil {
 				t.Fatalf("%s: the reversed tree passes the ordering rule", raw.Name)
 			}
 		}
@@ -82,14 +82,14 @@ func TestTorsionTreeOrder(t *testing.T) {
 			{Axis1: 2, Axis2: 3, Moved: []int{3, 4}}, {Axis1: 1, Axis2: 2, Moved: []int{2, 3, 4}},
 		},
 	} {
-		if _, err := (&chem.TorsionTree{Torsions: torsions}).Lineage(); err == nil {
+		if err := (&chem.TorsionTree{Torsions: torsions}).CheckOrder(); err == nil {
 			t.Errorf("%s: tree passes the ordering rule", name)
 		}
 	}
 	ordered := &chem.TorsionTree{Torsions: []chem.Torsion{
 		{Axis1: 1, Axis2: 2, Moved: []int{2, 3, 4}}, {Axis1: 2, Axis2: 3, Moved: []int{3, 4}},
 	}}
-	if _, err := ordered.Lineage(); err != nil {
+	if err := ordered.CheckOrder(); err != nil {
 		t.Errorf("a chain of two nested branches: %v", err)
 	}
 }

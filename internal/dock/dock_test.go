@@ -3,6 +3,8 @@ package dock
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/chem"
@@ -46,6 +48,23 @@ func TestNewLigandErrors(t *testing.T) {
 	m := &chem.Molecule{Name: "X", Atoms: []chem.Atom{{Element: chem.Carbon}}}
 	if _, err := NewLigand(m, nil); err == nil {
 		t.Error("nil tree accepted")
+	}
+}
+
+// TestNewLigandRejectsReversedTree: a tree whose torsion order is
+// reversed breaks chem.TorsionTree's ordering rule, which Vina's
+// torsion gradient needs, and NewLigand refuses it with an error that
+// names the rule; the prepared tree itself is accepted.
+func TestNewLigandRejectsReversedTree(t *testing.T) {
+	prepared := largeLigand(t)
+	tree := &chem.TorsionTree{Root: prepared.Tree.Root, Torsions: slices.Clone(prepared.Tree.Torsions)}
+	slices.Reverse(tree.Torsions)
+	_, err := NewLigand(prepared.Mol, tree)
+	if err == nil || !strings.Contains(err.Error(), "ordering rule") {
+		t.Fatalf("reversed tree: err = %v, want one naming the ordering rule", err)
+	}
+	if _, err := NewLigand(prepared.Mol, prepared.Tree); err != nil {
+		t.Fatalf("prepared tree: %v", err)
 	}
 }
 
@@ -132,7 +151,7 @@ func TestCoordsTranslation(t *testing.T) {
 }
 
 // TestTorsionProbeLeavesRestBitIdentical pins the property Vina's
-// incremental evaluator lives on: a pose that differs from another in
+// torsion gradient rests on: a pose that differs from another in
 // angle k alone has bit-identical coordinates on every atom outside
 // Moved_k, for every generated ligand and every k — and the root atom
 // is outside every Moved set, so the frame never moves.

@@ -26,6 +26,14 @@ type Hit struct {
 	_   int32
 }
 
+// HitAt is a Hit that also names its atom: Idx indexes the packed atom
+// array, for callers that need the atom's position (a gradient).
+// FilterIndexedAt stores one per candidate at the cursor.
+type HitAt struct {
+	R2       float64
+	Cls, Idx int32
+}
+
 // PackedNeighbors is the tree's one receptor neighbour walk: a
 // cell-list index over a rigid atom set that, for a query point,
 // returns the candidates of every atom within the cutoff. Map
@@ -236,10 +244,7 @@ func FilterIndexed(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, hi
 	mask := len(hits) - 1
 	for _, i := range idx {
 		a := &atoms[i]
-		dx := a.X - px
-		dy := a.Y - py
-		dz := a.Z - pz
-		r2 := dx*dx + dy*dy + dz*dz
+		r2 := dist2(a, px, py, pz)
 		h := &hits[m&mask]
 		h.R2 = r2
 		h.Cls = a.Cls
@@ -250,4 +255,37 @@ func FilterIndexed(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, hi
 		m += hit
 	}
 	return m
+}
+
+// FilterIndexedAt is FilterIndexed storing HitAt values: the same
+// candidates, the same r² bits, in the same order, each with its
+// packed index.
+//
+// unit: cut2=Å2
+func FilterIndexedAt(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, hits []HitAt, m int) int {
+	mask := len(hits) - 1
+	for _, i := range idx {
+		r2 := dist2(&atoms[i], px, py, pz)
+		h := &hits[m&mask]
+		h.R2 = r2
+		h.Cls = atoms[i].Cls
+		h.Idx = i
+		hit := 0
+		if r2 <= cut2 {
+			hit = 1
+		}
+		m += hit
+	}
+	return m
+}
+
+// dist2 is the squared distance of a packed atom from (px, py, pz),
+// summed over x, y and z as chem.Vec3.Dist2 does, every product
+// rounded on its own (no fused multiply-add on any architecture): the
+// one r² expression of both filters, so their hits agree to the bit.
+func dist2(a *PackedAtom, px, py, pz float64) float64 {
+	dx := a.X - px
+	dy := a.Y - py
+	dz := a.Z - pz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }

@@ -40,38 +40,20 @@ type Result struct {
 
 // Stats counts the work of one docking. The engines sum it per chain
 // (Vina) or run (AD4) in index order, so it is the same for any worker
-// count. AD4 fills Evaluations only: its searches move every degree of
-// freedom at once and score every pose in full.
+// count. AD4 fills Evaluations only.
 type Stats struct {
-	// Evaluations is the number of poses scored.
+	// Evaluations is the number of poses scored; for Vina, each is one
+	// energy-plus-gradient evaluation.
 	Evaluations int64
-	// Local-search probes, by the one kind of degree of freedom each
-	// changes.
-	TranslationProbes, RotationProbes, TorsionProbes int64
-	// Per-atom intermolecular sums computed, and taken over from the
-	// incumbent because the atom's coordinates were bit-unchanged.
-	AtomSumsScored, AtomSumsReused int64
-	// Per-fragment-pair intramolecular sums computed, and taken over
-	// from the incumbent because both fragments were bit-unchanged.
-	IntraGroupsScored, IntraGroupsReused int64
-	// TorsionRotations is the number of per-atom torsion rotations the
-	// kinematics applied: a full walk for a local search's opening
-	// pose, the changed branch's replay for a torsion probe, none for a
-	// rigid-body probe.
-	TorsionRotations int64
+	// LocalIterations is the number of accepted quasi-Newton steps of
+	// Vina's local optimizations.
+	LocalIterations int64
 }
 
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
 	s.Evaluations += o.Evaluations
-	s.TranslationProbes += o.TranslationProbes
-	s.RotationProbes += o.RotationProbes
-	s.TorsionProbes += o.TorsionProbes
-	s.AtomSumsScored += o.AtomSumsScored
-	s.AtomSumsReused += o.AtomSumsReused
-	s.IntraGroupsScored += o.IntraGroupsScored
-	s.IntraGroupsReused += o.IntraGroupsReused
-	s.TorsionRotations += o.TorsionRotations
+	s.LocalIterations += o.LocalIterations
 }
 
 // Best returns the run with the lowest FEB.

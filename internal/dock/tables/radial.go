@@ -136,3 +136,30 @@ func (t *Radial) At2(r2 float64) float64 {
 	v := t.vals[i]
 	return v + float64(frac*(t.vals[i+1]-v))
 }
+
+// At2D returns At2(r2), bit for bit, and dv/dr², the slope of the bin
+// r2 falls in: (vals[i+1] − vals[i]) times the inverse bin width. In the
+// octave part the inverse width is octaveNodes/2ᵉ for r2 in [2ᵉ, 2ᵉ⁺¹),
+// an exact power of two assembled from r2's exponent bits, so no
+// division is paid per pair term. At and beyond the cutoff the slope is
+// 0: the last node is repeated.
+//
+// unit: r2=Å2
+func (t *Radial) At2D(r2 float64) (v, dvdr2 float64) {
+	var i int
+	var frac, inv float64
+	if r2 < RMin2 {
+		x := float64(r2 * coreInv)
+		i = int(x)
+		frac = x - float64(i)
+		inv = coreInv
+	} else {
+		b := math.Float64bits(r2)
+		i = int(min(b>>fracBits, octaveBase+nNodes-1)) - octaveBase
+		frac = float64(b&(1<<fracBits-1)) * (1.0 / (1 << fracBits))
+		inv = math.Float64frombits((2046-b>>52)<<52) * octaveNodes
+	}
+	v0 := t.vals[i]
+	d := t.vals[i+1] - v0
+	return v0 + float64(frac*d), d * inv
+}

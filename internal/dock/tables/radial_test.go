@@ -161,3 +161,35 @@ func TestLinearInR2IsExact(t *testing.T) {
 		}
 	}
 }
+
+// At2D's value is At2's, bit for bit, over a dense r² sweep of every
+// family from 0 past the cutoff, and its slope is the bin's: a
+// function linear in r² has slope −0.5 everywhere to rounding, and
+// beyond the cutoff the slope is 0.
+func TestAt2DMatchesAt2(t *testing.T) {
+	for _, fam := range familyTables() {
+		for i := 0; i <= 200000; i++ {
+			r2 := float64(i) * (1.05 * Cutoff * Cutoff / 200000)
+			v, _ := fam.tbl.At2D(r2)
+			if want := fam.tbl.At2(r2); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s: At2D(%v) value %v, At2 %v", fam.name, r2, v, want)
+			}
+		}
+		for _, r2 := range []float64{Cutoff * Cutoff, math.Nextafter(Cutoff*Cutoff, 100), 64.3, 1e6} {
+			if _, d := fam.tbl.At2D(r2); d != 0 {
+				t.Errorf("%s: slope %v at r² = %v, want 0 at and beyond the cutoff", fam.name, d, r2)
+			}
+		}
+	}
+	tbl := NewRadial(func(r float64) float64 { return 3 - 0.5*r*r })
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 100000; i++ {
+		r2 := rng.Float64() * Cutoff * Cutoff
+		if i%2 == 0 {
+			r2 = rng.Float64() * RMin2 * 4
+		}
+		if _, d := tbl.At2D(r2); math.Abs(d+0.5) > 1e-9 {
+			t.Fatalf("At2D(%v) slope %v, want -0.5", r2, d)
+		}
+	}
+}

@@ -36,7 +36,7 @@ func TestLocalOptimizeNeverClimbs(t *testing.T) {
 			// local minimum, where any kept uphill step shows.
 			for pass := 0; pass < 2; pass++ {
 				start := s.Score(lig.Coords(*cur))
-				got := eng.localOptimize(s, ws, box, cur, r)
+				got := eng.localOptimize(s, ws, box, cur)
 				if got > start {
 					t.Fatalf("%s/%s start %d pass %d: local optimization ended at %v, above its start's %v", p[0], p[1], i, pass, got, start)
 				}

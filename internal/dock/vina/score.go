@@ -37,8 +37,6 @@ type Scorer struct {
 
 	ligIsH    []bool
 	interTbl  [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
-	frag      []int32            // per ligand atom: its rigid fragment (chem.TorsionTree.RigidUnits)
-	nFrag     int                // number of rigid fragments
 	intraTbl  []intraPair        // heavy-atom 1-4+ pairs with their tables, grouped by fragment pair
 	groups    []intraGroup       // the runs of intraTbl, ascending (a, b)
 	rotFactor float64
@@ -65,9 +63,7 @@ type intraPair struct {
 
 // intraGroup is one run of intraTbl: the pairs joining rigid fragments
 // a ≤ b (a == b: pairs inside one fragment, whose distance no pose
-// changes). A group's sum depends on the coordinates of those two
-// fragments alone, which is what makes it a reusable partial of the
-// internal energy.
+// changes). The groups fix the order the internal energy is summed in.
 type intraGroup struct {
 	a, b   int32
 	lo, hi int32 // intraTbl[lo:hi]
@@ -78,6 +74,12 @@ type intraGroup struct {
 // atom of a walk.
 type interScratch struct {
 	hits [64]dock.Hit
+}
+
+// gradScratch is interScratch for atomInterGrad: hits that name their
+// receptor atom.
+type gradScratch struct {
+	hits [64]dock.HitAt
 }
 
 // NewReceptorIndex builds the cell lists over the receptor and
@@ -136,7 +138,7 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 	s := &Scorer{
 		ReceptorIndex: ix,
 		Lig:           lig,
-		rotFactor:     1 + wRot*float64(lig.NumTorsions()),
+		rotFactor:     1 + float64(wRot*float64(lig.NumTorsions())),
 	}
 	for i, a := range lig.Mol.Atoms {
 		t := a.Type
@@ -166,17 +168,14 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 	// Group the pairs by the rigid fragments they join; the stable sort
 	// keeps intraPairs14's order inside a group, so the addition order
 	// is a function of the ligand alone.
-	s.frag = lig.Tree.RigidUnits(lig.Mol.NumAtoms())
-	for _, f := range s.frag {
-		s.nFrag = max(s.nFrag, int(f)+1)
-	}
+	frag := lig.Tree.RigidUnits(lig.Mol.NumAtoms())
 	sort.SliceStable(s.intraTbl, func(x, y int) bool {
-		ax, bx := s.fragPair(s.intraTbl[x])
-		ay, by := s.fragPair(s.intraTbl[y])
+		ax, bx := fragPair(frag, s.intraTbl[x])
+		ay, by := fragPair(frag, s.intraTbl[y])
 		return ax < ay || (ax == ay && bx < by)
 	})
 	for k, pr := range s.intraTbl {
-		a, b := s.fragPair(pr)
+		a, b := fragPair(frag, pr)
 		if n := len(s.groups); n > 0 && s.groups[n-1].a == a && s.groups[n-1].b == b {
 			s.groups[n-1].hi = int32(k + 1)
 			continue
@@ -189,10 +188,11 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 	return s, nil
 }
 
-// fragPair returns the rigid fragments an intramolecular pair joins,
-// lower id first — the key intraTbl is grouped by.
-func (s *Scorer) fragPair(pr intraPair) (a, b int32) {
-	a, b = s.frag[pr.i], s.frag[pr.j]
+// fragPair returns the rigid fragments (frag: per atom, its
+// chem.TorsionTree.RigidUnits id) an intramolecular pair joins, lower
+// id first — the key intraTbl is grouped by.
+func fragPair(frag []int32, pr intraPair) (a, b int32) {
+	a, b = frag[pr.i], frag[pr.j]
 	if a > b {
 		a, b = b, a
 	}
@@ -206,26 +206,23 @@ func intraPairs14(m *chem.Molecule) [][2]int { return m.PairsApart(4) }
 // Score implements dock.Scorer: the Vina affinity in kcal/mol,
 // inter-molecular terms divided by the rotatable-bond factor plus a
 // damped internal term. Hydrogens are invisible to the Vina function.
-// It is the public reference and the test oracle — the search scores
-// through the incremental evaluator (evaluator.go), which adds these
-// same partial sums in this same order. Safe for concurrent use and
-// allocation-free: the scorer is read-only and the hit scratch lives
-// on the caller's stack.
+// It is the public reference; the search scores through energyGrad,
+// which adds the same terms in the same order and so returns the same
+// bits. Safe for concurrent use and allocation-free: the scorer is
+// read-only and the hit scratch lives on the caller's stack.
 //
-// The summation order is chosen so that partial sums are reusable
-// between poses: the inter-molecular energy is Σᵢ sᵢ over heavy ligand
-// atoms ascending, each sᵢ (atomInter) a function of atom i's
-// coordinates alone; the internal energy is Σ over fragment pairs
-// ascending of a per-pair-group sum (groupIntra), each a function of
-// its two fragments' coordinates alone.
+// The inter-molecular energy is Σᵢ sᵢ over heavy ligand atoms
+// ascending, each sᵢ (atomInter) a function of atom i's coordinates
+// alone; the internal energy is Σ over fragment pairs ascending of a
+// per-pair-group sum (groupIntra).
 func (s *Scorer) Score(coords []chem.Vec3) float64 {
 	return s.combine(s.interEnergy(coords), s.intraEnergy(coords))
 }
 
-// combine folds the two sums into the affinity; the evaluator calls it
-// on its reassembled sums so the last operations match Score's too.
+// combine folds the two sums into the affinity; energyGrad calls it on
+// its own sums so the last operations match Score's too.
 func (s *Scorer) combine(inter, intra float64) float64 {
-	return inter/s.rotFactor + intraWeight*(intra-s.intraRef)
+	return inter/s.rotFactor + float64(intraWeight*(intra-s.intraRef))
 }
 
 // ReportedFEB is the affinity Vina prints for a pose: the
@@ -290,9 +287,87 @@ func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
 	gr := s.groups[g]
 	var sum float64
 	for _, pr := range s.intraTbl[gr.lo:gr.hi] {
-		if r2 := coords[pr.i].Dist2(coords[pr.j]); r2 <= cut2 {
+		if r2 := dist2(coords[pr.i], coords[pr.j]); r2 <= cut2 {
 			sum += pr.tbl.At2(r2)
 		}
 	}
 	return sum
+}
+
+// energyGrad returns Score(coords), bit for bit, and writes dE/dxᵢ of
+// every ligand atom into grad (zero for hydrogens), the gradient Vina's
+// local optimizer descends. The energy is assembled exactly as Score
+// assembles it: the same candidates in the same order, the same r², the
+// same table values, the same group order and combine. Each table term
+// v(r²) contributes dv/dr²·2(xᵢ − a) to atom i's gradient, scaled by
+// 1/rotFactor for the receptor terms and by the internal weight, with
+// opposite signs on the two atoms, for the intramolecular ones.
+//
+// exact: energy bit-equal to Score
+func (s *Scorer) energyGrad(coords, grad []chem.Vec3) float64 {
+	var scr gradScratch
+	var inter float64
+	scale := 2 / s.rotFactor
+	for i, p := range coords {
+		if s.ligIsH[i] {
+			grad[i] = chem.Vec3{}
+			continue
+		}
+		e, g := s.atomInterGrad(i, p, &scr)
+		inter += e
+		grad[i] = chem.V(float64(scale*g.X), float64(scale*g.Y), float64(scale*g.Z))
+	}
+	const cut2 = cutoff * cutoff
+	var intra float64
+	for _, gr := range s.groups {
+		var sum float64
+		for _, pr := range s.intraTbl[gr.lo:gr.hi] {
+			xi, xj := coords[pr.i], coords[pr.j]
+			if r2 := dist2(xi, xj); r2 <= cut2 {
+				v, dv := pr.tbl.At2D(r2)
+				sum += v
+				f := float64(2*intraWeight) * dv
+				d := chem.V(float64(f*(xi.X-xj.X)), float64(f*(xi.Y-xj.Y)), float64(f*(xi.Z-xj.Z)))
+				grad[pr.i] = grad[pr.i].Add(d)
+				grad[pr.j] = grad[pr.j].Sub(d)
+			}
+		}
+		intra += sum
+	}
+	return s.combine(inter, intra)
+}
+
+// atomInterGrad is atomInter at p together with Σ dv/dr²·(p − a) over
+// the same hits: the hits of dock.FilterIndexedAt, which are
+// FilterIndexed's with their packed indices, so the sum is atomInter's
+// bit for bit. The filter is branch-free; the hit loop reads each hit's
+// atom back through its index.
+func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *gradScratch) (float64, chem.Vec3) {
+	const cut2 = cutoff * cutoff
+	hits := &scr.hits
+	row := s.interTbl[i]
+	atoms := s.packed.Atoms()
+	var sum, gx, gy, gz float64
+	cand := s.packed.Candidates(p)
+	for at := 0; at < len(cand); at += len(hits) {
+		end := min(at+len(hits), len(cand))
+		m := dock.FilterIndexedAt(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+		for _, h := range hits[:m] {
+			v, dv := row[h.Cls].At2D(h.R2)
+			sum += v
+			a := &atoms[h.Idx]
+			gx += float64(dv * (p.X - a.X))
+			gy += float64(dv * (p.Y - a.Y))
+			gz += float64(dv * (p.Z - a.Z))
+		}
+	}
+	return sum, chem.V(gx, gy, gz)
+}
+
+// dist2 is |a − b|², summed over x, y and z as chem.Vec3.Dist2 does,
+// every product rounded on its own: the r² of every intramolecular
+// pair, in Score and in energyGrad alike.
+func dist2(a, b chem.Vec3) float64 {
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }

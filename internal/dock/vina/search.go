@@ -2,7 +2,6 @@ package vina
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -161,20 +160,20 @@ func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result
 // workspace: zero heap allocations per evaluation.
 func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, steps int, ws *dock.Workspace) mode {
 	r := ws.Rand(e.Config.Seed + int64(chain)*104729)
-	ws.Eval.Stats = dock.Stats{} // the chain's own counters: workers run many chains
+	ws.Stats = dock.Stats{} // the chain's own counters: workers run many chains
 	cur, cand, best := ws.Get(), ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)
 	defer ws.Put(best)
 	dock.RandomPoseInto(r, cur, box, lig.NumTorsions())
-	curFeb := e.localOptimize(s, ws, box, cur, r)
+	curFeb := e.localOptimize(s, ws, box, cur)
 	best.Set(*cur)
 	bestFeb := curFeb
 	const temperature = 1.2 // kcal/mol, Vina's Metropolis T
 	for step := 0; step < steps; step++ {
 		dock.PerturbInto(r, cand, *cur, 2.0, 0.5)
 		dock.ClampToBox(cand, box)
-		candFeb := e.localOptimize(s, ws, box, cand, r)
+		candFeb := e.localOptimize(s, ws, box, cand)
 		if candFeb < curFeb || r.Float64() < fmath.Exp((curFeb-candFeb)/temperature) {
 			cur, cand = cand, cur
 			curFeb = candFeb
@@ -184,7 +183,7 @@ func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, step
 			}
 		}
 	}
-	return mode{pose: best.Clone(), feb: bestFeb, stats: ws.Eval.Stats}
+	return mode{pose: best.Clone(), feb: bestFeb, stats: ws.Stats}
 }
 
 func (e *Engine) receptorName(s *Scorer) string {
@@ -192,83 +191,6 @@ func (e *Engine) receptorName(s *Scorer) string {
 		return s.Receptor.Name
 	}
 	return e.Config.Receptor
-}
-
-// localOptimize is Vina's quasi-Newton refinement, reproduced with a
-// derivative-free compass search over the pose degrees of freedom:
-// each DOF is probed ±step, improvements kept, the step halved on
-// stagnation. Every probe differs from the incumbent in one degree of
-// freedom, which is what the evaluator it scores through exploits;
-// the values, and so the trajectory, are those of scoring each probe
-// with Score.
-func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
-	lig := ws.Ligand()
-	ev := newEvaluator(s, ws)
-	stats := &ws.Eval.Stats
-	probe := ws.Get()
-	defer ws.Put(probe)
-	curFeb := ev.reset(cur)
-	step := 1.0
-	for step > 0.12 {
-		improved := false
-		// Translation axes.
-		for axis := 0; axis < 3; axis++ {
-			for _, sign := range []float64{1, -1} {
-				probe.Set(*cur)
-				d := chem.Vec3{}
-				switch axis {
-				case 0:
-					d.X = sign * step
-				case 1:
-					d.Y = sign * step
-				case 2:
-					d.Z = sign * step
-				}
-				probe.Translation = probe.Translation.Add(d)
-				dock.ClampToBox(probe, box)
-				stats.TranslationProbes++
-				if feb := ev.probe(probe); feb < curFeb {
-					cur.Set(*probe)
-					curFeb = feb
-					ev.accept()
-					improved = true
-				}
-			}
-		}
-		// One random rotation probe per scale (full orientation
-		// enumeration is wasteful; this matches Vina's stochastic
-		// BFGS restarts in effect).
-		axis := chem.V(r.NormFloat64(), r.NormFloat64(), r.NormFloat64())
-		for _, sign := range []float64{1, -1} {
-			probe.Set(*cur)
-			probe.Orientation = chem.AxisAngleQuat(axis, sign*step*0.4).Mul(probe.Orientation).Normalize()
-			stats.RotationProbes++
-			if feb := ev.probe(probe); feb < curFeb {
-				cur.Set(*probe)
-				curFeb = feb
-				ev.accept()
-				improved = true
-			}
-		}
-		// Torsions.
-		for i := 0; i < lig.NumTorsions(); i++ {
-			for _, sign := range []float64{1, -1} {
-				probe.Set(*cur)
-				probe.Torsions[i] += sign * step * 0.5
-				stats.TorsionProbes++
-				if feb := ev.probe(probe); feb < curFeb {
-					cur.Set(*probe)
-					curFeb = feb
-					ev.accept()
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return curFeb
 }
 
 // dedupeModes sorts modes by energy and drops poses within rmsdCut of

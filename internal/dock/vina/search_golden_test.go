@@ -48,13 +48,10 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 }
 
 // TestDockTrajectoryGolden pins the whole search trajectory. The
-// digests were first re-recorded at trajectory epoch 2, from the search
-// that called Score(ws.Coords(probe)) on every probe, before the
-// incremental evaluator existed — so the evaluator that replaced that
-// full walk was proven to follow the same trajectory to the bit
-// (TestIncrementalMatchesFullWalk keeps comparing the two) — and again
-// at the octave-indexed radial tables and fmath.Exp in the tables and
-// the Metropolis test.
+// digests were re-recorded at trajectory epoch 2 (the root-frame pose
+// model), at the octave-indexed radial tables and fmath.Exp in the
+// tables and the Metropolis test, and at the BFGS local optimizer that
+// replaced the compass search.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{19, 2014}
@@ -63,8 +60,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		steps    int
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", 6, [2]string{"f0b6410390c5e19d", "e62e373547fcdea7"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"1b7bfb965d60a68e", "502935a42d37cf8e"}},
+		{"2HHN", "0E6", 6, [2]string{"244a2b541ac4398d", "81019293fff9f0c3"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"f280e0398cda3a15", "5f1f17ccda6cd327"}},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

@@ -89,9 +89,9 @@ func TestLocalOptimizeZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	cur := ws.Get()
 	dock.RandomPoseInto(r, cur, box, lig.NumTorsions())
-	eng.localOptimize(s, ws, box, cur, r) // warm the workspace free list
+	eng.localOptimize(s, ws, box, cur) // warm the workspace free list
 	allocs := testing.AllocsPerRun(20, func() {
-		eng.localOptimize(s, ws, box, cur, r)
+		eng.localOptimize(s, ws, box, cur)
 	})
 	if allocs != 0 {
 		t.Fatalf("localOptimize allocates %v objects/op, want 0", allocs)
@@ -100,7 +100,7 @@ func TestLocalOptimizeZeroAllocs(t *testing.T) {
 
 // BenchmarkLocalOptimize tracks the per-candidate evaluation cost of
 // the search hot path on the reference pair and on the large one (35
-// torsions, where the branch replay saves most): each iteration is one
+// torsions): each iteration is one
 // local optimization from the same fixed pose and seed. allocs/op must
 // stay 0.
 func BenchmarkLocalOptimize(b *testing.B) {
@@ -122,7 +122,7 @@ func BenchmarkLocalOptimize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cur.Set(*start)
 				r.Seed(5)
-				eng.localOptimize(s, ws, box, cur, r)
+				eng.localOptimize(s, ws, box, cur)
 			}
 		})
 	}

@@ -8,8 +8,8 @@ import (
 
 // Workspace is the per-worker scratch state of a conformational
 // search: one reusable coordinate buffer, a small free-list of scratch
-// poses with ligand-sized torsion storage, and the state of the
-// search's incremental evaluator, if it has one. Every candidate
+// poses with ligand-sized torsion storage, the state of a gradient
+// local optimizer, and the search's work counters. Every candidate
 // evaluation — materialize coordinates, score, keep or discard —
 // runs with zero heap allocations once the workspace is warm, which
 // is what lets the search pools of the Vina and AD4 engines spin
@@ -24,49 +24,43 @@ type Workspace struct {
 	free   []*Pose
 	rng    *rand.Rand
 
-	// Eval belongs to the search that owns the workspace; engines that
-	// score every pose in full leave it empty.
-	Eval EvalState
-}
-
-// EvalState is the per-worker state of an incumbent-anchored
-// incremental evaluator (Vina's local optimizer): the placements and
-// partial sums of the incumbent pose and of the probe being scored —
-// swapped when a probe is accepted — and the counters of what was
-// scored and what taken over. It lives here, not on a scorer or an
-// engine, because those are shared between workers and this is one
-// worker's.
-type EvalState struct {
-	Incumbent, Probe Partials
-	// Moved is per-probe scratch: per rigid fragment, whether any of
-	// its atoms differs from the incumbent's.
-	Moved []bool
+	// Local belongs to the local optimizer of the search that owns the
+	// workspace (Vina's BFGS); engines without one leave it empty.
+	Local LocalState
+	// Stats counts the work of the search unit (a Vina chain) the
+	// worker is running; the engine resets it per unit.
 	Stats Stats
 }
 
-// Partials is one pose as an incremental evaluator holds it: its
-// placement (the probe is placed from the incumbent's, Ligand.CoordsFrom)
-// and the partial sums its score was added up from.
-type Partials struct {
-	Placement
-	Atom  []float64 // per ligand atom: its intermolecular sum
-	Group []float64 // per intramolecular pair group: its sum
+// LocalState is the per-worker state of a quasi-Newton local optimizer
+// over the pose's 6 + torsions degrees of freedom: the inverse-Hessian
+// approximation, the pose-space vectors of one iteration, and the
+// coordinates and per-atom gradient of the pose last evaluated. It
+// lives here, not on a scorer or an engine, because those are shared
+// between workers and this is one worker's.
+type LocalState struct {
+	// H is the n×n inverse-Hessian approximation, row-major.
+	H []float64
+	// G is the gradient at the current pose, GNew at the trial pose,
+	// P the search direction and HY scratch for H·y; Y is GNew − G.
+	G, GNew, P, Y, HY []float64
+	// Coords and Grad hold the last evaluated pose's atom coordinates
+	// and dE/dx per atom.
+	Coords, Grad []chem.Vec3
 }
 
-// Resize sizes the state for a ligand of the given atom, torsion,
-// pair-group and rigid-fragment counts, keeping storage that is already
-// big enough. It does not clear anything: an evaluator scores its first
-// pose in full.
-func (e *EvalState) Resize(atoms, torsions, groups, fragments int) {
-	for _, side := range []*Partials{&e.Incumbent, &e.Probe} {
-		side.frame = grow(side.frame, atoms)
-		side.Coords = grow(side.Coords, atoms)
-		side.quats = grow(side.quats, torsions)
-		side.pose.Torsions = grow(side.pose.Torsions, torsions)
-		side.Atom = grow(side.Atom, atoms)
-		side.Group = grow(side.Group, groups)
-	}
-	e.Moved = grow(e.Moved, fragments)
+// Resize sizes the state for n pose degrees of freedom and the given
+// atom count, keeping storage that is already big enough. It clears
+// nothing.
+func (l *LocalState) Resize(n, atoms int) {
+	l.H = grow(l.H, n*n)
+	l.G = grow(l.G, n)
+	l.GNew = grow(l.GNew, n)
+	l.P = grow(l.P, n)
+	l.Y = grow(l.Y, n)
+	l.HY = grow(l.HY, n)
+	l.Coords = grow(l.Coords, atoms)
+	l.Grad = grow(l.Grad, atoms)
 }
 
 func grow[T any](s []T, n int) []T {

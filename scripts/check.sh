@@ -96,12 +96,13 @@ gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the receptor
 # neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
-# and the two pins of Vina's incremental evaluator: its docks equal the
-# full-walk oracle's bit for bit, and a torsion probe leaves every atom
-# outside its branch bit-identical.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/IncrementalMatchesFullWalk/TorsionProbeLeavesRest)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|IncrementalMatchesFullWalk|TorsionProbeLeavesRest' -count=1 \
-	./internal/dock ./internal/dock/vina ./internal/dock/ad4
+# a torsion turn leaving every atom outside its branch bit-identical,
+# and the pins of Vina's gradient: its energy is Score's bit for bit,
+# its pose gradient matches central differences, and At2D's value is
+# At2's.
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2' -count=1 \
+	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of map generation and both scorers is one inlined
 # Radial.At2; its inlining cost sits at the compiler's budget, so an
