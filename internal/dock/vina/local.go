@@ -100,18 +100,17 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 	return f0
 }
 
-// evalPose places pose into ws.Local.Coords, scores it with its atom
-// gradients and writes the pose gradient into g: dE/d(translation),
-// the torque Σ(xᵢ − T)×gᵢ for the rotation vector, and per torsion k
-// u_k·Σ_{i∈Moved_k}(xᵢ − x_Axis2)×gᵢ with u_k the unit vector from
-// Axis1 to Axis2. The torsion terms are exact because on an ordered
+// evalPose places pose into the workspace's coordinate buffer, scores
+// it with its atom gradients and writes the pose gradient into g: the
+// force Σgᵢ for the translation, the torque Σ(xᵢ − T)×gᵢ for the
+// rotation vector, and per torsion k u_k·Σ_{i∈Moved_k}(xᵢ − x_Axis2)×gᵢ
+// with u_k the unit vector from Axis1 to Axis2. The torsion terms are exact because on an ordered
 // tree (chem.TorsionTree) turning angle k rotates Moved_k rigidly about
 // its axis in the final coordinates and moves nothing else.
 func evalPose(s *Scorer, ws *dock.Workspace, pose *dock.Pose, g []float64) float64 {
-	st := &ws.Local
 	lig := ws.Ligand()
-	coords := lig.CoordsInto(*pose, st.Coords)
-	grad := st.Grad
+	coords := ws.Coords(*pose)
+	grad := ws.Local.Grad
 	f := s.energyGrad(coords, grad)
 	ws.Stats.Evaluations++
 
@@ -133,7 +132,8 @@ func evalPose(s *Scorer, ws *dock.Workspace, pose *dock.Pose, g []float64) float
 			}
 		}
 		u := pivot.Sub(coords[tor.Axis1])
-		g[6+k] = (float64(u.X*tk.X) + float64(u.Y*tk.Y) + float64(u.Z*tk.Z)) / math.Sqrt(float64(u.X*u.X)+float64(u.Y*u.Y)+float64(u.Z*u.Z))
+		ut := float64(u.X*tk.X) + float64(u.Y*tk.Y) + float64(u.Z*tk.Z)
+		g[6+k] = ut / math.Sqrt(float64(u.X*u.X)+float64(u.Y*u.Y)+float64(u.Z*u.Z))
 	}
 	return f
 }

@@ -35,18 +35,18 @@ type Workspace struct {
 // LocalState is the per-worker state of a quasi-Newton local optimizer
 // over the pose's 6 + torsions degrees of freedom: the inverse-Hessian
 // approximation, the pose-space vectors of one iteration, and the
-// coordinates and per-atom gradient of the pose last evaluated. It
-// lives here, not on a scorer or an engine, because those are shared
-// between workers and this is one worker's.
+// per-atom gradient of the pose last evaluated (its coordinates are the
+// workspace's Coords buffer). It lives here, not on a scorer or an
+// engine, because those are shared between workers and this is one
+// worker's.
 type LocalState struct {
 	// H is the n×n inverse-Hessian approximation, row-major.
 	H []float64
 	// G is the gradient at the current pose, GNew at the trial pose,
 	// P the search direction and HY scratch for H·y; Y is GNew − G.
 	G, GNew, P, Y, HY []float64
-	// Coords and Grad hold the last evaluated pose's atom coordinates
-	// and dE/dx per atom.
-	Coords, Grad []chem.Vec3
+	// Grad holds dE/dx per atom of the last evaluated pose.
+	Grad []chem.Vec3
 }
 
 // Resize sizes the state for n pose degrees of freedom and the given
@@ -59,7 +59,6 @@ func (l *LocalState) Resize(n, atoms int) {
 	l.P = grow(l.P, n)
 	l.Y = grow(l.Y, n)
 	l.HY = grow(l.HY, n)
-	l.Coords = grow(l.Coords, atoms)
 	l.Grad = grow(l.Grad, atoms)
 }
 
