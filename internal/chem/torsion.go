@@ -373,17 +373,10 @@ func (t *TorsionTree) ApplyTorsionsInto(dst, base []Vec3, angles []float64) []Ve
 
 // PlaceInto applies a pose's rigid-body transform — the unit
 // quaternion q about the origin, then the translation tr — to frame,
-// writing dst[i] for every i in idx or, when idx is nil, for every
-// atom. dst may alias frame.
-func PlaceInto(dst, frame []Vec3, idx []int, q Quat, tr Vec3) {
-	if idx == nil {
-		for i, x := range frame {
-			dst[i] = q.Rotate(x).Add(tr)
-		}
-		return
-	}
-	for _, i := range idx {
-		dst[i] = q.Rotate(frame[i]).Add(tr)
+// writing dst. dst may alias frame.
+func PlaceInto(dst, frame []Vec3, q Quat, tr Vec3) {
+	for i, x := range frame {
+		dst[i] = q.Rotate(x).Add(tr)
 	}
 }
 

@@ -121,7 +121,7 @@ func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 		panicTorsions(len(p.Torsions), l.NumTorsions())
 	}
 	coords := l.Tree.ApplyTorsionsInto(buf, l.base, p.Torsions)
-	chem.PlaceInto(coords, coords, nil, p.Orientation.Normalize(), p.Translation)
+	chem.PlaceInto(coords, coords, p.Orientation.Normalize(), p.Translation)
 	return coords
 }
 
