@@ -57,8 +57,8 @@ func artifactsDigest(t *testing.T, camp *Campaign) string {
 // and every exponential on the exact path (table nodes, cost draws,
 // Metropolis test) moved to fmath.Exp, which gives equal digests with
 // and without GODEBUG=cpu.fma=off; adaptive-6x3 once more when Vina's
-// BFGS local optimizer replaced the compass search and Vina's FEB
-// constants were re-fitted (ad4-writemaps docks with AD4 alone and did
+// BFGS local optimizer, searching Vina's capped potential, replaced
+// the compass search and Vina's FEB constants were re-fitted (ad4-writemaps docks with AD4 alone and did
 // not move). They must never be edited by a
 // change that claims to preserve behaviour. The bench digest covers ddocking rows and TET bits only;
 // this covers the rest.
@@ -82,7 +82,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Mode: ModeAdaptive, Dataset: small, Cores: 8,
 				Effort: SmokeEffort(), Seed: 2014, HgGuard: true,
 			},
-			want: "f7d5e8699c536d29bef93a28ef81ac1e7581fb27ccc8729982ec1311cf650ef0",
+			want: "ff25f5dbb3d3e2d1874eca16ad9ae90bc3d63fea3b9b6c100fac5e57d0cf1f3d",
 		},
 		{
 			name: "ad4-writemaps",

@@ -30,8 +30,8 @@ import (
 const (
 	ad4FEBScale   = 8.1078
 	ad4FEBOffset  = -0.4762
-	vinaFEBScale  = 4.9526
-	vinaFEBOffset = +13.0892
+	vinaFEBScale  = 4.0933
+	vinaFEBOffset = +14.3125
 )
 
 // febTargets is what the fit aims for, from the paper's Table 3: the

@@ -505,3 +505,32 @@ func TestRefineDeterministic(t *testing.T) {
 		t.Error("refinement not deterministic per seed")
 	}
 }
+
+// TestWrapAngle: inside (−3π, 3π] WrapAngle is one exact subtraction
+// of a whole turn or none; beyond it an angle of any finite size lands
+// in [−π, π]; ±Inf and NaN give NaN instead of a loop that never ends.
+func TestWrapAngle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		a := (r.Float64()*6 - 3) * math.Pi
+		want := a
+		if a > math.Pi {
+			want = a - 2*math.Pi
+		} else if a < -math.Pi {
+			want = a + 2*math.Pi
+		}
+		if got := WrapAngle(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapAngle(%v) = %v, want %v", a, got, want)
+		}
+	}
+	for _, a := range []float64{3.5 * math.Pi, -7.25 * math.Pi, 1e6, -1e12, 1e300, math.MaxFloat64, -math.MaxFloat64} {
+		if got := WrapAngle(a); !(got >= -math.Pi && got <= math.Pi) {
+			t.Errorf("WrapAngle(%v) = %v, outside [−π, π]", a, got)
+		}
+	}
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := WrapAngle(a); !math.IsNaN(got) {
+			t.Errorf("WrapAngle(%v) = %v, want NaN", a, got)
+		}
+	}
+}

@@ -18,18 +18,10 @@ type PackedAtom struct {
 }
 
 // Hit is one in-cutoff candidate of a receptor query: its squared
-// distance and its class, packed to 16 bytes. FilterIndexed stores one
-// per candidate at the cursor.
+// distance, its class and its index into the packed atom array (for
+// callers that need the atom's position, a gradient), packed to 16
+// bytes. FilterIndexed stores one per candidate at the cursor.
 type Hit struct {
-	R2  float64
-	Cls int32
-	_   int32
-}
-
-// HitAt is a Hit that also names its atom: Idx indexes the packed atom
-// array, for callers that need the atom's position (a gradient).
-// FilterIndexedAt stores one per candidate at the cursor.
-type HitAt struct {
 	R2       float64
 	Cls, Idx int32
 }
@@ -232,7 +224,9 @@ func (pn *PackedNeighbors) Candidates(p chem.Vec3) []int32 {
 // FilterIndexed appends to hits, from cursor m on, every candidate
 // atoms[idx[0]], atoms[idx[1]], … within cut2 of the query point,
 // preserving list order, and returns the advanced cursor. r² is
-// (a−p)² summed over x, y and z, as chem.Vec3.Dist2 computes it. The
+// (a−p)² summed over x, y and z, as chem.Vec3.Dist2 computes it, every
+// product rounded on its own (no fused multiply-add on any
+// architecture). The
 // loop is branch-free: every candidate is stored at the cursor and the
 // cursor advances only on a hit, so the candidates beyond the cutoff
 // cost no branch mispredictions. hits must have power-of-two length
@@ -244,31 +238,13 @@ func FilterIndexed(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, hi
 	mask := len(hits) - 1
 	for _, i := range idx {
 		a := &atoms[i]
-		r2 := dist2(a, px, py, pz)
+		dx := a.X - px
+		dy := a.Y - py
+		dz := a.Z - pz
+		r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 		h := &hits[m&mask]
 		h.R2 = r2
 		h.Cls = a.Cls
-		hit := 0
-		if r2 <= cut2 {
-			hit = 1
-		}
-		m += hit
-	}
-	return m
-}
-
-// FilterIndexedAt is FilterIndexed storing HitAt values: the same
-// candidates, the same r² bits, in the same order, each with its
-// packed index.
-//
-// unit: cut2=Å2
-func FilterIndexedAt(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, hits []HitAt, m int) int {
-	mask := len(hits) - 1
-	for _, i := range idx {
-		r2 := dist2(&atoms[i], px, py, pz)
-		h := &hits[m&mask]
-		h.R2 = r2
-		h.Cls = atoms[i].Cls
 		h.Idx = i
 		hit := 0
 		if r2 <= cut2 {
@@ -277,15 +253,4 @@ func FilterIndexedAt(atoms []PackedAtom, idx []int32, px, py, pz, cut2 float64, 
 		m += hit
 	}
 	return m
-}
-
-// dist2 is the squared distance of a packed atom from (px, py, pz),
-// summed over x, y and z as chem.Vec3.Dist2 does, every product
-// rounded on its own (no fused multiply-add on any architecture): the
-// one r² expression of both filters, so their hits agree to the bit.
-func dist2(a *PackedAtom, px, py, pz float64) float64 {
-	dx := a.X - px
-	dy := a.Y - py
-	dz := a.Z - pz
-	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }

@@ -117,10 +117,10 @@ func TestPackedSpansMatchBruteForce(t *testing.T) {
 		total, own := 0, 0
 		for qi, p := range append(queries, beyond...) {
 			var want []Hit
-			for _, a := range atoms {
+			for ai, a := range atoms {
 				dx, dy, dz := a.X-p.X, a.Y-p.Y, a.Z-p.Z
 				if r2 := dx*dx + dy*dy + dz*dz; r2 <= cut2 {
-					want = append(want, Hit{R2: r2, Cls: a.Cls})
+					want = append(want, Hit{R2: r2, Cls: a.Cls, Idx: int32(ai)})
 					if r2 == 0 {
 						own++
 					}

@@ -180,8 +180,15 @@ func PerturbInto(r *rand.Rand, dst *Pose, src Pose, dt, da float64) {
 	}
 }
 
-// WrapAngle returns the angle a moved into [−π, π] by whole turns.
+// WrapAngle returns the angle a moved into [−π, π] by whole turns. An
+// angle beyond ±3π is first reduced by math.Remainder, as Vina's
+// normalize_angle reduces a very large one, so the loops below run at
+// most once; in (−3π, 3π] each subtraction is exact. It returns NaN
+// for ±Inf and NaN.
 func WrapAngle(a float64) float64 {
+	if math.Abs(a) > 3*math.Pi {
+		a = math.Remainder(a, 2*math.Pi)
+	}
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}

@@ -13,7 +13,8 @@ import (
 // TestLocalOptimizeNeverClimbs: a local optimization returns an energy
 // no higher than its start's Score, and the Score of the pose it
 // leaves, from random starts of the reference pair and of the large
-// one and from the minima those reach.
+// one and from the minima those reach; the capped search from
+// each random start returns no more than its start's capped energy.
 func TestLocalOptimizeNeverClimbs(t *testing.T) {
 	for _, p := range [][2]string{{"2HHN", "0E6"}, {data.LargeReceptorCode, data.LargeLigandCode}} {
 		rec, lig := setupPair(t, p[0], p[1])
@@ -29,9 +30,15 @@ func TestLocalOptimizeNeverClimbs(t *testing.T) {
 		if raceDetector && p[1] == data.LargeLigandCode {
 			starts = 2
 		}
-		cur := ws.Get()
+		cur, hunted := ws.Get(), ws.Get()
+		scratch := make([]chem.Vec3, lig.Mol.NumAtoms())
 		for i := 0; i < starts; i++ {
 			dock.RandomPoseInto(r, cur, box, lig.NumTorsions())
+			hunted.Set(*cur)
+			start := s.energyGrad(lig.Coords(*hunted), scratch, true)
+			if got := quasiNewton(s, ws, box, hunted, true); got > start {
+				t.Fatalf("%s/%s start %d: capped search ended at %v, above its start's %v", p[0], p[1], i, got, start)
+			}
 			// From a random start, then again from where that ended: a
 			// local minimum, where any kept uphill step shows.
 			for pass := 0; pass < 2; pass++ {
@@ -80,6 +87,29 @@ func TestIntraEnergyInvariants(t *testing.T) {
 				q.Torsions[k] += 2 * math.Pi
 				check("torsion turned by 2π", q)
 			}
+		}
+	}
+}
+
+// TestDockReportsScore: the search optimises candidates on the capped
+// potential, but every mode it reports carries the Score of its pose,
+// bit for bit.
+func TestDockReportsScore(t *testing.T) {
+	rec, lig := setupPair(t, "2HHN", "0E6")
+	s, err := NewScorer(rec, lig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Engine{Config: testConfig(31), StepsPerRestart: 6, Workers: 1}).Dock(s, lig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) == 0 {
+		t.Fatal("no modes")
+	}
+	for _, run := range res.Runs {
+		if want := s.Score(lig.Coords(run.Pose)); math.Float64bits(run.FEB) != math.Float64bits(want) {
+			t.Errorf("mode %d: energy %v, Score of its pose %v", run.Run, run.FEB, want)
 		}
 	}
 }

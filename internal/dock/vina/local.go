@@ -8,14 +8,16 @@ import (
 )
 
 // Local optimization constants: Vina 1.1.2's line search (Armijo
-// constant, trials, step multiplier) and gradient tolerance, and this
-// reproduction's iteration guard.
+// constant, trials, step multiplier), gradient tolerance and the
+// epsilon_fl its BFGS update tests against, and this reproduction's
+// iteration guard.
 const (
 	armijo      = 1e-4
 	lineTrials  = 10
 	lineShrink  = 0.5
 	gradTol     = 1e-5
-	maxLocalIts = 150 // a guard against a search that never settles, not a tuning knob
+	epsFl       = 2.220446049250313e-16 // DBL_EPSILON, Vina's epsilon_fl
+	maxLocalIts = 150                   // a guard against a search that never settles, not a tuning knob
 )
 
 // localOptimize is Vina 1.1.2's quasi-Newton refinement (bfgs,
@@ -23,15 +25,17 @@ const (
 // torsions degrees of freedom: translation, a rotation vector applied
 // on the left of the orientation, and the torsion angles, descending
 // the analytic gradient of energyGrad. It moves x to the pose it ends
-// at and returns that pose's energy, which is Score's.
+// at and returns that pose's energy, which is Score's: it is the
+// refinement on Vina's authentic potential. quasiNewton with hunt set
+// is the same search on the capped potential.
 //
 // Each iteration takes the direction p = −H·g and backtracks from
 // α = 1, halving α for at most lineTrials trials, until the trial meets
 // the Armijo condition f₁ − f₀ < 1e-4·α·p·g. After the first step H's
-// diagonal is set to α·(y·p)/(y·y); then H gets Vina's BFGS update,
-// skipped (with the scaling, which waits for the next step) when α·y·p
-// is not positive. It stops when |g| < 1e-5. Two deviations from Vina,
-// both measured (see
+// diagonal is set to α·(y·p)/(y·y) when y·y exceeds epsilon_fl; then H
+// gets Vina's BFGS update, skipped (with the scaling, which waits for
+// the next step) when α·y·p is below epsilon_fl. It stops when
+// |g| < 1e-5. Two deviations from Vina, both measured (see
 // DESIGN.md "Local optimisation: BFGS"): a line search that finds no
 // acceptable trial leaves the pose where it was and resets H to I, and
 // a second failure in a row ends the search, where Vina takes its last
@@ -42,6 +46,15 @@ const (
 // ws.Stats.Evaluations; accepted steps count in LocalIterations. The
 // state lives in ws.Local, so a warm call allocates nothing.
 func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose) float64 {
+	return quasiNewton(s, ws, box, x, false)
+}
+
+// quasiNewton is the BFGS search of localOptimize on the authentic
+// potential or, with hunt set, on Vina's capped search potential
+// (energyGrad with hunt set, Vina's hunt_cap), the local optimisation
+// each Metropolis candidate gets. The capped energy it then returns is
+// never above Score's at the same pose.
+func quasiNewton(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose, hunt bool) float64 {
 	lig := ws.Ligand()
 	n := 6 + lig.NumTorsions()
 	st := &ws.Local
@@ -50,7 +63,7 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 	trial := ws.Get()
 	defer ws.Put(trial)
 
-	f0 := evalPose(s, ws, x, g)
+	f0 := evalPose(s, ws, x, g, hunt)
 	identity(h, n)
 	scaled, failed := false, false
 	for it := 0; it < maxLocalIts && dot(g, g) >= gradTol*gradTol; it++ {
@@ -59,7 +72,7 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 		alpha, f1, ok := 1.0, 0.0, false
 		for t := 0; t < lineTrials; t++ {
 			stepPose(trial, x, p, alpha, box)
-			f1 = evalPose(s, ws, trial, gNew)
+			f1 = evalPose(s, ws, trial, gNew, hunt)
 			if f1-f0 < float64(armijo*alpha)*pg {
 				ok = true
 				break
@@ -83,11 +96,11 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 		f0 = f1
 		g, gNew = gNew, g
 		yp := dot(y, p)
-		if !(alpha*yp > 0) {
+		if !(float64(alpha*yp) >= epsFl) {
 			continue
 		}
 		if !scaled { // H is still I
-			if yy := dot(y, y); yy > 0 {
+			if yy := dot(y, y); yy > epsFl {
 				d := alpha * yp / yy
 				for i := 0; i < n; i++ {
 					h[i*n+i] = d
@@ -101,17 +114,18 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 }
 
 // evalPose places pose into the workspace's coordinate buffer, scores
-// it with its atom gradients and writes the pose gradient into g: the
+// it with its atom gradients (on the capped potential when hunt is
+// set) and writes the pose gradient into g: the
 // force Σgᵢ for the translation, the torque Σ(xᵢ − T)×gᵢ for the
 // rotation vector, and per torsion k u_k·Σ_{i∈Moved_k}(xᵢ − x_Axis2)×gᵢ
 // with u_k the unit vector from Axis1 to Axis2. The torsion terms are exact because on an ordered
 // tree (chem.TorsionTree) turning angle k rotates Moved_k rigidly about
 // its axis in the final coordinates and moves nothing else.
-func evalPose(s *Scorer, ws *dock.Workspace, pose *dock.Pose, g []float64) float64 {
+func evalPose(s *Scorer, ws *dock.Workspace, pose *dock.Pose, g []float64, hunt bool) float64 {
 	lig := ws.Ligand()
 	coords := ws.Coords(*pose)
 	grad := ws.Local.Grad
-	f := s.energyGrad(coords, grad)
+	f := s.energyGrad(coords, grad, hunt)
 	ws.Stats.Evaluations++
 
 	var force, torque chem.Vec3
@@ -158,7 +172,7 @@ func stepPose(dst, x *dock.Pose, p []float64, alpha float64, box dock.Box) {
 }
 
 // bfgsUpdate is Vina's bfgs_update on the symmetric n×n matrix h, with
-// yp = y·p > 0 and hy scratch: with r = 1/(α·y·p),
+// α·y·p ≥ epsilon_fl and hy scratch: with r = 1/(α·y·p),
 //
 //	h += α·r·(−Hy·pᵀ + p·(−Hy)ᵀ) + α²·(r²·yᵀHy + r)·p·pᵀ,
 //

@@ -22,6 +22,16 @@ const (
 	intraWeight = 0.3           // internal contribution to the reported affinity
 )
 
+// Vina 1.1.2's hunt_cap: the caps under which its Monte Carlo search's
+// local optimisations run (energyGrad with hunt set). A positive
+// receptor sum of one ligand atom, or a positive intramolecular pair
+// term, e becomes e·v/(v + e), which saturates at v, and its gradient
+// is scaled by (v/(v + e))², as Vina's curl does.
+const (
+	huntCapInter = 1.5 // kcal/mol, per heavy ligand atom
+	huntCapIntra = 10  // kcal/mol, per intramolecular pair
+)
+
 // Scorer evaluates the Vina affinity of a ligand conformation against
 // receptor atoms (Vina computes its own internal grids; scoring
 // directly over a cell list is numerically equivalent at these
@@ -74,12 +84,6 @@ type intraGroup struct {
 // atom of a walk.
 type interScratch struct {
 	hits [64]dock.Hit
-}
-
-// gradScratch is interScratch for atomInterGrad: hits that name their
-// receptor atom.
-type gradScratch struct {
-	hits [64]dock.HitAt
 }
 
 // NewReceptorIndex builds the cell lists over the receptor and
@@ -303,9 +307,13 @@ func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
 // 1/rotFactor for the receptor terms and by the internal weight, with
 // opposite signs on the two atoms, for the intramolecular ones.
 //
-// exact: energy bit-equal to Score
-func (s *Scorer) energyGrad(coords, grad []chem.Vec3) float64 {
-	var scr gradScratch
+// With hunt set it is instead the energy and gradient of Vina's capped
+// search potential: each positive atom sum and each positive pair term
+// is curled under huntCapInter and huntCapIntra before it is added.
+//
+// exact: energy bit-equal to Score when hunt is false
+func (s *Scorer) energyGrad(coords, grad []chem.Vec3, hunt bool) float64 {
+	var scr interScratch
 	var inter float64
 	scale := 2 / s.rotFactor
 	for i, p := range coords {
@@ -314,8 +322,12 @@ func (s *Scorer) energyGrad(coords, grad []chem.Vec3) float64 {
 			continue
 		}
 		e, g := s.atomInterGrad(i, p, &scr)
+		gs := scale
+		if hunt && e > 0 {
+			e, gs = curl(e, scale, huntCapInter)
+		}
 		inter += e
-		grad[i] = chem.V(float64(scale*g.X), float64(scale*g.Y), float64(scale*g.Z))
+		grad[i] = chem.V(float64(gs*g.X), float64(gs*g.Y), float64(gs*g.Z))
 	}
 	const cut2 = cutoff * cutoff
 	var intra float64
@@ -325,6 +337,9 @@ func (s *Scorer) energyGrad(coords, grad []chem.Vec3) float64 {
 			xi, xj := coords[pr.i], coords[pr.j]
 			if r2 := dist2(xi, xj); r2 <= cut2 {
 				v, dv := pr.tbl.At2D(r2)
+				if hunt && v > 0 {
+					v, dv = curl(v, dv, huntCapIntra)
+				}
 				sum += v
 				f := float64(2*intraWeight) * dv
 				d := chem.V(float64(f*(xi.X-xj.X)), float64(f*(xi.Y-xj.Y)), float64(f*(xi.Z-xj.Z)))
@@ -337,12 +352,18 @@ func (s *Scorer) energyGrad(coords, grad []chem.Vec3) float64 {
 	return s.combine(inter, intra)
 }
 
+// curl is Vina's curl of a positive energy e with slope factor d under
+// the cap v: e·t and d·t², with t = v/(v + e).
+func curl(e, d, v float64) (float64, float64) {
+	t := v / (v + e)
+	return float64(e * t), float64(float64(d*t) * t)
+}
+
 // atomInterGrad is atomInter at p together with Σ dv/dr²·(p − a) over
-// the same hits: the hits of dock.FilterIndexedAt, which are
-// FilterIndexed's with their packed indices, so the sum is atomInter's
-// bit for bit. The filter is branch-free; the hit loop reads each hit's
-// atom back through its index.
-func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *gradScratch) (float64, chem.Vec3) {
+// the same hits of the same dock.FilterIndexed walk, so the sum is
+// atomInter's bit for bit. The filter is branch-free; the hit loop
+// reads each hit's atom back through its packed index.
+func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *interScratch) (float64, chem.Vec3) {
 	const cut2 = cutoff * cutoff
 	hits := &scr.hits
 	row := s.interTbl[i]
@@ -351,7 +372,7 @@ func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *gradScratch) (float64, c
 	cand := s.packed.Candidates(p)
 	for at := 0; at < len(cand); at += len(hits) {
 		end := min(at+len(hits), len(cand))
-		m := dock.FilterIndexedAt(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
+		m := dock.FilterIndexed(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
 		for _, h := range hits[:m] {
 			v, dv := row[h.Cls].At2D(h.R2)
 			sum += v

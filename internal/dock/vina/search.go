@@ -158,6 +158,14 @@ func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result
 // chains can run on any worker in any order without changing their
 // trajectories. All candidate evaluation goes through the worker's
 // workspace: zero heap allocations per evaluation.
+//
+// As in Vina 1.1.2's monte_carlo, every candidate is optimised on the
+// capped potential (quasiNewton with hunt set) and the Metropolis test
+// compares that energy;
+// a candidate accepted below the chain's best is refined on the
+// authentic potential (localOptimize), and only a refined energy, which
+// is Score's, can become the best. The random start is hunted and
+// refined the same way.
 func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, steps int, ws *dock.Workspace) mode {
 	r := ws.Rand(e.Config.Seed + int64(chain)*104729)
 	ws.Stats = dock.Stats{} // the chain's own counters: workers run many chains
@@ -166,6 +174,7 @@ func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, step
 	defer ws.Put(cand)
 	defer ws.Put(best)
 	dock.RandomPoseInto(r, cur, box, lig.NumTorsions())
+	quasiNewton(s, ws, box, cur, true)
 	curFeb := e.localOptimize(s, ws, box, cur)
 	best.Set(*cur)
 	bestFeb := curFeb
@@ -173,13 +182,16 @@ func (e *Engine) runChain(s *Scorer, lig *dock.Ligand, box dock.Box, chain, step
 	for step := 0; step < steps; step++ {
 		dock.PerturbInto(r, cand, *cur, 2.0, 0.5)
 		dock.ClampToBox(cand, box)
-		candFeb := e.localOptimize(s, ws, box, cand)
+		candFeb := quasiNewton(s, ws, box, cand, true)
 		if candFeb < curFeb || r.Float64() < fmath.Exp((curFeb-candFeb)/temperature) {
 			cur, cand = cand, cur
 			curFeb = candFeb
 			if curFeb < bestFeb {
-				best.Set(*cur)
-				bestFeb = curFeb
+				curFeb = e.localOptimize(s, ws, box, cur)
+				if curFeb < bestFeb {
+					best.Set(*cur)
+					bestFeb = curFeb
+				}
 			}
 		}
 	}

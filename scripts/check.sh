@@ -98,10 +98,10 @@ gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./
 # neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
 # a torsion turn leaving every atom outside its branch bit-identical,
 # and the pins of Vina's gradient: its energy is Score's bit for bit,
-# its pose gradient matches central differences, and At2D's value is
-# At2's.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2' -count=1 \
+# its pose gradient matches central differences, At2D's value is
+# At2's, and every mode a dock reports carries its pose's Score.
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/DockReportsScore)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|DockReportsScore' -count=1 \
 	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of map generation and both scorers is one inlined
