@@ -19,8 +19,8 @@ const (
 	workerLoopPkg = "../../internal/lint/testdata/src/workerloop"
 )
 
-// sixAnalyzers is the registry, in -list order.
-var sixAnalyzers = []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow", "provpair"}
+// fiveAnalyzers is the registry, in -list order.
+var fiveAnalyzers = []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow"}
 
 // findingRE matches one text finding line: file:line:col: analyzer: message.
 var findingRE = regexp.MustCompile(`^\S+\.go:\d+:\d+: ([a-z]+): `)
@@ -39,7 +39,7 @@ func TestSickFixtureFailsTheGate(t *testing.T) {
 		t.Fatalf("exit = %d, want 1 (error findings present); stderr: %s", code, errOut)
 	}
 	// Every finding line leads with file:line:col into a fixture file,
-	// and the fixtures trip exactly the six analyzers.
+	// and the fixtures trip exactly the five analyzers.
 	seen := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "scilint: ") {
@@ -57,11 +57,11 @@ func TestSickFixtureFailsTheGate(t *testing.T) {
 		names = append(names, an)
 	}
 	sort.Strings(names)
-	if fmt.Sprint(names) != fmt.Sprint(sixAnalyzers) {
-		t.Errorf("analyzers with findings = %v, want %v:\n%s", names, sixAnalyzers, out)
+	if fmt.Sprint(names) != fmt.Sprint(fiveAnalyzers) {
+		t.Errorf("analyzers with findings = %v, want %v:\n%s", names, fiveAnalyzers, out)
 	}
-	if !strings.Contains(out, "scilint: 17 finding(s):") {
-		t.Errorf("output missing the 17-finding summary line:\n%s", out)
+	if !strings.Contains(out, "scilint: 16 finding(s):") {
+		t.Errorf("output missing the 16-finding summary line:\n%s", out)
 	}
 	// The provenance-store patterns: a snapshot RLock leaked on an early
 	// return, a flush that blocks on a channel inside the critical
@@ -139,14 +139,14 @@ func TestListAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if fmt.Sprint(names) != fmt.Sprint(sixAnalyzers) {
-		t.Errorf("-list names %v, want %v:\n%s", names, sixAnalyzers, out)
+	if fmt.Sprint(names) != fmt.Sprint(fiveAnalyzers) {
+		t.Errorf("-list names %v, want %v:\n%s", names, fiveAnalyzers, out)
 	}
 }
 
 // TestFullModuleRuntimeBudget pins the end-to-end cost of the gate's
 // `scilint ./...` stage: load + type-check the whole module, build the
-// call graph and CFGs, run all six analyzers. The bound is generous
+// call graph and CFGs, run all five analyzers. The bound is generous
 // (CI machines vary) but catches superlinear regressions in the flow
 // engine — before the fixpoint iteration was capped, a pathological
 // merge could spin for minutes.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/chem"
 	"repro/internal/chem/formats"
 	"repro/internal/dock"
-	"repro/internal/dock/ad4"
 	"repro/internal/prep"
 )
 
@@ -34,10 +33,11 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 		return nil, err
 	}
 	b := newBuilder(cfg, program)
-	res, dlig, err := b.dockPair(recCode, ligCode)
+	d, err := b.dockPair(recCode, ligCode)
 	if err != nil {
 		return nil, err
 	}
+	res, dlig := d.res, d.lig
 	best, err := res.Best()
 	if err != nil {
 		return nil, err
@@ -72,54 +72,30 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 }
 
 // RefineBest docks a pair, then applies the §V.D redocking refinement
-// to its best pose and reports the improvement. Refinement operates
-// on the engine's raw objective; the returned FEBs are calibrated.
+// to its best pose and reports the improvement. Redocking refines the
+// *reported* binding energy directly (the quantity Table 3 ranks), not
+// the engine's search objective; the returned FEBs are calibrated.
 func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, iterations int) (before, after float64, err error) {
 	if err := cfg.Effort.Validate(); err != nil {
 		return 0, 0, err
 	}
 	b := newBuilder(cfg, program)
-	res, dlig, err := b.dockPair(recCode, ligCode)
+	d, err := b.dockPair(recCode, ligCode)
 	if err != nil {
 		return 0, 0, err
 	}
-	best, err := res.Best()
+	best, err := d.res.Best()
 	if err != nil {
 		return 0, 0, err
 	}
-	prec, err := b.preparedReceptor(recCode)
-	if err != nil {
-		return 0, 0, err
-	}
-	pl, err := b.preparedLigand(ligCode)
-	if err != nil {
-		return 0, 0, err
-	}
-	spec := prec.spec
-	box := dock.Box{
-		Center: spec.Center,
-		Size: chem.V(float64(spec.NPts[0]-1)*spec.Spacing,
-			float64(spec.NPts[1]-1)*spec.Spacing,
-			float64(spec.NPts[2]-1)*spec.Spacing),
-	}
-	scorer, err := b.scorerFor(recCode, pl, dlig)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Redocking refines the *reported* binding energy directly (the
-	// quantity Table 3 ranks), not the engine's search objective.
-	reported := func(coords []chem.Vec3) float64 { return scorer.Score(coords) }
-	if s, ok := scorer.(interface{ ReportedFEB([]chem.Vec3) float64 }); ok {
-		reported = s.ReportedFEB
-	}
-	ref, err := dock.Refine(scorerFunc(reported), dlig, box, best.Pose,
+	ref, err := dock.Refine(scorerFunc(d.reported), d.lig, d.box, best.Pose,
 		iterations, b.pairSeed(recCode, ligCode)+1)
 	if err != nil {
 		return 0, 0, err
 	}
-	heavy := pl.Mol.HeavyAtomCount()
-	before = b.reportedFEB(reported(dlig.Coords(best.Pose)), heavy)
-	after = b.reportedFEB(reported(dlig.Coords(ref.Pose)), heavy)
+	heavy := d.lig.Mol.HeavyAtomCount()
+	before = b.reportedFEB(d.reported(d.lig.Coords(best.Pose)), heavy)
+	after = b.reportedFEB(d.reported(d.lig.Coords(ref.Pose)), heavy)
 	return before, after, nil
 }
 
@@ -127,19 +103,3 @@ func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, itera
 type scorerFunc func([]chem.Vec3) float64
 
 func (f scorerFunc) Score(coords []chem.Vec3) float64 { return f(coords) }
-
-// scorerFor builds the docking scorer matching the builder's program.
-func (b *builder) scorerFor(rec string, pl *preparedLigand, dlig *dock.Ligand) (dock.Scorer, error) {
-	if b.program == prep.ProgramAD4 {
-		view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
-		if err != nil {
-			return nil, err
-		}
-		return ad4.NewScorer(view.maps, dlig)
-	}
-	index, err := b.vinaIndex(rec)
-	if err != nil {
-		return nil, err
-	}
-	return index.NewScorer(dlig)
-}

@@ -354,10 +354,11 @@ func (b *builder) runDocking(in workflow.Tuple) (*workflow.ActivationResult, err
 	if b.cfg.ligandLoops(lig) {
 		return nil, fmt.Errorf("%w: ligand %s keeps %s busy indefinitely", engine.ErrLoop, lig, b.program)
 	}
-	res, dlig, err := b.dockPair(rec, lig)
+	d, err := b.dockPair(rec, lig)
 	if err != nil {
 		return nil, err
 	}
+	res, dlig := d.res, d.lig
 	// AutoDock's conformational clustering at the default 2.0 Å
 	// tolerance populates the DLG histogram's cluster sizes.
 	doc, err := res.ToDLGWithClusters(dlig, 2.0)
@@ -418,77 +419,84 @@ func avgRMSD(r *dock.Result) float64 {
 	return round2(s / float64(len(r.Runs)))
 }
 
+// dockedPair is one docked pair: the result (reported FEBs, RMSDs to
+// 0.01 Å), the conformational model, the search box and the scorer's
+// reported-FEB function, which the redocking refinement reuses.
+type dockedPair struct {
+	res      *dock.Result
+	lig      *dock.Ligand
+	box      dock.Box
+	reported func([]chem.Vec3) float64
+}
+
 // dockPair runs the configured docking engine on one pair and applies
-// the program's FEB calibration. The conformational model is returned
-// alongside the result for downstream cluster analysis.
-func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) {
+// the program's FEB calibration.
+func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 	prec, err := b.preparedReceptor(rec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pl, err := b.preparedLigand(lig)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dlig, err := dock.NewLigand(pl.Mol, pl.Tree)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	seed := b.pairSeed(rec, lig)
 	spec := prec.spec
-	box := dock.Box{
+	d := &dockedPair{lig: dlig, box: dock.Box{
 		Center: spec.Center,
 		Size: chem.V(
 			float64(spec.NPts[0]-1)*spec.Spacing,
 			float64(spec.NPts[1]-1)*spec.Spacing,
 			float64(spec.NPts[2]-1)*spec.Spacing),
-	}
+	}}
 
 	if b.program == prep.ProgramAD4 {
 		view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		scorer, err := ad4.NewScorer(view.maps, dlig)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		params := prep.DefaultDPF(lig, rec, seed)
 		params.Runs = b.cfg.Effort.AD4Runs
 		params.PopSize = b.cfg.Effort.AD4PopSize
 		params.Gens = b.cfg.Effort.AD4Gens
 		params.Evals = b.cfg.Effort.AD4Evals
-		eng := &ad4.Engine{Params: params, Box: box}
-		res, err := eng.Dock(scorer, dlig)
-		if err != nil {
-			return nil, nil, err
+		eng := &ad4.Engine{Params: params, Box: d.box}
+		if d.res, err = eng.Dock(scorer, dlig); err != nil {
+			return nil, err
 		}
-		b.report(res, dlig, scorer.ReportedFEB)
-		return res, dlig, nil
+		d.reported = scorer.ReportedFEB
+	} else {
+		index, err := b.vinaIndex(rec)
+		if err != nil {
+			return nil, err
+		}
+		scorer, err := index.NewScorer(dlig)
+		if err != nil {
+			return nil, err
+		}
+		cfg := prep.VinaConfig{
+			Receptor: rec + ".pdbqt", Ligand: lig + ".pdbqt",
+			Center: d.box.Center, Size: d.box.Size,
+			Exhaustiveness: b.cfg.Effort.VinaExhaustiveness,
+			NumModes:       b.cfg.Effort.VinaModes,
+			Seed:           seed,
+		}
+		eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps}
+		if d.res, err = eng.Dock(scorer, dlig); err != nil {
+			return nil, err
+		}
+		d.reported = scorer.ReportedFEB
 	}
-
-	index, err := b.vinaIndex(rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	scorer, err := index.NewScorer(dlig)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := prep.VinaConfig{
-		Receptor: rec + ".pdbqt", Ligand: lig + ".pdbqt",
-		Center: box.Center, Size: box.Size,
-		Exhaustiveness: b.cfg.Effort.VinaExhaustiveness,
-		NumModes:       b.cfg.Effort.VinaModes,
-		Seed:           seed,
-	}
-	eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps}
-	res, err := eng.Dock(scorer, dlig)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.report(res, dlig, scorer.ReportedFEB)
-	return res, dlig, nil
+	b.report(d.res, dlig, d.reported)
+	return d, nil
 }
 
 // report replaces each run's search objective with what the program

@@ -14,6 +14,15 @@ import (
 
 func setupPair(t testing.TB, recCode, ligCode string) (*grid.Maps, *dock.Ligand, dock.Box) {
 	t.Helper()
+	rec, lig := preparePair(t, recCode, ligCode)
+	maps, box := mapsFor(t, rec, lig)
+	return maps, lig, box
+}
+
+// preparePair returns the prepared receptor and the ligand model of a
+// pair.
+func preparePair(t testing.TB, recCode, ligCode string) (*chem.Molecule, *dock.Ligand) {
+	t.Helper()
 	var rec, raw *chem.Molecule
 	if recCode == data.LargeReceptorCode {
 		rec, _ = data.GenerateLargeReceptor()
@@ -41,8 +50,16 @@ func setupPair(t testing.TB, recCode, ligCode string) (*grid.Maps, *dock.Ligand,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prec, lig
+}
+
+// mapsFor generates the test maps of the ligand's types over the
+// prepared receptor: a 20³ lattice at 1.4 Å around the origin, and the
+// box it spans.
+func mapsFor(t testing.TB, rec *chem.Molecule, lig *dock.Ligand) (*grid.Maps, dock.Box) {
+	t.Helper()
 	spec := grid.Spec{Center: chem.Vec3{}, NPts: [3]int{20, 20, 20}, Spacing: 1.4}
-	maps, err := grid.Generate(prec, spec, pl.Mol.AtomTypes())
+	maps, err := grid.Generate(rec, spec, lig.Mol.AtomTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +70,7 @@ func setupPair(t testing.TB, recCode, ligCode string) (*grid.Maps, *dock.Ligand,
 			float64(spec.NPts[1]-1)*spec.Spacing,
 			float64(spec.NPts[2]-1)*spec.Spacing),
 	}
-	return maps, lig, box
+	return maps, box
 }
 
 func TestNewScorerValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package vina
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -121,7 +120,9 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 }
 
 // result turns the chains' modes into the docking result: the work
-// counters summed, the distinct low-energy modes as runs.
+// counters summed, and the representatives of the first NumModes
+// 2.0 Å conformational clusters (dock.ClusterRuns, energy order) as
+// runs, each with its RMSD to the best mode.
 func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result, error) {
 	res := &dock.Result{
 		Program:  ProgramName,
@@ -129,26 +130,33 @@ func (e *Engine) result(s *Scorer, lig *dock.Ligand, modes []mode) (*dock.Result
 		Ligand:   lig.Mol.Name,
 		Seed:     e.Config.Seed,
 	}
-	for _, m := range modes { // in chain order, before dedupeModes sorts them
+	runs := make([]dock.RunResult, len(modes))
+	for i, m := range modes {
 		res.Stats.Add(m.stats)
+		runs[i] = dock.RunResult{Pose: m.pose, FEB: m.feb}
 	}
-	kept := dedupeModes(lig, modes, 2.0, e.Config.NumModes)
-	if len(kept) == 0 {
-		return res, nil
+	clusters, err := dock.ClusterRuns(lig, runs, 2.0)
+	if err != nil {
+		return nil, fmt.Errorf("vina: %w", err)
 	}
-	bestCoords := lig.Coords(kept[0].pose)
-	for i, m := range kept {
-		rmsd := 0.0
-		if i > 0 {
-			v, err := chem.RMSD(lig.Coords(m.pose), bestCoords)
+	maxModes := e.Config.NumModes
+	if maxModes <= 0 {
+		maxModes = 9
+	}
+	var bestCoords []chem.Vec3
+	for i, c := range clusters[:min(len(clusters), maxModes)] {
+		run := runs[c.Representative]
+		run.Run = i + 1
+		if i == 0 {
+			bestCoords = lig.Coords(run.Pose)
+		} else {
+			v, err := chem.RMSD(lig.Coords(run.Pose), bestCoords)
 			if err != nil {
 				return nil, fmt.Errorf("vina: rmsd: %w", err)
 			}
-			rmsd = v
+			run.RMSD = v
 		}
-		res.Runs = append(res.Runs, dock.RunResult{
-			Run: i + 1, Pose: m.pose, FEB: m.feb, RMSD: rmsd,
-		})
+		res.Runs = append(res.Runs, run)
 	}
 	return res, nil
 }
@@ -203,39 +211,4 @@ func (e *Engine) receptorName(s *Scorer) string {
 		return s.Receptor.Name
 	}
 	return e.Config.Receptor
-}
-
-// dedupeModes sorts modes by energy and drops poses within rmsdCut of
-// an already-kept mode, keeping at most maxModes. Every mode's
-// coordinates are materialized exactly once before the pairwise pass
-// (they used to be recomputed inside it).
-func dedupeModes(lig *dock.Ligand, ms []mode, rmsdCut float64, maxModes int) []mode {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].feb < ms[j].feb })
-	if maxModes <= 0 {
-		maxModes = 9
-	}
-	coords := make([][]chem.Vec3, len(ms))
-	for i := range ms {
-		coords[i] = lig.Coords(ms[i].pose)
-	}
-	var kept []mode
-	var keptIdx []int
-	for i, m := range ms {
-		dup := false
-		for _, k := range keptIdx {
-			if v, err := chem.RMSD(coords[i], coords[k]); err == nil && v < rmsdCut {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		kept = append(kept, m)
-		keptIdx = append(keptIdx, i)
-		if len(kept) >= maxModes {
-			break
-		}
-	}
-	return kept
 }

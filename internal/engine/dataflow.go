@@ -535,12 +535,9 @@ func (d *dataflow) place(n *dfNode) error {
 		return err
 	}
 	d.observePlacement(n.actIdx, p)
-	// PROV-Wf lifecycle: the row is born RUNNING and closed with the
-	// terminal status (provpair enforces the pair).
-	if err := e.app.BeginActivation(taskid, actid, d.wkfid, e.vt(p.Start), p.VMID, cmd); err != nil {
-		return err
-	}
-	if err := e.app.CloseActivation(taskid, status, e.vt(p.End), int64(p.Failures)); err != nil {
+	// The body has already run: the placement is recorded once, as a
+	// terminal row.
+	if err := e.app.InsertActivation(taskid, actid, d.wkfid, status, e.vt(p.Start), e.vt(p.End), p.VMID, int64(p.Failures), cmd); err != nil {
 		return err
 	}
 	if loop {

@@ -119,11 +119,11 @@ type Engine struct {
 	Sim     *cloud.Sim
 	Cluster *cloud.Cluster
 
-	// app batches the per-placement provenance writes (activation
-	// lifecycle, hfile, ddocking) into InsertBatch flushes. Flush
-	// points are deterministic — buffer cap, before every
-	// OnStageComplete steering hook, end of run — so runtime queries
-	// and final table contents match unbatched writes exactly.
+	// app batches the per-placement provenance writes (activation,
+	// hfile, ddocking) into InsertBatch flushes. Flush points are
+	// deterministic — buffer cap, before every OnStageComplete
+	// steering hook, end of run — so runtime queries and final table
+	// contents match unbatched writes exactly.
 	app *prov.Appender
 
 	mu       sync.Mutex

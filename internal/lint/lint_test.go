@@ -212,117 +212,6 @@ func h() int {
 	}
 }
 
-func TestProvPair(t *testing.T) {
-	const header = `package p
-
-import (
-	"time"
-
-	"repro/internal/prov"
-)
-`
-	cases := []struct {
-		name, body string
-	}{
-		{"never_closed", `
-func leak(db *prov.DB, now time.Time) {
-	db.BeginActivation(1, 1, 1, now, "vm", "cmd") // want "not closed on every path"
-}
-`},
-		{"early_return_leaks", `
-func leakOnPath(db *prov.DB, now time.Time, bad bool) error {
-	if err := db.BeginActivation(1, 1, 1, now, "vm", "cmd"); err != nil {
-		return err // start failed: no activation to close
-	}
-	if bad {
-		return nil // want "return leaves provenance activation open"
-	}
-	return db.CloseActivation(1, prov.StatusFinished, now, 0)
-}
-`},
-		{"running_insert_is_a_start", `
-func viaInsert(db *prov.DB, now time.Time) {
-	db.InsertActivation(1, 1, 1, prov.StatusRunning, now, now, "vm", 0, "cmd") // want "not closed on every path"
-}
-`},
-		{"deferred_close_ok", `
-func deferred(db *prov.DB, now time.Time) error {
-	if err := db.BeginActivation(1, 1, 1, now, "vm", "cmd"); err != nil {
-		return err
-	}
-	defer db.CloseActivation(1, prov.StatusFinished, now, 0)
-	return nil
-}
-`},
-		{"all_paths_close_ok", `
-func branches(db *prov.DB, now time.Time, failed bool) error {
-	if err := db.BeginActivation(1, 1, 1, now, "vm", "cmd"); err != nil {
-		return err
-	}
-	if failed {
-		return db.CloseActivation(1, prov.StatusFailed, now, 1)
-	}
-	return db.CloseActivation(1, prov.StatusFinished, now, 0)
-}
-`},
-		{"terminal_insert_not_a_start", `
-func terminal(db *prov.DB, now time.Time) error {
-	return db.InsertActivation(1, 1, 1, prov.StatusAborted, now, now, "-", 0, "cmd")
-}
-`},
-		// The dataflow dispatcher's place() shape: one switch clause
-		// begins and closes its own activation and returns; the code
-		// after the switch has error returns before its own begin.
-		// Neither must be flagged — a clause that closed (or reported
-		// at its own return) cannot leak past the switch.
-		{"switch_clause_closes_then_fallthrough", `
-func outcome(db *prov.DB, now time.Time, kind int, stage func() error) error {
-	switch {
-	case kind == 1:
-		if err := db.BeginActivation(1, 1, 1, now, "vm", "cmd"); err != nil {
-			return err
-		}
-		return db.CloseActivation(1, prov.StatusAborted, now, 0)
-	case kind == 2:
-		return db.InsertActivation(1, 1, 1, prov.StatusFailed, now, now, "-", 0, "cmd")
-	}
-	if err := stage(); err != nil {
-		return err // pre-begin error path: nothing open yet
-	}
-	if err := db.BeginActivation(2, 1, 1, now, "vm", "cmd"); err != nil {
-		return err
-	}
-	return db.CloseActivation(2, prov.StatusFinished, now, 0)
-}
-`},
-		{"switch_clause_leaks_to_fallthrough", `
-func leakySwitch(db *prov.DB, now time.Time, kind int) error {
-	switch {
-	case kind == 1:
-		if err := db.BeginActivation(1, 1, 1, now, "vm", "cmd"); err != nil {
-			return err
-		}
-	}
-	return nil // want "return leaves provenance activation open"
-}
-`},
-		{"err_var_guard_exempt", `
-func assigned(db *prov.DB, now time.Time) error {
-	err := db.BeginActivation(1, 1, 1, now, "vm", "cmd")
-	if err != nil {
-		return err // start failed: exempt path
-	}
-	return db.CloseActivation(1, prov.StatusFinished, now, 0)
-}
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, ProvPair, "fixture/provpair", "fixture.go", header+tc.body)
-		})
-	}
-}
-
 func TestCtxLeak(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -452,7 +341,7 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow", "provpair"}
+	want := []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))
@@ -511,7 +400,7 @@ func TestFixturePackages(t *testing.T) {
 	// direct draw is below detflow's radar: the taint surfaces in the
 	// dock fixture instead.
 	want := map[string]map[string]int{
-		"sick": {"ctxleak": 3, "discarderr": 1, "floatcmp": 1, "lockflow": 6, "provpair": 1},
+		"sick": {"ctxleak": 3, "discarderr": 1, "floatcmp": 1, "lockflow": 6},
 		// Three direct sources (Jitter, Stamp, PoolGlobalRand) plus two
 		// tainted calls (noise.Wall, typeNames).
 		"dock": {"detflow": 5},

@@ -10,7 +10,6 @@ func Analyzers() []*Analyzer {
 		DiscardErr,
 		FloatCmp,
 		LockFlow,
-		ProvPair,
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package clean is the true-negative scilint fixture: it exercises
 // the same constructs as the sick fixture — float comparison, error
-// handling, mutex regions, provenance activations, worker goroutines —
+// handling, mutex regions, worker goroutines —
 // written the way the analyzers want them, and must produce zero
 // findings.
 package clean
@@ -10,9 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
-
-	"repro/internal/prov"
 )
 
 // AlmostEqual is the epsilon comparison floatcmp asks for.
@@ -36,14 +33,6 @@ func (c *Counter) Add() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.n++
-}
-
-// RecordRun pairs BeginActivation with CloseActivation on every path.
-func RecordRun(db *prov.DB, now time.Time) error {
-	if err := db.BeginActivation(1, 1, 1, now, "vm-0", "run"); err != nil {
-		return err
-	}
-	return db.CloseActivation(1, prov.StatusFinished, now, 0)
 }
 
 // StartWorker ranges over a closable job channel, so closing jobs

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/prov"
 )
 
 // FloatEqual compares computed floats exactly (floatcmp).
@@ -42,12 +40,6 @@ func (c *Counter) SlowAdd() {
 	defer c.mu.Unlock()
 	time.Sleep(time.Millisecond)
 	c.n++
-}
-
-// RecordRun opens a provenance activation and never closes it
-// (provpair).
-func RecordRun(db *prov.DB, now time.Time) {
-	db.BeginActivation(1, 1, 1, now, "vm-0", "run")
 }
 
 // StartWorker spawns a goroutine with no shutdown path (ctxleak).

@@ -11,18 +11,13 @@ import (
 const defaultAppendLimit = 64
 
 // Appender batches provenance inserts so the engine's per-placement
-// writes (BeginActivation + CloseActivation + hfile + ddocking per
-// activation) reach each table as one InsertBatch under a single lock
-// acquisition instead of four lock round-trips. Rows are validated at
+// writes (one hactivation row, its hfile rows and its ddocking row)
+// reach each table as one InsertBatch under a single lock acquisition
+// instead of one lock round-trip per row. Rows are validated at
 // append time (same error behavior as direct inserts) and flushed in
 // insertion order at deterministic points — the buffer cap, before any
 // OnStageComplete steering hook, and at end of run — so the final
 // table contents are byte-identical to unbatched writes.
-//
-// A Begin/Close pair that both land in the same buffer window never
-// touches the database's update path at all: CloseActivation rewrites
-// the still-buffered RUNNING row in place. Closes arriving after the
-// row flushed fall through to the indexed DB.CloseActivation.
 type Appender struct {
 	db    *DB
 	limit int
@@ -30,7 +25,6 @@ type Appender struct {
 	mu    sync.Mutex
 	order []string             // tables in first-append order
 	buf   map[string][][]Value // pending rows per table
-	open  map[int64][]Value    // taskid → buffered RUNNING hactivation row
 	n     int
 }
 
@@ -44,7 +38,6 @@ func NewAppender(db *DB, limit int) *Appender {
 		db:    db,
 		limit: limit,
 		buf:   make(map[string][][]Value),
-		open:  make(map[int64][]Value),
 	}
 }
 
@@ -78,7 +71,6 @@ func (a *Appender) flushLocked() error {
 		}
 		a.buf[table] = rows[:0]
 	}
-	clear(a.open)
 	a.n = 0
 	return nil
 }
@@ -104,7 +96,7 @@ func (a *Appender) Pending() int {
 	return a.n
 }
 
-// InsertActivation buffers a terminal hactivation row (see
+// InsertActivation buffers an hactivation row (see
 // DB.InsertActivation).
 func (a *Appender) InsertActivation(taskid, actid, wkfid int64, status string, start, end time.Time, vmid string, failures int64, command string) error {
 	a.mu.Lock()
@@ -117,33 +109,20 @@ func (a *Appender) InsertActivation(taskid, actid, wkfid int64, status string, s
 	return a.maybeFlushLocked()
 }
 
-// BeginActivation buffers a RUNNING hactivation row and remembers it
-// by taskid so a CloseActivation arriving before the next flush can
-// complete it in the buffer.
+// BeginActivation buffers a RUNNING hactivation row whose endtime is
+// provisionally its start. The engine never writes one; it stays for
+// the benchmark's ingest probe, which times the open-then-close cycle.
 func (a *Appender) BeginActivation(taskid, actid, wkfid int64, start time.Time, vmid, command string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	row := []Value{taskid, actid, wkfid, StatusRunning, start, start, vmid, int64(0), command}
-	if err := a.add(TableActivation, row); err != nil {
-		return err
-	}
-	a.open[taskid] = row
-	return a.maybeFlushLocked()
+	return a.InsertActivation(taskid, actid, wkfid, StatusRunning, start, start, vmid, 0, command)
 }
 
-// CloseActivation completes an activation: in the buffer when its
-// RUNNING row has not flushed yet, otherwise through the database's
-// indexed point update.
+// CloseActivation flushes the buffer, then completes the activation
+// through the database's indexed point update (DB.CloseActivation).
+// Like BeginActivation, it stays only for the benchmark's ingest probe.
 func (a *Appender) CloseActivation(taskid int64, status string, end time.Time, failures int64) error {
-	a.mu.Lock()
-	if row, ok := a.open[taskid]; ok {
-		row[3] = status
-		row[5] = end
-		row[7] = failures
-		a.mu.Unlock()
-		return nil
+	if err := a.Flush(); err != nil {
+		return err
 	}
-	a.mu.Unlock()
 	return a.db.CloseActivation(taskid, status, end, failures)
 }
 

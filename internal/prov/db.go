@@ -401,8 +401,8 @@ func (db *DB) InsertBatch(table string, rows [][]Value) error {
 // key and installs the copies (copy-on-write, so in-flight zero-copy
 // snapshots keep reading the pre-update rows). It returns the number of
 // rows updated. With a declared index on the column this is O(1) in
-// the table size — the path CloseActivation takes 80,000 times in the
-// paper's sweep; without one it scans the table.
+// the table size (CloseActivation's path); without one it scans the
+// table.
 func (db *DB) UpdateByKey(table, column string, key Value, fn func(row []Value)) (int, error) {
 	t, err := db.lookupTable(table)
 	if err != nil {

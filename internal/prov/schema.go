@@ -70,11 +70,11 @@ func NewProvWfDB() (*DB, error) {
 }
 
 // declareDefaultIndexes creates hash indexes on the key columns the
-// activation lifecycle and the paper's Figure-10 analytical queries
-// probe: taskid makes CloseActivation O(1) under the 80k-activation
-// sweep, and the join/filter keys feed the query planner's index
-// seeds. Best-effort: tables or columns absent from a given database
-// (e.g. an archive saved by an older build) are skipped.
+// paper's Figure-10 analytical queries probe: the join/filter keys
+// feed the query planner's index seeds, and taskid also makes
+// CloseActivation a point update. Best-effort: tables or columns
+// absent from a given database (e.g. an archive saved by an older
+// build) are skipped.
 func declareDefaultIndexes(db *DB) {
 	for _, ix := range [...]struct{ table, col string }{
 		{TableWorkflow, "wkfid"},
@@ -111,36 +111,22 @@ func (db *DB) InsertRelation(relid, actid int64, relname, reltype, filename stri
 	return db.Insert(TableRelation, []Value{relid, actid, relname, reltype, filename})
 }
 
-// InsertActivation records a complete hactivation row in one shot,
-// for activations whose outcome is already terminal when recorded
-// (steering aborts, pre-dispatch failures). Activations that actually
-// execute must use the BeginActivation/CloseActivation pair so the
-// RUNNING state is visible to runtime queries and re-execution; the
-// provpair analyzer (cmd/scilint) enforces the pairing.
+// InsertActivation records one hactivation row. The engine writes
+// every activation this way, once, when its outcome is known: a
+// placement after its body ran, with its virtual start and end; an
+// activation that never ran (steering abort, genuine failure, a
+// cancelled run's tail) as a zero-length row at its ready time.
 func (db *DB) InsertActivation(taskid, actid, wkfid int64, status string, start, end time.Time, vmid string, failures int64, command string) error {
 	return db.Insert(TableActivation, []Value{
 		taskid, actid, wkfid, status, start, end, vmid, failures, command,
 	})
 }
 
-// BeginActivation opens an activation: it inserts a RUNNING
-// hactivation row (endtime provisionally equal to starttime) that a
-// matching CloseActivation completes. Every BeginActivation must be
-// paired with a CloseActivation on all control-flow paths — an
-// activation left RUNNING by a completed code path is
-// indistinguishable from a crash, which breaks the ~10% transient
-// re-execution accounting the paper's fault-tolerance results rely
-// on. The scilint provpair analyzer checks this statically.
-func (db *DB) BeginActivation(taskid, actid, wkfid int64, start time.Time, vmid, command string) error {
-	return db.Insert(TableActivation, []Value{
-		taskid, actid, wkfid, StatusRunning, start, start, vmid, int64(0), command,
-	})
-}
-
 // CloseActivation updates the status/endtime/failures of an existing
 // activation row. With the default taskid index this is an O(1) point
-// update rather than a table scan — the difference between O(n) and
-// O(n²) total close cost over the paper's 80,000-activation sweep.
+// update rather than a table scan. No production path updates a row:
+// it stays for Appender.CloseActivation, which the benchmark's ingest
+// probe calls.
 func (db *DB) CloseActivation(taskid int64, status string, end time.Time, failures int64) error {
 	n, err := db.UpdateByKey(TableActivation, "taskid", taskid,
 		func(row []Value) {

@@ -25,7 +25,7 @@ func benchDB(b *testing.B, n int, unindexed bool) *DB {
 	}
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	for i := 1; i <= n; i++ {
-		if err := db.BeginActivation(int64(i), 1, 1, base, "vm-1", "cmd"); err != nil {
+		if err := db.InsertActivation(int64(i), 1, 1, StatusRunning, base, base, "vm-1", 0, "cmd"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,8 +110,8 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkAppenderIngest measures the engine-facing batched path: a
-// Begin/Close pair per activation through the buffered appender.
+// BenchmarkAppenderIngest measures the engine-facing batched path: one
+// terminal activation row per placement through the buffered appender.
 func BenchmarkAppenderIngest(b *testing.B) {
 	db := benchDB(b, 0, false)
 	app := NewAppender(db, 0)
@@ -121,10 +121,7 @@ func BenchmarkAppenderIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		taskid := int64(i + 1)
-		if err := app.BeginActivation(taskid, 1, 1, base, "vm-1", "cmd"); err != nil {
-			b.Fatal(err)
-		}
-		if err := app.CloseActivation(taskid, StatusFinished, end, 0); err != nil {
+		if err := app.InsertActivation(taskid, 1, 1, StatusFinished, base, end, "vm-1", 0, "cmd"); err != nil {
 			b.Fatal(err)
 		}
 	}

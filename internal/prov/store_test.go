@@ -174,11 +174,10 @@ func TestConcurrentQueryCloseRace(t *testing.T) {
 	const n = 400
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	for i := 1; i <= n; i++ {
-		if err := db.BeginActivation(int64(i), 1, 1, base, "vm-1", "cmd"); err != nil {
+		if err := db.InsertActivation(int64(i), 1, 1, StatusRunning, base, base, "vm-1", 0, "cmd"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	defer closeAll(t, db, 1, n, base) // keep provpair's pairing invariant visible
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -227,15 +226,6 @@ func TestConcurrentQueryCloseRace(t *testing.T) {
 	wg.Wait()
 }
 
-// closeAll closes any still-open activations (the race test's writer
-// already closed them; this is the provpair-visible pairing).
-func closeAll(t *testing.T, db *DB, lo, hi int, base time.Time) {
-	t.Helper()
-	for i := lo; i <= hi; i++ {
-		_ = db.CloseActivation(int64(i), StatusFinished, base.Add(time.Second), 1)
-	}
-}
-
 // --- buffered appender ---
 
 func TestAppenderMatchesDirectWrites(t *testing.T) {
@@ -273,7 +263,7 @@ func TestAppenderMatchesDirectWrites(t *testing.T) {
 		}
 		if limit < 0 { // direct writes, no appender
 			feed(
-				func(i int64) error { return db.BeginActivation(i, 1, 1, base, "vm", "c") },
+				func(i int64) error { return db.InsertActivation(i, 1, 1, StatusRunning, base, base, "vm", 0, "c") },
 				func(i int64) error {
 					return db.CloseActivation(i, StatusFinished, base.Add(time.Duration(i)*time.Second), i%2)
 				},
@@ -330,8 +320,8 @@ func TestAppenderCloseAfterFlush(t *testing.T) {
 	if err := app.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// The RUNNING row is in the DB now; the close must go through the
-	// indexed point update, not the (empty) buffer.
+	// The RUNNING row is in the DB now; the close goes through the
+	// indexed point update.
 	if err := app.CloseActivation(7, StatusFinished, base.Add(time.Minute), 2); err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,12 @@ gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./
 # a torsion turn leaving every atom outside its branch bit-identical,
 # and the pins of Vina's gradient: its energy is Score's bit for bit,
 # its pose gradient matches central differences, At2D's value is
-# At2's, and every mode a dock reports carries its pose's Score.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/DockReportsScore)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|DockReportsScore' -count=1 \
+# At2's, and every mode a dock reports carries its pose's Score; and
+# the receptor invariants: shuffling the receptor's atoms (both
+# engines) or moving receptor and pose together (Vina) moves Score
+# only by rounding.
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 \
 	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of map generation and both scorers is one inlined
