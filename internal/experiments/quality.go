@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/chem"
@@ -57,8 +58,10 @@ type qualityCase struct {
 // Quality reports how deep each engine's search gets for the work it
 // does: per case and engine, the mean over seeds 1-6 and over the
 // case's pairs of the best raw search energy (the engine's objective,
-// before calibration) and the mean number of poses scored per dock.
-// It is a maintenance report, not a paper artifact: `all` does not run
+// before calibration), the mean number of poses scored per dock, and
+// the energy's standard error over the six seed means (each the mean
+// over the case's pairs at one seed): the margin a search change is
+// judged against. It is a maintenance report, not a paper artifact: `all` does not run
 // it, and results_quality.txt holds its current output.
 func (s *Suite) Quality() (string, error) {
 	var panel [][2]string
@@ -73,9 +76,9 @@ func (s *Suite) Quality() (string, error) {
 		{fmt.Sprintf("panel (%d pairs), campaign effort", len(panel)), core.CampaignEffort(), panel},
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "SEARCH QUALITY (mean over seeds %d-%d: best raw search energy, poses scored per dock)\n",
+	fmt.Fprintf(&sb, "SEARCH QUALITY (mean over seeds %d-%d: best raw search energy, poses scored per dock, energy's standard error over the seed means)\n",
 		qualitySeeds[0], qualitySeeds[len(qualitySeeds)-1])
-	fmt.Fprintf(&sb, "%-34s %-6s %6s %12s %12s\n", "case", "engine", "steps", "energy", "evaluations")
+	fmt.Fprintf(&sb, "%-34s %-6s %6s %12s %12s %8s\n", "case", "engine", "steps", "energy", "evaluations", "se")
 	for _, c := range cases {
 		pairs := make([]*qualityPair, len(c.pairs))
 		for i, def := range c.pairs {
@@ -90,7 +93,7 @@ func (s *Suite) Quality() (string, error) {
 			steps = qualityVinaSteps
 		}
 		for _, n := range steps {
-			energy, evals, err := meanOverSeeds(pairs, func(p *qualityPair, seed int64) (*dock.Result, error) {
+			energy, evals, se, err := meanOverSeeds(pairs, func(p *qualityPair, seed int64) (*dock.Result, error) {
 				eng := &vina.Engine{
 					Config: prep.VinaConfig{
 						Center: p.box.Center, Size: p.box.Size,
@@ -103,9 +106,9 @@ func (s *Suite) Quality() (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&sb, "%-34s %-6s %6d %12.3f %12.0f\n", c.label, "vina", n, energy, evals)
+			fmt.Fprintf(&sb, "%-34s %-6s %6d %12.3f %12.0f %8.3f\n", c.label, "vina", n, energy, evals, se)
 		}
-		energy, evals, err := meanOverSeeds(pairs, func(p *qualityPair, seed int64) (*dock.Result, error) {
+		energy, evals, se, err := meanOverSeeds(pairs, func(p *qualityPair, seed int64) (*dock.Result, error) {
 			params := prep.DefaultDPF(p.lig.Mol.Name, p.rec.Name, seed)
 			params.Runs, params.PopSize, params.Gens, params.Evals = c.effort.AD4Runs, c.effort.AD4PopSize, c.effort.AD4Gens, c.effort.AD4Evals
 			return (&ad4.Engine{Params: params, Box: p.box}).Dock(p.ad4, p.lig)
@@ -113,31 +116,45 @@ func (s *Suite) Quality() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&sb, "%-34s %-6s %6s %12.3f %12.0f\n", c.label, "ad4", "-", energy, evals)
+		fmt.Fprintf(&sb, "%-34s %-6s %6s %12.3f %12.0f %8.3f\n", c.label, "ad4", "-", energy, evals, se)
 	}
 	return sb.String(), nil
 }
 
 // meanOverSeeds docks every pair at every quality seed and returns the
-// mean best energy and the mean evaluation count per dock.
-func meanOverSeeds(pairs []*qualityPair, dockOne func(*qualityPair, int64) (*dock.Result, error)) (energy, evals float64, err error) {
+// mean best energy, the mean evaluation count per dock, and the
+// standard error of the best energy over the seeds: the sample standard
+// deviation of the per-seed means over the pairs, divided by √seeds.
+func meanOverSeeds(pairs []*qualityPair, dockOne func(*qualityPair, int64) (*dock.Result, error)) (energy, evals, se float64, err error) {
+	perSeed := make([]float64, len(qualitySeeds))
 	n := 0
 	for _, p := range pairs {
-		for _, seed := range qualitySeeds {
+		for k, seed := range qualitySeeds {
 			res, err := dockOne(p, seed)
 			if err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 			best, err := res.Best()
 			if err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 			energy += best.FEB
+			perSeed[k] += best.FEB
 			evals += float64(res.Stats.Evaluations)
 			n++
 		}
 	}
-	return energy / float64(n), evals / float64(n), nil
+	var mean, ss float64
+	for _, e := range perSeed {
+		mean += e / float64(len(pairs))
+	}
+	mean /= float64(len(perSeed))
+	for _, e := range perSeed {
+		d := e/float64(len(pairs)) - mean
+		ss += d * d
+	}
+	se = math.Sqrt(ss/float64(len(perSeed)-1)) / math.Sqrt(float64(len(perSeed)))
+	return energy / float64(n), evals / float64(n), se, nil
 }
 
 // prepareQualityPair prepares a pair as the workflow does and lays out
