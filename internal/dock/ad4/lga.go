@@ -239,20 +239,10 @@ func mutateInPlace(r *rand.Rand, p *dock.Pose, rate float64, box dock.Box) {
 	}
 	for i := range p.Torsions {
 		if r.Float64() < rate*10 {
-			p.Torsions[i] = wrap(p.Torsions[i] + cauchy(0.3))
+			p.Torsions[i] = dock.WrapAngle(p.Torsions[i] + cauchy(0.3))
 		}
 	}
 	dock.ClampToBox(p, box)
-}
-
-func wrap(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a < -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }
 
 // solisWets is a simplified form of AutoDock's Solis-Wets local

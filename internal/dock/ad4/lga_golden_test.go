@@ -50,8 +50,11 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 
 // TestDockTrajectoryGolden pins the whole search trajectory. The
 // digests were re-recorded at trajectory epoch 2 (the root-frame pose
-// model) and at the octave-indexed radial tables; the LGA and
-// Solis-Wets themselves did not change.
+// model) and at the octave-indexed radial tables. 9XLR/XL1's seed-77
+// digest moved once more when mutation began wrapping torsions with
+// dock.WrapAngle: one Cauchy draw there lands beyond ±3π, which the
+// remainder now reduces where whole-turn subtraction rounded
+// differently.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{77, 2014}
@@ -60,7 +63,7 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		want     [2]string // digest per seed
 	}{
 		{"2HHN", "0E6", [2]string{"38a3fd1e48c84420", "18390f673d98c18f"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"ed5feb86b32e9da1", "c5cf846bdb05075c"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, [2]string{"0cb2eb34ea39344c", "c5cf846bdb05075c"}},
 	}
 	for _, p := range pairs {
 		maps, lig, box := setupPair(t, p.rec, p.lig)
