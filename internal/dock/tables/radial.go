@@ -163,3 +163,22 @@ func (t *Radial) At2D(r2 float64) (v, dvdr2 float64) {
 	d := t.vals[i+1] - v0
 	return v0 + float64(frac*d), d * inv
 }
+
+// At2DOctave is At2D's octave path alone: At2D(r2), bit for bit, for
+// r2 ≥ RMin². Without the core branch its inlining cost is 75, under
+// the compiler's budget of 80 (At2D's is 111), so the gradient loops
+// read a receptor hit or an intramolecular pair with no call and leave
+// the rare r2 < RMin² to At2D. At2D keeps its own copy of the octave
+// path, the reference TestAt2DOctaveMatchesAt2D holds this one to;
+// scripts/check.sh fails when this method stops being inlined at
+// vina's call sites.
+//
+// unit: r2=Å2
+func (t *Radial) At2DOctave(r2 float64) (v, dvdr2 float64) {
+	b := math.Float64bits(r2)
+	i := int(min(b>>fracBits, octaveBase+nNodes-1)) - octaveBase
+	frac := float64(b&(1<<fracBits-1)) * (1.0 / (1 << fracBits))
+	v0 := t.vals[i]
+	d := t.vals[i+1] - v0
+	return v0 + float64(frac*d), d * (math.Float64frombits((2046-b>>52)<<52) * octaveNodes)
+}

@@ -193,3 +193,31 @@ func TestAt2DMatchesAt2(t *testing.T) {
 		}
 	}
 }
+
+// At2DOctave is At2D bit for bit, value and slope, wherever the
+// gradient loops call it (r² ≥ RMin²): at every octave node and one ulp
+// either side, at RMin² and the cutoff, beyond the cutoff and over a
+// dense random sweep.
+func TestAt2DOctaveMatchesAt2D(t *testing.T) {
+	probes := []float64{RMin2, Cutoff * Cutoff, math.Nextafter(Cutoff*Cutoff, 100), 64.3, 100, 1e6, math.MaxFloat64, math.Inf(1)}
+	for i := coreBins; i < nNodes; i++ {
+		r2 := nodeR2(i)
+		probes = append(probes, r2, math.Nextafter(r2, math.Inf(1)))
+		if below := math.Nextafter(r2, 0); below >= RMin2 {
+			probes = append(probes, below)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for range 200000 {
+		probes = append(probes, RMin2+rng.Float64()*(1.05*Cutoff*Cutoff-RMin2))
+	}
+	for _, fam := range familyTables() {
+		for _, r2 := range probes {
+			v, d := fam.tbl.At2DOctave(r2)
+			wv, wd := fam.tbl.At2D(r2)
+			if math.Float64bits(v) != math.Float64bits(wv) || math.Float64bits(d) != math.Float64bits(wd) {
+				t.Fatalf("%s: At2DOctave(%v) = (%v, %v), At2D (%v, %v)", fam.name, r2, v, d, wv, wd)
+			}
+		}
+	}
+}

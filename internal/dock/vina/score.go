@@ -305,7 +305,9 @@ func (s *Scorer) groupIntra(g int, coords []chem.Vec3) float64 {
 // same table values, the same group order and combine. Each table term
 // v(r²) contributes dv/dr²·2(xᵢ − a) to atom i's gradient, scaled by
 // 1/rotFactor for the receptor terms and by the internal weight, with
-// opposite signs on the two atoms, for the intramolecular ones.
+// opposite signs on the two atoms, for the intramolecular ones. Both
+// loops read v and dv/dr² as At2D's bits, through the inlined
+// At2DOctave from RMin² on.
 //
 // With hunt set it is instead the energy and gradient of Vina's capped
 // search potential: each positive atom sum and each positive pair term
@@ -336,7 +338,12 @@ func (s *Scorer) energyGrad(coords, grad []chem.Vec3, hunt bool) float64 {
 		for _, pr := range s.intraTbl[gr.lo:gr.hi] {
 			xi, xj := coords[pr.i], coords[pr.j]
 			if r2 := dist2(xi, xj); r2 <= cut2 {
-				v, dv := pr.tbl.At2D(r2)
+				var v, dv float64
+				if r2 < tables.RMin2 {
+					v, dv = pr.tbl.At2D(r2)
+				} else {
+					v, dv = pr.tbl.At2DOctave(r2)
+				}
 				if hunt && v > 0 {
 					v, dv = curl(v, dv, huntCapIntra)
 				}
@@ -362,7 +369,9 @@ func curl(e, d, v float64) (float64, float64) {
 // atomInterGrad is atomInter at p together with Σ dv/dr²·(p − a) over
 // the same hits of the same dock.FilterIndexed walk, so the sum is
 // atomInter's bit for bit. The filter is branch-free; the hit loop
-// reads each hit's atom back through its packed index.
+// reads each hit's atom back through its packed index, and its value
+// and slope through the inlined At2DOctave from RMin² on (At2D's bits
+// with no call per hit), only a deep clash calling At2D.
 func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *interScratch) (float64, chem.Vec3) {
 	const cut2 = cutoff * cutoff
 	hits := &scr.hits
@@ -374,7 +383,12 @@ func (s *Scorer) atomInterGrad(i int, p chem.Vec3, scr *interScratch) (float64, 
 		end := min(at+len(hits), len(cand))
 		m := dock.FilterIndexed(atoms, cand[at:end], p.X, p.Y, p.Z, cut2, hits[:], 0)
 		for _, h := range hits[:m] {
-			v, dv := row[h.Cls].At2D(h.R2)
+			var v, dv float64
+			if h.R2 < tables.RMin2 {
+				v, dv = row[h.Cls].At2D(h.R2)
+			} else {
+				v, dv = row[h.Cls].At2DOctave(h.R2)
+			}
 			sum += v
 			a := &atoms[h.Idx]
 			gx += float64(dv * (p.X - a.X))

@@ -99,20 +99,29 @@ gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./
 # a torsion turn leaving every atom outside its branch bit-identical,
 # and the pins of Vina's gradient: its energy is Score's bit for bit,
 # its pose gradient matches central differences, At2D's value is
-# At2's, and every mode a dock reports carries its pose's Score; and
+# At2's and At2DOctave's value and slope are At2D's, and every mode a dock reports carries its pose's Score; and
 # the receptor invariants: shuffling the receptor's atoms (both
 # engines) or moving receptor and pose together (Vina) moves Score
 # only by rounding.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 \
+echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 \
 	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of map generation and both scorers is one inlined
-# Radial.At2; its inlining cost sits at the compiler's budget, so an
-# edit that pushes it over would turn each term into a call unnoticed.
-echo "==> Radial.At2 stays inlinable"
-go build -gcflags=-m ./internal/dock/tables 2>&1 | grep -q 'can inline (\*Radial).At2' ||
-	{ echo "check: tables.(*Radial).At2 is no longer inlinable (go build -gcflags=-m ./internal/dock/tables)" >&2; exit 1; }
+# Radial.At2, and every receptor hit and intramolecular pair of Vina's
+# gradient pass from RMin² on one inlined Radial.At2DOctave. Both
+# costs sit at or near the compiler's budget, so an edit that pushes
+# one over would turn each term into a call unnoticed: require both to
+# be inlinable, and the gradient pass's two call sites to inline it.
+echo "==> Radial.At2 and Radial.At2DOctave stay inlinable"
+inl=$(go build -gcflags=-m ./internal/dock/tables 2>&1)
+for fn in At2 At2DOctave; do
+	printf '%s\n' "$inl" | grep -q "can inline (\\*Radial)\\.$fn\$" ||
+		{ echo "check: tables.(*Radial).$fn is no longer inlinable (go build -gcflags=-m ./internal/dock/tables)" >&2; exit 1; }
+done
+sites=$(go build -gcflags=-m ./internal/dock/vina 2>&1 | grep -c 'score.go:.*inlining call to tables.(\*Radial).At2DOctave' || true)
+[ "$sites" -eq 2 ] ||
+	{ echo "check: internal/dock/vina/score.go inlines tables.(*Radial).At2DOctave at $sites sites, want 2 (go build -gcflags=-m ./internal/dock/vina)" >&2; exit 1; }
 
 # The digests must not depend on the CPU's fused multiply-add. amd64's
 # math.Exp is assembly that branches on it, so every exponential on the
