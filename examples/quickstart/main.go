@@ -85,8 +85,9 @@ func main() {
 		st := res.Stats
 		fmt.Printf("  %s scored %d poses", exp.program, st.Evaluations)
 		if st.LocalIterations > 0 {
-			fmt.Printf(" (energy plus gradient) in %d accepted quasi-Newton steps, %.1f evaluations per step",
-				st.LocalIterations, float64(st.Evaluations)/float64(st.LocalIterations))
+			fmt.Printf(" (energy plus gradient) in %d accepted quasi-Newton steps, %.1f evaluations per step;"+
+				" the stall stop ended %d of %d local optimizations",
+				st.LocalIterations, float64(st.Evaluations)/float64(st.LocalIterations), st.Stalled, st.LocalOptimizations)
 		}
 		fmt.Println()
 	}

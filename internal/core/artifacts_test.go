@@ -59,7 +59,8 @@ func artifactsDigest(t *testing.T, camp *Campaign) string {
 // and without GODEBUG=cpu.fma=off; adaptive-6x3 once more when Vina's
 // BFGS local optimizer, searching Vina's capped potential, replaced
 // the compass search and Vina's FEB constants were re-fitted (ad4-writemaps docks with AD4 alone and did
-// not move). They must never be edited by a
+// not move), and again when the stall stop began ending Vina's local
+// optimizations and Vina's constants were re-fitted. They must never be edited by a
 // change that claims to preserve behaviour. The bench digest covers ddocking rows and TET bits only;
 // this covers the rest.
 func TestCampaignArtifactsGolden(t *testing.T) {
@@ -82,7 +83,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Mode: ModeAdaptive, Dataset: small, Cores: 8,
 				Effort: SmokeEffort(), Seed: 2014, HgGuard: true,
 			},
-			want: "ff25f5dbb3d3e2d1874eca16ad9ae90bc3d63fea3b9b6c100fac5e57d0cf1f3d",
+			want: "c58fbcab26ac4dad74f7361a4a207f5c0c6d7ed205c9e030289c72d19dd8fcde",
 		},
 		{
 			name: "ad4-writemaps",

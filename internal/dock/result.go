@@ -48,12 +48,20 @@ type Stats struct {
 	// LocalIterations is the number of accepted quasi-Newton steps of
 	// Vina's local optimizations.
 	LocalIterations int64
+	// LocalOptimizations is the number of Vina's local optimizations,
+	// on the capped and the authentic potential alike.
+	LocalOptimizations int64
+	// Stalled is the number of those the stall stop ended: their last
+	// accepted steps gained too little to go on.
+	Stalled int64
 }
 
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
 	s.Evaluations += o.Evaluations
 	s.LocalIterations += o.LocalIterations
+	s.LocalOptimizations += o.LocalOptimizations
+	s.Stalled += o.Stalled
 }
 
 // Best returns the run with the lowest FEB.

@@ -10,7 +10,7 @@ import (
 // Local optimization constants: Vina 1.1.2's line search (Armijo
 // constant, trials, step multiplier), gradient tolerance and the
 // epsilon_fl its BFGS update tests against, and this reproduction's
-// iteration guard.
+// iteration guard and stall stop.
 const (
 	armijo      = 1e-4
 	lineTrials  = 10
@@ -18,6 +18,8 @@ const (
 	gradTol     = 1e-5
 	epsFl       = 2.220446049250313e-16 // DBL_EPSILON, Vina's epsilon_fl
 	maxLocalIts = 150                   // a guard against a search that never settles, not a tuning knob
+	stallSteps  = 10                    // accepted steps the stall stop looks back over
+	stallGain   = 1e-4                  // kcal/mol: the mean gain per step below which a search has stalled
 )
 
 // localOptimize is Vina 1.1.2's quasi-Newton refinement (bfgs,
@@ -35,16 +37,20 @@ const (
 // diagonal is set to α·(y·p)/(y·y) when y·y exceeds epsilon_fl; then H
 // gets Vina's BFGS update, skipped (with the scaling, which waits for
 // the next step) when α·y·p is below epsilon_fl. It stops when
-// |g| < 1e-5. Two deviations from Vina, both measured (see
+// |g| < 1e-5. Three deviations from Vina, all measured (see
 // DESIGN.md "Local optimisation: BFGS"): a line search that finds no
 // acceptable trial leaves the pose where it was and resets H to I, and
 // a second failure in a row ends the search, where Vina takes its last
-// trial regardless; and maxLocalIts bounds the loop, where Vina runs
-// (25 + atoms)/3 iterations.
+// trial regardless; maxLocalIts bounds the loop, where Vina runs
+// (25 + atoms)/3 iterations; and the stall stop ends the search on the
+// pose just accepted once its last stallSteps accepted steps gained
+// less than stallSteps·stallGain in all, which Vina does not do.
 //
 // Every trial is one energy-plus-gradient evaluation, counted in
-// ws.Stats.Evaluations; accepted steps count in LocalIterations. The
-// state lives in ws.Local, so a warm call allocates nothing.
+// ws.Stats.Evaluations; accepted steps count in LocalIterations, each
+// search in LocalOptimizations and a search the stall stop ended in
+// Stalled. The state lives in ws.Local, so a warm call allocates
+// nothing.
 func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose) float64 {
 	return quasiNewton(s, ws, box, x, false)
 }
@@ -54,6 +60,13 @@ func (e *Engine) localOptimize(s *Scorer, ws *dock.Workspace, box dock.Box, x *d
 // (energyGrad with hunt set, Vina's hunt_cap), the local optimisation
 // each Metropolis candidate gets. The capped energy it then returns is
 // never above Score's at the same pose.
+//
+// The stall stop: the energy is piecewise linear in r², so its gradient
+// never falls below gradTol at a minimum, and a search would creep
+// along a kink in sub-1e-4 kcal/mol steps until its line search failed
+// twice. gains holds f₀ − f₁ of the last stallSteps accepted steps;
+// from the stallSteps-th on, their sum falling under
+// stallSteps·stallGain ends the search.
 func quasiNewton(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose, hunt bool) float64 {
 	lig := ws.Ligand()
 	n := 6 + lig.NumTorsions()
@@ -63,9 +76,12 @@ func quasiNewton(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose, hunt
 	trial := ws.Get()
 	defer ws.Put(trial)
 
+	ws.Stats.LocalOptimizations++
 	f0 := evalPose(s, ws, x, g, hunt)
 	identity(h, n)
 	scaled, failed := false, false
+	var gains [stallSteps]float64
+	accepted := 0
 	for it := 0; it < maxLocalIts && dot(g, g) >= gradTol*gradTol; it++ {
 		matVec(p, h, g, n, -1)
 		pg := dot(p, g)
@@ -93,7 +109,19 @@ func quasiNewton(s *Scorer, ws *dock.Workspace, box dock.Box, x *dock.Pose, hunt
 			y[i] = gNew[i] - g[i]
 		}
 		x.Set(*trial)
+		gains[accepted%stallSteps] = f0 - f1
+		accepted++
 		f0 = f1
+		if accepted >= stallSteps {
+			var gained float64
+			for _, d := range gains {
+				gained += d
+			}
+			if gained < stallSteps*stallGain {
+				ws.Stats.Stalled++
+				break
+			}
+		}
 		g, gNew = gNew, g
 		yp := dot(y, p)
 		if !(float64(alpha*yp) >= epsFl) {

@@ -168,42 +168,60 @@ func TestHuntCapOnlyLowers(t *testing.T) {
 	}
 }
 
-// TestDockStats pins what the counters say about the large pair: they
-// are per chain and summed in chain order, so they do not depend on
-// the worker count; every local optimization takes accepted steps; and
-// the local optimizations of one Metropolis step of the 35-torsion
-// ligand (the capped search and, on a new best, the refinement) cost
+// TestDockStats pins what the counters say. They are per chain and
+// summed in chain order, so they do not depend on the worker count. A
+// capped search and its refinement open each chain and a capped search
+// follows each step, plus a refinement per new best, so a dock runs
+// between exhaustiveness·(steps + 2) and exhaustiveness·(2·steps + 2)
+// local optimizations; each takes accepted steps, and the stall stop
+// ends some of them on 2HHN/0E6. On the large pair the local
+// optimizations of one Metropolis step of the 35-torsion ligand cost
 // under 400 energy-plus-gradient evaluations (a compass search over its
 // 41 degrees of freedom spent about 2,400).
 func TestDockStats(t *testing.T) {
-	rec, lig := setupPair(t, data.LargeReceptorCode, data.LargeLigandCode)
-	s, err := NewScorer(rec, lig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(2014)
-	cfg.Exhaustiveness = 2
-	const steps = 1
-	var first dock.Stats
-	for _, workers := range []int{1, 2} {
-		res, err := (&Engine{Config: cfg, StepsPerRestart: steps, Workers: workers}).Dock(s, lig)
+	for _, p := range []struct {
+		rec, lig string
+		steps    int
+	}{{"2HHN", "0E6", 6}, {data.LargeReceptorCode, data.LargeLigandCode, 1}} {
+		rec, lig := setupPair(t, p.rec, p.lig)
+		s, err := NewScorer(rec, lig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := res.Stats
-		if workers == 1 {
-			first = st
-		} else if st != first {
-			t.Fatalf("stats depend on the worker count:\n1: %+v\n2: %+v", first, st)
-		}
-		// A capped search and its refinement open each chain; a capped
-		// search follows each step.
-		optimizations := int64(cfg.Exhaustiveness * (steps + 2))
-		if st.LocalIterations < optimizations || st.LocalIterations >= st.Evaluations {
-			t.Errorf("%d accepted steps over %d evaluations in at least %d local optimizations", st.LocalIterations, st.Evaluations, optimizations)
-		}
-		if per := st.Evaluations / int64(cfg.Exhaustiveness*(steps+1)); per >= 400 {
-			t.Errorf("%d evaluations per Metropolis step, want under 400", per)
+		cfg := testConfig(2014)
+		cfg.Exhaustiveness = 2
+		var first dock.Stats
+		for _, workers := range []int{1, 2} {
+			res, err := (&Engine{Config: cfg, StepsPerRestart: p.steps, Workers: workers}).Dock(s, lig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if workers == 1 {
+				first = st
+			} else if st != first {
+				t.Fatalf("%s/%s: stats depend on the worker count:\n1: %+v\n2: %+v", p.rec, p.lig, first, st)
+			}
+			lo, hi := int64(cfg.Exhaustiveness*(p.steps+2)), int64(cfg.Exhaustiveness*(2*p.steps+2))
+			if st.LocalOptimizations < lo || st.LocalOptimizations > hi {
+				t.Errorf("%s/%s: %d local optimizations, want %d to %d", p.rec, p.lig, st.LocalOptimizations, lo, hi)
+			}
+			if st.LocalIterations < st.LocalOptimizations || st.LocalIterations >= st.Evaluations {
+				t.Errorf("%s/%s: %d accepted steps over %d evaluations in %d local optimizations",
+					p.rec, p.lig, st.LocalIterations, st.Evaluations, st.LocalOptimizations)
+			}
+			if st.Stalled > st.LocalOptimizations {
+				t.Errorf("%s/%s: %d stalled of %d local optimizations", p.rec, p.lig, st.Stalled, st.LocalOptimizations)
+			}
+			if p.lig == "0E6" && st.Stalled == 0 {
+				t.Errorf("2HHN/0E6: the stall stop ended none of %d local optimizations", st.LocalOptimizations)
+			}
+			if p.lig == data.LargeLigandCode {
+				if per := st.Evaluations / int64(cfg.Exhaustiveness*(p.steps+1)); per >= 400 {
+					t.Errorf("%d evaluations per Metropolis step, want under 400", per)
+				}
+			}
+			t.Logf("%s/%s workers %d: %+v", p.rec, p.lig, workers, st)
 		}
 	}
 }

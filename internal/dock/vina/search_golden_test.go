@@ -50,8 +50,10 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 // TestDockTrajectoryGolden pins the whole search trajectory. The
 // digests were re-recorded at trajectory epoch 2 (the root-frame pose
 // model), at the octave-indexed radial tables and fmath.Exp in the
-// tables and the Metropolis test, and at the BFGS local optimizer on
-// Vina's capped search potential that replaced the compass search.
+// tables and the Metropolis test, at the BFGS local optimizer on
+// Vina's capped search potential that replaced the compass search, and
+// at its stall stop (only 2HHN/0E6 seed 19 moved: XL1's searches never
+// stall at one step).
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{19, 2014}
@@ -60,7 +62,7 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		steps    int
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", 6, [2]string{"820297810e43ac3b", "f8e8fd0af81a34e1"}},
+		{"2HHN", "0E6", 6, [2]string{"ed1f3da38faf1229", "f8e8fd0af81a34e1"}},
 		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"9d3f44b2983f5860", "4f7ff3522ddf7955"}},
 	}
 	for _, p := range pairs {
