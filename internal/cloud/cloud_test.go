@@ -5,79 +5,6 @@ import (
 	"testing"
 )
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim()
-	var got []int
-	s.After(5, func() { got = append(got, 2) })
-	s.After(1, func() { got = append(got, 1) })
-	s.After(9, func() { got = append(got, 3) })
-	end := s.Run()
-	if end != 9 {
-		t.Errorf("end time = %v", end)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("order = %v", got)
-	}
-}
-
-func TestSimSameTimeFIFO(t *testing.T) {
-	s := NewSim()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(7, func() { got = append(got, i) })
-	}
-	s.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", got)
-		}
-	}
-}
-
-func TestSimNestedScheduling(t *testing.T) {
-	s := NewSim()
-	var times []float64
-	s.After(2, func() {
-		times = append(times, s.Now())
-		s.After(3, func() { times = append(times, s.Now()) })
-	})
-	s.Run()
-	if len(times) != 2 || times[0] != 2 || times[1] != 5 {
-		t.Errorf("times = %v", times)
-	}
-}
-
-func TestSimPastAndNegative(t *testing.T) {
-	s := NewSim()
-	s.After(10, func() {
-		// Scheduling in the past clamps to now.
-		s.At(3, func() {
-			if s.Now() != 10 {
-				t.Errorf("past event ran at %v", s.Now())
-			}
-		})
-	})
-	s.After(-5, func() {}) // clamps to 0
-	s.Run()
-}
-
-func TestSimStep(t *testing.T) {
-	s := NewSim()
-	n := 0
-	s.After(1, func() { n++ })
-	s.After(2, func() { n++ })
-	if !s.Step() || n != 1 || s.Pending() != 1 {
-		t.Errorf("step 1: n=%d pending=%d", n, s.Pending())
-	}
-	if !s.Step() || n != 2 {
-		t.Errorf("step 2: n=%d", n)
-	}
-	if s.Step() {
-		t.Error("step on empty queue succeeded")
-	}
-}
-
 func TestCatalogMatchesTable1(t *testing.T) {
 	if M3XLarge.Cores != 4 || M32XLarge.Cores != 8 {
 		t.Error("core counts differ from Table 1")
@@ -91,8 +18,7 @@ func TestCatalogMatchesTable1(t *testing.T) {
 }
 
 func TestAcquireReleaseAndCost(t *testing.T) {
-	s := NewSim()
-	c := NewCluster(s)
+	c := NewCluster()
 	vm := c.Acquire(M3XLarge)
 	if !vm.Running() {
 		t.Error("fresh VM not running")
@@ -101,12 +27,10 @@ func TestAcquireReleaseAndCost(t *testing.T) {
 		t.Error("no boot latency")
 	}
 	// Advance 90 minutes, release: billed 2 hours.
-	s.After(5400, func() {
-		if err := c.Release(vm.ID); err != nil {
-			t.Error(err)
-		}
-	})
-	s.Run()
+	c.AdvanceTo(5400)
+	if err := c.Release(vm.ID); err != nil {
+		t.Error(err)
+	}
 	if vm.Running() {
 		t.Error("VM still running after release")
 	}
@@ -123,8 +47,7 @@ func TestAcquireReleaseAndCost(t *testing.T) {
 }
 
 func TestSpeedHeterogeneityAndDeterminism(t *testing.T) {
-	s := NewSim()
-	c := NewCluster(s)
+	c := NewCluster()
 	a := c.Acquire(M32XLarge)
 	b := c.Acquire(M32XLarge)
 	if a.Speed(100) != a.Speed(100) {
@@ -174,8 +97,7 @@ func TestBuildVirtualCluster(t *testing.T) {
 		{12, 2, 12}, // one 2xlarge + one xlarge
 	}
 	for _, cse := range cases {
-		s := NewSim()
-		c := NewCluster(s)
+		c := NewCluster()
 		vms, err := c.BuildVirtualCluster(cse.cores)
 		if err != nil {
 			t.Fatal(err)
@@ -194,16 +116,14 @@ func TestBuildVirtualCluster(t *testing.T) {
 			t.Errorf("TotalCores = %d, want %d", c.TotalCores(), total)
 		}
 	}
-	s := NewSim()
-	c := NewCluster(s)
+	c := NewCluster()
 	if _, err := c.BuildVirtualCluster(0); err == nil {
 		t.Error("zero cores accepted")
 	}
 }
 
 func TestRunningVMsFiltering(t *testing.T) {
-	s := NewSim()
-	c := NewCluster(s)
+	c := NewCluster()
 	a := c.Acquire(M3XLarge)
 	c.Acquire(M3XLarge)
 	if err := c.Release(a.ID); err != nil {
@@ -218,24 +138,24 @@ func TestRunningVMsFiltering(t *testing.T) {
 }
 
 func TestCostBillsRunningVMsToNow(t *testing.T) {
-	s := NewSim()
-	c := NewCluster(s)
+	c := NewCluster()
 	c.Acquire(M32XLarge)
 	// Advance 30 minutes without releasing: billed 1 hour so far.
-	s.After(1800, func() {})
-	s.Run()
+	c.AdvanceTo(1800)
 	if got := c.Cost(); math.Abs(got-M32XLarge.HourlyUSD) > 1e-9 {
 		t.Errorf("running cost = %v, want one hour (%v)", got, M32XLarge.HourlyUSD)
 	}
 	// A VM acquired later bills from its own acquisition time.
-	s.After(3600, func() {})
-	s.Run() // now at t=5400
+	c.AdvanceTo(5400)
 	late := c.Acquire(M3XLarge)
 	if late.BootAt != 5400 {
 		t.Errorf("late VM BootAt = %v, want 5400", late.BootAt)
 	}
-	s.After(600, func() {})
-	s.Run() // t=6000
+	c.AdvanceTo(6000)
+	c.AdvanceTo(100) // the clock never runs backwards
+	if c.Now() != 6000 {
+		t.Errorf("Now = %v after advancing to 6000 then 100, want 6000", c.Now())
+	}
 	// First VM: ceil(6000/3600)=2h × 0.9; late VM: ceil(600/3600)=1h × 0.45.
 	want := 2*M32XLarge.HourlyUSD + 1*M3XLarge.HourlyUSD
 	if got := c.Cost(); math.Abs(got-want) > 1e-9 {

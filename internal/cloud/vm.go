@@ -1,3 +1,10 @@
+// Package cloud simulates the Amazon EC2 virtual cluster of the
+// paper's deployment: the m3 instance catalog (Table 1), VM
+// acquisition with boot latency, per-VM performance heterogeneity and
+// virtualization fluctuations, and hourly cost accounting. The
+// cluster keeps a monotone virtual clock in seconds, which its user
+// advances, so multi-day workflow executions replay in milliseconds
+// of wall time.
 package cloud
 
 import (
@@ -69,29 +76,39 @@ func hash32(s string) uint32 {
 	return h.Sum32()
 }
 
-// Cluster manages VM leases against the virtual clock and accumulates
+// Cluster manages VM leases against its virtual clock and accumulates
 // the bill.
 type Cluster struct {
-	sim    *Sim
+	now    float64
 	vms    map[string]*VM
 	nextID int
 }
 
-// NewCluster returns an empty cluster on the given simulator.
-func NewCluster(sim *Sim) *Cluster {
-	return &Cluster{sim: sim, vms: make(map[string]*VM)}
+// NewCluster returns an empty cluster at virtual time zero.
+func NewCluster() *Cluster {
+	return &Cluster{vms: make(map[string]*VM)}
 }
 
-// Acquire leases a new VM of the given type. The returned VM becomes
-// usable at ReadyAt (boot latency); the caller coordinates with the
-// simulator for readiness events.
+// Now returns the current virtual time in seconds.
+func (c *Cluster) Now() float64 { return c.now }
+
+// AdvanceTo moves the virtual clock forward to t; a t at or before the
+// current time leaves it where it is.
+func (c *Cluster) AdvanceTo(t float64) {
+	if t > c.now {
+		c.now = t
+	}
+}
+
+// Acquire leases a new VM of the given type at the current virtual
+// time. The returned VM becomes usable at ReadyAt (boot latency).
 func (c *Cluster) Acquire(t InstanceType) *VM {
 	c.nextID++
 	vm := &VM{
 		ID:      fmt.Sprintf("i-%s-%04d", t.Name, c.nextID),
 		Type:    t,
-		BootAt:  c.sim.Now(),
-		ReadyAt: c.sim.Now() + t.BootSecs,
+		BootAt:  c.now,
+		ReadyAt: c.now + t.BootSecs,
 		StopAt:  math.Inf(1),
 	}
 	// Placement heterogeneity: ±10% deterministic per VM id.
@@ -109,7 +126,7 @@ func (c *Cluster) Release(id string) error {
 	if !vm.Running() {
 		return fmt.Errorf("cloud: VM %q already released", id)
 	}
-	vm.StopAt = c.sim.Now()
+	vm.StopAt = c.now
 	return nil
 }
 
@@ -153,7 +170,7 @@ func (c *Cluster) Cost() float64 {
 	for _, vm := range c.vms {
 		end := vm.StopAt
 		if vm.Running() {
-			end = c.sim.Now()
+			end = c.now
 		}
 		up := end - vm.BootAt
 		if up <= 0 {

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/engine"
@@ -64,39 +62,22 @@ func PerfSweep(cfg PerfConfig) (stats.Series, error) {
 	}
 
 	points := make([]stats.PerfPoint, len(cfg.CoresList))
-	errs := make([]error, len(points))
-	workers, release := 1, func() {}
-	if cfg.Scheduler == nil {
-		workers, release = parallel.Tokens().Grab(len(points))
+	workers := 0
+	if cfg.Scheduler != nil {
+		workers = 1
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				c := point
-				c.Cores = cfg.CoresList[i]
-				camp, err := RunTiming(c)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				points[i] = stats.PerfPoint{Cores: c.Cores, TET: camp.TET()}
-			}
-		}()
-	}
-	wg.Wait()
-	release()
-	for _, err := range errs {
+	err := parallel.For(len(points), workers, nil, func(i int, _ any) error {
+		c := point
+		c.Cores = cfg.CoresList[i]
+		camp, err := RunTiming(c)
 		if err != nil {
-			return stats.Series{}, err
+			return err
 		}
+		points[i] = stats.PerfPoint{Cores: c.Cores, TET: camp.TET()}
+		return nil
+	})
+	if err != nil {
+		return stats.Series{}, err
 	}
 	return stats.Series{Label: label, Points: points}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -285,4 +286,41 @@ func mustSmall(t *testing.T, nr, nl int) data.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// TestAdaptiveCampaignReleasesEachFleet: each workflow of an adaptive
+// campaign leases its own fleet and releases it when it ends, so
+// nothing is left running and each workflow is billed for its own span.
+func TestAdaptiveCampaignReleasesEachFleet(t *testing.T) {
+	camp, err := RunTiming(Config{Mode: ModeAdaptive, Dataset: mustSmall(t, 40, 6), Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(camp.Reports) != 2 {
+		t.Fatalf("%d workflow reports, want 2", len(camp.Reports))
+	}
+	if running := camp.Engine.Cluster.RunningVMs(); len(running) != 0 {
+		t.Errorf("%d VMs still leased after the campaign", len(running))
+	}
+	var ends []float64
+	end := 0.0
+	for _, rep := range camp.Reports {
+		end += rep.TET
+		ends = append(ends, end)
+	}
+	var usd float64
+	for _, vm := range camp.Engine.Cluster.VMs() {
+		k := 0
+		for k < len(ends)-1 && vm.BootAt >= ends[k] {
+			k++
+		}
+		if math.Abs(vm.StopAt-ends[k]) > 1e-6 {
+			t.Errorf("VM %s leased at %.1f s stops at %.1f s, want workflow %d's end %.1f s",
+				vm.ID, vm.BootAt, vm.StopAt, k, ends[k])
+		}
+		usd += math.Ceil((ends[k]-vm.BootAt)/3600) * vm.Type.HourlyUSD
+	}
+	if got := camp.Engine.Cluster.Cost(); math.Abs(got-usd) > 1e-9 {
+		t.Errorf("bill $%.2f, want $%.2f for each fleet over its own workflow", got, usd)
+	}
 }

@@ -1,11 +1,10 @@
 package ad4
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -21,9 +20,9 @@ const ProgramName = "AutoDock 4.2.5.1"
 type Engine struct {
 	Params prep.DPF
 	Box    dock.Box
-	// Workers bounds the GA-run fan-out: 0 sizes it from the
-	// process-wide CPU token budget (internal/parallel), 1 forces
-	// sequential runs, n > 1 uses exactly n workers. Output is
+	// Workers bounds the GA-run fan-out under parallel.For's rule: 0
+	// sizes it from the process-wide CPU token budget, 1 forces
+	// sequential runs, n > 1 uses n workers. Output is
 	// byte-identical for every value — runs have independent seeds
 	// and land in run order.
 	Workers int
@@ -35,13 +34,13 @@ type Engine struct {
 
 // Dock executes Params.Runs independent LGA runs and collects the
 // per-run best poses, energies and RMSDs (vs the ligand's input
-// frame, AutoDock's DLG convention). Runs are fanned over a bounded
-// worker pool; each run draws from its own seeded RNG
-// (RandomSeed + run·7919) and fills its own slot, so the merged
-// result is identical for any worker count. A panic inside a run — a
-// scorer built for another ligand indexing out of range, say — is that
-// run's error, on whichever goroutine it ran: Dock returns the first
-// one in run order instead of taking the process down.
+// frame, AutoDock's DLG convention). Runs are fanned out by
+// parallel.For with one workspace per worker; each run draws from its
+// own seeded RNG (RandomSeed + run·7919) and fills its own slot, so
+// the merged result is identical for any worker count. A panic inside
+// a run — a scorer built for another ligand indexing out of range,
+// say — is that run's error: Dock returns the first one in run order
+// instead of taking the process down.
 func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	if e.Params.Runs <= 0 || e.Params.PopSize <= 1 {
 		return nil, fmt.Errorf("ad4: invalid GA parameters (runs=%d pop=%d)",
@@ -52,72 +51,30 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 		Receptor: s.Maps.Receptor,
 		Ligand:   lig.Mol.Name,
 		Seed:     e.Params.RandomSeed,
+		Runs:     make([]dock.RunResult, e.Params.Runs),
 	}
-	nRuns := e.Params.Runs
-	runs := make([]dock.RunResult, nRuns)
-	evals := make([]int, nRuns)
-	errs := make([]error, nRuns)
-
-	oneRun := func(run int, ws *dock.Workspace) {
-		// Runs execute on goroutines nobody else can guard.
-		defer func() {
-			if r := recover(); r != nil {
-				errs[run-1] = fmt.Errorf("ad4: run %d panicked: %v", run, r)
+	evals := make([]int, e.Params.Runs)
+	err := parallel.For(e.Params.Runs, e.Workers,
+		func() *dock.Workspace { return dock.NewWorkspace(lig) },
+		func(i int, ws *dock.Workspace) error {
+			run := i + 1
+			r := ws.Rand(e.Params.RandomSeed + int64(run)*7919)
+			pose, feb, n := e.runLGA(r, s, lig, ws)
+			rmsd, err := chem.RMSD(lig.Coords(pose), lig.Reference())
+			if err != nil {
+				return fmt.Errorf("ad4: rmsd: %w", err)
 			}
-		}()
-		r := ws.Rand(e.Params.RandomSeed + int64(run)*7919)
-		pose, feb, n := e.runLGA(r, s, lig, ws)
-		rmsd, err := chem.RMSD(lig.Coords(pose), lig.Reference())
-		if err != nil {
-			errs[run-1] = fmt.Errorf("ad4: rmsd: %w", err)
-			return
-		}
-		runs[run-1] = dock.RunResult{Run: run, Pose: pose, FEB: feb, RMSD: rmsd}
-		evals[run-1] = n
+			res.Runs[i] = dock.RunResult{Run: run, Pose: pose, FEB: feb, RMSD: rmsd}
+			evals[i] = n
+			return nil
+		})
+	var p *parallel.Panic
+	if errors.As(err, &p) {
+		return nil, fmt.Errorf("ad4: run %d panicked: %v", p.Index+1, p.Value)
 	}
-
-	workers := e.Workers
-	release := func() {}
-	if workers <= 0 {
-		workers, release = parallel.Tokens().Grab(nRuns)
+	if err != nil {
+		return nil, err
 	}
-	defer release()
-	if workers > nRuns {
-		workers = nRuns
-	}
-	// Each worker owns a workspace and pulls runs off one counter until
-	// none are left; with one worker that is this goroutine.
-	var next atomic.Int64
-	worker := func() {
-		ws := dock.NewWorkspace(lig)
-		for {
-			run := int(next.Add(1))
-			if run > nRuns {
-				return
-			}
-			oneRun(run, ws)
-		}
-	}
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Runs = runs
 	for _, n := range evals { // in run order
 		res.Stats.Evaluations += int64(n)
 	}

@@ -1,9 +1,8 @@
 package vina
 
 import (
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -23,11 +22,11 @@ type Engine struct {
 	// StepsPerRestart bounds each Monte-Carlo chain; scaled from the
 	// config's exhaustiveness.
 	StepsPerRestart int
-	// Workers bounds the chain fan-out: 0 sizes it from the
-	// process-wide CPU token budget (internal/parallel), 1 forces
-	// sequential search, n > 1 uses exactly n workers. Output is
-	// byte-identical for every value — chains have independent seeds
-	// and merge in chain order.
+	// Workers bounds the chain fan-out under parallel.For's rule: 0
+	// sizes it from the process-wide CPU token budget, 1 forces
+	// sequential search, n > 1 uses n workers. Output is byte-identical
+	// for every value — chains have independent seeds and merge in
+	// chain order.
 	Workers int
 	// MaxBatch is accepted and ignored; it stays only until bench/ stops assigning it.
 	MaxBatch int
@@ -45,15 +44,15 @@ type mode struct {
 
 // Dock runs iterated-local-search Monte Carlo: `exhaustiveness`
 // independent chains of perturb→local-optimize→Metropolis steps,
-// fanned over a bounded worker pool (real Vina threads its chains the
-// same way). Each chain draws from its own seeded RNG and lands in
-// its own modes slot, so the merged result is identical for any
-// worker count. The distinct low-energy modes become the result's
-// runs, with RMSD reported relative to the best mode — Vina's output
-// convention (mode 1 has RMSD 0). A panic inside a chain — a scorer
-// built for another ligand indexing out of range, say — is that
-// chain's error, on whichever goroutine it ran: Dock returns the first
-// one in chain order instead of taking the process down.
+// fanned out by parallel.For with one workspace per worker (real Vina
+// threads its chains the same way). Each chain draws from its own
+// seeded RNG and lands in its own modes slot, so the merged result is
+// identical for any worker count. The distinct low-energy modes become
+// the result's runs, with RMSD reported relative to the best mode —
+// Vina's output convention (mode 1 has RMSD 0). A panic inside a chain
+// — a scorer built for another ligand indexing out of range, say — is
+// that chain's error: Dock returns the first one in chain order
+// instead of taking the process down.
 func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 	if e.Config.Exhaustiveness <= 0 {
 		return nil, fmt.Errorf("vina: exhaustiveness %d must be positive", e.Config.Exhaustiveness)
@@ -63,58 +62,16 @@ func (e *Engine) Dock(s *Scorer, lig *dock.Ligand) (*dock.Result, error) {
 		steps = 40
 	}
 	box := dock.Box{Center: e.Config.Center, Size: e.Config.Size}
-	nChains := e.Config.Exhaustiveness
-	modes := make([]mode, nChains)
-	errs := make([]error, nChains)
-
-	workers := e.Workers
-	release := func() {}
-	if workers <= 0 {
-		workers, release = parallel.Tokens().Grab(nChains)
-	}
-	defer release()
-	if workers > nChains {
-		workers = nChains
-	}
-	// Each worker owns a workspace and pulls chains off one counter until
-	// none are left; with one worker that is this goroutine.
-	oneChain := func(chain int, ws *dock.Workspace) {
-		// Chains execute on goroutines nobody else can guard.
-		defer func() {
-			if r := recover(); r != nil {
-				errs[chain] = fmt.Errorf("vina: chain %d panicked: %v", chain, r)
-			}
-		}()
-		modes[chain] = e.runChain(s, lig, box, chain, steps, ws)
-	}
-	var next atomic.Int64
-	worker := func() {
-		ws := dock.NewWorkspace(lig)
-		for {
-			chain := int(next.Add(1)) - 1
-			if chain >= nChains {
-				return
-			}
-			oneChain(chain, ws)
-		}
-	}
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	modes := make([]mode, e.Config.Exhaustiveness)
+	err := parallel.For(len(modes), e.Workers,
+		func() *dock.Workspace { return dock.NewWorkspace(lig) },
+		func(chain int, ws *dock.Workspace) error {
+			modes[chain] = e.runChain(s, lig, box, chain, steps, ws)
+			return nil
+		})
+	var p *parallel.Panic
+	if errors.As(err, &p) { // a chain fails only by panicking
+		return nil, fmt.Errorf("vina: chain %d panicked: %v", p.Index, p.Value)
 	}
 	return e.result(s, lig, modes)
 }

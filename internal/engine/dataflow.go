@@ -666,7 +666,7 @@ func (d *dataflow) open(ai int) error {
 		d.spawnReduce(ai)
 	}
 	if count := d.registered[ai] + len(d.held[ai]); e.opts.Adaptive != nil && count > 0 {
-		e.advanceSim(d.frontier)
+		e.Cluster.AdvanceTo(d.frontier)
 		mean := e.cost.Mean(d.order[ai].Tag)
 		if mean == 0 {
 			mean = 1

@@ -79,9 +79,6 @@ type Options struct {
 	// (each capped at its fair share of tokens). Nil = the global pool
 	// directly; single-campaign behavior is identical either way.
 	Tokens *parallel.Account
-	// BaseTime anchors virtual timestamps; zero = 2014-03-01 UTC (the
-	// paper's experiment window).
-	BaseTime time.Time
 	// DisableFailures turns off transient failure injection (for
 	// ablation benchmarks).
 	DisableFailures bool
@@ -116,7 +113,6 @@ type Engine struct {
 	cost    *sched.CostModel // samples virtual activation costs
 	DB      *prov.DB
 	FS      *simfs.FS
-	Sim     *cloud.Sim
 	Cluster *cloud.Cluster
 
 	// app batches the per-placement provenance writes (activation,
@@ -175,21 +171,16 @@ func New(opts Options) (*Engine, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if opts.BaseTime.IsZero() {
-		opts.BaseTime = time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	}
 	db, err := prov.NewProvWfDB()
 	if err != nil {
 		return nil, err
 	}
-	sim := cloud.NewSim()
 	return &Engine{
 		opts:    opts,
 		cost:    sched.NewCostModel(),
 		DB:      db,
 		FS:      simfs.New(),
-		Sim:     sim,
-		Cluster: cloud.NewCluster(sim),
+		Cluster: cloud.NewCluster(),
 		app:     prov.NewAppender(db, 0),
 		histSum: make(map[string]float64),
 		histN:   make(map[string]int),
@@ -216,18 +207,13 @@ func (e *Engine) observeDuration(tag string, secs float64) {
 	e.mu.Unlock()
 }
 
+// baseTime anchors virtual timestamps: virtual second zero is
+// 2014-03-01 UTC, in the paper's experiment window.
+var baseTime = time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+
 // vt converts virtual seconds to a provenance timestamp.
 func (e *Engine) vt(secs float64) time.Time {
-	return e.opts.BaseTime.Add(time.Duration(secs * float64(time.Second)))
-}
-
-// advanceSim moves the discrete-event clock forward to the workflow's
-// current virtual time (never backwards).
-func (e *Engine) advanceSim(to float64) {
-	if to > e.Sim.Now() {
-		e.Sim.After(to-e.Sim.Now(), func() {})
-		e.Sim.Run()
-	}
+	return baseTime.Add(time.Duration(secs * float64(time.Second)))
 }
 
 // grab sizes a worker fan-out against the campaign's token account
@@ -303,7 +289,7 @@ func (e *Engine) RunContext(ctx context.Context, w *workflow.Workflow, input *wo
 	// Workflows on a shared engine run back to back on one virtual
 	// timeline (absolute provenance timestamps); each report's TET is
 	// measured from its own start.
-	start := e.Sim.Now()
+	start := e.Cluster.Now()
 	clock := start
 	// Boot latency of the initial fleet delays the first activations.
 	for _, vm := range fleet {
@@ -323,8 +309,15 @@ func (e *Engine) RunContext(ctx context.Context, w *workflow.Workflow, input *wo
 	}
 
 	report.TET = clock - start
-	// Advance the simulator so billing sees the full execution span.
-	e.advanceSim(clock)
+	// The workflow's fleet, and whatever the adaptive policy leased
+	// for it, is released when the workflow ends: the bill covers its
+	// full execution span and nothing after it.
+	e.Cluster.AdvanceTo(clock)
+	for _, vm := range e.Cluster.RunningVMs() {
+		if err := e.Cluster.Release(vm.ID); err != nil {
+			return nil, err
+		}
+	}
 	report.CostUSD = e.Cluster.Cost()
 	return report, err
 }

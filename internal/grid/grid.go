@@ -17,9 +17,7 @@ package grid
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -238,9 +236,9 @@ func Generate(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps,
 	return GenerateWorkers(receptor, spec, types, 0)
 }
 
-// GenerateWorkers is Generate with an explicit worker count (≤ 0 sizes
-// the slab pool from the process-wide CPU token budget of
-// internal/parallel, so a Generate nested under an already-parallel
+// GenerateWorkers is Generate with an explicit worker count under
+// parallel.For's rule (≤ 0 sizes the slab pool from the process-wide
+// CPU token budget, so a Generate nested under an already-parallel
 // stage degrades to serial instead of oversubscribing the machine).
 // The z-slab decomposition is determined by the Spec
 // alone and every lattice point is written exactly once, so the output
@@ -292,43 +290,15 @@ func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, 
 		g.pairTbl = append(g.pairTbl, row)
 	}
 
-	nz := spec.NPts[2]
-	if workers <= 0 {
-		want := runtime.GOMAXPROCS(0)
-		if want > nz {
-			want = nz
-		}
-		var release func()
-		workers, release = parallel.Tokens().Grab(want)
-		defer release()
-	}
-	if workers > nz {
-		workers = nz
-	}
-	if workers <= 1 {
-		affin := make([]float64, len(probes))
-		for k := 0; k < nz; k++ {
+	err = parallel.For(spec.NPts[2], workers,
+		func() []float64 { return make([]float64, len(probes)) },
+		func(k int, affin []float64) error {
 			g.slab(k, affin)
-		}
-		return m, nil
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("grid: %w", err)
 	}
-	slabs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			affin := make([]float64, len(probes))
-			for k := range slabs {
-				g.slab(k, affin)
-			}
-		}()
-	}
-	for k := 0; k < nz; k++ {
-		slabs <- k
-	}
-	close(slabs)
-	wg.Wait()
 	return m, nil
 }
 

@@ -1,7 +1,8 @@
 // Package parallel provides the process-wide CPU token budget shared
-// by every fan-out point in the pipeline: engine activation workers,
-// grid.Generate slab pools and the per-pair conformational-search
-// pools of the Vina and AD4 engines.
+// by every fan-out point in the pipeline — engine activation workers,
+// grid.Generate slab pools, the per-pair conformational-search pools
+// of the Vina and AD4 engines and the points of a performance sweep —
+// and For, the one bounded index loop all but the engine's run on.
 //
 // The problem it solves is nested parallelism: the engine fans
 // activations across GOMAXPROCS goroutines, and each activation may

@@ -58,22 +58,13 @@ var costTable = map[string]costEntry{
 const LoopTimeout = 1800.0
 
 // CostModel samples per-activation base costs (seconds on a reference
-// core). Deterministic: the same (activity, key) pair always samples
-// the same cost, so repeated simulations agree.
-type CostModel struct {
-	// Scale multiplies every mean; 1.0 reproduces the paper's 10k-pair
-	// calibration. Tests use smaller scales.
-	Scale float64
-}
+// core) from the paper's 10k-pair calibration. Deterministic: the same
+// (activity, key) pair always samples the same cost, so repeated
+// simulations agree.
+type CostModel struct{}
 
 // NewCostModel returns the paper-calibrated model.
-func NewCostModel() *CostModel { return &CostModel{Scale: 1.0} }
-
-// Known reports whether the tag has a calibration entry.
-func (c *CostModel) Known(tag string) bool {
-	_, ok := costTable[tag]
-	return ok
-}
+func NewCostModel() *CostModel { return &CostModel{} }
 
 // Mean returns the calibrated mean cost of an activity tag (0 for
 // unknown tags).
@@ -82,14 +73,7 @@ func (c *CostModel) Mean(tag string) float64 {
 	if !ok {
 		return 0
 	}
-	return e.mean * c.scale()
-}
-
-func (c *CostModel) scale() float64 {
-	if c.Scale <= 0 {
-		return 1
-	}
-	return c.Scale
+	return e.mean
 }
 
 // Sample draws the base cost of one activation, keyed by a stable
@@ -98,7 +82,7 @@ func (c *CostModel) scale() float64 {
 func (c *CostModel) Sample(tag, key string) float64 {
 	e, ok := costTable[tag]
 	if !ok {
-		return 1.0 * c.scale()
+		return 1.0
 	}
 	r := seeded(seedOf(tag, "|", key))
 	// Lognormal with E[X] = mean: X = mean * exp(σZ - σ²/2).
@@ -111,7 +95,7 @@ func (c *CostModel) Sample(tag, key string) float64 {
 	if x > e.max {
 		x = e.max
 	}
-	return x * c.scale()
+	return x
 }
 
 // maxRetries is SciCumulus' re-execution cap: an activation fails at

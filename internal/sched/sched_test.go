@@ -48,16 +48,12 @@ func TestCostModelMeansApproximateCalibration(t *testing.T) {
 }
 
 func TestCostModelScaleAndUnknown(t *testing.T) {
-	cm := &CostModel{Scale: 0.1}
-	full := NewCostModel()
-	if got := cm.Sample(TagDockAD4, "x"); math.Abs(got-full.Sample(TagDockAD4, "x")*0.1) > 1e-9 {
-		t.Errorf("scale not applied: %v", got)
+	cm := NewCostModel()
+	if got := cm.Sample("unknown-tag", "x"); got != 1 {
+		t.Errorf("unknown tag sample = %v, want 1", got)
 	}
-	if got := cm.Sample("unknown-tag", "x"); got != 0.1 {
-		t.Errorf("unknown tag sample = %v", got)
-	}
-	if full.Mean("unknown") != 0 || !full.Known(TagBabel) || full.Known("nope") {
-		t.Error("Known/Mean broken")
+	if cm.Mean("unknown") != 0 || cm.Mean(TagBabel) != costTable[TagBabel].mean {
+		t.Error("Mean broken")
 	}
 }
 
@@ -101,7 +97,7 @@ func freshDraw(key string) *rand.Rand {
 // fresh-generator reference over a fixed corpus of keys, interleaved
 // so that every pooled generator is reseeded from another key's state.
 func TestDrawsEqualFreshGenerators(t *testing.T) {
-	cm := &CostModel{Scale: 0.37}
+	cm := NewCostModel()
 	tags := make([]string, 0, len(costTable))
 	for tag := range costTable {
 		tags = append(tags, tag)
@@ -116,7 +112,7 @@ func TestDrawsEqualFreshGenerators(t *testing.T) {
 		for _, key := range keys {
 			r := freshDraw(tag + "|" + key)
 			x := e.mean * fmath.Exp(e.sigma*r.NormFloat64()-e.sigma*e.sigma/2)
-			want := math.Min(math.Max(x, e.min), e.max) * cm.Scale
+			want := math.Min(math.Max(x, e.min), e.max)
 			got := cm.Sample(tag, key)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Sample(%s, %q) = %v, fresh generator draws %v", tag, key, got, want)
@@ -197,8 +193,7 @@ func TestDrawsAllocate(t *testing.T) {
 
 func makeFleet(t *testing.T, cores int) (*cloud.Cluster, []*cloud.VM) {
 	t.Helper()
-	sim := cloud.NewSim()
-	c := cloud.NewCluster(sim)
+	c := cloud.NewCluster()
 	vms, err := c.BuildVirtualCluster(cores)
 	if err != nil {
 		t.Fatal(err)
@@ -387,8 +382,7 @@ func TestAdaptivePolicy(t *testing.T) {
 }
 
 func TestAdaptiveResize(t *testing.T) {
-	sim := cloud.NewSim()
-	c := cloud.NewCluster(sim)
+	c := cloud.NewCluster()
 	p := NewAdaptivePolicy()
 	vms, err := p.Resize(c, 16)
 	if err != nil {

@@ -93,6 +93,15 @@ gated_test 'Dataflow|RunContext|StageComplete' -race -count=5 ./internal/engine
 echo "==> product store contracts (-race -count=3 Artifacts/Footprint/Status/Subset)"
 gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./internal/campaign ./internal/grid
 
+# The one bounded fan-out (parallel.For) and the four loops on it:
+# every index once, one goroutine per scratch value, the lowest-index
+# failure, tokens back; Vina's chains and AD4's runs identical for any
+# worker count and a panicking unit an error; AutoGrid's slabs and the
+# sweep's points identical for any worker count. Three schedules each.
+echo "==> bounded fan-out (-race -count=3 For/DockWorkersDeterministic/DockWorkerPanicIsAnError/GenerateDeterministicAcrossWorkers/PerfSweepEqualsSinglePoints)"
+gated_test 'TestFor|TestDockWorkersDeterministic|TestDockWorkerPanicIsAnError|TestGenerateDeterministicAcrossWorkers|TestPerfSweepEqualsSinglePoints' -race -count=3 \
+	./internal/parallel ./internal/dock/vina ./internal/dock/ad4 ./internal/grid ./internal/core
+
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the receptor
 # neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
