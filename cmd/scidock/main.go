@@ -115,14 +115,11 @@ func run(mode string, receptors, ligands, cores int, effort string, seed int64, 
 	if monitor {
 		// Runtime steering (§IV.B): after each stage, query the live
 		// provenance database for failures so the scientist can react
-		// before the workflow ends. internal/prov's seedSQL holds a
-		// copy of this SQL; keep the two in step.
+		// before the workflow ends.
 		cfg.OnStageComplete = func(ev engine.StageEvent) {
-			res, err := ev.Engine.DB.Query(
-				"SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'")
 			problems := "?"
-			if err == nil {
-				problems = fmt.Sprintf("%v", res.Rows[0][0])
+			if n, err := campaign.ProblemCount(ev.Engine.DB); err == nil {
+				problems = fmt.Sprint(n)
 			}
 			fmt.Printf("  [steering] stage %-14s done at +%s: %d activations, %d retries, problem activations so far: %s\n",
 				ev.Activity, stats.FormatDuration(ev.Clock), ev.Stats.Activations,

@@ -19,8 +19,8 @@ const (
 	workerLoopPkg = "../../internal/lint/testdata/src/workerloop"
 )
 
-// fiveAnalyzers is the registry, in -list order.
-var fiveAnalyzers = []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow"}
+// registry is the analyzer set, in -list order.
+var registry = []string{"detflow", "discarderr", "floatcmp"}
 
 // findingRE matches one text finding line: file:line:col: analyzer: message.
 var findingRE = regexp.MustCompile(`^\S+\.go:\d+:\d+: ([a-z]+): `)
@@ -39,7 +39,7 @@ func TestSickFixtureFailsTheGate(t *testing.T) {
 		t.Fatalf("exit = %d, want 1 (error findings present); stderr: %s", code, errOut)
 	}
 	// Every finding line leads with file:line:col into a fixture file,
-	// and the fixtures trip exactly the five analyzers.
+	// and the fixtures trip every analyzer.
 	seen := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "scilint: ") {
@@ -57,21 +57,17 @@ func TestSickFixtureFailsTheGate(t *testing.T) {
 		names = append(names, an)
 	}
 	sort.Strings(names)
-	if fmt.Sprint(names) != fmt.Sprint(fiveAnalyzers) {
-		t.Errorf("analyzers with findings = %v, want %v:\n%s", names, fiveAnalyzers, out)
+	if fmt.Sprint(names) != fmt.Sprint(registry) {
+		t.Errorf("analyzers with findings = %v, want %v:\n%s", names, registry, out)
 	}
-	if !strings.Contains(out, "scilint: 16 finding(s):") {
-		t.Errorf("output missing the 16-finding summary line:\n%s", out)
+	if !strings.Contains(out, "scilint: 7 finding(s): detflow=5 discarderr=1 floatcmp=1") {
+		t.Errorf("output missing the 7-finding summary line:\n%s", out)
 	}
-	// The provenance-store patterns: a snapshot RLock leaked on an early
-	// return, a flush that blocks on a channel inside the critical
-	// section, an unstoppable worker, and a cross-package
-	// nondeterminism chain.
+	// An exact float comparison, a dropped parse error, and a
+	// cross-package nondeterminism chain.
 	for _, msg := range []string{
-		"t.mu.RLock() acquired at",
-		"is still held when this path returns",
-		"channel send while t.mu is held",
-		"infinite worker loop with no shutdown path",
+		"exact floating-point == comparison",
+		"error value discarded with blank identifier",
 		"which draws from the math/rand global source",
 	} {
 		if !strings.Contains(out, msg) {
@@ -80,17 +76,18 @@ func TestSickFixtureFailsTheGate(t *testing.T) {
 	}
 }
 
-// TestWorkerLoopAloneFailsTheGate pins the single severity: a ctxleak
-// worker-loop finding is the fixture's only one and still exits 1.
+// TestWorkerLoopAloneFailsTheGate pins the single severity: a worker
+// loop's discarded error is the fixture's only finding and still
+// exits 1.
 func TestWorkerLoopAloneFailsTheGate(t *testing.T) {
 	code, out, errOut := exec(t, workerLoopPkg)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stdout: %s stderr: %s", code, out, errOut)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], " ctxleak: infinite worker loop with no shutdown path") ||
-		lines[1] != "scilint: 1 finding(s): ctxleak=1" {
-		t.Errorf("want one ctxleak finding and its summary, got:\n%s", out)
+	if len(lines) != 2 || !strings.Contains(lines[0], " discarderr: error value discarded with blank identifier") ||
+		lines[1] != "scilint: 1 finding(s): discarderr=1" {
+		t.Errorf("want one discarderr finding and its summary, got:\n%s", out)
 	}
 }
 
@@ -139,17 +136,16 @@ func TestListAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if fmt.Sprint(names) != fmt.Sprint(fiveAnalyzers) {
-		t.Errorf("-list names %v, want %v:\n%s", names, fiveAnalyzers, out)
+	if fmt.Sprint(names) != fmt.Sprint(registry) {
+		t.Errorf("-list names %v, want %v:\n%s", names, registry, out)
 	}
 }
 
 // TestFullModuleRuntimeBudget pins the end-to-end cost of the gate's
 // `scilint ./...` stage: load + type-check the whole module, build the
-// call graph and CFGs, run all five analyzers. The bound is generous
-// (CI machines vary) but catches superlinear regressions in the flow
-// engine — before the fixpoint iteration was capped, a pathological
-// merge could spin for minutes.
+// call graph, run every analyzer. The bound is generous (CI machines
+// vary) but catches superlinear regressions in the loader or in
+// detflow's interprocedural taint.
 func TestFullModuleRuntimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module lint run in -short mode")

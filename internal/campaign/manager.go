@@ -413,7 +413,7 @@ func (m *Manager) Status(id int64) (Status, error) {
 
 	st.Problems = -1
 	if camp != nil {
-		if n, err := problemCount(camp.Engine.DB); err == nil {
+		if n, err := ProblemCount(camp.Engine.DB); err == nil {
 			st.Problems = n
 		}
 	}
@@ -468,11 +468,13 @@ func (m *Manager) snapshotLocked(r *record) Status {
 	return st
 }
 
-// problemCount is the steering query of §IV.B: how many activations
-// have gone wrong so far. internal/prov's seedSQL holds a copy of its
-// SQL; keep the two in step.
-func problemCount(db *prov.DB) (int64, error) {
-	res, err := db.Query("SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'")
+// ProblemCountSQL is the steering query of §IV.B: how many activations
+// have gone wrong so far.
+const ProblemCountSQL = "SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'"
+
+// ProblemCount runs ProblemCountSQL against a live provenance database.
+func ProblemCount(db *prov.DB) (int64, error) {
+	res, err := db.Query(ProblemCountSQL)
 	if err != nil {
 		return 0, err
 	}

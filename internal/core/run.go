@@ -70,7 +70,6 @@ type Config struct {
 	// Engine knobs (optional).
 	Scheduler       sched.Scheduler
 	Adaptive        *sched.AdaptivePolicy
-	Parallelism     int
 	DisableFailures bool
 	// Runtime selects the engine's stage policy: pipelined dataflow
 	// (default) or a barrier between stages, kept for ablation. One
@@ -160,7 +159,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		Cores:               cfg.Cores,
 		Scheduler:           cfg.Scheduler,
 		Adaptive:            cfg.Adaptive,
-		Parallelism:         cfg.Parallelism,
 		Tokens:              cfg.Tokens,
 		DisableFailures:     cfg.DisableFailures,
 		Runtime:             cfg.Runtime,

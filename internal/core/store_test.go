@@ -42,7 +42,7 @@ func TestStoreSharesReceptorProducts(t *testing.T) {
 	camp, err := NewCampaign(Config{
 		Mode:    ModeAdaptive,
 		Dataset: data.Dataset{Receptors: receptors, Ligands: ligands},
-		Cores:   8, Parallelism: 8, Effort: SmokeEffort(), Seed: 3, HgGuard: true,
+		Cores:   8, Effort: SmokeEffort(), Seed: 3, HgGuard: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestStoreFailedLigandSkippedInUnion(t *testing.T) {
 	camp, err := NewCampaign(Config{
 		Mode:    ModeAD4,
 		Dataset: data.Dataset{Receptors: receptors, Ligands: []string{"0E6", "042", "015"}},
-		Cores:   4, Parallelism: 8, Effort: SmokeEffort(), HgGuard: true, DisableFailures: true,
+		Cores:   4, Effort: SmokeEffort(), HgGuard: true, DisableFailures: true,
 	})
 	if err != nil {
 		t.Fatal(err)

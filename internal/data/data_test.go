@@ -63,12 +63,6 @@ func TestPairsOrderLigandMajor(t *testing.T) {
 			t.Fatalf("pairs[%d] = %v, want %v", i, p[i], want[i])
 		}
 	}
-	if got := d.PairsLimit(3); len(got) != 3 {
-		t.Errorf("PairsLimit = %d", len(got))
-	}
-	if got := d.PairsLimit(99); len(got) != 4 {
-		t.Errorf("PairsLimit over-cap = %d", len(got))
-	}
 	if s := (Pair{Receptor: "2HHN", Ligand: "0E6"}).String(); s != "0E6_2HHN" {
 		t.Errorf("pair name = %q", s)
 	}

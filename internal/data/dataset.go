@@ -59,12 +59,3 @@ func (d Dataset) Pairs() []Pair {
 	}
 	return out
 }
-
-// PairsLimit returns at most n pairs of the sweep.
-func (d Dataset) PairsLimit(n int) []Pair {
-	p := d.Pairs()
-	if n < len(p) {
-		p = p[:n]
-	}
-	return p
-}

@@ -46,7 +46,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
-		e, err := New(Options{Cores: 4, Runtime: rt, Parallelism: 2})
+		e, err := New(Options{Cores: 4, Runtime: rt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 
 		pool := parallel.NewPool(4)
 		acct := pool.NewAccount()
-		e, err := New(Options{Cores: 4, Runtime: rt, Parallelism: 2, Tokens: acct,
+		e, err := New(Options{Cores: 4, Runtime: rt, Tokens: acct,
 			Scheduler: &cancelAtPlace{Scheduler: sched.NewGreedy(), n: 3, cancel: cancel}})
 		if err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func TestRunTokensAccountIdentical(t *testing.T) {
 	pool := parallel.NewPool(2)
 	acct := pool.NewAccount()
 	defer acct.Close()
-	base, baseRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4, Parallelism: 4}, toyWorkflow(), 12)
-	withAcct, acctRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4, Parallelism: 4, Tokens: acct}, toyWorkflow(), 12)
+	base, baseRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4}, toyWorkflow(), 12)
+	withAcct, acctRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4, Tokens: acct}, toyWorkflow(), 12)
 	assertGoldenMatch(t, base, withAcct, baseRep, acctRep)
 	if held := acct.Held(); held != 0 {
 		t.Errorf("account holds %d tokens after run", held)

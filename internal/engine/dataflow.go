@@ -237,7 +237,7 @@ func (e *Engine) runDataflow(ctx context.Context, order []*workflow.Activity, ac
 		}
 	}
 
-	workers, releaseTokens := e.grab(e.opts.Parallelism)
+	workers, releaseTokens := e.grab()
 	defer releaseTokens()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {

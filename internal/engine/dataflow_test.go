@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/workflow"
 )
 
@@ -104,7 +105,7 @@ func assertGoldenMatch(t *testing.T, be, de *Engine, br, dr *Report) {
 // activation key, so recovered-failure counts are schedule-invariant).
 func TestDataflowMatchesBarrierGolden(t *testing.T) {
 	for _, failures := range []bool{false, true} {
-		opts := Options{Cores: 8, DisableFailures: !failures, Parallelism: 4}
+		opts := Options{Cores: 8, DisableFailures: !failures}
 		be, br := runRuntime(t, RuntimeBarrier, opts, toyWorkflow(), 20)
 		de, dr := runRuntime(t, RuntimeDataflow, opts, toyWorkflow(), 20)
 		assertGoldenMatch(t, be, de, br, dr)
@@ -170,7 +171,7 @@ func TestDataflowFailurePathsGolden(t *testing.T) {
 		}
 		return "", false
 	}
-	opts := Options{Cores: 4, DisableFailures: true, Parallelism: 4,
+	opts := Options{Cores: 4, DisableFailures: true,
 		AbortRules: []AbortRule{abortTrailing4}}
 	be, br := runRuntime(t, RuntimeBarrier, opts, faultyWorkflow(), 30)
 	de, dr := runRuntime(t, RuntimeDataflow, opts, faultyWorkflow(), 30)
@@ -231,7 +232,7 @@ func reduceWorkflow() *workflow.Workflow {
 // TestDataflowReduceMatchesBarrier checks the per-group barrier: the
 // Reduce activity sees exactly the groups the barrier engine built.
 func TestDataflowReduceMatchesBarrier(t *testing.T) {
-	opts := Options{Cores: 4, DisableFailures: true, Parallelism: 4}
+	opts := Options{Cores: 4, DisableFailures: true}
 	be, br := runRuntime(t, RuntimeBarrier, opts, reduceWorkflow(), 12)
 	de, dr := runRuntime(t, RuntimeDataflow, opts, reduceWorkflow(), 12)
 	assertGoldenMatch(t, be, de, br, dr)
@@ -251,8 +252,11 @@ func TestDataflowDeterministic(t *testing.T) {
 	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
 		var first *Report
 		var firstRows string
-		for _, par := range []int{8, 8, 1} {
-			e, r := runRuntime(t, rt, Options{Cores: 16, Parallelism: par}, faultyWorkflow(), 40)
+		for _, pool := range []struct {
+			name   string
+			tokens *parallel.Account
+		}{{"wide", nil}, {"wide", nil}, {"single-worker", parallel.NewPool(0).NewAccount()}} {
+			e, r := runRuntime(t, rt, Options{Cores: 16, Tokens: pool.tokens}, faultyWorkflow(), 40)
 			res, err := e.DB.Query(q)
 			if err != nil {
 				t.Fatal(err)
@@ -266,14 +270,14 @@ func TestDataflowDeterministic(t *testing.T) {
 				continue
 			}
 			if r.TET != first.TET {
-				t.Errorf("runtime %v, parallelism %d: TET not deterministic: %v vs %v", rt, par, r.TET, first.TET)
+				t.Errorf("runtime %v, %s pool: TET not deterministic: %v vs %v", rt, pool.name, r.TET, first.TET)
 			}
 			if !reflect.DeepEqual(r.PerActivity, first.PerActivity) {
-				t.Errorf("runtime %v, parallelism %d: per-activity stats not deterministic:\n%+v\n%+v",
-					rt, par, r.PerActivity, first.PerActivity)
+				t.Errorf("runtime %v, %s pool: per-activity stats not deterministic:\n%+v\n%+v",
+					rt, pool.name, r.PerActivity, first.PerActivity)
 			}
 			if rows != firstRows {
-				t.Errorf("runtime %v, parallelism %d: hactivation timeline not deterministic across runs", rt, par)
+				t.Errorf("runtime %v, %s pool: hactivation timeline not deterministic across runs", rt, pool.name)
 			}
 		}
 	}
@@ -284,7 +288,7 @@ func TestDataflowDeterministic(t *testing.T) {
 // before it has ended (the straggler test's overlap query, for every
 // edge of the chain).
 func TestDataflowBarrierGate(t *testing.T) {
-	e, _ := runRuntime(t, RuntimeBarrier, Options{Cores: 4, Parallelism: 4}, toyWorkflow(), 20)
+	e, _ := runRuntime(t, RuntimeBarrier, Options{Cores: 4}, toyWorkflow(), 20)
 	res, err := e.DB.Query(`SELECT a.tag, min(extract ('epoch' from t.starttime)), max(extract ('epoch' from t.endtime))
 FROM hactivity a, hactivation t WHERE a.actid = t.actid GROUP BY a.tag`)
 	if err != nil {
@@ -313,7 +317,7 @@ FROM hactivity a, hactivation t WHERE a.actid = t.actid GROUP BY a.tag`)
 // the structural pipelining evidence — a downstream activation starts
 // before the slowest upstream one ends, which a barrier forbids.
 func TestDataflowBeatsBarrierOnStragglers(t *testing.T) {
-	opts := Options{Cores: 8, Parallelism: 4}
+	opts := Options{Cores: 8}
 	be, br := runRuntime(t, RuntimeBarrier, opts, faultyWorkflow(), 40)
 	de, dr := runRuntime(t, RuntimeDataflow, opts, faultyWorkflow(), 40)
 	if dr.TET >= br.TET {

@@ -67,17 +67,15 @@ type Options struct {
 	Adaptive *sched.AdaptivePolicy
 	// AbortRules are evaluated before each activation.
 	AbortRules []AbortRule
-	// Parallelism caps the wall-clock goroutines running activity
-	// bodies; 0 = GOMAXPROCS. The run's worker pool is additionally
-	// bounded by the process-wide CPU token budget (internal/parallel),
-	// so engine workers, grid generation and the docking search pools
-	// cannot jointly oversubscribe the machine.
-	Parallelism int
 	// Tokens, when set, routes the engine's worker fan-outs through a
 	// per-campaign account on the shared CPU budget instead of the raw
 	// process-global pool, so N concurrent campaigns degrade fairly
 	// (each capped at its fair share of tokens). Nil = the global pool
-	// directly; single-campaign behavior is identical either way.
+	// directly; single-campaign behavior is identical either way. The
+	// run's worker pool asks for GOMAXPROCS goroutines and gets what
+	// the budget grants, so engine workers, grid generation and the
+	// docking search pools cannot jointly oversubscribe the machine; an
+	// account on parallel.NewPool(0) runs every body on one worker.
 	Tokens *parallel.Account
 	// DisableFailures turns off transient failure injection (for
 	// ablation benchmarks).
@@ -168,9 +166,6 @@ func New(opts Options) (*Engine, error) {
 		g.WorkerCap = opts.Cores
 		opts.Scheduler = g
 	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	db, err := prov.NewProvWfDB()
 	if err != nil {
 		return nil, err
@@ -216,9 +211,11 @@ func (e *Engine) vt(secs float64) time.Time {
 	return baseTime.Add(time.Duration(secs * float64(time.Second)))
 }
 
-// grab sizes a worker fan-out against the campaign's token account
-// when one is configured, the process-global pool otherwise.
-func (e *Engine) grab(want int) (workers int, release func()) {
+// grab sizes the run's worker pool: GOMAXPROCS goroutines at most,
+// as many as the campaign's token account grants when one is
+// configured, the process-global pool otherwise.
+func (e *Engine) grab() (workers int, release func()) {
+	want := runtime.GOMAXPROCS(0)
 	if e.opts.Tokens != nil {
 		return e.opts.Tokens.Grab(want)
 	}

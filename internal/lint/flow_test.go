@@ -6,262 +6,6 @@ import (
 	"testing"
 )
 
-func TestLockFlow(t *testing.T) {
-	const header = `package p
-
-import "sync"
-
-type shard struct {
-	mu   sync.RWMutex
-	rows []int
-}
-`
-	cases := []struct {
-		name, body string
-	}{
-		{"early_return_leaks_read_lock", `
-func (s *shard) snapshotIf(max int) []int {
-	s.mu.RLock()
-	if len(s.rows) > max {
-		return nil // want "s.mu.RLock\(\) acquired at .* is still held when this path returns"
-	}
-	out := s.rows
-	s.mu.RUnlock()
-	return out
-}
-`},
-		{"fall_off_end_leaks_write_lock", `
-func (s *shard) fill(v int) {
-	s.mu.Lock()
-	s.rows = append(s.rows, v)
-} // want "s.mu.Lock\(\) acquired at .* is still held when this path reaches the end of fill"
-`},
-		{"all_paths_release_ok", `
-func (s *shard) head(max int) int {
-	s.mu.RLock()
-	if len(s.rows) > max {
-		s.mu.RUnlock()
-		return -1
-	}
-	v := s.rows[0]
-	s.mu.RUnlock()
-	return v
-}
-`},
-		{"deferred_release_ok", `
-func (s *shard) deferred() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.rows) == 0 {
-		return 0
-	}
-	return s.rows[0]
-}
-`},
-		{"deferred_closure_release_ok", `
-func (s *shard) deferredClosure() int {
-	s.mu.Lock()
-	defer func() {
-		s.rows = nil
-		s.mu.Unlock()
-	}()
-	return len(s.rows)
-}
-`},
-		{"correlated_conditionals_stay_may_held", `
-func (s *shard) maybe(locked bool) {
-	if locked {
-		s.mu.Lock()
-	}
-	s.rows = nil
-	if locked {
-		s.mu.Unlock()
-	}
-}
-`},
-		{"double_write_lock_deadlock", `
-var gmu sync.Mutex
-
-func relock(c bool) {
-	gmu.Lock()
-	if c {
-		gmu.Lock() // want "gmu re-locked on a path where it is already held: self-deadlock"
-	}
-	gmu.Unlock()
-}
-`},
-		{"panic_path_exempt", `
-func (s *shard) mustFirst() int {
-	s.mu.RLock()
-	if len(s.rows) == 0 {
-		panic("empty shard")
-	}
-	v := s.rows[0]
-	s.mu.RUnlock()
-	return v
-}
-`},
-		{"cond_wait_handoff_ok", `
-func pump(mu *sync.Mutex, n int, work func()) {
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < n; i++ {
-		mu.Unlock()
-		work()
-		mu.Lock()
-	}
-}
-`},
-		{"loop_acquire_release_ok", `
-func (s *shard) drain(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		s.mu.RLock()
-		total += len(s.rows)
-		s.mu.RUnlock()
-	}
-	return total
-}
-`},
-		{"suppression", `
-func (s *shard) pinned() []int {
-	s.mu.RLock()
-	//lint:ignore lockflow caller must invoke (*shard).release to unpin
-	return s.rows
-}
-`},
-		// The lock is taken on both arms, so it is must-held after the
-		// join: no single statement list holds the whole region.
-		{"locked_on_both_arms_then_send", `
-func (s *shard) publish(c bool, out chan int) {
-	if c {
-		s.mu.Lock()
-	} else {
-		s.mu.Lock()
-	}
-	out <- len(s.rows) // want "channel send while s.mu is held"
-	s.mu.Unlock()
-}
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, LockFlow, "fixture/lockflow", "fixture.go", header+tc.body)
-		})
-	}
-
-	t.Run("blocking_while_held", func(t *testing.T) {
-		runCase(t, LockFlow, "fixture/lockflow", "fixture.go", `package p
-
-import (
-	"sync"
-	"time"
-)
-
-var (
-	mu sync.Mutex
-	ch = make(chan int)
-	wg sync.WaitGroup
-)
-
-func sends() {
-	mu.Lock()
-	ch <- 1 // want "channel send while mu is held"
-	mu.Unlock()
-}
-
-func sleeps() {
-	mu.Lock()
-	defer mu.Unlock()
-	time.Sleep(time.Millisecond) // want "time.Sleep while mu is held"
-}
-
-func waits() {
-	mu.Lock()
-	wg.Wait() // want "WaitGroup.Wait while mu is held"
-	mu.Unlock()
-}
-
-func relocks() {
-	mu.Lock()
-	mu.Lock() // want "mu re-locked on a path where it is already held"
-	mu.Unlock()
-}
-
-func receives() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return <-ch // want "channel receive while mu is held"
-}
-
-func selects(done chan struct{}) {
-	mu.Lock()
-	defer mu.Unlock()
-	select { // want "blocking select while mu is held"
-	case v := <-ch:
-		_ = v
-	case <-done:
-	}
-}
-
-func polls() {
-	mu.Lock()
-	defer mu.Unlock()
-	select {
-	case ch <- 1: // a select with a default never blocks
-	default:
-	}
-}
-
-func drains() {
-	mu.Lock()
-	defer mu.Unlock()
-	for v := range ch { // want "range over channel while mu is held"
-		_ = v
-	}
-}
-
-func releasedFirst() {
-	mu.Lock()
-	n := 1
-	mu.Unlock()
-	ch <- n
-}
-`)
-	})
-
-	// sync.Cond.Wait unlocks atomically and must be called with the
-	// lock held.
-	t.Run("cond_wait_exempt", func(t *testing.T) {
-		runCase(t, LockFlow, "fixture/lockflow", "fixture.go", `package p
-
-import "sync"
-
-type box struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	full bool
-}
-
-func (b *box) waitFull() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for !b.full {
-		b.cond.Wait()
-	}
-}
-
-func (b *box) signalAfter() {
-	b.mu.Lock()
-	b.full = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-	b.cond.Signal()
-}
-`)
-	})
-}
-
 func TestDetFlow(t *testing.T) {
 	// The fixture path contains "internal/dock": a deterministic hot
 	// path where any transitively nondeterministic helper call is a
@@ -604,60 +348,6 @@ func TestDetFlowCrossPackageFixture(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("detflow missed the cross-package call site at dock.go:%d", callLine)
-	}
-}
-
-// TestLockFlowCatchesEarlyReturnLeakOthersMiss seeds the early-return
-// read-lock leak (the TableShard snapshot bug shape). The function
-// still unlocks on its other path, so no function-scoped check and no
-// other analyzer in the registry fails it; only lockflow's
-// path-sensitive analysis does.
-func TestLockFlowCatchesEarlyReturnLeakOthersMiss(t *testing.T) {
-	const good = `package p
-
-import "sync"
-
-type shard struct {
-	mu   sync.RWMutex
-	rows []int
-}
-
-func (s *shard) snapshotIf(max int) []int {
-	s.mu.RLock()
-	if len(s.rows) > max {
-		s.mu.RUnlock()
-		return nil
-	}
-	out := s.rows[:len(s.rows):len(s.rows)]
-	s.mu.RUnlock()
-	return out
-}
-`
-	// The seeded mutation: drop the unlock on the early-return path.
-	mutant := strings.Replace(good, "s.mu.RUnlock()\n\t\treturn nil", "return nil", 1)
-	if mutant == good {
-		t.Fatal("mutation did not apply")
-	}
-
-	var others []*Analyzer
-	for _, a := range Analyzers() {
-		if a != LockFlow {
-			others = append(others, a)
-		}
-	}
-	if ds := diagsFor(t, others, "fixture/lockflow", mutant); len(ds) != 0 {
-		t.Errorf("other analyzers unexpectedly flag the leak mutant: %v", ds)
-	}
-	if ds := diagsFor(t, []*Analyzer{LockFlow}, "fixture/lockflow", good); len(ds) != 0 {
-		t.Errorf("lockflow flags the correct code: %v", ds)
-	}
-	ds := diagsFor(t, []*Analyzer{LockFlow}, "fixture/lockflow", mutant)
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "still held when this path returns") {
-		t.Errorf("lockflow must flag the early-return leak, got %v", ds)
-	}
-	wantLine := fixtureLine(t, mutant, "return nil")
-	if len(ds) == 1 && ds[0].Pos.Line != wantLine {
-		t.Errorf("leak reported at line %d, want the early return at %d", ds[0].Pos.Line, wantLine)
 	}
 }
 

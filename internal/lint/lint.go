@@ -2,8 +2,8 @@
 // small analyzer framework on the standard library's go/ast, go/parser,
 // go/token and go/types (no external dependencies), plus the analyzers
 // that mechanically enforce the invariants the paper's results depend
-// on — deterministic scoring, consistent PROV-Wf activation capture,
-// seeded stochastic search and leak-free worker loops.
+// on — deterministic scoring and provenance, seeded stochastic search,
+// handled errors and tolerant float comparison.
 //
 // The cmd/scilint driver loads every package in the module, runs the
 // registered analyzers over each typed package and reports diagnostics
@@ -52,8 +52,8 @@ type Pass struct {
 	// (detflow's call graph).
 	all []*Package
 	// shared is per-Run scratch shared across packages and analyzers;
-	// expensive structures (call graph, taint state, per-function CFGs)
-	// are built once per Run and memoized here.
+	// expensive structures (call graph, taint state) are built once per
+	// Run and memoized here.
 	shared *runShared
 }
 
@@ -61,49 +61,8 @@ type Pass struct {
 // single-goroutine and owns its runShared, so no locking; concurrent
 // Runs share nothing.
 type runShared struct {
-	cfgs      map[ast.Node]*CFG // *ast.FuncDecl -> its CFG
 	callgraph *callGraph
 	det       *detState
-}
-
-// FuncCFG returns the (cached) control-flow graph of a declared
-// function body, using the package's type info to classify
-// terminating calls (panic, os.Exit, log.Fatal*, runtime.Goexit).
-func (p *Pass) FuncCFG(fd *ast.FuncDecl) *CFG {
-	if g, ok := p.shared.cfgs[fd]; ok {
-		return g
-	}
-	g := BuildCFG(fd.Body, p.isTerminatingCall)
-	p.shared.cfgs[fd] = g
-	return g
-}
-
-// isTerminatingCall reports whether a call never returns: the panic
-// builtin, os.Exit, runtime.Goexit, or log.Fatal*/log.Panic*.
-func (p *Package) isTerminatingCall(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic" && p.Info.Uses[fun] == nil
-	case *ast.SelectorExpr:
-		id, ok := fun.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		pn, ok := p.Info.Uses[id].(*types.PkgName)
-		if !ok {
-			return false
-		}
-		switch pn.Imported().Path() {
-		case "os":
-			return fun.Sel.Name == "Exit"
-		case "runtime":
-			return fun.Sel.Name == "Goexit"
-		case "log":
-			return strings.HasPrefix(fun.Sel.Name, "Fatal") ||
-				strings.HasPrefix(fun.Sel.Name, "Panic")
-		}
-	}
-	return false
 }
 
 // Reportf records a finding.
@@ -119,7 +78,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // suppression-filtered findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	shared := &runShared{cfgs: map[ast.Node]*CFG{}}
+	shared := &runShared{}
 	for _, pkg := range pkgs {
 		for _, an := range analyzers {
 			an.Run(&Pass{Package: pkg, analyzer: an, diags: &diags, all: pkgs, shared: shared})
@@ -200,11 +159,4 @@ func namedFrom(t types.Type) (path, name string, ok bool) {
 		return "", obj.Name(), true
 	}
 	return obj.Pkg().Path(), obj.Name(), true
-}
-
-// isSyncLocker reports whether t (possibly behind a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isSyncLocker(t types.Type) bool {
-	path, name, ok := namedFrom(t)
-	return ok && path == "sync" && (name == "Mutex" || name == "RWMutex")
 }

@@ -212,118 +212,6 @@ func h() int {
 	}
 }
 
-func TestCtxLeak(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"unstoppable_loop", `package p
-
-func work() {}
-
-func spawn() {
-	go func() {
-		for { // want "infinite worker loop with no shutdown path"
-			work()
-		}
-	}()
-}
-`},
-		{"shutdown_paths_ok", `package p
-
-func work() {}
-
-func spawnSelect(done chan struct{}) {
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				work()
-			}
-		}
-	}()
-}
-
-func spawnRecv(jobs chan int) {
-	go func() {
-		for {
-			j, ok := <-jobs
-			if !ok {
-				return
-			}
-			_ = j
-		}
-	}()
-}
-
-func spawnRange(jobs chan int) {
-	go func() {
-		for j := range jobs {
-			_ = j
-		}
-	}()
-}
-`},
-		// The dataflow dispatcher's worker shape: a cond-wait loop that
-		// re-checks a shutdown flag and returns. The outer for {} is
-		// clean (return path); the inner cond-guarded for has a
-		// condition and is never a worker loop. A cond.Wait spin with
-		// no shutdown check stays flagged — sync.Cond.Wait alone is
-		// not an exit.
-		{"dispatcher_worker", `package p
-
-import "sync"
-
-type dispatcher struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []int
-	shutdown bool
-}
-
-func runJob(int) {}
-
-func (d *dispatcher) pool(n int) {
-	for i := 0; i < n; i++ {
-		go func() {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			for {
-				for len(d.queue) == 0 && !d.shutdown {
-					d.cond.Wait()
-				}
-				if d.shutdown {
-					return
-				}
-				job := d.queue[0]
-				d.queue = d.queue[1:]
-				d.mu.Unlock()
-				runJob(job)
-				d.mu.Lock()
-			}
-		}()
-	}
-}
-
-func (d *dispatcher) spin() {
-	go func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for { // want "infinite worker loop with no shutdown path"
-			d.cond.Wait()
-		}
-	}()
-}
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runCase(t, CtxLeak, "fixture/ctxleak", "fixture.go", tc.src)
-		})
-	}
-}
-
 func TestIgnoreDirectiveParsing(t *testing.T) {
 	if d := parseIgnore("//lint:ignore floatcmp reason here"); d == nil || !d.analyzers["floatcmp"] {
 		t.Fatalf("well-formed directive not parsed: %+v", d)
@@ -341,7 +229,7 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ctxleak", "detflow", "discarderr", "floatcmp", "lockflow"}
+	want := []string{"detflow", "discarderr", "floatcmp"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))
@@ -400,7 +288,7 @@ func TestFixturePackages(t *testing.T) {
 	// direct draw is below detflow's radar: the taint surfaces in the
 	// dock fixture instead.
 	want := map[string]map[string]int{
-		"sick": {"ctxleak": 3, "discarderr": 1, "floatcmp": 1, "lockflow": 6},
+		"sick": {"discarderr": 1, "floatcmp": 1},
 		// Three direct sources (Jitter, Stamp, PoolGlobalRand) plus two
 		// tainted calls (noise.Wall, typeNames).
 		"dock": {"detflow": 5},
@@ -418,7 +306,7 @@ func TestFixturePackages(t *testing.T) {
 
 // TestConcurrentRuns runs two lint.Run calls at once, as two scilint
 // invocations embedded in one process would. Each Run keeps its call
-// graph, taint state and CFGs to itself, so under -race this fails on
+// graph and taint state to itself, so under -race this fails on
 // any state shared between Runs, and each must report what it reports
 // alone.
 func TestConcurrentRuns(t *testing.T) {

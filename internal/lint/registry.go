@@ -5,11 +5,9 @@ package lint
 // see the per-analyzer Doc strings and DESIGN.md §"Static analysis".
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		CtxLeak,
 		DetFlow,
 		DiscardErr,
 		FloatCmp,
-		LockFlow,
 	}
 }
 

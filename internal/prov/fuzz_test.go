@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/experiments"
@@ -53,8 +54,9 @@ AND a.program = 'autodock4' AND v.program = 'vina'`,
 	`SELECT receptor, count(*), min(feb)
 FROM ddocking WHERE feb < 0
 GROUP BY receptor`,
-	// campaign/manager.go and cmd/scidock.
-	"SELECT count(*) FROM hactivation WHERE status = 'ABORTED' OR status = 'FAILED'",
+	// campaign's steering query (Status, scidock -monitor) and
+	// scidock's -query example.
+	campaign.ProblemCountSQL,
 	"SELECT count(*) FROM ddocking",
 	// examples, cmd/provq and the served benchmark.
 	`SELECT receptor, count(*), avg(feb)

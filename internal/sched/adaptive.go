@@ -88,12 +88,3 @@ func (p *AdaptivePolicy) Resize(c *cloud.Cluster, desired int) ([]*cloud.VM, err
 	}
 	return c.RunningVMs(), nil
 }
-
-// StageWork sums the total cost of a stage's activations.
-func StageWork(acts []Activation) float64 {
-	var w float64
-	for _, a := range acts {
-		w += a.TotalCost()
-	}
-	return w
-}

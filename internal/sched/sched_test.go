@@ -407,13 +407,3 @@ func TestAdaptiveResize(t *testing.T) {
 		t.Errorf("shrink: %d cores", total)
 	}
 }
-
-func TestStageWork(t *testing.T) {
-	a := []Activation{
-		{Attempts: []float64{10, 90}, IOTime: 5},
-		{Attempts: []float64{50}},
-	}
-	if got := StageWork(a); got != 155 {
-		t.Errorf("stage work = %v", got)
-	}
-}

@@ -29,18 +29,3 @@ func Instantiate(template string, t Tuple) (string, error) {
 	}
 	return out, nil
 }
-
-// TemplateTags lists the distinct placeholder names in a template, in
-// order of first appearance — used by instrumentation to know which
-// parameters to capture into provenance.
-func TemplateTags(template string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range tagPattern.FindAllStringSubmatch(template, -1) {
-		if !seen[m[1]] {
-			seen[m[1]] = true
-			out = append(out, m[1])
-		}
-	}
-	return out
-}

@@ -92,29 +92,3 @@ func (w *Workflow) TopoOrder() ([]*Activity, error) {
 	}
 	return order, nil
 }
-
-// Stages groups the topological order into levels whose members have
-// no dependencies among themselves; the engine runs stages in
-// sequence and all activations within a stage concurrently.
-func (w *Workflow) Stages() ([][]*Activity, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	level := make(map[string]int, len(order))
-	var stages [][]*Activity
-	for _, a := range order {
-		l := 0
-		for _, d := range a.Depends {
-			if level[d]+1 > l {
-				l = level[d] + 1
-			}
-		}
-		level[a.Tag] = l
-		for len(stages) <= l {
-			stages = append(stages, nil)
-		}
-		stages[l] = append(stages[l], a)
-	}
-	return stages, nil
-}

@@ -98,16 +98,6 @@ func TestTopoOrderAndStages(t *testing.T) {
 	if pos["a"] > pos["b"] || pos["a"] > pos["c"] || pos["b"] > pos["d"] || pos["c"] > pos["d"] {
 		t.Errorf("topo order wrong: %v", pos)
 	}
-	stages, err := w.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) != 3 {
-		t.Fatalf("stages = %d", len(stages))
-	}
-	if len(stages[1]) != 2 {
-		t.Errorf("middle stage = %d activities", len(stages[1]))
-	}
 }
 
 func TestCheckFanOut(t *testing.T) {
@@ -165,9 +155,5 @@ func TestInstantiate(t *testing.T) {
 	if _, err := Instantiate("%MISSING% %LIGAND%", tup); err == nil ||
 		!strings.Contains(err.Error(), "MISSING") {
 		t.Errorf("unbound tag: %v", err)
-	}
-	tags := TemplateTags(tpl)
-	if len(tags) != 2 || tags[0] != "LIGAND" || tags[1] != "EXPDIR" {
-		t.Errorf("tags = %v", tags)
 	}
 }

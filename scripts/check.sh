@@ -102,6 +102,16 @@ echo "==> bounded fan-out (-race -count=3 For/DockWorkersDeterministic/DockWorke
 gated_test 'TestFor|TestDockWorkersDeterministic|TestDockWorkerPanicIsAnError|TestGenerateDeterministicAcrossWorkers|TestPerfSweepEqualsSinglePoints' -race -count=3 \
 	./internal/parallel ./internal/dock/vina ./internal/dock/ad4 ./internal/grid ./internal/core
 
+# Lock release on the paths no other test drives: each test runs one
+# such path and then asserts with TryLock that the mutex is free. The
+# rest of the suite catches every other deleted or misplaced Unlock by
+# failing or hanging. No analyzer stands behind these, so a leak that
+# comes back must fail here in seconds, not at go test's ten-minute
+# timeout.
+echo "==> lock release (-race -count=3 -timeout 60s QueryUnknownTableReleasesLock/ReadersReleaseLock/ShutdownPastDeadlineReleasesLock)"
+gated_test 'TestQueryUnknownTableReleasesLock|TestReadersReleaseLock|TestShutdownPastDeadlineReleasesLock' -race -count=3 -timeout 60s \
+	./internal/prov ./internal/campaign
+
 # Focused re-run of the kernel contracts outside the cached suite:
 # the per-pose score and search-trajectory digests, the receptor
 # neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
