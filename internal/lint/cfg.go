@@ -1,19 +1,16 @@
-// Control-flow graphs for the flow-sensitive analyzers. BuildCFG
-// lowers one function body to basic blocks connected by branch, loop,
-// switch, select, goto and panic edges; the dataflow engine
-// (dataflow.go) then runs fixpoint analyses over the graph. The
-// builder is purely syntactic — a caller-supplied predicate classifies
-// terminating calls (os.Exit, log.Fatal, ...) so the builder itself
-// needs no type information.
+// Control-flow graphs of function bodies. BuildCFG lowers one body to
+// basic blocks connected by branch, loop, switch, select, goto and
+// panic edges. The builder is purely syntactic — a caller-supplied
+// predicate classifies terminating calls (os.Exit, log.Fatal, ...) so
+// it needs no type information. No analyzer reads a CFG since lockflow
+// was retired; the builder stays, pinned by its statement-partition
+// property test, until a later change deletes both (ROADMAP, "Delete
+// the CFG builder").
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
-	"sort"
-	"strings"
 )
 
 // CFG is the control-flow graph of one function body.
@@ -407,69 +404,4 @@ func (b *cfgBuilder) terminating(call *ast.CallExpr) bool {
 		return true
 	}
 	return b.term != nil && b.term(call)
-}
-
-// --- traversal helpers ------------------------------------------------
-
-// ReversePostorder returns the blocks reachable from Entry in reverse
-// postorder — the canonical iteration order for forward dataflow.
-func (g *CFG) ReversePostorder() []*Block {
-	seen := make([]bool, len(g.Blocks)+1)
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(g.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
-// Dump renders the graph as one line per block for golden tests:
-//
-//	b0 entry: [x := 0; x < n] -> b1 b2
-func (g *CFG) Dump() string {
-	var sb strings.Builder
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "b%d %s:", b.Index, b.Kind)
-		if len(b.Nodes) > 0 {
-			parts := make([]string, len(b.Nodes))
-			for i, n := range b.Nodes {
-				parts[i] = nodeString(n)
-			}
-			fmt.Fprintf(&sb, " [%s]", strings.Join(parts, "; "))
-		}
-		if len(b.Succs) > 0 {
-			succs := make([]int, len(b.Succs))
-			for i, s := range b.Succs {
-				succs[i] = s.Index
-			}
-			sort.Ints(succs)
-			sb.WriteString(" ->")
-			for _, s := range succs {
-				fmt.Fprintf(&sb, " b%d", s)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// nodeString renders one node compactly on a single line.
-func nodeString(n ast.Node) string {
-	var buf strings.Builder
-	printer.Fprint(&buf, token.NewFileSet(), n)
-	s := strings.Join(strings.Fields(buf.String()), " ")
-	if len(s) > 40 {
-		s = s[:37] + "..."
-	}
-	return s
 }
