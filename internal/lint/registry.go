@@ -10,13 +10,3 @@ func Analyzers() []*Analyzer {
 		FloatCmp,
 	}
 }
-
-// ByName resolves one analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

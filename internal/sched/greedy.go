@@ -17,15 +17,6 @@ type Activation struct {
 	IOTime   float64   // shared-FS staging time added once
 }
 
-// TotalCost returns the reference-core seconds across all attempts.
-func (a Activation) TotalCost() float64 {
-	var s float64
-	for _, d := range a.Attempts {
-		s += d
-	}
-	return s + a.IOTime
-}
-
 // Placement is the scheduler's decision for one activation.
 type Placement struct {
 	Activation Activation

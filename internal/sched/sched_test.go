@@ -221,7 +221,16 @@ func placeStage(s Scheduler, startAt float64, stage []Activation, vms []*cloud.V
 	s.Reset()
 	order := slices.Clone(stage)
 	if _, lpt := s.(*Greedy); lpt {
-		sort.SliceStable(order, func(i, j int) bool { return order[i].TotalCost() > order[j].TotalCost() })
+		// Heaviest by reference-core seconds over every attempt plus
+		// the staging time.
+		cost := func(a Activation) float64 {
+			var c float64
+			for _, d := range a.Attempts {
+				c += d
+			}
+			return c + a.IOTime
+		}
+		sort.SliceStable(order, func(i, j int) bool { return cost(order[i]) > cost(order[j]) })
 	}
 	var placements []Placement
 	end := startAt

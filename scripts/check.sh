@@ -57,8 +57,18 @@ test -z "$unformatted" || { echo "check: not gofmt-clean:" >&2; echo "$unformatt
 echo "==> scilint ./..."
 go run ./cmd/scilint ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+# Each stage that runs tests names a -timeout of at least 2.5x its
+# measured run time (CHANGES.md lists them). A leaked lock or a lost
+# wake-up hangs a test rather than failing it, and go test's default
+# waits ten minutes per package before it names the test. The timeout
+# bounds each package's test binary, so internal/core (1.5-3.5 min
+# under -race, TestSweepAnchors most of it) gets its own, run last, and
+# every other package the next slowest one's (internal/dock/vina,
+# under 1.5 min).
+echo "==> go test -race ./... (-timeout 4m; internal/core -timeout 9m)"
+# shellcheck disable=SC2046 # go list prints one import path per line
+go test -race -timeout 4m $(go list ./... | grep -vx 'repro/internal/core')
+go test -race -timeout 9m ./internal/core
 
 # Every parser of bytes from outside the process has a native fuzz
 # target, FuzzQuery holds the SQL planner to the reference executor, and
@@ -67,7 +77,7 @@ go test -race ./...
 # in all, cold build included) explores past them. A crash fails the
 # gate and leaves its input under the package's testdata/fuzz/: fix
 # the bug and keep the input as a regression seed.
-echo "==> fuzz smoke (3 s per target)"
+echo "==> fuzz smoke (3 s per target, -timeout 60s)"
 for target in \
 	internal/prov:FuzzQuery internal/prov:FuzzLoadDB \
 	internal/chem/formats:FuzzSDF internal/chem/formats:FuzzPDB \
@@ -76,38 +86,39 @@ for target in \
 	internal/workflow/spec:FuzzParse internal/prep:FuzzParamFiles \
 	internal/textio:FuzzAppendFixed; do
 	require_tests "^${target#*:}\$" "./${target%%:*}"
-	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 3s -fuzzminimizetime 1s "./${target%%:*}"
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 3s -fuzzminimizetime 1s -timeout 60s "./${target%%:*}"
 done
 
 # The engine's virtual timeline must not depend on how the dispatcher,
 # the worker pool and a cancel interleave, under either Runtime value:
 # give each gate run five schedules of those tests, not one.
-echo "==> engine interleaving stress (-race -count=5 Dataflow/RunContext/StageComplete)"
-gated_test 'Dataflow|RunContext|StageComplete' -race -count=5 ./internal/engine
+echo "==> engine interleaving stress (-race -count=5 -timeout 60s Dataflow/RunContext/StageComplete)"
+gated_test 'Dataflow|RunContext|StageComplete' -race -count=5 -timeout 60s ./internal/engine
 
 # What the campaign product store rests on, three schedules each: the
 # every-staged-byte golden, the finished-campaign footprint (the store
 # dies with Execute; a record pins one copy of a shared rendering), the
 # Status poll beside a running adaptive campaign, and the lattice /
-# Subset independence contracts.
-echo "==> product store contracts (-race -count=3 Artifacts/Footprint/Status/Subset)"
-gated_test 'Artifacts|Footprint|Status|Subset' -race -count=3 ./internal/core ./internal/campaign ./internal/grid
+# Subset independence contracts; and the Manager driven by a seeded
+# random mix of calls from several goroutines, which must leave every
+# campaign in one terminal state and no token, account or goroutine.
+echo "==> product store contracts (-race -count=3 -timeout 3m Artifacts/Footprint/Status/Subset/Interleaving)"
+gated_test 'Artifacts|Footprint|Status|Subset|Interleaving' -race -count=3 -timeout 3m ./internal/core ./internal/campaign ./internal/grid
 
 # The one bounded fan-out (parallel.For) and the four loops on it:
 # every index once, one goroutine per scratch value, the lowest-index
 # failure, tokens back; Vina's chains and AD4's runs identical for any
 # worker count and a panicking unit an error; AutoGrid's slabs and the
 # sweep's points identical for any worker count. Three schedules each.
-echo "==> bounded fan-out (-race -count=3 For/DockWorkersDeterministic/DockWorkerPanicIsAnError/GenerateDeterministicAcrossWorkers/PerfSweepEqualsSinglePoints)"
-gated_test 'TestFor|TestDockWorkersDeterministic|TestDockWorkerPanicIsAnError|TestGenerateDeterministicAcrossWorkers|TestPerfSweepEqualsSinglePoints' -race -count=3 \
+echo "==> bounded fan-out (-race -count=3 -timeout 60s For/DockWorkersDeterministic/DockWorkerPanicIsAnError/GenerateDeterministicAcrossWorkers/PerfSweepEqualsSinglePoints)"
+gated_test 'TestFor|TestDockWorkersDeterministic|TestDockWorkerPanicIsAnError|TestGenerateDeterministicAcrossWorkers|TestPerfSweepEqualsSinglePoints' -race -count=3 -timeout 60s \
 	./internal/parallel ./internal/dock/vina ./internal/dock/ad4 ./internal/grid ./internal/core
 
 # Lock release on the paths no other test drives: each test runs one
 # such path and then asserts with TryLock that the mutex is free. The
 # rest of the suite catches every other deleted or misplaced Unlock by
 # failing or hanging. No analyzer stands behind these, so a leak that
-# comes back must fail here in seconds, not at go test's ten-minute
-# timeout.
+# comes back must fail here in seconds.
 echo "==> lock release (-race -count=3 -timeout 60s QueryUnknownTableReleasesLock/ReadersReleaseLock/ShutdownPastDeadlineReleasesLock)"
 gated_test 'TestQueryUnknownTableReleasesLock|TestReadersReleaseLock|TestShutdownPastDeadlineReleasesLock' -race -count=3 -timeout 60s \
 	./internal/prov ./internal/campaign
@@ -122,8 +133,8 @@ gated_test 'TestQueryUnknownTableReleasesLock|TestReadersReleaseLock|TestShutdow
 # the receptor invariants: shuffling the receptor's atoms (both
 # engines) or moving receptor and pose together (Vina) moves Score
 # only by rounding.
-echo "==> kernel contract smoke (ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 \
+echo "==> kernel contract smoke (-timeout 60s ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 -timeout 60s \
 	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of map generation and both scorers is one inlined
@@ -146,11 +157,11 @@ sites=$(go build -gcflags=-m ./internal/dock/vina 2>&1 | grep -c 'score.go:.*inl
 # math.Exp is assembly that branches on it, so every exponential on the
 # exact path (table nodes, cost draws, Vina's Metropolis test) is
 # fmath.Exp; re-run the goldens with the feature masked to hold that.
-echo "==> goldens without FMA (GODEBUG=cpu.fma=off ScoreGolden/TrajectoryGolden/ArtifactsGolden)"
+echo "==> goldens without FMA (GODEBUG=cpu.fma=off -timeout 60s ScoreGolden/TrajectoryGolden/ArtifactsGolden)"
 (
 	GODEBUG=cpu.fma=off
 	export GODEBUG
-	gated_test 'ScoreGolden|TrajectoryGolden|ArtifactsGolden' -count=1 \
+	gated_test 'ScoreGolden|TrajectoryGolden|ArtifactsGolden' -count=1 -timeout 60s \
 		./internal/dock/vina ./internal/dock/ad4 ./internal/core
 )
 
@@ -171,8 +182,8 @@ grep -v '^#' scripts/fma_arm64.txt | while read -r pkg want; do
 	fi
 done
 
-echo "==> kernel benchmark smoke (-benchtime=1x)"
-go test -run '^$' -bench . -benchtime=1x \
+echo "==> kernel benchmark smoke (-benchtime=1x -timeout 60s)"
+go test -run '^$' -bench . -benchtime=1x -timeout 60s \
 	./internal/grid ./internal/dock \
 	./internal/dock/tables ./internal/dock/vina ./internal/dock/ad4
 
@@ -219,8 +230,8 @@ go run ./cmd/dockbench -exp quality >"$qual"
 diff "$qual" results_quality.txt || { echo "check: dockbench -exp quality differs from results_quality.txt; regenerate it" >&2; exit 1; }
 rm -f "$qual"
 
-echo "==> provenance store benchmark smoke (-benchtime=1x)"
-go test -run '^$' -bench . -benchtime=1x ./internal/prov
+echo "==> provenance store benchmark smoke (-benchtime=1x -timeout 60s)"
+go test -run '^$' -bench . -benchtime=1x -timeout 60s ./internal/prov
 
 # End-to-end serve smoke: start the resident campaign service, submit
 # a tiny campaign over HTTP, poll it to completion, then SIGTERM and
