@@ -8,6 +8,7 @@ import (
 	"repro/internal/chem"
 	"repro/internal/data"
 	"repro/internal/dock"
+	"repro/internal/prep"
 )
 
 // campaignBox is the 20.8 Å search box of the campaign effort, centred
@@ -213,9 +214,6 @@ func TestDockStats(t *testing.T) {
 			if st.Stalled > st.LocalOptimizations {
 				t.Errorf("%s/%s: %d stalled of %d local optimizations", p.rec, p.lig, st.Stalled, st.LocalOptimizations)
 			}
-			if p.lig == "0E6" && st.Stalled == 0 {
-				t.Errorf("2HHN/0E6: the stall stop ended none of %d local optimizations", st.LocalOptimizations)
-			}
 			if p.lig == data.LargeLigandCode {
 				if per := st.Evaluations / int64(cfg.Exhaustiveness*(p.steps+1)); per >= 400 {
 					t.Errorf("%d evaluations per Metropolis step, want under 400", per)
@@ -223,5 +221,32 @@ func TestDockStats(t *testing.T) {
 			}
 			t.Logf("%s/%s workers %d: %+v", p.rec, p.lig, workers, st)
 		}
+		if p.lig == "0E6" {
+			stallSum(t, s, lig, cfg, p.steps, first)
+		}
+	}
+}
+
+// stallSum requires the stall stop to end at least one local
+// optimization over the docks of 2HHN/0E6 with seeds 2014–2021, first
+// being seed 2014's stats. Each of the eight stalls 1 to 6 of its ≈ 20
+// searches, so the assertion does not rest on one trajectory: a change
+// that only moves rounding keeps ≈ 160 chances to stall, while a
+// search without the stall stop has none.
+func stallSum(t *testing.T, s *Scorer, lig *dock.Ligand, cfg prep.VinaConfig, steps int, first dock.Stats) {
+	t.Helper()
+	stalled, searches := first.Stalled, first.LocalOptimizations
+	for seed := cfg.Seed + 1; seed <= 2021; seed++ {
+		c := cfg
+		c.Seed = seed
+		res, err := (&Engine{Config: c, StepsPerRestart: steps, Workers: 1}).Dock(s, lig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stalled += res.Stats.Stalled
+		searches += res.Stats.LocalOptimizations
+	}
+	if stalled == 0 {
+		t.Errorf("2HHN/0E6: the stall stop ended none of %d local optimizations over seeds 2014–2021", searches)
 	}
 }
