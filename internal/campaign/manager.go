@@ -313,6 +313,8 @@ func (m *Manager) Cancel(id int64) (State, error) {
 	}
 	switch r.state {
 	case StateQueued:
+		// Dropping a queued record frees no running slot, so nothing
+		// new can start here.
 		for i, q := range m.queue {
 			if q == r {
 				m.queue = append(m.queue[:i], m.queue[i+1:]...)
@@ -323,7 +325,6 @@ func (m *Manager) Cancel(id int64) (State, error) {
 		r.errMsg = "cancelled before start"
 		r.finished = time.Now()
 		close(r.done)
-		m.pump()
 	case StateRunning:
 		r.state = StateCancelling
 		r.cancel()
