@@ -178,22 +178,25 @@ type generator struct {
 	cells       *dock.PackedNeighbors // every receptor atom, class = its index
 	charge      []float64             // per receptor atom
 	dcoef       []float64             // per receptor atom, desolvation prefactor
-	typeIdx     []int32               // per receptor atom, index into pairTbl rows
-	pairTbl     [][]*tables.Radial    // [receptor type][probe] smoothed AD4 tables
-	elecTbl     *tables.Radial
-	desolvTbl   *tables.Radial
+	typeIdx     []int32               // per receptor atom, index into rows
+	rows        []*tables.Row         // [receptor type]: every probe, then elec and desolv
 	elec        []float64
 	desolv      []float64
 	probeSlices [][]float64
 }
 
-// slab fills every map value of z-plane k. affin is the worker's
-// reusable per-point accumulator, hoisted out of the triple loop. The
-// neighbour walk filters each point's fine-cell candidate list one
-// chunk of hits at a time; a hit's class is its receptor atom index.
-func (g *generator) slab(k int, affin []float64) {
+// slab fills every map value of z-plane k. acc is the worker's
+// reusable scratch, hoisted out of the triple loop: the per-probe
+// accumulators, then one row of table values. The neighbour walk
+// filters each point's fine-cell candidate list one chunk of hits at a
+// time; a hit's class is its receptor atom index, and its receptor
+// type's row gives every probe's term and the elec and desolv weights
+// from one bin lookup.
+func (g *generator) slab(k int, acc []float64) {
 	const cut2 = interactionCutoff * interactionCutoff
 	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
+	np := len(g.probeSlices)
+	affin, vals := acc[:np], acc[np:]
 	idx := k * nx * ny
 	z := g.origin.Z + float64(k)*g.spec.Spacing
 	atoms := g.cells.Atoms()
@@ -211,10 +214,11 @@ func (g *generator) slab(k int, affin []float64) {
 				end := min(at+len(hits), len(cand))
 				m := dock.FilterIndexed(atoms, cand[at:end], x, y, z, cut2, hits[:], 0)
 				for _, h := range hits[:m] {
-					elec += g.charge[h.Cls] * g.elecTbl.At2(h.R2)
-					desolv += g.dcoef[h.Cls] * g.desolvTbl.At2(h.R2)
-					for pi, tbl := range g.pairTbl[g.typeIdx[h.Cls]] {
-						affin[pi] += tbl.At2(h.R2)
+					g.rows[g.typeIdx[h.Cls]].At2Into(vals, h.R2)
+					elec += float64(g.charge[h.Cls] * vals[np])
+					desolv += float64(g.dcoef[h.Cls] * vals[np+1])
+					for pi, v := range vals[:np] {
+						affin[pi] += v
 					}
 				}
 			}
@@ -276,24 +280,18 @@ func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, 
 		g.typeIdx[i] = ti
 	}
 
-	g.elecTbl = tables.Electrostatic()
-	g.desolvTbl = tables.Desolvation()
 	g.elec, g.desolv = m.elec, m.desolv
 	for _, t := range probes {
 		g.probeSlices = append(g.probeSlices, m.affinity[t])
 	}
 	for _, at := range typeList {
-		row := make([]*tables.Radial, len(probes))
-		for pi, pt := range probes {
-			row[pi] = tables.AD4Smoothed(pt, at)
-		}
-		g.pairTbl = append(g.pairTbl, row)
+		g.rows = append(g.rows, tables.AD4Row(at, probes))
 	}
 
 	err = parallel.For(spec.NPts[2], workers,
-		func() []float64 { return make([]float64, len(probes)) },
-		func(k int, affin []float64) error {
-			g.slab(k, affin)
+		func() []float64 { return make([]float64, 2*len(probes)+2) },
+		func(k int, acc []float64) error {
+			g.slab(k, acc)
 			return nil
 		})
 	if err != nil {
