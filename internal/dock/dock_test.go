@@ -72,7 +72,7 @@ func TestNewLigandRejectsReversedTree(t *testing.T) {
 // the pose frame — and with it the about point — is fixed in.
 func rootFragment(lig *Ligand) []int {
 	var root []int
-	for i, u := range lig.Tree.RigidUnits(lig.Mol.NumAtoms()) {
+	for i, u := range lig.Owners() {
 		if u == 0 {
 			root = append(root, i)
 		}

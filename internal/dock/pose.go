@@ -66,6 +66,7 @@ type Ligand struct {
 	Tree     *chem.TorsionTree
 	base     []chem.Vec3 // input conformation, about point at the origin
 	refCoord []chem.Vec3 // reference (input frame) coordinates for RMSD
+	owner    []int32     // per atom, the frame that places it (see Owners)
 }
 
 // NewLigand builds the conformational model. The reference coordinates
@@ -91,8 +92,26 @@ func NewLigand(mol *chem.Molecule, tree *chem.TorsionTree) (*Ligand, error) {
 	if err := tree.CheckOrder(); err != nil {
 		return nil, fmt.Errorf("dock: ligand %q: torsion tree breaks the ordering rule of chem.TorsionTree: %w", mol.Name, err)
 	}
-	return &Ligand{Mol: mol, Tree: tree, base: base, refCoord: ref}, nil
+	owner := make([]int32, len(base))
+	for k, tor := range tree.Torsions {
+		for _, i := range tor.Moved {
+			if i != tor.Axis2 {
+				owner[i] = int32(k + 1)
+			}
+		}
+	}
+	return &Ligand{Mol: mol, Tree: tree, base: base, refCoord: ref, owner: owner}, nil
 }
+
+// Owners returns, per atom, the rigid frame that places it: 0 for the
+// root fragment, k+1 for the branch torsion k turns. An atom belongs to
+// the deepest torsion whose Moved set holds it off the axis; a
+// torsion's Axis2 atom lies on its axis, so its parent places it. Two
+// atoms of one frame keep their distance under any pose, and on the
+// trees this package accepts the frames partition the atoms as
+// chem.TorsionTree's rigid units do. The slice is shared: do not
+// modify it.
+func (l *Ligand) Owners() []int32 { return l.owner }
 
 // NumTorsions returns the ligand's rotatable bond count.
 func (l *Ligand) NumTorsions() int { return l.Tree.NumTorsions() }

@@ -172,7 +172,7 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 	// Group the pairs by the rigid fragments they join; the stable sort
 	// keeps intraPairs14's order inside a group, so the addition order
 	// is a function of the ligand alone.
-	frag := lig.Tree.RigidUnits(lig.Mol.NumAtoms())
+	frag := lig.Owners()
 	sort.SliceStable(s.intraTbl, func(x, y int) bool {
 		ax, bx := fragPair(frag, s.intraTbl[x])
 		ay, by := fragPair(frag, s.intraTbl[y])
@@ -193,8 +193,8 @@ func (ix *ReceptorIndex) NewScorer(lig *dock.Ligand) (*Scorer, error) {
 }
 
 // fragPair returns the rigid fragments (frag: per atom, its
-// chem.TorsionTree.RigidUnits id) an intramolecular pair joins, lower
-// id first — the key intraTbl is grouped by.
+// dock.Ligand.Owners frame) an intramolecular pair joins, lower id
+// first — the key intraTbl is grouped by.
 func fragPair(frag []int32, pr intraPair) (a, b int32) {
 	a, b = frag[pr.i], frag[pr.j]
 	if a > b {
