@@ -3,6 +3,7 @@ package formats
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,17 +276,24 @@ func TestPDBQTLigandRoundTrip(t *testing.T) {
 	if got.Tree.NumTorsions() != tree.NumTorsions() {
 		t.Errorf("torsions %d != %d", got.Tree.NumTorsions(), tree.NumTorsions())
 	}
-	// Moved sets must be applicable: rotating a parsed torsion keeps
-	// bond lengths (validated indirectly by no panic and finite RMSD).
-	base := got.Mol.Positions()
-	angles := make([]float64, got.Tree.NumTorsions())
-	for i := range angles {
-		angles[i] = 0.5
+	// Moved sets must be applicable: the parsed tree meets the ordering
+	// rule docking needs, and turning each parsed torsion by 0.5 rad
+	// about its axis moves its branch (finite, non-zero RMSD).
+	if err := got.Tree.CheckOrder(); err != nil {
+		t.Errorf("parsed tree: %v", err)
 	}
-	rot := got.Tree.ApplyTorsions(base, angles)
-	r, err := chem.RMSD(base, rot)
-	if err != nil || math.IsNaN(r) || r == 0 {
-		t.Errorf("parsed torsions not applicable: rmsd=%v err=%v", r, err)
+	base := got.Mol.Positions()
+	for k, tor := range got.Tree.Torsions {
+		rot := slices.Clone(base)
+		a, b := base[tor.Axis1], base[tor.Axis2]
+		q := chem.AxisAngleQuat(b.Sub(a), 0.5)
+		for _, i := range tor.Moved {
+			rot[i] = q.Rotate(base[i].Sub(b)).Add(b)
+		}
+		r, err := chem.RMSD(base, rot)
+		if err != nil || math.IsNaN(r) || r == 0 {
+			t.Errorf("parsed torsion %d not applicable: rmsd=%v err=%v", k, r, err)
+		}
 	}
 }
 

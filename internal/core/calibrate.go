@@ -30,8 +30,8 @@ import (
 const (
 	ad4FEBScale   = 8.1078
 	ad4FEBOffset  = -0.4762
-	vinaFEBScale  = 4.0923
-	vinaFEBOffset = +14.3310
+	vinaFEBScale  = 4.0363
+	vinaFEBOffset = +14.0216
 )
 
 // febTargets is what the fit aims for, from the paper's Table 3: the

@@ -31,7 +31,8 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 // digests were re-recorded at trajectory epoch 2, when the coordinates
 // AD4 is handed changed (the root-frame pose model — no re-centring
 // after the torsions), and again when the radial tables took their
-// octave-indexed geometry and fmath's exponentials. This pins the
+// octave-indexed geometry and fmath's exponentials, and at the tree
+// of frames that replaced the sequential torsion walk. This pins the
 // float64 addition sequence and the table nodes.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
@@ -39,8 +40,8 @@ func TestScoreGolden(t *testing.T) {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "9b22710bffc4f3bd"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "b9d27a3ddef33304"},
+		{"2HHN", "0E6", "d157f01dc85503ae"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "1f3a56019f4ab279"},
 	}
 	for _, p := range pairs {
 		maps, lig, _ := setupPair(t, p.rec, p.lig)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/chem"
 )
@@ -61,12 +62,29 @@ func (b Box) Contains(p chem.Vec3) bool {
 // of the base conformation about it and nothing re-centres afterwards,
 // so Pose.Translation is the about point's position and changing
 // angle k moves only the atoms of Tree.Torsions[k].Moved.
+//
+// Kinematics is a tree of frames, as Vina's heterotree: frame 0 is the
+// root fragment, frame k+1 the branch torsion k turns, and every atom
+// is placed once, as its frame's origin plus the frame's rotation of
+// the atom's local coordinates (see CoordsInto).
 type Ligand struct {
 	Mol      *chem.Molecule
 	Tree     *chem.TorsionTree
-	base     []chem.Vec3 // input conformation, about point at the origin
 	refCoord []chem.Vec3 // reference (input frame) coordinates for RMSD
 	owner    []int32     // per atom, the frame that places it (see Owners)
+	frames   []frame     // frame 0 is the root; frame k+1 is torsion k's branch
+	order    []int32     // atom indices grouped by frame, ascending within one
+	span     []int32     // frame f places order[span[f]:span[f+1]]
+	local    []chem.Vec3 // local[j]: atom order[j] relative to its frame's origin, base orientation
+}
+
+// frame is one rigid segment of the tree. A branch frame's origin is
+// its torsion's Axis2 atom, which the parent frame places; its rotation
+// is the parent's composed with the turn about axis.
+type frame struct {
+	parent int32     // lower than the frame's own index
+	origin int32     // atom index of the Axis2 atom
+	axis   chem.Vec3 // unit Axis1→Axis2 direction in the base conformation; zero if the atoms coincide
 }
 
 // NewLigand builds the conformational model. The reference coordinates
@@ -75,7 +93,8 @@ type Ligand struct {
 // why DLG RMSDs of blind dockings are large). The tree must meet
 // chem.TorsionTree's ordering rule, which BuildTorsionTree and
 // ParsePDBQT always do: Vina's torsion gradient is exact only on an
-// ordered tree.
+// ordered tree, and the frames are built on it — ancestors first, so
+// a frame's parent and its origin atom's frame come before it.
 func NewLigand(mol *chem.Molecule, tree *chem.TorsionTree) (*Ligand, error) {
 	if mol.NumAtoms() == 0 {
 		return nil, fmt.Errorf("dock: ligand %q has no atoms", mol.Name)
@@ -92,15 +111,43 @@ func NewLigand(mol *chem.Molecule, tree *chem.TorsionTree) (*Ligand, error) {
 	if err := tree.CheckOrder(); err != nil {
 		return nil, fmt.Errorf("dock: ligand %q: torsion tree breaks the ordering rule of chem.TorsionTree: %w", mol.Name, err)
 	}
-	owner := make([]int32, len(base))
+	l := &Ligand{Mol: mol, Tree: tree, refCoord: ref, owner: make([]int32, len(base))}
 	for k, tor := range tree.Torsions {
 		for _, i := range tor.Moved {
 			if i != tor.Axis2 {
-				owner[i] = int32(k + 1)
+				l.owner[i] = int32(k + 1)
 			}
 		}
 	}
-	return &Ligand{Mol: mol, Tree: tree, base: base, refCoord: ref, owner: owner}, nil
+	l.frames = make([]frame, len(tree.Torsions)+1)
+	l.frames[0].parent = -1
+	for k, tor := range tree.Torsions {
+		l.frames[k+1] = frame{
+			parent: l.owner[tor.Axis2],
+			origin: int32(tor.Axis2),
+			axis:   unit(base[tor.Axis2].Sub(base[tor.Axis1])),
+		}
+	}
+	l.span = make([]int32, len(l.frames)+1)
+	for _, f := range l.owner {
+		l.span[f+1]++
+	}
+	for f := range l.frames {
+		l.span[f+1] += l.span[f]
+	}
+	l.order = make([]int32, len(base))
+	l.local = make([]chem.Vec3, len(base))
+	next := slices.Clone(l.span[:len(l.frames)])
+	for i, f := range l.owner {
+		var o chem.Vec3 // the root's origin is the about point
+		if f > 0 {
+			o = base[l.frames[f].origin]
+		}
+		l.order[next[f]] = int32(i)
+		l.local[next[f]] = base[i].Sub(o)
+		next[f]++
+	}
+	return l, nil
 }
 
 // Owners returns, per atom, the rigid frame that places it: 0 for the
@@ -126,10 +173,26 @@ func (l *Ligand) Coords(p Pose) []chem.Vec3 {
 	return l.CoordsInto(p, nil)
 }
 
+// maxStackFrames is the frame count CoordsInto keeps its rotations for
+// on the stack; a ligand with more torsions allocates them per call.
+const maxStackFrames = 64
+
 // CoordsInto is Coords writing into buf's storage (grown as needed),
 // so a search loop that keeps one buffer per worker evaluates
 // candidates without allocating. The returned slice aliases buf and
 // is overwritten by the next call that reuses it.
+//
+// The walk goes down the tree of frames once. The root frame's
+// rotation is the pose's normalised orientation and its origin the
+// pose's translation. Frame k+1's rotation is its parent's composed
+// with the turn by angle k about the torsion's base-conformation axis
+// (one Sincos and one quaternion product), and its origin is its
+// Axis2 atom, which the parent has placed (one rotation). Each atom is
+// then placed once: origin plus rotated local coordinates. This is the
+// sequential walk — every torsion in tree order rotating its Moved
+// atoms about its current axis, then the rigid-body transform — in
+// another order of the same rotations, so the two agree up to rounding
+// (the kinematics oracle in chem's tests holds them within 1e-9 Å).
 //
 // Each atom's coordinates are a function of the rigid-body transform
 // and of the torsions whose Moved set holds the atom, and of nothing
@@ -139,9 +202,68 @@ func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 	if len(p.Torsions) != l.NumTorsions() {
 		panicTorsions(len(p.Torsions), l.NumTorsions())
 	}
-	coords := l.Tree.ApplyTorsionsInto(buf, l.base, p.Torsions)
-	chem.PlaceInto(coords, coords, p.Orientation.Normalize(), p.Translation)
+	n := len(l.owner)
+	if cap(buf) < n {
+		buf = make([]chem.Vec3, n)
+	}
+	coords := buf[:n]
+	var stack [maxStackFrames]chem.Quat
+	rot := stack[:]
+	if len(l.frames) > len(rot) {
+		rot = make([]chem.Quat, len(l.frames))
+	}
+	rot[0] = p.Orientation.Normalize()
+	l.place(coords, 0, rot[0], p.Translation)
+	for f := 1; f < len(l.frames); f++ {
+		fr := &l.frames[f]
+		q := rot[fr.parent]
+		if fr.axis != (chem.Vec3{}) {
+			s, c := math.Sincos(p.Torsions[f-1] / 2)
+			q = compose(q, chem.Quat{W: c, X: float64(fr.axis.X * s), Y: float64(fr.axis.Y * s), Z: float64(fr.axis.Z * s)})
+		}
+		rot[f] = q
+		l.place(coords, f, q, coords[fr.origin])
+	}
 	return coords
+}
+
+// unit is chem.Vec3.Unit with every product rounded on its own.
+func unit(v chem.Vec3) chem.Vec3 {
+	n := math.Sqrt(float64(v.X*v.X) + float64(v.Y*v.Y) + float64(v.Z*v.Z))
+	if n == 0 {
+		return v
+	}
+	return v.Scale(1 / n)
+}
+
+// compose returns the Hamilton product q·r (turn by r, then by q), as
+// chem.Quat.Mul, with every product rounded on its own.
+func compose(q, r chem.Quat) chem.Quat {
+	return chem.Quat{
+		W: float64(q.W*r.W) - float64(q.X*r.X) - float64(q.Y*r.Y) - float64(q.Z*r.Z),
+		X: float64(q.W*r.X) + float64(q.X*r.W) + float64(q.Y*r.Z) - float64(q.Z*r.Y),
+		Y: float64(q.W*r.Y) - float64(q.X*r.Z) + float64(q.Y*r.W) + float64(q.Z*r.X),
+		Z: float64(q.W*r.Z) + float64(q.X*r.Y) - float64(q.Y*r.X) + float64(q.Z*r.W),
+	}
+}
+
+// place writes the atoms of frame f: origin o plus the unit rotation q
+// of each atom's local coordinates, through q's rotation matrix.
+func (l *Ligand) place(coords []chem.Vec3, f int, q chem.Quat, o chem.Vec3) {
+	xx, yy, zz := float64(q.X*q.X), float64(q.Y*q.Y), float64(q.Z*q.Z)
+	xy, xz, yz := float64(q.X*q.Y), float64(q.X*q.Z), float64(q.Y*q.Z)
+	wx, wy, wz := float64(q.W*q.X), float64(q.W*q.Y), float64(q.W*q.Z)
+	m00, m01, m02 := 1-float64(2*(yy+zz)), float64(2*(xy-wz)), float64(2*(xz+wy))
+	m10, m11, m12 := float64(2*(xy+wz)), 1-float64(2*(xx+zz)), float64(2*(yz-wx))
+	m20, m21, m22 := float64(2*(xz-wy)), float64(2*(yz+wx)), 1-float64(2*(xx+yy))
+	lo, hi := l.span[f], l.span[f+1]
+	for j, v := range l.local[lo:hi] {
+		coords[l.order[lo+int32(j)]] = chem.Vec3{
+			X: o.X + float64(m00*v.X) + float64(m01*v.Y) + float64(m02*v.Z),
+			Y: o.Y + float64(m10*v.X) + float64(m11*v.Y) + float64(m12*v.Z),
+			Z: o.Z + float64(m20*v.X) + float64(m21*v.Y) + float64(m22*v.Z),
+		}
+	}
 }
 
 // panicTorsions reports a pose whose angle count is not its ligand's

@@ -32,7 +32,8 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 // digests were re-recorded at trajectory epoch 2 — the root-frame pose
 // model (no re-centring after the torsions) and the reusable summation
 // order (per-atom inter sums, per-fragment-pair intra sums) — and
-// again at the octave-indexed radial tables built with fmath.Exp, so
+// again at the octave-indexed radial tables built with fmath.Exp and
+// at the tree of frames that replaced the sequential torsion walk, so
 // this test, not a second kernel pinned against Score, is the witness
 // of the hit order, the float64 addition sequence and the table nodes.
 func TestScoreGolden(t *testing.T) {
@@ -41,8 +42,8 @@ func TestScoreGolden(t *testing.T) {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "8771df0eadb9487e"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "18872a7803eec56e"},
+		{"2HHN", "0E6", "75e62fa91b1835c6"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "7ea42802fc5817f1"},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

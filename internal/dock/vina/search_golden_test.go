@@ -53,7 +53,8 @@ func skipIfFusedMultiplyAdd(t *testing.T) {
 // tables and the Metropolis test, at the BFGS local optimizer on
 // Vina's capped search potential that replaced the compass search, and
 // at its stall stop (only 2HHN/0E6 seed 19 moved: XL1's searches never
-// stall at one step).
+// stall at one step), and at the tree of frames that replaced the
+// sequential torsion walk.
 func TestDockTrajectoryGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	seeds := [2]int64{19, 2014}
@@ -62,8 +63,8 @@ func TestDockTrajectoryGolden(t *testing.T) {
 		steps    int
 		want     [2]string // digest per seed
 	}{
-		{"2HHN", "0E6", 6, [2]string{"ed1f3da38faf1229", "f8e8fd0af81a34e1"}},
-		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"9d3f44b2983f5860", "4f7ff3522ddf7955"}},
+		{"2HHN", "0E6", 6, [2]string{"7e7a3f082077c7b9", "dd33f6502519e22c"}},
+		{data.LargeReceptorCode, data.LargeLigandCode, 1, [2]string{"88498bdb2f2e05e8", "29180f38e44f3942"}},
 	}
 	for _, p := range pairs {
 		rec, lig := setupPair(t, p.rec, p.lig)

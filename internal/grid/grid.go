@@ -8,8 +8,10 @@
 // visits every receptor atom within the cutoff. The production path
 // (Generate) therefore reads all pair potentials from the radial
 // r²-indexed tables of internal/dock/tables — no sqrt, exp, or pow in
-// the inner loop — and fans the z-slab loop out over a bounded worker
-// pool. The decomposition is fixed by the Spec (one task per z slab,
+// the inner loop; one interned tables.Row per receptor type holds
+// every probe's table and elec and desolv node-interleaved, so a hit
+// finds its bin once — and fans the z-slab loop out over a bounded
+// worker pool. The decomposition is fixed by the Spec (one task per z slab,
 // every point written exactly once), so output is bit-identical
 // regardless of worker count. The serial analytic path lives on in
 // the tests as the oracle the tables are pinned against.

@@ -130,19 +130,27 @@ gated_test 'TestQueryUnknownTableReleasesLock|TestReadersReleaseLock|TestShutdow
 # the per-pose score and search-trajectory digests, the receptor
 # neighbour walk of map generation and Vina (PackedSpans, ./internal/dock),
 # a torsion turn leaving every atom outside its branch bit-identical,
+# the tree of frames within 1e-9 Å of the sequential torsion walk and
+# its frames equal to the rigid units (FramesMatchWalk,
+# FrameOwnerIsRigidUnit, ./internal/chem), every column of map
+# generation's interleaved rows equal to its table's At2 bit for bit
+# (RowMatchesTables),
 # and the pins of Vina's gradient: its energy is Score's bit for bit,
 # its pose gradient matches central differences, At2D's value is
 # At2's and At2DOctave's value and slope are At2D's, and every mode a dock reports carries its pose's Score; and
 # the receptor invariants: shuffling the receptor's atoms (both
 # engines) or moving receptor and pose together (Vina) moves Score
 # only by rounding.
-echo "==> kernel contract smoke (-timeout 60s ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 -timeout 60s \
-	./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
+echo "==> kernel contract smoke (-timeout 60s ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/FramesMatchWalk/FrameOwnerIsRigidUnit/RowMatchesTables/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|FramesMatchWalk|FrameOwnerIsRigidUnit|RowMatchesTables|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 -timeout 60s \
+	./internal/chem ./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
-# Every pair term of map generation and both scorers is one inlined
-# Radial.At2, and every receptor hit and intramolecular pair of Vina's
-# gradient pass from RMin² on one inlined Radial.At2DOctave. Both
+# Every pair term of both scorers is one inlined Radial.At2 (map
+# generation reads one interned tables.Row per receptor type instead:
+# Row.At2Into finds a hit's bin once and interpolates every probe,
+# elec and desolv column from one node-interleaved row), and every
+# receptor hit and intramolecular pair of Vina's gradient pass from
+# RMin² on one inlined Radial.At2DOctave. Both
 # costs sit at or near the compiler's budget, so an edit that pushes
 # one over would turn each term into a call unnoticed: require both to
 # be inlinable, and the gradient pass's two call sites to inline it.
