@@ -56,15 +56,14 @@ func AD4Row(rec chem.AtomType, probes []chem.AtomType) *Row {
 	return v.(*Row)
 }
 
-// Cols returns the row's column count, len(probes)+2.
-func (r *Row) Cols() int { return r.cols }
-
-// At2Into writes every column's value at squared distance r2 ≥ 0 into
-// dst[:Cols()]: column c's Radial.At2(r2), bit for bit — the same bin,
-// fraction and interpolation, found once for the whole row.
+// AddAt2 adds each probe column's value at squared distance r2 ≥ 0 to
+// acc[c], c < len(probes), and returns the Electrostatic and
+// Desolvation columns' values. Every value is its column's
+// Radial.At2(r2), bit for bit — the same bin, fraction and
+// interpolation, found once for the whole row.
 //
 // unit: r2=Å2
-func (r *Row) At2Into(dst []float64, r2 float64) {
+func (r *Row) AddAt2(acc []float64, r2 float64) (elec, desolv float64) {
 	var i int
 	var frac float64
 	if r2 < RMin2 {
@@ -78,8 +77,12 @@ func (r *Row) At2Into(dst []float64, r2 float64) {
 	}
 	lo := r.vals[i*r.cols : (i+1)*r.cols]
 	hi := r.vals[(i+1)*r.cols : (i+2)*r.cols]
-	dst = dst[:len(lo)]
-	for c, v := range lo {
-		dst[c] = v + float64(frac*(hi[c]-v))
+	hi = hi[:len(lo)]
+	np := r.cols - 2
+	acc = acc[:np]
+	for c, v := range lo[:np] {
+		acc[c] += v + float64(frac*(hi[c]-v))
 	}
+	e, d := lo[np], lo[np+1]
+	return e + float64(frac*(hi[np]-e)), d + float64(frac*(hi[np+1]-d))
 }

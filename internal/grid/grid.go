@@ -187,18 +187,15 @@ type generator struct {
 	probeSlices [][]float64
 }
 
-// slab fills every map value of z-plane k. acc is the worker's
-// reusable scratch, hoisted out of the triple loop: the per-probe
-// accumulators, then one row of table values. The neighbour walk
-// filters each point's fine-cell candidate list one chunk of hits at a
-// time; a hit's class is its receptor atom index, and its receptor
-// type's row gives every probe's term and the elec and desolv weights
-// from one bin lookup.
-func (g *generator) slab(k int, acc []float64) {
+// slab fills every map value of z-plane k. affin is the worker's
+// reusable per-probe accumulator, hoisted out of the triple loop. The
+// neighbour walk filters each point's fine-cell candidate list one
+// chunk of hits at a time; a hit's class is its receptor atom index,
+// and its receptor type's row gives every probe's term and the elec
+// and desolv weights from one bin lookup.
+func (g *generator) slab(k int, affin []float64) {
 	const cut2 = interactionCutoff * interactionCutoff
 	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
-	np := len(g.probeSlices)
-	affin, vals := acc[:np], acc[np:]
 	idx := k * nx * ny
 	z := g.origin.Z + float64(k)*g.spec.Spacing
 	atoms := g.cells.Atoms()
@@ -216,12 +213,9 @@ func (g *generator) slab(k int, acc []float64) {
 				end := min(at+len(hits), len(cand))
 				m := dock.FilterIndexed(atoms, cand[at:end], x, y, z, cut2, hits[:], 0)
 				for _, h := range hits[:m] {
-					g.rows[g.typeIdx[h.Cls]].At2Into(vals, h.R2)
-					elec += float64(g.charge[h.Cls] * vals[np])
-					desolv += float64(g.dcoef[h.Cls] * vals[np+1])
-					for pi, v := range vals[:np] {
-						affin[pi] += v
-					}
+					e, d := g.rows[g.typeIdx[h.Cls]].AddAt2(affin, h.R2)
+					elec += float64(g.charge[h.Cls] * e)
+					desolv += float64(g.dcoef[h.Cls] * d)
 				}
 			}
 			g.elec[idx] = clamp(elec)
@@ -291,9 +285,9 @@ func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, 
 	}
 
 	err = parallel.For(spec.NPts[2], workers,
-		func() []float64 { return make([]float64, 2*len(probes)+2) },
-		func(k int, acc []float64) error {
-			g.slab(k, acc)
+		func() []float64 { return make([]float64, len(probes)) },
+		func(k int, affin []float64) error {
+			g.slab(k, affin)
 			return nil
 		})
 	if err != nil {

@@ -147,7 +147,7 @@ gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|Fram
 
 # Every pair term of both scorers is one inlined Radial.At2 (map
 # generation reads one interned tables.Row per receptor type instead:
-# Row.At2Into finds a hit's bin once and interpolates every probe,
+# Row.AddAt2 finds a hit's bin once and interpolates every probe,
 # elec and desolv column from one node-interleaved row), and every
 # receptor hit and intramolecular pair of Vina's gradient pass from
 # RMin² on one inlined Radial.At2DOctave. Both
