@@ -24,13 +24,15 @@ func AxisAngleQuat(axis Vec3, angle float64) Quat {
 	return Quat{W: c, X: u.X * s, Y: u.Y * s, Z: u.Z * s}
 }
 
-// Mul returns the Hamilton product q*r (apply r, then q).
+// Mul returns the Hamilton product q*r (apply r, then q). Every
+// product is rounded on its own, so no platform fuses a multiply-add
+// into it: ligand kinematics composes its frames with it.
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{
-		W: q.W*r.W - q.X*r.X - q.Y*r.Y - q.Z*r.Z,
-		X: q.W*r.X + q.X*r.W + q.Y*r.Z - q.Z*r.Y,
-		Y: q.W*r.Y - q.X*r.Z + q.Y*r.W + q.Z*r.X,
-		Z: q.W*r.Z + q.X*r.Y - q.Y*r.X + q.Z*r.W,
+		W: float64(q.W*r.W) - float64(q.X*r.X) - float64(q.Y*r.Y) - float64(q.Z*r.Z),
+		X: float64(q.W*r.X) + float64(q.X*r.W) + float64(q.Y*r.Z) - float64(q.Z*r.Y),
+		Y: float64(q.W*r.Y) - float64(q.X*r.Z) + float64(q.Y*r.W) + float64(q.Z*r.X),
+		Z: float64(q.W*r.Z) + float64(q.X*r.Y) - float64(q.Y*r.X) + float64(q.Z*r.W),
 	}
 }
 

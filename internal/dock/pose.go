@@ -219,7 +219,7 @@ func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 		q := rot[fr.parent]
 		if fr.axis != (chem.Vec3{}) {
 			s, c := math.Sincos(p.Torsions[f-1] / 2)
-			q = compose(q, chem.Quat{W: c, X: float64(fr.axis.X * s), Y: float64(fr.axis.Y * s), Z: float64(fr.axis.Z * s)})
+			q = q.Mul(chem.Quat{W: c, X: fr.axis.X * s, Y: fr.axis.Y * s, Z: fr.axis.Z * s})
 		}
 		rot[f] = q
 		l.place(coords, f, q, coords[fr.origin])
@@ -234,17 +234,6 @@ func unit(v chem.Vec3) chem.Vec3 {
 		return v
 	}
 	return v.Scale(1 / n)
-}
-
-// compose returns the Hamilton product q·r (turn by r, then by q), as
-// chem.Quat.Mul, with every product rounded on its own.
-func compose(q, r chem.Quat) chem.Quat {
-	return chem.Quat{
-		W: float64(q.W*r.W) - float64(q.X*r.X) - float64(q.Y*r.Y) - float64(q.Z*r.Z),
-		X: float64(q.W*r.X) + float64(q.X*r.W) + float64(q.Y*r.Z) - float64(q.Z*r.Y),
-		Y: float64(q.W*r.Y) - float64(q.X*r.Z) + float64(q.Y*r.W) + float64(q.Z*r.X),
-		Z: float64(q.W*r.Z) + float64(q.X*r.Y) - float64(q.Y*r.X) + float64(q.Z*r.W),
-	}
 }
 
 // place writes the atoms of frame f: origin o plus the unit rotation q
