@@ -1,14 +1,18 @@
 package tables
 
-// ResetCache empties the table cache and the intern set, so a test can
-// count what one set of lookups builds. Tables already handed out stay
-// valid; later lookups build afresh. Not safe beside concurrent
-// lookups.
+import "sync"
+
+// ResetCache empties the table cache, the intern set and the interned
+// rows, so a test can count what one set of lookups builds. Tables and
+// rows already handed out stay valid; later lookups build afresh. Not
+// safe beside concurrent lookups.
 func ResetCache() {
-	cache.Range(func(k, _ any) bool {
-		cache.Delete(k)
-		return true
-	})
+	for _, m := range []*sync.Map{&cache, &rows} {
+		m.Range(func(k, _ any) bool {
+			m.Delete(k)
+			return true
+		})
+	}
 	interned.Lock()
 	interned.m = nil
 	interned.Unlock()
