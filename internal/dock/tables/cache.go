@@ -100,15 +100,16 @@ func pairKey(k kind, a, b chem.AtomType) key {
 // baked in — exactly what map generation accumulates per lattice
 // point.
 func AD4Smoothed(probe, rec chem.AtomType) *Radial {
-	pa, pb := probe.Params(), rec.Params()
 	return lookup(pairKey(kindAD4Smoothed, probe, rec), func() *Radial {
-		return NewRadial(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return PairEnergySmoothed(pa, pb, r, SmoothRadius)
-		})
+		return NewRadial(ad4Smoothed(probe, rec))
 	})
+}
+
+// ad4Smoothed is the potential AD4Smoothed tabulates, and AD4Row's
+// column for probe.
+func ad4Smoothed(probe, rec chem.AtomType) func(r float64) float64 {
+	pa, pb := probe.Params(), rec.Params()
+	return func(r float64) float64 { return PairEnergySmoothed(pa, pb, max(r, RMin), SmoothRadius) }
 }
 
 // AD4Pair returns the unsmoothed AD4 pair potential with the r ≥ RMin
@@ -140,25 +141,19 @@ func Vina(a, b chem.AtomType) *Radial {
 // Electrostatic returns the unit-charge Mehler–Solmajer Coulomb table
 // (multiply by the receptor atom's charge), r ≥ RMin clamp baked in.
 func Electrostatic() *Radial {
-	return lookup(key{k: kindElec}, func() *Radial {
-		return NewRadial(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return ElecScale(r)
-		})
-	})
+	return lookup(key{k: kindElec}, func() *Radial { return NewRadial(elecUnit) })
 }
+
+// elecUnit is the potential Electrostatic tabulates, and AD4Row's
+// electrostatic column.
+func elecUnit(r float64) float64 { return ElecScale(max(r, RMin)) }
 
 // Desolvation returns the gaussian desolvation weight table (multiply
 // by DesolvCoeff of the receptor atom), r ≥ RMin clamp baked in.
 func Desolvation() *Radial {
-	return lookup(key{k: kindDesolv}, func() *Radial {
-		return NewRadial(func(r float64) float64 {
-			if r < RMin {
-				r = RMin
-			}
-			return DesolvWeight(r)
-		})
-	})
+	return lookup(key{k: kindDesolv}, func() *Radial { return NewRadial(desolvUnit) })
 }
+
+// desolvUnit is the potential Desolvation tabulates, and AD4Row's
+// desolvation column.
+func desolvUnit(r float64) float64 { return DesolvWeight(max(r, RMin)) }

@@ -30,8 +30,10 @@ type rowKey struct {
 var rows sync.Map // rowKey -> *Row
 
 // AD4Row returns the interned row of receptor type rec for the probe
-// list probes: len(probes)+2 columns, column c < len(probes) being
-// AD4Smoothed(probes[c], rec), then Electrostatic and Desolvation.
+// list probes: len(probes)+2 columns, column c < len(probes) holding
+// the bits of AD4Smoothed(probes[c], rec), then those of Electrostatic
+// and Desolvation. The columns are tabulated from the same potentials,
+// so building a row puts no table into the cache.
 func AD4Row(rec chem.AtomType, probes []chem.AtomType) *Row {
 	names := make([]string, len(probes))
 	for i, p := range probes {
@@ -41,14 +43,14 @@ func AD4Row(rec chem.AtomType, probes []chem.AtomType) *Row {
 	if v, ok := rows.Load(k); ok {
 		return v.(*Row)
 	}
-	src := make([]*Radial, 0, len(probes)+2)
+	fs := make([]func(r float64) float64, 0, len(probes)+2)
 	for _, p := range probes {
-		src = append(src, AD4Smoothed(p, rec))
+		fs = append(fs, ad4Smoothed(p, rec))
 	}
-	src = append(src, Electrostatic(), Desolvation())
-	r := &Row{cols: len(src), vals: make([]float64, len(src)*(nNodes+1))}
-	for c, t := range src {
-		for i, v := range t.vals {
+	fs = append(fs, elecUnit, desolvUnit)
+	r := &Row{cols: len(fs), vals: make([]float64, len(fs)*(nNodes+1))}
+	for c, f := range fs {
+		for i, v := range NewRadial(f).vals {
 			r.vals[i*r.cols+c] = v
 		}
 	}

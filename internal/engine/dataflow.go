@@ -485,7 +485,7 @@ func (d *dataflow) closeUnrun(n *dfNode, status, note string) error {
 	taskid, cmd := d.admit(n)
 	d.stats[n.actIdx].Aborted++
 	at := d.e.vt(n.readyAt)
-	return d.e.app.InsertActivation(taskid, d.ids[n.actIdx], d.wkfid, status, at, at, "-", 0, cmd+note)
+	return d.e.DB.InsertActivation(taskid, d.ids[n.actIdx], d.wkfid, status, at, at, "-", 0, cmd+note)
 }
 
 // place streams one activation into the virtual timeline and the
@@ -537,7 +537,7 @@ func (d *dataflow) place(n *dfNode) error {
 	d.observePlacement(n.actIdx, p)
 	// The body has already run: the placement is recorded once, as a
 	// terminal row.
-	if err := e.app.InsertActivation(taskid, actid, d.wkfid, status, e.vt(p.Start), e.vt(p.End), p.VMID, int64(p.Failures), cmd); err != nil {
+	if err := e.DB.InsertActivation(taskid, actid, d.wkfid, status, e.vt(p.Start), e.vt(p.End), p.VMID, int64(p.Failures), cmd); err != nil {
 		return err
 	}
 	if loop {
@@ -552,7 +552,7 @@ func (d *dataflow) place(n *dfNode) error {
 		e.nextFile++
 		fileid := e.nextFile
 		e.mu.Unlock()
-		if err := e.app.InsertFile(fileid, taskid, actid, d.wkfid,
+		if err := e.DB.InsertFile(fileid, taskid, actid, d.wkfid,
 			f.Name, int64(len(f.Content)), f.Dir); err != nil {
 			return err
 		}
@@ -621,11 +621,6 @@ func (d *dataflow) maybeClose(ai int) error {
 			// policy it has no exclusive stage to report a makespan of.
 			st.StageSecs = d.actEnd[i] - d.actStart[i]
 			if d.e.opts.OnStageComplete != nil {
-				// The steering hook may query Engine.DB; make every
-				// placement recorded so far visible first.
-				if err := d.e.app.Flush(); err != nil {
-					return err
-				}
 				d.e.opts.OnStageComplete(StageEvent{
 					WorkflowID: d.wkfid,
 					Activity:   d.order[i].Tag,

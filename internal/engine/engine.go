@@ -91,7 +91,8 @@ type Options struct {
 	// closes (under RuntimeBarrier, the end of its stage). The hook
 	// behind the paper's runtime provenance monitoring and user
 	// steering (§IV.B): the callback may query Engine.DB while the
-	// workflow is mid-flight.
+	// workflow is mid-flight, and every activation placed so far is
+	// already a row there.
 	OnStageComplete func(StageEvent)
 }
 
@@ -112,13 +113,6 @@ type Engine struct {
 	DB      *prov.DB
 	FS      *simfs.FS
 	Cluster *cloud.Cluster
-
-	// app batches the per-placement provenance writes (activation,
-	// hfile, ddocking) into InsertBatch flushes. Flush points are
-	// deterministic — buffer cap, before every OnStageComplete
-	// steering hook, end of run — so runtime queries and final table
-	// contents match unbatched writes exactly.
-	app *prov.Appender
 
 	mu       sync.Mutex
 	nextWkf  int64
@@ -176,7 +170,6 @@ func New(opts Options) (*Engine, error) {
 		DB:      db,
 		FS:      simfs.New(),
 		Cluster: cloud.NewCluster(),
-		app:     prov.NewAppender(db, 0),
 		histSum: make(map[string]float64),
 		histN:   make(map[string]int),
 	}, nil
@@ -296,11 +289,6 @@ func (e *Engine) RunContext(ctx context.Context, w *workflow.Workflow, input *wo
 	}
 
 	err = e.runDataflow(ctx, order, actIDs, wkfid, input, fleet, report, &clock)
-	// Publish any still-buffered provenance; even a failed run keeps
-	// whatever rows it accumulated, as direct writes would have.
-	if ferr := e.app.Flush(); ferr != nil && err == nil {
-		err = ferr
-	}
 	if err != nil && !errors.Is(err, ErrCancelled) {
 		return nil, err
 	}
@@ -333,7 +321,7 @@ func (e *Engine) recordExtract(taskid, wkfid int64, extract map[string]string) e
 	feb := parseFloatDefault(extract["feb"], 0)
 	rmsd := parseFloatDefault(extract["rmsd"], 0)
 	nruns := int64(parseFloatDefault(extract["nruns"], 0))
-	return e.app.InsertDocking(taskid, wkfid, rec, lig, extract["program"], feb, rmsd, nruns)
+	return e.DB.InsertDocking(taskid, wkfid, rec, lig, extract["program"], feb, rmsd, nruns)
 }
 
 // parseFloatDefault parses a strict float literal (plain, decimal or

@@ -377,6 +377,18 @@ func TestOnStageCompleteSteeringHook(t *testing.T) {
 				if err != nil || res.Rows[0][0].(int64) == 0 {
 					t.Errorf("runtime query failed at stage %s: %v", ev.Activity, err)
 				}
+				// Every placement of the closing activity is already a
+				// row: the steering query sees the stage whole.
+				res, err = ev.Engine.DB.Query(fmt.Sprintf(`SELECT count(*)
+FROM hactivity a, hactivation t
+WHERE a.actid = t.actid AND a.tag = '%s' AND t.wkfid = %d`, ev.Activity, ev.WorkflowID))
+				if err != nil {
+					t.Errorf("runtime %v: stage %s: %v", rt, ev.Activity, err)
+					return
+				}
+				if got := res.Rows[0][0].(int64); got != int64(ev.Stats.Activations) {
+					t.Errorf("runtime %v: stage %s: %d hactivation rows, want %d", rt, ev.Activity, got, ev.Stats.Activations)
+				}
 			},
 		})
 		if _, err := e.Run(toyWorkflow(), inputRelation(5)); err != nil {

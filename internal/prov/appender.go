@@ -10,14 +10,13 @@ import (
 // batch, large enough to amortize the per-table lock.
 const defaultAppendLimit = 64
 
-// Appender batches provenance inserts so the engine's per-placement
-// writes (one hactivation row, its hfile rows and its ddocking row)
-// reach each table as one InsertBatch under a single lock acquisition
-// instead of one lock round-trip per row. Rows are validated at
-// append time (same error behavior as direct inserts) and flushed in
-// insertion order at deterministic points — the buffer cap, before any
-// OnStageComplete steering hook, and at end of run — so the final
-// table contents are byte-identical to unbatched writes.
+// Appender batches provenance inserts so a run of rows reaches each
+// table as one InsertBatch under a single lock acquisition instead of
+// one lock round-trip per row. Rows are validated at append time (same
+// error behavior as direct inserts) and flushed in insertion order at
+// the buffer cap and on Flush, so the final table contents are
+// byte-identical to unbatched writes. The engine inserts directly;
+// the benchmark's ingest probe is the appender's only caller.
 type Appender struct {
 	db    *DB
 	limit int

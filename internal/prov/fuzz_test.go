@@ -110,6 +110,9 @@ FROM hactivation WHERE status = 'ABORTED'`,
 	"SELECT command FROM hactivation WHERE status = 'FAILED'",
 	"SELECT command FROM hactivation WHERE status = 'FAILED' ORDER BY command",
 	"SELECT count(*) FROM hworkflow",
+	`SELECT count(*)
+FROM hactivity a, hactivation t
+WHERE a.actid = t.actid AND a.tag = 'babel' AND t.wkfid = 1`,
 	"SELECT min(extract('epoch' from starttime)) FROM hactivation WHERE wkfid = 2",
 	"SELECT max(extract('epoch' from endtime)) FROM hactivation WHERE wkfid = 1",
 	`SELECT a.wkfid, a.tag, t.status

@@ -110,8 +110,10 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkAppenderIngest measures the engine-facing batched path: one
-// terminal activation row per placement through the buffered appender.
+// BenchmarkAppenderIngest measures the benchmark probe's batched path:
+// one terminal activation row per placement through the buffered
+// appender, beside BenchmarkInsert's direct path, which the engine
+// takes.
 func BenchmarkAppenderIngest(b *testing.B) {
 	db := benchDB(b, 0, false)
 	app := NewAppender(db, 0)
