@@ -61,7 +61,10 @@ func artifactsDigest(t *testing.T, camp *Campaign) string {
 // the compass search and Vina's FEB constants were re-fitted (ad4-writemaps docks with AD4 alone and did
 // not move), and again when the stall stop began ending Vina's local
 // optimizations and Vina's constants were re-fitted, and again at the
-// tree of frames (ligand kinematics) with a Vina re-fit. They must never be edited by a
+// tree of frames (ligand kinematics) with a Vina re-fit, and both when
+// the AutoGrid lattices became float32 (AD4's grid energies and the
+// written .map files move by rounding; Vina does not read the
+// lattices). They must never be edited by a
 // change that claims to preserve behaviour. The bench digest covers ddocking rows and TET bits only;
 // this covers the rest.
 func TestCampaignArtifactsGolden(t *testing.T) {
@@ -84,7 +87,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Mode: ModeAdaptive, Dataset: small, Cores: 8,
 				Effort: SmokeEffort(), Seed: 2014, HgGuard: true,
 			},
-			want: "3026ffee1bddc33b30af197832b14b2f0a79df37cd71ae7f03983bf6ee1fb240",
+			want: "5bc392eca4b85a719f5c1eb8bac44d534c77c4ca687ab89a0f10e3f4f2502687",
 		},
 		{
 			name: "ad4-writemaps",
@@ -94,7 +97,7 @@ func TestCampaignArtifactsGolden(t *testing.T) {
 				Cores:   2, Effort: SmokeEffort(), HgGuard: true, DisableFailures: true,
 				WriteMaps: true,
 			},
-			want: "44bb079447dd22fec8cbb5343b0d742e38ade74f411d94949ebc3f31599f9ddb",
+			want: "d908593d46b6080941bdd4c76163973748516620d09b1af3ba0cf47a4740d3c0",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,13 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/chem"
 	"repro/internal/chem/formats"
 	"repro/internal/data"
-	"repro/internal/grid"
 	"repro/internal/prep"
 )
 
@@ -110,19 +111,42 @@ func TestWriteMapsOption(t *testing.T) {
 	if maps < 3 {
 		t.Errorf("map files = %d, want ≥ 3 (files: %v)", maps, files)
 	}
-	// The e.map round-trips through the AutoGrid parser.
+	// The e.map is a well-formed AutoGrid map.
 	for _, f := range files {
 		if strings.HasSuffix(f, ".e.map") {
 			content, _, err := camp.Engine.FS.Read(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := grid.ParseMap(bytes.NewReader(content), "e", f); err != nil {
+			if err := checkMapFile(content); err != nil {
 				t.Errorf("map %s does not parse: %v", f, err)
 			}
 			break
 		}
 	}
+}
+
+// checkMapFile checks the shape of a .map file: the six header lines,
+// then one number per lattice node of the NELEMENTS header.
+func checkMapFile(content []byte) error {
+	lines := strings.Split(strings.TrimSuffix(string(content), "\n"), "\n")
+	if len(lines) < 6 {
+		return fmt.Errorf("%d lines, want a six-line header", len(lines))
+	}
+	var nx, ny, nz int
+	if _, err := fmt.Sscanf(lines[4], "NELEMENTS %d %d %d", &nx, &ny, &nz); err != nil {
+		return fmt.Errorf("header line %q: %w", lines[4], err)
+	}
+	values := lines[6:]
+	if want := (nx + 1) * (ny + 1) * (nz + 1); len(values) != want {
+		return fmt.Errorf("%d values, the lattice has %d nodes", len(values), want)
+	}
+	for _, v := range values {
+		if _, err := strconv.ParseFloat(v, 64); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestVinaOutPDBQTWritten(t *testing.T) {

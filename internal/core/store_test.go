@@ -257,9 +257,12 @@ func TestStoreFootprintDiesWithExecute(t *testing.T) {
 // receptor until Execute returns. Ten receptors at campaign effort,
 // five of them Vina's. When Vina's fine-cell lists copied every listed
 // atom (32 bytes a listing) the store retained 0.665 MB per receptor;
-// with int16 indices into the packed atoms, 0.320 MB.
+// with int16 indices into the packed atoms, 0.320 MB; 0.314 MB after
+// later changes, with float64 lattices; with float32 lattices, 0.220
+// MB. The budget sits between the last two, so a lattice that goes
+// back to float64 fails it.
 func TestStoreReceptorFootprint(t *testing.T) {
-	const receptors, budget = 10, 0.5 * (1 << 20)
+	const receptors, budget = 10, 0.27 * (1 << 20)
 	var recs []string
 	for _, code := range data.ReceptorCodes {
 		if !data.ReceptorMeta(code).ContainsHg {

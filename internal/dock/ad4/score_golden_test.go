@@ -32,16 +32,18 @@ func goldenPoses(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 // AD4 is handed changed (the root-frame pose model — no re-centring
 // after the torsions), and again when the radial tables took their
 // octave-indexed geometry and fmath's exponentials, and at the tree
-// of frames that replaced the sequential torsion walk. This pins the
-// float64 addition sequence and the table nodes.
+// of frames that replaced the sequential torsion walk, and when the
+// AutoGrid lattices became float32 (each node's float64 sum rounded
+// once). This pins the float64 addition sequence, the table nodes and
+// the lattice values.
 func TestScoreGolden(t *testing.T) {
 	skipIfFusedMultiplyAdd(t)
 	pairs := []struct {
 		rec, lig string
 		want     string
 	}{
-		{"2HHN", "0E6", "d157f01dc85503ae"},
-		{data.LargeReceptorCode, data.LargeLigandCode, "1f3a56019f4ab279"},
+		{"2HHN", "0E6", "91bccb4428475a17"},
+		{data.LargeReceptorCode, data.LargeLigandCode, "32b28159cb4c1d8b"},
 	}
 	for _, p := range pairs {
 		maps, lig, _ := setupPair(t, p.rec, p.lig)

@@ -7,9 +7,8 @@ import (
 	"repro/internal/chem"
 )
 
-// FuzzParseMap feeds arbitrary bytes to the .map reader, which reads
-// files from the shared file system: it must return maps or an error,
-// never panic. Seeds are TestMapFileRoundTrip's affinity and
+// FuzzParseMap feeds arbitrary bytes to the test-side .map reader: it
+// must return maps or an error, never panic. Seeds are TestMapFileRoundTrip's affinity and
 // electrostatic maps and TestParseMapErrors' malformed inputs.
 func FuzzParseMap(f *testing.F) {
 	spec := Spec{Center: chem.V(0.5, -1.25, 2), NPts: [3]int{3, 3, 3}, Spacing: 2}

@@ -75,13 +75,16 @@ const interactionCutoff = tables.Cutoff
 // "smooth 0.5" keyword); see tables.SmoothRadius.
 const smoothRadius = tables.SmoothRadius
 
-// Maps holds every precomputed map for one receptor.
+// Maps holds every precomputed map for one receptor. Each lattice is
+// single precision, as AutoDock reads its grids: generation sums in
+// float64 and rounds each clamped value once into the lattice, and
+// every read widens the corners back to float64.
 type Maps struct {
 	Spec     Spec
 	Receptor string
-	affinity map[chem.AtomType][]float64
-	elec     []float64
-	desolv   []float64
+	affinity map[chem.AtomType][]float32
+	elec     []float32
+	desolv   []float32
 }
 
 // Types returns the atom types with affinity maps in sorted order, so
@@ -110,7 +113,7 @@ func (m *Maps) Types() []chem.AtomType {
 func (m *Maps) Subset(types []chem.AtomType) (*Maps, error) {
 	v := &Maps{
 		Spec: m.Spec, Receptor: m.Receptor,
-		affinity: make(map[chem.AtomType][]float64, len(types)),
+		affinity: make(map[chem.AtomType][]float32, len(types)),
 		elec:     m.elec,
 		desolv:   m.desolv,
 	}
@@ -148,16 +151,16 @@ func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, 
 	n := spec.NumPoints()
 	m := &Maps{
 		Spec: spec, Receptor: receptor.Name,
-		affinity: make(map[chem.AtomType][]float64, len(types)),
-		elec:     make([]float64, n),
-		desolv:   make([]float64, n),
+		affinity: make(map[chem.AtomType][]float32, len(types)),
+		elec:     make([]float32, n),
+		desolv:   make([]float32, n),
 	}
 	var probes []chem.AtomType
 	for _, t := range types {
 		if _, dup := m.affinity[t]; dup {
 			continue
 		}
-		m.affinity[t] = make([]float64, n)
+		m.affinity[t] = make([]float32, n)
 		probes = append(probes, t)
 	}
 	return m, probes, nil
@@ -182,9 +185,9 @@ type generator struct {
 	dcoef       []float64             // per receptor atom, desolvation prefactor
 	typeIdx     []int32               // per receptor atom, index into rows
 	rows        []*tables.Row         // [receptor type]: every probe, then elec and desolv
-	elec        []float64
-	desolv      []float64
-	probeSlices [][]float64
+	elec        []float32
+	desolv      []float32
+	probeSlices [][]float32
 }
 
 // slab fills every map value of z-plane k. affin is the worker's
@@ -192,7 +195,8 @@ type generator struct {
 // neighbour walk filters each point's fine-cell candidate list one
 // chunk of hits at a time; a hit's class is its receptor atom index,
 // and its receptor type's row gives every probe's term and the elec
-// and desolv weights from one bin lookup.
+// and desolv weights from one bin lookup. Each point's sums stay in
+// float64 until they are stored, clamped and rounded once to float32.
 func (g *generator) slab(k int, affin []float64) {
 	const cut2 = interactionCutoff * interactionCutoff
 	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
@@ -218,10 +222,10 @@ func (g *generator) slab(k int, affin []float64) {
 					desolv += float64(g.dcoef[h.Cls] * d)
 				}
 			}
-			g.elec[idx] = clamp(elec)
-			g.desolv[idx] = clamp(desolv)
+			g.elec[idx] = float32(clamp(elec))
+			g.desolv[idx] = float32(clamp(desolv))
 			for pi := range affin {
-				g.probeSlices[pi][idx] = clamp(affin[pi])
+				g.probeSlices[pi][idx] = float32(clamp(affin[pi]))
 			}
 			idx++
 		}

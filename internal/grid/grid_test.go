@@ -271,7 +271,7 @@ func TestTypesDeterministicOrder(t *testing.T) {
 	}
 	want := []chem.AtomType{chem.TypeA, chem.TypeC, chem.TypeHD, chem.TypeNA, chem.TypeOA, chem.TypeSA}
 	for _, order := range insertions {
-		m := &Maps{affinity: map[chem.AtomType][]float64{}}
+		m := &Maps{affinity: map[chem.AtomType][]float32{}}
 		for _, at := range order {
 			m.affinity[at] = nil
 		}
@@ -306,13 +306,13 @@ func TestGenerateMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := func(want float64) float64 { return 1e-3 + 2e-4*math.Abs(want) }
-	compare := func(name string, got, want []float64) {
+	compare := func(name string, got, want []float32) {
 		t.Helper()
 		if len(got) != len(want) {
 			t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 		}
 		for i := range want {
-			if d := math.Abs(got[i] - want[i]); d > tol(want[i]) {
+			if d := math.Abs(float64(got[i]) - float64(want[i])); d > tol(float64(want[i])) {
 				t.Fatalf("%s[%d]: table %v vs analytic %v (|Δ|=%v)", name, i, got[i], want[i], d)
 			}
 		}

@@ -25,7 +25,7 @@ func (m *Maps) InBox(p chem.Vec3) bool {
 // DesolvationField.
 type Field struct {
 	m  *Maps
-	sl []float64
+	sl []float32
 }
 
 // At returns the trilinearly interpolated value at p, or
@@ -62,7 +62,8 @@ func (m *Maps) DesolvationField() Field {
 // to one running sum in vdW/electrostatic/desolvation order, so the
 // result equals wv·aff[i].At + wq[i]·ElectrostaticField().At +
 // wdq[i]·DesolvationField().At added in turn over the atoms, bit for
-// bit. The grid geometry is read once per pose, and a cell index is
+// bit: both widen each float32 corner to float64 before the lerps.
+// The grid geometry is read once per pose, and a cell index is
 // int(fx), which equals int(math.Floor(fx)) because the box test has
 // already sent every fx < 0 to the penalty branch. The lerp chains are
 // written out per lattice: a shared helper at this size is beyond the
@@ -107,32 +108,33 @@ func (m *Maps) InterPose(coords []chem.Vec3, aff []Field, wv float64, wq, wdq []
 		ux, uy, uz := 1-tx, 1-ty, 1-tz
 		affSl := aff[i].sl
 		{
-			c00 := affSl[i00]*ux + affSl[i00+1]*tx
-			c10 := affSl[i10]*ux + affSl[i10+1]*tx
-			c01 := affSl[i01]*ux + affSl[i01+1]*tx
-			c11 := affSl[i11]*ux + affSl[i11+1]*tx
+			c00 := float64(affSl[i00])*ux + float64(affSl[i00+1])*tx
+			c10 := float64(affSl[i10])*ux + float64(affSl[i10+1])*tx
+			c01 := float64(affSl[i01])*ux + float64(affSl[i01+1])*tx
+			c11 := float64(affSl[i11])*ux + float64(affSl[i11+1])*tx
 			s += wv * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 		{
-			c00 := elecSl[i00]*ux + elecSl[i00+1]*tx
-			c10 := elecSl[i10]*ux + elecSl[i10+1]*tx
-			c01 := elecSl[i01]*ux + elecSl[i01+1]*tx
-			c11 := elecSl[i11]*ux + elecSl[i11+1]*tx
+			c00 := float64(elecSl[i00])*ux + float64(elecSl[i00+1])*tx
+			c10 := float64(elecSl[i10])*ux + float64(elecSl[i10+1])*tx
+			c01 := float64(elecSl[i01])*ux + float64(elecSl[i01+1])*tx
+			c11 := float64(elecSl[i11])*ux + float64(elecSl[i11+1])*tx
 			s += wq[i] * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 		{
-			c00 := desolvSl[i00]*ux + desolvSl[i00+1]*tx
-			c10 := desolvSl[i10]*ux + desolvSl[i10+1]*tx
-			c01 := desolvSl[i01]*ux + desolvSl[i01+1]*tx
-			c11 := desolvSl[i11]*ux + desolvSl[i11+1]*tx
+			c00 := float64(desolvSl[i00])*ux + float64(desolvSl[i00+1])*tx
+			c10 := float64(desolvSl[i10])*ux + float64(desolvSl[i10+1])*tx
+			c01 := float64(desolvSl[i01])*ux + float64(desolvSl[i01+1])*tx
+			c11 := float64(desolvSl[i11])*ux + float64(desolvSl[i11+1])*tx
 			s += wdq[i] * ((c00*uy+c10*ty)*uz + (c01*uy+c11*ty)*tz)
 		}
 	}
 	return s
 }
 
-// interpolate performs trilinear interpolation on one map slice.
-func (m *Maps) interpolate(sl []float64, p chem.Vec3) float64 {
+// interpolate performs trilinear interpolation on one map slice, each
+// corner widened to float64.
+func (m *Maps) interpolate(sl []float32, p chem.Vec3) float64 {
 	o := m.Spec.Origin()
 	fx := (p.X - o.X) / m.Spec.Spacing
 	fy := (p.Y - o.Y) / m.Spec.Spacing
@@ -158,7 +160,7 @@ func (m *Maps) interpolate(sl []float64, p chem.Vec3) float64 {
 	ty := fy - float64(iy)
 	tz := fz - float64(iz)
 	at := func(i, j, k int) float64 {
-		return sl[(k*ny+j)*nx+i]
+		return float64(sl[(k*ny+j)*nx+i])
 	}
 	c00 := at(ix, iy, iz)*(1-tx) + at(ix+1, iy, iz)*tx
 	c10 := at(ix, iy+1, iz)*(1-tx) + at(ix+1, iy+1, iz)*tx

@@ -18,7 +18,7 @@ func generateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType
 		return nil, err
 	}
 	probes := make([]chem.TypeParams, 0, len(probeTypes))
-	probeSlices := make([][]float64, 0, len(probeTypes))
+	probeSlices := make([][]float32, 0, len(probeTypes))
 	for _, t := range probeTypes {
 		probes = append(probes, t.Params())
 		probeSlices = append(probeSlices, m.affinity[t])
@@ -52,10 +52,10 @@ func generateReference(receptor *chem.Molecule, spec Spec, types []chem.AtomType
 						affin[pi] += tables.PairEnergySmoothed(probes[pi], ap, r, smoothRadius)
 					}
 				}
-				m.elec[idx] = clamp(elec)
-				m.desolv[idx] = clamp(desolv)
+				m.elec[idx] = float32(clamp(elec))
+				m.desolv[idx] = float32(clamp(desolv))
 				for pi := range probes {
-					probeSlices[pi][idx] = clamp(affin[pi])
+					probeSlices[pi][idx] = float32(clamp(affin[pi]))
 				}
 				idx++
 			}

@@ -9,13 +9,13 @@ import (
 	"repro/internal/chem"
 )
 
-// latticesEqual compares two float64 lattices to the bit.
-func latticesEqual(a, b []float64) bool {
+// latticesEqual compares two lattices to the bit.
+func latticesEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}

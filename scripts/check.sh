@@ -134,15 +134,17 @@ gated_test 'TestQueryUnknownTableReleasesLock|TestReadersReleaseLock|TestShutdow
 # its frames equal to the rigid units (FramesMatchWalk,
 # FrameOwnerIsRigidUnit, ./internal/chem), every column of map
 # generation's interleaved rows equal to its table's At2 bit for bit
-# (RowMatchesTables),
+# (RowMatchesTables), every lattice node its float64 sum rounded once
+# to float32 and AD4's Score on those lattices within the rounding
+# bound of Score on the sums (LatticeRoundsFloat64SumOnce),
 # and the pins of Vina's gradient: its energy is Score's bit for bit,
 # its pose gradient matches central differences, At2D's value is
 # At2's and At2DOctave's value and slope are At2D's, and every mode a dock reports carries its pose's Score; and
 # the receptor invariants: shuffling the receptor's atoms (both
 # engines) or moving receptor and pose together (Vina) moves Score
 # only by rounding.
-echo "==> kernel contract smoke (-timeout 60s ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/FramesMatchWalk/FrameOwnerIsRigidUnit/RowMatchesTables/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
-gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|FramesMatchWalk|FrameOwnerIsRigidUnit|RowMatchesTables|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 -timeout 60s \
+echo "==> kernel contract smoke (-timeout 60s ScoreGolden/TrajectoryGolden/PackedSpans/TorsionProbeLeavesRest/FramesMatchWalk/FrameOwnerIsRigidUnit/RowMatchesTables/LatticeRoundsFloat64SumOnce/EnergyGradMatchesScore/PoseGradientMatchesCentralDifference/At2DMatchesAt2/At2DOctaveMatchesAt2D/DockReportsScore/ReceptorOrderIndependence/JointRigidMotion)"
+gated_test 'ScoreGolden|TrajectoryGolden|PackedSpans|TorsionProbeLeavesRest|FramesMatchWalk|FrameOwnerIsRigidUnit|RowMatchesTables|LatticeRoundsFloat64SumOnce|EnergyGradMatchesScore|PoseGradientMatchesCentralDifference|At2DMatchesAt2|At2DOctaveMatchesAt2D|DockReportsScore|ReceptorOrderIndependence|JointRigidMotion' -count=1 -timeout 60s \
 	./internal/chem ./internal/dock ./internal/dock/vina ./internal/dock/ad4 ./internal/dock/tables
 
 # Every pair term of both scorers is one inlined Radial.At2 (map
