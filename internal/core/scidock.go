@@ -13,6 +13,7 @@ import (
 	"repro/internal/dock/ad4"
 	"repro/internal/dock/vina"
 	"repro/internal/engine"
+	"repro/internal/grid"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workflow"
@@ -34,13 +35,23 @@ const (
 )
 
 // builder binds one docking program's activity bodies to the
-// campaign's product store. It caches nothing itself: every product a
-// body derives from a receptor or ligand code comes from the store,
-// which all workflows of the campaign share.
+// campaign's product store, which all workflows of the campaign share.
 type builder struct {
 	cfg     Config
 	program prep.Program
 	*store
+
+	// The receptor-side products one docking program reads are the
+	// builder's, not the store's (lattice.go): they become unreachable
+	// when the workflow that read them returns, instead of lasting as
+	// long as the campaign. An AD4 workflow fills lattices and views, a
+	// Vina workflow indexes; AutoGrid fills lattices and views in either
+	// workflow only under Config.WriteMaps, to render the .map files.
+	// Each lattice set is generated by its first reader, never ahead of
+	// the size filter, so a receptor the filter sends to Vina gets none.
+	lattices memo[*grid.Maps]
+	views    memo[*grid.Maps]
+	indexes  memo[*vina.ReceptorIndex]
 }
 
 // newBuilder uses the campaign's store when cfg carries one (it came
@@ -65,7 +76,13 @@ func BuildWorkflow(cfg Config, program prep.Program) (*workflow.Workflow, error)
 	if err := cfg.Effort.Validate(); err != nil {
 		return nil, err
 	}
-	b := newBuilder(cfg, program)
+	return newBuilder(cfg, program).workflow()
+}
+
+// workflow assembles the chain over b's activity bodies; the workflow
+// is the only holder of b, so b's products live as long as it does.
+func (b *builder) workflow() (*workflow.Workflow, error) {
+	cfg, program := b.cfg, b.program
 	dockTag := sched.TagDockAD4
 	if program == prep.ProgramVina {
 		dockTag = sched.TagDockVina
@@ -234,24 +251,30 @@ func (b *builder) runAutoGrid(in workflow.Tuple) (*workflow.ActivationResult, er
 	if err != nil {
 		return nil, err
 	}
-	view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
+	types := pl.Mol.AtomTypes()
+	fld, err := b.fld(rec, types)
 	if err != nil {
 		return nil, err
 	}
 	dir := pairDir(in[FieldExpDir], string(b.program), lig+"_"+rec)
 	name := rec + ".maps.fld"
-	files := []workflow.OutputFile{{Name: name, Dir: dir, Content: view.fld}}
+	files := []workflow.OutputFile{{Name: name, Dir: dir, Content: fld}}
 	if b.cfg.WriteMaps {
 		// Materialize every coordinate map, as the real AutoGrid does
 		// (this is where the paper's "600 GB per execution" comes
-		// from).
+		// from). Without them the lattices wait for their first
+		// reader, an AD4 dock.
+		view, err := b.gridMaps(rec, types)
+		if err != nil {
+			return nil, err
+		}
 		which := []string{"e", "d"}
-		for _, t := range view.maps.Types() {
+		for _, t := range view.Types() {
 			which = append(which, string(t))
 		}
 		for _, wmap := range which {
 			var buf bytes.Buffer
-			if err := view.maps.WriteMap(&buf, wmap); err != nil {
+			if err := view.WriteMap(&buf, wmap); err != nil {
 				return nil, err
 			}
 			files = append(files, workflow.OutputFile{
@@ -459,7 +482,7 @@ func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		scorer, err := ad4.NewScorer(view.maps, dlig)
+		scorer, err := ad4.NewScorer(view, dlig)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/chem"
 	"repro/internal/chem/formats"
 	"repro/internal/data"
-	"repro/internal/dock/vina"
 	"repro/internal/grid"
 	"repro/internal/prep"
 )
@@ -25,12 +24,13 @@ import (
 //
 // It holds, per ligand, the Mol2 and prepared molecules with their
 // rendered bytes; per receptor, the prepared molecule, its rendered
-// PDBQT, the grid spec, one lattice set covering the union of the
-// dataset's ligand atom types and Vina's receptor index; per
-// (receptor, type set), a grid.Maps view over that lattice set with
-// its .fld bytes. Rendered bytes are handed to every pair that stages
-// them as the same slice — simfs.Write keeps it — so a file staged
-// into many pair directories is held once.
+// PDBQT and the grid spec; per (receptor, type set), AutoGrid's .fld
+// bytes. Rendered bytes are handed to every pair that stages them as
+// the same slice — simfs.Write keeps it — so a file staged into many
+// pair directories is held once. A product only one program reads is
+// not here: AutoDock's lattice sets and Vina's receptor index belong
+// to the builder of the workflow that reads them (lattice.go), and
+// become unreachable when that workflow returns.
 //
 // NewCampaign creates the store and Execute drops it: nothing in it
 // outlives the run, and nothing is shared between campaigns.
@@ -41,9 +41,7 @@ type store struct {
 	mol2s     memo[*ligandMol2]
 	prepared  memo[*preparedLigand]
 	receptors memo[*preparedReceptor]
-	lattices  memo[*grid.Maps]
-	views     memo[*mapsView]
-	indexes   memo[*vina.ReceptorIndex]
+	flds      memo[[]byte]
 
 	unionOnce sync.Once
 	union     []chem.AtomType
@@ -89,13 +87,6 @@ type preparedReceptor struct {
 	spec  grid.Spec // the effort preset's lattice, centred on the pocket
 }
 
-// mapsView is activity 5's product for one receptor and ligand type
-// set.
-type mapsView struct {
-	maps *grid.Maps
-	fld  []byte // maps.WriteFLD
-}
-
 func (s *store) ligandMol2(code string) (*ligandMol2, error) {
 	return s.mol2s.get(code, func() (*ligandMol2, error) {
 		raw, _ := data.GenerateLigand(code)
@@ -108,7 +99,7 @@ func (s *store) ligandMol2(code string) (*ligandMol2, error) {
 		if err := formats.WriteMol2(&buf, mol); err != nil {
 			return nil, err
 		}
-		return &ligandMol2{mol: mol, bytes: buf.Bytes()}, nil
+		return &ligandMol2{mol: mol, bytes: bytes.Clone(buf.Bytes())}, nil
 	})
 }
 
@@ -126,7 +117,7 @@ func (s *store) preparedLigand(code string) (*preparedLigand, error) {
 		if err := formats.WritePDBQTLigand(&buf, pl.Mol, pl.Tree); err != nil {
 			return nil, err
 		}
-		return &preparedLigand{PreparedLigand: pl, pdbqt: buf.Bytes()}, nil
+		return &preparedLigand{PreparedLigand: pl, pdbqt: bytes.Clone(buf.Bytes())}, nil
 	})
 }
 
@@ -143,7 +134,7 @@ func (s *store) preparedReceptor(code string) (*preparedReceptor, error) {
 		}
 		min, max := chem.BoundingBox(mol.Positions())
 		n := s.effort.GridNPts
-		return &preparedReceptor{mol: mol, pdbqt: buf.Bytes(), spec: grid.Spec{
+		return &preparedReceptor{mol: mol, pdbqt: bytes.Clone(buf.Bytes()), spec: grid.Spec{
 			Center:  min.Lerp(max, 0.5),
 			NPts:    [3]int{n, n, n},
 			Spacing: s.effort.GridSpacing,
@@ -171,67 +162,49 @@ func (s *store) probeUnion() []chem.AtomType {
 	return s.union
 }
 
-// latticeSet returns the receptor's lattices covering types: the one
-// set generated in a single pass for the whole probe union, or — for a
-// ligand from outside the dataset that carries a type the union lacks
-// — a set of its own. A lattice does not depend on which other probes
-// shared its pass (grid.Maps.Subset), so either is bit-equal to maps
-// generated for exactly these types.
-func (s *store) latticeSet(rec string, types []chem.AtomType) (*grid.Maps, error) {
-	key, probes := rec, s.probeUnion()
+// probeSet returns the memo key and probe list of the lattice set that
+// covers types: the receptor's one set for the whole probe union, or —
+// for a ligand from outside the dataset that carries a type the union
+// lacks — a set of its own. A lattice does not depend on which other
+// probes shared its pass (grid.Maps.Subset), so either is bit-equal to
+// maps generated for exactly these types.
+func (s *store) probeSet(rec string, types []chem.AtomType) (string, []chem.AtomType) {
+	probes := s.probeUnion()
 	for _, t := range types {
 		if !slices.Contains(probes, t) {
-			key, probes = rec+"|"+typesKey(types), types
-			break
+			return rec + "|" + typesKey(types), types
 		}
 	}
-	return s.lattices.get(key, func() (*grid.Maps, error) {
+	return rec, probes
+}
+
+// fld returns the .maps.fld AutoGrid stages for a ligand with the given
+// atom types. It reads no lattice: the file lists the spec, the
+// receptor and the sorted types. The receptor and the probe set its
+// lattice set would be generated for are checked as grid.Generate
+// checks them, so the activation fails exactly where generation would.
+func (s *store) fld(rec string, types []chem.AtomType) ([]byte, error) {
+	return s.flds.get(rec+"|"+typesKey(types), func() ([]byte, error) {
 		r, err := s.preparedReceptor(rec)
 		if err != nil {
 			return nil, err
 		}
-		return grid.Generate(r.mol, r.spec, probes)
-	})
-}
-
-// gridMaps returns the maps a ligand with the given atom types docks
-// against: a view of the receptor's lattice set that sees exactly
-// those types, so its .fld, its .map files and AD4 scores equal those
-// of a set generated for this ligand alone.
-func (s *store) gridMaps(rec string, types []chem.AtomType) (*mapsView, error) {
-	return s.views.get(rec+"|"+typesKey(types), func() (*mapsView, error) {
-		set, err := s.latticeSet(rec, types)
-		if err != nil {
+		_, probes := s.probeSet(rec, types)
+		if err := grid.Validate(r.mol, r.spec, probes); err != nil {
 			return nil, err
 		}
-		view, err := set.Subset(types)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := grid.WriteFLDFor(&buf, r.spec, r.mol.Name, types); err != nil {
 			return nil, err
 		}
-		var fld bytes.Buffer
-		if err := view.WriteFLD(&fld); err != nil {
-			return nil, err
-		}
-		return &mapsView{maps: view, fld: fld.Bytes()}, nil
-	})
-}
-
-// vinaIndex returns Vina's read-only index of the receptor, shared by
-// every ligand docked against it.
-func (s *store) vinaIndex(rec string) (*vina.ReceptorIndex, error) {
-	return s.indexes.get(rec, func() (*vina.ReceptorIndex, error) {
-		r, err := s.preparedReceptor(rec)
-		if err != nil {
-			return nil, err
-		}
-		return vina.NewReceptorIndex(r.mol)
+		return bytes.Clone(buf.Bytes()), nil
 	})
 }
 
 // typesKey canonicalizes an atom-type list into a memo key: sorted and
 // deduplicated, so permuted or repeated ligand type lists share one
-// view (the lattices are keyed per type, so order and multiplicity
-// never affect the maps).
+// entry (maps are keyed per type, so order and multiplicity never
+// affect them).
 func typesKey(ts []chem.AtomType) string {
 	ss := make([]string, len(ts))
 	for i, t := range ts {

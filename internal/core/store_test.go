@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/prep"
+	"repro/internal/sched"
 	"repro/internal/workflow"
 )
 
@@ -33,9 +37,12 @@ func memoLen(m *sync.Map) int {
 
 // TestStoreSharesReceptorProducts runs an adaptive campaign with eight
 // workers (under -race in the gate) and checks what the store promises:
-// one prepared receptor and one lattice set per receptor whatever the
-// number of ligands, type sets and workflows, and ligand views that
-// alias that set's arrays instead of owning lattices.
+// one prepared receptor per receptor whatever the number of ligands,
+// type sets and workflows, and one .fld per receptor and type set; and
+// what the workflows' builders own: one lattice set per receptor that
+// docks with AD4, none for the receptor the size filter sends to Vina,
+// and ligand views that alias that set's arrays instead of owning
+// lattices.
 func TestStoreSharesReceptorProducts(t *testing.T) {
 	receptors := []string{"1AEC", "1AIM"}    // one large (Vina), one small (AD4)
 	ligands := []string{"042", "074", "0D6"} // two distinct type sets over a 6-type union
@@ -56,30 +63,43 @@ func TestStoreSharesReceptorProducts(t *testing.T) {
 			t.Fatalf("%s workflow would not share the campaign's store", p)
 		}
 	}
-	if err := camp.Execute(context.Background()); err != nil {
+	builders := map[prep.Program]*builder{}
+	err = camp.execute(context.Background(), func(cfg Config, p prep.Program) (*workflow.Workflow, error) {
+		b := newBuilder(cfg, p)
+		builders[p] = b
+		return b.workflow()
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if camp.Config.store != nil {
 		t.Error("Execute returned with the store still attached to the campaign")
 	}
+	ad4, vina := builders[prep.ProgramAD4], builders[prep.ProgramVina]
 
 	if got := memoLen(&st.receptors.m); got != len(receptors) {
 		t.Errorf("%d prepared receptors, want %d (one per receptor across both workflows)", got, len(receptors))
 	}
-	if got := memoLen(&st.lattices.m); got != len(receptors) {
-		t.Errorf("%d lattice sets, want %d (one grid.Generate pass per receptor)", got, len(receptors))
+	if got := memoLen(&st.flds.m); got != 2*len(receptors) {
+		t.Errorf("%d .fld renderings, want %d (receptors × distinct type sets)", got, 2*len(receptors))
 	}
-	if got := memoLen(&st.views.m); got != 2*len(receptors) {
-		t.Errorf("%d views, want %d (receptors × distinct type sets)", got, 2*len(receptors))
+	if got := memoLen(&ad4.lattices.m) + memoLen(&vina.lattices.m); got != 1 {
+		t.Errorf("%d lattice sets, want 1 (one grid.Generate pass, for the one receptor that docks with AD4)", got)
 	}
-	if got := memoLen(&st.indexes.m); got != 1 {
+	if got := memoLen(&ad4.views.m) + memoLen(&vina.views.m); got != 2 {
+		t.Errorf("%d views, want 2 (AD4 receptors × distinct type sets)", got)
+	}
+	if got := memoLen(&ad4.indexes.m) + memoLen(&vina.indexes.m); got != 1 {
 		t.Errorf("%d Vina receptor indexes, want 1 (only the large receptor docks with Vina)", got)
 	}
 	if got, want := typesKey(st.probeUnion()), "C,HD,N,NA,OA,SA"; got != want {
 		t.Errorf("probe union %s, want %s", got, want)
 	}
 	for _, rec := range receptors {
-		set, err := st.latticeSet(rec, nil)
+		if prep.FilterDocking(data.ReceptorMeta(rec)) != prep.ProgramAD4 {
+			continue
+		}
+		set, err := ad4.latticeSet(rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,17 +108,30 @@ func TestStoreSharesReceptorProducts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, err := st.gridMaps(rec, pl.Mol.AtomTypes())
+			view, err := ad4.gridMaps(rec, pl.Mol.AtomTypes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if typesKey(view.maps.Types()) != typesKey(pl.Mol.AtomTypes()) {
-				t.Errorf("%s/%s: view types %v, ligand types %v", rec, lig, view.maps.Types(), pl.Mol.AtomTypes())
+			if typesKey(view.Types()) != typesKey(pl.Mol.AtomTypes()) {
+				t.Errorf("%s/%s: view types %v, ligand types %v", rec, lig, view.Types(), pl.Mol.AtomTypes())
 			}
 			for _, f := range []string{"elec", "desolv"} {
-				if latticeAddr(view.maps, f) != latticeAddr(set, f) {
+				if latticeAddr(view, f) != latticeAddr(set, f) {
 					t.Errorf("%s/%s: view owns its %s lattice instead of aliasing the receptor's", rec, lig, f)
 				}
+			}
+			// The .fld AutoGrid staged before any lattice existed is the
+			// one the maps it names would write.
+			fld, err := st.fld(rec, pl.Mol.AtomTypes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := view.WriteFLD(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fld, want.Bytes()) {
+				t.Errorf("%s/%s: staged .fld differs from the view's WriteFLD:\n%s\nwant:\n%s", rec, lig, fld, want.Bytes())
 			}
 		}
 	}
@@ -111,23 +144,111 @@ func TestStoreSharesReceptorProducts(t *testing.T) {
 	}
 }
 
+// TestAD4LatticesDieWithTheirWorkflow runs an adaptive campaign and
+// watches the lattice sets from inside the engine's stage hook: when
+// the AD4 workflow's docking stage closes, finalizers go on every set
+// and view its builder made; when the Vina workflow's docking stage
+// closes — the campaign and its store still running — no lattice set
+// exists for the receptor the size filter sent to Vina, and every AD4
+// set has been collected.
+func TestAD4LatticesDieWithTheirWorkflow(t *testing.T) {
+	const vinaRec, ad4Rec = "1AEC", "1AIM"
+	var (
+		mu       sync.Mutex
+		cur      *builder // the builder of the workflow running now
+		ad4Keys  []string // the AD4 builder's lattice set keys
+		vinaSets int      // lattice sets the Vina builder made
+		watched  int      // finalizers set on AD4 sets and views
+		checked  bool     // the Vina docking stage closed
+		alive    int      // AD4 sets and views still reachable then
+		dead     atomic.Int64
+	)
+	keys := func(m *sync.Map) []string {
+		var out []string
+		m.Range(func(k, _ any) bool { out = append(out, k.(string)); return true })
+		sort.Strings(out)
+		return out
+	}
+	hook := func(ev engine.StageEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Activity {
+		case sched.TagDockAD4:
+			ad4Keys = keys(&cur.lattices.m)
+			for _, m := range []*sync.Map{&cur.lattices.m, &cur.views.m} {
+				m.Range(func(_, e any) bool {
+					if maps := e.(*memoEntry[*grid.Maps]).val; maps != nil {
+						runtime.SetFinalizer(maps, func(*grid.Maps) { dead.Add(1) })
+						watched++
+					}
+					return true
+				})
+			}
+		case sched.TagDockVina:
+			vinaSets = memoLen(&cur.lattices.m)
+			deadline := time.Now().Add(10 * time.Second)
+			for dead.Load() < int64(watched) && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			checked, alive = true, watched-int(dead.Load())
+		}
+	}
+	camp, err := NewCampaign(Config{
+		Mode:    ModeAdaptive,
+		Dataset: data.Dataset{Receptors: []string{vinaRec, ad4Rec}, Ligands: []string{"042", "074", "0D6"}},
+		Cores:   8, Effort: SmokeEffort(), Seed: 5, HgGuard: true, DisableFailures: true,
+		OnStageComplete: hook,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = camp.execute(context.Background(), func(cfg Config, p prep.Program) (*workflow.Workflow, error) {
+		b := newBuilder(cfg, p)
+		mu.Lock()
+		cur = b
+		mu.Unlock()
+		return b.workflow()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !checked {
+		t.Fatal("the Vina workflow's docking stage never closed")
+	}
+	if want := []string{ad4Rec}; !reflect.DeepEqual(ad4Keys, want) {
+		t.Errorf("AD4 workflow built lattice sets %v, want %v (none for Vina's %s)", ad4Keys, want, vinaRec)
+	}
+	if vinaSets != 0 {
+		t.Errorf("the Vina workflow built %d lattice sets, want 0 (no reader runs there)", vinaSets)
+	}
+	if watched == 0 {
+		t.Fatal("the AD4 workflow built no lattice set to watch")
+	}
+	if alive != 0 {
+		t.Errorf("%d of %d AD4 lattice sets and views still reachable while the Vina workflow docks", alive, watched)
+	}
+}
+
 // TestStoreLigandOutsideDataset: a ligand whose types the probe union
 // lacks (ExportComplex's case, or an input relation wider than the
 // dataset) gets a lattice set of its own instead of an error.
 func TestStoreLigandOutsideDataset(t *testing.T) {
-	st := newStore(Config{Effort: SmokeEffort(), Dataset: data.Dataset{Ligands: []string{"015"}}})
-	inside, err := st.gridMaps("1AIM", []chem.AtomType{chem.TypeC, chem.TypeOA})
+	b := newBuilder(Config{Effort: SmokeEffort(), Dataset: data.Dataset{Ligands: []string{"015"}}}, prep.ProgramAD4)
+	inside, err := b.gridMaps("1AIM", []chem.AtomType{chem.TypeC, chem.TypeOA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outside, err := st.gridMaps("1AIM", []chem.AtomType{chem.TypeC, chem.TypeSA})
+	outside, err := b.gridMaps("1AIM", []chem.AtomType{chem.TypeC, chem.TypeSA})
 	if err != nil {
 		t.Fatalf("ligand with a type outside the union: %v", err)
 	}
-	if typesKey(outside.maps.Types()) != "C,SA" {
-		t.Errorf("outside view types %v", outside.maps.Types())
+	if typesKey(outside.Types()) != "C,SA" {
+		t.Errorf("outside view types %v", outside.Types())
 	}
-	if latticeAddr(inside.maps, "elec") == latticeAddr(outside.maps, "elec") {
+	if latticeAddr(inside, "elec") == latticeAddr(outside, "elec") {
 		t.Error("outside ligand's view aliases the union set it is not covered by")
 	}
 }
@@ -204,8 +325,10 @@ func TestStoreHgReceptorStillLoops(t *testing.T) {
 }
 
 // TestStoreFootprintDiesWithExecute: once Execute has returned — done
-// or cancelled — nothing reachable from the Campaign holds a lattice
-// set or a view: finalizers on both run while the Campaign is alive.
+// or cancelled — nothing reachable from the Campaign holds a prepared
+// receptor or ligand: finalizers on both run while the Campaign is
+// alive. (The store holds no lattice set: TestAD4LatticesDieWithTheirWorkflow
+// watches those go with the AD4 workflow.)
 func TestStoreFootprintDiesWithExecute(t *testing.T) {
 	cfg := smokeConfig(t, ModeAD4, 2, 2)
 	for _, cancelled := range []bool{false, true} {
@@ -216,16 +339,19 @@ func TestStoreFootprintDiesWithExecute(t *testing.T) {
 		// Fill the store the way a run does, and watch two of its products.
 		finalized := make(chan string, 2) // one send per watched product
 		func(st *store) {
-			view, err := st.gridMaps(cfg.Dataset.Receptors[0], []chem.AtomType{chem.TypeC})
+			rec, err := st.preparedReceptor(cfg.Dataset.Receptors[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, err := st.latticeSet(cfg.Dataset.Receptors[0], nil)
+			lig, err := st.preparedLigand(cfg.Dataset.Ligands[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			runtime.SetFinalizer(view.maps, func(*grid.Maps) { finalized <- "view" })
-			runtime.SetFinalizer(set, func(*grid.Maps) { finalized <- "lattice set" })
+			if _, err := st.fld(cfg.Dataset.Receptors[0], lig.Mol.AtomTypes()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(rec, func(*preparedReceptor) { finalized <- "receptor" })
+			runtime.SetFinalizer(lig, func(*preparedLigand) { finalized <- "ligand" })
 		}(camp.Config.store)
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -250,11 +376,11 @@ func TestStoreFootprintDiesWithExecute(t *testing.T) {
 	}
 }
 
-// TestStoreReceptorFootprint bounds the heap the receptor-side store
-// products retain per receptor: the prepared receptor, the lattice set
-// over the probe union and, for a receptor the size filter sends to
-// Vina, Vina's receptor index — what an adaptive campaign keeps per
-// receptor until Execute returns. Ten receptors at campaign effort,
+// TestStoreReceptorFootprint bounds the heap the receptor-side products
+// retain per receptor: the store's prepared receptor, an AD4 builder's
+// lattice set over the probe union and, for a receptor the size filter
+// sends to Vina, a Vina builder's receptor index — the most a campaign
+// holds per receptor while a workflow runs. Ten receptors at campaign effort,
 // five of them Vina's. When Vina's fine-cell lists copied every listed
 // atom (32 bytes a listing) the store retained 0.665 MB per receptor;
 // with int16 indices into the packed atoms, 0.320 MB; 0.314 MB after
@@ -283,17 +409,20 @@ func TestStoreReceptorFootprint(t *testing.T) {
 			vinaRecs = append(vinaRecs, rec)
 		}
 	}
-	fill := func(st *store) {
+	fill := func(st *store) []*builder {
+		ad4 := &builder{cfg: cfg, program: prep.ProgramAD4, store: st}
+		vina := &builder{cfg: cfg, program: prep.ProgramVina, store: st}
 		for _, rec := range recs {
-			if _, err := st.latticeSet(rec, nil); err != nil {
+			if _, err := ad4.latticeSet(rec, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, rec := range vinaRecs {
-			if _, err := st.vinaIndex(rec); err != nil {
+			if _, err := vina.vinaIndex(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return []*builder{ad4, vina}
 	}
 	heap := func() uint64 {
 		var ms runtime.MemStats
@@ -306,9 +435,9 @@ func TestStoreReceptorFootprint(t *testing.T) {
 	st := newStore(cfg)
 	st.probeUnion() // the prepared ligands are not receptor-side
 	before := heap()
-	fill(st)
+	builders := fill(st)
 	after := heap()
-	runtime.KeepAlive(st)
+	runtime.KeepAlive(builders)
 	per := (float64(after) - float64(before)) / receptors
 	t.Logf("heap retained per receptor: %.3f MB (%d of %d receptors dock with Vina)", per/(1<<20), len(vinaRecs), receptors)
 	if per > budget {

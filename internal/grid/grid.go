@@ -127,26 +127,37 @@ func (m *Maps) Subset(types []chem.AtomType) (*Maps, error) {
 	return v, nil
 }
 
-// newMaps validates the inputs and allocates the map storage, returning
-// the deduplicated probe list in first-seen order (deterministic, so
-// slab workers and the reference path agree on slice identity).
-func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, []chem.AtomType, error) {
+// Validate returns the error Generate returns for these inputs, or nil
+// when Generate would compute their maps, without computing anything:
+// a caller that stages AutoGrid's outputs before any lattice exists
+// fails exactly where generation would.
+func Validate(receptor *chem.Molecule, spec Spec, types []chem.AtomType) error {
 	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if receptor.NumAtoms() == 0 {
-		return nil, nil, fmt.Errorf("grid: receptor %q has no atoms", receptor.Name)
+		return fmt.Errorf("grid: receptor %q has no atoms", receptor.Name)
 	}
 	for _, t := range types {
 		if !t.Params().Supported {
-			return nil, nil, fmt.Errorf("grid: probe type %s has no parameters", t)
+			return fmt.Errorf("grid: probe type %s has no parameters", t)
 		}
 	}
 	for i, a := range receptor.Atoms {
 		if !a.Element.Info().DockSupported {
-			return nil, nil, fmt.Errorf("grid: receptor %q atom %d (%s) unsupported",
+			return fmt.Errorf("grid: receptor %q atom %d (%s) unsupported",
 				receptor.Name, i, a.Element)
 		}
+	}
+	return nil
+}
+
+// newMaps validates the inputs and allocates the map storage, returning
+// the deduplicated probe list in first-seen order (deterministic, so
+// slab workers and the reference path agree on slice identity).
+func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, []chem.AtomType, error) {
+	if err := Validate(receptor, spec, types); err != nil {
+		return nil, nil, err
 	}
 	n := spec.NumPoints()
 	m := &Maps{

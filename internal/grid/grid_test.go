@@ -118,6 +118,62 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesGenerate: Validate returns Generate's error,
+// word for word, on every input Generate rejects, and nil where it
+// computes maps, so a caller can stage AutoGrid's outputs before any
+// lattice exists and still fail where generation would.
+func TestValidateMatchesGenerate(t *testing.T) {
+	rec := preparedReceptor(t, "1AIM")
+	hg := rec.Clone()
+	hg.Atoms = append(hg.Atoms, chem.Atom{Name: "HG", Element: chem.Mercury, Type: chem.TypeHg})
+	for _, c := range []struct {
+		name  string
+		rec   *chem.Molecule
+		spec  Spec
+		types []chem.AtomType
+	}{
+		{"valid", rec, smallSpec(rec), []chem.AtomType{chem.TypeC, chem.TypeOA}},
+		{"no probes", rec, smallSpec(rec), nil},
+		{"invalid spec", rec, Spec{}, nil},
+		{"empty receptor", &chem.Molecule{Name: "E"}, smallSpec(rec), nil},
+		{"unsupported probe", rec, smallSpec(rec), []chem.AtomType{chem.TypeC, chem.TypeHg}},
+		{"Hg receptor", hg, smallSpec(rec), []chem.AtomType{chem.TypeC}},
+		{"Hg receptor and probe", hg, smallSpec(rec), []chem.AtomType{chem.TypeHg}},
+	} {
+		_, genErr := Generate(c.rec, c.spec, c.types)
+		valErr := Validate(c.rec, c.spec, c.types)
+		if (genErr == nil) != (valErr == nil) || (genErr != nil && genErr.Error() != valErr.Error()) {
+			t.Errorf("%s: Validate says %v, Generate says %v", c.name, valErr, genErr)
+		}
+	}
+}
+
+// TestWriteFLDForMatchesMaps: the .fld written from the spec, the
+// receptor name and the types alone equals the one the generated maps
+// write, whatever the order and multiplicity of the types passed.
+func TestWriteFLDForMatchesMaps(t *testing.T) {
+	rec := preparedReceptor(t, "1PAD")
+	spec := Spec{Center: rec.Centroid(), NPts: [3]int{4, 5, 6}, Spacing: 0.375}
+	types := []chem.AtomType{chem.TypeOA, chem.TypeC, chem.TypeHD, chem.TypeC}
+	maps, err := Generate(rec, spec, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := maps.WriteFLD(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFLDFor(&got, spec, rec.Name, types); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("WriteFLDFor:\n%s\nMaps.WriteFLD:\n%s", got.Bytes(), want.Bytes())
+	}
+	if types[0] != chem.TypeOA || len(types) != 4 {
+		t.Errorf("WriteFLDFor reordered its caller's types: %v", types)
+	}
+}
+
 // Interpolation must be continuous: neighbouring queries give close
 // values, and node queries match direct map values.
 func TestInterpolationContinuity(t *testing.T) {

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/chem"
 	"repro/internal/textio"
@@ -48,19 +49,28 @@ func (m *Maps) values(which string) ([]float32, error) {
 // WriteFLD emits the grid field summary file (.maps.fld) that the DPF
 // references; it indexes every map of this receptor.
 func (m *Maps) WriteFLD(w io.Writer) error {
+	return WriteFLDFor(w, m.Spec, m.Receptor, m.Types())
+}
+
+// WriteFLDFor emits the .maps.fld of the maps Generate would compute
+// for receptor over spec and types: it reads no lattice, so AutoGrid
+// can stage it before any map exists. The types are indexed sorted,
+// once each, as Maps.Types lists them.
+func WriteFLDFor(w io.Writer, spec Spec, receptor string, types []chem.AtomType) error {
+	types = slices.Clone(types)
+	slices.Sort(types)
+	types = slices.Compact(types)
 	bw := textio.NewWriter(w)
 	fmt.Fprintf(bw, "# AVS field file generated by scidock-go autogrid\n")
 	fmt.Fprintf(bw, "ndim=3\n")
-	fmt.Fprintf(bw, "dim1=%d\ndim2=%d\ndim3=%d\n", m.Spec.NPts[0], m.Spec.NPts[1], m.Spec.NPts[2])
-	fmt.Fprintf(bw, "#SPACING %.3f\n", m.Spec.Spacing)
-	fmt.Fprintf(bw, "#CENTER %.3f %.3f %.3f\n", m.Spec.Center.X, m.Spec.Center.Y, m.Spec.Center.Z)
-	fmt.Fprintf(bw, "#MACROMOLECULE %s.pdbqt\n", m.Receptor)
-	i := 0
-	for _, t := range m.Types() {
-		fmt.Fprintf(bw, "variable %d file=%s.%s.map filetype=ascii\n", i+1, m.Receptor, t)
-		i++
+	fmt.Fprintf(bw, "dim1=%d\ndim2=%d\ndim3=%d\n", spec.NPts[0], spec.NPts[1], spec.NPts[2])
+	fmt.Fprintf(bw, "#SPACING %.3f\n", spec.Spacing)
+	fmt.Fprintf(bw, "#CENTER %.3f %.3f %.3f\n", spec.Center.X, spec.Center.Y, spec.Center.Z)
+	fmt.Fprintf(bw, "#MACROMOLECULE %s.pdbqt\n", receptor)
+	for i, t := range types {
+		fmt.Fprintf(bw, "variable %d file=%s.%s.map filetype=ascii\n", i+1, receptor, t)
 	}
-	fmt.Fprintf(bw, "variable %d file=%s.e.map filetype=ascii\n", i+1, m.Receptor)
-	fmt.Fprintf(bw, "variable %d file=%s.d.map filetype=ascii\n", i+2, m.Receptor)
+	fmt.Fprintf(bw, "variable %d file=%s.e.map filetype=ascii\n", len(types)+1, receptor)
+	fmt.Fprintf(bw, "variable %d file=%s.d.map filetype=ascii\n", len(types)+2, receptor)
 	return bw.Flush()
 }

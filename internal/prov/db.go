@@ -33,14 +33,119 @@ type segment struct {
 	rows [][]Value
 }
 
-// tableIndex is an incremental hash index over one column: a map from
-// normalized cell value (see indexKey) to the ascending row ids
-// holding it. Postings only lose entries when an update changes an
-// indexed cell; that bumps Table.idxVersion so snapshots taken before
-// the change stop trusting the index and fall back to scans.
+// tableIndex is an incremental hash index over one column. Each
+// distinct normalized cell value (see head) maps to the newest row id
+// linked under it, and next[id] continues row id's chain to the
+// previous row holding the same value (-1 ends it): one map entry per
+// distinct value and four bytes per row, where a posting list per
+// value held a boxed key and a slice header. A chain runs newest first
+// until an update relinks a row at the head of its new value's chain,
+// so lookups yield ids in no fixed order and callers sort. Chains only
+// lose a row when an update changes an indexed cell; that bumps
+// Table.idxVersion so snapshots taken before the change stop trusting
+// the index and fall back to scans. Ids are int32: an in-memory table
+// stays far below 2³¹ rows.
 type tableIndex struct {
-	col  int
-	post map[interface{}][]int
+	col   int
+	num   map[float64]int32     // int64 and non-NaN float64 cells
+	str   map[string]int32      // string cells
+	other map[interface{}]int32 // nil, NaN (nanKey) and time (timeKey) cells
+	next  []int32               // per row id: the previous id on its chain, or -1
+}
+
+func newTableIndex(col int) *tableIndex {
+	return &tableIndex{
+		col:   col,
+		num:   make(map[float64]int32),
+		str:   make(map[string]int32),
+		other: make(map[interface{}]int32),
+	}
+}
+
+// head returns the newest row id on v's chain, or -1. Ints and floats
+// share the float64 map (the query layer parses every numeric literal
+// as float64), so hash equality agrees with compareValues equality;
+// NaN and timestamps go through indexKey's sentinels.
+func (ix *tableIndex) head(v Value) int32 {
+	var h int32
+	var ok bool
+	switch x := v.(type) {
+	case int64:
+		h, ok = ix.num[float64(x)]
+	case float64:
+		if x != x {
+			h, ok = ix.other[nanKey{}]
+			break
+		}
+		h, ok = ix.num[x]
+	case string:
+		h, ok = ix.str[x]
+	default:
+		h, ok = ix.other[indexKey(v)]
+	}
+	if !ok {
+		return -1
+	}
+	return h
+}
+
+// setHead makes id the head of v's chain; -1 drops the value.
+func (ix *tableIndex) setHead(v Value, id int32) {
+	switch x := v.(type) {
+	case int64:
+		setOrDelete(ix.num, float64(x), id)
+	case float64:
+		if x != x {
+			setOrDelete(ix.other, interface{}(nanKey{}), id)
+			break
+		}
+		setOrDelete(ix.num, x, id)
+	case string:
+		setOrDelete(ix.str, x, id)
+	default:
+		setOrDelete(ix.other, indexKey(v), id)
+	}
+}
+
+func setOrDelete[K comparable](m map[K]int32, k K, id int32) {
+	if id < 0 {
+		delete(m, k)
+		return
+	}
+	m[k] = id
+}
+
+// push links row id, the newest row, at the head of v's chain.
+func (ix *tableIndex) push(v Value, id int) {
+	ix.next = append(ix.next, ix.head(v))
+	ix.setHead(v, int32(id))
+}
+
+// relink moves row id from old's chain to the head of cur's.
+func (ix *tableIndex) relink(id int, old, cur Value) {
+	rid := int32(id)
+	if h := ix.head(old); h == rid {
+		ix.setHead(old, ix.next[rid])
+	} else {
+		for p := h; p >= 0; p = ix.next[p] {
+			if ix.next[p] == rid {
+				ix.next[p] = ix.next[rid]
+				break
+			}
+		}
+	}
+	ix.next[rid] = ix.head(cur)
+	ix.setHead(cur, rid)
+}
+
+// appendIDs appends to dst the ids below n on key's chain.
+func (ix *tableIndex) appendIDs(dst []int, key Value, n int) []int {
+	for id := ix.head(key); id >= 0; id = ix.next[id] {
+		if int(id) < n {
+			dst = append(dst, int(id))
+		}
+	}
+	return dst
 }
 
 // Table is a named relation with a fixed schema. Row data is guarded
@@ -107,8 +212,7 @@ func (t *Table) appendRowLocked(row []Value) {
 	t.tail = append(t.tail, row)
 	t.n++
 	for _, ix := range t.idx {
-		k := indexKey(row[ix.col])
-		ix.post[k] = append(ix.post[k], id)
+		ix.push(row[ix.col], id)
 	}
 	if len(t.tail) == segSize {
 		t.segs = append(t.segs, &segment{rows: t.tail})
@@ -140,23 +244,15 @@ func (t *Table) setRowLocked(i int, row []Value) {
 	t.tail[i-len(t.segs)*segSize] = row
 }
 
-// reindexLocked repairs index postings after row id changed from old
-// to cur. Removal rebuilds the posting slice (snapshot readers may
-// hold the old one) and invalidates in-flight snapshots' index use.
+// reindexLocked repairs the index chains after row id changed from old
+// to cur, and invalidates in-flight snapshots' index use: a snapshot
+// must not find a row under a value it did not hold then.
 func (t *Table) reindexLocked(id int, old, cur []Value) {
 	for _, ix := range t.idx {
-		ok, nk := indexKey(old[ix.col]), indexKey(cur[ix.col])
-		if ok == nk {
+		if indexKey(old[ix.col]) == indexKey(cur[ix.col]) {
 			continue
 		}
-		p := ix.post[ok]
-		for j, v := range p {
-			if v == id {
-				ix.post[ok] = append(p[:j:j], p[j+1:]...)
-				break
-			}
-		}
-		ix.post[nk] = append(ix.post[nk], id)
+		ix.relink(id, old[ix.col], cur[ix.col])
 		t.idxVersion++
 	}
 }
@@ -180,10 +276,12 @@ type timeKey struct {
 	nsec int32
 }
 
-// indexKey normalizes a cell value so hash-map equality agrees with
+// indexKey normalizes a cell value so hash equality agrees with
 // compareValues equality: ints and floats unify on float64 (the query
 // layer parses every numeric literal as float64), NaN hits a sentinel
 // (Go maps never match NaN keys), and timestamps compare by instant.
+// tableIndex.head dispatches on the same normalization without boxing
+// numbers and strings.
 func indexKey(v Value) interface{} {
 	switch x := v.(type) {
 	case int64:
@@ -250,10 +348,10 @@ func (s *tableSnap) hasIndex(ci int) bool {
 
 // lookupAppend appends to dst the snapshot-visible row ids whose
 // column ci equals key, using the table's live hash index. It reports
-// false (and appends nothing) when the column has no index or when
-// postings were invalidated since the snapshot — the caller then falls
-// back to a scan. Postings may be appended out of order after value
-// changes, so callers must sort before relying on row order.
+// false (and appends nothing) when the column has no index or when a
+// chain lost a row since the snapshot — the caller then falls back to
+// a scan. Ids come in chain order, so callers must sort before relying
+// on row order.
 func (s *tableSnap) lookupAppend(dst []int, ci int, key Value) ([]int, bool) {
 	t := s.t
 	t.mu.RLock()
@@ -265,12 +363,7 @@ func (s *tableSnap) lookupAppend(dst []int, ci int, key Value) ([]int, bool) {
 		if ix.col != ci {
 			continue
 		}
-		for _, id := range ix.post[indexKey(key)] {
-			if id < s.n {
-				dst = append(dst, id)
-			}
-		}
-		return dst, true
+		return ix.appendIDs(dst, key, s.n), true
 	}
 	return dst, false
 }
@@ -336,10 +429,10 @@ func (db *DB) CreateIndex(table, column string) error {
 			return nil
 		}
 	}
-	ix := &tableIndex{col: ci, post: make(map[interface{}][]int)}
+	ix := newTableIndex(ci)
+	ix.next = make([]int32, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		k := indexKey(t.rowLocked(i)[ci])
-		ix.post[k] = append(ix.post[k], i)
+		ix.push(t.rowLocked(i)[ci], i)
 	}
 	t.idx = append(t.idx, ix)
 	// Snapshots taken before the index existed must not trust it: the
@@ -418,9 +511,9 @@ func (db *DB) UpdateByKey(table, column string, key Value, fn func(row []Value))
 		if ix.col != ci {
 			continue
 		}
-		// Copy the posting list: fn may change the key cell, which
-		// rewrites the posting slice mid-iteration.
-		ids := append([]int(nil), ix.post[indexKey(key)]...)
+		// Collect the chain first: fn may change the key cell, which
+		// relinks the row mid-walk.
+		ids := ix.appendIDs(nil, key, t.n)
 		for _, i := range ids {
 			t.updateRowLocked(i, fn)
 		}

@@ -101,12 +101,14 @@ gated_test 'Dataflow|RunContext|StageComplete' -race -count=5 -timeout 60s ./int
 # What the campaign product store rests on, three schedules each: the
 # every-staged-byte golden, the finished-campaign footprint (the store
 # dies with Execute; a record pins one copy of a shared rendering), the
+# products each workflow owns (one lattice set per AD4-docked receptor,
+# none for Vina's, the AD4 sets unreachable while Vina docks), the
 # Status poll beside a running adaptive campaign, and the lattice /
 # Subset independence contracts; and the Manager driven by a seeded
 # random mix of calls from several goroutines, which must leave every
 # campaign in one terminal state and no token, account or goroutine.
-echo "==> product store contracts (-race -count=3 -timeout 3m Artifacts/Footprint/Status/Subset/Interleaving)"
-gated_test 'Artifacts|Footprint|Status|Subset|Interleaving' -race -count=3 -timeout 3m ./internal/core ./internal/campaign ./internal/grid
+echo "==> product store contracts (-race -count=3 -timeout 3m Artifacts/Footprint/SharesReceptorProducts/LatticesDie/Status/Subset/Interleaving)"
+gated_test 'Artifacts|Footprint|SharesReceptorProducts|LatticesDie|Status|Subset|Interleaving' -race -count=3 -timeout 3m ./internal/core ./internal/campaign ./internal/grid
 
 # The one bounded fan-out (parallel.For) and the four loops on it:
 # every index once, one goroutine per scratch value, the lowest-index
