@@ -27,11 +27,10 @@ const (
 
 // ElementInfo holds per-element parameters used by preparation and
 // scoring. Radii follow the AutoDock 4 parameter file (Rii/2) and
-// standard covalent radii; masses are in Dalton.
+// standard covalent radii.
 type ElementInfo struct {
 	Symbol        Element
 	Number        int     // atomic number
-	Mass          float64 // Da
 	CovalentR     float64 // Å, for bond perception
 	VdwR          float64 // Å, van der Waals radius (AD4 Rii/2)
 	WellDepth     float64 // kcal/mol, AD4 epsii
@@ -41,21 +40,21 @@ type ElementInfo struct {
 }
 
 var elementTable = map[Element]ElementInfo{
-	Hydrogen:   {Hydrogen, 1, 1.008, 0.31, 1.00, 0.020, 2.20, false, true},
-	Carbon:     {Carbon, 6, 12.011, 0.76, 2.00, 0.150, 2.55, false, true},
-	Nitrogen:   {Nitrogen, 7, 14.007, 0.71, 1.75, 0.160, 3.04, false, true},
-	Oxygen:     {Oxygen, 8, 15.999, 0.66, 1.60, 0.200, 3.44, false, true},
-	Sulfur:     {Sulfur, 16, 32.06, 1.05, 2.00, 0.200, 2.58, false, true},
-	Phosphorus: {Phosphorus, 15, 30.974, 1.07, 2.10, 0.200, 2.19, false, true},
-	Fluorine:   {Fluorine, 9, 18.998, 0.57, 1.54, 0.080, 3.98, false, true},
-	Chlorine:   {Chlorine, 17, 35.45, 1.02, 2.04, 0.276, 3.16, false, true},
-	Bromine:    {Bromine, 35, 79.904, 1.20, 2.17, 0.389, 2.96, false, true},
-	Iodine:     {Iodine, 53, 126.904, 1.39, 2.36, 0.550, 2.66, false, true},
-	Zinc:       {Zinc, 30, 65.38, 1.22, 0.74, 0.005, 1.65, true, true},
-	Iron:       {Iron, 26, 55.845, 1.32, 0.65, 0.010, 1.83, true, true},
-	Magnesium:  {Magnesium, 12, 24.305, 1.41, 0.65, 0.875, 1.31, true, true},
-	Calcium:    {Calcium, 20, 40.078, 1.76, 0.99, 0.550, 1.00, true, true},
-	Mercury:    {Mercury, 80, 200.59, 1.32, 1.55, 0.100, 2.00, true, false},
+	Hydrogen:   {Hydrogen, 1, 0.31, 1.00, 0.020, 2.20, false, true},
+	Carbon:     {Carbon, 6, 0.76, 2.00, 0.150, 2.55, false, true},
+	Nitrogen:   {Nitrogen, 7, 0.71, 1.75, 0.160, 3.04, false, true},
+	Oxygen:     {Oxygen, 8, 0.66, 1.60, 0.200, 3.44, false, true},
+	Sulfur:     {Sulfur, 16, 1.05, 2.00, 0.200, 2.58, false, true},
+	Phosphorus: {Phosphorus, 15, 1.07, 2.10, 0.200, 2.19, false, true},
+	Fluorine:   {Fluorine, 9, 0.57, 1.54, 0.080, 3.98, false, true},
+	Chlorine:   {Chlorine, 17, 1.02, 2.04, 0.276, 3.16, false, true},
+	Bromine:    {Bromine, 35, 1.20, 2.17, 0.389, 2.96, false, true},
+	Iodine:     {Iodine, 53, 1.39, 2.36, 0.550, 2.66, false, true},
+	Zinc:       {Zinc, 30, 1.22, 0.74, 0.005, 1.65, true, true},
+	Iron:       {Iron, 26, 1.32, 0.65, 0.010, 1.83, true, true},
+	Magnesium:  {Magnesium, 12, 1.41, 0.65, 0.875, 1.31, true, true},
+	Calcium:    {Calcium, 20, 1.76, 0.99, 0.550, 1.00, true, true},
+	Mercury:    {Mercury, 80, 1.32, 1.55, 0.100, 2.00, true, false},
 }
 
 // Info returns parameters for the element, falling back to carbon-like
@@ -69,12 +68,6 @@ func (e Element) Info() ElementInfo {
 	info.Symbol = e
 	info.DockSupported = false
 	return info
-}
-
-// Known reports whether e is in the element table.
-func (e Element) Known() bool {
-	_, ok := elementTable[e.normalize()]
-	return ok
 }
 
 func (e Element) normalize() Element {
@@ -169,17 +162,7 @@ func (t AtomType) Params() TypeParams {
 	return p
 }
 
-// IsHBondDonorH reports whether the type is a polar hydrogen.
-func (t AtomType) IsHBondDonorH() bool { return t.Params().HBond == 1 }
-
-// IsHBondAcceptor reports whether the type accepts hydrogen bonds.
-func (t AtomType) IsHBondAcceptor() bool { return t.Params().HBond >= 2 }
-
-// IsHydrophobic reports whether Vina's hydrophobic term applies.
-func (t AtomType) IsHydrophobic() bool { return t.Params().Hydroph }
-
-// AllTypes returns every supported atom type in deterministic order,
-// used when enumerating grid maps.
+// AllTypes returns every supported atom type in deterministic order.
 func AllTypes() []AtomType {
 	return []AtomType{
 		TypeH, TypeHD, TypeC, TypeA, TypeN, TypeNA, TypeOA,

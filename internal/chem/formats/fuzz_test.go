@@ -8,9 +8,10 @@ import (
 	"repro/internal/chem"
 )
 
-// Every parser here reads bytes from outside the process (RCSB
-// downloads, ligand libraries, the docking programs' own output), so
-// each must answer any input with a value or an error, never a panic.
+// The PDBQT readers take bytes from outside the process (the docking
+// programs' own output); the SDF, PDB, Mol2 and DLG readers are the
+// test oracles of the writers' round trips. Each must answer any input
+// with a value or an error, never a panic.
 // Seeds are the round-trip fixtures and malformed inputs of
 // formats_test.go; go test runs them, go test -fuzz explores from them.
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/chem"
 	"repro/internal/data"
 	"repro/internal/prep"
 )
@@ -108,9 +107,6 @@ func TestWorkloadReceptorFileFlowProperty(t *testing.T) {
 				t.Fatalf("%s: atom %d element %s -> %s", code, i,
 					rec.Atoms[i].Element, fromPDB.Atoms[i].Element)
 			}
-		}
-		if rec.Contains(chem.Mercury) != fromPDB.Contains(chem.Mercury) {
-			t.Fatalf("%s: Hg flag lost in round trip", code)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package chem
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // BondOrder distinguishes single/double/triple/aromatic bonds, as
@@ -38,14 +37,6 @@ type Atom struct {
 type Bond struct {
 	A, B  int
 	Order BondOrder
-}
-
-// Other returns the bond endpoint that is not i.
-func (b Bond) Other(i int) int {
-	if b.A == i {
-		return b.B
-	}
-	return b.A
 }
 
 // Molecule is a receptor or ligand. Receptors are typically bond-less
@@ -102,15 +93,6 @@ func (m *Molecule) SetPositions(p []Vec3) {
 // Centroid returns the geometric center of all atoms.
 func (m *Molecule) Centroid() Vec3 { return Centroid(m.Positions()) }
 
-// Mass returns the total molecular mass in Dalton.
-func (m *Molecule) Mass() float64 {
-	var s float64
-	for _, a := range m.Atoms {
-		s += a.Element.Info().Mass
-	}
-	return s
-}
-
 // TotalCharge returns the sum of partial charges.
 func (m *Molecule) TotalCharge() float64 {
 	var s float64
@@ -125,26 +107,6 @@ func (m *Molecule) Translate(d Vec3) {
 	for i := range m.Atoms {
 		m.Atoms[i].Pos = m.Atoms[i].Pos.Add(d)
 	}
-}
-
-// Contains reports whether any atom has the given element.
-func (m *Molecule) Contains(e Element) bool {
-	e = e.Normalize()
-	for _, a := range m.Atoms {
-		if a.Element.Normalize() == e {
-			return true
-		}
-	}
-	return false
-}
-
-// ElementCounts returns a map from element to atom count.
-func (m *Molecule) ElementCounts() map[Element]int {
-	c := make(map[Element]int)
-	for _, a := range m.Atoms {
-		c[a.Element.Normalize()]++
-	}
-	return c
 }
 
 // AtomTypes returns the distinct AutoDock atom types present, sorted.
@@ -162,33 +124,6 @@ func (m *Molecule) AtomTypes() []AtomType {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Formula returns a Hill-order molecular formula string (C first, H
-// second, rest alphabetical), e.g. "C9H11N3O4".
-func (m *Molecule) Formula() string {
-	counts := m.ElementCounts()
-	var sb strings.Builder
-	write := func(e Element) {
-		if n := counts[e]; n > 0 {
-			sb.WriteString(string(e))
-			if n > 1 {
-				fmt.Fprintf(&sb, "%d", n)
-			}
-			delete(counts, e)
-		}
-	}
-	write(Carbon)
-	write(Hydrogen)
-	rest := make([]Element, 0, len(counts))
-	for e := range counts {
-		rest = append(rest, e)
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	for _, e := range rest {
-		write(e)
-	}
-	return sb.String()
 }
 
 // Adjacency returns, for each atom index, the indices of bonded
@@ -257,48 +192,6 @@ func (m *Molecule) PerceiveBonds() {
 			}
 		}
 	}
-}
-
-// RingAtoms returns the set of atom indices that belong to any cycle
-// of the bond graph (computed via iterative removal of degree-≤1
-// vertices). Ring membership blocks bond rotation.
-func (m *Molecule) RingAtoms() map[int]bool {
-	deg := make([]int, len(m.Atoms))
-	adj := m.Adjacency()
-	for i, nb := range adj {
-		deg[i] = len(nb)
-	}
-	removed := make([]bool, len(m.Atoms))
-	queue := []int{}
-	for i, d := range deg {
-		if d <= 1 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if removed[v] {
-			continue
-		}
-		removed[v] = true
-		for _, w := range adj[v] {
-			if removed[w] {
-				continue
-			}
-			deg[w]--
-			if deg[w] <= 1 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	in := make(map[int]bool)
-	for i := range m.Atoms {
-		if !removed[i] && deg[i] >= 2 {
-			in[i] = true
-		}
-	}
-	return in
 }
 
 // Validate performs structural sanity checks and returns a descriptive

@@ -36,9 +36,6 @@ func (q Quat) Mul(r Quat) Quat {
 	}
 }
 
-// Conj returns the conjugate of q.
-func (q Quat) Conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
-
 // Norm returns the quaternion norm.
 func (q Quat) Norm() float64 {
 	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
@@ -109,17 +106,4 @@ func RandomQuat(u1, u2, u3 float64) Quat {
 		Y: s1 * math.Cos(a),
 		Z: s2 * math.Sin(b),
 	}
-}
-
-// RotationAngle returns the rotation angle of the unit quaternion q,
-// in [0, π].
-func (q Quat) RotationAngle() float64 {
-	w := q.W
-	if w > 1 {
-		w = 1
-	} else if w < -1 {
-		w = -1
-	}
-	a := 2 * math.Acos(math.Abs(w))
-	return a
 }

@@ -42,15 +42,6 @@ func TestQuatMulComposition(t *testing.T) {
 	}
 }
 
-func TestQuatConjInverts(t *testing.T) {
-	q := AxisAngleQuat(V(1, 2, 3), 0.77)
-	v := V(4, -1, 2)
-	back := q.Conj().Rotate(q.Rotate(v))
-	if !vecApprox(back, v, 1e-12) {
-		t.Errorf("conj did not invert: %v", back)
-	}
-}
-
 // Property: rotation preserves norms and pairwise distances.
 func TestQuatRotationIsometryProperty(t *testing.T) {
 	f := func(u1, u2, u3, x, y, z float64) bool {
@@ -126,13 +117,4 @@ func quatApprox(a, b Quat, tol float64) bool {
 	d1 := math.Abs(a.W-b.W) + math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y) + math.Abs(a.Z-b.Z)
 	d2 := math.Abs(a.W+b.W) + math.Abs(a.X+b.X) + math.Abs(a.Y+b.Y) + math.Abs(a.Z+b.Z)
 	return d1 <= tol || d2 <= tol
-}
-
-func TestRotationAngle(t *testing.T) {
-	for _, ang := range []float64{0, 0.5, 1.5, math.Pi - 0.01} {
-		q := AxisAngleQuat(V(1, 1, 0), ang)
-		if got := q.RotationAngle(); !approx(got, ang, 1e-9) {
-			t.Errorf("RotationAngle(%v) = %v", ang, got)
-		}
-	}
 }

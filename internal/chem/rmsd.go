@@ -23,29 +23,6 @@ func RMSD(a, b []Vec3) (float64, error) {
 	return math.Sqrt(s / float64(len(a))), nil
 }
 
-// HeavyAtomRMSD computes RMSD over heavy atoms only, the standard
-// reporting convention for docking poses (hydrogen placement is
-// ill-determined).
-func HeavyAtomRMSD(m *Molecule, a, b []Vec3) (float64, error) {
-	if len(a) != len(b) || len(a) != len(m.Atoms) {
-		return 0, fmt.Errorf("chem: HeavyAtomRMSD size mismatch (mol %d, a %d, b %d)",
-			len(m.Atoms), len(a), len(b))
-	}
-	var s float64
-	n := 0
-	for i, at := range m.Atoms {
-		if !at.Element.IsHeavy() {
-			continue
-		}
-		s += a[i].Dist2(b[i])
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("chem: molecule %q has no heavy atoms", m.Name)
-	}
-	return math.Sqrt(s / float64(n)), nil
-}
-
 // KabschRMSD returns the minimum RMSD between the two coordinate sets
 // over all rigid superpositions (rotation + translation), via the
 // Kabsch algorithm with an iterative principal-rotation solve. Used by

@@ -51,37 +51,6 @@ func TestRMSDSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestHeavyAtomRMSDSkipsHydrogens(t *testing.T) {
-	m := ethanolLike()
-	a := m.Positions()
-	b := m.Positions()
-	// Move only hydrogens far away: heavy-atom RMSD stays 0.
-	for i, at := range m.Atoms {
-		if !at.Element.IsHeavy() {
-			b[i] = b[i].Add(V(100, 0, 0))
-		}
-	}
-	got, err := HeavyAtomRMSD(m, a, b)
-	if err != nil || !approx(got, 0, eps) {
-		t.Errorf("HeavyAtomRMSD = %v, %v", got, err)
-	}
-	full, _ := RMSD(a, b)
-	if full <= 10 {
-		t.Errorf("plain RMSD should see hydrogen movement, got %v", full)
-	}
-}
-
-func TestHeavyAtomRMSDErrors(t *testing.T) {
-	m := ethanolLike()
-	if _, err := HeavyAtomRMSD(m, make([]Vec3, 2), make([]Vec3, 2)); err == nil {
-		t.Error("size mismatch not caught")
-	}
-	hOnly := &Molecule{Atoms: []Atom{{Element: Hydrogen}}}
-	if _, err := HeavyAtomRMSD(hOnly, make([]Vec3, 1), make([]Vec3, 1)); err == nil {
-		t.Error("no-heavy-atom case not caught")
-	}
-}
-
 func TestKabschRMSDInvariantToRigidMotion(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := make([]Vec3, 12)

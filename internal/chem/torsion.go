@@ -129,7 +129,8 @@ func bondKey(a, b int) [2]int {
 // "bonds inside rings never rotate" rule: a bond whose BOTH endpoints
 // sit in rings can still rotate when the bond itself is a bridge (a
 // biphenyl link, or a chain segment threaded between two ring
-// systems), which the coarser RingAtoms 2-core test misclassifies.
+// systems), which a coarser test of ring atoms (the graph's 2-core)
+// would misclassify.
 // Bridges are found with one Tarjan low-link pass per connected
 // component; multiple parallel bonds between the same atom pair count
 // as a cycle.

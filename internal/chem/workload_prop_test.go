@@ -101,8 +101,8 @@ func TestAtomTypeTableFinite(t *testing.T) {
 			t.Errorf("%s: bad base parameters %+v", a, pa)
 		}
 		info := chem.Element(a).Info()
-		if info.Mass <= 0 {
-			t.Errorf("%s: element info mass %v", a, info.Mass)
+		if info.CovalentR <= 0 {
+			t.Errorf("%s: element info covalent radius %v", a, info.CovalentR)
 		}
 	}
 }

@@ -112,8 +112,8 @@ func TestBuildVirtualCluster(t *testing.T) {
 		if total < cse.cores {
 			t.Errorf("cores=%d: fleet only has %d cores", cse.cores, total)
 		}
-		if c.TotalCores() != total {
-			t.Errorf("TotalCores = %d, want %d", c.TotalCores(), total)
+		if got := len(c.RunningVMs()); got != len(vms) {
+			t.Errorf("cores=%d: %d VMs running, want %d", cse.cores, got, len(vms))
 		}
 	}
 	c := NewCluster()

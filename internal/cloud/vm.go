@@ -151,17 +151,6 @@ func (c *Cluster) RunningVMs() []*VM {
 	return out
 }
 
-// TotalCores sums the cores of running VMs.
-func (c *Cluster) TotalCores() int {
-	n := 0
-	for _, vm := range c.vms {
-		if vm.Running() {
-			n += vm.Type.Cores
-		}
-	}
-	return n
-}
-
 // Cost returns the accumulated bill in USD: EC2 bills whole hours per
 // VM, rounded up, from acquisition to release (or the current time for
 // running VMs).

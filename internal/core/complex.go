@@ -70,36 +70,3 @@ func ExportComplex(w io.Writer, cfg Config, program prep.Program, recCode, ligCo
 		Stats:    res.Stats,
 	}, nil
 }
-
-// RefineBest docks a pair, then applies the §V.D redocking refinement
-// to its best pose and reports the improvement. Redocking refines the
-// *reported* binding energy directly (the quantity Table 3 ranks), not
-// the engine's search objective; the returned FEBs are calibrated.
-func RefineBest(cfg Config, program prep.Program, recCode, ligCode string, iterations int) (before, after float64, err error) {
-	if err := cfg.Effort.Validate(); err != nil {
-		return 0, 0, err
-	}
-	b := newBuilder(cfg, program)
-	d, err := b.dockPair(recCode, ligCode)
-	if err != nil {
-		return 0, 0, err
-	}
-	best, err := d.res.Best()
-	if err != nil {
-		return 0, 0, err
-	}
-	ref, err := dock.Refine(scorerFunc(d.reported), d.lig, d.box, best.Pose,
-		iterations, b.pairSeed(recCode, ligCode)+1)
-	if err != nil {
-		return 0, 0, err
-	}
-	heavy := d.lig.Mol.HeavyAtomCount()
-	before = b.reportedFEB(d.reported(d.lig.Coords(best.Pose)), heavy)
-	after = b.reportedFEB(d.reported(d.lig.Coords(ref.Pose)), heavy)
-	return before, after, nil
-}
-
-// scorerFunc adapts a plain scoring function to dock.Scorer.
-type scorerFunc func([]chem.Vec3) float64
-
-func (f scorerFunc) Score(coords []chem.Vec3) float64 { return f(coords) }

@@ -443,13 +443,10 @@ func avgRMSD(r *dock.Result) float64 {
 }
 
 // dockedPair is one docked pair: the result (reported FEBs, RMSDs to
-// 0.01 Å), the conformational model, the search box and the scorer's
-// reported-FEB function, which the redocking refinement reuses.
+// 0.01 Å) and the conformational model.
 type dockedPair struct {
-	res      *dock.Result
-	lig      *dock.Ligand
-	box      dock.Box
-	reported func([]chem.Vec3) float64
+	res *dock.Result
+	lig *dock.Ligand
 }
 
 // dockPair runs the configured docking engine on one pair and applies
@@ -469,13 +466,15 @@ func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 	}
 	seed := b.pairSeed(rec, lig)
 	spec := prec.spec
-	d := &dockedPair{lig: dlig, box: dock.Box{
+	box := dock.Box{
 		Center: spec.Center,
 		Size: chem.V(
 			float64(spec.NPts[0]-1)*spec.Spacing,
 			float64(spec.NPts[1]-1)*spec.Spacing,
 			float64(spec.NPts[2]-1)*spec.Spacing),
-	}}
+	}
+	d := &dockedPair{lig: dlig}
+	var reported func([]chem.Vec3) float64
 
 	if b.program == prep.ProgramAD4 {
 		view, err := b.gridMaps(rec, pl.Mol.AtomTypes())
@@ -491,11 +490,11 @@ func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 		params.PopSize = b.cfg.Effort.AD4PopSize
 		params.Gens = b.cfg.Effort.AD4Gens
 		params.Evals = b.cfg.Effort.AD4Evals
-		eng := &ad4.Engine{Params: params, Box: d.box}
+		eng := &ad4.Engine{Params: params, Box: box}
 		if d.res, err = eng.Dock(scorer, dlig); err != nil {
 			return nil, err
 		}
-		d.reported = scorer.ReportedFEB
+		reported = scorer.ReportedFEB
 	} else {
 		index, err := b.vinaIndex(rec)
 		if err != nil {
@@ -507,7 +506,7 @@ func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 		}
 		cfg := prep.VinaConfig{
 			Receptor: rec + ".pdbqt", Ligand: lig + ".pdbqt",
-			Center: d.box.Center, Size: d.box.Size,
+			Center: box.Center, Size: box.Size,
 			Exhaustiveness: b.cfg.Effort.VinaExhaustiveness,
 			NumModes:       b.cfg.Effort.VinaModes,
 			Seed:           seed,
@@ -516,9 +515,9 @@ func (b *builder) dockPair(rec, lig string) (*dockedPair, error) {
 		if d.res, err = eng.Dock(scorer, dlig); err != nil {
 			return nil, err
 		}
-		d.reported = scorer.ReportedFEB
+		reported = scorer.ReportedFEB
 	}
-	b.report(d.res, dlig, d.reported)
+	b.report(d.res, dlig, reported)
 	return d, nil
 }
 

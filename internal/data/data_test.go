@@ -63,9 +63,6 @@ func TestPairsOrderLigandMajor(t *testing.T) {
 			t.Fatalf("pairs[%d] = %v, want %v", i, p[i], want[i])
 		}
 	}
-	if s := (Pair{Receptor: "2HHN", Ligand: "0E6"}).String(); s != "0E6_2HHN" {
-		t.Errorf("pair name = %q", s)
-	}
 }
 
 func TestSmallValidation(t *testing.T) {
@@ -161,7 +158,11 @@ func TestHgReceptorsContainHg(t *testing.T) {
 		}
 		found = true
 		m, _ := GenerateReceptor(code)
-		if !m.Contains(chem.Mercury) {
+		hasHg := false
+		for _, a := range m.Atoms {
+			hasHg = hasHg || a.Element == chem.Mercury
+		}
+		if !hasHg {
 			t.Errorf("receptor %s flagged Hg but has none", code)
 		}
 	}

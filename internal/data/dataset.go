@@ -9,10 +9,6 @@ type Pair struct {
 	Ligand   string
 }
 
-// String returns the "LIG_RECEPTOR" naming used for result files
-// (e.g. "0E6_2HHN.dlg" in Figure 11).
-func (p Pair) String() string { return p.Ligand + "_" + p.Receptor }
-
 // Dataset is a workload: a set of receptor and ligand codes whose
 // cross product forms the docking pairs.
 type Dataset struct {

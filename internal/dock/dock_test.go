@@ -217,7 +217,8 @@ func TestCoordsRigidInvariants(t *testing.T) {
 				t.Fatalf("pose %d: bond %d-%d length %v -> %v", i, b.A, b.B, d0, d1)
 			}
 		}
-		if !box.Contains(p.Translation) {
+		if d := p.Translation.Sub(box.Center); math.Abs(d.X) > box.Size.X/2 ||
+			math.Abs(d.Y) > box.Size.Y/2 || math.Abs(d.Z) > box.Size.Z/2 {
 			t.Fatalf("random pose translation outside box")
 		}
 	}
@@ -262,9 +263,6 @@ func TestClampToBox(t *testing.T) {
 	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(10, 10, 10)}
 	p := Pose{Translation: chem.V(100, -3, 7), Orientation: chem.QuatIdentity}
 	ClampToBox(&p, box)
-	if !box.Contains(p.Translation) {
-		t.Errorf("clamped pose outside box: %v", p.Translation)
-	}
 	if p.Translation.X != 5 || p.Translation.Y != -3 || p.Translation.Z != 5 {
 		t.Errorf("clamp = %v", p.Translation)
 	}
@@ -279,10 +277,6 @@ func TestResultBestAndSort(t *testing.T) {
 	best, err := r.Best()
 	if err != nil || best.Run != 2 {
 		t.Errorf("best = %+v, %v", best, err)
-	}
-	r.SortByFEB()
-	if r.Runs[0].Run != 2 || r.Runs[2].Run != 1 {
-		t.Errorf("sort order wrong: %+v", r.Runs)
 	}
 	empty := &Result{}
 	if _, err := empty.Best(); err == nil {
@@ -435,74 +429,6 @@ func TestNeighborListBoundaryFaces(t *testing.T) {
 				t.Errorf("%s: missing atom %d", tc.name, i)
 			}
 		}
-	}
-}
-
-func TestRefineValidation(t *testing.T) {
-	lig := testLigand(t, "0E6")
-	box := Box{Center: chem.Vec3{}, Size: chem.V(20, 20, 20)}
-	pose := Pose{Orientation: chem.QuatIdentity, Torsions: make([]float64, lig.NumTorsions())}
-	s := constScorer{}
-	if _, err := Refine(s, lig, box, pose, 0, 1); err == nil {
-		t.Error("zero iterations accepted")
-	}
-	bad := pose.Clone()
-	bad.Torsions = append(bad.Torsions, 0)
-	if _, err := Refine(s, lig, box, bad, 10, 1); err == nil {
-		t.Error("torsion mismatch accepted")
-	}
-}
-
-// constScorer returns the squared distance from a target point, so
-// refinement has a smooth landscape with a known optimum.
-type constScorer struct{}
-
-func (constScorer) Score(coords []chem.Vec3) float64 {
-	target := chem.V(3, -2, 1)
-	c := chem.Centroid(coords)
-	return c.Dist2(target)
-}
-
-func TestRefineConvergesToOptimum(t *testing.T) {
-	lig := testLigand(t, "042")
-	box := Box{Center: chem.Vec3{}, Size: chem.V(30, 30, 30)}
-	start := Pose{
-		Translation: chem.V(-8, 8, -8),
-		Orientation: chem.QuatIdentity,
-		Torsions:    make([]float64, lig.NumTorsions()),
-	}
-	res, err := Refine(constScorer{}, lig, box, start, 600, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Improved <= 0 {
-		t.Errorf("no improvement: %+v", res)
-	}
-	// Should approach the optimum at (3,-2,1): final score well below
-	// the starting ~350.
-	if res.FEB > 5 {
-		t.Errorf("refinement stalled at %v", res.FEB)
-	}
-	if res.Evals < 2 {
-		t.Errorf("evals = %d", res.Evals)
-	}
-}
-
-func TestRefineDeterministic(t *testing.T) {
-	lig := testLigand(t, "074")
-	box := Box{Center: chem.Vec3{}, Size: chem.V(30, 30, 30)}
-	start := Pose{Translation: chem.V(5, 5, 5), Orientation: chem.QuatIdentity,
-		Torsions: make([]float64, lig.NumTorsions())}
-	a, err := Refine(constScorer{}, lig, box, start, 100, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Refine(constScorer{}, lig, box, start, 100, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FEB != b.FEB {
-		t.Error("refinement not deterministic per seed")
 	}
 }
 

@@ -47,14 +47,6 @@ type Box struct {
 	Size   chem.Vec3 // full edge lengths, Å
 }
 
-// Contains reports whether a point is inside the box.
-func (b Box) Contains(p chem.Vec3) bool {
-	d := p.Sub(b.Center)
-	return math.Abs(d.X) <= b.Size.X/2 &&
-		math.Abs(d.Y) <= b.Size.Y/2 &&
-		math.Abs(d.Z) <= b.Size.Z/2
-}
-
 // Ligand is the conformational model both engines share: the prepared
 // molecule, its torsion tree and base coordinates with the input
 // conformation's centroid — the about point — at the origin. The pose

@@ -2,7 +2,6 @@ package dock
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chem"
 	"repro/internal/chem/formats"
@@ -76,11 +75,6 @@ func (r *Result) Best() (RunResult, error) {
 		}
 	}
 	return best, nil
-}
-
-// SortByFEB orders runs most-favourable first.
-func (r *Result) SortByFEB() {
-	sort.Slice(r.Runs, func(i, j int) bool { return r.Runs[i].FEB < r.Runs[j].FEB })
 }
 
 // ToDLG converts the result into the DLG document written to the

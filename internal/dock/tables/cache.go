@@ -95,16 +95,6 @@ func pairKey(k kind, a, b chem.AtomType) key {
 	return key{k: k, a: a, b: b}
 }
 
-// AD4Smoothed returns the AutoGrid-smoothed AD4 dispersion/H-bond
-// potential for a (probe, receptor) type pair, with the r ≥ RMin clamp
-// baked in — exactly what map generation accumulates per lattice
-// point.
-func AD4Smoothed(probe, rec chem.AtomType) *Radial {
-	return lookup(pairKey(kindAD4Smoothed, probe, rec), func() *Radial {
-		return NewRadial(ad4Smoothed(probe, rec))
-	})
-}
-
 // ad4Smoothed is the potential AD4Smoothed tabulates, and AD4Row's
 // column for probe.
 func ad4Smoothed(probe, rec chem.AtomType) func(r float64) float64 {
@@ -138,21 +128,9 @@ func Vina(a, b chem.AtomType) *Radial {
 	})
 }
 
-// Electrostatic returns the unit-charge Mehler–Solmajer Coulomb table
-// (multiply by the receptor atom's charge), r ≥ RMin clamp baked in.
-func Electrostatic() *Radial {
-	return lookup(key{k: kindElec}, func() *Radial { return NewRadial(elecUnit) })
-}
-
 // elecUnit is the potential Electrostatic tabulates, and AD4Row's
 // electrostatic column.
 func elecUnit(r float64) float64 { return ElecScale(max(r, RMin)) }
-
-// Desolvation returns the gaussian desolvation weight table (multiply
-// by DesolvCoeff of the receptor atom), r ≥ RMin clamp baked in.
-func Desolvation() *Radial {
-	return lookup(key{k: kindDesolv}, func() *Radial { return NewRadial(desolvUnit) })
-}
 
 // desolvUnit is the potential Desolvation tabulates, and AD4Row's
 // desolvation column.

@@ -155,34 +155,6 @@ func TestWorkspaceEvalZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRefineWorkspaceZeroAllocs pins the refinement path: with a
-// caller-owned workspace, Refine's per-iteration work allocates
-// nothing (only the returned result pose is fresh).
-func TestRefineZeroAllocsPerCandidate(t *testing.T) {
-	lig := testLigand(t, "0E6")
-	ws := NewWorkspace(lig)
-	box := Box{Center: chem.Vec3{}, Size: chem.V(22, 22, 22)}
-	start := randomPoses(t, lig, 1)[0]
-	sc := &countingScorer{}
-	// Warm the workspace, then count allocations of an entire
-	// refinement divided by its evaluations.
-	if _, err := RefineWorkspace(sc, lig, box, start, 50, 9, ws); err != nil {
-		t.Fatal(err)
-	}
-	sc.n = 0
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := RefineWorkspace(sc, lig, box, start, 50, 9, ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One Clone (2 allocs: pose header escape + torsion slice) per
-	// refinement is the result copy; everything per-candidate is free.
-	if perEval := allocs / 50; perEval > 0.2 {
-		t.Fatalf("refine allocates %.1f objects per full run (%.2f/candidate), want O(1) for the result only",
-			allocs, perEval)
-	}
-}
-
 func BenchmarkWorkspaceEval(b *testing.B) {
 	raw := testLigand(b, "0E6")
 	ws := NewWorkspace(raw)

@@ -80,14 +80,8 @@ func TestGenerateAndInterpolate(t *testing.T) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("affinity at centre = %v", v)
 	}
-	if !maps.InBox(c) {
-		t.Error("centre not in box")
-	}
 	// Outside the box: penalty.
 	far := c.Add(chem.V(1e3, 0, 0))
-	if maps.InBox(far) {
-		t.Error("far point in box")
-	}
 	if got := carbon.At(far); got != OutOfBoxPenalty {
 		t.Errorf("out-of-box affinity = %v", got)
 	}

@@ -7,16 +7,6 @@ import (
 	"repro/internal/chem"
 )
 
-// InBox reports whether p lies inside the grid volume.
-func (m *Maps) InBox(p chem.Vec3) bool {
-	o := m.Spec.Origin()
-	d := p.Sub(o)
-	return d.X >= 0 && d.Y >= 0 && d.Z >= 0 &&
-		d.X <= float64(m.Spec.NPts[0]-1)*m.Spec.Spacing &&
-		d.Y <= float64(m.Spec.NPts[1]-1)*m.Spec.Spacing &&
-		d.Z <= float64(m.Spec.NPts[2]-1)*m.Spec.Spacing
-}
-
 // Field is one resolved map lattice: the map-name lookup done once, so
 // the AD4 scorer hands InterPose its atoms' affinity lattices without a
 // per-call map-key hash, and At reads one lattice at one point — the

@@ -6,13 +6,12 @@ import (
 )
 
 // FuzzParamFiles feeds arbitrary bytes to the three parameter-file
-// readers (GPF, DPF, Vina config), which read files staged on the
-// shared file system: each must return a value or an error, never
+// readers (GPF, DPF, Vina config), the test-only oracles of the
+// writers' round trips: each must return a value or an error, never
 // panic. Seeds are the round-trip files and malformed inputs of
 // prep_test.go.
 func FuzzParamFiles(f *testing.F) {
-	rec, pl := preparedPair(f)
-	g := DefaultGPF(rec, pl, 0)
+	g := testGPF(f)
 	d := DefaultDPF("0E6.pdbqt", "2HHN.maps.fld", 99)
 	c := DefaultVinaConfig(&g, "0E6.pdbqt", 7)
 	var buf bytes.Buffer

@@ -10,7 +10,7 @@ import (
 // batch, large enough to amortize the per-table lock.
 const defaultAppendLimit = 64
 
-// Appender batches provenance inserts so a run of rows reaches each
+// Appender batches hactivation inserts so a run of rows reaches the
 // table as one InsertBatch under a single lock acquisition instead of
 // one lock round-trip per row. Rows are validated at append time (same
 // error behavior as direct inserts) and flushed in insertion order at
@@ -21,10 +21,8 @@ type Appender struct {
 	db    *DB
 	limit int
 
-	mu    sync.Mutex
-	order []string             // tables in first-append order
-	buf   map[string][][]Value // pending rows per table
-	n     int
+	mu   sync.Mutex
+	rows [][]Value // pending hactivation rows
 }
 
 // NewAppender wraps db in a buffered appender; limit <= 0 selects the
@@ -33,51 +31,32 @@ func NewAppender(db *DB, limit int) *Appender {
 	if limit <= 0 {
 		limit = defaultAppendLimit
 	}
-	return &Appender{
-		db:    db,
-		limit: limit,
-		buf:   make(map[string][][]Value),
-	}
+	return &Appender{db: db, limit: limit}
 }
 
-// add validates and buffers one row; the caller holds a.mu and must
-// not retain the slice.
-func (a *Appender) add(table string, row []Value) error {
-	t, err := a.db.lookupTable(table)
+// add validates and buffers one hactivation row; the caller holds a.mu
+// and must not retain the slice.
+func (a *Appender) add(row []Value) error {
+	t, err := a.db.lookupTable(TableActivation)
 	if err != nil {
 		return err
 	}
-	if err := t.checkRow(table, row); err != nil {
+	if err := t.checkRow(TableActivation, row); err != nil {
 		return err
 	}
-	if _, ok := a.buf[table]; !ok {
-		a.order = append(a.order, table)
-	}
-	a.buf[table] = append(a.buf[table], row)
-	a.n++
+	a.rows = append(a.rows, row)
 	return nil
 }
 
-// flushLocked drains every buffered table in first-append order.
+// flushLocked drains the buffer in insertion order.
 func (a *Appender) flushLocked() error {
-	for _, table := range a.order {
-		rows := a.buf[table]
-		if len(rows) == 0 {
-			continue
-		}
-		if err := a.db.InsertBatch(table, rows); err != nil {
-			return err
-		}
-		a.buf[table] = rows[:0]
+	if len(a.rows) == 0 {
+		return nil
 	}
-	a.n = 0
-	return nil
-}
-
-func (a *Appender) maybeFlushLocked() error {
-	if a.n >= a.limit {
-		return a.flushLocked()
+	if err := a.db.InsertBatch(TableActivation, a.rows); err != nil {
+		return err
 	}
+	a.rows = a.rows[:0]
 	return nil
 }
 
@@ -88,24 +67,20 @@ func (a *Appender) Flush() error {
 	return a.flushLocked()
 }
 
-// Pending returns the number of buffered, not-yet-flushed rows.
-func (a *Appender) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
 // InsertActivation buffers an hactivation row (see
 // DB.InsertActivation).
 func (a *Appender) InsertActivation(taskid, actid, wkfid int64, status string, start, end time.Time, vmid string, failures int64, command string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.add(TableActivation, []Value{
+	if err := a.add([]Value{
 		taskid, actid, wkfid, status, start, end, vmid, failures, command,
 	}); err != nil {
 		return err
 	}
-	return a.maybeFlushLocked()
+	if len(a.rows) >= a.limit {
+		return a.flushLocked()
+	}
+	return nil
 }
 
 // BeginActivation buffers a RUNNING hactivation row whose endtime is
@@ -123,25 +98,4 @@ func (a *Appender) CloseActivation(taskid int64, status string, end time.Time, f
 		return err
 	}
 	return a.db.CloseActivation(taskid, status, end, failures)
-}
-
-// InsertFile buffers an hfile row (see DB.InsertFile).
-func (a *Appender) InsertFile(fileid, taskid, actid, wkfid int64, fname string, fsize int64, fdir string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.add(TableFile, []Value{fileid, taskid, actid, wkfid, fname, fsize, fdir}); err != nil {
-		return err
-	}
-	return a.maybeFlushLocked()
-}
-
-// InsertDocking buffers a ddocking extractor row (see
-// DB.InsertDocking).
-func (a *Appender) InsertDocking(taskid, wkfid int64, receptor, ligand, program string, feb, rmsd float64, nruns int64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.add(TableDocking, []Value{taskid, wkfid, receptor, ligand, program, feb, rmsd, nruns}); err != nil {
-		return err
-	}
-	return a.maybeFlushLocked()
 }

@@ -44,7 +44,9 @@ func isNaN(v Value) bool {
 // must return exactly the ids a scan of that snapshot matches, for
 // every column and every key of every type; and it must report false
 // once an index was declared or an indexed cell re-keyed after the
-// snapshot was taken.
+// snapshot was taken. Re-keys run on indexed and unindexed columns
+// alike, so UpdateByKey's scan must match keys as the index does; and
+// at the end of each run ORDER BY on the float column must sort.
 func TestIndexMatchesSnapshotScan(t *testing.T) {
 	base := time.Date(2014, 3, 1, 12, 0, 0, 0, time.UTC)
 	domains := [][]Value{
@@ -121,9 +123,6 @@ func TestIndexMatchesSnapshotScan(t *testing.T) {
 				}
 			case op < 7: // re-key every row holding one value of an indexed column
 				c := rng.Intn(len(cols))
-				if !indexed[c] {
-					break // UpdateByKey scans, and its scan matches NaN to every number
-				}
 				key := domains[c][rng.Intn(len(domains[c]))]
 				set := rng.Intn(len(cols))
 				val := domains[set][rng.Intn(len(domains[set]))]
@@ -181,6 +180,32 @@ func TestIndexMatchesSnapshotScan(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+		// ORDER BY on the float column: NULL first, then numbers by
+		// magnitude, then NaN, PostgreSQL's place for it.
+		res, err := db.Query("SELECT f FROM m ORDER BY f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != tab.n {
+			t.Fatalf("seed %d: ORDER BY f returned %d rows of %d", seed, len(res.Rows), tab.n)
+		}
+		rank := func(v Value) (int, float64) {
+			switch {
+			case v == nil:
+				return 0, 0
+			case isNaN(v):
+				return 2, 0
+			}
+			f, _ := numeric(v)
+			return 1, f
+		}
+		for i := 1; i < len(res.Rows); i++ {
+			ra, fa := rank(res.Rows[i-1][0])
+			rb, fb := rank(res.Rows[i][0])
+			if ra > rb || (ra == rb && fa > fb) {
+				t.Fatalf("seed %d: ORDER BY f puts %v before %v at row %d", seed, res.Rows[i-1][0], res.Rows[i][0], i)
 			}
 		}
 	}

@@ -419,6 +419,21 @@ func TestCompareAndFormatValues(t *testing.T) {
 	if compareValues(int64(2), 2.0) != 0 {
 		t.Error("int/float comparable")
 	}
+	// NaN in PostgreSQL's order: equal to NaN, above every number.
+	nan := math.NaN()
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{nan, nan, 0},
+		{nan, 1.0, 1},
+		{int64(1), nan, -1},
+		{nan, math.Inf(1), 1},
+	} {
+		if got := compareValues(c.a, c.b); got != c.want {
+			t.Errorf("compareValues(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
 	if formatValue(nil) != "" || formatValue(int64(3)) != "3" {
 		t.Error("formatting broken")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"regexp"
-	"strings"
 	"time"
 )
 
@@ -122,21 +121,4 @@ func provnTime(t time.Time) string {
 		return "-"
 	}
 	return t.UTC().Format("2006-01-02T15:04:05.000Z")
-}
-
-// CountPROVNStatements is a helper for tests and tooling: it counts
-// the PROV-N statements of each kind in an exported document.
-func CountPROVNStatements(doc string) map[string]int {
-	counts := map[string]int{}
-	for _, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		for _, kind := range []string{
-			"entity(", "activity(", "agent(", "wasGeneratedBy(", "wasAssociatedWith(",
-		} {
-			if strings.HasPrefix(line, kind) {
-				counts[strings.TrimSuffix(kind, "(")]++
-			}
-		}
-	}
-	return counts
 }

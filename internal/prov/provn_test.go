@@ -108,3 +108,20 @@ func TestLoadDBErrors(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// CountPROVNStatements counts the PROV-N statements of each kind in an
+// exported document.
+func CountPROVNStatements(doc string) map[string]int {
+	counts := map[string]int{}
+	for _, line := range strings.Split(doc, "\n") {
+		line = strings.TrimSpace(line)
+		for _, kind := range []string{
+			"entity(", "activity(", "agent(", "wasGeneratedBy(", "wasAssociatedWith(",
+		} {
+			if strings.HasPrefix(line, kind) {
+				counts[strings.TrimSuffix(kind, "(")]++
+			}
+		}
+	}
+	return counts
+}

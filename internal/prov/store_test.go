@@ -280,8 +280,8 @@ func TestAppenderMatchesDirectWrites(t *testing.T) {
 				func(i int64) error {
 					return app.CloseActivation(i, StatusFinished, base.Add(time.Duration(i)*time.Second), i%2)
 				},
-				func(i int64) error { return app.InsertFile(i, i, 1, 1, "f.dlg", 10, "/d/") },
-				func(i int64) error { return app.InsertDocking(i, 1, "R", "L", "ad4", -1.5, 0.2, 10) },
+				func(i int64) error { return db.InsertFile(i, i, 1, 1, "f.dlg", 10, "/d/") },
+				func(i int64) error { return db.InsertDocking(i, 1, "R", "L", "ad4", -1.5, 0.2, 10) },
 				func(i int64) error {
 					return app.InsertActivation(i, 1, 1, StatusAborted, base, base, "-", 0, "c # aborted")
 				},
@@ -289,8 +289,8 @@ func TestAppenderMatchesDirectWrites(t *testing.T) {
 			if err := app.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if app.Pending() != 0 {
-				t.Fatalf("pending after flush: %d", app.Pending())
+			if len(app.rows) != 0 {
+				t.Fatalf("pending after flush: %d", len(app.rows))
 			}
 		}
 		var buf bytes.Buffer
@@ -346,25 +346,22 @@ func TestAppenderAutoFlushAtCap(t *testing.T) {
 	base := time.Date(2014, 3, 1, 8, 0, 0, 0, time.UTC)
 	app := NewAppender(db, 3)
 	for i := int64(1); i <= 3; i++ {
-		if err := app.InsertFile(i, i, 1, 1, "f", 1, "/"); err != nil {
+		if err := app.BeginActivation(i, 1, 1, base, "vm", "c"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if app.Pending() != 0 {
-		t.Fatalf("cap did not flush: pending %d", app.Pending())
+	if len(app.rows) != 0 {
+		t.Fatalf("cap did not flush: pending %d", len(app.rows))
 	}
-	if got := db.NumRows(TableFile); got != 3 {
+	if got := db.NumRows(TableActivation); got != 3 {
 		t.Fatalf("flushed rows = %d", got)
 	}
 	// Validation errors surface at append time, like direct inserts.
-	if err := app.InsertActivation(1, 1, 1, StatusFinished, base, base, "vm", 0, "c"); err != nil {
+	if err := app.InsertActivation(4, 1, 1, StatusFinished, base, base, "vm", 0, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.add(TableFile, []Value{"wrong-type"}); err == nil {
+	if err := app.add([]Value{"wrong-type"}); err == nil {
 		t.Error("appender accepted schema-violating row")
-	}
-	if err := app.add("missing", []Value{int64(1)}); err == nil {
-		t.Error("appender accepted missing table")
 	}
 	if err := app.Flush(); err != nil {
 		t.Fatal(err)

@@ -78,8 +78,10 @@ func numeric(v Value) (float64, bool) {
 }
 
 // compareValues orders two values: numbers by magnitude, strings
-// lexically, times chronologically. nil sorts first. Mixed
-// incomparable types order by type name for determinism.
+// lexically, times chronologically. nil sorts first. NaN takes
+// PostgreSQL's order, which the index's nanKey matches: equal to NaN,
+// above every other number. Mixed incomparable types order by type
+// name for determinism.
 func compareValues(a, b Value) int {
 	if a == nil && b == nil {
 		return 0
@@ -97,6 +99,12 @@ func compareValues(a, b Value) int {
 				return -1
 			case fa > fb:
 				return 1
+			case fa != fa && fb != fb:
+				return 0
+			case fa != fa:
+				return 1
+			case fb != fb:
+				return -1
 			default:
 				return 0
 			}

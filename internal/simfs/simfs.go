@@ -5,7 +5,7 @@
 // the ~600 GB of files a full SciDock execution produces.
 //
 // An FS keeps two things apart: the accounting (every path and its
-// size, which is all Stat, Exists, List, Remove, Stats, TotalBytes and
+// size, which is all Stat, List, Stats, TotalBytes and
 // the returned latencies read) and the contents (what Read returns).
 // The accounting is logical and the storage is by reference: Write
 // keeps the slice it is given, so a campaign that stages one rendering
@@ -140,34 +140,6 @@ func (fs *FS) Stat(path string) (int64, error) {
 		return 0, fmt.Errorf("simfs: %s: no such file", p)
 	}
 	return n, nil
-}
-
-// Exists reports whether path holds a file.
-func (fs *FS) Exists(path string) bool {
-	p, err := clean(path)
-	if err != nil {
-		return false
-	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.sizes[p]
-	return ok
-}
-
-// Remove deletes a file.
-func (fs *FS) Remove(path string) error {
-	p, err := clean(path)
-	if err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.sizes[p]; !ok {
-		return fmt.Errorf("simfs: %s: no such file", p)
-	}
-	delete(fs.sizes, p)
-	delete(fs.contents, p)
-	return nil
 }
 
 // List returns the sorted paths under the given directory prefix.

@@ -43,33 +43,11 @@ func TestPathValidation(t *testing.T) {
 	if _, err := fs.Write("/a//b/./c.txt", []byte("x")); err != nil {
 		t.Errorf("messy but valid path rejected: %v", err)
 	}
-	if !fs.Exists("/a/b/c.txt") {
-		t.Error("canonicalization broken")
-	}
-}
-
-func TestStatRemoveExists(t *testing.T) {
-	fs := New()
-	fs.Write("/d/f.map", make([]byte, 1234))
-	n, err := fs.Stat("/d/f.map")
-	if err != nil || n != 1234 {
-		t.Errorf("stat = %d, %v", n, err)
+	if n, err := fs.Stat("/a/b/c.txt"); err != nil || n != 1 {
+		t.Errorf("canonicalization broken: stat = %d, %v", n, err)
 	}
 	if _, err := fs.Stat("/missing"); err == nil {
 		t.Error("stat of missing file accepted")
-	}
-	if err := fs.Remove("/d/f.map"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/d/f.map") {
-		t.Error("file survives removal")
-	}
-	if err := fs.Remove("/d/f.map"); err == nil {
-		t.Error("double remove accepted")
-	}
-	if _, _, err := fs.Read("/d/f.map"); err == nil ||
-		!strings.Contains(err.Error(), "no such file") {
-		t.Errorf("read of removed file: %v", err)
 	}
 }
 
@@ -185,8 +163,8 @@ func TestWriteSharesOneSlice(t *testing.T) {
 	runtime.KeepAlive(fs)
 }
 
-// TestDropContentsKeepsAccounting feeds the same random write,
-// overwrite and remove sequences to a file system that keeps its
+// TestDropContentsKeepsAccounting feeds the same random write and
+// overwrite sequences to a file system that keeps its
 // contents and to one whose contents were dropped (half of them
 // before any operation, half midway). Everything but Read must answer
 // identically; Read on the dropped one fails, naming the path.
@@ -204,13 +182,6 @@ func TestDropContentsKeepsAccounting(t *testing.T) {
 				drop.DropContents()
 			}
 			path := fmt.Sprintf("%s/f%d", dirs[rng.Intn(len(dirs))], rng.Intn(6))
-			if rng.Intn(4) == 0 {
-				ek, ed := keep.Remove(path), drop.Remove(path)
-				if (ek == nil) != (ed == nil) {
-					t.Fatalf("seed %d op %d: Remove(%s) = %v vs %v", seed, op, path, ek, ed)
-				}
-				continue
-			}
 			data := make([]byte, rng.Intn(3000))
 			lk, ek := keep.Write(path, data)
 			ld, ed := drop.Write(path, data)
@@ -246,9 +217,6 @@ func assertSameAccounting(t *testing.T, seed int64, keep, drop *FS) {
 		if nk != nd || ek != nil || ed != nil {
 			t.Fatalf("seed %d: Stat(%s) = %d, %v vs %d, %v", seed, p, nk, ek, nd, ed)
 		}
-		if !keep.Exists(p) || !drop.Exists(p) {
-			t.Fatalf("seed %d: %s listed but not Exists", seed, p)
-		}
 		if _, _, err := keep.Read(p); err != nil {
 			t.Fatalf("seed %d: retaining Read(%s): %v", seed, p, err)
 		}
@@ -256,8 +224,11 @@ func assertSameAccounting(t *testing.T, seed int64, keep, drop *FS) {
 			t.Fatalf("seed %d: Read(%s) after DropContents = %v, want an error naming the path", seed, p, err)
 		}
 	}
-	if keep.Exists("/exp/f9") != drop.Exists("/exp/f9") {
-		t.Fatalf("seed %d: Exists of a never-written path differs", seed)
+	if _, ek := keep.Stat("/exp/f9"); ek == nil {
+		t.Fatalf("seed %d: Stat of a never-written path succeeds", seed)
+	}
+	if _, ed := drop.Stat("/exp/f9"); ed == nil {
+		t.Fatalf("seed %d: Stat of a never-written path succeeds after DropContents", seed)
 	}
 }
 

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -86,20 +85,6 @@ func MeanStd(samples []float64) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(samples)))
 	return
-}
-
-// Quartiles returns min, q1, median, q3, max.
-func Quartiles(samples []float64) (min, q1, med, q3, max float64, err error) {
-	if len(samples) == 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("stats: quartiles of no samples")
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	at := func(p float64) float64 {
-		i := int(p * float64(len(s)-1))
-		return s[i]
-	}
-	return s[0], at(0.25), at(0.5), at(0.75), s[len(s)-1], nil
 }
 
 // PerfPoint is one (cores, TET) measurement of the scalability sweep.

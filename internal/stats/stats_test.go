@@ -47,19 +47,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestQuartiles(t *testing.T) {
-	min, q1, med, q3, max, err := Quartiles([]float64{5, 1, 3, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != 1 || q1 != 2 || med != 3 || q3 != 4 || max != 5 {
-		t.Errorf("quartiles = %v %v %v %v %v", min, q1, med, q3, max)
-	}
-	if _, _, _, _, _, err := Quartiles(nil); err == nil {
-		t.Error("empty quartiles accepted")
-	}
-}
-
 func seriesFixture() Series {
 	return Series{
 		Label: "SciDock-AD4",

@@ -73,9 +73,12 @@ go test -race -timeout 4m ./internal/engine
 go test -race -timeout 4m $(go list ./... | grep -vx 'repro/internal/core\|repro/internal/engine')
 go test -race -timeout 9m ./internal/core
 
-# Every parser of bytes from outside the process has a native fuzz
-# target, FuzzQuery holds the SQL planner to the reference executor, and
-# FuzzAppendFixed holds the text renderers' fixed-point formatter to fmt.
+# Every parser a binary runs on bytes from outside the process (SQL, a
+# saved database, PDBQT) has a native fuzz target, and so does every
+# test-only reader the round-trip tests hold the writers to (SDF, PDB,
+# Mol2, DLG, .map, the parameter files, the workflow spec); FuzzQuery
+# holds the SQL planner to the reference executor, and FuzzAppendFixed
+# holds the text renderers' fixed-point formatter to fmt.
 # go test already ran their checked-in seeds; 3 s each (under a minute
 # in all, cold build included) explores past them. A crash fails the
 # gate and leaves its input under the package's testdata/fuzz/: fix
@@ -197,32 +200,13 @@ grep -v '^#' scripts/fma_arm64.txt | while read -r pkg want; do
 	fi
 done
 
-# The linter carries no code the tool cannot reach: every func declared
-# in a non-test file of internal/lint must survive the linker's dead
-# code elimination into cmd/scilint. Inlining is off, so a function the
-# tool calls keeps its own symbol.
-echo "==> every internal/lint function is linked into cmd/scilint (go tool nm, -gcflags=all=-l)"
-lintbin=$(mktemp)
-go build -gcflags=all=-l -o "$lintbin" ./cmd/scilint
-lintpkg=$(go list ./internal/lint)
-syms=$(go tool nm "$lintbin" | awk '{print $NF}')
-rm -f "$lintbin"
-# One symbol per declaration: pkg.Name for a function, pkg.(*Recv).Name
-# or pkg.Recv.Name for a method.
-decls=$(find internal/lint -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -h '^func ' {} + |
-	sed -e 's/^func (\([A-Za-z0-9_]* \)\{0,1\}\(\**[A-Za-z0-9_]*\)) \([A-Za-z0-9_]*\).*/\2.\3/' \
-		-e 's/^func \([A-Za-z0-9_]*\).*/\1/' -e 's/^\*\(.*\)\.\(.*\)/(*\1).\2/')
-declared=0
-missing=0
-for d in $decls; do
-	declared=$((declared + 1))
-	printf '%s\n' "$syms" | grep -qxF -- "$lintpkg.$d" || {
-		echo "check: internal/lint declares $d, which cmd/scilint does not link" >&2
-		missing=$((missing + 1))
-	}
-done
-echo "internal/lint: $declared functions declared, $missing missing from cmd/scilint"
-[ "$missing" -eq 0 ] || exit 1
+# Production code is what a binary runs: every func declared in a
+# non-test file of internal/ or cmd/ must be linked into a shipped
+# binary (inlining off) or listed, with the test that reads it, in
+# scripts/unlinked.txt; and every entry of that list must be declared
+# and unlinked.
+echo "==> every internal/ and cmd/ function is linked into a binary or listed (go tool nm, -gcflags=all=-l)"
+sh scripts/reachability.sh
 
 echo "==> kernel benchmark smoke (-benchtime=1x -timeout 60s)"
 go test -run '^$' -bench . -benchtime=1x -timeout 60s \
